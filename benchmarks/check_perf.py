@@ -23,8 +23,8 @@ replicated below) and asserts the speedup ratios the layer promises:
 * a warm repeat DSE sweep on a reused ``ShardedPool`` >= 5x over the
   cold spawn-a-pool-per-call baseline, with zero cross-worker
   recomputation of warm cache keys and bit-identical results to the
-  serial ``core.dse.explore`` (affinity and round-robin policies, and
-  after a simulated worker death/restart),
+  serial ``core.dse.explore`` (cold, warm, and after a simulated
+  worker death/restart),
 * the fused whole-grid tensor evaluation
   (``NodeModel.evaluate_grid``) >= 10x over the seed per-profile
   ``evaluate_arrays`` loop on a full Table-II-scale sweep, with the
@@ -642,10 +642,9 @@ def check_pool_affinity(quick: bool) -> list[str]:
     cold spawn-per-call baseline >= 5x, recompute zero warm cache keys
     (merged worker ``cache.eval`` deltas: no misses, one hit per tensor
     slab task), and stay bit-identical to the serial DSE — cold, warm,
-    under the round-robin policy, and after a worker is killed and
-    respawned. Since PR 6 the unit of work is a fused (profile-block x
-    CU-slab) tensor slab, so the task count is ``n_blocks * n_slabs``
-    rather than ``len(profiles) * n_chunks``.
+    and after a worker is killed and respawned. The unit of work is a
+    fused (profile-block x CU-slab) tensor slab, so the task count is
+    ``n_blocks * n_slabs``.
     """
     from repro.core.config import DesignSpace
     from repro.core.dse import explore
@@ -667,7 +666,7 @@ def check_pool_affinity(quick: bool) -> list[str]:
         bandwidths=tuple(1e12 + 0.25e12 * k for k in range(25)),
     )
     profiles = [get_application(n) for n in names]
-    # Mirrors the slab split in repro.perf.parallel._explore_slabs.
+    # Mirrors the slab split in repro.perf.parallel.parallel_explore.
     n_blocks = max(1, min(n_chunks, len(profiles)))
     n_slabs = max(1, min(n_chunks, len(space.cu_counts)))
     n_tasks = n_blocks * n_slabs
@@ -731,15 +730,9 @@ def check_pool_affinity(quick: bool) -> list[str]:
     finally:
         pool.shutdown()
 
-    with ShardedPool(n_shards, policy="roundrobin") as rr_pool:
-        rr_result = parallel_explore(
-            profiles, space, n_chunks=n_chunks, pool=rr_pool
-        )
-
     identical = all(
         matches_serial(r)
-        for r in (cold_result, first_result, warm_result, killed_result,
-                  rr_result)
+        for r in (cold_result, first_result, warm_result, killed_result)
     )
     print(f"pool affinity {len(profiles)} profiles x {space.size // 1000}k "
           f"points: cold per-call pool {t_cold * 1e3:.0f} ms vs warm reused "
@@ -998,120 +991,56 @@ def check_serve(quick: bool) -> list[str]:
 def check_fleet(quick: bool) -> list[str]:
     """The sharded multi-node fleet sweep's promises.
 
-    Correctness: the sharded sweep must be bit-identical to the serial
-    :meth:`ExascaleSystem.estimate` loop — cold, warm on the reused
-    pool, after a worker death, and on a fresh pool warmed only by the
-    shared spill directory. Speed: the warm reused pool must beat the
-    serial loop >= 5x with zero recomputed cache keys. Scheduling: the
-    group-fingerprint shard keys must spread the chunk tasks evenly
-    (assignment balance >= 0.75 — deterministic, no wall-clock noise).
+    Correctness: the pooled sweep must be bit-identical to the serial
+    :meth:`ExascaleSystem.estimate` loop — cold on a fresh pool and
+    after a worker death. Shape: one task per ``(group, profile)``
+    series. Scheduling: the unkeyed series tasks, dealt round-robin,
+    must spread evenly (assignment balance >= 0.75 — deterministic, no
+    wall-clock noise).
     """
-    import shutil
-    import tempfile
-
     from repro.fleet.bench import identical_results
     from repro.fleet.spec import synthetic_fleet
     from repro.fleet.sweep import fleet_sweep, fleet_sweep_serial
-    from repro.perf.evalcache import clear_cache
     from repro.perf.pool import ShardedPool
 
-    n_shards, n_chunks = 2, 4
+    n_shards = 2
     if quick:
         spec = synthetic_fleet(n_nodes=1000, n_groups=6, seed=0)
         cu_counts = tuple(range(192, 385, 16))
     else:
         spec = synthetic_fleet(n_nodes=1000, n_groups=8, seed=0)
         cu_counts = tuple(range(192, 385, 8))
-    n_tasks = spec.n_series * max(1, min(n_chunks, len(cu_counts)))
 
-    clear_cache()
     t0 = time.perf_counter()
     serial = fleet_sweep_serial(spec, cu_counts)
     t_serial = time.perf_counter() - t0
 
-    spill = tempfile.mkdtemp(prefix="fleet-spill-")
-    # Forked workers inherit the parent's memory: clear the parent's
-    # caches so the "cold" pool really starts cold. batch_size covers
-    # each worker's whole queue in one dispatch, so no chunk is stolen
-    # onto a worker that never owned its cache entries.
-    clear_cache()
-    pool = ShardedPool(n_shards, batch_size=n_tasks)
-    try:
+    with ShardedPool(n_shards) as pool:
         t0 = time.perf_counter()
-        cold = fleet_sweep(
-            spec, cu_counts, pool=pool,
-            n_chunks=n_chunks, spill_dir=spill,
-        )
+        cold = fleet_sweep(spec, cu_counts, pool=pool)
         t_cold = time.perf_counter() - t0
-
-        t_warm = float("inf")
-        snap = warm = None
-        for _ in range(3):
-            t0 = time.perf_counter()
-            result, delta = fleet_sweep(
-                spec, cu_counts, pool=pool,
-                n_chunks=n_chunks, metrics=True, spill_dir=spill,
-            )
-            elapsed = time.perf_counter() - t0
-            if elapsed < t_warm:
-                t_warm, warm, snap = elapsed, result, delta
-        ratio = t_serial / t_warm
-        misses = snap.counter("cache.eval.misses")
-        hits = snap.counter("cache.eval.hits")
         counts = pool.last_shard_task_counts()
         balance = pool.assignment_balance()
 
         restarts_before = pool.stats().worker_restarts
         pool.kill_worker(0)
-        killed = fleet_sweep(
-            spec, cu_counts, pool=pool,
-            n_chunks=n_chunks, spill_dir=spill,
-        )
+        killed = fleet_sweep(spec, cu_counts, pool=pool)
         restarts_after = pool.stats().worker_restarts
-    finally:
-        pool.shutdown()
 
-    # A brand-new pool pointed at the same spill directory must start
-    # warm: zero recomputation, all traffic served by the spill tier.
-    clear_cache()
-    try:
-        with ShardedPool(n_shards, batch_size=n_tasks) as fresh_pool:
-            respill, spill_snap = fleet_sweep(
-                spec, cu_counts, pool=fresh_pool,
-                n_chunks=n_chunks, metrics=True, spill_dir=spill,
-            )
-        spill_misses = spill_snap.counter("cache.eval.misses")
-        spill_hits = spill_snap.counter("cache.eval.spill_hits")
-        # Content-duplicate chunks (two groups drawing the same config
-        # and profile) hit in memory after the first spill load; every
-        # task must be served by one warm tier or the other.
-        spill_served = spill_hits + spill_snap.counter("cache.eval.hits")
-    finally:
-        shutil.rmtree(spill, ignore_errors=True)
-
-    identical = all(
-        identical_results(serial, r) for r in (cold, warm, killed, respill)
-    )
+    identical = all(identical_results(serial, r) for r in (cold, killed))
     print(f"fleet {spec.n_nodes} nodes / {len(spec.groups)} groups x "
           f"{len(cu_counts)} CU points: serial {t_serial * 1e3:.0f} ms vs "
-          f"warm pool {t_warm * 1e3:.0f} ms -> {ratio:.1f}x (warm misses "
-          f"{misses}, hits {hits}/{n_tasks}, shards {counts} balance "
-          f"{balance:.2f}, spill rewarm {spill_hits} hits, identical to "
-          f"serial: {identical})")
+          f"cold pool {t_cold * 1e3:.0f} ms (tasks {sum(counts)} for "
+          f"{spec.n_series} series, shards {counts} balance "
+          f"{balance:.2f}, identical to serial: {identical})")
 
     failures = []
     if not identical:
         failures.append("fleet sweep diverged from the serial estimate loop")
-    if ratio < 5.0:
-        failures.append(f"fleet warm-vs-serial speedup {ratio:.1f}x < 5x")
-    if misses != 0:
+    if sum(counts) != spec.n_series:
         failures.append(
-            f"warm fleet sweep recomputed {misses} cache keys"
-        )
-    if hits != n_tasks:
-        failures.append(
-            f"warm fleet sweep saw {hits} cache.eval hits, "
-            f"expected {n_tasks}"
+            f"fleet sweep submitted {sum(counts)} tasks, expected one per "
+            f"series ({spec.n_series})"
         )
     if balance < 0.75:
         failures.append(
@@ -1122,11 +1051,6 @@ def check_fleet(quick: bool) -> list[str]:
         failures.append(
             f"worker kill produced {restarts_after - restarts_before} "
             f"restarts, expected 1"
-        )
-    if spill_misses != 0 or spill_hits == 0 or spill_served != n_tasks:
-        failures.append(
-            f"spill rewarm on a fresh pool: {spill_misses} misses, "
-            f"{spill_hits} spill hits, {spill_served}/{n_tasks} served warm"
         )
     if t_cold <= 0:  # pragma: no cover - sanity
         failures.append("cold fleet run measured non-positive time")

@@ -1,13 +1,11 @@
 """Benchmarks for the fleet layer (PR 8).
 
-Times the three fleet sweep paths the check_fleet gate constrains: the
-serial per-point estimate loop (the oracle and the contrast case), a
-cold sharded pool run, and warm repeats on the reused pool. Measured
-shard-scaling efficiency (cold 1-shard vs 2-shard wall clock) and the
-deterministic assignment balance ride along in ``extra_info`` so the
-compacted BENCH_pr8.json artifact records them per run. The >=5x,
-bit-identity, and balance assertions live in ``benchmarks/check_perf.py
-check_fleet``.
+Times the two fleet sweep paths: the serial per-point estimate loop
+(the oracle and the contrast case) and a cold sharded pool run.
+Measured shard-scaling efficiency (cold 1-shard vs 2-shard wall clock)
+rides along in ``extra_info`` so the compacted benchmark JSON artifact
+records it per run. The bit-identity, task-count and balance
+assertions live in ``benchmarks/check_perf.py check_fleet``.
 """
 
 import time
@@ -15,7 +13,6 @@ import time
 from repro.core.node import NodeModel
 from repro.fleet.spec import synthetic_fleet
 from repro.fleet.sweep import fleet_sweep, fleet_sweep_serial
-from repro.perf.evalcache import clear_cache
 from repro.perf.pool import ShardedPool
 
 SPEC = synthetic_fleet(n_nodes=1000, n_groups=6, seed=0)
@@ -25,36 +22,12 @@ MODEL = NodeModel()
 
 def test_bench_fleet_serial_oracle(benchmark):
     """Serial per-point estimate loop over the whole fleet."""
-    clear_cache()
     benchmark.pedantic(
         fleet_sweep_serial,
         args=(SPEC, CUS, MODEL),
         rounds=5,
         iterations=1,
     )
-
-
-def test_bench_fleet_warm_pool(benchmark):
-    """Warm repeats on a reused 2-shard pool (pure cache traffic)."""
-    clear_cache()
-    pool = ShardedPool(2)
-    try:
-        fleet_sweep(SPEC, CUS, MODEL, pool=pool)  # warm the workers
-        benchmark.pedantic(
-            fleet_sweep,
-            args=(SPEC, CUS, MODEL),
-            kwargs=dict(pool=pool),
-            rounds=5,
-            iterations=1,
-        )
-        benchmark.extra_info["shard_task_counts"] = (
-            pool.last_shard_task_counts()
-        )
-        benchmark.extra_info["assignment_balance"] = (
-            pool.assignment_balance()
-        )
-    finally:
-        pool.shutdown()
 
 
 def test_bench_fleet_cold_pool_scaling(benchmark):
@@ -68,7 +41,6 @@ def test_bench_fleet_cold_pool_scaling(benchmark):
     """
 
     def cold_run(shards):
-        clear_cache()
         with ShardedPool(shards) as pool:
             fleet_sweep(SPEC, CUS, MODEL, pool=pool)
 

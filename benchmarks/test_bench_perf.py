@@ -168,6 +168,4 @@ def test_bench_eval_cache_warm(benchmark):
 
 def test_bench_run_all_experiments_serial(benchmark):
     """Every figure/table driver, serial, shared evaluation cache."""
-    benchmark.pedantic(
-        lambda: run_all_experiments(parallel=False), rounds=1, iterations=1
-    )
+    benchmark.pedantic(run_all_experiments, rounds=1, iterations=1)

@@ -5,9 +5,8 @@ Usage::
     python -m repro list                # show available experiments
     python -m repro fig8 table2        # run selected artifacts
     python -m repro all                 # run everything
-    python -m repro all --jobs 4        # ... across 4 worker processes
-    python -m repro all --pool-shards 4 # ... on a persistent sharded
-                                        # worker pool (cache affinity)
+    python -m repro all --pool-shards 4 # ... across a sharded pool of
+                                        # 4 worker processes
     python -m repro all --metrics-out manifest.json --trace-out trace.json
                                         # ... plus a run manifest and a
                                         # Perfetto-loadable span trace
@@ -91,24 +90,14 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help=(
-            "worker processes to fan the experiments across "
-            "(default 1: serial in-process)"
-        ),
-    )
-    parser.add_argument(
         "--pool-shards",
         type=int,
         metavar="N",
         default=0,
         help=(
-            "run the experiments on a persistent sharded worker pool "
-            "with N shard-affine workers (cache-affinity scheduling) "
-            "instead of a throwaway process pool; overrides --jobs"
+            "fan the experiments across a sharded worker pool of N "
+            "processes (default 0: serial in-process); also sizes the "
+            "'serve' and 'fleet' benchmark pools (default 2)"
         ),
     )
     parser.add_argument(
@@ -223,16 +212,6 @@ def main(argv: list[str] | None = None) -> int:
         default=0,
         help="synthetic-fleet seed (default 0)",
     )
-    fleet_group.add_argument(
-        "--fleet-spill",
-        metavar="DIR",
-        default=None,
-        help=(
-            "shared spill directory: worker eval caches persist chunk "
-            "results there, so a later run (any pool, any process) "
-            "starts warm"
-        ),
-    )
     thermal_group = parser.add_argument_group("thermal-loop benchmark")
     thermal_group.add_argument(
         "--thermal-loop-bench",
@@ -331,7 +310,6 @@ def main(argv: list[str] | None = None) -> int:
                 n_groups=args.fleet_groups,
                 seed=args.fleet_seed,
                 shards=args.pool_shards or 2,
-                spill_dir=args.fleet_spill,
             )
         print(report.render())
         if args.metrics_out:
@@ -378,18 +356,15 @@ def main(argv: list[str] | None = None) -> int:
             with ShardedPool(args.pool_shards) as pool:
                 results = run_experiments(
                     names,
-                    parallel=True,
                     pool=pool,
                     metrics_out=args.metrics_out,
                     trace_out=args.trace_out,
                 )
-        elif args.jobs > 1 or args.metrics_out or args.trace_out:
+        elif args.metrics_out or args.trace_out:
             from repro.perf.parallel import run_experiments
 
             results = run_experiments(
                 names,
-                parallel=args.jobs > 1,
-                max_workers=args.jobs if args.jobs > 1 else None,
                 metrics_out=args.metrics_out,
                 trace_out=args.trace_out,
             )

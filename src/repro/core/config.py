@@ -10,6 +10,7 @@ Section V exploration sweeps, together with its power and area budgets.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -23,6 +24,11 @@ __all__ = [
     "PAPER_BEST_MEAN",
     "PAPER_BEST_MEAN_OPTIMIZED",
 ]
+
+
+def _finite_positive(value: float) -> bool:
+    """``0 < value < inf`` — false for NaN, which every comparison is."""
+    return 0 < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,13 @@ class EHPConfig:
                 f"n_cus={self.n_cus} exceeds the package area budget of "
                 f"{self.max_cus} CUs (Section VI)"
             )
-        if self.gpu_freq <= 0 or self.bandwidth <= 0:
-            raise ValueError("gpu_freq and bandwidth must be positive")
+        if not (
+            _finite_positive(self.gpu_freq)
+            and _finite_positive(self.bandwidth)
+        ):
+            raise ValueError(
+                "gpu_freq and bandwidth must be finite and positive"
+            )
         if self.n_gpu_chiplets <= 0 or self.n_cpu_chiplets <= 0:
             raise ValueError("chiplet counts must be positive")
         if self.n_cus % self.n_gpu_chiplets != 0:
@@ -150,6 +161,12 @@ class DesignSpace:
     def __post_init__(self) -> None:
         if not self.cu_counts or not self.frequencies or not self.bandwidths:
             raise ValueError("all three sweep axes must be non-empty")
+        if not all(map(_finite_positive, self.frequencies)) or not all(
+            map(_finite_positive, self.bandwidths)
+        ):
+            raise ValueError(
+                "frequencies and bandwidths must be finite and positive"
+            )
         if self.power_budget <= 0:
             raise ValueError("power_budget must be positive")
         if any(c > self.base_config.max_cus for c in self.cu_counts):

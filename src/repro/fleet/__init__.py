@@ -11,12 +11,11 @@ package grows that into a fleet simulation:
   scalar-oracle + broadcast-tensor engine pair.
 * :mod:`repro.fleet.spec` — heterogeneous fleets as ``(config,
   profile-mix, node-count)`` groups.
-* :mod:`repro.fleet.sweep` — the fleet-scale CU sweep: profile-major
-  partitioning across a :class:`~repro.perf.pool.ShardedPool`, chunk
-  results memoized in the eval cache (optionally spilled to a shared
-  directory — the cross-shard warm tier), per-shard metrics merged into
-  one fleet manifest; bit-identical to the serial
-  :meth:`~repro.core.exascale.ExascaleSystem.estimate` loop.
+* :mod:`repro.fleet.sweep` — the fleet-scale CU sweep: one
+  :class:`~repro.perf.pool.ShardedPool` task per ``(group, profile)``
+  series, each running the serial
+  :meth:`~repro.core.exascale.ExascaleSystem.estimate` loop, so the
+  pooled sweep is bit-identical to it.
 * :mod:`repro.fleet.bench` — the ``python -m repro fleet`` benchmark.
 """
 
@@ -30,7 +29,6 @@ from repro.fleet.link import (
 )
 from repro.fleet.spec import FleetGroup, FleetSpec, synthetic_fleet
 from repro.fleet.sweep import (
-    ENGINES,
     FleetSweepResult,
     fleet_manifest,
     fleet_sweep,
@@ -38,7 +36,6 @@ from repro.fleet.sweep import (
 )
 
 __all__ = [
-    "ENGINES",
     "LINK_ENGINES",
     "FleetGroup",
     "FleetSpec",

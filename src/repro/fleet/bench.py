@@ -1,10 +1,9 @@
 """Fleet benchmark: sharded sweep vs serial oracle on one fleet.
 
-Measures what the ``check_fleet`` gate gates: the serial per-point
-estimate loop, a cold sharded pool run, and warm repeats on the reused
-pool, plus shard balance and worker cache counters — and verifies the
-sharded result is bit-identical to the oracle before reporting any
-number. ``python -m repro fleet`` routes here.
+Measures the serial per-point estimate loop against one cold sweep on
+a fresh sharded pool, plus the pool's task spread and balance — and
+verifies the sharded result is bit-identical to the oracle before
+reporting any number. ``python -m repro fleet`` routes here.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.fleet.sweep import (
     fleet_sweep,
     fleet_sweep_serial,
 )
-from repro.perf.evalcache import clear_cache
 from repro.perf.pool import ShardedPool
 
 __all__ = ["FleetBenchReport", "identical_results", "run_fleet_bench"]
@@ -55,14 +53,9 @@ class FleetBenchReport:
     n_points: int
     serial_s: float
     cold_s: float
-    warm_s: float
-    warm_speedup: float
     identical: bool
     shard_task_counts: list[int]
     assignment_balance: float
-    warm_misses: int
-    warm_hits: int
-    spill_hits: int
     result: FleetSweepResult | None = None
     extra: dict = field(default_factory=dict)
 
@@ -71,9 +64,8 @@ class FleetBenchReport:
             k: getattr(self, k)
             for k in (
                 "n_nodes", "n_groups", "n_series", "n_points",
-                "serial_s", "cold_s", "warm_s", "warm_speedup",
-                "identical", "shard_task_counts", "assignment_balance",
-                "warm_misses", "warm_hits", "spill_hits",
+                "serial_s", "cold_s", "identical", "shard_task_counts",
+                "assignment_balance",
             )
         }
         if self.result is not None:
@@ -93,14 +85,10 @@ class FleetBenchReport:
             f"groups, {self.n_series} series x {self.n_points} CU points",
             f"  serial        {self.serial_s * 1e3:.1f} ms",
             f"  sharded cold  {self.cold_s * 1e3:.1f} ms",
-            f"  sharded warm  {self.warm_s * 1e3:.1f} ms  "
-            f"({self.warm_speedup:.1f}x vs serial)",
             f"  identity      "
             f"{'bit-identical' if self.identical else 'DIVERGED'}",
             f"  shards        tasks {self.shard_task_counts}, "
             f"balance {self.assignment_balance:.2f}",
-            f"  warm cache    {self.warm_hits} hits, "
-            f"{self.warm_misses} misses, {self.spill_hits} spill hits",
         ]
         if self.result is not None:
             lines.append(f"  {self.result.summary()}")
@@ -115,17 +103,11 @@ def run_fleet_bench(
     seed: int = 0,
     shards: int = 2,
     cu_counts=None,
-    spill_dir: str | None = None,
     model: NodeModel | None = None,
-    warm_rounds: int = 3,
 ) -> FleetBenchReport:
-    """The full fleet benchmark on one fresh pool.
+    """The serial oracle, then one sweep on a fresh pool.
 
-    *spec* overrides the synthetic fleet; *spill_dir* adds the shared
-    on-disk warm tier (pointing two consecutive runs at the same
-    directory demonstrates the cross-pool warm start). The default
-    clock caches are cleared before the serial timing and before the
-    cold run so neither inherits the other's warmth.
+    *spec* overrides the synthetic fleet.
     """
     spec = spec or synthetic_fleet(
         n_nodes=n_nodes, n_groups=n_groups, seed=seed
@@ -135,52 +117,24 @@ def run_fleet_bench(
     )
     model = model or NodeModel()
 
-    clear_cache()
     t0 = time.perf_counter()
     oracle = fleet_sweep_serial(spec, cu_list, model)
     serial_s = time.perf_counter() - t0
 
-    clear_cache()
-    pool = ShardedPool(shards)
-    try:
+    with ShardedPool(shards) as pool:
         t0 = time.perf_counter()
-        cold = fleet_sweep(
-            spec, cu_list, model, pool=pool, spill_dir=spill_dir
-        )
+        cold = fleet_sweep(spec, cu_list, model, pool=pool)
         cold_s = time.perf_counter() - t0
-
-        warm_s = float("inf")
-        warm = cold
-        snap = None
-        for _ in range(max(1, warm_rounds)):
-            t0 = time.perf_counter()
-            warm, snap = fleet_sweep(
-                spec, cu_list, model,
-                pool=pool, metrics=True, spill_dir=spill_dir,
-            )
-            warm_s = min(warm_s, time.perf_counter() - t0)
-
-        identical = identical_results(oracle, cold) and identical_results(
-            oracle, warm
-        )
-        report = FleetBenchReport(
+        return FleetBenchReport(
             n_nodes=spec.n_nodes,
             n_groups=len(spec.groups),
             n_series=spec.n_series,
             n_points=len(cu_list),
             serial_s=serial_s,
             cold_s=cold_s,
-            warm_s=warm_s,
-            warm_speedup=serial_s / warm_s if warm_s > 0 else float("inf"),
-            identical=identical,
+            identical=identical_results(oracle, cold),
             shard_task_counts=pool.last_shard_task_counts(),
             assignment_balance=pool.assignment_balance(),
-            warm_misses=snap.counter("cache.eval.misses"),
-            warm_hits=snap.counter("cache.eval.hits"),
-            spill_hits=snap.counter("cache.eval.spill_hits"),
-            result=warm,
-            extra={"manifest": fleet_manifest(warm, pool=pool)},
+            result=cold,
+            extra={"manifest": fleet_manifest(cold, pool=pool)},
         )
-        return report
-    finally:
-        pool.shutdown()

@@ -10,22 +10,18 @@ property tests.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import EHPConfig
-from repro.core.node import NodeModel
 from repro.fleet.link import LinkTierParams
-from repro.perf.evalcache import fingerprint_model, fingerprint_profile
 from repro.util.units import GHZ, TB
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
     "FleetGroup",
     "FleetSpec",
-    "fingerprint_group",
     "synthetic_fleet",
 ]
 
@@ -91,31 +87,6 @@ class FleetSpec:
     def n_series(self) -> int:
         """Total (group, profile) sweep series."""
         return sum(len(g.profiles) for g in self.groups)
-
-
-def fingerprint_group(
-    group: FleetGroup,
-    link: LinkTierParams | None,
-    model: NodeModel,
-) -> str:
-    """Stable value digest of one group's evaluation inputs.
-
-    The fleet sweep's ``shard_key`` leads with this, so a group's chunks
-    land on the same pool worker run after run and its warm eval-cache
-    entries are never recomputed elsewhere.
-    """
-    text = repr(
-        (
-            group.name,
-            group.config,
-            tuple(fingerprint_profile(p) for p in group.profiles),
-            group.n_nodes,
-            group.concurrent_kernels,
-            link,
-            fingerprint_model(model),
-        )
-    )
-    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def synthetic_fleet(

@@ -6,62 +6,32 @@ profile)`` series it runs the same scalar per-point loop as
 derated, ``ext_fraction`` taken from the profile — and rolls the
 series up into group and fleet curves.
 
-:func:`fleet_sweep` is the production engine. It partitions each
-series' CU axis into chunks, ships every chunk to a
-:class:`~repro.perf.pool.ShardedPool` worker as an independent task,
-and reassembles. Three properties make it both fast and trustworthy:
-
-* **Bit identity by construction.** Workers execute the *identical*
-  scalar loop the oracle runs (numpy's scalar and vectorized paths can
-  differ by 1 ULP, so the fleet path deliberately avoids switching to
-  arrays). The parent's roll-up then applies the same left-to-right
-  scaling arithmetic as :meth:`ExascaleSystem.estimate`, so
-  ``fleet_sweep(...) == fleet_sweep_serial(...)`` exactly.
-* **Cache affinity.** ``shard_key`` leads with the group fingerprint,
-  so a group's chunks revisit the worker whose
-  :class:`~repro.perf.evalcache.EvalCache` already holds them; a warm
-  repeat is ~one memo lookup per chunk instead of thousands of model
-  evaluations.
-* **Cross-shard warm tier.** With *spill_dir* set, chunk results
-  persist to a shared directory through the eval cache's spill layer.
-  A brand-new pool (different process, different day, same directory)
-  starts warm.
+:func:`fleet_sweep` fans that same per-series function out over a
+:class:`~repro.perf.pool.ShardedPool`: one task per series, reassembled
+in spec order and rolled up by the same reduction. Workers execute the
+oracle's own loop, so ``fleet_sweep(...) == fleet_sweep_serial(...)``
+exactly — bit identity by construction, not by tolerance.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import EHPConfig
 from repro.core.exascale import ExascaleSystem
 from repro.core.node import NodeModel
-from repro.fleet.link import derate_model
-from repro.fleet.spec import FleetGroup, FleetSpec, fingerprint_group
-from repro.obs.metrics import MetricsSnapshot
-from repro.obs.metrics import snapshot as metrics_snapshot
-from repro.perf.evalcache import (
-    fingerprint_model,
-    fingerprint_profile,
-    shared_cache,
-)
-from repro.perf.parallel import grid_chunks
+from repro.fleet.link import LinkTierParams, derate_model
+from repro.fleet.spec import FleetGroup, FleetSpec
 from repro.perf.pool import PoolTask, ShardedPool
-from repro.util.units import MW
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
-    "ENGINES",
     "FleetSweepResult",
     "fleet_manifest",
     "fleet_sweep",
     "fleet_sweep_serial",
 ]
-
-ENGINES = ("sharded", "serial")
-"""Valid fleet sweep engines (the first is the default)."""
 
 
 @dataclass(frozen=True)
@@ -118,46 +88,6 @@ class FleetSweepResult:
         )
 
 
-def _series_chunk(model, profile, config, cus, ext_fraction):
-    """The oracle's inner loop for one chunk of CU counts.
-
-    This is deliberately the scalar path — ``model.evaluate`` plus
-    ``float()`` extraction, exactly what
-    :meth:`ExascaleSystem.estimate` does — because numpy scalarmath
-    and vectorized ufuncs may differ by 1 ULP and the fleet result is
-    gated bit-identical to the serial loop.
-    """
-    perf = np.empty(len(cus), dtype=float)
-    power = np.empty(len(cus), dtype=float)
-    for i, n in enumerate(cus):
-        ev = model.evaluate(
-            profile,
-            config.with_axes(n_cus=int(n)),
-            ext_fraction=ext_fraction,
-        )
-        perf[i] = float(ev.performance)
-        power[i] = float(ev.ehp_power)
-    return perf, power
-
-
-def _eval_fleet_chunk(model, profile, config, cus, ext_fraction, spill_dir,
-                      memo_key):
-    """Pool-worker entry point: one memoized series chunk.
-
-    *memo_key* is the parent-computed content key (model + profile
-    fingerprints, config repr, CU slice, ext fraction); equal keys are
-    interchangeable results, so the chunk memoizes at whole-chunk
-    granularity — a warm repeat costs one cache lookup, not one per
-    point — and spills to *spill_dir* when set.
-    """
-    cache = shared_cache(spill_dir)
-
-    def compute():
-        return _series_chunk(model, profile, config, cus, ext_fraction)
-
-    return cache.get_or_compute(memo_key, compute)
-
-
 def _finalize(
     spec: FleetSpec,
     cu_counts: tuple[int, ...],
@@ -166,7 +96,7 @@ def _finalize(
     """Group and fleet roll-ups from per-series curves.
 
     Deterministic reduction order (profiles then groups, both in spec
-    order) so the serial and sharded engines sum identically.
+    order) so the serial and pooled sweeps sum identically.
     """
     n = len(cu_counts)
     series_exa: dict[tuple[str, str], np.ndarray] = {}
@@ -209,31 +139,34 @@ def _finalize(
     )
 
 
-def _scale_series(
-    group: FleetGroup, perf: np.ndarray, power: np.ndarray
+def _sweep_series(
+    group: FleetGroup,
+    profile: KernelProfile,
+    model: NodeModel,
+    link: LinkTierParams | None,
+    cu_counts: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Node curves -> group-scaled (exaflops, MW) curves.
+    """One ``(group, profile)`` series: ``(exaflops, MW)`` per CU count.
 
-    Elementwise ``perf * n_nodes / 1e18`` is the same IEEE operation
-    sequence as :meth:`ExascaleSystem.estimate`'s scalar
-    ``node_flops * n_nodes / 1.0e18`` (integer node counts are exact
-    in float64), keeping the engines bit-identical.
+    The plain scalar :meth:`ExascaleSystem.estimate` loop on the
+    link-derated model at the profile's external-memory fraction. The
+    oracle and every pooled task run exactly this function (module
+    level: picklable), which is what makes the two bit-identical —
+    numpy scalarmath and vectorized ufuncs may differ by 1 ULP, so the
+    loop deliberately stays scalar.
     """
-    return (
-        perf * group.n_nodes / 1.0e18,
-        power * group.n_nodes / MW,
-    )
-
-
-def _series_inputs(group: FleetGroup, spec: FleetSpec, model: NodeModel):
-    """Per-profile (profile, derated model, ext_fraction) rows."""
-    rows = []
-    for profile in group.profiles:
-        gmodel = derate_model(
-            model, spec.link, profile, group.concurrent_kernels
+    gmodel = derate_model(model, link, profile, group.concurrent_kernels)
+    system = ExascaleSystem(group.n_nodes, gmodel)
+    ext = float(profile.ext_memory_fraction)
+    exa = np.empty(len(cu_counts), dtype=float)
+    mw = np.empty(len(cu_counts), dtype=float)
+    for i, n in enumerate(cu_counts):
+        est = system.estimate(
+            profile, group.config.with_axes(n_cus=n), ext_fraction=ext
         )
-        rows.append((profile, gmodel, float(profile.ext_memory_fraction)))
-    return rows
+        exa[i] = est.exaflops
+        mw[i] = est.machine_power_mw
+    return exa, mw
 
 
 def fleet_sweep_serial(
@@ -241,24 +174,16 @@ def fleet_sweep_serial(
     cu_counts,
     model: NodeModel | None = None,
 ) -> FleetSweepResult:
-    """The oracle: every series swept by the plain scalar estimate loop."""
+    """The oracle: every series swept in-process, in spec order."""
     model = model or NodeModel()
     cu_list = tuple(int(n) for n in cu_counts)
-    per: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    for group in spec.groups:
-        for profile, gmodel, ext in _series_inputs(group, spec, model):
-            system = ExascaleSystem(group.n_nodes, gmodel)
-            exa = np.empty(len(cu_list), dtype=float)
-            mw = np.empty(len(cu_list), dtype=float)
-            for i, n in enumerate(cu_list):
-                est = system.estimate(
-                    profile,
-                    group.config.with_axes(n_cus=n),
-                    ext_fraction=ext,
-                )
-                exa[i] = est.exaflops
-                mw[i] = est.machine_power_mw
-            per[(group.name, profile.name)] = (exa, mw)
+    per = {
+        (group.name, profile.name): _sweep_series(
+            group, profile, model, spec.link, cu_list
+        )
+        for group in spec.groups
+        for profile in group.profiles
+    }
     return _finalize(spec, cu_list, per)
 
 
@@ -267,108 +192,40 @@ def fleet_sweep(
     cu_counts,
     model: NodeModel | None = None,
     *,
-    engine: str = "sharded",
     pool: ShardedPool | None = None,
-    n_chunks: int | None = None,
-    metrics: bool = False,
-    spill_dir: str | None = None,
-):
+) -> FleetSweepResult:
     """Sweep the fleet's CU axis; bit-identical to the serial oracle.
 
-    ``engine="sharded"`` partitions every ``(group, profile)`` series
-    into *n_chunks* CU chunks and runs them as independent memoized
-    tasks — on *pool* when given (shard keys lead with the group
-    fingerprint for cache affinity), else in-process in submission
-    order. *spill_dir* adds the shared on-disk warm tier.
-    ``engine="serial"`` delegates to :func:`fleet_sweep_serial`.
-
-    With ``metrics=True`` returns ``(result, snapshot)``; the snapshot
-    merges every worker's registry delta for the run (or the parent's
-    own delta when pool-less).
+    With *pool*, every ``(group, profile)`` series is one unkeyed
+    :class:`~repro.perf.pool.PoolTask` (dealt round-robin across the
+    workers) running the oracle's own series function; the parent
+    rolls the curves up in spec order. ``pool=None`` returns
+    :func:`fleet_sweep_serial`.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown fleet engine {engine!r}; use one of {ENGINES}"
-        )
     model = model or NodeModel()
     cu_list = tuple(int(n) for n in cu_counts)
     if not cu_list:
         raise ValueError("cu_counts must be non-empty")
-
-    if engine == "serial":
-        result = fleet_sweep_serial(spec, cu_list, model)
-        return (result, MetricsSnapshot.empty()) if metrics else result
-
-    if n_chunks is None:
-        n_chunks = pool.n_shards * 2 if pool is not None else 4
-    chunks = grid_chunks(len(cu_list), n_chunks)
-
-    tasks: list[PoolTask] = []
-    owners: list[tuple[FleetGroup, str, int, int]] = []
+    if pool is None:
+        return fleet_sweep_serial(spec, cu_list, model)
+    # Validate every config eagerly — the pooled path must reject
+    # exactly what the serial loop would, before any work ships.
     for group in spec.groups:
-        # Validate every config eagerly — the sharded path must reject
-        # exactly what the serial loop would, before any work ships.
         for n in cu_list:
             group.config.with_axes(n_cus=n)
-        gfp = fingerprint_group(group, spec.link, model)
-        for profile, gmodel, ext in _series_inputs(group, spec, model):
-            mfp = fingerprint_model(gmodel)
-            pfp = fingerprint_profile(profile)
-            for ci, (lo, hi) in enumerate(chunks):
-                memo_key = (
-                    "fleet-chunk",
-                    mfp,
-                    pfp,
-                    repr(group.config),
-                    cu_list[lo:hi],
-                    ext,
-                )
-                tasks.append(
-                    PoolTask(
-                        fn=_eval_fleet_chunk,
-                        args=(
-                            gmodel,
-                            profile,
-                            group.config,
-                            cu_list[lo:hi],
-                            ext,
-                            spill_dir,
-                            memo_key,
-                        ),
-                        shard_key=(gfp, pfp, ci),
-                        dedup_key=hashlib.sha1(
-                            repr(memo_key).encode()
-                        ).hexdigest(),
-                        label=(
-                            f"fleet.{group.name}.{profile.name}"
-                            f"[{lo}:{hi}]"
-                        ),
-                    )
-                )
-                owners.append((group, profile.name, lo, hi))
-
-    if pool is not None:
-        raw, snap = pool.run(tasks, metrics=True)
-    else:
-        before = metrics_snapshot()
-        raw = [task.fn(*task.args) for task in tasks]
-        snap = metrics_snapshot().diff(before)
-
-    per: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    parts: dict[tuple[str, str], list[tuple[int, np.ndarray, np.ndarray]]]
-    parts = {}
-    for (group, pname, lo, hi), (perf, power) in zip(owners, raw):
-        parts.setdefault((group.name, pname), []).append((lo, perf, power))
+    keys = []
+    tasks = []
     for group in spec.groups:
         for profile in group.profiles:
-            rows = sorted(parts[(group.name, profile.name)])
-            perf = np.concatenate([r[1] for r in rows])
-            power = np.concatenate([r[2] for r in rows])
-            per[(group.name, profile.name)] = _scale_series(
-                group, perf, power
+            keys.append((group.name, profile.name))
+            tasks.append(
+                PoolTask(
+                    fn=_sweep_series,
+                    args=(group, profile, model, spec.link, cu_list),
+                    label=f"fleet.{group.name}.{profile.name}",
+                )
             )
-    result = _finalize(spec, cu_list, per)
-    return (result, snap) if metrics else result
+    return _finalize(spec, cu_list, dict(zip(keys, pool.run(tasks))))
 
 
 def fleet_manifest(
@@ -379,9 +236,8 @@ def fleet_manifest(
     """JSON-ready manifest section for one fleet sweep.
 
     Merges the run's structure (groups, node counts, best point) with
-    the pool's shard-level health: initial task spread, the balance
-    efficiency ``check_fleet`` gates on, per-shard eval-cache hit
-    rates, and the merged worker cache counters.
+    the pool's shard-level health: the initial task spread and the
+    balance efficiency ``check_fleet`` gates on.
     """
     spec = result.spec
     section: dict = {
@@ -413,16 +269,9 @@ def fleet_manifest(
     if wall_time is not None:
         section["wall_time_s"] = wall_time
     if pool is not None:
-        merged = pool.merged_snapshot()
         section["pool"] = {
             "n_shards": pool.n_shards,
             "shard_task_counts": pool.last_shard_task_counts(),
             "assignment_balance": pool.assignment_balance(),
-            "shard_cache_hit_rates": pool.shard_cache_hit_rates(),
-            "eval_cache": {
-                "hits": merged.counter("cache.eval.hits"),
-                "misses": merged.counter("cache.eval.misses"),
-                "spill_hits": merged.counter("cache.eval.spill_hits"),
-            },
         }
     return section

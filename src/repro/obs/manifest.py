@@ -90,7 +90,7 @@ def git_describe(cwd: str | None = None) -> str | None:
 def engine_choices() -> dict:
     """Default and available engines of every dual-engine subsystem."""
     from repro.core import dse, exascale
-    from repro.fleet import link, sweep
+    from repro.fleet import link
     from repro.memsys import dramcache, manager, rowbuffer
     from repro.sim import apu_sim
 
@@ -101,7 +101,6 @@ def engine_choices() -> dict:
         "memsys.manager": manager.ENGINES,
         "core.exascale.cu_sweep": exascale.CU_SWEEP_ENGINES,
         "fleet.link": link.LINK_ENGINES,
-        "fleet.sweep": sweep.ENGINES,
     }
     choices = {
         name: {"default": engines[0], "available": list(engines)}

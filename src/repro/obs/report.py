@@ -80,15 +80,21 @@ def _table(rows: Sequence[Sequence[str]], indent: str = "  ") -> list[str]:
     return lines
 
 
-def _hist_rows(histograms: Mapping[str, Mapping]) -> list[list[str]]:
-    """Timing-histogram table rows, largest total first."""
+def _hist_rows(
+    histograms: Mapping[str, Mapping], wall_total: float | None = None
+) -> list[list[str]]:
+    """Timing-histogram table rows, largest total first.
+
+    Shares are of *wall_total* (the run's wall time) when given, else
+    of the histograms' own sum.
+    """
     entries = []
     for name, hist in histograms.items():
         count = int(hist.get("count", 0))
         total = float(hist.get("total", 0.0))
         entries.append((name, count, total))
     entries.sort(key=lambda e: -e[2])
-    grand_total = sum(e[2] for e in entries) or 1.0
+    grand_total = wall_total or sum(e[2] for e in entries) or 1.0
     rows = [["histogram", "count", "total", "mean", "share"]]
     for name, count, total in entries:
         mean = total / count if count else 0.0
@@ -131,9 +137,13 @@ def _report_manifest(manifest: Mapping, path: str) -> str:
         lines.append(f"  git      {git}")
 
     wall_times = manifest.get("wall_times_s") or {}
+    # Shares are of the run's wall time: the "total" row when the
+    # manifest has one (summing it with the rows it covers would halve
+    # every share), else the rows' own sum.
+    wall_total = wall_times.get("total")
     if wall_times:
         lines.append("wall times:")
-        total = sum(wall_times.values()) or 1.0
+        total = wall_total or sum(wall_times.values()) or 1.0
         rows = [
             [name, _fmt_seconds(float(sec)), f"{100.0 * sec / total:.1f}%"]
             for name, sec in sorted(
@@ -146,7 +156,7 @@ def _report_manifest(manifest: Mapping, path: str) -> str:
     histograms = metrics.get("histograms") or {}
     if histograms:
         lines.append("where the time went:")
-        lines.extend(_table(_hist_rows(histograms)))
+        lines.extend(_table(_hist_rows(histograms, wall_total)))
 
     caches = manifest.get("caches") or {}
     if caches:

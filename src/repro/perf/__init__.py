@@ -6,12 +6,13 @@
   grid, model) combination and every (sim config, trace, engine)
   simulation is computed once no matter how many drivers ask for it.
 * :mod:`repro.perf.pool` — a persistent :class:`ShardedPool` of worker
-  processes with cache-affinity scheduling: workers are spawned once
-  and reused across sweeps, and stable shard routing keeps each
-  worker's warm cache entries owned by that worker.
-* :mod:`repro.perf.parallel` — a process-pool experiment runner and a
-  chunked parallel design-space exploration, both of which accept a
-  ``pool=`` :class:`ShardedPool` to reuse.
+  processes with cache-affinity scheduling, the program's one fan-out:
+  workers are spawned once and reused across sweeps, and stable shard
+  routing keeps each worker's warm cache entries owned by that worker.
+* :mod:`repro.perf.parallel` — the experiment runner and the
+  tensor-slab design-space exploration; each builds one task list and
+  runs it on a caller's ``pool=`` :class:`ShardedPool`, or in-process
+  without one.
 
 ``repro.perf.parallel`` is intentionally *not* imported here: it pulls
 in the experiment drivers (and through them :mod:`repro.core.dse`,
@@ -36,7 +37,6 @@ from repro.perf.evalcache import (
     simulate_trace_cached,
 )
 from repro.perf.pool import (
-    POLICIES,
     PoolStats,
     PoolTask,
     ShardedPool,
@@ -46,7 +46,6 @@ from repro.perf.pool import (
 __all__ = [
     "CacheStats",
     "EvalCache",
-    "POLICIES",
     "PoolStats",
     "PoolTask",
     "ShardedPool",

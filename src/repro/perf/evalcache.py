@@ -78,7 +78,6 @@ __all__ = [
     "default_cache",
     "default_sim_cache",
     "default_memsys_cache",
-    "shared_cache",
     "evaluate_arrays_cached",
     "fingerprint_model",
     "fingerprint_profile",
@@ -358,7 +357,7 @@ class _KeyedMemo:
         with self._lock:
             self._insert_locked(key, value)
 
-    def _get_or_compute(self, key: tuple, compute: Callable[[], object]):
+    def _memoize(self, key: tuple, compute: Callable[[], object]):
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -383,18 +382,6 @@ class _KeyedMemo:
         with self._lock:
             self._insert_locked(key, value)
         return value
-
-    def get_or_compute(self, key: tuple, compute: Callable[[], object]):
-        """Generic keyed lookup: the cached value for *key*, else
-        ``compute()`` — memoized, spilled, and counted like any other
-        entry.
-
-        For callers whose unit of work is not one of the built-in
-        shapes (the fleet sweep memoizes whole chunk results under
-        content keys it derives itself). *key* must be a picklable
-        tuple that covers everything the computation depends on.
-        """
-        return self._get_or_compute(tuple(key), compute)
 
     def stats(self) -> CacheStats:
         """Hit/miss/entry counters."""
@@ -471,7 +458,7 @@ class EvalCache(_KeyedMemo):
             model, profile, n_cus, freq, bandwidth, ext_fraction,
             extra_latency,
         )
-        return self._get_or_compute(
+        return self._memoize(
             key,
             lambda: model.evaluate_arrays(
                 profile,
@@ -535,7 +522,7 @@ class EvalCache(_KeyedMemo):
         """
         batch, space = self._resolve_grid(profiles, space, cu_lo, cu_hi)
         key = self._grid_key(model, batch, space)
-        return self._get_or_compute(
+        return self._memoize(
             key, lambda: model.evaluate_grid(batch, space)
         )
 
@@ -658,30 +645,6 @@ def default_cache() -> EvalCache:
     return _default_cache
 
 
-_shared_caches: dict[str, EvalCache] = {}
-
-
-def shared_cache(spill_dir: str | None = None) -> EvalCache:
-    """The process-local :class:`EvalCache` for one spill directory.
-
-    ``None`` is the plain :func:`default_cache`. Each distinct
-    *spill_dir* gets exactly one cache per process, created on first
-    use, whose entries persist to the directory — the fleet sweep's
-    cross-shard warm tier: every pool worker (and any *later* pool,
-    or another machine sharing the filesystem) pointed at the same
-    directory probes the same spill files, so work computed by one
-    shard is a disk hit everywhere else.
-    """
-    if spill_dir is None:
-        return _default_cache
-    key = os.fspath(spill_dir)
-    cache = _shared_caches.get(key)
-    if cache is None:
-        cache = EvalCache(spill_dir=key)
-        _shared_caches[key] = cache
-    return cache
-
-
 def evaluate_arrays_cached(
     model: NodeModel,
     profile: KernelProfile,
@@ -755,7 +718,7 @@ class SimCache(_KeyedMemo):
         """Cached equivalent of ``ApuSimulator(config, engine).run(trace)``."""
         simulator = ApuSimulator(config, engine=engine or "array")
         key = self._run_key(trace, simulator)
-        return self._get_or_compute(key, lambda: simulator.run(trace))
+        return self._memoize(key, lambda: simulator.run(trace))
 
     def peek_run(
         self,
@@ -843,7 +806,7 @@ class MemsysCache(_KeyedMemo):
             )
             return cache.run_trace(addresses, writes)
 
-        return self._get_or_compute(key, compute)
+        return self._memoize(key, compute)
 
     def rowbuffer_stats(
         self,
@@ -870,7 +833,7 @@ class MemsysCache(_KeyedMemo):
             )
             return sim.run(addresses)
 
-        return self._get_or_compute(key, compute)
+        return self._memoize(key, compute)
 
     def manager_fractions(
         self,
@@ -913,7 +876,7 @@ class MemsysCache(_KeyedMemo):
             epochs = np.array_split(arr, n_epochs)
             return tuple(manager.run_batch(epochs))
 
-        return self._get_or_compute(key, compute)
+        return self._memoize(key, compute)
 
 
 _default_memsys_cache = MemsysCache()

@@ -1,82 +1,56 @@
-"""Process-parallel experiment execution.
+"""Experiment and design-space fan-outs over one :class:`ShardedPool`.
 
-Two fan-outs live here:
+Both fan-outs here build one task list and hand it to ``pool.run`` on
+the caller's :class:`~repro.perf.pool.ShardedPool`, or run the same
+tasks in-process, in submission order, when ``pool=None``:
 
-* :func:`run_all_experiments` — run any subset of the registered
-  figure/table drivers across worker processes. The drivers are
-  independent of each other, so the suite's wall-clock collapses to
-  roughly its slowest member. Results come back keyed and ordered by
-  the registry's canonical order regardless of completion order, and a
-  serial fallback (``parallel=False``, a failed pool spawn, or a
-  single-worker environment) produces byte-identical results through
-  the same code path workers use.
-* :func:`parallel_explore` — the design-space exploration fanned
-  across workers, for fine grids (hundreds of thousands of points)
-  where a single serial sweep is the bottleneck. The default
-  ``engine="tensor"`` splits the work into *tensor slabs*: the
-  profiles are stacked into :class:`~repro.workloads.kernels.
-  ProfileBatch` blocks and the grid is cut along its outermost (CU)
-  axis, so one task is one fused ``(profile block) x (CU slab)``
+* :func:`run_experiments` / :func:`run_all_experiments` — any subset of
+  the registered figure/table drivers, one task per driver. The
+  drivers are independent of each other, so the suite's wall-clock
+  collapses to roughly its slowest member. Results come back keyed and
+  ordered by the registry's canonical order regardless of completion
+  order, and both paths run the same driver function, so their results
+  are identical.
+* :func:`parallel_explore` — the design-space exploration as *tensor
+  slabs*: the profiles are stacked into :class:`~repro.workloads.
+  kernels.ProfileBatch` blocks and the grid is cut along its outermost
+  (CU) axis, so one task is one fused ``(profile block) x (CU slab)``
   evaluation via :meth:`~repro.core.node.NodeModel.evaluate_grid`.
   Because the fused kernel's coefficients all live on axes a CU slab
   slices through, slab results are bit-identical to the corresponding
   columns of a whole-grid pass, and concatenating slabs in order
-  reproduces it exactly. ``engine="point"`` keeps the original
-  (profile, grid-chunk) unit of work through
-  :meth:`~repro.core.node.NodeModel.evaluate_arrays` — the retained
-  oracle. Either way the outcome matches :func:`repro.core.dse.
-  explore` (chunks/slabs are concatenated in grid order before the
-  optima are selected).
+  reproduces it exactly. The per-point oracle is the serial
+  :func:`repro.core.dse.explore` (``engine="point"``).
 
-Both accept ``pool=`` — a long-lived
-:class:`~repro.perf.pool.ShardedPool` whose workers persist across
-calls. Slab tasks carry a ``shard_key`` of ``(profile-block
-fingerprint, slab index)`` (chunk tasks: ``(profile fingerprint,
-chunk index)``), so the pool's affinity policy sends the same slab to
-the same worker every sweep and that worker's warm
+Slab tasks carry a ``shard_key`` of ``(profile-block fingerprint, slab
+index)``, so the pool's affinity routing sends the same slab to the
+same worker every sweep and that worker's warm
 :mod:`repro.perf.evalcache` entries are never recomputed elsewhere.
-Without a pool, each call spawns (and tears down) a fresh
-``ProcessPoolExecutor`` as before.
-
 Task payloads stay small: a slab is described by ``(model, block,
 space, cu_lo, cu_hi)`` — the block is a few KB of stacked scalar
-columns — and a chunk by ``(model, profile, space, lo, hi)``; each
-worker rebuilds grid arrays from the
-:class:`~repro.core.config.DesignSpace` locally (memoized per space),
-rather than shipping megabytes of meshgrid slices per task.
-``DesignSpace.grid_arrays`` is a deterministic meshgrid, so the rebuilt
-slices are bit-identical to the parent's.
-
-Worker processes each hold their own :mod:`repro.perf.evalcache`; the
-serial path shares the parent's default cache, which is what makes
-running every experiment evaluate each (profile, grid, model) triple at
-most once.
+columns — and each worker rebuilds its slice of the grid locally.
 
 Observability crosses the process boundary by value:
-``parallel_explore(..., metrics=True)`` has each worker snapshot its
-own metrics registry around its chunk and ship the delta back, and the
-parent merges the deltas into one
-:class:`~repro.obs.metrics.MetricsSnapshot` — per-worker cache hits and
-misses sum instead of vanishing with the pool.
-:func:`run_experiments` likewise accepts ``metrics_out``/``trace_out``
-paths and writes a run manifest / Chrome trace for the whole fan-out;
-on the pooled path each task additionally runs under a worker-side span
-that is merged back into the parent's trace.
+``parallel_explore(..., metrics=True)`` returns the merge of every
+worker's per-batch registry delta (the parent's own delta on the
+in-process path), so per-worker cache hits and misses sum instead of
+vanishing with the pool. :func:`run_experiments` accepts
+``metrics_out``/``trace_out`` paths and writes a run manifest / Chrome
+trace for the whole fan-out; on the pool each task runs under a
+worker-side span that is merged back into the parent's trace.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import DesignSpace
-from repro.core.dse import ENGINES, DseResult, default_engine, select_optima
+from repro.core.dse import DseResult, select_optima
 from repro.core.node import NodeModel
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.runner import ExperimentResult
@@ -84,11 +58,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsSnapshot
 from repro.perf.evalcache import (
-    evaluate_arrays_cached,
     evaluate_grid_cached,
     fingerprint_batch,
     fingerprint_model,
-    fingerprint_profile,
 )
 from repro.perf.pool import PoolTask, ShardedPool
 from repro.workloads.kernels import KernelProfile, ProfileBatch
@@ -106,48 +78,35 @@ def _run_one(name: str) -> ExperimentResult:
     return get_experiment(name)()
 
 
-def _default_workers(n_tasks: int) -> int:
-    cpus = os.cpu_count() or 1
-    return max(1, min(n_tasks, cpus))
-
-
 def run_experiments(
     names: Sequence[str] | None = None,
     *,
-    parallel: bool = True,
-    max_workers: int | None = None,
     pool: ShardedPool | None = None,
     metrics_out: str | None = None,
     trace_out: str | None = None,
 ) -> dict[str, ExperimentResult]:
-    """Run the named experiments, fanned across worker processes.
+    """Run the named experiments, on *pool* or in-process.
 
     Parameters
     ----------
     names:
         Artifact names from the registry; ``None`` means all of them.
-    parallel:
-        ``False`` forces the in-process serial path (also used as the
-        automatic fallback if the process pool cannot be spawned).
-    max_workers:
-        Pool size; defaults to ``min(len(names), cpu_count)``. A value
-        of 1 short-circuits to the serial path. Ignored when *pool* is
-        given.
     pool:
-        A persistent :class:`~repro.perf.pool.ShardedPool` to reuse
-        instead of spawning a throwaway executor; each experiment is
-        routed by ``shard_key=("experiment", name)``, so repeated runs
-        keep hitting the same warmed worker.
+        A persistent :class:`~repro.perf.pool.ShardedPool` to fan the
+        experiments across; each one is routed by
+        ``shard_key=("experiment", name)``, so repeated runs keep
+        hitting the same warmed worker. ``None`` runs them serially in
+        this process, sharing its evaluation caches.
     metrics_out:
         Optional path; writes a run manifest (git revision, engine
         choices, cache counters, wall times, metrics snapshot) after
-        the run.
+        the run. Per-experiment wall times are recorded on the
+        in-process path; the pooled path records the total.
     trace_out:
         Optional path; installs a tracer for the run and writes Chrome
-        trace-event JSON (open in Perfetto). Per-experiment spans are
-        recorded on the serial and sharded-pool paths (pooled spans are
-        buffered worker-side and merged back); the executor path
-        records one span per fan-out.
+        trace-event JSON (open in Perfetto). Every experiment gets a
+        span on both paths (pooled spans are buffered worker-side and
+        merged back).
 
     Returns a dict ordered by the registry's canonical order — never by
     completion order — so output is deterministic.
@@ -163,14 +122,33 @@ def run_experiments(
             )
     if not ordered:
         return {}
+    tasks = [
+        PoolTask(
+            fn=_run_one,
+            args=(name,),
+            shard_key=("experiment", name),
+            label=f"experiment.{name}",
+        )
+        for name in ordered
+    ]
 
     wall_times: dict[str, float] = {}
     t_start = time.perf_counter()
     tracer_cm = obs_trace.trace() if trace_out else nullcontext(None)
     with tracer_cm as tracer:
-        results = _execute(
-            ordered, parallel, max_workers, wall_times, pool
-        )
+        if pool is None:
+            values = []
+            for name, task in zip(ordered, tasks):
+                t0 = time.perf_counter()
+                with obs_trace.span(task.label):
+                    values.append(task.fn(*task.args))
+                wall_times[name] = time.perf_counter() - t0
+        else:
+            with obs_trace.span(
+                "experiments.pool", experiments=len(ordered),
+                workers=pool.n_shards,
+            ):
+                values = pool.run(tasks)
     wall_times["total"] = time.perf_counter() - t_start
     if trace_out and tracer is not None:
         tracer.write(trace_out)
@@ -183,81 +161,26 @@ def run_experiments(
             experiments=ordered,
             wall_times=wall_times,
         )
-    return results
-
-
-def _execute(
-    ordered: list[str],
-    parallel: bool,
-    max_workers: int | None,
-    wall_times: dict[str, float],
-    pool: ShardedPool | None = None,
-) -> dict[str, ExperimentResult]:
-    """The fan-out itself; fills *wall_times* per experiment (serial
-    path) and falls back to serial when the pool cannot spawn."""
-    if parallel and pool is not None:
-        with obs_trace.span(
-            "experiments.pool", experiments=len(ordered),
-            workers=pool.n_shards,
-        ):
-            tasks = [
-                PoolTask(
-                    fn=_run_one,
-                    args=(name,),
-                    shard_key=("experiment", name),
-                    label=f"experiment.{name}",
-                )
-                for name in ordered
-            ]
-            values = pool.run(tasks)
-        return dict(zip(ordered, values))
-    workers = max_workers or _default_workers(len(ordered))
-    if parallel and workers > 1 and len(ordered) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                with obs_trace.span(
-                    "experiments.pool", experiments=len(ordered),
-                    workers=workers,
-                ):
-                    futures = {
-                        n: executor.submit(_run_one, n) for n in ordered
-                    }
-                    return {n: futures[n].result() for n in ordered}
-        except (OSError, PermissionError):
-            # Sandboxes without process spawning fall back to serial.
-            pass
-    results: dict[str, ExperimentResult] = {}
-    for name in ordered:
-        t0 = time.perf_counter()
-        with obs_trace.span(f"experiment.{name}"):
-            results[name] = _run_one(name)
-        wall_times[name] = time.perf_counter() - t0
-    return results
+    return dict(zip(ordered, values))
 
 
 def run_all_experiments(
-    *,
-    parallel: bool = True,
-    max_workers: int | None = None,
-    pool: ShardedPool | None = None,
+    *, pool: ShardedPool | None = None
 ) -> dict[str, ExperimentResult]:
     """Every registered figure/table artifact, canonical order."""
-    return run_experiments(
-        None, parallel=parallel, max_workers=max_workers, pool=pool
-    )
+    return run_experiments(None, pool=pool)
 
 
 # ----------------------------------------------------------------------
-# Chunked design-space exploration
+# Tensor-slab design-space exploration
 # ----------------------------------------------------------------------
 def grid_chunks(size: int, n_chunks: int) -> list[tuple[int, int]]:
     """Contiguous ``[lo, hi)`` bounds splitting *size* points into at
     most *n_chunks* near-equal chunks.
 
-    The single source of the split used by the DSE point engine, the
-    tensor engine's CU slabs and profile blocks, and the fleet sweep —
-    deterministic, so every process derives identical chunk bounds from
-    ``(size, n_chunks)`` alone.
+    The single source of :func:`parallel_explore`'s CU slabs and
+    profile blocks — deterministic, so every process derives identical
+    bounds from ``(size, n_chunks)`` alone.
     """
     if size <= 0:
         raise ValueError("size must be positive")
@@ -269,88 +192,6 @@ def grid_chunks(size: int, n_chunks: int) -> list[tuple[int, int]]:
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo
     ]
-
-
-_GRID_MEMO_CAP = 8
-_grid_memo: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _grid_arrays_memo(
-    space: DesignSpace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-process memo of ``space.grid_arrays()``.
-
-    ``DesignSpace`` is a frozen dataclass whose repr covers every field,
-    so the repr keys rebuilt grids exactly; the meshgrid is
-    deterministic, so every process's arrays are bit-identical. This is
-    what lets chunk tasks ship ``(space, lo, hi)`` — about a kilobyte —
-    instead of megabytes of grid slices, and a long-lived pool worker
-    rebuilds each distinct grid once, not once per chunk.
-    """
-    key = repr(space)
-    arrays = _grid_memo.get(key)
-    if arrays is None:
-        if len(_grid_memo) >= _GRID_MEMO_CAP:
-            _grid_memo.clear()
-        arrays = space.grid_arrays()
-        _grid_memo[key] = arrays
-    return arrays
-
-
-def _eval_chunk(
-    model: NodeModel,
-    profile: KernelProfile,
-    space: DesignSpace,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One grid chunk for one profile (module-level: picklable).
-
-    Routes through the worker's evaluation cache so repeated parallel
-    sweeps in a long-lived pool still reuse work.
-    """
-    cus, freqs, bws = _grid_arrays_memo(space)
-    ev = evaluate_arrays_cached(
-        model, profile, cus[lo:hi], freqs[lo:hi], bws[lo:hi]
-    )
-    return (
-        np.asarray(ev.performance, dtype=float),
-        np.asarray(ev.node_power, dtype=float),
-    )
-
-
-def _eval_chunk_metrics(
-    model: NodeModel,
-    profile: KernelProfile,
-    space: DesignSpace,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray, MetricsSnapshot]:
-    """:func:`_eval_chunk` plus the worker's metrics delta.
-
-    The before/after snapshot difference isolates this chunk's activity
-    even though pool workers are long-lived and process many chunks —
-    summing the deltas in the parent equals summing per-worker totals.
-    (The sharded-pool path doesn't need this wrapper: its workers
-    measure whole batches and ship the delta alongside the replies.)
-    """
-    registry = obs_metrics.default_registry()
-    before = registry.snapshot()
-    perf, power = _eval_chunk(model, profile, space, lo, hi)
-    return perf, power, registry.snapshot().diff(before)
-
-
-def _chunk_dedup_key(
-    model_fp: str, profile_fp: str, space: DesignSpace, lo: int, hi: int
-) -> str:
-    """Content digest of one chunk task's (pure) result.
-
-    Everything the result depends on is in here, so the pool's payload
-    dedup can answer a warm repeat sweep with parent-held arrays instead
-    of re-pickling them across the pipe.
-    """
-    text = repr(("dse-chunk", model_fp, profile_fp, repr(space), lo, hi))
-    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def _eval_slab(
@@ -373,258 +214,98 @@ def _eval_slab(
     return grid.performance, grid.power
 
 
-def _eval_slab_metrics(
-    model: NodeModel,
-    block: ProfileBatch,
-    space: DesignSpace,
-    cu_lo: int,
-    cu_hi: int,
-) -> tuple[np.ndarray, np.ndarray, MetricsSnapshot]:
-    """:func:`_eval_slab` plus the worker's metrics delta (see
-    :func:`_eval_chunk_metrics`)."""
-    registry = obs_metrics.default_registry()
-    before = registry.snapshot()
-    perf, power = _eval_slab(model, block, space, cu_lo, cu_hi)
-    return perf, power, registry.snapshot().diff(before)
-
-
 def _slab_dedup_key(
     model_fp: str, batch_fp: str, space: DesignSpace, cu_lo: int, cu_hi: int
 ) -> str:
-    """Content digest of one slab task's (pure) result — the slab
-    analogue of :func:`_chunk_dedup_key`."""
+    """Content digest of one slab task's (pure) result.
+
+    Everything the result depends on is in here, so the pool's payload
+    dedup can answer a warm repeat sweep with parent-held arrays instead
+    of re-pickling them across the pipe.
+    """
     text = repr(("dse-slab", model_fp, batch_fp, repr(space), cu_lo, cu_hi))
     return hashlib.sha1(text.encode()).hexdigest()
 
 
 def parallel_explore(
-    profiles: Sequence[KernelProfile],
+    profiles: Sequence[KernelProfile] | ProfileBatch,
     space: DesignSpace | None = None,
     model: NodeModel | None = None,
     *,
     n_chunks: int | None = None,
-    max_workers: int | None = None,
     pool: ShardedPool | None = None,
     metrics: bool = False,
-    engine: str | None = None,
 ) -> DseResult | tuple[DseResult, MetricsSnapshot]:
-    """The full DSE fanned across worker processes.
+    """The full DSE as (profile-block x CU-slab) tensor-slab tasks.
 
     Produces a :class:`~repro.core.dse.DseResult` identical to the
-    serial :func:`repro.core.dse.explore` (slabs/chunks are
-    concatenated in grid order before the optima are selected).
+    serial :func:`repro.core.dse.explore` (slabs are concatenated in
+    grid order before the optima are selected). The grid is cut along
+    its outermost axis into at most *n_chunks* slabs and the profiles
+    into at most *n_chunks* :class:`~repro.workloads.kernels.
+    ProfileBatch` blocks; *n_chunks* defaults to the pool's shard count
+    (one whole-grid task without a pool).
 
-    *engine* picks the unit of work (``None`` uses
-    :func:`repro.core.dse.default_engine`): ``"tensor"`` ships fused
-    (profile-block x CU-slab) tensor slabs — the grid is cut along its
-    outermost axis into at most ``n_chunks`` slabs and the profiles
-    into at most ``n_chunks`` :class:`~repro.workloads.kernels.
-    ProfileBatch` blocks — while ``"point"`` ships the original
-    (profile, grid-chunk) tasks through the per-profile oracle.
-
-    With ``pool=`` the sweep runs on a persistent
-    :class:`~repro.perf.pool.ShardedPool` instead of a throwaway
-    executor: slab tasks are routed by ``(profile-block fingerprint,
-    slab index)`` (chunk tasks by ``(profile fingerprint, chunk
-    index)``), so across repeated sweeps each worker keeps seeing the
-    slabs whose cache entries it already holds, and identical repeat
-    results come back via the pool's payload dedup without re-shipping
-    the arrays. ``max_workers`` is ignored on this path;
-    ``n_chunks`` defaults to the pool's shard count.
+    With ``pool=`` the tasks run on a persistent
+    :class:`~repro.perf.pool.ShardedPool`, routed by ``(profile-block
+    fingerprint, slab index)``, so across repeated sweeps each worker
+    keeps seeing the slabs whose cache entries it already holds, and
+    identical repeat results come back via the pool's payload dedup
+    without re-shipping the arrays. ``pool=None`` runs the same tasks
+    in-process.
 
     With ``metrics=True`` the return value is ``(result, snapshot)``:
-    every worker measures its own registry delta per task (per batch on
-    the pooled path) and the parent merges them, so the snapshot's cache
-    hit/miss totals are the sums over all workers (one ``cache.eval``
-    lookup per task).
+    the merge of every worker's registry delta for the run (the
+    parent's own delta in-process), so the snapshot's cache hit/miss
+    totals are the sums over all workers (one ``cache.eval`` lookup per
+    task).
     """
     if not profiles:
         raise ValueError("parallel_explore needs at least one profile")
-    if isinstance(profiles, ProfileBatch):
-        names = list(profiles.names)
-    else:
-        names = [p.name for p in profiles]
-    if len(set(names)) != len(names):
-        raise ValueError("profile names must be unique")
-    engine = engine or default_engine()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown DSE engine {engine!r}; use one of {ENGINES}")
-    space = space or DesignSpace()
-    model = model or NodeModel()
-
-    workers = max_workers or _default_workers(len(profiles))
-    if n_chunks is None:
-        n_chunks = pool.n_shards if pool is not None else workers
-    n_chunks = max(1, min(n_chunks, space.size))
-
-    if engine == "tensor":
-        return _explore_slabs(
-            profiles, space, model, n_chunks, workers, pool, metrics
-        )
-    if isinstance(profiles, ProfileBatch):
-        raise TypeError(
-            "engine='point' iterates KernelProfile objects; "
-            "pass the profile sequence, not a ProfileBatch"
-        )
-    return _explore_chunks(
-        profiles, space, model, n_chunks, workers, pool, metrics
-    )
-
-
-def _explore_chunks(
-    profiles: Sequence[KernelProfile],
-    space: DesignSpace,
-    model: NodeModel,
-    n_chunks: int,
-    workers: int,
-    pool: ShardedPool | None,
-    metrics: bool,
-) -> DseResult | tuple[DseResult, MetricsSnapshot]:
-    """The point engine's fan-out: (profile, grid-chunk) tasks."""
-    chunks = grid_chunks(space.size, n_chunks)
-
-    tasks = [
-        (profile, chunk_idx, lo, hi)
-        for profile in profiles
-        for chunk_idx, (lo, hi) in enumerate(chunks)
-    ]
-    results: list[tuple]
-    merged = MetricsSnapshot.empty()
-    if pool is not None:
-        model_fp = fingerprint_model(model)
-        pool_tasks = [
-            PoolTask(
-                fn=_eval_chunk,
-                args=(model, profile, space, lo, hi),
-                shard_key=(fingerprint_profile(profile), chunk_idx),
-                dedup_key=_chunk_dedup_key(
-                    model_fp, fingerprint_profile(profile), space, lo, hi
-                ),
-                label=f"dse.chunk.{profile.name}[{lo}:{hi}]",
-            )
-            for profile, chunk_idx, lo, hi in tasks
-        ]
-        if metrics:
-            results, merged = pool.run(pool_tasks, metrics=True)
-        else:
-            results = pool.run(pool_tasks)
-    else:
-        chunk_fn = _eval_chunk_metrics if metrics else _eval_chunk
-        if workers > 1 and len(tasks) > 1:
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as executor:
-                    futures = [
-                        executor.submit(chunk_fn, model, p, space, lo, hi)
-                        for p, _idx, lo, hi in tasks
-                    ]
-                    results = [f.result() for f in futures]
-            except (OSError, PermissionError):
-                results = [
-                    chunk_fn(model, p, space, lo, hi)
-                    for p, _idx, lo, hi in tasks
-                ]
-        else:
-            results = [
-                chunk_fn(model, p, space, lo, hi)
-                for p, _idx, lo, hi in tasks
-            ]
-        if metrics:
-            for row in results:
-                merged = merged.merge(row[2])
-
-    performance: dict[str, np.ndarray] = {}
-    node_power: dict[str, np.ndarray] = {}
-    feasible: dict[str, np.ndarray] = {}
-    per_profile = len(chunks)
-    for p_idx, profile in enumerate(profiles):
-        rows = results[p_idx * per_profile: (p_idx + 1) * per_profile]
-        perf = np.concatenate([r[0].ravel() for r in rows])
-        power = np.concatenate([r[1].ravel() for r in rows])
-        performance[profile.name] = perf
-        node_power[profile.name] = power
-        feasible[profile.name] = power <= space.power_budget
-    result = select_optima(space, performance, node_power, feasible)
-    if metrics:
-        return result, merged
-    return result
-
-
-def _explore_slabs(
-    profiles: Sequence[KernelProfile],
-    space: DesignSpace,
-    model: NodeModel,
-    n_chunks: int,
-    workers: int,
-    pool: ShardedPool | None,
-    metrics: bool,
-) -> DseResult | tuple[DseResult, MetricsSnapshot]:
-    """The tensor engine's fan-out: (profile-block x CU-slab) tasks.
-
-    The grid is cut only along the outermost (CU) axis, so each slab is
-    a contiguous run of flat grid columns and concatenating slab
-    results along axis 1 rebuilds the whole-grid tensors bit for bit.
-    """
+    # ProfileBatch rejects duplicate profile names.
     batch = (
         profiles
         if isinstance(profiles, ProfileBatch)
         else ProfileBatch.from_profiles(profiles)
     )
+    space = space or DesignSpace()
+    model = model or NodeModel()
+    if n_chunks is None:
+        n_chunks = pool.n_shards if pool is not None else 1
+
     slabs = grid_chunks(len(space.cu_counts), n_chunks)
     block_ranges = grid_chunks(len(batch), n_chunks)
-    blocks = [batch[lo:hi] for lo, hi in block_ranges]
-
-    tasks = [
-        (block, slab_idx, cu_lo, cu_hi)
-        for block in blocks
-        for slab_idx, (cu_lo, cu_hi) in enumerate(slabs)
-    ]
-    results: list[tuple]
-    merged = MetricsSnapshot.empty()
-    if pool is not None:
-        model_fp = fingerprint_model(model)
-        block_fps = {id(b): fingerprint_batch(b) for b in blocks}
-        pool_tasks = [
-            PoolTask(
-                fn=_eval_slab,
-                args=(model, block, space, cu_lo, cu_hi),
-                shard_key=(block_fps[id(block)], slab_idx),
-                dedup_key=_slab_dedup_key(
-                    model_fp, block_fps[id(block)], space, cu_lo, cu_hi
-                ),
-                label=(
-                    f"dse.slab.{block.names[0]}+{len(block) - 1}"
-                    f"[cu {cu_lo}:{cu_hi}]"
-                ),
+    model_fp = fingerprint_model(model)
+    tasks = []
+    for blo, bhi in block_ranges:
+        block = batch[blo:bhi]
+        block_fp = fingerprint_batch(block)
+        for slab_idx, (cu_lo, cu_hi) in enumerate(slabs):
+            tasks.append(
+                PoolTask(
+                    fn=_eval_slab,
+                    args=(model, block, space, cu_lo, cu_hi),
+                    shard_key=(block_fp, slab_idx),
+                    dedup_key=_slab_dedup_key(
+                        model_fp, block_fp, space, cu_lo, cu_hi
+                    ),
+                    label=(
+                        f"dse.slab.{block.names[0]}+{len(block) - 1}"
+                        f"[cu {cu_lo}:{cu_hi}]"
+                    ),
+                )
             )
-            for block, slab_idx, cu_lo, cu_hi in tasks
-        ]
+
+    snap = None
+    if pool is not None:
+        results = pool.run(tasks, metrics=metrics)
         if metrics:
-            results, merged = pool.run(pool_tasks, metrics=True)
-        else:
-            results = pool.run(pool_tasks)
+            results, snap = results
     else:
-        slab_fn = _eval_slab_metrics if metrics else _eval_slab
-        if workers > 1 and len(tasks) > 1:
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as executor:
-                    futures = [
-                        executor.submit(slab_fn, model, b, space, lo, hi)
-                        for b, _idx, lo, hi in tasks
-                    ]
-                    results = [f.result() for f in futures]
-            except (OSError, PermissionError):
-                results = [
-                    slab_fn(model, b, space, lo, hi)
-                    for b, _idx, lo, hi in tasks
-                ]
-        else:
-            results = [
-                slab_fn(model, b, space, lo, hi)
-                for b, _idx, lo, hi in tasks
-            ]
+        before = obs_metrics.snapshot() if metrics else None
+        results = [task.fn(*task.args) for task in tasks]
         if metrics:
-            for row in results:
-                merged = merged.merge(row[2])
+            snap = obs_metrics.snapshot().diff(before)
 
     performance: dict[str, np.ndarray] = {}
     node_power: dict[str, np.ndarray] = {}
@@ -639,6 +320,4 @@ def _explore_slabs(
             node_power[name] = power[j]
             feasible[name] = power[j] <= space.power_budget
     result = select_optima(space, performance, node_power, feasible)
-    if metrics:
-        return result, merged
-    return result
+    return (result, snap) if metrics else result

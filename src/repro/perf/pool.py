@@ -1,30 +1,23 @@
 """Persistent sharded worker pool with cache-affinity scheduling.
 
-:func:`repro.perf.parallel.parallel_explore` historically created a
-fresh ``ProcessPoolExecutor`` per call, so every DSE sweep paid process
-spawn plus import cost and every per-worker
-:class:`~repro.perf.evalcache.EvalCache` started cold. A
-:class:`ShardedPool` is the long-lived alternative: its workers are
-spawned once and reused across calls, and *deterministic shard routing*
-pins each task to a fixed worker — a stable SHA-1 hash of the task's
-``shard_key`` (for DSE tensor slabs: ``(profile-block fingerprint,
-CU-slab index)``; for point-engine chunks: ``(profile fingerprint,
-grid-chunk index)``) picks the shard, so a given worker always owns the
-same slice of the profile×grid space and its warm cache entries are
-never recomputed on another worker. The same locality lever work-stealing
+A :class:`ShardedPool` is the program's one fan-out: the experiment
+runner, the tensor-slab design-space exploration
+(:mod:`repro.perf.parallel`), the fleet sweep
+(:mod:`repro.fleet.sweep`) and the serving layer all hand it their
+task lists. Its workers are spawned once and reused across calls, and
+*deterministic shard routing* pins each keyed task to a fixed worker —
+a stable SHA-1 hash of the task's ``shard_key`` (for DSE tensor slabs:
+``(profile-block fingerprint, CU-slab index)``) picks the shard, so a
+given worker always owns the same slice of the profile×grid space and
+its warm :class:`~repro.perf.evalcache.EvalCache` entries are never
+recomputed on another worker. The same locality lever work-stealing
 runtimes and NUMA-aware schedulers pull to keep hot state resident.
 
-Scheduling policies (``policy=``):
-
-``"affinity"`` (default)
-    Tasks go to their shard's worker. An idle worker may *steal* a
-    batch — from the tail of the longest backlog — but only when its
-    own shard queue is empty, so locality is surrendered exactly when
-    the alternative is an idle core.
-``"roundrobin"``
-    Tasks are dealt to workers by submission index, ignoring shard
-    keys. The fallback for workloads without meaningful keys; stealing
-    behaves the same.
+Scheduling: a keyed task goes to its shard's worker; a task with
+``shard_key=None`` is dealt round-robin by submission index. An idle
+worker may *steal* a batch — from the tail of the longest backlog —
+but only when its own shard queue is empty, so locality is surrendered
+exactly when the alternative is an idle core.
 
 Mechanics worth knowing:
 
@@ -85,10 +78,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.proc import publish_memory_gauges
 
-__all__ = ["POLICIES", "PoolStats", "PoolTask", "ShardedPool", "stable_shard"]
-
-POLICIES = ("affinity", "roundrobin")
-"""Valid scheduling policies (the first is the default)."""
+__all__ = ["PoolStats", "PoolTask", "ShardedPool", "stable_shard"]
 
 _WAIT_TIMEOUT_S = 0.25
 """Upper bound on how long a dispatch-loop wait blocks before it
@@ -117,9 +107,8 @@ class PoolTask:
     args / kwargs:
         Its arguments (picklable).
     shard_key:
-        Any value; equal keys always land on the same worker under the
-        affinity policy. ``None`` falls back to round-robin placement
-        for that task.
+        Any value; equal keys always land on the same worker. ``None``
+        falls back to round-robin placement for that task.
     dedup_key:
         Optional stable digest uniquely identifying the task's result
         (tasks must be pure for this to be sound). When the parent
@@ -248,9 +237,6 @@ class ShardedPool:
     n_shards:
         Worker count; shards map 1:1 onto workers. Defaults to
         ``min(cpu_count, 8)``.
-    policy:
-        ``"affinity"`` (stable-hash routing, steal when idle) or
-        ``"roundrobin"``.
     batch_size:
         Tasks per pipe message. ``None`` sizes batches per run as
         roughly a quarter of each worker's fair share, so every worker
@@ -267,15 +253,10 @@ class ShardedPool:
         self,
         n_shards: int | None = None,
         *,
-        policy: str = "affinity",
         batch_size: int | None = None,
         mp_context=None,
         result_cache_size: int = 512,
     ):
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; expected one of {POLICIES}"
-            )
         if n_shards is None:
             n_shards = max(1, min(os.cpu_count() or 1, 8))
         if n_shards < 1:
@@ -292,7 +273,6 @@ class ShardedPool:
         elif isinstance(mp_context, str):
             mp_context = mp.get_context(mp_context)
         self.n_shards = int(n_shards)
-        self.policy = policy
         self.batch_size = batch_size
         self._ctx = mp_context
         self._payload_cap = int(result_cache_size)
@@ -397,7 +377,7 @@ class ShardedPool:
     # Introspection
     # ------------------------------------------------------------------
     def shard_for(self, shard_key: Any) -> int:
-        """The worker that owns *shard_key* under the affinity policy."""
+        """The worker that owns *shard_key*."""
         return stable_shard(shard_key, self.n_shards)
 
     def stats(self) -> PoolStats:
@@ -466,8 +446,7 @@ class ShardedPool:
 
         With ``metrics=True`` returns ``(results, snapshot)`` where the
         snapshot is the merge of every worker's per-batch registry delta
-        for this run — the same contract as
-        :func:`repro.perf.parallel.parallel_explore`.
+        for this run.
 
         The first task exception (in submission order) is re-raised
         after in-flight batches drain; the pool stays usable.
@@ -512,7 +491,7 @@ class ShardedPool:
         # --- shard assignment -----------------------------------------
         queues: list[deque[int]] = [deque() for _ in range(self.n_shards)]
         for index, task in enumerate(tasks):
-            if self.policy == "roundrobin" or task.shard_key is None:
+            if task.shard_key is None:
                 shard = index % self.n_shards
             else:
                 shard = stable_shard(task.shard_key, self.n_shards)

@@ -1,5 +1,7 @@
 """EHPConfig and DesignSpace."""
 
+import math
+
 import pytest
 
 from repro.core.config import (
@@ -48,6 +50,12 @@ class TestEHPConfig:
     def test_with_axes_validates(self):
         with pytest.raises(ValueError):
             PAPER_BEST_MEAN.with_axes(n_cus=999)
+
+    @pytest.mark.parametrize("axis", ["gpu_freq", "bandwidth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_zero_axis_rejected(self, axis, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EHPConfig(**{axis: value})
 
 
 class TestDesignSpace:
@@ -119,3 +127,10 @@ class TestDesignSpace:
     def test_area_budget_checked(self):
         with pytest.raises(ValueError):
             DesignSpace(cu_counts=(448,))
+
+    @pytest.mark.parametrize("axis", ["frequencies", "bandwidths"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_zero_axis_rejected(self, axis, value):
+        good = getattr(DesignSpace(), axis)
+        with pytest.raises(ValueError, match="finite and positive"):
+            DesignSpace(**{axis: (*good[:2], value)})

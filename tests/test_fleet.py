@@ -2,9 +2,9 @@
 
 Covers the link tier's two-engine bit-identity and derate-only
 contract, fleet spec validation and synthetic determinism, and the
-sweep engine's core guarantee: the sharded fleet sweep is bit-identical
-to the serial per-point estimate loop — cold, on a warm reused pool,
-after a worker death, and across pools sharing a spill directory.
+sweep's core guarantee: the pooled fleet sweep, one task per series,
+is bit-identical to the serial per-point estimate loop — cold, on a
+reused pool, and after a worker death.
 """
 
 import numpy as np
@@ -27,7 +27,6 @@ from repro.fleet import (
 )
 from repro.fleet.bench import identical_results, run_fleet_bench
 from repro.obs import trace as obs_trace
-from repro.perf.evalcache import clear_cache
 from repro.perf.pool import ShardedPool
 from repro.perfmodel.machine import MachineParams
 from repro.workloads.catalog import application_names, get_application
@@ -175,17 +174,9 @@ class TestFleetSpec:
 class TestFleetSweep:
     def test_inprocess_matches_serial(self):
         spec = small_fleet()
-        clear_cache()
         serial = fleet_sweep_serial(spec, CUS)
-        clear_cache()
         sharded = fleet_sweep(spec, CUS, pool=None)
         assert identical_results(serial, sharded)
-
-    def test_serial_engine_delegates(self):
-        spec = small_fleet()
-        a = fleet_sweep(spec, CUS, engine="serial")
-        b = fleet_sweep_serial(spec, CUS)
-        assert identical_results(a, b)
 
     def test_no_link_tier_matches_plain_estimate(self):
         # Without a link tier, each series point is literally
@@ -210,38 +201,19 @@ class TestFleetSweep:
 
     def test_rejects_bad_inputs(self):
         spec = small_fleet()
-        with pytest.raises(ValueError, match="unknown fleet engine"):
-            fleet_sweep(spec, CUS, engine="magic")
         with pytest.raises(ValueError):
             fleet_sweep(spec, ())
         # Invalid CU counts are rejected eagerly, before any work ships.
-        with pytest.raises(ValueError):
-            fleet_sweep(spec, (321,), pool=None)
-
-    def test_metrics_snapshot_counts_chunks(self):
-        spec = small_fleet()
-        clear_cache()
-        _, snap = fleet_sweep(
-            spec, CUS, pool=None, n_chunks=2, metrics=True
-        )
-        lookups = snap.counter("cache.eval.hits") + snap.counter(
-            "cache.eval.misses"
-        )
-        assert lookups == spec.n_series * 2
-        assert snap.counter("cache.eval.misses") == spec.n_series * 2
-        # Warm repeat: all hits, zero recomputation.
-        _, warm = fleet_sweep(
-            spec, CUS, pool=None, n_chunks=2, metrics=True
-        )
-        assert warm.counter("cache.eval.misses") == 0
-        assert warm.counter("cache.eval.hits") == spec.n_series * 2
+        with ShardedPool(n_shards=1) as pool:
+            with pytest.raises(ValueError):
+                fleet_sweep(spec, (321,), pool=pool)
+            assert pool.stats().tasks == 0
 
     def test_fleet_chunks_render_connected_tree(self):
-        # One pooled fleet sweep = one pool.run span whose chunk tasks
+        # One pooled fleet sweep = one pool.run span whose series tasks
         # all hang off it, with worker-side spans carrying the shipped
         # contexts — a single connected tree in Perfetto.
         spec = small_fleet()
-        clear_cache()
         tracer = obs_trace.Tracer(context=obs_trace.SpanContext.root("t1"))
         with ShardedPool(n_shards=2) as pool:
             with obs_trace.trace(tracer=tracer):
@@ -263,47 +235,24 @@ class TestFleetSweep:
         assert {e["args"]["span_id"] for e in chunks} == {
             f"0.1.{i}" for i in range(1, n_tasks + 1)
         }
-        # Chunk spans were recorded inside worker processes.
+        # Series spans were recorded inside worker processes.
         assert all(e["pid"] != runs[0]["pid"] for e in chunks)
 
-    def test_pooled_bit_identity_cold_warm_and_after_death(self, tmp_path):
+    def test_pooled_bit_identity_cold_warm_and_after_death(self):
         spec = synthetic_fleet(n_nodes=60, n_groups=3, seed=5)
-        clear_cache()
         serial = fleet_sweep_serial(spec, CUS)
-        spill = str(tmp_path / "spill")
-        clear_cache()  # workers fork from the parent: start them cold
         with ShardedPool(n_shards=2) as pool:
-            cold = fleet_sweep(spec, CUS, pool=pool, spill_dir=spill)
+            cold = fleet_sweep(spec, CUS, pool=pool)
             assert identical_results(serial, cold)
-            warm, snap = fleet_sweep(
-                spec, CUS, pool=pool, metrics=True, spill_dir=spill
-            )
+            # One task per (group, profile) series.
+            assert sum(pool.last_shard_task_counts()) == spec.n_series
+            warm = fleet_sweep(spec, CUS, pool=pool)
             assert identical_results(serial, warm)
-            assert snap.counter("cache.eval.misses") == 0
             pool.kill_worker(0)
-            again = fleet_sweep(spec, CUS, pool=pool, spill_dir=spill)
+            again = fleet_sweep(spec, CUS, pool=pool)
             assert identical_results(serial, again)
             assert pool.stats().worker_restarts >= 1
-            # Default chunking on 2 shards: 4 chunks per series.
-            assert sum(pool.last_shard_task_counts()) == spec.n_series * 4
-
-    def test_spill_dir_is_cross_pool_warm_tier(self, tmp_path):
-        spec = small_fleet(seed=9)
-        spill = str(tmp_path / "spill")
-        clear_cache()
-        with ShardedPool(n_shards=2) as pool:
-            first, snap = fleet_sweep(
-                spec, CUS, pool=pool, metrics=True, spill_dir=spill
-            )
-            assert snap.counter("cache.eval.misses") > 0
-        clear_cache()  # the next pool's workers must not inherit warmth
-        with ShardedPool(n_shards=2) as pool:
-            second, snap = fleet_sweep(
-                spec, CUS, pool=pool, metrics=True, spill_dir=spill
-            )
-            assert snap.counter("cache.eval.misses") == 0
-            assert snap.counter("cache.eval.spill_hits") > 0
-        assert identical_results(first, second)
+            assert sum(pool.last_shard_task_counts()) == spec.n_series
 
     def test_manifest_section(self):
         spec = small_fleet()
@@ -359,10 +308,9 @@ class TestFleetSweep:
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_sharded_matches_serial_on_random_fleets(self, seed):
         spec = synthetic_fleet(n_nodes=30, n_groups=2, seed=seed)
-        clear_cache()
         serial = fleet_sweep_serial(spec, (256, 320))
-        clear_cache()
-        sharded = fleet_sweep(spec, (256, 320), pool=None, n_chunks=2)
+        with ShardedPool(n_shards=2) as pool:
+            sharded = fleet_sweep(spec, (256, 320), pool=pool)
         assert identical_results(serial, sharded)
 
 
@@ -377,7 +325,6 @@ class TestFleetBench:
             seed=1,
             shards=2,
             cu_counts=(256, 320),
-            warm_rounds=1,
         )
         assert report.identical
         assert report.n_nodes == 20
@@ -385,8 +332,8 @@ class TestFleetBench:
         d = report.as_dict()
         assert d["best"]["cu"] in (256, 320)
         assert "fleet bench:" in report.render()
-        # grid_chunks clamps to the axis length: 2 chunks per series.
-        assert sum(report.shard_task_counts) == report.n_series * 2
+        # One pool task per (group, profile) series.
+        assert sum(report.shard_task_counts) == report.n_series
 
     def test_profile_catalog_covers_fleet(self):
         # synthetic_fleet draws from the live catalog by default.

@@ -587,15 +587,18 @@ class TestProcGauges:
 class TestParallelMetrics:
     def test_merged_totals_equal_sum_of_worker_snapshots(self):
         from repro.perf.parallel import parallel_explore
+        from repro.perf.pool import ShardedPool
         from repro.workloads.catalog import get_application
 
         profiles = [get_application("CoMD"), get_application("HPGMG")]
         n_chunks = 3
-        result, snap = parallel_explore(
-            profiles, n_chunks=n_chunks, max_workers=2, metrics=True
-        )
-        # One cache.eval lookup per (profile, chunk) task; fresh worker
-        # caches mean every lookup is a hit or a miss, never dropped.
+        with ShardedPool(2) as pool:
+            result, snap = parallel_explore(
+                profiles, n_chunks=n_chunks, pool=pool, metrics=True
+            )
+        # One cache.eval lookup per (profile block, CU slab) task; fresh
+        # worker caches mean every lookup is a hit or a miss, never
+        # dropped.
         tasks = len(profiles) * n_chunks
         total = snap.counter("cache.eval.hits") + snap.counter(
             "cache.eval.misses"
@@ -606,11 +609,13 @@ class TestParallelMetrics:
     def test_metrics_false_returns_bare_result(self):
         from repro.core.dse import DseResult
         from repro.perf.parallel import parallel_explore
+        from repro.perf.pool import ShardedPool
         from repro.workloads.catalog import get_application
 
-        result = parallel_explore(
-            [get_application("CoMD")], n_chunks=2, max_workers=1
-        )
+        with ShardedPool(2) as pool:
+            result = parallel_explore(
+                [get_application("CoMD")], n_chunks=2, pool=pool
+            )
         assert isinstance(result, DseResult)
 
 

@@ -77,6 +77,29 @@ class TestReport:
         assert "90.0%" in text  # cache hit rate
         assert "64.0 MiB" in text
 
+    def test_shares_are_of_total_wall_time(self, tmp_path):
+        manifest = {
+            "manifest_version": 1,
+            "wall_times_s": {"total": 2.0, "fig8": 1.5, "fig7": 0.5},
+            "metrics": {
+                "histograms": {
+                    "thermal.solve_seconds": {"count": 4, "total": 0.5},
+                },
+            },
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        rows = {
+            line.split()[0]: line.split()[-1]
+            for line in render_report(str(path)).splitlines()
+            if line.startswith("  ")
+        }
+        assert rows["total"] == "100.0%"
+        assert rows["fig8"] == "75.0%"
+        assert rows["fig7"] == "25.0%"
+        # Histogram shares are of wall time too, not of their own sum.
+        assert rows["thermal.solve_seconds"] == "25.0%"
+
     def test_jsonl_report_folds_intervals(self, tmp_path):
         records = [
             {

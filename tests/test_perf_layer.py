@@ -22,6 +22,7 @@ from repro.perf.parallel import (
     run_all_experiments,
     run_experiments,
 )
+from repro.perf.pool import ShardedPool
 from repro.power.components import PowerParams
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.thermal.grid import ThermalGrid
@@ -263,31 +264,33 @@ class TestParallelRunner:
     SUBSET = ["table1", "fig7", "dse"]
 
     def test_serial_and_parallel_identical(self):
-        serial = run_experiments(self.SUBSET, parallel=False)
-        parallel = run_experiments(self.SUBSET, parallel=True, max_workers=2)
+        serial = run_experiments(self.SUBSET)
+        with ShardedPool(2) as pool:
+            parallel = run_experiments(self.SUBSET, pool=pool)
         assert list(serial) == list(parallel) == self.SUBSET
         for name in self.SUBSET:
             assert serial[name].rendered == parallel[name].rendered
             assert serial[name].data == parallel[name].data
 
     def test_order_is_canonical_not_request_order(self):
-        results = run_experiments(["fig7", "table1"], parallel=False)
+        results = run_experiments(["fig7", "table1"])
         assert list(results) == ["table1", "fig7"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
-            run_experiments(["nope"], parallel=False)
+            run_experiments(["nope"])
 
     def test_run_all_covers_registry(self):
         from repro.experiments.registry import EXPERIMENTS
 
-        results = run_all_experiments(parallel=False)
+        results = run_all_experiments()
         assert list(results) == list(EXPERIMENTS)
 
     def test_parallel_explore_identical_to_serial(self):
+        # In-process slab tasks (no pool) reproduce the serial sweep.
         profiles = [get_application("CoMD"), get_application("MaxFlops")]
         serial = explore(profiles, cache=False)
-        chunked = parallel_explore(profiles, n_chunks=5, max_workers=2)
+        chunked = parallel_explore(profiles, n_chunks=5, pool=None)
         assert chunked.best_mean_index == serial.best_mean_index
         assert chunked.per_app_best_index == serial.per_app_best_index
         for name in serial.performance:

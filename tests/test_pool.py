@@ -1,11 +1,12 @@
 """The persistent sharded worker pool (``repro.perf.pool``).
 
 Covers the scheduling contract (stable shard routing, round-robin
-fallback, stealing only from a backlog), fault tolerance (task errors,
-worker death and respawn), the observability bridges (merged worker
-metrics deltas, republished memory gauges, worker-side spans), payload
-dedup, concurrent spill-directory use, and bit-identity of the pooled
-DSE/experiment fan-outs against their serial counterparts.
+placement of unkeyed tasks, stealing only from a backlog), fault
+tolerance (task errors, worker death and respawn), the observability
+bridges (merged worker metrics deltas, republished memory gauges,
+worker-side spans), payload dedup, concurrent spill-directory use, and
+bit-identity of the pooled DSE/experiment fan-outs against their
+serial counterparts.
 """
 
 import os
@@ -17,9 +18,9 @@ import pytest
 from repro.core.dse import explore
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.perf.evalcache import MemsysCache
+from repro.perf.evalcache import MemsysCache, clear_cache
 from repro.perf.parallel import parallel_explore, run_experiments
-from repro.perf.pool import POLICIES, PoolTask, ShardedPool, stable_shard
+from repro.perf.pool import PoolTask, ShardedPool, stable_shard
 from repro.workloads.catalog import get_application
 
 
@@ -106,11 +107,6 @@ class TestShardedPoolBasics:
         results, snap = pool.run([], metrics=True)
         assert results == [] and snap.counters == {}
 
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedPool(2, policy="random")
-        assert POLICIES[0] == "affinity"
-
     def test_closed_pool_raises(self):
         p = _new_pool(1)
         p.shutdown()
@@ -143,17 +139,9 @@ class TestScheduling:
         for task_idx in range(8):
             assert first[task_idx] == second[task_idx]
 
-    def test_roundrobin_uses_both_workers(self):
-        with _new_pool(2, policy="roundrobin") as p:
-            pids = p.run(
-                [
-                    PoolTask(fn=_whoami, args=(i,), shard_key="same")
-                    for i in range(8)
-                ],
-                batch_size=1,
-            )
-        # Round-robin ignores the identical shard keys.
-        assert len(set(pids)) == 2
+    def test_unkeyed_tasks_dealt_round_robin(self, pool):
+        pool.run([PoolTask(fn=_square, args=(i,)) for i in range(5)])
+        assert pool.last_shard_task_counts() == [3, 2]
 
     def test_idle_worker_steals_from_backlog(self, pool):
         # Craft keys that all hash to shard 0: worker 1 starts idle and
@@ -249,6 +237,8 @@ class TestFaultTolerance:
 class TestObservabilityBridges:
     def test_metrics_deltas_merge_across_workers(self):
         profiles = [get_application("CoMD"), get_application("MaxFlops")]
+        # Forked workers inherit the parent's caches: start them cold.
+        clear_cache()
         # Whole-queue batches keep the repeat sweep steal-free, so every
         # warm lookup lands on the worker that computed it.
         with _new_pool(2, batch_size=2 * 7) as p:
@@ -361,11 +351,12 @@ class TestPayloadDedup:
 
 class TestConcurrentSpill:
     def test_shared_spill_dir_under_contention(self, tmp_path):
-        # Eight tasks, all computing the same key against one spill
-        # directory, spread round-robin so both workers race on the
-        # same file. Atomic tmp+rename must keep every entry readable.
+        # Eight unkeyed tasks, all computing the same key against one
+        # spill directory, dealt round-robin so both workers race on
+        # the same file. Atomic tmp+rename must keep every entry
+        # readable.
         spill = str(tmp_path)
-        with _new_pool(2, policy="roundrobin") as p:
+        with _new_pool(2) as p:
             results = p.run(
                 [
                     PoolTask(fn=_spill_sweep, args=(spill, 11))
@@ -394,7 +385,7 @@ class TestConcurrentSpill:
         for name in os.listdir(spill):
             with open(os.path.join(spill, name), "wb") as fh:
                 fh.write(b"\x00partial or torn write")
-        with _new_pool(2, policy="roundrobin") as p:
+        with _new_pool(2) as p:
             results = p.run(
                 [
                     PoolTask(fn=_spill_sweep, args=(spill, 23))
@@ -424,17 +415,6 @@ class TestPooledFanouts:
                 pooled.node_power[name], serial.node_power[name]
             )
 
-    def test_parallel_explore_roundrobin_identical(self):
-        profiles = [get_application("CoMD"), get_application("MaxFlops")]
-        serial = explore(profiles, cache=False)
-        with _new_pool(2, policy="roundrobin") as p:
-            pooled = parallel_explore(profiles, n_chunks=5, pool=p)
-        assert pooled.best_mean_index == serial.best_mean_index
-        for name in serial.performance:
-            assert np.array_equal(
-                pooled.performance[name], serial.performance[name]
-            )
-
     def test_parallel_explore_identical_after_worker_death(self, pool):
         profiles = [get_application("CoMD"), get_application("MaxFlops")]
         serial = explore(profiles, cache=False)
@@ -447,8 +427,8 @@ class TestPooledFanouts:
             )
 
     def test_run_experiments_pool_matches_serial(self, pool):
-        serial = run_experiments(self.SUBSET, parallel=False)
-        pooled = run_experiments(self.SUBSET, parallel=True, pool=pool)
+        serial = run_experiments(self.SUBSET)
+        pooled = run_experiments(self.SUBSET, pool=pool)
         assert list(pooled) == list(serial)
         for name in serial:
             assert pooled[name].render() == serial[name].render()

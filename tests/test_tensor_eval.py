@@ -308,9 +308,7 @@ class TestParallelSlabs:
         profiles = [get_application(n) for n in application_names()[:4]]
         space = self._space()
         serial = explore(profiles, space, cache=False, engine="point")
-        result = parallel_explore(
-            profiles, space, max_workers=1, n_chunks=3, engine="tensor"
-        )
+        result = parallel_explore(profiles, space, n_chunks=3, pool=None)
         assert result.best_mean_index == serial.best_mean_index
         assert dict(result.per_app_best_index) == dict(
             serial.per_app_best_index
@@ -329,32 +327,16 @@ class TestParallelSlabs:
         profiles = [get_application(n) for n in application_names()]
         space = self._space()
         grid = NodeModel().evaluate_grid(profiles, space)
-        result = parallel_explore(
-            profiles, space, max_workers=1, n_chunks=4, engine="tensor"
-        )
+        result = parallel_explore(profiles, space, n_chunks=4, pool=None)
         for i, name in enumerate(grid.names):
             assert np.array_equal(result.performance[name], grid.performance[i])
             assert np.array_equal(result.node_power[name], grid.power[i])
-
-    def test_point_engine_rejects_batch_input(self):
-        batch = ProfileBatch.from_profiles(
-            [get_application("CoMD"), get_application("SNAP")]
-        )
-        with pytest.raises(TypeError):
-            parallel_explore(
-                batch, self._space(), max_workers=1, engine="point"
-            )
 
     def test_metrics_snapshot_counts_slab_lookups(self):
         profiles = [get_application(n) for n in application_names()[:4]]
         space = self._space()
         result, snap = parallel_explore(
-            profiles,
-            space,
-            max_workers=1,
-            n_chunks=2,
-            metrics=True,
-            engine="tensor",
+            profiles, space, n_chunks=2, pool=None, metrics=True
         )
         lookups = snap.counter("cache.eval.hits") + snap.counter(
             "cache.eval.misses"

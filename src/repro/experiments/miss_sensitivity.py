@@ -10,17 +10,25 @@ make it latency-bound.
 :func:`run_fig8` sweeps the paper's nominal miss-rate grid through the
 analytic model. :func:`run_fig8_measured` instead *measures* each
 application's miss rates by replaying a profile-matched synthetic trace
-through the hardware DRAM-cache model at several capacities
-(``repro.memsys.dramcache``, ``engine="array"`` by default with the
-scalar ``"event"`` oracle selectable), then feeds those measured rates
-into the same performance model — the trace-grounded version of the
-figure. Replays are memoized in the shared
-:class:`~repro.perf.evalcache.MemsysCache`, so repeated sweeps over the
-same stream and geometry are free.
+through the hardware DRAM-cache model at several capacities, then feeds
+those measured rates into the same performance model — the
+trace-grounded version of the figure.
+
+Each (application, capacity) pair is one cold replay of a 50k-access
+stream through :mod:`repro.memsys.dramcache`: 8 applications × 6
+capacities = 48 replays. The default ``engine="array"`` computes each
+replay's exact LRU hits in one vectorized stack-distance pass; the
+scalar ``"event"`` oracle stays selectable. The capacities do not nest
+(each changes the set count, not only the ways), so every capacity is
+its own pass rather than one all-capacity sweep. Replays are memoized in
+the shared :class:`~repro.perf.evalcache.MemsysCache`, so repeated
+sweeps over the same stream and geometry are free. Capacity fractions
+must be finite and positive.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.core.config import PAPER_BEST_MEAN
@@ -106,8 +114,8 @@ def measured_miss_rates(
     floor = float(page_bytes * associativity)
     rates = []
     for fraction in capacity_fractions:
-        if fraction <= 0:
-            raise ValueError("capacity fractions must be positive")
+        if not math.isfinite(fraction) or fraction <= 0:
+            raise ValueError("capacity fractions must be finite and positive")
         capacity = max(floor, fraction * trace.footprint_bytes)
         stats = cache.dram_stats(
             trace.addresses,

@@ -415,7 +415,7 @@ class MemoryManager:
         with obs_trace.span(
             "manager.run_batch", engine=engine, epochs=len(epochs),
             accesses=total,
-        ):
+        ), obs_metrics.timed("memsys.manager.run_seconds"):
             if engine == "event":
                 fractions = [self.epoch(e) for e in epochs]
             else:

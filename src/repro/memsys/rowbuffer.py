@@ -135,7 +135,7 @@ class RowBufferSim:
         addresses = np.asarray(addresses, dtype=np.int64)
         with obs_trace.span(
             "rowbuffer.run", engine=engine, accesses=int(addresses.size)
-        ):
+        ), obs_metrics.timed("memsys.rowbuffer.run_seconds"):
             if engine == "event":
                 result = self._run_event(addresses)
             else:

@@ -323,6 +323,17 @@ class TestFig8Measured:
         )
         assert array_rates == pytest.approx(event_rates, rel=1e-9)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_non_finite_capacity_fraction_rejected(self, fraction):
+        from repro.experiments.miss_sensitivity import measured_miss_rates
+        from repro.perf.evalcache import MemsysCache
+        from repro.workloads.catalog import get_application
+
+        with pytest.raises(ValueError, match="capacity fractions"):
+            measured_miss_rates(
+                get_application("CoMD"), (fraction,), cache=MemsysCache()
+            )
+
     def test_repeat_run_hits_memsys_cache(self, result):
         from repro.experiments.miss_sensitivity import run_fig8_measured
         from repro.perf.evalcache import default_memsys_cache

@@ -189,6 +189,23 @@ class TestDramCache:
         with pytest.raises(ValueError):
             DramCache(capacity_bytes=1024, page_bytes=4096, associativity=8)
 
+    @pytest.mark.parametrize(
+        "capacity", [float("inf"), float("nan"), float("-inf")]
+    )
+    def test_non_finite_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            DramCache(capacity_bytes=capacity)
+
+    @pytest.mark.parametrize("page_bytes", [4096.5, 4096.0, True])
+    def test_non_integer_page_bytes_rejected(self, page_bytes):
+        with pytest.raises(ValueError, match="page_bytes"):
+            DramCache(capacity_bytes=1 << 20, page_bytes=page_bytes)
+
+    @pytest.mark.parametrize("associativity", [2.5, 2.0, True])
+    def test_non_integer_associativity_rejected(self, associativity):
+        with pytest.raises(ValueError, match="associativity"):
+            DramCache(capacity_bytes=1 << 20, associativity=associativity)
+
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             DramCache(capacity_bytes=1 << 20).access(-1)

@@ -237,6 +237,159 @@ class TestDramCacheOracle:
         for ways in cache._sets.values():
             assert len(ways) <= cache.associativity
 
+    def test_reuse_gap_at_associativity_boundary(self):
+        """A reuse after ``associativity - 1`` other pages of the set
+        hits; after ``associativity`` distinct others it misses."""
+        page, assoc = 1024, 4
+        pages = [0, 1, 2, 3, 0, 4, 5, 6, 7, 0]
+        stream = np.array(pages, dtype=np.int64) * page
+        cache = DramCache(assoc * page, page, assoc)  # a single set
+        oracle = DramCache(assoc * page, page, assoc)
+        flags = cache.access_many(stream)
+        expected = [oracle.access(int(x)) for x in stream]
+        assert flags.tolist() == expected
+        assert flags[4] and not flags[9]
+        _assert_same_dram_state(cache, oracle)
+
+    def test_long_windows_with_few_distinct_pages(self):
+        """One thrashed set whose long reuse windows repeat fewer than
+        ``associativity`` distinct pages: those reuses hit, which only
+        the exact distinct-page count can tell."""
+        rng = np.random.default_rng(11)
+        page, assoc = 256, 4
+        cache = DramCache(64 * assoc * page, page, assoc)
+        oracle = DramCache(64 * assoc * page, page, assoc)
+        set_stride = cache.n_sets * page  # same set, next tag
+        bursts = []
+        for _ in range(60):
+            pool = rng.choice(12, size=assoc - 1, replace=False)
+            bursts.append(rng.choice(pool, size=rng.integers(assoc, 40)))
+            bursts.append(pool[:1])
+        tags = np.concatenate(bursts)
+        stream = tags * set_stride + rng.integers(0, page, tags.size)
+        writes = rng.random(tags.size) < 0.2
+        flags = cache.access_many(stream, writes)
+        expected = [
+            oracle.access(int(x), bool(w)) for x, w in zip(stream, writes)
+        ]
+        assert flags.tolist() == expected
+        assert astuple(cache.stats) == astuple(oracle.stats)
+        _assert_same_dram_state(cache, oracle)
+        # Some hits come after a reuse gap of at least `assoc`.
+        last_seen, long_hits = {}, 0
+        for i, (tag, hit) in enumerate(zip(tags.tolist(), expected)):
+            if hit and i - last_seen[tag] - 1 >= assoc:
+                long_hits += 1
+            last_seen[tag] = i
+        assert long_hits > 0
+
+    def test_set_and_tag_keys_beyond_16_bits(self):
+        """Set indices and tags of 2**16 and more (keys too wide for
+        the narrowed radix sort)."""
+        rng = np.random.default_rng(23)
+        page, assoc = 64, 2
+        capacity = (1 << 17) * assoc * page
+        cache = DramCache(capacity, page, assoc)
+        oracle = DramCache(capacity, page, assoc)
+        sets = rng.choice([70_000, 90_001, 131_071, 5], size=3000)
+        tags = rng.choice([0, 1, 65_536, 1 << 20, (1 << 20) + 3], size=3000)
+        stream = (tags * cache.n_sets + sets) * page
+        assert stream.max() // page // cache.n_sets >= 1 << 16
+        writes = rng.random(3000) < 0.4
+        flags = cache.access_many(stream, writes)
+        expected = [
+            oracle.access(int(x), bool(w)) for x, w in zip(stream, writes)
+        ]
+        assert flags.tolist() == expected
+        assert astuple(cache.stats) == astuple(oracle.stats)
+        _assert_same_dram_state(cache, oracle)
+
+    def test_chunked_writebacks_cross_chunks(self):
+        """Lines dirtied in one access_many call are written back when a
+        later call evicts them."""
+        page = 1024
+        cache = DramCache(2 * page, page, 2)  # a single 2-way set
+        cache.access_many(np.array([0, page]), np.array([True, False]))
+        assert astuple(cache.stats) == (0, 2, 0, 0)
+        cache.access_many(np.array([2 * page, 3 * page]))
+        assert astuple(cache.stats) == (0, 4, 2, 1)
+
+        rng = np.random.default_rng(31)
+        stream = _random_stream(rng, 6000, 1 << 22)
+        writes = rng.random(6000) < 0.3
+        a = DramCache(1 << 18, 1024, 4)
+        b = DramCache(1 << 18, 1024, 4)
+        flags = np.concatenate([
+            a.access_many(chunk, w)
+            for chunk, w in zip(np.array_split(stream, 9),
+                                np.array_split(writes, 9))
+        ])
+        b.run_trace(stream, writes, engine="event")
+        assert flags.sum() == b.stats.hits
+        assert astuple(a.stats) == astuple(b.stats)
+        _assert_same_dram_state(a, b)
+
+    @pytest.mark.parametrize("scalar_first", [True, False])
+    def test_scalar_and_batched_in_both_orders(self, scalar_first):
+        rng = np.random.default_rng(41)
+        a = DramCache(1 << 16, 1024, 4)
+        b = DramCache(1 << 16, 1024, 4)
+        for round_ in range(6):
+            chunk = _random_stream(rng, 300, 1 << 19)
+            writes = rng.random(300) < 0.3
+            expected = [
+                b.access(int(x), bool(w)) for x, w in zip(chunk, writes)
+            ]
+            if (round_ % 2 == 0) == scalar_first:
+                got = [a.access(int(x), bool(w))
+                       for x, w in zip(chunk, writes)]
+            else:
+                got = a.access_many(chunk, writes).tolist()
+            assert got == expected
+            assert astuple(a.stats) == astuple(b.stats)
+        _assert_same_dram_state(a, b)
+
+    def test_resident_pages_from_array_state(self):
+        rng = np.random.default_rng(47)
+        stream = _random_stream(rng, 4000, 1 << 22)
+        cache = DramCache(1 << 18, 1024, 4)
+        oracle = DramCache(1 << 18, 1024, 4)
+        cache.access_many(stream)
+        oracle.run_trace(stream, engine="event")
+        assert cache.resident_pages == oracle.resident_pages
+        assert cache._ways is None  # answered without building dicts
+        _assert_same_dram_state(cache, oracle)
+        assert cache.resident_pages == oracle.resident_pages
+
+    @pytest.mark.parametrize("engine", DRAM_ENGINES)
+    def test_non_integral_addresses_rejected(self, engine):
+        cache = DramCache(engine=engine)
+        with pytest.raises(ValueError, match="integral"):
+            cache.run_trace([1.7, 2.9])
+        assert cache.stats.accesses == 0
+
+    @pytest.mark.parametrize(
+        "addresses", [[4096.0, 1.5], [np.nan], [np.inf], [True, False]]
+    )
+    def test_access_many_rejects_non_integral_addresses(self, addresses):
+        cache = DramCache()
+        with pytest.raises(ValueError, match="integral"):
+            cache.access_many(np.array(addresses))
+        assert cache.stats.accesses == 0
+
+    def test_access_many_accepts_integral_float_addresses(self):
+        cache = DramCache()
+        assert cache.access_many([0.0, 4096.0, 0.0]).tolist() == [
+            False, False, True
+        ]
+
+
+def _assert_same_dram_state(cache, oracle):
+    """Per-set LRU order and dirty bits equal the oracle's."""
+    assert set(cache._sets) == set(oracle._sets)
+    for s, ways in cache._sets.items():
+        assert list(ways.items()) == list(oracle._sets[s].items()), s
+
 
 # ----------------------------------------------------------------------
 # MemoryManager

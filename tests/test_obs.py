@@ -465,6 +465,35 @@ class TestInstrumentation:
         assert delta.counter("sim.apu.trace_rows") == 500
         assert "sim.apu.run_seconds" in delta.histograms
 
+    def test_fig8_measured_times_dram_cache_replays(self):
+        from repro.experiments.miss_sensitivity import (
+            CAPACITY_FRACTIONS,
+            run_fig8_measured,
+        )
+        from repro.experiments.runner import all_profiles
+        from repro.perf.evalcache import MemsysCache
+
+        before = obs_metrics.snapshot()
+        run_fig8_measured(cache=MemsysCache())
+        delta = obs_metrics.snapshot().diff(before)
+        hist = delta.histograms["memsys.dramcache.run_seconds"]
+        assert hist.count == len(all_profiles()) * len(CAPACITY_FRACTIONS)
+        assert hist.total > 0.0
+
+    def test_rowbuffer_and_manager_runs_timed(self):
+        from repro.memsys.manager import HotnessMigrationPolicy, MemoryManager
+        from repro.memsys.rowbuffer import RowBufferSim
+
+        addrs = np.arange(2000, dtype=np.int64) * 4096
+        before = obs_metrics.snapshot()
+        RowBufferSim().run(addrs)
+        MemoryManager(64 * 4096, HotnessMigrationPolicy()).run_batch(
+            np.array_split(addrs, 2)
+        )
+        delta = obs_metrics.snapshot().diff(before)
+        assert delta.histograms["memsys.rowbuffer.run_seconds"].count == 1
+        assert delta.histograms["memsys.manager.run_seconds"].count == 1
+
     def test_cache_memo_publishes_hits_and_misses(self):
         from repro.core.node import NodeModel
         from repro.perf.evalcache import EvalCache

@@ -352,11 +352,19 @@ class TestMemsysEngineProperties:
         assoc = data.draw(st.sampled_from([1, 2, 8]))
         page = data.draw(st.sampled_from([256, 4096]))
         capacity = assoc * page * data.draw(st.sampled_from([1, 4, 64]))
+        seams = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(addrs)), max_size=4
+        )))
         stream = np.asarray(addrs, dtype=np.int64)
         wr = np.asarray(writes, dtype=bool)
         a = DramCache(capacity, page, assoc, engine="array")
         b = DramCache(capacity, page, assoc, engine="event")
-        flags = a.access_many(stream, wr)
+        # The stream goes in as chunks split at random seams, so warm
+        # state carries across access_many calls.
+        flags = np.concatenate([
+            a.access_many(chunk, w)
+            for chunk, w in zip(np.split(stream, seams), np.split(wr, seams))
+        ])
         expected = [b.access(int(x), bool(w)) for x, w in zip(stream, wr)]
         assert flags.tolist() == expected
         assert (a.stats.hits, a.stats.misses, a.stats.evictions,
@@ -370,6 +378,10 @@ class TestMemsysEngineProperties:
         assert a.resident_pages <= a.n_sets * a.associativity
         for ways in a._sets.values():
             assert 0 < len(ways) <= a.associativity
+        # Per-set LRU order and dirty bits equal the oracle's.
+        assert {k: list(w.items()) for k, w in a._sets.items()} == {
+            k: list(w.items()) for k, w in b._sets.items()
+        }
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)

@@ -142,11 +142,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_group = parser.add_argument_group("serving benchmark")
     serve_group.add_argument(
-        "--serve-bench",
-        action="store_true",
-        help="run the serving-layer benchmark (same as artifact 'serve')",
-    )
-    serve_group.add_argument(
         "--serve-requests",
         type=int,
         metavar="N",
@@ -187,11 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     fleet_group = parser.add_argument_group("fleet benchmark")
     fleet_group.add_argument(
-        "--fleet-bench",
-        action="store_true",
-        help="run the fleet benchmark (same as artifact 'fleet')",
-    )
-    fleet_group.add_argument(
         "--fleet-nodes",
         type=int,
         metavar="N",
@@ -213,14 +203,6 @@ def main(argv: list[str] | None = None) -> int:
         help="synthetic-fleet seed (default 0)",
     )
     thermal_group = parser.add_argument_group("thermal-loop benchmark")
-    thermal_group.add_argument(
-        "--thermal-loop-bench",
-        action="store_true",
-        help=(
-            "run the transient thermal closed-loop benchmark (same as "
-            "artifact 'thermal-loop')"
-        ),
-    )
     thermal_group.add_argument(
         "--thermal-cycles",
         type=int,
@@ -249,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
-    if args.serve_bench or args.artifacts == ["serve"]:
+    if args.artifacts == ["serve"]:
         from repro.serve.bench import run_serve_bench
 
         report = run_serve_bench(
@@ -276,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    if args.thermal_loop_bench or args.artifacts == ["thermal-loop"]:
+    if args.artifacts == ["thermal-loop"]:
         from repro.thermal.bench import run_thermal_loop_bench
 
         with _metrics_export(args.metrics_export):
@@ -301,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0 if ok else 1
 
-    if args.fleet_bench or args.artifacts == ["fleet"]:
+    if args.artifacts == ["fleet"]:
         from repro.fleet.bench import run_fleet_bench
 
         with _metrics_export(args.metrics_export):

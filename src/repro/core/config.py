@@ -167,8 +167,8 @@ class DesignSpace:
             raise ValueError(
                 "frequencies and bandwidths must be finite and positive"
             )
-        if self.power_budget <= 0:
-            raise ValueError("power_budget must be positive")
+        if not _finite_positive(self.power_budget):
+            raise ValueError("power_budget must be finite and positive")
         if any(c > self.base_config.max_cus for c in self.cu_counts):
             raise ValueError("cu_counts exceed the area budget")
 

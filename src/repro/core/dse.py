@@ -151,12 +151,13 @@ def explore(
     ``check_tensor_eval``); their performance/power arrays agree to a
     few ULPs.
 
-    Grid evaluations go through the shared
+    The tensor engine's grid evaluation goes through the shared
     :mod:`repro.perf.evalcache` memo, so re-exploring the same
     (profiles, space, model) — as the experiment drivers routinely do —
-    reuses the earlier evaluations. Pass ``cache=False`` to bypass the
+    reuses the earlier evaluation. Pass ``cache=False`` to bypass the
     cache, or a specific :class:`~repro.perf.evalcache.EvalCache` to
-    isolate one.
+    isolate one. The point engine is the uncached oracle: it ignores
+    *cache* and re-evaluates every profile.
     """
     if not profiles:
         raise ValueError("explore needs at least one profile")
@@ -194,14 +195,7 @@ def explore(
                 feasible[name] = grid.feasible[i]
         else:
             for profile in profiles:
-                if cache is False:
-                    evaluation = model.evaluate_arrays(
-                        profile, cus, freqs, bws
-                    )
-                else:
-                    evaluation = cache.evaluate_arrays(
-                        model, profile, cus, freqs, bws
-                    )
+                evaluation = model.evaluate_arrays(profile, cus, freqs, bws)
                 perf = np.asarray(evaluation.performance, dtype=float)
                 power = np.asarray(evaluation.node_power, dtype=float)
                 performance[profile.name] = perf

@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.config import PAPER_BEST_MEAN
 from repro.core.node import NodeModel
 from repro.experiments.runner import ExperimentResult, default_model
-from repro.perf.evalcache import evaluate_arrays_cached
 from repro.util.tables import format_series
 from repro.util.units import GHZ, MHZ, TB
 from repro.workloads.catalog import get_application
@@ -60,9 +59,7 @@ def sweep_frequency(
     for bw in bandwidths_tbps:
         label = f"{bw}TBps"
         freqs = np.array([f * MHZ for f in freqs_mhz])
-        ev = evaluate_arrays_cached(
-            model, profile, float(n_cus), freqs, bw * TB
-        )
+        ev = model.evaluate_arrays(profile, float(n_cus), freqs, bw * TB)
         ops[label] = [
             n_cus * (f / GHZ) / (bw * 1000.0) * 1000.0 for f in freqs
         ]
@@ -84,9 +81,7 @@ def sweep_cu_count(
     for bw in bandwidths_tbps:
         label = f"{bw}TBps"
         cus = np.array(cu_counts, dtype=float)
-        ev = evaluate_arrays_cached(
-            model, profile, cus, freq_mhz * MHZ, bw * TB
-        )
+        ev = model.evaluate_arrays(profile, cus, freq_mhz * MHZ, bw * TB)
         ops[label] = [
             n * (freq_mhz / 1000.0) / (bw * 1000.0) * 1000.0
             for n in cu_counts

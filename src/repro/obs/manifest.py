@@ -3,7 +3,7 @@
 A manifest captures everything needed to attribute and reproduce a
 result after the process is gone: the git revision, the default model's
 value fingerprint, which engines the simulators default to, every
-shared evaluation cache's hit/miss/spill counters, wall times, and the
+shared evaluation cache's hit/miss/entry counters, wall times, and the
 full metrics-registry snapshot. ``python -m repro ... --metrics-out
 manifest.json`` and ``benchmarks/check_perf.py --metrics-out`` both
 write one; CI uploads them as workflow artifacts so perf trajectories

@@ -1,10 +1,11 @@
 """Cross-cutting performance layer.
 
-* :mod:`repro.perf.evalcache` — shared, fingerprint-keyed memos in
-  front of :meth:`repro.core.node.NodeModel.evaluate_arrays` and
-  :meth:`repro.sim.apu_sim.ApuSimulator.run`, so every (profile, design
-  grid, model) combination and every (sim config, trace, engine)
-  simulation is computed once no matter how many drivers ask for it.
+* :mod:`repro.perf.evalcache` — shared, fingerprint-keyed in-memory
+  memos in front of :meth:`repro.core.node.NodeModel.evaluate_grid`,
+  :meth:`repro.sim.apu_sim.ApuSimulator.run` and the memory-system
+  replays, so every (profile batch, design space, model) grid and every
+  (sim config, trace, engine) simulation is computed once per process
+  no matter how many drivers ask for it.
 * :mod:`repro.perf.pool` — a persistent :class:`ShardedPool` of worker
   processes with cache-affinity scheduling, the program's one fan-out:
   workers are spawned once and reused across sweeps, and stable shard
@@ -33,7 +34,6 @@ from repro.perf.evalcache import (
     clear_cache,
     default_cache,
     default_sim_cache,
-    evaluate_arrays_cached,
     simulate_trace_cached,
 )
 from repro.perf.pool import (
@@ -54,7 +54,6 @@ __all__ = [
     "clear_cache",
     "default_cache",
     "default_sim_cache",
-    "evaluate_arrays_cached",
     "simulate_trace_cached",
     "stable_shard",
 ]

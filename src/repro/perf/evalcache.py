@@ -7,12 +7,12 @@ reconfiguration governor and several examples. A single evaluation of a
 fine grid costs hundreds of milliseconds, so the layer in front of it is
 a plain keyed memo:
 
-``(profile fingerprint, model fingerprint, grid fingerprint,
-ext-fraction fingerprint, extra latency) -> NodeEvaluation``
+``(profile-batch fingerprint, model fingerprint, design-space
+fingerprint) -> GridEvaluation``
 
 Fingerprints are SHA-1 digests of the frozen dataclasses' ``repr`` (all
 model inputs are frozen dataclasses of scalars, so their repr is a
-faithful value encoding) and of the raw grid-array bytes. Two
+faithful value encoding) and of the raw profile-column bytes. Two
 :class:`~repro.core.node.NodeModel` instances with equal parameters
 therefore share cache entries, and *any* parameter change — a different
 ``PowerParams``, an optimization applied, another external-memory
@@ -28,17 +28,14 @@ The third front is the vectorized memory-system layer
 (:class:`MemsysCache`): DRAM-cache, row-buffer, and page-migration
 replays keyed by ``(geometry, address-stream fingerprint, engine)``, so
 capacity sweeps that push the same 50k-address stream through a dozen
-cache sizes only pay for each geometry once per process — or once
-*ever* with spill enabled.
+cache sizes only pay for each geometry once per process.
 
-Every cache accepts an opt-in ``spill_dir``: computed entries are
-pickled to ``<spill_dir>/<key-digest>.pkl`` (atomic tmp + rename), and a
-memory miss probes the directory before recomputing, so cross-run
-calibration sweeps start warm. Spill files carry a format version and
-the full key; a corrupt file, a version bump, or a digest collision all
-read back as a clean miss.
+All three are the same in-memory memo: a locked ``dict`` that keeps
+every entry for the life of the process, with hit and miss counters.
+Single-point evaluations (``NodeModel.evaluate_arrays``) are not
+memoized: no paper artifact repeats one.
 
-Cached :class:`~repro.core.node.NodeEvaluation` /
+Cached :class:`~repro.core.node.GridEvaluation` /
 :class:`~repro.sim.apu_sim.ApuSimResult` objects are shared: treat their
 arrays as read-only (the library's own consumers never mutate them).
 """
@@ -46,17 +43,14 @@ arrays as read-only (the library's own consumers never mutate them).
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.core.config import DesignSpace
-from repro.core.node import GridEvaluation, NodeEvaluation, NodeModel
+from repro.core.node import GridEvaluation, NodeModel
 from repro.obs import metrics as _obs_metrics
 from repro.memsys.dramcache import DramCache, DramCacheStats
 from repro.memsys.manager import (
@@ -74,14 +68,11 @@ __all__ = [
     "EvalCache",
     "SimCache",
     "MemsysCache",
-    "SPILL_VERSION",
     "default_cache",
     "default_sim_cache",
     "default_memsys_cache",
-    "evaluate_arrays_cached",
     "fingerprint_model",
     "fingerprint_profile",
-    "fingerprint_array",
     "evaluate_grid_cached",
     "simulate_trace_cached",
     "fingerprint_batch",
@@ -92,12 +83,6 @@ __all__ = [
     "clear_cache",
 ]
 
-SPILL_VERSION = 1
-"""On-disk spill format version; bumping it invalidates old spills."""
-
-_SPILL_MISS = object()
-
-
 @dataclass(frozen=True)
 class CacheStats:
     """Counters exposed by :meth:`EvalCache.stats`."""
@@ -105,27 +90,18 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     entries: int = 0
-    evictions: int = 0
-    spill_hits: int = 0
 
     @property
     def requests(self) -> int:
         """Total lookups."""
-        return self.hits + self.misses + self.spill_hits
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """Hits (memory or spill) over lookups (0.0 when cold)."""
+        """Hits over lookups (0.0 when cold)."""
         if self.requests == 0:
             return 0.0
-        return (self.hits + self.spill_hits) / self.requests
-
-    @property
-    def spill_hit_rate(self) -> float:
-        """On-disk hits over lookups (0.0 when cold or spill-less)."""
-        if self.requests == 0:
-            return 0.0
-        return self.spill_hits / self.requests
+        return self.hits / self.requests
 
     def as_dict(self) -> dict:
         """JSON-ready counters plus the derived rates (what the run
@@ -134,20 +110,14 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "entries": self.entries,
-            "evictions": self.evictions,
-            "spill_hits": self.spill_hits,
             "requests": self.requests,
             "hit_rate": self.hit_rate,
-            "spill_hit_rate": self.spill_hit_rate,
         }
 
     def __repr__(self) -> str:
         return (
             f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"entries={self.entries}, evictions={self.evictions}, "
-            f"spill_hits={self.spill_hits}, "
-            f"hit_rate={self.hit_rate:.3f}, "
-            f"spill_hit_rate={self.spill_hit_rate:.3f})"
+            f"entries={self.entries}, hit_rate={self.hit_rate:.3f})"
         )
 
 
@@ -175,16 +145,6 @@ def fingerprint_batch(batch: ProfileBatch) -> str:
     h = hashlib.sha1(repr(batch.names).encode())
     for fname in ProfileBatch.field_names():
         h.update(np.ascontiguousarray(getattr(batch, fname)).tobytes())
-    return h.hexdigest()
-
-
-def fingerprint_array(value) -> str:
-    """Fingerprint of one design-point axis (scalar or array)."""
-    if value is None:
-        return "none"
-    arr = np.ascontiguousarray(np.asarray(value, dtype=float))
-    h = hashlib.sha1(str(arr.shape).encode())
-    h.update(arr.tobytes())
     return h.hexdigest()
 
 
@@ -221,23 +181,11 @@ def fingerprint_addresses(addresses, writes=None) -> str:
 
 
 class _KeyedMemo:
-    """Thread-safe LRU memo shared by the evaluation-layer caches.
+    """Thread-safe memo shared by the evaluation-layer caches.
 
     Subclasses build their own keys and computations; this base owns the
-    entry table, the optional LRU bound, the hit/miss/eviction counters,
-    and the optional on-disk spill.
-
-    Parameters
-    ----------
-    maxsize:
-        Optional LRU bound on cached values; ``None`` (default) keeps
-        everything.
-    spill_dir:
-        Optional directory for pickled (key -> value) spill files. A
-        memory miss probes the directory before recomputing, and every
-        computed value is written back, so later runs pointed at the
-        same directory start warm. The in-memory LRU bound does not
-        apply to spilled files; :meth:`clear` leaves them on disk.
+    entry table (a plain ``dict`` under one lock, kept for the life of
+    the process) and the hit/miss counters.
 
     Every lookup outcome is also published to the process-wide
     :mod:`repro.obs.metrics` registry under the class's
@@ -248,78 +196,15 @@ class _KeyedMemo:
     metrics_prefix = "cache.keyed"
     """Registry namespace; subclasses override (``cache.eval`` etc.)."""
 
-    def __init__(
-        self, maxsize: int | None = None, spill_dir: str | None = None
-    ):
-        if maxsize is not None and maxsize <= 0:
-            raise ValueError("maxsize must be positive or None")
-        self.maxsize = maxsize
-        self.spill_dir = None if spill_dir is None else os.fspath(spill_dir)
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
+    def __init__(self):
+        self._entries: dict[tuple, object] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
-        self._spill_hits = 0
         # Pre-resolved metric names: the lookup fast path must not pay
         # for string formatting.
-        prefix = self.metrics_prefix
-        self._metric_hits = prefix + ".hits"
-        self._metric_misses = prefix + ".misses"
-        self._metric_spill_hits = prefix + ".spill_hits"
-
-    # ------------------------------------------------------------------
-    # On-disk spill
-    # ------------------------------------------------------------------
-    def _spill_path(self, key: tuple) -> str:
-        return os.path.join(self.spill_dir, _digest(repr(key)) + ".pkl")
-
-    def _spill_load(self, key: tuple):
-        """Probe the spill directory; returns the sentinel on any kind
-        of failure (missing file, corrupt pickle, stale format version,
-        digest collision) so callers fall through to a recompute."""
-        try:
-            with open(self._spill_path(key), "rb") as fh:
-                payload = pickle.load(fh)
-            if (
-                isinstance(payload, dict)
-                and payload.get("version") == SPILL_VERSION
-                and payload.get("key") == key
-            ):
-                return payload["value"]
-        except Exception:
-            # Corrupt or truncated pickles raise a long tail of
-            # exception types; every failure mode is just a cache miss.
-            pass
-        return _SPILL_MISS
-
-    def _spill_store(self, key: tuple, value) -> None:
-        """Atomically persist one entry (tmp file + rename); IO errors
-        are swallowed — spill is an accelerator, never a correctness
-        dependency."""
-        path = self._spill_path(key)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            os.makedirs(self.spill_dir, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                pickle.dump(
-                    {"version": SPILL_VERSION, "key": key, "value": value},
-                    fh,
-                )
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def _insert_locked(self, key: tuple, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if self.maxsize is not None:
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+        self._metric_hits = self.metrics_prefix + ".hits"
+        self._metric_misses = self.metrics_prefix + ".misses"
 
     def _peek(self, key: tuple):
         """Non-computing probe: the cached value, or ``None``.
@@ -328,59 +213,30 @@ class _KeyedMemo:
         inline path is a real cache hit — but a miss counts nothing:
         the caller will route the request through a computing path
         whose own lookup records the miss, and double-counting would
-        skew the hit rates the pool's affinity checks gate on. Probes
-        memory first, then the spill directory.
+        skew the hit rates the pool's affinity checks gate on.
         """
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._hits += 1
-                self._entries.move_to_end(key)
                 _obs_metrics.inc(self._metric_hits)
-                return cached
-        if self.spill_dir is not None:
-            loaded = self._spill_load(key)
-            if loaded is not _SPILL_MISS:
-                with self._lock:
-                    self._spill_hits += 1
-                    self._insert_locked(key, loaded)
-                _obs_metrics.inc(self._metric_spill_hits)
-                return loaded
-        return None
+            return cached
 
     def _seed(self, key: tuple, value) -> None:
         """Insert a value computed elsewhere (e.g. carved out of a
-        merged serve batch) without touching the hit/miss counters.
-        Spills like a computed entry so warm starts see it too."""
-        if self.spill_dir is not None:
-            self._spill_store(key, value)
+        merged serve batch) without touching the hit/miss counters."""
         with self._lock:
-            self._insert_locked(key, value)
+            self._entries[key] = value
 
     def _memoize(self, key: tuple, compute: Callable[[], object]):
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._hits += 1
-                self._entries.move_to_end(key)
-                _obs_metrics.inc(self._metric_hits)
-                return cached
-        if self.spill_dir is not None:
-            loaded = self._spill_load(key)
-            if loaded is not _SPILL_MISS:
-                with self._lock:
-                    self._spill_hits += 1
-                    self._insert_locked(key, loaded)
-                _obs_metrics.inc(self._metric_spill_hits)
-                return loaded
+        cached = self._peek(key)
+        if cached is not None:
+            return cached
         with self._lock:
             self._misses += 1
         _obs_metrics.inc(self._metric_misses)
         value = compute()
-        if self.spill_dir is not None:
-            self._spill_store(key, value)
-        with self._lock:
-            self._insert_locked(key, value)
+        self._seed(key, value)
         return value
 
     def stats(self) -> CacheStats:
@@ -390,85 +246,24 @@ class _KeyedMemo:
                 hits=self._hits,
                 misses=self._misses,
                 entries=len(self._entries),
-                evictions=self._evictions,
-                spill_hits=self._spill_hits,
             )
 
     def clear(self) -> None:
-        """Drop every in-memory entry and reset the counters (spilled
-        files, if any, stay on disk — that is what makes cross-run
-        warm starts work)."""
+        """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
-            self._spill_hits = 0
+            self._hits = self._misses = 0
 
 
 class EvalCache(_KeyedMemo):
-    """Keyed memo fronting :meth:`NodeModel.evaluate_arrays`.
+    """Keyed memo fronting :meth:`NodeModel.evaluate_grid`.
 
-    The working set is one entry per distinct (profile, grid, model)
-    triple, which the full experiment suite keeps in the dozens.
+    The working set is one entry per distinct (profile batch, design
+    space, model) triple, which the full experiment suite keeps in the
+    dozens.
     """
 
     metrics_prefix = "cache.eval"
-
-    def __init__(
-        self, maxsize: int | None = None, spill_dir: str | None = None
-    ):
-        super().__init__(maxsize, spill_dir)
-        # (object ids, model fp, space id, slab) -> (pins, grid key);
-        # see grid_key().
-        self._grid_key_memo: dict[tuple, tuple] = {}
-
-    # ------------------------------------------------------------------
-    def _key(
-        self,
-        model: NodeModel,
-        profile: KernelProfile,
-        n_cus,
-        freq,
-        bandwidth,
-        ext_fraction,
-        extra_latency: float,
-    ) -> tuple:
-        return (
-            fingerprint_profile(profile),
-            fingerprint_model(model),
-            fingerprint_array(n_cus),
-            fingerprint_array(freq),
-            fingerprint_array(bandwidth),
-            fingerprint_array(ext_fraction),
-            float(extra_latency),
-        )
-
-    def evaluate_arrays(
-        self,
-        model: NodeModel,
-        profile: KernelProfile,
-        n_cus,
-        freq,
-        bandwidth,
-        *,
-        ext_fraction=None,
-        extra_latency: float = 0.0,
-    ) -> NodeEvaluation:
-        """Cached equivalent of ``model.evaluate_arrays(...)``."""
-        key = self._key(
-            model, profile, n_cus, freq, bandwidth, ext_fraction,
-            extra_latency,
-        )
-        return self._memoize(
-            key,
-            lambda: model.evaluate_arrays(
-                profile,
-                n_cus,
-                freq,
-                bandwidth,
-                ext_fraction=ext_fraction,
-                extra_latency=extra_latency,
-            ),
-        )
 
     @staticmethod
     def _resolve_grid(
@@ -526,19 +321,6 @@ class EvalCache(_KeyedMemo):
             key, lambda: model.evaluate_grid(batch, space)
         )
 
-    def peek_grid(
-        self,
-        model: NodeModel,
-        profiles,
-        space: DesignSpace,
-        cu_lo: int = 0,
-        cu_hi: int | None = None,
-    ) -> GridEvaluation | None:
-        """The cached grid for these arguments, or ``None`` — never
-        computes. The serving layer's inline-answer probe."""
-        batch, space = self._resolve_grid(profiles, space, cu_lo, cu_hi)
-        return self._peek(self._grid_key(model, batch, space))
-
     def grid_key(
         self,
         model: NodeModel,
@@ -547,41 +329,22 @@ class EvalCache(_KeyedMemo):
         cu_lo: int = 0,
         cu_hi: int | None = None,
     ) -> tuple:
-        """The opaque cache key ``peek_grid``/``seed_grid`` would use.
+        """The opaque cache key :meth:`evaluate_grid` and
+        :meth:`seed_grid` use for these arguments.
 
         Fingerprinting a batch is ~100x the cost of the lookup itself,
         so callers that probe the same (profiles, space) template
         repeatedly — the serving layer's inline path — compute the key
         once and replay it through :meth:`peek_grid_key`.
-
-        Repeat calls with the *same objects* (profiles, space — frozen
-        dataclasses, so identity implies equality) are memoized; the
-        model is always re-fingerprinted, so in-place model mutation
-        stays safe.
         """
-        if isinstance(profiles, ProfileBatch):
-            pin: object = profiles
-            ids: tuple = (id(profiles),)
-        else:
-            profiles = list(profiles)
-            pin = tuple(profiles)
-            ids = tuple(map(id, profiles))
-        memo_key = (ids, fingerprint_model(model), id(space), cu_lo, cu_hi)
-        memo = self._grid_key_memo
-        entry = memo.get(memo_key)
-        if entry is not None:
-            return entry[1]
-        batch, sub = self._resolve_grid(profiles, space, cu_lo, cu_hi)
-        key = self._grid_key(model, batch, sub)
-        if len(memo) >= 4096:
-            memo.clear()
-        # The pinned objects keep every id() in memo_key from being
-        # recycled while the entry lives.
-        memo[memo_key] = ((pin, space), key)
-        return key
+        return self._grid_key(
+            model, *self._resolve_grid(profiles, space, cu_lo, cu_hi)
+        )
 
     def peek_grid_key(self, key: tuple) -> GridEvaluation | None:
-        """:meth:`peek_grid` by a precomputed :meth:`grid_key`."""
+        """The cached grid under a precomputed :meth:`grid_key`, or
+        ``None`` — never computes. The serving layer's inline-answer
+        probe."""
         return self._peek(key)
 
     def seed_grid(
@@ -600,41 +363,8 @@ class EvalCache(_KeyedMemo):
         PR-6 composition identities) and seeds them here so the next
         identical request hits inline.
         """
-        batch, space = self._resolve_grid(profiles, space, cu_lo, cu_hi)
-        self._seed(self._grid_key(model, batch, space), value)
-
-    def invalidate(
-        self,
-        profile: KernelProfile | None = None,
-        model: NodeModel | None = None,
-    ) -> int:
-        """Explicitly drop entries for *profile* and/or *model*.
-
-        With both ``None`` every entry is dropped (counters are kept —
-        use :meth:`clear` to reset those too). Grid entries do not
-        record individual profile fingerprints, so a profile-scoped
-        invalidation conservatively drops every grid entry. Returns the
-        number of evicted entries.
-        """
-        with self._lock:
-            if profile is None and model is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-                return dropped
-            pfp = None if profile is None else fingerprint_profile(profile)
-            mfp = None if model is None else fingerprint_model(model)
-
-            def doomed_key(k: tuple) -> bool:
-                if k[0] == "grid":
-                    return mfp is None or k[2] == mfp
-                return (pfp is None or k[0] == pfp) and (
-                    mfp is None or k[1] == mfp
-                )
-
-            doomed = [k for k in self._entries if doomed_key(k)]
-            for k in doomed:
-                del self._entries[k]
-            return len(doomed)
+        key = self.grid_key(model, profiles, space, cu_lo, cu_hi)
+        self._seed(key, value)
 
 
 _default_cache = EvalCache()
@@ -643,33 +373,6 @@ _default_cache = EvalCache()
 def default_cache() -> EvalCache:
     """The process-wide shared cache the library routes through."""
     return _default_cache
-
-
-def evaluate_arrays_cached(
-    model: NodeModel,
-    profile: KernelProfile,
-    n_cus,
-    freq,
-    bandwidth,
-    *,
-    ext_fraction=None,
-    extra_latency: float = 0.0,
-    cache: EvalCache | None = None,
-) -> NodeEvaluation:
-    """Module-level convenience over :meth:`EvalCache.evaluate_arrays`.
-
-    ``cache=None`` uses the shared :func:`default_cache`.
-    """
-    cache = cache if cache is not None else _default_cache
-    return cache.evaluate_arrays(
-        model,
-        profile,
-        n_cus,
-        freq,
-        bandwidth,
-        ext_fraction=ext_fraction,
-        extra_latency=extra_latency,
-    )
 
 
 def evaluate_grid_cached(

@@ -425,9 +425,7 @@ class ShardedPool:
         """Per-shard hit rate of one cache namespace (0.0 when idle)."""
         rates = []
         for snap in self._shard_totals:
-            hits = snap.counter(f"{prefix}.hits") + snap.counter(
-                f"{prefix}.spill_hits"
-            )
+            hits = snap.counter(f"{prefix}.hits")
             lookups = hits + snap.counter(f"{prefix}.misses")
             rates.append(hits / lookups if lookups else 0.0)
         return rates

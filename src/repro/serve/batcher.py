@@ -113,6 +113,11 @@ class FixedPolicy:
     def est_request_seconds(self) -> float:
         return max(1e-9, float(self.est_request_s))
 
+    def refresh(self) -> float:
+        """No-op (the parameters are constant); the service calls it
+        after every batch, as it does the adaptive policy's."""
+        return self.est_request_seconds()
+
 
 class BatcherCore:
     """The deterministic admission/batching/release state machine.

@@ -11,7 +11,7 @@ Two measurements, matching the check_serve gate:
   configured rate and measure p50/p99 latency, shed and expiry counts.
   The gate requires p99 within the configured deadline with <1% shed.
 
-``python -m repro serve`` / ``--serve-bench`` routes here.
+``python -m repro serve`` routes here.
 """
 
 from __future__ import annotations

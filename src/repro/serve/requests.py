@@ -25,10 +25,11 @@ a request whose deadline cannot be met is *shed* with an explicit
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.core.config import DesignSpace, EHPConfig
+from repro.core.config import DesignSpace, EHPConfig, _finite_positive
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
@@ -86,6 +87,27 @@ class PointRequest:
     power_budget: float = 160.0
     stream: str = "default"
     deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        # Checked here, not when the batch runs: every point of a batch
+        # is merged into one union grid, so one bad point would fail
+        # all of its batch-mates.
+        max_cus = EHPConfig().max_cus
+        if (
+            not isinstance(self.n_cus, numbers.Integral)
+            or isinstance(self.n_cus, bool)
+            or not 0 < self.n_cus <= max_cus
+        ):
+            raise ValueError(
+                f"n_cus must be an integer in [1, {max_cus}], "
+                f"got {self.n_cus!r}"
+            )
+        for name in ("gpu_freq", "bandwidth", "power_budget"):
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite and positive, "
+                    f"got {getattr(self, name)!r}"
+                )
 
     def to_space(self) -> DesignSpace:
         """The singleton grid holding exactly this design point."""

@@ -354,9 +354,11 @@ class EvalService:
         Shared caches probed inline; default to the process-wide ones
         so the service sees sweeps other code already paid for.
     policy:
-        Batch sizing policy; default is an
+        Batch sizing policy with a ``refresh()`` the dispatcher calls
+        after every batch; default is an
         :class:`~repro.serve.adaptive.AdaptiveBatchPolicy` over the
-        process metrics registry.
+        process metrics registry
+        (:class:`~repro.serve.batcher.FixedPolicy` also fits).
     max_queue:
         Backpressure bound on queued requests.
     batch_window_s:

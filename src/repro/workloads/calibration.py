@@ -34,7 +34,7 @@ from scipy.optimize import differential_evolution, minimize
 
 from repro.core.config import PAPER_BEST_MEAN, DesignSpace, EHPConfig
 from repro.core.node import NodeModel
-from repro.perf.evalcache import evaluate_arrays_cached, simulate_trace_cached
+from repro.perf.evalcache import simulate_trace_cached
 from repro.sim.apu_sim import ApuSimConfig
 from repro.util.units import MHZ, TB
 from repro.workloads.kernels import KernelCategory, KernelProfile
@@ -538,11 +538,11 @@ def trace_crosscheck(
     role the paper gives gem5. Both sides are normalized per CU because
     the simulator runs a scaled-down EHP.
 
-    Both hot calls route through the shared fingerprint caches
-    (:func:`repro.perf.evalcache.simulate_trace_cached` and
-    :func:`repro.perf.evalcache.evaluate_arrays_cached`), so repeated
+    The simulation routes through the shared fingerprint cache
+    (:func:`repro.perf.evalcache.simulate_trace_cached`), so repeated
     sweeps — e.g. over engines, or from several drivers — never
-    recompute a (config, trace) pair.
+    recompute a (config, trace) pair. The analytic point, a fraction of
+    a millisecond, is evaluated directly.
     """
     from repro.workloads.catalog import APPLICATIONS, get_application
 
@@ -554,8 +554,8 @@ def trace_crosscheck(
         profile = get_application(name)
         trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
         sim = simulate_trace_cached(trace, sim_config, engine=engine)
-        ev = evaluate_arrays_cached(
-            model, profile, best.n_cus, best.gpu_freq, best.bandwidth
+        ev = model.evaluate_arrays(
+            profile, best.n_cus, best.gpu_freq, best.bandwidth
         )
         rows.append(
             TraceCrosscheckRow(
@@ -611,7 +611,7 @@ def chiplet_penalty_table(
     argue the chiplet organization costs little; the ``agreement``
     column is the cross-substrate sanity check.
 
-    Everything routes through the shared fingerprint caches, so the
+    Simulations route through the shared fingerprint cache, so the
     sweep costs one simulation per distinct (config, trace) pair.
     """
     import dataclasses
@@ -633,8 +633,7 @@ def chiplet_penalty_table(
                 sim_config, chiplet_extra_latency=penalty_ns * 1e-9
             )
             sim = simulate_trace_cached(trace, cfg, engine=engine)
-            ev = evaluate_arrays_cached(
-                model,
+            ev = model.evaluate_arrays(
                 profile,
                 best.n_cus,
                 best.gpu_freq,

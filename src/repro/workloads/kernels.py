@@ -238,6 +238,12 @@ class ProfileBatch:
                     f"got {col.shape}"
                 )
             object.__setattr__(self, fname, col)
+        # Per-column extremes in one pass, not ~20 numpy calls per
+        # batch; fmin/fmax skip NaN, which (as in an elementwise
+        # comparison) never counts as out of range.
+        table = np.hstack([getattr(self, f) for f in _BATCH_FIELDS])
+        lo = dict(zip(_BATCH_FIELDS, np.fmin.reduce(table).tolist()))
+        hi = dict(zip(_BATCH_FIELDS, np.fmax.reduce(table).tolist()))
         for fname in (
             "parallel_fraction",
             "cache_hit_rate",
@@ -247,16 +253,15 @@ class ProfileBatch:
             "issue_efficiency",
             "write_fraction",
         ):
-            col = getattr(self, fname)
-            if np.any(col < 0.0) or np.any(col > 1.0):
+            if lo[fname] < 0.0 or hi[fname] > 1.0:
                 raise ValueError(f"{fname} must be in [0, 1]")
         for fname in ("flops", "mlp_per_cu", "footprint_bytes"):
-            if np.any(getattr(self, fname) <= 0):
+            if lo[fname] <= 0:
                 raise ValueError(f"{fname} must be positive")
-        if np.any(self.compression_ratio < 1.0):
+        if lo["compression_ratio"] < 1.0:
             raise ValueError("compression_ratio must be >= 1.0")
         for fname in ("bytes_per_flop", "thrash_pressure"):
-            if np.any(getattr(self, fname) < 0):
+            if lo[fname] < 0:
                 raise ValueError(f"{fname} must be non-negative")
 
     @classmethod
@@ -267,13 +272,14 @@ class ProfileBatch:
         profiles = list(profiles)
         if not profiles:
             raise ValueError("a ProfileBatch needs at least one profile")
-        columns = {
-            fname: np.array(
-                [[float(getattr(p, fname))] for p in profiles], dtype=float
-            )
-            for fname in _BATCH_FIELDS
-        }
-        return cls(names=tuple(p.name for p in profiles), **columns)
+        # One (F, P) table; each column is a contiguous row of it.
+        table = np.array(
+            [[float(getattr(p, f)) for p in profiles] for f in _BATCH_FIELDS]
+        )
+        return cls(
+            names=tuple(p.name for p in profiles),
+            **{f: row[:, None] for f, row in zip(_BATCH_FIELDS, table)},
+        )
 
     @staticmethod
     def field_names() -> tuple[str, ...]:

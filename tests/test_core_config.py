@@ -134,3 +134,8 @@ class TestDesignSpace:
         good = getattr(DesignSpace(), axis)
         with pytest.raises(ValueError, match="finite and positive"):
             DesignSpace(**{axis: (*good[:2], value)})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_power_budget_rejected(self, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DesignSpace(power_budget=value)

@@ -422,25 +422,25 @@ class TestSpanContext:
 # ----------------------------------------------------------------------
 class TestCacheStats:
     def test_rates(self):
-        stats = CacheStats(hits=6, misses=2, spill_hits=2)
-        assert stats.requests == 10
-        # hit_rate counts both in-memory and spill hits over lookups.
-        assert stats.hit_rate == pytest.approx(0.8)
-        assert stats.spill_hit_rate == pytest.approx(0.2)
+        stats = CacheStats(hits=6, misses=2, entries=2)
+        assert stats.requests == 8
+        assert stats.hit_rate == pytest.approx(0.75)
 
     def test_zero_requests_rates_are_zero(self):
         stats = CacheStats()
         assert stats.requests == 0
         assert stats.hit_rate == 0.0
-        assert stats.spill_hit_rate == 0.0
 
     def test_as_dict(self):
-        stats = CacheStats(hits=3, misses=1)
+        stats = CacheStats(hits=3, misses=1, entries=1)
         data = stats.as_dict()
-        assert data["hits"] == 3
-        assert data["requests"] == 4
-        assert data["hit_rate"] == pytest.approx(0.75)
-        assert data["spill_hit_rate"] == 0.0
+        assert data == {
+            "hits": 3,
+            "misses": 1,
+            "entries": 1,
+            "requests": 4,
+            "hit_rate": pytest.approx(0.75),
+        }
         json.dumps(data)  # JSON-serializable by construction
 
     def test_repr_is_readable(self):
@@ -495,19 +495,20 @@ class TestInstrumentation:
         assert delta.histograms["memsys.manager.run_seconds"].count == 1
 
     def test_cache_memo_publishes_hits_and_misses(self):
+        from repro.core.config import DesignSpace
         from repro.core.node import NodeModel
         from repro.perf.evalcache import EvalCache
         from repro.workloads.catalog import get_application
 
         cache = EvalCache()
         model = NodeModel()
-        profile = get_application("CoMD")
-        cus = np.array([64.0])
-        freqs = np.array([1.0])
-        bws = np.array([1.0])
+        profiles = [get_application("CoMD")]
+        space = DesignSpace(
+            cu_counts=(64,), frequencies=(1.0e9,), bandwidths=(1.0e12,)
+        )
         before = obs_metrics.snapshot()
-        cache.evaluate_arrays(model, profile, cus, freqs, bws)
-        cache.evaluate_arrays(model, profile, cus, freqs, bws)
+        cache.evaluate_grid(model, profiles, space)
+        cache.evaluate_grid(model, profiles, space)
         delta = obs_metrics.snapshot().diff(before)
         assert delta.counter("cache.eval.misses") == 1
         assert delta.counter("cache.eval.hits") == 1

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from repro.core.config import DesignSpace
 from repro.core.dse import explore
 from repro.core.node import NodeModel
 from repro.noc.simulator import NocSimulator, SimMessage
 from repro.perf.evalcache import (
     EvalCache,
     SimCache,
-    evaluate_arrays_cached,
     fingerprint_sim_config,
     fingerprint_trace,
     simulate_trace_cached,
@@ -27,6 +27,7 @@ from repro.power.components import PowerParams
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.thermal.grid import ThermalGrid
 from repro.workloads.catalog import get_application
+from repro.workloads.kernels import ProfileBatch
 from repro.workloads.traces import TraceGenerator
 
 
@@ -88,73 +89,98 @@ class TestCachedThermalSolve:
 
 
 class TestEvalCache:
+    @staticmethod
+    def _space(**kwargs):
+        return DesignSpace(
+            cu_counts=(256, 320), frequencies=(1.0e9,),
+            bandwidths=(3.0e12,), **kwargs,
+        )
+
     def test_hit_miss_counters(self):
         cache = EvalCache()
         model = NodeModel()
-        profile = get_application("CoMD")
-        cus = np.array([256.0, 320.0])
-        ev1 = cache.evaluate_arrays(model, profile, cus, 1.0e9, 3.0e12)
+        profiles = [get_application("CoMD")]
+        g1 = cache.evaluate_grid(model, profiles, self._space())
         assert cache.stats().misses == 1 and cache.stats().hits == 0
-        ev2 = cache.evaluate_arrays(model, profile, cus, 1.0e9, 3.0e12)
+        g2 = cache.evaluate_grid(model, profiles, self._space())
         assert cache.stats().hits == 1
-        assert ev2 is ev1  # the memoized object itself
+        assert g2 is g1  # the memoized object itself
         # A fresh-but-equal model still hits: keys are value fingerprints.
-        ev3 = cache.evaluate_arrays(NodeModel(), profile, cus, 1.0e9, 3.0e12)
-        assert ev3 is ev1
+        g3 = cache.evaluate_grid(NodeModel(), profiles, self._space())
+        assert g3 is g1
         assert cache.stats().hits == 2
 
     def test_model_fingerprint_differentiates(self):
         cache = EvalCache()
-        profile = get_application("CoMD")
-        cus = np.array([256.0])
-        cache.evaluate_arrays(NodeModel(), profile, cus, 1.0e9, 3.0e12)
+        profiles = [get_application("CoMD")]
+        cache.evaluate_grid(NodeModel(), profiles, self._space())
         tweaked = NodeModel(
             power_params=PowerParams(cu_leakage_watt=0.05)
         )
-        cache.evaluate_arrays(tweaked, profile, cus, 1.0e9, 3.0e12)
+        cache.evaluate_grid(tweaked, profiles, self._space())
         assert cache.stats().misses == 2
 
     def test_profile_and_axis_fingerprints(self):
         cache = EvalCache()
         model = NodeModel()
         profile = get_application("CoMD")
-        cache.evaluate_arrays(model, profile, 320.0, 1.0e9, 3.0e12)
-        cache.evaluate_arrays(
-            model, profile.with_overrides(cu_utilization=0.5),
-            320.0, 1.0e9, 3.0e12,
+        cache.evaluate_grid(model, [profile], self._space())
+        cache.evaluate_grid(
+            model, [profile.with_overrides(cu_utilization=0.5)],
+            self._space(),
         )
-        cache.evaluate_arrays(model, profile, 320.0, 1.1e9, 3.0e12)
-        cache.evaluate_arrays(
-            model, profile, 320.0, 1.0e9, 3.0e12, ext_fraction=0.5
+        cache.evaluate_grid(
+            model, [profile],
+            DesignSpace(
+                cu_counts=(256, 320), frequencies=(1.1e9,),
+                bandwidths=(3.0e12,),
+            ),
+        )
+        cache.evaluate_grid(
+            model, [profile], self._space(power_budget=120.0)
         )
         assert cache.stats().misses == 4
         assert cache.stats().hits == 0
 
-    def test_invalidation(self):
+    def test_concurrent_lookups_lose_no_counts(self):
+        import sys
+        import threading
+
         cache = EvalCache()
         model = NodeModel()
-        comd = get_application("CoMD")
-        snap = get_application("SNAP")
-        cache.evaluate_arrays(model, comd, 320.0, 1.0e9, 3.0e12)
-        cache.evaluate_arrays(model, snap, 320.0, 1.0e9, 3.0e12)
-        assert cache.invalidate(profile=comd) == 1
-        assert cache.stats().entries == 1
-        # CoMD misses again, SNAP still hits.
-        cache.evaluate_arrays(model, comd, 320.0, 1.0e9, 3.0e12)
-        cache.evaluate_arrays(model, snap, 320.0, 1.0e9, 3.0e12)
-        assert cache.stats().misses == 3
-        assert cache.stats().hits == 1
-        assert cache.invalidate() == 2
-        assert cache.stats().entries == 0
+        batch = ProfileBatch.from_profiles([get_application("CoMD")])
+        spaces = [
+            self._space(power_budget=b) for b in (100.0, 120.0, 140.0, 160.0)
+        ]
+        n_threads, per_thread = 8, 100
+        errors = []
 
-    def test_lru_bound(self):
-        cache = EvalCache(maxsize=1)
-        model = NodeModel()
-        profile = get_application("CoMD")
-        cache.evaluate_arrays(model, profile, 320.0, 1.0e9, 3.0e12)
-        cache.evaluate_arrays(model, profile, 256.0, 1.0e9, 3.0e12)
+        def worker(offset):
+            try:
+                for i in range(per_thread):
+                    space = spaces[(offset + i) % len(spaces)]
+                    cache.evaluate_grid(model, batch, space)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,))
+                for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
         stats = cache.stats()
-        assert stats.entries == 1 and stats.evictions == 1
+        assert stats.requests == n_threads * per_thread
+        assert stats.entries == len(spaces)
 
     def test_explore_uses_cache(self):
         # The default tensor engine memoizes one whole-grid entry per
@@ -172,25 +198,6 @@ class TestEvalCache:
         r3 = explore(profiles, cache=False)
         assert cache.stats().requests == 2
         assert r3.best_mean_index == r1.best_mean_index
-        # The point engine keeps the per-profile entries.
-        r4 = explore(profiles, cache=cache, engine="point")
-        assert cache.stats().misses == 1 + len(profiles)
-        assert r4.best_mean_index == r1.best_mean_index
-
-    def test_cached_helper_matches_direct(self):
-        model = NodeModel()
-        profile = get_application("LULESH")
-        cus = np.array([192.0, 384.0])
-        direct = model.evaluate_arrays(profile, cus, 1.0e9, 3.0e12)
-        cached = evaluate_arrays_cached(
-            model, profile, cus, 1.0e9, 3.0e12, cache=EvalCache()
-        )
-        assert np.array_equal(
-            np.asarray(direct.performance), np.asarray(cached.performance)
-        )
-        assert np.array_equal(
-            np.asarray(direct.node_power), np.asarray(cached.node_power)
-        )
 
 
 class TestSimCache:
@@ -251,13 +258,6 @@ class TestSimCache:
         direct = ApuSimulator(config).run(trace)
         cached = simulate_trace_cached(trace, config, cache=SimCache())
         assert cached == direct
-
-    def test_lru_bound(self):
-        cache = SimCache(maxsize=1)
-        cache.run(self._trace(seed=1, n=200))
-        cache.run(self._trace(seed=2, n=200))
-        stats = cache.stats()
-        assert stats.entries == 1 and stats.evictions == 1
 
 
 class TestParallelRunner:
@@ -458,124 +458,3 @@ class TestMemsysCache:
         from repro.perf.evalcache import default_memsys_cache
 
         assert default_memsys_cache() is default_memsys_cache()
-
-
-class TestOnDiskSpill:
-    """Opt-in spill_dir: cross-run warm starts with versioned pickles."""
-
-    def _stream(self, n=1500, seed=9):
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 1 << 20, size=n), rng.random(n) < 0.5
-
-    def test_cross_instance_warm_start(self, tmp_path):
-        from dataclasses import astuple
-
-        from repro.perf.evalcache import MemsysCache
-
-        addrs, writes = self._stream()
-        first = MemsysCache(spill_dir=tmp_path)
-        r1 = first.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        assert first.stats().misses == 1
-
-        second = MemsysCache(spill_dir=tmp_path)
-        r2 = second.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        st = second.stats()
-        assert st.spill_hits == 1 and st.misses == 0
-        assert astuple(r2) == astuple(r1)
-        # Spill hits count toward the hit rate.
-        assert st.hit_rate == 1.0
-        # Once loaded, the entry lives in memory: no second disk probe.
-        second.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        assert second.stats().hits == 1
-
-    def test_simcache_spill(self, tmp_path):
-        from repro.perf.evalcache import SimCache
-
-        profile = get_application("CoMD")
-        trace = TraceGenerator(profile, seed=3).generate(2000)
-        a = SimCache(spill_dir=tmp_path)
-        r1 = a.run(trace)
-        b = SimCache(spill_dir=tmp_path)
-        r2 = b.run(trace)
-        assert b.stats().spill_hits == 1
-        assert r2.elapsed == pytest.approx(r1.elapsed, rel=1e-12)
-
-    def test_corrupt_entry_is_clean_miss(self, tmp_path):
-        from repro.perf.evalcache import MemsysCache
-
-        addrs, writes = self._stream()
-        a = MemsysCache(spill_dir=tmp_path)
-        a.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        for path in tmp_path.iterdir():
-            path.write_bytes(b"\x80\x04 this is not a pickle")
-        b = MemsysCache(spill_dir=tmp_path)
-        b.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        st = b.stats()
-        assert st.misses == 1 and st.spill_hits == 0
-        # The recompute overwrote the corrupt file with a good one.
-        c = MemsysCache(spill_dir=tmp_path)
-        c.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        assert c.stats().spill_hits == 1
-
-    def test_version_mismatch_is_clean_miss(self, tmp_path, monkeypatch):
-        import repro.perf.evalcache as evalcache
-
-        addrs, writes = self._stream()
-        a = evalcache.MemsysCache(spill_dir=tmp_path)
-        a.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        monkeypatch.setattr(evalcache, "SPILL_VERSION", 2)
-        b = evalcache.MemsysCache(spill_dir=tmp_path)
-        b.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        st = b.stats()
-        assert st.misses == 1 and st.spill_hits == 0
-
-    def test_key_mismatch_is_clean_miss(self, tmp_path):
-        """A digest collision (forged here by renaming a spill file onto
-        the path another key probes) must be rejected by the embedded
-        full key."""
-        import os
-
-        from repro.perf.evalcache import MemsysCache, fingerprint_addresses
-
-        addrs, writes = self._stream()
-        a = MemsysCache(spill_dir=tmp_path)
-        a.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        (old,) = list(tmp_path.iterdir())
-        # Move the 1<<19 entry onto the exact path the 1<<20 lookup
-        # will probe; its payload still embeds the 1<<19 key.
-        probe_key = (
-            "dram",
-            float(1 << 20),
-            4096,
-            8,
-            fingerprint_addresses(addrs, writes),
-            "array",
-        )
-        os.replace(old, a._spill_path(probe_key))
-        b = MemsysCache(spill_dir=tmp_path)
-        b.dram_stats(addrs, writes, capacity_bytes=1 << 20)
-        st = b.stats()
-        assert st.spill_hits == 0 and st.misses == 1
-
-    def test_spill_survives_clear(self, tmp_path):
-        from repro.perf.evalcache import MemsysCache
-
-        addrs, writes = self._stream()
-        cache = MemsysCache(spill_dir=tmp_path)
-        cache.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        cache.clear()
-        assert cache.stats().entries == 0
-        cache.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        assert cache.stats().spill_hits == 1
-
-    def test_spill_disabled_writes_nothing(self, tmp_path):
-        from repro.perf.evalcache import EvalCache
-
-        cache = EvalCache()
-        assert cache.spill_dir is None
-        model = NodeModel()
-        profile = get_application("CoMD")
-        cache.evaluate_arrays(
-            model, profile, np.array([256.0]), 1.0e9, 3.0e12
-        )
-        assert list(tmp_path.iterdir()) == []

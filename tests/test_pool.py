@@ -4,9 +4,8 @@ Covers the scheduling contract (stable shard routing, round-robin
 placement of unkeyed tasks, stealing only from a backlog), fault
 tolerance (task errors, worker death and respawn), the observability
 bridges (merged worker metrics deltas, republished memory gauges,
-worker-side spans), payload dedup, concurrent spill-directory use, and
-bit-identity of the pooled DSE/experiment fan-outs against their
-serial counterparts.
+worker-side spans), payload dedup, and bit-identity of the pooled
+DSE/experiment fan-outs against their serial counterparts.
 """
 
 import os
@@ -18,7 +17,7 @@ import pytest
 from repro.core.dse import explore
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.perf.evalcache import MemsysCache, clear_cache
+from repro.perf.evalcache import clear_cache
 from repro.perf.parallel import parallel_explore, run_experiments
 from repro.perf.pool import PoolTask, ShardedPool, stable_shard
 from repro.workloads.catalog import get_application
@@ -51,22 +50,6 @@ def _die_once(sentinel_path):
             fh.write("died")
         os._exit(3)
     return "survived"
-
-
-def _spill_sweep(spill_dir, seed):
-    """Run a MemsysCache sweep against a shared spill directory.
-
-    A fresh cache per call means every lookup goes to disk (or
-    computes), so concurrent workers race on the same spill files.
-    """
-    rng = np.random.default_rng(seed)
-    addrs = rng.integers(0, 1 << 20, size=1500)
-    writes = rng.random(1500) < 0.5
-    cache = MemsysCache(spill_dir=spill_dir)
-    stats = cache.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-    from dataclasses import astuple
-
-    return astuple(stats)
 
 
 def _new_pool(n_shards=2, **kwargs):
@@ -347,53 +330,6 @@ class TestPayloadDedup:
             ]
             assert p.run(tasks) == [9]
             assert p.run(tasks) == [9]
-
-
-class TestConcurrentSpill:
-    def test_shared_spill_dir_under_contention(self, tmp_path):
-        # Eight unkeyed tasks, all computing the same key against one
-        # spill directory, dealt round-robin so both workers race on
-        # the same file. Atomic tmp+rename must keep every entry
-        # readable.
-        spill = str(tmp_path)
-        with _new_pool(2) as p:
-            results = p.run(
-                [
-                    PoolTask(fn=_spill_sweep, args=(spill, 11))
-                    for _ in range(8)
-                ],
-                batch_size=1,
-            )
-        assert all(r == results[0] for r in results)
-        files = os.listdir(spill)
-        assert any(name.endswith(".pkl") for name in files)
-        # No orphaned temp files from the racing writers.
-        assert not [name for name in files if ".tmp" in name]
-        # A fresh cache warm-starts from the surviving spill entry.
-        probe = MemsysCache(spill_dir=spill)
-        rng = np.random.default_rng(11)
-        addrs = rng.integers(0, 1 << 20, size=1500)
-        writes = rng.random(1500) < 0.5
-        probe.dram_stats(addrs, writes, capacity_bytes=1 << 19)
-        assert probe.stats().spill_hits == 1
-
-    def test_corrupt_spill_entry_degrades_to_miss(self, tmp_path):
-        spill = str(tmp_path)
-        # Seed the directory, then corrupt every entry in place.
-        _spill_sweep(spill, 23)
-        reference = _spill_sweep(spill, 23)
-        for name in os.listdir(spill):
-            with open(os.path.join(spill, name), "wb") as fh:
-                fh.write(b"\x00partial or torn write")
-        with _new_pool(2) as p:
-            results = p.run(
-                [
-                    PoolTask(fn=_spill_sweep, args=(spill, 23))
-                    for _ in range(4)
-                ],
-                batch_size=1,
-            )
-        assert all(r == reference for r in results)
 
 
 class TestPooledFanouts:

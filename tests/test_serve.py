@@ -421,7 +421,8 @@ class TestCachePeekSeed:
         space = DesignSpace(
             cu_counts=(256,), frequencies=(1e9,), bandwidths=(2e12,)
         )
-        assert cache.peek_grid(model, [maxflops], space) is None
+        key = cache.grid_key(model, [maxflops], space)
+        assert cache.peek_grid_key(key) is None
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0
 
@@ -434,7 +435,9 @@ class TestCachePeekSeed:
         cache.seed_grid(model, [maxflops], space, grid)
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0  # seeding is free
-        peeked = cache.peek_grid(model, [maxflops], space)
+        peeked = cache.peek_grid_key(
+            cache.grid_key(model, [maxflops], space)
+        )
         assert peeked is grid
         assert cache.stats().hits == 1
 
@@ -571,6 +574,50 @@ class TestServiceOracle:
         assert bad_response.status == FAILED
         assert isinstance(bad_response.error, RuntimeError)
         _assert_same_answer(good_response, good, model)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"gpu_freq": float("nan")},
+            {"n_cus": 0},
+            {"n_cus": 512},
+            {"bandwidth": float("inf")},
+            {"power_budget": float("nan")},
+        ],
+        ids=["freq-nan", "cus-0", "cus-512", "bw-inf", "budget-nan"],
+    )
+    def test_malformed_point_is_rejected_alone(self, model, comd, bad):
+        # The bad point is refused before admission, so it never joins
+        # the union grid its batch-mates are evaluated on.
+        good = [
+            PointRequest(comd, 256, 1.0e9, 2.0e12),
+            PointRequest(comd, 320, 1.1e9, 3.0e12),
+        ]
+        axes = {"n_cus": 288, "gpu_freq": 1.0e9, "bandwidth": 2.0e12}
+
+        async def scenario():
+            svc = _fresh_service(model=model, batch_window_s=0.05)
+            async with svc:
+                return await asyncio.gather(
+                    svc.evaluate(comd, **{**axes, **bad}),
+                    *(svc.submit(r) for r in good),
+                    return_exceptions=True,
+                )
+
+        rejected, *answered = asyncio.run(scenario())
+        assert isinstance(rejected, ValueError)
+        for response, request in zip(answered, good):
+            _assert_same_answer(response, request, model)
+
+    def test_fixed_policy_serves(self, model, maxflops):
+        request = PointRequest(maxflops, 256, 1.0e9, 2.0e12)
+
+        async def scenario():
+            svc = _fresh_service(model=model, policy=FixedPolicy())
+            async with svc:
+                return await asyncio.wait_for(svc.submit(request), 5.0)
+
+        _assert_same_answer(asyncio.run(scenario()), request, model)
 
     def test_within_stream_order_holds_under_concurrency(self, model):
         arrivals = synthetic_arrivals(
@@ -1065,6 +1112,24 @@ class TestRequestTypes:
     def test_from_config(self, maxflops, best_mean_config):
         request = PointRequest.from_config(maxflops, best_mean_config)
         assert request.n_cus == best_mean_config.n_cus
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"gpu_freq": float("nan")},
+            {"n_cus": 0},
+            {"n_cus": 512},
+            {"n_cus": 320.0},
+            {"bandwidth": float("inf")},
+            {"bandwidth": -3.0e12},
+            {"power_budget": float("nan")},
+            {"power_budget": 0.0},
+        ],
+    )
+    def test_point_rejects_malformed_values(self, maxflops, bad):
+        axes = {"n_cus": 320, "gpu_freq": 1.0e9, "bandwidth": 3.0e12}
+        with pytest.raises(ValueError):
+            PointRequest(maxflops, **{**axes, **bad})
 
     def test_sweep_rejects_duplicates(self, maxflops):
         with pytest.raises(ValueError):

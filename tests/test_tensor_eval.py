@@ -283,18 +283,6 @@ class TestGridCache:
                 cache=EvalCache(),
             )
 
-    def test_invalidate_drops_grid_entries(self):
-        cache = EvalCache()
-        model = NodeModel()
-        profiles = [get_application("CoMD")]
-        evaluate_grid_cached(model, profiles, DesignSpace(), cache=cache)
-        assert cache.stats().entries == 1
-        assert cache.invalidate(model=model) == 1
-        assert cache.stats().entries == 0
-        # Profile-scoped invalidation conservatively drops grid entries.
-        evaluate_grid_cached(model, profiles, DesignSpace(), cache=cache)
-        assert cache.invalidate(profile=get_application("SNAP")) == 1
-
 
 class TestParallelSlabs:
     def _space(self):

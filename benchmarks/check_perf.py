@@ -36,8 +36,8 @@ replicated below) and asserts the speedup ratios the layer promises:
   one-request-per-``pool.run`` baseline, p99 latency within the
   configured deadline with < 1% shed at the rated open-loop load, and
   every served response bit-identical to a direct serial evaluation,
-* transient thermal stepping: amortized-factorization backward-Euler
-  steps >= 10x the refactorize-per-step oracle on a Fig. 10-scale
+* transient thermal stepping: modal backward-Euler steps >= 10x the
+  sparse-solve-per-step oracle on a Fig. 10-scale
   grid with an absolute steps/sec floor, the transient fixed point
   matching the steady-state ``solve`` within 1e-6 C, per-step
   factored-vs-oracle agreement within 1e-9 C, lockstep batched
@@ -204,7 +204,7 @@ def check_thermal(quick: bool) -> list[str]:
     rng = np.random.default_rng(0)
     maps = rng.random((grid.stack.n_layers, ny, nx))
 
-    fast_field = grid.solve(maps)  # factorizes once
+    fast_field = grid.solve(maps)  # builds the modal operator once
     ref = seed_thermal_solve(grid, maps)
     err = float(np.abs(fast_field.celsius.ravel() - ref).max())
 
@@ -242,7 +242,7 @@ def check_thermal_transient(quick: bool) -> list[str]:
 
     Runs :func:`repro.thermal.bench.run_thermal_loop_bench` on the
     Fig. 10 grid (quick) or a 4x-refined one (full) and asserts:
-    amortized stepping >= 10x the refactorize-per-step oracle and above
+    modal stepping >= 10x the sparse-solve-per-step oracle and above
     an absolute steps/sec floor; the transient fixed point equals the
     steady solve (<= 1e-6 C); a factored step equals an oracle step
     from the same state (<= 1e-9 C); lockstep batched stepping is

@@ -28,18 +28,18 @@ def _hot_grid():
     grid = ThermalGrid(66.0, 22.0, nx=GRID_NX, ny=GRID_NY)
     rng = np.random.default_rng(0)
     maps = rng.random((grid.stack.n_layers, grid.ny, grid.nx))
-    grid.solve(maps)  # factorize once, outside the timed region
+    grid.solve(maps)  # build the modal operator outside the timed region
     return grid, maps
 
 
 def test_bench_thermal_repeat_solve(benchmark):
-    """Repeat steady-state solve on a 132x132 grid (cached splu)."""
+    """Repeat steady-state solve on a 132x132 grid (cached modal operator)."""
     grid, maps = _hot_grid()
     benchmark(grid.solve, maps)
 
 
 def test_bench_thermal_solve_many(benchmark):
-    """Batched solve of 20 power maps against one factorization."""
+    """Batched solve of 20 power maps against one modal operator."""
     grid, maps = _hot_grid()
     batch = np.stack([maps * (1.0 + 0.01 * k) for k in range(20)])
     benchmark.pedantic(grid.solve_many, args=(batch,), rounds=3, iterations=1)

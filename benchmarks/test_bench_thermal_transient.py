@@ -1,10 +1,10 @@
 """Benchmarks for the transient thermal layer (PR 10).
 
 Times the paths the ``check_thermal_transient`` gate constrains on the
-Fig. 10-scale grid: amortized-factorization backward-Euler stepping,
-the refactorize-per-step oracle, lockstep multi-scenario stepping, the
-one-time ``(C/dt + G)`` factorization, and one full closed-loop
-governed schedule. Steps/sec and the governed/uncontrolled peak
+Fig. 10-scale grid: modal backward-Euler stepping, the per-step
+sparse-solve oracle, lockstep multi-scenario stepping, the one-time
+per-mode ``(C/dt + G)`` pivots a dt change pays, and one full
+closed-loop governed schedule. Steps/sec and the governed/uncontrolled peak
 temperatures ride along in ``extra_info`` so the compacted
 BENCH_pr10.json artifact records them per run. The >=10x, convergence,
 bit-identity, and under-the-limit assertions live in
@@ -41,35 +41,35 @@ def _stepper(engine: str, n_steps: int):
 
 
 def test_bench_transient_factored_steps(benchmark):
-    """100 amortized-factorization steps (one substitution each)."""
-    THERMAL.grid._ensure_transient_factor(DT)
+    """100 modal steps against the pivots cached for DT."""
+    THERMAL.grid._factor(DT)
     run = _stepper("factored", 100)
     benchmark.pedantic(run, rounds=5, iterations=1)
     benchmark.extra_info["steps_per_s"] = 100.0 / benchmark.stats["min"]
 
 
 def test_bench_transient_oracle_steps(benchmark):
-    """5 refactorize-per-step oracle steps (the seed-equivalent cost)."""
+    """5 sparse-solve-per-step oracle steps (the seed-equivalent cost)."""
     run = _stepper("oracle", 5)
     benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["steps_per_s"] = 5.0 / benchmark.stats["min"]
 
 
 def test_bench_transient_factorization(benchmark):
-    """The one-time ``(C/dt + G)`` factorization a dt change pays."""
+    """The one-time per-mode ``(C/dt + G)`` pivots a dt change pays."""
 
     def factorize():
-        THERMAL.grid._transient.clear()
-        THERMAL.grid._ensure_transient_factor(DT)
+        THERMAL.grid._pivots.pop(DT, None)
+        THERMAL.grid._factor(DT)
 
     benchmark.pedantic(factorize, rounds=5, iterations=1)
 
 
 def test_bench_transient_lockstep_batch(benchmark):
-    """8 scenarios x 50 steps through one multi-RHS substitution each."""
+    """8 scenarios x 50 steps through one batched modal solve each."""
     solver = TransientSolver(THERMAL.grid, dt=DT)
     batch = np.stack([MAPS * s for s in np.linspace(0.3, 1.0, 8)])
-    THERMAL.grid._ensure_transient_factor(DT)
+    THERMAL.grid._factor(DT)
     benchmark.pedantic(
         solver.run_many, args=(batch, 50), rounds=5, iterations=1
     )

@@ -14,8 +14,9 @@ build over seconds, not instantly. This module closes that loop:
 
   - **feedforward** — before a phase starts, pick the highest
     frequency on the :class:`~repro.core.governor.DvfsGovernor` ladder
-    whose *steady-state* DRAM peak (one cached-factorization solve,
-    memoized per (profile, config)) clears the limit minus a margin,
+    whose *steady-state* DRAM peak (one modal solve against the grid's
+    cached operator, memoized per (profile, config)) clears the limit
+    minus a margin,
     gating CU groups when even the ladder floor is too hot;
   - **feedback** — every control tick, notch down one more ladder step
     if the *simulated* peak still crosses the threshold (the backstop
@@ -239,8 +240,8 @@ class ThermalGovernor:
         """Highest ladder point (never above *config*) that is
         steady-state safe for *profile*, gating CUs below the floor.
 
-        Memoized per (profile, config); the steady solves it prices are
-        single substitutions against the grid's cached factorization.
+        Memoized per (profile, config); each steady solve it prices is
+        one modal solve against the grid's cached operator.
         """
         key = (profile.name, config)
         cached = self._cap_cache.get(key)

@@ -37,11 +37,12 @@ _SHARED_THERMAL: ThermalModel | None = None
 def shared_thermal_model() -> ThermalModel:
     """The process-wide :class:`ThermalModel` the drivers share.
 
-    The conductance matrix, its LU factorization and the rasterized
-    floorplan masks depend only on the (fixed) default geometry, so one
-    instance serves every driver; each caller then pays only the
-    back-substitution. Pass an explicit ``thermal=`` to a driver to opt
-    out (e.g. for a non-default floorplan).
+    The modal grid operator (DCT basis and per-mode pivots) and the
+    rasterized floorplan masks depend only on the (fixed) default
+    geometry, so one instance serves every driver; each caller then pays
+    only the transforms and the per-mode sweep. Pass an explicit
+    ``thermal=`` to a driver to opt out (e.g. for a non-default
+    floorplan).
     """
     global _SHARED_THERMAL
     if _SHARED_THERMAL is None:
@@ -76,7 +77,7 @@ def run_fig10(
     table = TextTable(
         ["Application", "Best-mean config (C)", "Best-per-app config (C)"]
     )
-    # Batch all 2-per-application solves through one factorization.
+    # Batch all 2-per-application solves through one modal solve.
     profiles = list(all_profiles())
     powers = []
     for profile in profiles:

@@ -381,14 +381,6 @@ class EvalService:
         Optional :class:`~repro.obs.export.PeriodicSampler`; while the
         service is open it runs as an asyncio task streaming interval
         metric diffs (the caller owns ``stop()``).
-    thermal_monitor:
-        Optional :class:`~repro.thermal.transient.ThermalMonitor`.
-        When given, every outcome drain opportunistically advances the
-        simulated package up to the service clock (the monitor bounds
-        its own catch-up work), so a serving process publishes live
-        ``thermal.peak_c`` / ``thermal.dram_peak_c`` gauges alongside
-        its SLO health, and ``stats()`` reports the simulated DRAM
-        peak.
     """
 
     def __init__(
@@ -407,7 +399,6 @@ class EvalService:
         manifest_name: str = "serve",
         slo: SloTracker | None = None,
         sampler: PeriodicSampler | None = None,
-        thermal_monitor=None,
     ):
         self.model = model or NodeModel()
         self.pool = pool
@@ -425,7 +416,6 @@ class EvalService:
         self.slo_publish_interval_s = 0.05
         self._slo_published_at = float("-inf")
         self.sampler = sampler
-        self.thermal_monitor = thermal_monitor
         self._sampler_task: asyncio.Task | None = None
         # seq -> (request SpanContext, tracer-clock admit reading);
         # consumed at batch execution (queue-wait span) or outcome
@@ -740,8 +730,6 @@ class EvalService:
             if now - self._slo_published_at >= self.slo_publish_interval_s:
                 self._slo_published_at = now
                 self.slo.publish()
-                if self.thermal_monitor is not None:
-                    self.thermal_monitor.advance(now)
 
     # ------------------------------------------------------------------
     # Batch execution (worker thread)
@@ -1020,9 +1008,6 @@ class EvalService:
             out["pool_tasks"] = pool_stats.tasks
             out["pool_steals"] = pool_stats.steals
         out["slo"] = self.slo.health()
-        if self.thermal_monitor is not None:
-            out["thermal_peak_c"] = self.thermal_monitor.peak_c
-            out["thermal_dram_peak_c"] = self.thermal_monitor.layer_peak_c
         return out
 
     def manifest_section(self) -> dict:

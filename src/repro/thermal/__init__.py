@@ -1,11 +1,13 @@
 """Compact thermal model of the EHP package (Figs. 10 and 11).
 
-A HotSpot-style steady-state RC model: the package floorplan is gridded,
-each grid cell carries a vertical stack of layers (active interposer,
-compute die, 3D DRAM), and heat conducts laterally within layers and
-vertically between them and into the heatsink. The solver assembles a
-sparse conductance matrix and solves for the steady-state temperature
-field given a power map.
+A HotSpot-style RC model: the package floorplan is gridded, each grid
+cell carries a vertical stack of layers (active interposer, compute
+die, 3D DRAM), and heat conducts laterally within layers and vertically
+between them and into the heatsink. Because every layer is uniform, the
+solver diagonalizes the conductance network exactly with the DCT and
+solves for the steady-state or backward-Euler temperature field of a
+power map mode by mode; the assembled sparse matrix stays as the
+oracle.
 
 The paper's constraint is the DRAM retention limit: in-package 3D DRAM
 must stay below 85 C with a high-end air cooler at 50 C ambient.
@@ -22,7 +24,6 @@ from repro.thermal.grid import (
 from repro.thermal.analysis import ThermalModel, ThermalReport
 from repro.thermal.transient import (
     PowerPhase,
-    ThermalMonitor,
     TransientSolver,
     TransientTrace,
 )
@@ -41,5 +42,4 @@ __all__ = [
     "PowerPhase",
     "TransientSolver",
     "TransientTrace",
-    "ThermalMonitor",
 ]

@@ -164,12 +164,12 @@ class ThermalModel:
     def analyze_many(
         self, powers: Sequence[PowerBreakdown]
     ) -> list[ThermalReport]:
-        """Solve a batch of power breakdowns against one factorization.
+        """Solve a batch of power breakdowns in one modal solve.
 
-        Equivalent to ``[self.analyze(p) for p in powers]`` but the
-        right-hand sides are back-substituted together through
-        :meth:`ThermalGrid.solve_many`, which is what the Fig. 10 sweep
-        (two solves per application) wants.
+        Equivalent to ``[self.analyze(p) for p in powers]`` (bit for
+        bit) but the maps go through :meth:`ThermalGrid.solve_many`
+        together, which is what the Fig. 10 sweep (two solves per
+        application) wants.
         """
         if not powers:
             return []

@@ -1,29 +1,47 @@
-"""Sparse steady-state thermal grid solver.
+"""Steady and transient thermal grid solver.
 
 Discretizes the package into ``nx x ny`` cells per layer and solves the
 conduction equation ``G T = P + G_b T_amb`` where ``G`` assembles
 lateral (within-layer) and vertical (between-layer and boundary)
 conductances. This is the same compact-model formulation HotSpot uses
-(the paper's thermal methodology), specialized to steady state.
+(the paper's thermal methodology). The transient mode takes implicit
+backward-Euler steps ``(C/dt + G) T' = (C/dt) T + P + G_b T_amb`` over
+the same conductances, where ``C`` is the diagonal per-cell heat
+capacity.
 
-The conductance matrix depends only on the grid geometry and layer
-stack, never on the power map, so assembly and factorization happen once
-per grid: :meth:`ThermalGrid.solve` caches a sparse LU factorization
-(:func:`scipy.sparse.linalg.splu`) and every subsequent solve is a pair
-of triangular back-substitutions. :meth:`ThermalGrid.solve_many`
-back-substitutes a whole batch of power maps against the same
-factorization in one call.
+Both operators are solved exactly in a modal basis. The precondition is
+that the grid is uniform within each layer: a
+:class:`~repro.thermal.stack.ThermalLayer` has one thickness,
+conductivity and heat capacity, and the
+:class:`~repro.thermal.stack.LayerStack` boundary resistances are
+scalars, so every grid this class can build satisfies it. Then
+``G + diag(s)`` (``s = 0`` steady, ``s = C/dt`` per step) is a sum of
+Kronecker products of the 1-D Neumann path-graph Laplacians along x and
+y with an L x L tridiagonal coupling between the L layers. The
+orthonormal DCT-II matrices ``Q_nx`` and ``Q_ny`` diagonalize those
+Laplacians exactly (eigenvalues ``2 - 2 cos(pi k / n)``), which leaves
+``ny * nx`` independent L x L symmetric tridiagonal systems, one per
+lateral mode. A solve is three steps:
 
-The same machinery powers the transient mode: an implicit backward-Euler
-step ``(C/dt + G) T' = (C/dt) T + P + G_b T_amb`` over the identical
-conductance matrix, where ``C`` is the diagonal per-cell heat capacity.
-``(C/dt + G)`` is factorized **once per step size** and cached, so every
-:meth:`ThermalGrid.step_transient` call is a single back/forward
-substitution; :meth:`ThermalGrid.step_transient_many` advances S
-independent scenarios in lockstep as one multi-RHS substitution. The
-``engine="oracle"`` path re-solves from the raw matrix every step
-(:func:`scipy.sparse.linalg.spsolve`) and is the retained correctness
-reference the factored path is gated against.
+1. transform each layer, ``Q_ny X Q_nx^T`` (two small dense gemms);
+2. one vectorized LDL^T sweep over the layers, with per-mode pivots
+   computed once per shift (the steady operator, or one per step dt);
+3. the inverse transform.
+
+The modal path solves for the rise over ambient: ``G 1 = G_b``, so a
+field uniformly at ``T_amb`` is the zero-power solution and the
+``G_b T_amb`` term drops out of the right-hand side.
+
+:meth:`ThermalGrid.solve_batch` and
+:meth:`ThermalGrid.step_transient_many` push a whole batch through the
+same per-slice gemms and elementwise sweep, so every batch member is
+bit-identical to the single-map call.
+
+The assembled sparse matrix stays the specification. ``_assemble``
+(vectorized) and ``_assemble_reference`` (the original triple loop)
+build it, and the ``engine="oracle"`` step solves it from scratch with
+:func:`scipy.sparse.linalg.spsolve` every call; the modal path is gated
+against that oracle at 1e-9 C.
 """
 
 from __future__ import annotations
@@ -32,11 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, diags
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import spsolve
 
+from repro.core.config import _finite_positive
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.thermal.stack import LayerStack
+from repro.util.blasthreads import single_blas_thread
 
 __all__ = [
     "TemperatureField",
@@ -46,7 +66,61 @@ __all__ = [
 ]
 
 STEP_ENGINES = ("factored", "oracle")
-"""Transient step engines: amortized factorization vs per-step solve."""
+"""Transient step engines: cached per-mode LDL^T pivots vs a sparse
+solve of the assembled matrix every step."""
+
+
+def _dct_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II matrix and its path-Laplacian eigenvalues.
+
+    Row k of the matrix is the k-th eigenvector of the n-point Neumann
+    path-graph Laplacian ``tridiag(-1, [1, 2, ..., 2, 1], -1)``, with
+    eigenvalue ``2 - 2 cos(pi k / n)``, evaluated as the equal
+    ``4 sin^2(pi k / 2n)`` to avoid cancellation near k = 0. The cosine
+    argument is reduced modulo its period in integers first, so every
+    entry is accurate to a few ulps even at large n.
+    """
+    k = np.arange(n)
+    phase = np.outer(k, 2 * k + 1) % (4 * n)
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * phase / (2 * n))
+    basis[0] = np.sqrt(1.0 / n)
+    eigenvalues = 4.0 * np.sin(np.pi * k / (2 * n)) ** 2
+    return basis, eigenvalues
+
+
+@dataclass(frozen=True)
+class _Modes:
+    """The grid operator in the DCT basis, shift-free.
+
+    Mode (ky, kx) couples the L layers through a symmetric tridiagonal
+    matrix: ``coupling[l]`` is the vertical conductance between layers l
+    and l + 1 (the off-diagonal is its negative), and the diagonal on
+    layer l is ``coupling[l - 1] + coupling[l] + excess[l, ky, kx]``,
+    where the non-negative ``excess`` holds the mode's lateral
+    eigenvalue and the layer's boundary conductances. ``heat[l]`` is the
+    layer's per-cell heat capacity.
+    """
+
+    qx: np.ndarray
+    qx_t: np.ndarray
+    qy: np.ndarray
+    excess: np.ndarray
+    coupling: np.ndarray
+    heat: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Pivots:
+    """Per-mode LDL^T factors of one shifted operator.
+
+    ``gain[l] = coupling[l] / d_l`` (zero on the top layer) and
+    ``inv_pivot[l] = 1 / d_l``, both shaped (L, ny, nx); ``c_over_dt``
+    is the per-layer shift (zeros for the steady operator).
+    """
+
+    gain: np.ndarray
+    inv_pivot: np.ndarray
+    c_over_dt: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,7 +180,7 @@ class TemperatureFieldBatch:
 
 
 class ThermalGrid:
-    """Gridded package with a linear steady-state solve.
+    """Gridded package with linear steady and transient solves.
 
     Parameters
     ----------
@@ -126,27 +200,35 @@ class ThermalGrid:
         ny: int = 22,
         stack: LayerStack | None = None,
     ):
+        for size in (nx, ny):
+            if not isinstance(size, (int, np.integer)) or isinstance(
+                size, bool
+            ):
+                raise ValueError(
+                    f"grid resolution must be an integer, got {size!r}"
+                )
         if nx < 2 or ny < 2:
             raise ValueError("grid must be at least 2x2")
-        if width_mm <= 0 or depth_mm <= 0:
-            raise ValueError("package dimensions must be positive")
+        if not (_finite_positive(width_mm) and _finite_positive(depth_mm)):
+            raise ValueError("package dimensions must be finite and positive")
         self.width_m = width_mm * 1e-3
         self.depth_m = depth_mm * 1e-3
-        self.nx = nx
-        self.ny = ny
+        self.nx = int(nx)
+        self.ny = int(ny)
         self.stack = stack or LayerStack()
         self.dx = self.width_m / nx
         self.dy = self.depth_m / ny
         self.cell_area = self.dx * self.dy
+        # Assembled sparse matrix, built only for the oracle.
         self._system: tuple | None = None
-        self._factor = None
-        # dt -> (splu factor of C/dt + G, C/dt vector)
-        self._transient: dict[float, tuple] = {}
+        self._modes: _Modes | None = None
+        # None (steady) or dt -> per-mode pivots of G + C/dt.
+        self._pivots: dict[float | None, _Pivots] = {}
 
-    # Geometry/stack attributes the cached factorizations depend on.
-    # Assigning any of them after a factorization exists silently
-    # invalidates the caches, so a stale factorization can never serve
-    # a mutated grid (the derived dx/dy/cell_area are recomputed when
+    # Geometry/stack attributes the cached operators depend on.
+    # Assigning any of them after an operator exists silently
+    # invalidates the caches, so a stale operator can never serve a
+    # mutated grid (the derived dx/dy/cell_area are recomputed when
     # the extents or resolution move).
     _PARAM_ATTRS = frozenset(
         {"width_m", "depth_m", "nx", "ny", "stack"}
@@ -155,8 +237,7 @@ class ThermalGrid:
     def __setattr__(self, name: str, value) -> None:
         mutated = name in self._PARAM_ATTRS and (
             getattr(self, "_system", None) is not None
-            or getattr(self, "_factor", None) is not None
-            or bool(getattr(self, "_transient", None))
+            or getattr(self, "_modes", None) is not None
         )
         super().__setattr__(name, value)
         if mutated:
@@ -173,15 +254,15 @@ class ThermalGrid:
 
     @property
     def factorization_cached(self) -> bool:
-        """Whether the LU factorization is already available."""
-        return self._factor is not None
+        """Whether the steady operator's per-mode pivots are built."""
+        return None in self._pivots
 
     def invalidate(self) -> None:
-        """Drop the cached matrix and factorizations (rebuilt on
-        demand), including every cached transient step operator."""
+        """Drop the assembled matrix and every modal operator (rebuilt
+        on demand), steady and transient alike."""
         super().__setattr__("_system", None)
-        super().__setattr__("_factor", None)
-        super().__setattr__("_transient", {})
+        super().__setattr__("_modes", None)
+        super().__setattr__("_pivots", {})
 
     def _index(self, layer: int, j: int, i: int) -> int:
         return (layer * self.ny + j) * self.nx + i
@@ -355,16 +436,102 @@ class ThermalGrid:
         return matrix, b_amb
 
     # ------------------------------------------------------------------
+    # Modal operator
+    # ------------------------------------------------------------------
+    def _layer_capacitance(self) -> np.ndarray:
+        """Per-cell heat capacity of each layer, J/K, shaped (L,)."""
+        return np.array([
+            layer.volumetric_heat_capacity
+            * layer.thickness_m
+            * self.cell_area
+            for layer in self.stack.layers
+        ])
+
+    def _modal_operator(self) -> _Modes:
+        """The cached shift-free operator in the DCT basis."""
+        if self._modes is None:
+            lat_x, lat_y, vert, g_bottom, g_top = self._conductances()
+            qx, lam_x = _dct_basis(self.nx)
+            qy, lam_y = _dct_basis(self.ny)
+            boundary = np.zeros(self.stack.n_layers)
+            boundary[0] += g_bottom
+            boundary[-1] += g_top
+            excess = (
+                np.asarray(lat_x)[:, None, None] * lam_x
+                + np.asarray(lat_y)[:, None, None] * lam_y[:, None]
+                + boundary[:, None, None]
+            )
+            # A transposed view as the right-hand operand sends numpy's
+            # stacked matmul down a path about 2x slower; keep a copy.
+            self._modes = _Modes(
+                qx=qx,
+                qx_t=np.ascontiguousarray(qx.T),
+                qy=qy,
+                excess=excess,
+                coupling=np.asarray(vert, dtype=float),
+                heat=self._layer_capacitance(),
+            )
+        return self._modes
+
+    def _factor(self, dt: float | None) -> _Pivots:
+        """Per-mode LDL^T pivots of ``G`` (*dt* None) or ``C/dt + G``,
+        cached per dt.
+
+        The pivot ``d_l = diag_l - coupling[l-1]^2 / d_(l-1)`` would
+        subtract nearly equal numbers wherever the vertical couplings
+        dwarf the boundary terms. Tracking ``e_l = d_l - coupling[l]``
+        instead, ``e_l = excess_l + C_l/dt + gain[l-1] * e_(l-1)`` is a
+        sum of non-negative terms, so the pivots carry no cancellation.
+        """
+        pivots = self._pivots.get(dt)
+        if pivots is None:
+            modes = self._modal_operator()
+            n_layers = modes.excess.shape[0]
+            c_over_dt = (
+                np.zeros(n_layers) if dt is None else modes.heat / dt
+            )
+            shifted = modes.excess + c_over_dt[:, None, None]
+            coupling = np.append(modes.coupling, 0.0)  # none above the top
+            gain = np.empty_like(shifted)
+            inv_pivot = np.empty_like(shifted)
+            extra = shifted[0]
+            for li in range(n_layers):
+                if li:
+                    extra = shifted[li] + gain[li - 1] * extra
+                pivot = extra + coupling[li]
+                gain[li] = coupling[li] / pivot
+                inv_pivot[li] = 1.0 / pivot
+            pivots = _Pivots(
+                gain=gain, inv_pivot=inv_pivot, c_over_dt=c_over_dt
+            )
+            self._pivots[dt] = pivots
+            if dt is not None:
+                obs_metrics.inc("thermal.transient_factorizations")
+        return pivots
+
+    def _modal_solve(self, pivots: _Pivots, rhs: np.ndarray) -> np.ndarray:
+        """Solve the shifted operator for ``(..., L, ny, nx)`` right-hand
+        sides: forward transform, per-mode LDL^T sweep, inverse
+        transform. numpy runs one gemm per 2-D slice of a stacked
+        operand, so each leading index is bit-identical to solving it
+        alone."""
+        modes = self._modal_operator()
+        n_layers = rhs.shape[-3]
+        with single_blas_thread():
+            x = modes.qy @ rhs @ modes.qx_t
+            for li in range(1, n_layers):
+                x[..., li, :, :] += (
+                    pivots.gain[li - 1] * x[..., li - 1, :, :]
+                )
+            x[..., -1, :, :] *= pivots.inv_pivot[-1]
+            for li in range(n_layers - 2, -1, -1):
+                x[..., li, :, :] *= pivots.inv_pivot[li]
+                x[..., li, :, :] += pivots.gain[li] * x[..., li + 1, :, :]
+            return modes.qy.T @ x @ modes.qx
+
+    # ------------------------------------------------------------------
     # Solves
     # ------------------------------------------------------------------
-    def _ensure_factor(self):
-        if self._system is None:
-            self._system = self._assemble()
-        if self._factor is None:
-            matrix, _ = self._system
-            self._factor = splu(matrix.tocsc())
-        return self._factor
-
     def _validate_maps(self, power_maps: np.ndarray) -> np.ndarray:
         expected = (self.stack.n_layers, self.ny, self.nx)
         power_maps = np.asarray(power_maps, dtype=float)
@@ -372,23 +539,23 @@ class ThermalGrid:
             raise ValueError(
                 f"power map shape {power_maps.shape} != (..., {expected})"
             )
-        if np.any(power_maps < 0):
-            raise ValueError("power must be non-negative")
+        # NaN propagates through min/max, so this one pair of
+        # reductions rejects NaN, +-inf and negative power alike.
+        lowest = power_maps.min(initial=0.0)
+        highest = power_maps.max(initial=0.0)
+        if not (lowest >= 0.0 and highest < np.inf):
+            raise ValueError("power must be finite and non-negative")
         return power_maps
 
-    def _field(self, temps: np.ndarray) -> TemperatureField:
-        shape = (self.stack.n_layers, self.ny, self.nx)
-        return TemperatureField(
-            celsius=temps.reshape(shape),
-            layer_names=tuple(l.name for l in self.stack.layers),
-        )
+    def _layer_names(self) -> tuple[str, ...]:
+        return tuple(l.name for l in self.stack.layers)
 
     def solve(self, power_maps: np.ndarray) -> TemperatureField:
         """Solve for temperatures given per-layer power maps.
 
         *power_maps* has shape ``(n_layers, ny, nx)`` in watts per cell.
-        The first call factorizes the conductance matrix; repeat calls
-        reuse the factorization and only back-substitute.
+        The first call builds the modal operator and its steady pivots;
+        repeat calls only transform, sweep and transform back.
         """
         power_maps = self._validate_maps(power_maps)
         if power_maps.ndim != 3:
@@ -398,33 +565,21 @@ class ThermalGrid:
             )
         with obs_trace.span("thermal.solve", cells=self.n_cells), \
                 obs_metrics.timed("thermal.solve_seconds"):
-            factor = self._ensure_factor()
-            _, b_amb = self._system
-            rhs = power_maps.ravel() + b_amb * self.stack.ambient_c
-            field = self._field(factor.solve(rhs))
+            temps = self._modal_solve(self._factor(None), power_maps)
+            temps += self.stack.ambient_c
+            field = TemperatureField(
+                celsius=temps, layer_names=self._layer_names()
+            )
         obs_metrics.inc("thermal.solves")
         obs_metrics.inc("thermal.solved_maps")
         return field
 
-    def _substitute_many(self, factor, rhs_rows: np.ndarray) -> np.ndarray:
-        """Back/forward-substitute k stacked right-hand sides.
-
-        *rhs_rows* is ``(k, n)`` row-major; the block is transposed into
-        the ``(n, k)`` column layout SuperLU consumes, substituted in
-        one call, and returned as contiguous ``(k, n)`` rows. SuperLU
-        solves the columns independently, so each row is bit-identical
-        to a single-vector :meth:`solve`-style substitution.
-        """
-        temps = factor.solve(np.ascontiguousarray(rhs_rows.T))
-        return np.ascontiguousarray(temps.T)
-
     def solve_batch(self, power_maps_batch: np.ndarray) -> TemperatureFieldBatch:
-        """Solve a whole batch of power maps against one factorization.
+        """Solve a whole batch of power maps against one operator.
 
         *power_maps_batch* has shape ``(k, n_layers, ny, nx)``; the k
-        right-hand sides are back-substituted as one multi-RHS block,
-        which is substantially faster than k sequential :meth:`solve`
-        calls, and land in one contiguous
+        maps go through the modal solve together, each bit-identical to
+        a single :meth:`solve`, and land in one contiguous
         :class:`TemperatureFieldBatch` tensor.
         """
         batch = self._validate_maps(power_maps_batch)
@@ -434,30 +589,26 @@ class ThermalGrid:
                 f"got {batch.shape}"
             )
         k = batch.shape[0]
-        shape = (k, self.stack.n_layers, self.ny, self.nx)
         if k == 0:
             return TemperatureFieldBatch(
-                celsius=np.empty(shape),
-                layer_names=tuple(l.name for l in self.stack.layers),
+                celsius=np.empty(batch.shape),
+                layer_names=self._layer_names(),
             )
         with obs_trace.span(
             "thermal.solve_many", cells=self.n_cells, maps=k
         ), obs_metrics.timed("thermal.solve_seconds"):
-            factor = self._ensure_factor()
-            _, b_amb = self._system
-            rhs = batch.reshape(k, -1) + b_amb * self.stack.ambient_c
-            temps = self._substitute_many(factor, rhs)
+            temps = self._modal_solve(self._factor(None), batch)
+            temps += self.stack.ambient_c
             fields = TemperatureFieldBatch(
-                celsius=temps.reshape(shape),
-                layer_names=tuple(l.name for l in self.stack.layers),
+                celsius=temps, layer_names=self._layer_names()
             )
         obs_metrics.inc("thermal.solves")
         obs_metrics.inc("thermal.solved_maps", k)
         return fields
 
     def solve_many(self, power_maps_batch: np.ndarray) -> list[TemperatureField]:
-        """List-of-fields veneer over :meth:`solve_batch` (the multi-RHS
-        path); kept for callers that want standalone per-map fields."""
+        """List-of-fields veneer over :meth:`solve_batch`; kept for
+        callers that want standalone per-map fields."""
         return self.solve_batch(power_maps_batch).fields()
 
     # ------------------------------------------------------------------
@@ -465,35 +616,26 @@ class ThermalGrid:
     # ------------------------------------------------------------------
     def capacitance(self) -> np.ndarray:
         """Per-cell heat capacity, J/K, ordered like the unknown vector."""
-        plane = self.ny * self.nx
-        return np.concatenate([
-            np.full(
-                plane,
-                layer.volumetric_heat_capacity
-                * layer.thickness_m
-                * self.cell_area,
-            )
-            for layer in self.stack.layers
-        ])
+        return np.repeat(self._layer_capacitance(), self.ny * self.nx)
 
-    def _transient_system(self, dt: float):
-        """The step operator ``C/dt + G`` (sparse) and the ``C/dt``
-        vector for one step size."""
+    def _oracle_step(
+        self, temps: np.ndarray, power_maps: np.ndarray, dt: float
+    ) -> np.ndarray:
+        """Backward-Euler steps solved by :func:`spsolve` over the
+        assembled ``C/dt + G``, one right-hand side at a time."""
         if self._system is None:
             self._system = self._assemble()
-        matrix, _ = self._system
+        matrix, b_amb = self._system
         c_over_dt = self.capacitance() / dt
-        return (matrix + diags(c_over_dt)).tocsc(), c_over_dt
-
-    def _ensure_transient_factor(self, dt: float):
-        """Cached splu factorization of ``C/dt + G``, keyed by dt."""
-        entry = self._transient.get(dt)
-        if entry is None:
-            operator, c_over_dt = self._transient_system(dt)
-            entry = (splu(operator), c_over_dt)
-            self._transient[dt] = entry
-            obs_metrics.inc("thermal.transient_factorizations")
-        return entry
+        operator = (matrix + diags(c_over_dt)).tocsc()
+        n = self.n_cells
+        rows = (
+            c_over_dt * temps.reshape(-1, n)
+            + power_maps.reshape(-1, n)
+            + b_amb * self.stack.ambient_c
+        )
+        new = np.stack([spsolve(operator, row) for row in rows])
+        return new.reshape(temps.shape)
 
     def _validate_step(
         self, temps: np.ndarray, power_maps: np.ndarray, dt: float,
@@ -503,8 +645,8 @@ class ThermalGrid:
             raise ValueError(
                 f"unknown step engine {engine!r}; choose from {STEP_ENGINES}"
             )
-        if not dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not _finite_positive(dt):
+            raise ValueError("dt must be finite and positive")
         power_maps = self._validate_maps(power_maps)
         temps = np.asarray(temps, dtype=float)
         if temps.shape != power_maps.shape or power_maps.ndim != ndim:
@@ -513,7 +655,23 @@ class ThermalGrid:
                 f"{power_maps.shape} must both be "
                 f"{'(n_layers, ny, nx)' if ndim == 3 else '(s, n_layers, ny, nx)'}"
             )
+        if not np.isfinite(temps).all():
+            raise ValueError("temperatures must be finite")
         return temps, power_maps
+
+    def _step(
+        self, temps: np.ndarray, power_maps: np.ndarray, dt: float,
+        engine: str,
+    ) -> np.ndarray:
+        if engine == "oracle":
+            return self._oracle_step(temps, power_maps, dt)
+        pivots = self._factor(dt)
+        ambient = self.stack.ambient_c
+        rhs = pivots.c_over_dt[:, None, None] * (temps - ambient)
+        rhs += power_maps
+        new = self._modal_solve(pivots, rhs)
+        new += ambient
+        return new
 
     def step_transient(
         self,
@@ -527,27 +685,17 @@ class ThermalGrid:
         *temps* and *power_maps* are both ``(n_layers, ny, nx)`` —
         current cell temperatures (Celsius) and the power applied over
         the step (watts per cell); returns the new temperature array.
-        ``engine="factored"`` (default) substitutes against the cached
-        ``C/dt + G`` factorization; ``engine="oracle"`` rebuilds and
-        solves the system from scratch every call — the per-step
-        correctness reference and the refactorize-per-step baseline the
-        perf gate measures against.
+        ``engine="factored"`` (default) solves modally against the
+        ``C/dt + G`` pivots cached per dt; ``engine="oracle"`` solves
+        the assembled sparse system from scratch every call — the
+        per-step correctness reference and the baseline the perf gate
+        measures against.
         """
         dt = float(dt)
         temps, power_maps = self._validate_step(
             temps, power_maps, dt, engine, ndim=3
         )
-        if self._system is None:
-            self._system = self._assemble()
-        _, b_amb = self._system
-        rhs_const = power_maps.ravel() + b_amb * self.stack.ambient_c
-        if engine == "oracle":
-            operator, c_over_dt = self._transient_system(dt)
-            new = spsolve(operator, c_over_dt * temps.ravel() + rhs_const)
-        else:
-            factor, c_over_dt = self._ensure_transient_factor(dt)
-            new = factor.solve(c_over_dt * temps.ravel() + rhs_const)
-        return new.reshape(temps.shape)
+        return self._step(temps, power_maps, dt, engine)
 
     def step_transient_many(
         self,
@@ -559,30 +707,13 @@ class ThermalGrid:
         """Advance S independent scenarios one step in lockstep.
 
         *temps* and *power_maps* are ``(s, n_layers, ny, nx)``; the S
-        right-hand sides go through the factorization as one multi-RHS
-        substitution, bit-identical per scenario to S sequential
-        :meth:`step_transient` calls (SuperLU substitutes the columns
-        independently).
+        scenarios go through one modal solve, bit-identical per
+        scenario to S sequential :meth:`step_transient` calls.
         """
         dt = float(dt)
         temps, power_maps = self._validate_step(
             temps, power_maps, dt, engine, ndim=4
         )
-        s = temps.shape[0]
-        if s == 0:
+        if temps.shape[0] == 0:
             return temps.copy()
-        if self._system is None:
-            self._system = self._assemble()
-        _, b_amb = self._system
-        rhs_const = (
-            power_maps.reshape(s, -1) + b_amb * self.stack.ambient_c
-        )
-        if engine == "oracle":
-            operator, c_over_dt = self._transient_system(dt)
-            rows = c_over_dt * temps.reshape(s, -1) + rhs_const
-            new = np.stack([spsolve(operator, row) for row in rows])
-        else:
-            factor, c_over_dt = self._ensure_transient_factor(dt)
-            rows = c_over_dt * temps.reshape(s, -1) + rhs_const
-            new = self._substitute_many(factor, rows)
-        return new.reshape(temps.shape)
+        return self._step(temps, power_maps, dt, engine)

@@ -9,7 +9,10 @@ solver turns these into vertical/lateral conductances per cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from repro.core.config import _finite_positive
 
 __all__ = ["ThermalLayer", "LayerStack"]
 
@@ -31,11 +34,18 @@ class ThermalLayer:
     volumetric_heat_capacity: float = 1.63e6  # silicon, ~rho * c_p
 
     def __post_init__(self) -> None:
-        if self.thickness_m <= 0 or self.conductivity <= 0:
-            raise ValueError(f"layer {self.name}: non-physical parameters")
-        if self.volumetric_heat_capacity <= 0:
+        if not (
+            _finite_positive(self.thickness_m)
+            and _finite_positive(self.conductivity)
+        ):
             raise ValueError(
-                f"layer {self.name}: heat capacity must be positive"
+                f"layer {self.name}: thickness and conductivity must be "
+                "finite and positive"
+            )
+        if not _finite_positive(self.volumetric_heat_capacity):
+            raise ValueError(
+                f"layer {self.name}: heat capacity must be finite and "
+                "positive"
             )
 
     def vertical_resistance(self, area_m2: float) -> float:
@@ -83,8 +93,15 @@ class LayerStack:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("stack needs at least one layer")
-        if self.sink_resistance_km2w <= 0 or self.board_resistance_km2w <= 0:
-            raise ValueError("boundary resistances must be positive")
+        if not (
+            _finite_positive(self.sink_resistance_km2w)
+            and _finite_positive(self.board_resistance_km2w)
+        ):
+            raise ValueError(
+                "boundary resistances must be finite and positive"
+            )
+        if not math.isfinite(self.ambient_c):
+            raise ValueError("ambient temperature must be finite")
 
     @property
     def n_layers(self) -> int:

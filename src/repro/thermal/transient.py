@@ -11,13 +11,10 @@ schedules:
 * :class:`PowerPhase` — one power map held for a duration.
 * :class:`TransientSolver` — backward-Euler integration of a phase
   schedule (:meth:`TransientSolver.run`), S scenarios in lockstep
-  through one multi-RHS substitution per step
+  through one batched modal solve per step
   (:meth:`TransientSolver.run_many`), and steady-state convergence
   (:meth:`TransientSolver.converge`) — the bridge the equivalence test
   walks between the transient and steady solvers.
-* :class:`ThermalMonitor` — a wall-clock-driven wrapper a serving
-  process can advance opportunistically, publishing ``thermal.*``
-  gauges through obs.
 
 The closed-loop policy that *reacts* to these temperatures lives in
 :mod:`repro.core.thermal_governor`.
@@ -25,12 +22,12 @@ The closed-loop policy that *reacts* to these temperatures lives in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.config import _finite_positive
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.thermal.grid import STEP_ENGINES, TemperatureField, ThermalGrid
@@ -39,7 +36,6 @@ __all__ = [
     "PowerPhase",
     "TransientTrace",
     "TransientSolver",
-    "ThermalMonitor",
 ]
 
 
@@ -51,8 +47,8 @@ class PowerPhase:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if not self.duration_s > 0.0:
-            raise ValueError("phase duration must be positive")
+        if not _finite_positive(self.duration_s):
+            raise ValueError("phase duration must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -89,15 +85,15 @@ class TransientSolver:
     Parameters
     ----------
     grid:
-        The grid whose cached ``C/dt + G`` factorization every step
-        substitutes against.
+        The grid whose ``C/dt + G`` per-mode pivots, cached per dt,
+        every step solves against.
     dt:
-        Step size, seconds. One factorization per distinct dt — keep it
+        Step size, seconds. One set of pivots per distinct dt — keep it
         fixed per solver.
     engine:
-        ``"factored"`` (default, amortized factorization) or
-        ``"oracle"`` (re-solve from the raw matrix every step; the
-        correctness reference).
+        ``"factored"`` (default, the cached modal solve) or
+        ``"oracle"`` (a sparse solve of the assembled matrix every
+        step; the correctness reference).
     watch_layer:
         Layer name whose per-step peak lands in
         :attr:`TransientTrace.layer_peak_c` (``None`` watches the whole
@@ -111,8 +107,8 @@ class TransientSolver:
         engine: str = "factored",
         watch_layer: str | None = "dram",
     ):
-        if not dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not _finite_positive(dt):
+            raise ValueError("dt must be finite and positive")
         if engine not in STEP_ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; choose from {STEP_ENGINES}"
@@ -203,7 +199,7 @@ class TransientSolver:
         *power_maps* is either ``(s, n_layers, ny, nx)`` (one constant
         map per scenario) or ``(s, n_steps, n_layers, ny, nx)`` (a
         per-step power trace per scenario). Every step advances all S
-        scenarios through one multi-RHS substitution. Returns
+        scenarios through one batched modal solve. Returns
         ``(final_temps (s, n_layers, ny, nx), watched-layer peaks
         (s, n_steps))`` — bit-identical per scenario to S independent
         :meth:`run` integrations.
@@ -285,69 +281,3 @@ class TransientSolver:
             ),
             steps,
         )
-
-
-class ThermalMonitor:
-    """Wall-clock transient stepping for a long-running process.
-
-    A serving loop cannot integrate a fixed schedule — it has to move
-    the simulated stack forward whenever it gets a chance. The monitor
-    keeps the current power map (updated via :meth:`set_power` as the
-    served load changes) and :meth:`advance` steps the model up to the
-    caller's clock reading in dt quanta, publishing ``thermal.peak_c``
-    and ``thermal.dram_peak_c`` gauges plus the ``thermal.steps``
-    counter. Steps per advance are capped so a long idle gap costs a
-    bounded amount of catch-up work.
-    """
-
-    def __init__(
-        self,
-        solver: TransientSolver,
-        power_maps: np.ndarray | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        max_steps_per_advance: int = 256,
-    ):
-        self.solver = solver
-        shape = (
-            solver.grid.stack.n_layers, solver.grid.ny, solver.grid.nx
-        )
-        if power_maps is None:
-            power_maps = np.zeros(shape)
-        self.power_maps = np.asarray(power_maps, dtype=float)
-        self.clock = clock
-        self.max_steps_per_advance = int(max_steps_per_advance)
-        self.temps = solver.initial_temps()
-        self._last = clock()
-        self.peak_c = float(self.temps.max())
-        self.layer_peak_c = self.peak_c
-
-    def set_power(self, power_maps: np.ndarray) -> None:
-        """Swap in the power map subsequent steps integrate."""
-        self.power_maps = np.asarray(power_maps, dtype=float)
-
-    def advance(self, now: float | None = None) -> float:
-        """Step the model up to *now* (default: the monitor's clock).
-
-        Returns the watched-layer peak after stepping; publishes the
-        ``thermal.*`` gauges when any step was taken.
-        """
-        if now is None:
-            now = self.clock()
-        steps = int((now - self._last) / self.solver.dt)
-        if steps <= 0:
-            return self.layer_peak_c
-        if steps > self.max_steps_per_advance:
-            # Drop the un-simulatable backlog: the monitor is telemetry,
-            # not a ledger, and a bounded catch-up keeps advance() cheap.
-            self._last = now - self.max_steps_per_advance * self.solver.dt
-            steps = self.max_steps_per_advance
-        for _ in range(steps):
-            self.temps = self.solver.step(self.temps, self.power_maps)
-        self._last += steps * self.solver.dt
-        peak, layer_peak = self.solver._peaks(self.temps)
-        self.peak_c = peak
-        self.layer_peak_c = layer_peak
-        obs_metrics.inc("thermal.steps", steps)
-        obs_metrics.set_gauge("thermal.peak_c", peak)
-        obs_metrics.set_gauge("thermal.dram_peak_c", layer_peak)
-        return layer_peak

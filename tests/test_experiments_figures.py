@@ -220,9 +220,12 @@ class TestFig10Fig11Thermal:
 
         model = shared_thermal_model()
         assert shared_thermal_model() is model
-        # After one driver run the factorization is warm for the next.
+        # After one driver run the modal operator is warm for the next.
         run_fig10()
-        assert model.grid.factorization_cached
+        modes = model.grid._modes
+        assert modes is not None and model.grid.factorization_cached
+        run_fig10()
+        assert model.grid._modes is modes
 
 
 class TestFig12Fig13Optimizations:

@@ -1,4 +1,4 @@
-"""The cross-cutting performance layer: cached thermal factorization,
+"""The cross-cutting performance layer: cached modal thermal operator,
 vectorized assembly, the shared evaluation cache, the parallel
 experiment runner, and the NoC fast path."""
 
@@ -65,11 +65,13 @@ class TestCachedThermalSolve:
         maps[1, 4, 10] = 5.0
         grid.solve(maps)
         assert grid.factorization_cached
-        factor = grid._factor
+        modes, pivots = grid._modes, grid._pivots[None]
         grid.solve(maps * 2)
-        assert grid._factor is factor
+        assert grid._modes is modes
+        assert grid._pivots[None] is pivots
         grid.invalidate()
         assert not grid.factorization_cached
+        assert grid._modes is None
 
     def test_solve_many_matches_sequential(self, grid):
         rng = np.random.default_rng(11)

@@ -1,18 +1,14 @@
-"""Transient thermal stepping, the closed-loop governor, and the
-serve-path thermal monitor (PR 10)."""
-
-import asyncio
+"""Transient thermal stepping and the closed-loop governor."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import EHPConfig, PAPER_BEST_MEAN
-from repro.core.node import NodeModel
 from repro.core.thermal_governor import (
     ThermalGovernor,
     ThermalPhase,
 )
-from repro.thermal.analysis import DRAM_LIMIT_C, ThermalModel
+from repro.thermal.analysis import DRAM_LIMIT_C
 from repro.thermal.grid import (
     STEP_ENGINES,
     TemperatureFieldBatch,
@@ -20,7 +16,6 @@ from repro.thermal.grid import (
 )
 from repro.thermal.transient import (
     PowerPhase,
-    ThermalMonitor,
     TransientSolver,
 )
 from repro.workloads.catalog import get_application
@@ -60,9 +55,15 @@ class TestStepTransient:
     def test_factorization_cached_per_dt(self, grid, maps):
         temps = np.full(maps.shape, grid.stack.ambient_c)
         grid.step_transient(temps, maps, 0.01)
+        pivots = grid._pivots[0.01]
         grid.step_transient(temps, maps, 0.02)
         grid.step_transient(temps, maps, 0.01)
-        assert set(grid._transient) >= {0.01, 0.02}
+        assert set(grid._pivots) >= {0.01, 0.02}
+        assert grid._pivots[0.01] is pivots
+        # Each step size gets its own pivots.
+        assert not np.array_equal(
+            grid._pivots[0.01].inv_pivot, grid._pivots[0.02].inv_pivot
+        )
 
     def test_step_preserves_shape_and_input(self, grid, maps):
         temps = np.full(maps.shape, grid.stack.ambient_c)
@@ -140,8 +141,10 @@ class TestSolveBatch:
 class TestInvalidateGuard:
     def test_mutated_grid_never_serves_stale_factorization(self, maps):
         grid = ThermalGrid(66.0, 22.0, nx=22, ny=8)
-        grid.solve(maps)  # caches system + factorization
+        grid.solve(maps)  # caches the modal operator + steady pivots
+        assert grid.factorization_cached
         grid.width_m = 0.033  # narrower package, hotter cells
+        assert grid._modes is None and not grid.factorization_cached
         fresh = ThermalGrid(33.0, 22.0, nx=22, ny=8)
         assert np.array_equal(
             grid.solve(maps).celsius, fresh.solve(maps).celsius
@@ -151,9 +154,9 @@ class TestInvalidateGuard:
         grid = ThermalGrid(66.0, 22.0, nx=22, ny=8)
         temps = np.full(maps.shape, grid.stack.ambient_c)
         grid.step_transient(temps, maps, 0.01)
-        assert grid._transient
+        assert 0.01 in grid._pivots and grid._modes is not None
         grid.stack = grid.stack.__class__(ambient_c=40.0)
-        assert not grid._transient
+        assert not grid._pivots and grid._modes is None
         fresh = ThermalGrid(
             66.0, 22.0, nx=22, ny=8, stack=grid.stack
         )
@@ -224,51 +227,6 @@ class TestTransientSolver:
             solver.run_many(np.repeat(batch[:, None], 3, axis=1), 4)
 
 
-class TestThermalMonitor:
-    def test_fake_clock_stepping_is_deterministic(self, grid, maps):
-        now = [100.0]
-        solver = TransientSolver(grid, dt=0.01)
-        monitor = ThermalMonitor(
-            solver, maps, clock=lambda: now[0]
-        )
-        assert monitor.advance() == monitor.layer_peak_c  # no time passed
-        now[0] += 0.055
-        monitor.advance()
-        expected = solver.initial_temps()
-        for _ in range(5):
-            expected = solver.step(expected, maps)
-        assert np.array_equal(monitor.temps, expected)
-        # The un-stepped 5 ms remainder carries into the next advance.
-        now[0] += 0.005
-        monitor.advance()
-        expected = solver.step(expected, maps)
-        assert np.array_equal(monitor.temps, expected)
-
-    def test_catchup_is_bounded(self, grid, maps):
-        now = [0.0]
-        solver = TransientSolver(grid, dt=0.01)
-        monitor = ThermalMonitor(
-            solver, maps, clock=lambda: now[0], max_steps_per_advance=8
-        )
-        now[0] += 1e6  # an hour-scale gap must not integrate 1e8 steps
-        monitor.advance()
-        expected = solver.initial_temps()
-        for _ in range(8):
-            expected = solver.step(expected, maps)
-        assert np.array_equal(monitor.temps, expected)
-
-    def test_set_power_changes_trajectory(self, grid, maps):
-        now = [0.0]
-        solver = TransientSolver(grid, dt=0.01)
-        monitor = ThermalMonitor(solver, maps, clock=lambda: now[0])
-        now[0] += 0.1
-        hot_peak = monitor.advance()
-        monitor.set_power(np.zeros_like(maps))
-        now[0] += 5.0
-        cooled = monitor.advance()
-        assert cooled < hot_peak
-
-
 class TestThermalGovernor:
     @pytest.fixture(scope="class")
     def governor(self):
@@ -336,44 +294,6 @@ class TestThermalGovernor:
         governed = governor.run(phases, HOT)
         blob = json.dumps(governed.as_dict())
         assert "throttle_events" in blob
-
-
-class TestServeThermalMonitor:
-    def test_drain_advances_monitor_and_stats_report_peak(self):
-        from repro.serve.requests import OK, PointRequest
-        from repro.serve.service import EvalService
-
-        now = [0.0]
-
-        def clock():
-            return now[0]
-
-        model = NodeModel()
-        thermal = ThermalModel(nx=22, ny=8)
-        maps = thermal.build_power_maps(
-            model.evaluate(get_application("MaxFlops"), HOT).power
-        )
-        solver = TransientSolver(thermal.grid, dt=0.01)
-        monitor = ThermalMonitor(solver, maps, clock=clock)
-
-        async def scenario():
-            service = EvalService(
-                model=model, clock=clock, thermal_monitor=monitor,
-                batch_window_s=0.0,
-            )
-            async with service:
-                now[0] += 0.2  # simulated time passes before traffic
-                request = PointRequest(
-                    get_application("CoMD"), 320, 1.0e9, 3.0e12
-                )
-                response = await service.submit(request)
-                assert response.status == OK
-                return service.stats()
-
-        stats = asyncio.run(scenario())
-        # The drain's throttled publish advanced the simulated package.
-        assert monitor.temps.max() > thermal.stack.ambient_c
-        assert stats["thermal_dram_peak_c"] == monitor.layer_peak_c
 
 
 def test_thermal_loop_cli_smoke(capsys):

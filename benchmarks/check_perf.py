@@ -22,11 +22,6 @@ replicated below) and asserts the speedup ratios the layer promises:
   (the ROADMAP's cold-vs-warm evaluation-cache ratio),
 * the always-on observability layer costs <= 5% on the APU simulator
   (instrumented run vs the same run under ``obs.metrics.disabled()``),
-* a warm repeat DSE sweep on a reused ``ShardedPool`` >= 5x over the
-  cold spawn-a-pool-per-call baseline, with zero cross-worker
-  recomputation of warm cache keys and bit-identical results to the
-  serial ``core.dse.explore`` (cold, warm, and after a simulated
-  worker death/restart),
 * the fused whole-grid tensor evaluation
   (``NodeModel.evaluate_grid``) >= 10x over the seed per-profile
   ``evaluate_arrays`` loop on a full Table-II-scale sweep, with the
@@ -653,131 +648,6 @@ def check_obs_overhead(quick: bool) -> list[str]:
     return failures
 
 
-def check_pool_affinity(quick: bool) -> list[str]:
-    """The persistent sharded pool's cache-affinity promise.
-
-    A warm repeat sweep on a reused :class:`ShardedPool` must beat the
-    cold spawn-per-call baseline >= 5x, recompute zero warm cache keys
-    (merged worker ``cache.eval`` deltas: no misses, one hit per tensor
-    slab task), and stay bit-identical to the serial DSE — cold, warm,
-    and after a worker is killed and respawned. The unit of work is a
-    fused (profile-block x CU-slab) tensor slab, so the task count is
-    ``n_blocks * n_slabs``.
-    """
-    from repro.core.config import DesignSpace
-    from repro.core.dse import explore
-    from repro.perf.evalcache import clear_cache
-    from repro.perf.parallel import parallel_explore
-    from repro.perf.pool import ShardedPool
-    from repro.workloads.catalog import application_names, get_application
-
-    n_shards, n_chunks = 2, 4
-    if quick:
-        names = ["MaxFlops", "CoMD", "MiniAMR", "SNAP"]
-        frequencies = tuple(700e6 + 10e6 * k for k in range(81))
-    else:
-        names = application_names()
-        frequencies = tuple(700e6 + 5e6 * k for k in range(161))
-    space = DesignSpace(
-        cu_counts=tuple(range(192, 385, 4)),
-        frequencies=frequencies,
-        bandwidths=tuple(1e12 + 0.25e12 * k for k in range(25)),
-    )
-    profiles = [get_application(n) for n in names]
-    # Mirrors the slab split in repro.perf.parallel.parallel_explore.
-    n_blocks = max(1, min(n_chunks, len(profiles)))
-    n_slabs = max(1, min(n_chunks, len(space.cu_counts)))
-    n_tasks = n_blocks * n_slabs
-
-    serial = explore(profiles, space, cache=False)
-
-    def matches_serial(result) -> bool:
-        return (
-            result.best_mean_index == serial.best_mean_index
-            and dict(result.per_app_best_index)
-            == dict(serial.per_app_best_index)
-            and all(
-                np.array_equal(result.performance[n], serial.performance[n])
-                and np.array_equal(result.node_power[n], serial.node_power[n])
-                for n in names
-            )
-        )
-
-    # Cold baseline: what every sweep pays without a persistent pool —
-    # spawn workers, compute everything, tear the pool down. The parent
-    # caches are cleared first: forked workers inherit the parent's
-    # memory, so a warm parent would leak warmth into the "cold" pool.
-    clear_cache()
-    t0 = time.perf_counter()
-    with ShardedPool(n_shards) as cold_pool:
-        cold_result = parallel_explore(
-            profiles, space, n_chunks=n_chunks, pool=cold_pool
-        )
-    t_cold = time.perf_counter() - t0
-
-    # Persistent pool: the first sweep warms each worker's own shard;
-    # repeat sweeps must be pure cache traffic. batch_size covers each
-    # worker's whole queue in one dispatch, so no task is stolen onto a
-    # worker that never owned its cache entries.
-    clear_cache()
-    pool = ShardedPool(n_shards, batch_size=n_tasks)
-    try:
-        first_result = parallel_explore(
-            profiles, space, n_chunks=n_chunks, pool=pool
-        )
-        t_warm = float("inf")
-        snap = None
-        for _ in range(3):
-            t0 = time.perf_counter()
-            warm_result, warm_snap = parallel_explore(
-                profiles, space, n_chunks=n_chunks, pool=pool, metrics=True
-            )
-            elapsed = time.perf_counter() - t0
-            if elapsed < t_warm:
-                t_warm, snap = elapsed, warm_snap
-        ratio = t_cold / t_warm
-        misses = snap.counter("cache.eval.misses")
-        hits = snap.counter("cache.eval.hits")
-
-        restarts_before = pool.stats().worker_restarts
-        pool.kill_worker(0)
-        killed_result = parallel_explore(
-            profiles, space, n_chunks=n_chunks, pool=pool
-        )
-        restarts_after = pool.stats().worker_restarts
-    finally:
-        pool.shutdown()
-
-    identical = all(
-        matches_serial(r)
-        for r in (cold_result, first_result, warm_result, killed_result)
-    )
-    print(f"pool affinity {len(profiles)} profiles x {space.size // 1000}k "
-          f"points: cold per-call pool {t_cold * 1e3:.0f} ms vs warm reused "
-          f"{t_warm * 1e3:.0f} ms -> {ratio:.1f}x (warm misses {misses}, "
-          f"hits {hits}/{n_tasks}, identical to serial: {identical})")
-
-    failures = []
-    if not identical:
-        failures.append("pooled DSE diverged from the serial explore")
-    if ratio < 5.0:
-        failures.append(f"pool warm-vs-cold speedup {ratio:.1f}x < 5x")
-    if misses != 0:
-        failures.append(
-            f"warm sweep recomputed {misses} cache keys across workers"
-        )
-    if hits != n_tasks:
-        failures.append(
-            f"warm sweep saw {hits} cache.eval hits, expected {n_tasks}"
-        )
-    if restarts_after != restarts_before + 1:
-        failures.append(
-            f"worker kill produced {restarts_after - restarts_before} "
-            f"restarts, expected 1"
-        )
-    return failures
-
-
 def check_tensor_eval(quick: bool) -> list[str]:
     """The fused whole-grid tensor evaluation's two promises.
 
@@ -1083,7 +953,6 @@ CHECKS = (
     ("memsys", check_memsys),
     ("memsys_cache", check_memsys_cache),
     ("obs_overhead", check_obs_overhead),
-    ("pool_affinity", check_pool_affinity),
     ("tensor_eval", check_tensor_eval),
     ("serve", check_serve),
     ("fleet", check_fleet),

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 from repro.experiments.registry import EXPERIMENTS
@@ -62,6 +63,34 @@ def _metrics_export(path: str | None):
         yield sampler
     finally:
         sampler.stop()
+
+
+def _number(kind, *, zero_ok: bool):
+    """An argparse ``type=`` for a finite *kind* that is positive (or
+    non-negative when *zero_ok*): a bad value exits 2 with a usage
+    message instead of failing deep inside a run."""
+    expected = "non-negative" if zero_ok else "positive"
+    expected += " integer" if kind is int else " finite number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            ok = math.isfinite(value) and (value >= 0 if zero_ok else value > 0)
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"expected a {expected}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_non_negative_int = _number(int, zero_ok=True)
+_positive_int = _number(int, zero_ok=False)
+_positive_float = _number(float, zero_ok=False)
+_non_negative_float = _number(float, zero_ok=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--pool-shards",
-        type=int,
+        type=_non_negative_int,
         metavar="N",
         default=0,
         help=(
@@ -143,14 +172,14 @@ def main(argv: list[str] | None = None) -> int:
     serve_group = parser.add_argument_group("serving benchmark")
     serve_group.add_argument(
         "--serve-requests",
-        type=int,
+        type=_positive_int,
         metavar="N",
         default=200,
         help="requests in the synthetic trace (default 200)",
     )
     serve_group.add_argument(
         "--serve-rate",
-        type=float,
+        type=_positive_float,
         metavar="HZ",
         default=None,
         help=(
@@ -167,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_group.add_argument(
         "--serve-deadline-ms",
-        type=float,
+        type=_non_negative_float,
         metavar="MS",
         default=250.0,
         help="per-request deadline in ms; 0 disables (default 250)",
@@ -183,14 +212,14 @@ def main(argv: list[str] | None = None) -> int:
     fleet_group = parser.add_argument_group("fleet benchmark")
     fleet_group.add_argument(
         "--fleet-nodes",
-        type=int,
+        type=_positive_int,
         metavar="N",
         default=1000,
         help="total nodes in the synthetic fleet (default 1000)",
     )
     fleet_group.add_argument(
         "--fleet-groups",
-        type=int,
+        type=_positive_int,
         metavar="N",
         default=6,
         help="heterogeneous node groups (default 6)",
@@ -205,21 +234,21 @@ def main(argv: list[str] | None = None) -> int:
     thermal_group = parser.add_argument_group("thermal-loop benchmark")
     thermal_group.add_argument(
         "--thermal-cycles",
-        type=int,
+        type=_positive_int,
         metavar="N",
         default=2,
         help="sprint/cool phase pairs in the schedule (default 2)",
     )
     thermal_group.add_argument(
         "--thermal-dt-ms",
-        type=float,
+        type=_positive_float,
         metavar="MS",
         default=10.0,
         help="transient integration step in ms (default 10)",
     )
     thermal_group.add_argument(
         "--thermal-steps",
-        type=int,
+        type=_positive_int,
         metavar="N",
         default=400,
         help="steps in the amortized-stepping timing loop (default 400)",
@@ -285,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.artifacts == ["fleet"]:
         from repro.fleet.bench import run_fleet_bench
+
+        if args.fleet_nodes < args.fleet_groups:
+            parser.error("--fleet-nodes must be at least --fleet-groups")
 
         with _metrics_export(args.metrics_export):
             report = run_fleet_bench(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -29,6 +30,11 @@ __all__ = [
 def _finite_positive(value: float) -> bool:
     """``0 < value < inf`` — false for NaN, which every comparison is."""
     return 0 < value < math.inf
+
+
+def _is_int(value) -> bool:
+    """A real integer: ``2.0`` and ``True`` do not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -215,8 +215,8 @@ def select_optima(
     feasible: Mapping[str, np.ndarray],
 ) -> DseResult:
     """Locate the best-mean and per-application optima on evaluated
-    grids (shared by :func:`explore`, the chunked parallel sweep, and
-    the serving layer's sweep responses)."""
+    grids (shared by :func:`explore` and the serving layer's sweep
+    responses)."""
     names = list(performance)
     all_feasible = np.stack(list(feasible.values())).all(axis=0)
     if not all_feasible.any():
@@ -244,11 +244,6 @@ def select_optima(
         best_mean_index=best_mean_index,
         per_app_best_index=per_app_best,
     )
-
-
-# Backwards-compatible alias (pre-serve callers imported the private
-# name).
-_select_optima = select_optima
 
 
 def best_mean_config(

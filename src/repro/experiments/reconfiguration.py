@@ -21,7 +21,7 @@ from repro.core.dse import explore
 from repro.core.node import NodeModel
 from repro.experiments.runner import ExperimentResult, all_profiles
 from repro.util.tables import TextTable
-from repro.workloads.calibration import PAPER_TABLE2
+from repro.workloads.catalog import PAPER_TABLE2
 
 __all__ = ["run_table2"]
 

@@ -20,8 +20,7 @@ from repro.experiments.runner import ExperimentResult, all_profiles
 from repro.thermal.analysis import DRAM_LIMIT_C, ThermalModel
 from repro.util.tables import TextTable
 from repro.util.units import MHZ, TB
-from repro.workloads.calibration import PAPER_TABLE2
-from repro.workloads.catalog import get_application
+from repro.workloads.catalog import PAPER_TABLE2, get_application
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [

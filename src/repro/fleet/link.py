@@ -33,10 +33,12 @@ product (never libm ``pow``), so they are bit-identical — a property
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import _finite_positive, _is_int
 from repro.core.node import NodeModel
 from repro.perfmodel.machine import MachineParams
 from repro.util.units import GB, NS
@@ -76,23 +78,25 @@ class LinkTierParams:
     contention_exponent: int = 4
 
     def __post_init__(self) -> None:
-        if self.n_links <= 0:
-            raise ValueError("n_links must be positive")
-        if self.link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
+        if not (_is_int(self.n_links) and self.n_links > 0):
+            raise ValueError("n_links must be a positive integer")
+        if not _finite_positive(self.link_bandwidth):
+            raise ValueError("link_bandwidth must be finite and positive")
         if not 0.0 < self.downlink_fraction < 1.0:
             raise ValueError("downlink_fraction must be in (0, 1)")
         if not 0.0 < self.protocol_efficiency <= 1.0:
             raise ValueError("protocol_efficiency must be in (0, 1]")
-        if self.link_latency < 0 or self.hops < 0:
-            raise ValueError("link_latency and hops must be non-negative")
-        if self.arbitration_overhead < 0 or self.contention_kappa < 0:
-            raise ValueError(
-                "arbitration_overhead and contention_kappa must be "
-                "non-negative"
-            )
-        if int(self.contention_exponent) != self.contention_exponent \
-                or self.contention_exponent < 0:
+        if not (_is_int(self.hops) and self.hops >= 0):
+            raise ValueError("hops must be a non-negative integer")
+        for name in (
+            "link_latency", "arbitration_overhead", "contention_kappa"
+        ):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not (
+            _is_int(self.contention_exponent)
+            and self.contention_exponent >= 0
+        ):
             raise ValueError(
                 "contention_exponent must be a non-negative integer "
                 "(integer powers keep the two engines bit-identical)"

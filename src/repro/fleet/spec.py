@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import EHPConfig
+from repro.core.config import EHPConfig, _finite_positive, _is_int
 from repro.fleet.link import LinkTierParams
 from repro.util.units import GHZ, TB
 from repro.workloads.kernels import KernelProfile
@@ -54,10 +54,18 @@ class FleetGroup:
             raise ValueError(
                 f"group {self.name!r} repeats profile names: {names}"
             )
-        if self.n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
-        if self.concurrent_kernels < 1:
-            raise ValueError("concurrent_kernels must be >= 1")
+        if not (_is_int(self.n_nodes) and self.n_nodes > 0):
+            raise ValueError(
+                f"n_nodes must be a positive integer, got {self.n_nodes!r}"
+            )
+        if not (
+            _is_int(self.concurrent_kernels)
+            and self.concurrent_kernels >= 1
+        ):
+            raise ValueError(
+                f"concurrent_kernels must be an integer >= 1, "
+                f"got {self.concurrent_kernels!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,11 @@ class FleetSpec:
         names = [g.name for g in self.groups]
         if len(set(names)) != len(names):
             raise ValueError(f"group names must be unique: {names}")
-        if self.power_budget_mw <= 0:
-            raise ValueError("power_budget_mw must be positive")
+        if not _finite_positive(self.power_budget_mw):
+            raise ValueError(
+                f"power_budget_mw must be finite and positive, "
+                f"got {self.power_budget_mw!r}"
+            )
 
     @property
     def n_nodes(self) -> int:

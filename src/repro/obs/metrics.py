@@ -19,8 +19,8 @@ Design constraints, in order:
   returns a plain-data :class:`MetricsSnapshot` that pickles cleanly
   and supports ``merge`` (sum counters and histogram buckets) and
   ``diff`` (subtract an earlier snapshot), which is how
-  :func:`repro.perf.parallel.parallel_explore` workers report back and
-  the parent aggregates.
+  :class:`~repro.perf.pool.ShardedPool` workers report back and the
+  parent aggregates.
 * **Fixed-bucket histograms.** Timings land in log-spaced fixed buckets
   (:data:`DEFAULT_BUCKETS`), so merging never has to re-bin and the
   snapshot size is constant.

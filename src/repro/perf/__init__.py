@@ -8,12 +8,11 @@
   no matter how many drivers ask for it.
 * :mod:`repro.perf.pool` — a persistent :class:`ShardedPool` of worker
   processes with cache-affinity scheduling, the program's one fan-out:
-  workers are spawned once and reused across sweeps, and stable shard
-  routing keeps each worker's warm cache entries owned by that worker.
-* :mod:`repro.perf.parallel` — the experiment runner and the
-  tensor-slab design-space exploration; each builds one task list and
-  runs it on a caller's ``pool=`` :class:`ShardedPool`, or in-process
-  without one.
+  workers are spawned once and reused across calls, and stable shard
+  routing sends a repeated task to the worker that already ran it.
+* :mod:`repro.perf.parallel` — the experiment runner: one task per
+  artifact, run on a caller's ``pool=`` :class:`ShardedPool`, or
+  in-process without one.
 
 ``repro.perf.parallel`` is intentionally *not* imported here: it pulls
 in the experiment drivers (and through them :mod:`repro.core.dse`,

@@ -73,7 +73,6 @@ __all__ = [
     "default_memsys_cache",
     "fingerprint_model",
     "fingerprint_profile",
-    "evaluate_grid_cached",
     "simulate_trace_cached",
     "fingerprint_batch",
     "fingerprint_trace",
@@ -213,7 +212,7 @@ class _KeyedMemo:
         inline path is a real cache hit — but a miss counts nothing:
         the caller will route the request through a computing path
         whose own lookup records the miss, and double-counting would
-        skew the hit rates the pool's affinity checks gate on.
+        skew the hit rates.
         """
         with self._lock:
             cached = self._entries.get(key)
@@ -266,25 +265,11 @@ class EvalCache(_KeyedMemo):
     metrics_prefix = "cache.eval"
 
     @staticmethod
-    def _resolve_grid(
-        profiles, space: DesignSpace, cu_lo: int, cu_hi: int | None
-    ) -> tuple[ProfileBatch, DesignSpace]:
-        """Normalize grid-call arguments: stack loose profiles into a
-        batch, carve the CU slab out of *space*."""
+    def _as_batch(profiles) -> ProfileBatch:
+        """Stack loose profiles into a batch (a batch passes through)."""
         if isinstance(profiles, ProfileBatch):
-            batch = profiles
-        else:
-            batch = ProfileBatch.from_profiles(profiles)
-        if cu_lo != 0 or cu_hi is not None:
-            import dataclasses
-
-            sub = space.cu_counts[cu_lo:cu_hi]
-            if not sub:
-                raise ValueError(
-                    f"empty CU slab [{cu_lo}:{cu_hi}] of {space.cu_counts}"
-                )
-            space = dataclasses.replace(space, cu_counts=sub)
-        return batch, space
+            return profiles
+        return ProfileBatch.from_profiles(profiles)
 
     @staticmethod
     def _grid_key(
@@ -298,36 +283,21 @@ class EvalCache(_KeyedMemo):
         )
 
     def evaluate_grid(
-        self,
-        model: NodeModel,
-        profiles,
-        space: DesignSpace,
-        cu_lo: int = 0,
-        cu_hi: int | None = None,
+        self, model: NodeModel, profiles, space: DesignSpace
     ) -> GridEvaluation:
         """Cached equivalent of ``model.evaluate_grid(profiles, space)``.
 
-        ``cu_lo``/``cu_hi`` select a CU-axis slab of *space* — the
-        parallel sweep's unit of work — and key it independently: a
-        whole-grid entry and its slabs never alias, but replaying the
-        same (batch, model, slab) triple (as the pool's dedup and the
-        experiment drivers do) hits. *profiles* may be a
-        :class:`~repro.workloads.kernels.ProfileBatch` or a sequence of
-        profiles.
+        *profiles* may be a :class:`~repro.workloads.kernels.
+        ProfileBatch` or a sequence of profiles.
         """
-        batch, space = self._resolve_grid(profiles, space, cu_lo, cu_hi)
+        batch = self._as_batch(profiles)
         key = self._grid_key(model, batch, space)
         return self._memoize(
             key, lambda: model.evaluate_grid(batch, space)
         )
 
     def grid_key(
-        self,
-        model: NodeModel,
-        profiles,
-        space: DesignSpace,
-        cu_lo: int = 0,
-        cu_hi: int | None = None,
+        self, model: NodeModel, profiles, space: DesignSpace
     ) -> tuple:
         """The opaque cache key :meth:`evaluate_grid` and
         :meth:`seed_grid` use for these arguments.
@@ -337,9 +307,7 @@ class EvalCache(_KeyedMemo):
         repeatedly — the serving layer's inline path — compute the key
         once and replay it through :meth:`peek_grid_key`.
         """
-        return self._grid_key(
-            model, *self._resolve_grid(profiles, space, cu_lo, cu_hi)
-        )
+        return self._grid_key(model, self._as_batch(profiles), space)
 
     def peek_grid_key(self, key: tuple) -> GridEvaluation | None:
         """The cached grid under a precomputed :meth:`grid_key`, or
@@ -353,18 +321,15 @@ class EvalCache(_KeyedMemo):
         profiles,
         space: DesignSpace,
         value: GridEvaluation,
-        cu_lo: int = 0,
-        cu_hi: int | None = None,
     ) -> None:
         """Insert a grid computed elsewhere under these arguments' key.
 
         The serving layer carves per-request grids out of merged batch
-        evaluations (bit-identical to evaluating them directly — the
-        PR-6 composition identities) and seeds them here so the next
-        identical request hits inline.
+        evaluations (bit-identical to evaluating them directly: grid
+        composition is exact along every axis) and seeds them here so
+        the next identical request hits inline.
         """
-        key = self.grid_key(model, profiles, space, cu_lo, cu_hi)
-        self._seed(key, value)
+        self._seed(self.grid_key(model, profiles, space), value)
 
 
 _default_cache = EvalCache()
@@ -373,22 +338,6 @@ _default_cache = EvalCache()
 def default_cache() -> EvalCache:
     """The process-wide shared cache the library routes through."""
     return _default_cache
-
-
-def evaluate_grid_cached(
-    model: NodeModel,
-    profiles,
-    space: DesignSpace,
-    cu_lo: int = 0,
-    cu_hi: int | None = None,
-    cache: EvalCache | None = None,
-) -> GridEvaluation:
-    """Module-level convenience over :meth:`EvalCache.evaluate_grid`.
-
-    ``cache=None`` uses the shared :func:`default_cache`.
-    """
-    cache = cache if cache is not None else _default_cache
-    return cache.evaluate_grid(model, profiles, space, cu_lo, cu_hi)
 
 
 class SimCache(_KeyedMemo):

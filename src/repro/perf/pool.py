@@ -1,16 +1,14 @@
 """Persistent sharded worker pool with cache-affinity scheduling.
 
 A :class:`ShardedPool` is the program's one fan-out: the experiment
-runner, the tensor-slab design-space exploration
-(:mod:`repro.perf.parallel`), the fleet sweep
-(:mod:`repro.fleet.sweep`) and the serving layer all hand it their
-task lists. Its workers are spawned once and reused across calls, and
-*deterministic shard routing* pins each keyed task to a fixed worker —
-a stable SHA-1 hash of the task's ``shard_key`` (for DSE tensor slabs:
-``(profile-block fingerprint, CU-slab index)``) picks the shard, so a
-given worker always owns the same slice of the profile×grid space and
-its warm :class:`~repro.perf.evalcache.EvalCache` entries are never
-recomputed on another worker. The same locality lever work-stealing
+runner (:mod:`repro.perf.parallel`), the fleet sweep
+(:mod:`repro.fleet.sweep`) and the serving layer's simulation and
+experiment requests all hand it their task lists. Its workers are
+spawned once and reused across calls, and *deterministic shard
+routing* pins each keyed task to a fixed worker — a stable SHA-1 hash
+of the task's ``shard_key`` (for experiments: ``("experiment",
+name)``) picks the shard, so a repeated task lands on the worker whose
+caches it already warmed. The same locality lever work-stealing
 runtimes and NUMA-aware schedulers pull to keep hot state resident.
 
 Scheduling: a keyed task goes to its shard's worker; a task with
@@ -25,13 +23,6 @@ Mechanics worth knowing:
   batch, ``batch_size`` tasks each), cutting IPC round-trips; a worker
   holds at most one batch in flight, which is what keeps stealing and
   death-recovery simple.
-* **Result-payload dedup.** A task may carry a ``dedup_key`` — a stable
-  digest that uniquely identifies its (pure) result. The parent keeps
-  an LRU of previously shipped payloads; when it already holds a key's
-  payload the worker executes the task (keeping its cache warm and its
-  counters honest) but replies with a tiny reference instead of
-  re-pickling megabytes of arrays. Warm repeat sweeps become almost
-  pure routing.
 * **Restart on death.** A worker that dies (crash, ``os._exit``, OOM
   kill) is respawned and its in-flight batch is re-dispatched to the
   replacement; results stay bit-identical because tasks are pure. A
@@ -67,7 +58,7 @@ import multiprocessing as mp
 import os
 import pickle
 import weakref
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
@@ -109,10 +100,6 @@ class PoolTask:
     shard_key:
         Any value; equal keys always land on the same worker. ``None``
         falls back to round-robin placement for that task.
-    dedup_key:
-        Optional stable digest uniquely identifying the task's result
-        (tasks must be pure for this to be sound). When the parent
-        already holds the payload, the worker's reply omits it.
     label:
         Span name / diagnostics label (defaults to the function name).
     """
@@ -121,7 +108,6 @@ class PoolTask:
     args: tuple = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
     shard_key: Any = None
-    dedup_key: str | None = None
     label: str = ""
 
 
@@ -148,8 +134,7 @@ def _worker_main(worker_id: int, conn) -> None:
     """Worker loop: receive a batch, run its tasks, reply.
 
     Replies carry per-task ``(index, kind, payload)`` rows — ``kind`` is
-    ``"value"`` (payload attached), ``"ref"`` (parent already holds the
-    payload under the task's dedup key) or ``"error"`` (payload is the
+    ``"value"`` (payload is the result) or ``"error"`` (payload is the
     exception) — plus, when requested, the worker's metrics delta for
     the batch and the buffered trace events of the per-task spans.
     """
@@ -169,7 +154,7 @@ def _worker_main(worker_id: int, conn) -> None:
         )
         replies = []
         with tracer_cm:
-            for index, fn, args, kwargs, label, skip_payload, ctx in items:
+            for index, fn, args, kwargs, label, ctx in items:
                 span_name = label or getattr(fn, "__name__", "task")
                 try:
                     with obs_trace.span(
@@ -179,10 +164,7 @@ def _worker_main(worker_id: int, conn) -> None:
                 except BaseException as exc:
                     replies.append((index, "error", _picklable_exception(exc)))
                 else:
-                    if skip_payload:
-                        replies.append((index, "ref", None))
-                    else:
-                        replies.append((index, "value", value))
+                    replies.append((index, "value", value))
         delta = None
         if want_metrics:
             publish_memory_gauges(registry)
@@ -245,8 +227,6 @@ class ShardedPool:
         A multiprocessing context or start-method name. Defaults to
         ``fork`` where available (fast spawn, inherits the warmed
         import graph), else the platform default.
-    result_cache_size:
-        LRU bound on the parent's dedup payload store.
     """
 
     def __init__(
@@ -255,7 +235,6 @@ class ShardedPool:
         *,
         batch_size: int | None = None,
         mp_context=None,
-        result_cache_size: int = 512,
     ):
         if n_shards is None:
             n_shards = max(1, min(os.cpu_count() or 1, 8))
@@ -263,8 +242,6 @@ class ShardedPool:
             raise ValueError("n_shards must be positive")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive or None")
-        if result_cache_size < 0:
-            raise ValueError("result_cache_size must be non-negative")
         if mp_context is None:
             methods = mp.get_all_start_methods()
             mp_context = mp.get_context(
@@ -275,8 +252,6 @@ class ShardedPool:
         self.n_shards = int(n_shards)
         self.batch_size = batch_size
         self._ctx = mp_context
-        self._payload_cap = int(result_cache_size)
-        self._payloads: OrderedDict[str, Any] = OrderedDict()
         self._workers: list[_Worker | None] = [None] * self.n_shards
         self._shard_totals = [
             MetricsSnapshot.empty() for _ in range(self.n_shards)
@@ -437,14 +412,9 @@ class ShardedPool:
         self,
         tasks: Sequence[PoolTask],
         *,
-        metrics: bool = False,
         batch_size: int | None = None,
-    ) -> list | tuple[list, MetricsSnapshot]:
+    ) -> list:
         """Execute *tasks*; returns their results in submission order.
-
-        With ``metrics=True`` returns ``(results, snapshot)`` where the
-        snapshot is the merge of every worker's per-batch registry delta
-        for this run.
 
         The first task exception (in submission order) is re-raised
         after in-flight batches drain; the pool stays usable.
@@ -455,18 +425,16 @@ class ShardedPool:
             raise RuntimeError("pool.run is not reentrant")
         tasks = list(tasks)
         if not tasks:
-            return ([], MetricsSnapshot.empty()) if metrics else []
+            return []
         self._running = True
         try:
-            return self._run(tasks, metrics, batch_size or self.batch_size)
+            return self._run(tasks, batch_size or self.batch_size)
         finally:
             self._running = False
 
-    def _run(
-        self, tasks: list[PoolTask], metrics: bool, batch_size: int | None
-    ):
+    def _run(self, tasks: list[PoolTask], batch_size: int | None) -> list:
         n_tasks = len(tasks)
-        want_metrics = metrics or obs_metrics.metrics_enabled()
+        want_metrics = obs_metrics.metrics_enabled()
         tracer = obs_trace.active_tracer()
         want_trace = tracer is not None
         # Trace contexts: one "pool.run" span owns the whole call, each
@@ -496,13 +464,6 @@ class ShardedPool:
             queues[shard].append(index)
         self._last_assignment = [len(q) for q in queues]
 
-        # --- payload dedup: pin known payloads for the whole run ------
-        pinned: dict[int, Any] = {}
-        for index, task in enumerate(tasks):
-            if task.dedup_key is not None and task.dedup_key in self._payloads:
-                self._payloads.move_to_end(task.dedup_key)
-                pinned[index] = self._payloads[task.dedup_key]
-
         self._tasks += n_tasks
         obs_metrics.inc("pool.tasks", n_tasks)
 
@@ -510,7 +471,6 @@ class ShardedPool:
         done = [False] * n_tasks
         completed = 0
         errors: list[tuple[int, BaseException]] = []
-        merged_delta = MetricsSnapshot.empty()
         inflight: dict[int, tuple[int, list[int]]] = {}
         batch_ids = itertools.count()
         restart_budget = 2 * self.n_shards + 3
@@ -556,7 +516,6 @@ class ShardedPool:
                         if tasks[index].kwargs
                         else None,
                         tasks[index].label,
-                        index in pinned,
                         task_ctxs[index],
                     )
                     for index in batch
@@ -580,7 +539,7 @@ class ShardedPool:
                 return
 
         def on_reply(worker_index: int, message) -> None:
-            nonlocal completed, merged_delta
+            nonlocal completed
             expected_id, _batch = inflight.pop(worker_index, (None, None))
             _kind, _wid, batch_id, replies, delta, events = message
             if batch_id != expected_id:
@@ -592,24 +551,12 @@ class ShardedPool:
                 completed += 1
                 if reply_kind == "error":
                     errors.append((index, payload))
-                    continue
-                value = pinned[index] if reply_kind == "ref" else payload
-                results[index] = value
-                dedup_key = tasks[index].dedup_key
-                if (
-                    dedup_key is not None
-                    and reply_kind == "value"
-                    and self._payload_cap > 0
-                ):
-                    self._payloads[dedup_key] = value
-                    self._payloads.move_to_end(dedup_key)
-                    while len(self._payloads) > self._payload_cap:
-                        self._payloads.popitem(last=False)
+                else:
+                    results[index] = payload
             if delta is not None:
                 self._shard_totals[worker_index] = self._shard_totals[
                     worker_index
                 ].merge(delta)
-                merged_delta = merged_delta.merge(delta)
                 for gauge_name, gauge_value in delta.gauges.items():
                     if gauge_name.startswith("proc."):
                         obs_metrics.set_gauge(
@@ -697,6 +644,4 @@ class ShardedPool:
                 f"pool task {index} "
                 f"({tasks[index].label or tasks[index].fn.__name__}) failed"
             ) from exc
-        if metrics:
-            return results, merged_delta
         return results

@@ -325,7 +325,7 @@ def _smooth_max_fused(
     Both branches execute the identical operation sequence for every
     element with ``m > 0`` (the fallback merely guards ``m <= 0``
     elements and selects ``m`` for them afterwards, as the oracle
-    does), so data-dependent branch selection — e.g. one grid slab
+    does), so data-dependent branch selection — e.g. one sub-grid
     taking the fast path while another falls back — cannot change any
     result bit. ``assume_positive`` skips the ``np.all`` scan when the
     caller has already proven ``m > 0`` structurally.
@@ -412,11 +412,12 @@ def evaluate_kernel_grid(
       rtol) and cannot flip DSE argmax selections: the catalog's
       closest top-2 gap and feasibility-boundary margin are both
       > 1e-5 relative, ~8 orders of magnitude above the noise.
-    * slab decompositions are exact: every coefficient lives on axes a
-      CU-slab slices through, and both :func:`_smooth_max_fused`
-      branches are bit-identical where ``m > 0``, so evaluating a
-      sub-grid produces bit-identical rows to slicing the whole-grid
-      result (the pool's slab path relies on this).
+    * sub-grid decompositions are exact: every coefficient is
+      elementwise over the grid axes, and both
+      :func:`_smooth_max_fused` branches are bit-identical where
+      ``m > 0``, so evaluating a sub-grid produces bit-identical values
+      to slicing the whole-grid result (the serving layer's union grids
+      rely on this).
     """
     machine = machine or MachineParams()
     cu = np.asarray(cu_axis, dtype=float).reshape(-1, 1, 1)

@@ -286,8 +286,8 @@ def node_power_grid(
     :func:`node_power` — inside the tensor/point equivalence tests'
     1e-12 rtol and ~5 orders of magnitude below the catalog's closest
     feasibility-boundary margin, so the DSE's feasibility and argmax
-    bits cannot flip. Slab decompositions stay exact: every
-    coefficient is elementwise over axes a CU-slab slices through.
+    bits cannot flip. Sub-grid decompositions stay exact: every
+    coefficient is elementwise over the grid axes.
 
     Scratch contract: *kernel*'s ``time`` tensor is recycled as the
     output buffer and holds the total power afterwards.

@@ -13,10 +13,10 @@ The sizing rule::
     est  = batch_seconds.total / batch_requests      (measured)
     size = clamp(target_batch_seconds / est, min_batch, max_batch)
 
-i.e. the batch is sized so one dispatch occupies the pool for about
-``target_batch_seconds`` — long enough to amortize the pipe round-trip
-and tensor-slab setup, short enough that a batch never holds the queue
-hostage for a deadline-sized chunk of time. A cold policy (no
+i.e. the batch is sized so one dispatch occupies the service's worker
+thread for about ``target_batch_seconds`` — long enough to amortize the
+per-batch planning and grid setup, short enough that a batch never
+holds the queue hostage for a deadline-sized chunk of time. A cold policy (no
 observations yet) falls back to ``default_request_seconds``.
 
 Reading the registry takes its lock and copies every counter, so the
@@ -50,7 +50,8 @@ class AdaptiveBatchPolicy:
         completes.
     dispatch_overhead_s:
         Fixed per-dispatch overhead added to the admission estimate
-        (pipe round-trip + planning).
+        (planning, plus the pool round-trip when a batch has pool
+        tasks).
     """
 
     def __init__(

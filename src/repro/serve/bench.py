@@ -4,8 +4,8 @@ Two measurements, matching the check_serve gate:
 
 * **Capacity (closed-loop burst)** — submit every request at once and
   measure wall time; compared against the *naive baseline* that issues
-  one ``pool.run`` round-trip per request with no coalescing, no
-  slabs, no inline cache. The gate requires the warm batched service
+  one ``pool.run`` round-trip per request with no coalescing and no
+  inline cache. The gate requires the warm batched service
   to sustain ≥5x the naive rate.
 * **Open-loop rated load** — replay a Poisson arrival schedule at a
   configured rate and measure p50/p99 latency, shed and expiry counts.
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.node import NodeModel
 from repro.obs.export import PeriodicSampler
-from repro.perf.evalcache import EvalCache, SimCache
+from repro.perf.evalcache import EvalCache, SimCache, default_cache
 from repro.perf.pool import PoolTask, ShardedPool
 from repro.serve.adaptive import AdaptiveBatchPolicy
 from repro.serve.requests import (
@@ -34,7 +34,7 @@ from repro.serve.requests import (
     ServeResponse,
     SweepRequest,
 )
-from repro.serve.service import EvalService, _serve_eval_slab
+from repro.serve.service import EvalService
 from repro.serve.workload import Arrival, synthetic_arrivals
 
 __all__ = ["ServeBenchReport", "run_arrivals", "run_serve_bench"]
@@ -201,37 +201,41 @@ def run_arrivals(
     return asyncio.run(main())
 
 
+def _naive_eval_grid(model, profiles, space):
+    """One whole grid through the worker's shared cache:
+    ``(performance, power)``."""
+    grid = default_cache().evaluate_grid(model, profiles, space)
+    return grid.performance, grid.power
+
+
 def naive_baseline_rps(
     arrivals: Sequence[Arrival],
     pool: ShardedPool,
     model: NodeModel | None = None,
 ) -> float:
     """The contrast case: one blocking ``pool.run`` round-trip per
-    request, no coalescing, no slab fan-out, no inline cache."""
+    request, no coalescing, no inline cache."""
     model = model or NodeModel()
     start = time.perf_counter()
     for arrival in arrivals:
         req = arrival.request
         if isinstance(req, PointRequest):
-            space = req.to_space()
             task = PoolTask(
-                fn=_serve_eval_slab,
-                args=(model, [req.profile], space, 0, None),
+                fn=_naive_eval_grid,
+                args=(model, [req.profile], req.to_space()),
                 shard_key=("naive", req.profile.name),
                 label="naive-point",
             )
         elif isinstance(req, SweepRequest):
             task = PoolTask(
-                fn=_serve_eval_slab,
-                args=(model, list(req.profiles), req.space, 0, None),
+                fn=_naive_eval_grid,
+                args=(model, list(req.profiles), req.space),
                 shard_key=("naive", req.profiles[0].name),
                 label="naive-sweep",
             )
         else:
             continue
-        status, payload = pool.run([task])[0]
-        if status == "err":
-            raise payload
+        pool.run([task])
     wall = time.perf_counter() - start
     return len(arrivals) / wall if wall > 0 else 0.0
 
@@ -266,8 +270,8 @@ def run_serve_bench(
     try:
         if warmup:
             # Warm pass on a private cache-less service state: same
-            # requests, so worker-side EvalCaches and the service cache
-            # hold every distinct template before measurement.
+            # requests, so the service cache holds every distinct
+            # template before measurement.
             run_arrivals(
                 [Arrival(0.0, a.request) for a in arrivals],
                 model=model,

@@ -25,11 +25,15 @@ a request whose deadline cannot be met is *shed* with an explicit
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.core.config import DesignSpace, EHPConfig, _finite_positive
+from repro.core.config import (
+    DesignSpace,
+    EHPConfig,
+    _finite_positive,
+    _is_int,
+)
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
@@ -76,6 +80,17 @@ STATUSES = (OK, SHED_QUEUE_FULL, SHED_DEADLINE, EXPIRED, FAILED, SHUTDOWN)
 """
 
 
+def _check_deadline(deadline_s) -> None:
+    """A relative deadline is ``None`` (none) or finite and positive:
+    every comparison with NaN is false, so a NaN deadline would
+    silently switch deadline enforcement off."""
+    if deadline_s is not None and not _finite_positive(deadline_s):
+        raise ValueError(
+            f"deadline_s must be None or finite and positive, "
+            f"got {deadline_s!r}"
+        )
+
+
 @dataclass(frozen=True)
 class PointRequest:
     """Evaluate one profile at one design point."""
@@ -93,11 +108,7 @@ class PointRequest:
         # is merged into one union grid, so one bad point would fail
         # all of its batch-mates.
         max_cus = EHPConfig().max_cus
-        if (
-            not isinstance(self.n_cus, numbers.Integral)
-            or isinstance(self.n_cus, bool)
-            or not 0 < self.n_cus <= max_cus
-        ):
+        if not (_is_int(self.n_cus) and 0 < self.n_cus <= max_cus):
             raise ValueError(
                 f"n_cus must be an integer in [1, {max_cus}], "
                 f"got {self.n_cus!r}"
@@ -108,6 +119,7 @@ class PointRequest:
                     f"{name} must be finite and positive, "
                     f"got {getattr(self, name)!r}"
                 )
+        _check_deadline(self.deadline_s)
 
     def to_space(self) -> DesignSpace:
         """The singleton grid holding exactly this design point."""
@@ -148,6 +160,7 @@ class SweepRequest:
         names = [p.name for p in self.profiles]
         if len(set(names)) != len(names):
             raise ValueError("profile names must be unique")
+        _check_deadline(self.deadline_s)
 
 
 @dataclass(frozen=True)
@@ -157,6 +170,9 @@ class ExperimentRequest:
     name: str
     stream: str = "default"
     deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_deadline(self.deadline_s)
 
 
 @dataclass(frozen=True)
@@ -168,6 +184,9 @@ class SimulateRequest:
     engine: str | None = None
     stream: str = "default"
     deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_deadline(self.deadline_s)
 
 
 @dataclass(frozen=True)
@@ -185,10 +204,11 @@ class ServeResponse:
 
     ``path`` records how the answer was produced: ``"inline-cache"``
     (answered from EvalCache/SimCache without a worker round-trip),
-    ``"coalesced"`` (merged into a multi-request tensor slab batch),
-    ``"degraded"`` (evaluated as a solo grid call inside a batch),
-    ``"solo"`` (experiment / simulate worker task), or ``""`` for
-    requests that never reached evaluation.
+    ``"coalesced"`` (merged with other requests into one grid,
+    evaluated in-process), ``"degraded"`` (evaluated as its own grid
+    call inside a batch), ``"solo"`` (experiment / simulate task, on
+    the pool when the service has one), or ``""`` for requests that
+    never reached evaluation.
     """
 
     status: str

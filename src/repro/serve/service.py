@@ -9,25 +9,26 @@ paths, cheapest first:
    :class:`SimCache` (or the service's experiment memo): answered on
    the event loop with no worker round-trip. Ordering still holds: the
    hit routes through the batcher core's per-stream release buffer.
-2. **Coalesced tensor slab** — misses queue in the deterministic
+2. **Coalesced grid** — misses queue in the deterministic
    :class:`~repro.serve.batcher.BatcherCore`; the dispatcher drains up
    to the adaptive batch limit, merges compatible requests (points
    into a union grid under a waste cap, same-space sweeps into one
-   profile batch), CU-slab-splits large grids, and routes the slabs
-   through :class:`~repro.perf.pool.ShardedPool`'s affinity scheduler
-   — the same ``(batch fingerprint, slab index)`` shard keys
-   :func:`repro.perf.parallel.parallel_explore` uses, so the serving
-   path warms the same per-worker caches the bulk path owns.
-3. **Degraded single-point/solo** — a request that cannot coalesce
-   (unique space, no pool, or a union that would waste more tensor
-   cells than the cap allows) is evaluated as its own grid call inside
-   the batch.
+   profile batch) and evaluates each merged grid once, in-process,
+   through the shared cache. A grid of a few thousand cells costs
+   microseconds to evaluate, less than one pool round-trip.
+3. **Degraded** — a point or sweep that cannot coalesce (unique space,
+   or a union that would waste more tensor cells than the cap allows)
+   is evaluated as its own grid call inside the batch.
 
-All three paths produce **bit-identical** answers to a direct serial
+Experiments and trace simulations run **solo**: one
+:class:`~repro.perf.pool.ShardedPool` task each when the service has a
+pool, else in-process.
+
+Every path produces **bit-identical** answers to a direct serial
 ``evaluate_grid``/``explore`` call on the same request, because every
 path evaluates through the same fused tensor kernel and grid
-composition is bit-exact along the profile and CU axes (the PR-6
-slab identity, extended here to union grids — gated by
+composition is bit-exact along every axis (each cell runs the same
+elementwise sequence whatever grid it sits in — gated by
 ``check_serve`` and ``tests/test_serve.py``).
 
 Backpressure and deadlines are the core's job (bounded queue,
@@ -45,8 +46,9 @@ SpanContext` at admission; its queue wait is recorded as a child span
 at dispatch, a batch serving exactly one request parents its
 ``serve.batch`` span under that request (a multi-request batch links
 the coalesced request span ids in its args), and the batch's pool
-tasks ship child contexts to the workers — one request renders as one
-connected admit → queue → batch → worker-slab span tree. An optional
+tasks ship child contexts to the workers — one simulation request
+renders as one connected admit → queue → batch → ``pool.run`` →
+worker-task span tree. An optional
 :class:`~repro.obs.export.PeriodicSampler` runs as an asyncio task
 while the service is open, streaming interval metric diffs to JSONL.
 """
@@ -75,8 +77,6 @@ from repro.perf.evalcache import (
     _digest,
     default_cache,
     default_sim_cache,
-    evaluate_grid_cached,
-    fingerprint_batch,
     fingerprint_model,
     fingerprint_profile,
     simulate_trace_cached,
@@ -106,16 +106,6 @@ __all__ = ["EvalService", "serial_answer"]
 # of raising, so one bad request fails alone rather than aborting the
 # whole pool.run batch.
 # ----------------------------------------------------------------------
-def _serve_eval_slab(model, batch, space, cu_lo, cu_hi):
-    """One CU slab of a serve grid unit: ``(performance, power)``
-    columns, bit-identical to the whole grid's."""
-    try:
-        grid = evaluate_grid_cached(model, batch, space, cu_lo, cu_hi)
-        return ("ok", (grid.performance, grid.power))
-    except BaseException as exc:  # contained per-unit
-        return ("err", _picklable_exception(exc))
-
-
 def _serve_run_experiment(name):
     """One registered paper artifact (lazy import: the registry pulls
     in every experiment module)."""
@@ -345,11 +335,12 @@ class EvalService:
     ----------
     model:
         The :class:`NodeModel` every evaluation uses (one service, one
-        model — matching the pool's cache-affinity assumption).
+        model, so one cache key space).
     pool:
-        Optional :class:`~repro.perf.pool.ShardedPool`. ``None``
-        evaluates batches inline on the service's worker thread (still
-        batched, coalesced and cache-fronted — just no slab fan-out).
+        Optional :class:`~repro.perf.pool.ShardedPool` that runs the
+        experiment and simulation requests, one task each. Grid units
+        always evaluate on the service's worker thread. ``None`` runs
+        everything there.
     cache / sim_cache:
         Shared caches probed inline; default to the process-wide ones
         so the service sees sweeps other code already paid for.
@@ -367,9 +358,6 @@ class EvalService:
     union_waste_factor:
         Cap on union-grid waste when coalescing points: a union may
         evaluate at most this many tensor cells per requested cell.
-    slab_min_points:
-        Minimum ``P x G`` cells before a grid unit is CU-slab-split
-        across the pool (smaller units run as one task).
     clock:
         Injected monotonic clock (tests use a fake one).
     slo:
@@ -394,7 +382,6 @@ class EvalService:
         max_queue: int = 1024,
         batch_window_s: float = 0.002,
         union_waste_factor: float = 8.0,
-        slab_min_points: int = 2048,
         clock=time.monotonic,
         manifest_name: str = "serve",
         slo: SloTracker | None = None,
@@ -409,7 +396,6 @@ class EvalService:
         self.policy = policy if policy is not None else AdaptiveBatchPolicy()
         self.batch_window_s = float(batch_window_s)
         self.union_waste_factor = float(union_waste_factor)
-        self.slab_min_points = int(slab_min_points)
         self.clock = clock
         self.manifest_name = manifest_name
         self.slo = slo if slo is not None else SloTracker(clock=clock)
@@ -740,9 +726,9 @@ class EvalService:
         """Evaluate one planned batch; returns seq -> (status, payload).
 
         Runs on the service's single worker thread: plans execution
-        units, fans grid units out over the pool as CU slabs (or runs
-        them inline), and carves per-request answers back out of the
-        merged tensors.
+        units, evaluates each grid unit through the cache and carves
+        per-request answers back out of the merged tensors, then runs
+        the solo requests (on the pool when there is one).
         """
         tracer = obs_trace.active_tracer()
         batch_parent = None
@@ -767,7 +753,7 @@ class EvalService:
                 )
             if len(req_ctxs) == 1:
                 # A batch serving exactly one request is that request's
-                # child: admit -> queue -> batch -> worker slabs render
+                # child: admit -> queue -> batch -> pool tasks render
                 # as one connected flame.
                 batch_parent = req_ctxs[0]
             elif req_ctxs:
@@ -801,64 +787,19 @@ class EvalService:
                 for t in tickets:
                     results[t.seq] = (FAILED, exc)
 
-        tasks: list[PoolTask] = []
-        task_slots: list[tuple[str, Any, int]] = []  # (kind, unit/ticket, part)
-        inline_units: list[_GridUnit] = []
-        unit_slabs: dict[int, list] = {}
-
-        for ui, unit in enumerate(grid_units):
-            n_cells = len(unit.batch) * unit.space.size
-            n_cu = len(unit.space.cu_counts)
-            if (
-                self.pool is not None
-                and n_cells >= self.slab_min_points
-                and n_cu > 1
-            ):
-                batch_fp = fingerprint_batch(unit.batch)
-                n_slabs = min(self.pool.n_shards, n_cu)
-                bounds = np.linspace(0, n_cu, n_slabs + 1).astype(int)
-                slabs = [
-                    (int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                    if hi > lo
-                ]
-                unit_slabs[ui] = slabs
-                for si, (lo, hi) in enumerate(slabs):
-                    dedup = _digest(
-                        repr(
-                            (
-                                "serve-slab",
-                                self._model_fp,
-                                batch_fp,
-                                repr(unit.space),
-                                lo,
-                                hi,
-                            )
-                        )
-                    )
-                    tasks.append(
-                        PoolTask(
-                            fn=_serve_eval_slab,
-                            args=(self.model, unit.batch, unit.space, lo, hi),
-                            shard_key=(batch_fp, si),
-                            dedup_key=dedup,
-                            label=f"serve-slab-{ui}-{si}",
-                        )
-                    )
-                    task_slots.append(("slab", ui, si))
-            elif self.pool is not None:
-                tasks.append(
-                    PoolTask(
-                        fn=_serve_eval_slab,
-                        args=(self.model, unit.batch, unit.space, 0, None),
-                        shard_key=(fingerprint_batch(unit.batch), 0),
-                        label=f"serve-grid-{ui}",
-                    )
+        for unit in grid_units:
+            try:
+                grid = self.cache.evaluate_grid(
+                    self.model, unit.batch, unit.space
                 )
-                task_slots.append(("grid", ui, 0))
-            else:
-                inline_units.append(unit)
+            except BaseException as exc:
+                for t in unit.tickets:
+                    results[t.seq] = (FAILED, exc)
+                continue
+            self._finish_grid_unit(unit, grid, results)
 
+        tasks: list[PoolTask] = []
+        task_tickets: list[Ticket] = []
         for ticket in solo_tickets:
             req = ticket.request
             if isinstance(req, ExperimentRequest):
@@ -882,53 +823,13 @@ class EvalService:
                         label=f"serve-solo-{ticket.seq}",
                     )
                 )
-                task_slots.append(("solo", ticket, 0))
+                task_tickets.append(ticket)
             else:
-                outcome = fn(*args)
-                self._finish_solo(ticket, outcome, results)
+                self._finish_solo(ticket, fn(*args), results)
 
         if tasks:
-            replies = self.pool.run(tasks)
-            slab_parts: dict[int, dict[int, Any]] = {}
-            for slot, reply in zip(task_slots, replies):
-                kind, target, part = slot
-                if kind == "solo":
-                    self._finish_solo(target, reply, results)
-                else:
-                    slab_parts.setdefault(target, {})[part] = reply
-            for ui, parts in slab_parts.items():
-                unit = grid_units[ui]
-                err = next(
-                    (p[1] for p in parts.values() if p[0] == "err"), None
-                )
-                if err is not None:
-                    for t in unit.tickets:
-                        results[t.seq] = (FAILED, err)
-                    continue
-                ordered = [parts[i][1] for i in sorted(parts)]
-                perf = np.concatenate([p[0] for p in ordered], axis=1)
-                power = np.concatenate([p[1] for p in ordered], axis=1)
-                grid = GridEvaluation(
-                    names=tuple(unit.batch.names),
-                    space=unit.space,
-                    performance=perf,
-                    power=power,
-                    feasible=power <= unit.space.power_budget,
-                )
-                self._finish_grid_unit(unit, grid, results)
-
-        for unit in inline_units:
-            try:
-                grid = self.cache.evaluate_grid(
-                    self.model, unit.batch, unit.space
-                )
-            except BaseException as exc:
-                for t in unit.tickets:
-                    results[t.seq] = (FAILED, exc)
-                continue
-            self._finish_grid_unit(unit, grid, results)
-
-        if self.pool is not None:
+            for ticket, reply in zip(task_tickets, self.pool.run(tasks)):
+                self._finish_solo(ticket, reply, results)
             obs_metrics.set_gauge(
                 "serve.pool_worker_restarts",
                 float(self.pool.stats().worker_restarts),

@@ -37,6 +37,7 @@ from repro.core.node import NodeModel
 from repro.perf.evalcache import simulate_trace_cached
 from repro.sim.apu_sim import ApuSimConfig
 from repro.util.units import MHZ, TB
+from repro.workloads.catalog import PAPER_TABLE2, CalibrationTarget
 from repro.workloads.kernels import KernelCategory, KernelProfile
 from repro.workloads.traces import MemoryTrace, TraceGenerator
 
@@ -68,39 +69,6 @@ _PARAM_BOUNDS: tuple[tuple[str, float, float], ...] = (
     ("mlp_per_cu", 4.0, 96.0),
     ("cu_utilization", 0.20, 0.98),
 )
-
-
-@dataclass(frozen=True)
-class CalibrationTarget:
-    """One application's published optimum (Table II row)."""
-
-    n_cus: int
-    freq_mhz: int
-    bw_tbps: int
-    benefit_pct: float
-    benefit_opt_pct: float
-
-    @property
-    def config(self) -> EHPConfig:
-        """The target as an :class:`EHPConfig`."""
-        return EHPConfig(
-            n_cus=self.n_cus,
-            gpu_freq=self.freq_mhz * MHZ,
-            bandwidth=self.bw_tbps * TB,
-        )
-
-
-PAPER_TABLE2: Mapping[str, CalibrationTarget] = {
-    "LULESH": CalibrationTarget(256, 1100, 4, 31.2, 38.0),
-    "MiniAMR": CalibrationTarget(256, 1200, 4, 47.3, 54.3),
-    "XSBench": CalibrationTarget(224, 1400, 5, 44.9, 47.5),
-    "SNAP": CalibrationTarget(384, 700, 5, 18.2, 30.2),
-    "CoMD": CalibrationTarget(192, 1500, 6, 40.3, 49.8),
-    "CoMD-LJ": CalibrationTarget(224, 1300, 6, 29.6, 39.3),
-    "HPGMG": CalibrationTarget(352, 900, 7, 34.9, 37.9),
-    "MaxFlops": CalibrationTarget(384, 925, 1, 10.7, 19.9),
-}
-"""The paper's Table II, keyed by application name."""
 
 
 @dataclass(frozen=True)

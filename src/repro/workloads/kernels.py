@@ -13,11 +13,14 @@ machine-learning scaling models.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from repro.core.config import _finite_positive
 
 
 class KernelCategory(enum.Enum):
@@ -130,15 +133,19 @@ class KernelProfile:
         self._check_unit_interval("write_fraction", self.write_fraction)
         for positive_field in ("flops", "mlp_per_cu", "footprint_bytes"):
             value = getattr(self, positive_field)
-            if value <= 0:
-                raise ValueError(f"{positive_field} must be positive, got {value}")
-        if self.compression_ratio < 1.0:
-            raise ValueError("compression_ratio must be >= 1.0")
+            if not _finite_positive(value):
+                raise ValueError(
+                    f"{positive_field} must be finite and positive, "
+                    f"got {value}"
+                )
+        if not 1.0 <= self.compression_ratio < math.inf:
+            raise ValueError("compression_ratio must be finite and >= 1.0")
         for nonneg_field in ("bytes_per_flop", "thrash_pressure"):
             value = getattr(self, nonneg_field)
-            if value < 0:
+            if not 0 <= value < math.inf:
                 raise ValueError(
-                    f"{nonneg_field} must be non-negative, got {value}"
+                    f"{nonneg_field} must be finite and non-negative, "
+                    f"got {value}"
                 )
 
     @staticmethod
@@ -239,9 +246,10 @@ class ProfileBatch:
                 )
             object.__setattr__(self, fname, col)
         # Per-column extremes in one pass, not ~20 numpy calls per
-        # batch; fmin/fmax skip NaN, which (as in an elementwise
-        # comparison) never counts as out of range.
+        # batch.
         table = np.hstack([getattr(self, f) for f in _BATCH_FIELDS])
+        if not np.isfinite(table).all():
+            raise ValueError("profile columns must be finite")
         lo = dict(zip(_BATCH_FIELDS, np.fmin.reduce(table).tolist()))
         hi = dict(zip(_BATCH_FIELDS, np.fmax.reduce(table).tolist()))
         for fname in (

@@ -87,3 +87,28 @@ class TestCli:
         assert "experiments.pool" in events
         assert "experiment.fig7" in events
         assert events["experiment.fig7"]["pid"] != os.getpid()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--serve-rate", "nan"],
+            ["serve", "--serve-rate", "-5"],
+            ["serve", "--serve-requests", "0"],
+            ["serve", "--serve-deadline-ms", "inf"],
+            ["serve", "--serve-deadline-ms", "-1"],
+            ["serve", "--pool-shards", "-1"],
+            ["fleet", "--pool-shards", "-1"],
+            ["fleet", "--fleet-nodes", "0"],
+            ["fleet", "--fleet-groups", "1.5"],
+            ["fleet", "--fleet-nodes", "3", "--fleet-groups", "6"],
+            ["thermal-loop", "--thermal-dt-ms", "nan"],
+            ["thermal-loop", "--thermal-cycles", "0"],
+            ["thermal-loop", "--thermal-steps", "-3"],
+            ["fig4", "--pool-shards", "two"],
+        ],
+    )
+    def test_bad_numeric_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -54,6 +54,23 @@ class TestLinkTier:
         with pytest.raises(ValueError):
             LinkTierParams(arbitration_overhead=-0.1)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["n_links", "link_bandwidth", "link_latency", "hops",
+         "arbitration_overhead", "contention_kappa"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            LinkTierParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_links", "hops"])
+    def test_count_params_must_be_ints(self, field):
+        with pytest.raises(ValueError):
+            LinkTierParams(**{field: 2.5})
+        with pytest.raises(ValueError):
+            LinkTierParams(**{field: True})
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown link engine"):
             derate(LinkTierParams(), 0.2, engine="magic")
@@ -140,6 +157,28 @@ class TestFleetSpec:
             FleetGroup(name="g", profiles=(p,), n_nodes=0)
         with pytest.raises(ValueError):
             FleetGroup(name="g", profiles=(p,), concurrent_kernels=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_nodes": 2.5},
+            {"n_nodes": 2.0},
+            {"n_nodes": True},
+            {"concurrent_kernels": 1.5},
+            {"concurrent_kernels": True},
+        ],
+    )
+    def test_group_counts_must_be_ints(self, bad):
+        with pytest.raises(ValueError):
+            FleetGroup(name="g", profiles=(get_application("CoMD"),), **bad)
+
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), float("inf"), -1.0]
+    )
+    def test_spec_rejects_bad_power_budget(self, budget):
+        g = FleetGroup(name="g", profiles=(get_application("CoMD"),))
+        with pytest.raises(ValueError):
+            FleetSpec(groups=(g,), power_budget_mw=budget)
 
     def test_spec_validation(self):
         p = get_application("CoMD")

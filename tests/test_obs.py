@@ -4,9 +4,8 @@ Covers the metrics registry (counters, gauges, histograms, snapshot
 merge/diff algebra, the disabled fast path), the span tracer with an
 injected fake clock (deterministic Chrome trace-event output), the run
 manifest, cache-stat ergonomics, the benchmark-JSON compaction helpers,
-and the acceptance criterion that ``parallel_explore(metrics=True)``
-returns a merged snapshot whose cache totals equal the sum of the
-per-worker snapshots.
+and the acceptance criterion that a pool's merged worker snapshot has
+cache totals equal to the sum of the per-worker snapshots.
 """
 
 from __future__ import annotations
@@ -612,41 +611,47 @@ class TestProcGauges:
 
 
 # ----------------------------------------------------------------------
-# parallel_explore(metrics=True): the acceptance criterion
+# Pool worker metrics: the acceptance criterion
 # ----------------------------------------------------------------------
+def _eval_dse_grid(name):
+    """One cache-fronted DSE grid in a pool worker's shared cache."""
+    from repro.core.config import DesignSpace
+    from repro.core.node import NodeModel
+    from repro.perf.evalcache import default_cache
+    from repro.workloads.catalog import get_application
+
+    grid = default_cache().evaluate_grid(
+        NodeModel(), [get_application(name)], DesignSpace()
+    )
+    return grid.performance.size
+
+
 class TestParallelMetrics:
     def test_merged_totals_equal_sum_of_worker_snapshots(self):
-        from repro.perf.parallel import parallel_explore
-        from repro.perf.pool import ShardedPool
-        from repro.workloads.catalog import get_application
+        from repro.core.config import DesignSpace
+        from repro.perf.evalcache import clear_cache
+        from repro.perf.pool import PoolTask, ShardedPool
 
-        profiles = [get_application("CoMD"), get_application("HPGMG")]
-        n_chunks = 3
+        names = ["CoMD", "HPGMG", "CoMD", "MaxFlops"]
+        # Forked workers inherit the parent's cache: start them cold.
+        clear_cache()
         with ShardedPool(2) as pool:
-            result, snap = parallel_explore(
-                profiles, n_chunks=n_chunks, pool=pool, metrics=True
+            sizes = pool.run(
+                [PoolTask(fn=_eval_dse_grid, args=(n,)) for n in names]
             )
-        # One cache.eval lookup per (profile block, CU slab) task; fresh
-        # worker caches mean every lookup is a hit or a miss, never
-        # dropped.
-        tasks = len(profiles) * n_chunks
-        total = snap.counter("cache.eval.hits") + snap.counter(
+            shards = pool.shard_snapshots()
+            merged = pool.merged_snapshot()
+        assert sizes == [DesignSpace().size] * len(names)
+        # One cache.eval lookup per task; fresh worker caches mean every
+        # lookup is a hit or a miss, never dropped.
+        for counter in ("cache.eval.hits", "cache.eval.misses"):
+            assert merged.counter(counter) == sum(
+                snap.counter(counter) for snap in shards
+            )
+        total = merged.counter("cache.eval.hits") + merged.counter(
             "cache.eval.misses"
         )
-        assert total == tasks
-        assert result.best_mean_index >= 0
-
-    def test_metrics_false_returns_bare_result(self):
-        from repro.core.dse import DseResult
-        from repro.perf.parallel import parallel_explore
-        from repro.perf.pool import ShardedPool
-        from repro.workloads.catalog import get_application
-
-        with ShardedPool(2) as pool:
-            result = parallel_explore(
-                [get_application("CoMD")], n_chunks=2, pool=pool
-            )
-        assert isinstance(result, DseResult)
+        assert total == len(names)
 
 
 # ----------------------------------------------------------------------

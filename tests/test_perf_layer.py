@@ -17,11 +17,7 @@ from repro.perf.evalcache import (
     fingerprint_trace,
     simulate_trace_cached,
 )
-from repro.perf.parallel import (
-    parallel_explore,
-    run_all_experiments,
-    run_experiments,
-)
+from repro.perf.parallel import run_all_experiments, run_experiments
 from repro.perf.pool import ShardedPool
 from repro.power.components import PowerParams
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
@@ -287,21 +283,6 @@ class TestParallelRunner:
 
         results = run_all_experiments()
         assert list(results) == list(EXPERIMENTS)
-
-    def test_parallel_explore_identical_to_serial(self):
-        # In-process slab tasks (no pool) reproduce the serial sweep.
-        profiles = [get_application("CoMD"), get_application("MaxFlops")]
-        serial = explore(profiles, cache=False)
-        chunked = parallel_explore(profiles, n_chunks=5, pool=None)
-        assert chunked.best_mean_index == serial.best_mean_index
-        assert chunked.per_app_best_index == serial.per_app_best_index
-        for name in serial.performance:
-            assert np.array_equal(
-                serial.performance[name], chunked.performance[name]
-            )
-            assert np.array_equal(
-                serial.node_power[name], chunked.node_power[name]
-            )
 
 
 class TestNocFastPath:

@@ -4,21 +4,21 @@ Covers the scheduling contract (stable shard routing, round-robin
 placement of unkeyed tasks, stealing only from a backlog), fault
 tolerance (task errors, worker death and respawn), the observability
 bridges (merged worker metrics deltas, republished memory gauges,
-worker-side spans), payload dedup, and bit-identity of the pooled
-DSE/experiment fan-outs against their serial counterparts.
+worker-side spans), and bit-identity of the pooled experiment fan-out
+against its serial counterpart.
 """
 
 import os
 import time
 
-import numpy as np
 import pytest
 
-from repro.core.dse import explore
+from repro.core.config import DesignSpace
+from repro.core.node import NodeModel
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.perf.evalcache import clear_cache
-from repro.perf.parallel import parallel_explore, run_experiments
+from repro.perf.evalcache import clear_cache, default_cache
+from repro.perf.parallel import run_experiments
 from repro.perf.pool import PoolTask, ShardedPool, stable_shard
 from repro.workloads.catalog import get_application
 
@@ -41,6 +41,17 @@ def _boom():
 def _sleep_for(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _cached_grid_points(name, n_cus):
+    """One cache-fronted grid evaluation in the worker's shared cache."""
+    space = DesignSpace(
+        cu_counts=(n_cus,), frequencies=(1.0e9,), bandwidths=(3.0e12,)
+    )
+    grid = default_cache().evaluate_grid(
+        NodeModel(), [get_application(name)], space
+    )
+    return grid.performance.size
 
 
 def _die_once(sentinel_path):
@@ -87,8 +98,6 @@ class TestShardedPoolBasics:
 
     def test_empty_task_list(self, pool):
         assert pool.run([]) == []
-        results, snap = pool.run([], metrics=True)
-        assert results == [] and snap.counters == {}
 
     def test_closed_pool_raises(self):
         p = _new_pool(1)
@@ -219,34 +228,35 @@ class TestFaultTolerance:
 
 class TestObservabilityBridges:
     def test_metrics_deltas_merge_across_workers(self):
-        profiles = [get_application("CoMD"), get_application("MaxFlops")]
         # Forked workers inherit the parent's caches: start them cold.
         clear_cache()
-        # Whole-queue batches keep the repeat sweep steal-free, so every
-        # warm lookup lands on the worker that computed it.
-        with _new_pool(2, batch_size=2 * 7) as p:
-            n_tasks = 2 * 7
-            _, cold = parallel_explore(
-                profiles, n_chunks=7, pool=p, metrics=True
+        tasks = [
+            PoolTask(
+                fn=_cached_grid_points, args=(name, n_cus),
+                shard_key=(name, n_cus),
             )
-            assert cold.counter("cache.eval.misses") == n_tasks
-            # Steal-free warm repeat: every lookup must hit the cache
-            # that worker warmed itself.
-            _, warm = parallel_explore(
-                profiles, n_chunks=7, pool=p, metrics=True
-            )
-            assert warm.counter("cache.eval.misses") == 0
-            assert warm.counter("cache.eval.hits") == n_tasks
+            for name in ("CoMD", "MaxFlops")
+            for n_cus in (192, 256, 320)
+        ]
+        # Whole-queue batches keep the repeat run steal-free, so every
+        # repeated lookup lands on the worker that computed it.
+        with _new_pool(2, batch_size=len(tasks)) as p:
+            assert p.run(tasks) == [1] * len(tasks)
+            p.run(tasks)
+            shards = p.shard_snapshots()
             merged = p.merged_snapshot()
-            assert merged.counter("cache.eval.misses") == n_tasks
-            assert any(rate > 0 for rate in p.shard_cache_hit_rates())
+            # Each worker missed once per key, then hit once per key.
+            assert p.shard_cache_hit_rates() == [0.5, 0.5]
+        for name in ("cache.eval.hits", "cache.eval.misses"):
+            assert merged.counter(name) == sum(
+                snap.counter(name) for snap in shards
+            )
+        assert merged.counter("cache.eval.misses") == len(tasks)
+        assert merged.counter("cache.eval.hits") == len(tasks)
 
     def test_worker_memory_gauges_republished(self):
         with _new_pool(2) as p:
-            p.run(
-                [PoolTask(fn=_square, args=(i,)) for i in range(4)],
-                metrics=True,
-            )
+            p.run([PoolTask(fn=_square, args=(i,)) for i in range(4)])
             gauges = obs_metrics.default_registry().snapshot().gauges
             worker_gauges = [
                 name for name in gauges if name.startswith("pool.worker")
@@ -307,60 +317,8 @@ class TestObservabilityBridges:
         }
 
 
-class TestPayloadDedup:
-    def test_repeat_run_returns_parent_cached_objects(self, pool):
-        tasks = [
-            PoolTask(
-                fn=_square, args=(i,), dedup_key=f"sq-{i}", shard_key=i
-            )
-            for i in range(6)
-        ]
-        first = pool.run(tasks)
-        second = pool.run(tasks)
-        assert second == first
-        # The worker executed but shipped only a reference; the parent
-        # answered from its payload store with the same objects.
-        for a, b in zip(first, second):
-            assert a is b
-
-    def test_dedup_disabled_with_zero_cache(self):
-        with _new_pool(1, result_cache_size=0) as p:
-            tasks = [
-                PoolTask(fn=_square, args=(3,), dedup_key="sq-3")
-            ]
-            assert p.run(tasks) == [9]
-            assert p.run(tasks) == [9]
-
-
 class TestPooledFanouts:
     SUBSET = ["table1", "fig7"]
-
-    def test_parallel_explore_pool_identical_to_serial(self, pool):
-        profiles = [get_application("CoMD"), get_application("MaxFlops")]
-        serial = explore(profiles, cache=False)
-        pooled = parallel_explore(profiles, n_chunks=5, pool=pool)
-        assert pooled.best_mean_index == serial.best_mean_index
-        assert dict(pooled.per_app_best_index) == dict(
-            serial.per_app_best_index
-        )
-        for name in serial.performance:
-            assert np.array_equal(
-                pooled.performance[name], serial.performance[name]
-            )
-            assert np.array_equal(
-                pooled.node_power[name], serial.node_power[name]
-            )
-
-    def test_parallel_explore_identical_after_worker_death(self, pool):
-        profiles = [get_application("CoMD"), get_application("MaxFlops")]
-        serial = explore(profiles, cache=False)
-        pool.kill_worker(0)
-        pooled = parallel_explore(profiles, n_chunks=5, pool=pool)
-        assert pooled.best_mean_index == serial.best_mean_index
-        for name in serial.performance:
-            assert np.array_equal(
-                pooled.performance[name], serial.performance[name]
-            )
 
     def test_run_experiments_pool_matches_serial(self, pool):
         serial = run_experiments(self.SUBSET)

@@ -750,9 +750,48 @@ class TestServiceBackpressure:
 
 
 # ----------------------------------------------------------------------
-# Pooled service: slab fan-out, fault injection, shutdown-in-flight
+# Pooled service: in-process grids, fault injection, shutdown-in-flight
 # ----------------------------------------------------------------------
 class TestServiceOnPool:
+    def test_grid_requests_never_touch_the_pool(self, pool, model):
+        """Point and sweep requests evaluate in-process even when the
+        service has a pool; a simulation is still one pool task."""
+        from repro.workloads.catalog import APPLICATIONS
+        from repro.workloads.traces import TraceGenerator
+
+        arrivals = synthetic_arrivals(43, 32, deadline_s=None)
+        trace = TraceGenerator(
+            APPLICATIONS["CoMD"], seed=43
+        ).generate(5_000)
+        sim_request = SimulateRequest(trace)
+
+        async def scenario():
+            svc = _fresh_service(
+                model=model, pool=pool, batch_window_s=0.02
+            )
+            async with svc:
+                tasks_before = pool.stats().tasks
+                responses = await asyncio.gather(
+                    *(svc.submit(a.request) for a in arrivals)
+                )
+                tasks_after_burst = pool.stats().tasks
+                sim_response = await svc.submit(sim_request)
+                tasks_after_sim = pool.stats().tasks
+            return (
+                responses, sim_response,
+                (tasks_before, tasks_after_burst, tasks_after_sim),
+            )
+
+        responses, sim_response, tasks = asyncio.run(
+            asyncio.wait_for(scenario(), timeout=300)
+        )
+        for arrival, response in zip(arrivals, responses):
+            _assert_same_answer(response, arrival.request, model)
+        assert tasks[1] == tasks[0]
+        assert sim_response.path == "solo"
+        _assert_same_answer(sim_response, sim_request, model)
+        assert tasks[2] == tasks[1] + 1
+
     def test_coalesced_pool_answers_match_oracle(self, pool, model):
         arrivals = synthetic_arrivals(31, 24, deadline_s=None)
 
@@ -772,7 +811,7 @@ class TestServiceOnPool:
         )
         for arrival, response in zip(arrivals, responses):
             _assert_same_answer(response, arrival.request, model)
-        assert stats["pool_tasks"] > 0
+        assert any(r.path == "coalesced" for r in responses)
         _statuses_account_for_everything(stats)
 
     def test_worker_kill_mid_serve_no_lost_answers(self, pool, model):
@@ -787,6 +826,10 @@ class TestServiceOnPool:
             APPLICATIONS["CoMD"], seed=37
         ).generate(60_000)
         requests = [a.request for a in arrivals] + [SimulateRequest(trace)]
+        # A fresh simulation (no inline hit) for the second round.
+        late_sim = SimulateRequest(
+            TraceGenerator(APPLICATIONS["CoMD"], seed=38).generate(5_000)
+        )
 
         async def scenario():
             svc = _fresh_service(
@@ -802,7 +845,8 @@ class TestServiceOnPool:
                     pool.kill_worker(index)
                 first = await asyncio.gather(*pending)
                 # A second round forces dead-worker detection even if
-                # the first batch squeaked through before the kill.
+                # the first batch squeaked through before the kill: its
+                # simulation needs the pool.
                 second = await asyncio.gather(
                     *(
                         svc.evaluate(
@@ -811,7 +855,8 @@ class TestServiceOnPool:
                         )
                         for r in requests
                         if isinstance(r, PointRequest)
-                    )
+                    ),
+                    svc.submit(late_sim),
                 )
                 stats = svc.stats()
             return first, second, stats, restarts_before
@@ -822,6 +867,7 @@ class TestServiceOnPool:
         for request, response in zip(requests, first):
             _assert_same_answer(response, request, model)
         assert all(r.status == OK for r in second)
+        _assert_same_answer(second[-1], late_sim, model)
         assert stats["pool_worker_restarts"] >= restarts_before + 1
         # Exactly one outcome per admission: nothing lost or doubled.
         _statuses_account_for_everything(stats)
@@ -871,28 +917,25 @@ class TestServiceOnPool:
 # Request tracing: one submit -> one connected span tree
 # ----------------------------------------------------------------------
 class TestServeTracing:
-    def test_single_request_renders_connected_tree(
-        self, pool, model, maxflops, comd
-    ):
-        """One traced sweep request is one connected tree with pinned
-        ids: serve.SweepRequest (0.1) -> serve.queue_wait (0.1.1) +
-        serve.batch (0.1.2) -> pool.run -> worker task spans."""
+    def test_single_request_renders_connected_tree(self, pool, model):
+        """One traced simulation request is one connected tree with
+        pinned ids: serve.SimulateRequest (0.1) -> serve.queue_wait
+        (0.1.1) + serve.batch (0.1.2) -> pool.run -> worker task
+        spans."""
         import os
 
-        space = DesignSpace(
-            cu_counts=(192, 256, 320),
-            frequencies=(0.9e9, 1.2e9),
-            bandwidths=(1e12,),
-        )
-        request = SweepRequest((maxflops, comd), space)
+        from repro.workloads.catalog import APPLICATIONS
+        from repro.workloads.traces import TraceGenerator
+
+        trace = TraceGenerator(APPLICATIONS["CoMD"], seed=5).generate(5_000)
+        request = SimulateRequest(trace)
         tracer = obs_trace.Tracer(
             context=obs_trace.SpanContext.root("t1")
         )
 
         async def scenario():
             svc = _fresh_service(
-                model=model, pool=pool, batch_window_s=0.0,
-                slab_min_points=1,
+                model=model, pool=pool, batch_window_s=0.0
             )
             async with svc:
                 return await svc.submit(request)
@@ -907,7 +950,7 @@ class TestServeTracing:
         for event in tracer.events:
             by_name.setdefault(event["name"], []).append(event)
 
-        (req_event,) = by_name["serve.SweepRequest"]
+        (req_event,) = by_name["serve.SimulateRequest"]
         assert req_event["args"]["trace_id"] == "t1"
         assert req_event["args"]["span_id"] == "0.1"
         assert req_event["args"]["parent_id"] == "0"
@@ -1130,6 +1173,24 @@ class TestRequestTypes:
         axes = {"n_cus": 320, "gpu_freq": 1.0e9, "bandwidth": 3.0e12}
         with pytest.raises(ValueError):
             PointRequest(maxflops, **{**axes, **bad})
+
+    @pytest.mark.parametrize(
+        "deadline_s", [float("nan"), float("inf"), -0.1, 0.0]
+    )
+    def test_every_request_rejects_bad_deadline(self, maxflops, deadline_s):
+        requests = (
+            lambda: PointRequest(
+                maxflops, 320, 1.0e9, 3.0e12, deadline_s=deadline_s
+            ),
+            lambda: SweepRequest(
+                (maxflops,), DesignSpace(), deadline_s=deadline_s
+            ),
+            lambda: ExperimentRequest("fig4", deadline_s=deadline_s),
+            lambda: SimulateRequest(None, deadline_s=deadline_s),
+        )
+        for build in requests:
+            with pytest.raises(ValueError, match="deadline_s"):
+                build()
 
     def test_sweep_rejects_duplicates(self, maxflops):
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ Covers the ``ProfileBatch`` struct-of-arrays, the equivalence contract
 between ``NodeModel.evaluate_grid`` and the per-profile
 ``evaluate_arrays`` oracle loop (rtol 1e-12, exactly agreeing
 feasibility/NaN masks, bit-identical DSE argmax selections), engine
-selection on ``core.dse.explore``, the whole-slab evaluation cache, and
-the tensor-slab ``parallel_explore`` fan-out.
+selection on ``core.dse.explore``, the whole-grid evaluation cache, and
+the sub-grid composition identity the serving layer's union grids rely
+on.
 """
 
 import dataclasses
@@ -22,12 +23,7 @@ from repro.core.dse import (
     set_default_engine,
 )
 from repro.core.node import NodeModel
-from repro.perf.evalcache import (
-    EvalCache,
-    evaluate_grid_cached,
-    fingerprint_batch,
-)
-from repro.perf.parallel import parallel_explore
+from repro.perf.evalcache import EvalCache, fingerprint_batch
 from repro.workloads.catalog import application_names, get_application
 from repro.workloads.kernels import (
     KernelCategory,
@@ -251,18 +247,21 @@ class TestGridCache:
         cache = EvalCache()
         model = NodeModel()
         profiles = [get_application("CoMD"), get_application("SNAP")]
-        g1 = evaluate_grid_cached(model, profiles, DesignSpace(), cache=cache)
-        g2 = evaluate_grid_cached(model, profiles, DesignSpace(), cache=cache)
+        g1 = cache.evaluate_grid(model, profiles, DesignSpace())
+        g2 = cache.evaluate_grid(model, profiles, DesignSpace())
         assert g2 is g1
         assert (cache.stats().hits, cache.stats().misses) == (1, 1)
 
     def test_slab_is_its_own_entry_and_bit_identical(self):
+        # A CU sub-range of a space is a different space: its own cache
+        # entry, with exactly the whole grid's columns.
         cache = EvalCache()
         model = NodeModel()
         space = DesignSpace()
+        sub = dataclasses.replace(space, cu_counts=space.cu_counts[2:5])
         profiles = [get_application(n) for n in application_names()]
-        whole = evaluate_grid_cached(model, profiles, space, cache=cache)
-        slab = evaluate_grid_cached(model, profiles, space, 2, 5, cache=cache)
+        whole = cache.evaluate_grid(model, profiles, space)
+        slab = cache.evaluate_grid(model, profiles, sub)
         assert cache.stats().misses == 2
         per_cu = len(space.frequencies) * len(space.bandwidths)
         assert np.array_equal(
@@ -272,19 +271,12 @@ class TestGridCache:
             slab.power, whole.power[:, 2 * per_cu : 5 * per_cu]
         )
 
-    def test_empty_slab_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_grid_cached(
-                NodeModel(),
-                [get_application("CoMD")],
-                DesignSpace(),
-                3,
-                3,
-                cache=EvalCache(),
-            )
-
 
 class TestParallelSlabs:
+    """Grid composition along the CU axis: sub-range grids concatenate
+    to the whole grid bit for bit. The serving layer's union grids rely
+    on this (a point answers the same whatever grid it sits in)."""
+
     def _space(self):
         return DesignSpace(
             cu_counts=tuple(range(192, 385, 32)),
@@ -292,43 +284,24 @@ class TestParallelSlabs:
             bandwidths=(1e12, 3e12, 5e12, 7e12),
         )
 
-    def test_serial_fallback_matches_explore(self):
-        profiles = [get_application(n) for n in application_names()[:4]]
-        space = self._space()
-        serial = explore(profiles, space, cache=False, engine="point")
-        result = parallel_explore(profiles, space, n_chunks=3, pool=None)
-        assert result.best_mean_index == serial.best_mean_index
-        assert dict(result.per_app_best_index) == dict(
-            serial.per_app_best_index
-        )
-        for name in serial.performance:
-            np.testing.assert_allclose(
-                result.performance[name],
-                serial.performance[name],
-                rtol=1e-12,
-            )
-            assert np.array_equal(
-                result.feasible[name], serial.feasible[name]
-            )
-
     def test_slabs_bit_identical_to_whole_grid(self):
         profiles = [get_application(n) for n in application_names()]
         space = self._space()
-        grid = NodeModel().evaluate_grid(profiles, space)
-        result = parallel_explore(profiles, space, n_chunks=4, pool=None)
-        for i, name in enumerate(grid.names):
-            assert np.array_equal(result.performance[name], grid.performance[i])
-            assert np.array_equal(result.node_power[name], grid.power[i])
-
-    def test_metrics_snapshot_counts_slab_lookups(self):
-        profiles = [get_application(n) for n in application_names()[:4]]
-        space = self._space()
-        result, snap = parallel_explore(
-            profiles, space, n_chunks=2, pool=None, metrics=True
-        )
-        lookups = snap.counter("cache.eval.hits") + snap.counter(
-            "cache.eval.misses"
-        )
-        # n_blocks * n_slabs tasks, one cache lookup each.
-        assert lookups == 4
-        assert result.best_mean_index >= 0
+        model = NodeModel()
+        whole = model.evaluate_grid(profiles, space)
+        for cuts in [(2, 5), (1, 3, 6), (1, 2, 3, 4, 5, 6)]:
+            bounds = (0, *cuts, len(space.cu_counts))
+            parts = [
+                model.evaluate_grid(
+                    profiles,
+                    dataclasses.replace(
+                        space, cu_counts=space.cu_counts[lo:hi]
+                    ),
+                )
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            for field in ("performance", "power", "feasible"):
+                joined = np.concatenate(
+                    [getattr(p, field) for p in parts], axis=1
+                )
+                assert np.array_equal(joined, getattr(whole, field))

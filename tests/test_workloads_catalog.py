@@ -1,9 +1,13 @@
-"""The Table I application catalog."""
+"""The Table I application catalog (and Table II's published optima)."""
+
+import subprocess
+import sys
 
 import pytest
 
 from repro.workloads.catalog import (
     APPLICATIONS,
+    PAPER_TABLE2,
     application_names,
     get_application,
     iter_applications,
@@ -76,3 +80,21 @@ class TestAccessors:
             }
             assert app in PAPER_APPS
             assert description
+
+
+class TestTable2:
+    def test_keyed_by_catalog_names(self):
+        assert set(PAPER_TABLE2) == set(PAPER_APPS)
+
+    def test_experiment_registry_skips_the_optimizer(self):
+        # Table II lives next to Table I, so regenerating the artifacts
+        # never loads the calibration search's scipy.optimize.
+        code = (
+            "import sys, repro.experiments.registry; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

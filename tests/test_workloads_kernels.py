@@ -1,9 +1,17 @@
 """KernelProfile validation and helpers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.workloads.kernels import KernelCategory, KernelProfile
+from repro.workloads.kernels import (
+    KernelCategory,
+    KernelProfile,
+    ProfileBatch,
+)
+
+NUMERIC_FIELDS = ProfileBatch.field_names()
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 def make(**overrides) -> KernelProfile:
@@ -50,6 +58,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             make(compression_ratio=0.9)
         make(compression_ratio=1.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["flops", "bytes_per_flop", "thrash_pressure", "mlp_per_cu",
+         "compression_ratio", "footprint_bytes"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            make(**{field: value})
+
+    @given(
+        field=st.sampled_from(NUMERIC_FIELDS),
+        value=st.sampled_from(NON_FINITE),
+    )
+    def test_any_non_finite_numeric_field_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            make(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["flops", "bytes_per_flop", "compression_ratio"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_batch_rejects_non_finite_column(self, field, value):
+        batch = ProfileBatch.from_profiles([make()])
+        columns = {f: getattr(batch, f).copy() for f in NUMERIC_FIELDS}
+        columns[field][0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            ProfileBatch(names=batch.names, **columns)
+        assert np.isfinite(batch.flops).all()
 
 
 class TestDerived:

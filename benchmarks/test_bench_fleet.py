@@ -4,7 +4,7 @@ Times the two fleet sweep paths: the serial per-point estimate loop
 (the oracle and the contrast case) and a cold sharded pool run.
 Measured shard-scaling efficiency (cold 1-shard vs 2-shard wall clock)
 rides along in ``extra_info`` so the compacted benchmark JSON artifact
-records it per run. The bit-identity, task-count and balance
+records it per run. The bit-identity, task-count and restart
 assertions live in ``benchmarks/check_perf.py check_fleet``.
 """
 
@@ -36,8 +36,7 @@ def test_bench_fleet_cold_pool_scaling(benchmark):
     The timed section is the 2-shard cold run; one cold 1-shard run is
     measured outside the timer and the wall-clock scaling efficiency
     ``t1 / (2 * t2)`` is recorded in ``extra_info`` (reported, not
-    gated — CI wall clocks are noisy; the deterministic balance gate
-    lives in check_fleet).
+    gated — CI wall clocks are noisy).
     """
 
     def cold_run(shards):

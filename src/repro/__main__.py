@@ -5,7 +5,7 @@ Usage::
     python -m repro list                # show available experiments
     python -m repro fig8 table2        # run selected artifacts
     python -m repro all                 # run everything
-    python -m repro all --pool-shards 4 # ... across a sharded pool of
+    python -m repro all --pool-shards 4 # ... across a pool of
                                         # 4 worker processes
     python -m repro all --metrics-out manifest.json --trace-out trace.json
                                         # ... plus a run manifest and a
@@ -18,7 +18,7 @@ Usage::
                                         # pool round-trips
     python -m repro serve --serve-rate 500 --serve-requests 400
                                         # open-loop tail-latency run
-    python -m repro fleet               # fleet benchmark: sharded
+    python -m repro fleet               # fleet benchmark: pooled
                                         # multi-node CU sweep vs the
                                         # serial estimate loop
     python -m repro fleet --fleet-nodes 5000 --fleet-groups 8
@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "experiment ids (see 'list'), or 'all', 'list', 'serve' "
             "(run the serving-layer benchmark), 'fleet' (run the "
-            "sharded multi-node fleet benchmark), or 'thermal-loop' "
+            "pooled multi-node fleet benchmark), or 'thermal-loop' "
             "(run the transient thermal closed-loop benchmark)"
         ),
     )
@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         default=0,
         help=(
-            "fan the experiments across a sharded worker pool of N "
+            "fan the experiments across a worker pool of N "
             "processes (default 0: serial in-process); also sizes the "
             "'serve' and 'fleet' benchmark pools (default 2)"
         ),

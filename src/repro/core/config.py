@@ -37,6 +37,16 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _cu_tuple(cu_counts) -> tuple[int, ...]:
+    """*cu_counts* as Python ints; ``ValueError`` on any count that is
+    not a real integer, so 256.7 is never truncated to 256."""
+    counts = tuple(cu_counts)
+    for n in counts:
+        if not _is_int(n):
+            raise ValueError(f"CU counts must be integers, got {n!r}")
+    return tuple(int(n) for n in counts)
+
+
 @dataclass(frozen=True)
 class EHPConfig:
     """One EHP design point.
@@ -58,13 +68,9 @@ class EHPConfig:
     max_cus: int = 384
 
     def __post_init__(self) -> None:
-        if self.n_cus <= 0:
-            raise ValueError("n_cus must be positive")
-        if self.n_cus > self.max_cus:
-            raise ValueError(
-                f"n_cus={self.n_cus} exceeds the package area budget of "
-                f"{self.max_cus} CUs (Section VI)"
-            )
+        if self.n_gpu_chiplets <= 0 or self.n_cpu_chiplets <= 0:
+            raise ValueError("chiplet counts must be positive")
+        self.check_cu_count(self.n_cus)
         if not (
             _finite_positive(self.gpu_freq)
             and _finite_positive(self.bandwidth)
@@ -72,11 +78,23 @@ class EHPConfig:
             raise ValueError(
                 "gpu_freq and bandwidth must be finite and positive"
             )
-        if self.n_gpu_chiplets <= 0 or self.n_cpu_chiplets <= 0:
-            raise ValueError("chiplet counts must be positive")
-        if self.n_cus % self.n_gpu_chiplets != 0:
+
+    def check_cu_count(self, n_cus) -> None:
+        """Raise ``ValueError`` unless *n_cus* fits this organization: a
+        positive integer within the area budget that divides evenly
+        across the GPU chiplets."""
+        if not _is_int(n_cus) or n_cus <= 0:
             raise ValueError(
-                f"n_cus={self.n_cus} must divide evenly across "
+                f"n_cus must be a positive integer, got {n_cus!r}"
+            )
+        if n_cus > self.max_cus:
+            raise ValueError(
+                f"n_cus={n_cus} exceeds the package area budget of "
+                f"{self.max_cus} CUs (Section VI)"
+            )
+        if n_cus % self.n_gpu_chiplets != 0:
+            raise ValueError(
+                f"n_cus={n_cus} must divide evenly across "
                 f"{self.n_gpu_chiplets} GPU chiplets"
             )
 
@@ -175,8 +193,8 @@ class DesignSpace:
             )
         if not _finite_positive(self.power_budget):
             raise ValueError("power_budget must be finite and positive")
-        if any(c > self.base_config.max_cus for c in self.cu_counts):
-            raise ValueError("cu_counts exceed the area budget")
+        for n_cus in self.cu_counts:
+            self.base_config.check_cu_count(n_cus)
 
     @property
     def size(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import DesignSpace, EHPConfig
+from repro.core.config import DesignSpace, EHPConfig, _cu_tuple
 from repro.core.node import NodeModel
 from repro.util.units import MW
 from repro.workloads.kernels import KernelProfile
@@ -122,7 +122,7 @@ class ExascaleSystem:
         )
         # Validate every count through EHPConfig regardless of engine,
         # so the grid path rejects exactly what the oracle loop would.
-        configs = [config.with_axes(n_cus=int(n)) for n in cu_counts]
+        configs = [config.with_axes(n_cus=n) for n in _cu_tuple(cu_counts)]
         if engine == "point":
             return [self.estimate(profile, c) for c in configs]
 

@@ -1,4 +1,4 @@
-"""Multi-node fleet simulation: inter-APU links + sharded sweeps.
+"""Multi-node fleet simulation: inter-APU links + pooled sweeps.
 
 The paper's Section V-F roll-up multiplies one node by 100,000. This
 package grows that into a fleet simulation:

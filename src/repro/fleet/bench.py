@@ -1,8 +1,8 @@
-"""Fleet benchmark: sharded sweep vs serial oracle on one fleet.
+"""Fleet benchmark: pooled sweep vs serial oracle on one fleet.
 
 Measures the serial per-point estimate loop against one cold sweep on
-a fresh sharded pool, plus the pool's task spread and balance — and
-verifies the sharded result is bit-identical to the oracle before
+a fresh pool, plus the number of tasks the sweep sent the pool — and
+verifies the pooled result is bit-identical to the oracle before
 reporting any number. ``python -m repro fleet`` routes here.
 """
 
@@ -54,8 +54,7 @@ class FleetBenchReport:
     serial_s: float
     cold_s: float
     identical: bool
-    shard_task_counts: list[int]
-    assignment_balance: float
+    pool_tasks: int
     result: FleetSweepResult | None = None
     extra: dict = field(default_factory=dict)
 
@@ -64,8 +63,7 @@ class FleetBenchReport:
             k: getattr(self, k)
             for k in (
                 "n_nodes", "n_groups", "n_series", "n_points",
-                "serial_s", "cold_s", "identical", "shard_task_counts",
-                "assignment_balance",
+                "serial_s", "cold_s", "identical", "pool_tasks",
             )
         }
         if self.result is not None:
@@ -84,11 +82,10 @@ class FleetBenchReport:
             f"  fleet         {self.n_nodes} nodes / {self.n_groups} "
             f"groups, {self.n_series} series x {self.n_points} CU points",
             f"  serial        {self.serial_s * 1e3:.1f} ms",
-            f"  sharded cold  {self.cold_s * 1e3:.1f} ms",
+            f"  pooled cold   {self.cold_s * 1e3:.1f} ms",
             f"  identity      "
             f"{'bit-identical' if self.identical else 'DIVERGED'}",
-            f"  shards        tasks {self.shard_task_counts}, "
-            f"balance {self.assignment_balance:.2f}",
+            f"  pool          {self.pool_tasks} tasks",
         ]
         if self.result is not None:
             lines.append(f"  {self.result.summary()}")
@@ -112,9 +109,7 @@ def run_fleet_bench(
     spec = spec or synthetic_fleet(
         n_nodes=n_nodes, n_groups=n_groups, seed=seed
     )
-    cu_list = tuple(
-        int(n) for n in (cu_counts or range(192, 385, 16))
-    )
+    cu_list = tuple(cu_counts or range(192, 385, 16))
     model = model or NodeModel()
 
     t0 = time.perf_counter()
@@ -122,6 +117,7 @@ def run_fleet_bench(
     serial_s = time.perf_counter() - t0
 
     with ShardedPool(shards) as pool:
+        tasks_before = pool.stats().tasks
         t0 = time.perf_counter()
         cold = fleet_sweep(spec, cu_list, model, pool=pool)
         cold_s = time.perf_counter() - t0
@@ -133,8 +129,7 @@ def run_fleet_bench(
             serial_s=serial_s,
             cold_s=cold_s,
             identical=identical_results(oracle, cold),
-            shard_task_counts=pool.last_shard_task_counts(),
-            assignment_balance=pool.assignment_balance(),
+            pool_tasks=pool.stats().tasks - tasks_before,
             result=cold,
             extra={"manifest": fleet_manifest(cold, pool=pool)},
         )

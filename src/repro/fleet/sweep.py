@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import _cu_tuple
 from repro.core.exascale import ExascaleSystem
 from repro.core.node import NodeModel
 from repro.fleet.link import LinkTierParams, derate_model
@@ -176,7 +177,7 @@ def fleet_sweep_serial(
 ) -> FleetSweepResult:
     """The oracle: every series swept in-process, in spec order."""
     model = model or NodeModel()
-    cu_list = tuple(int(n) for n in cu_counts)
+    cu_list = _cu_tuple(cu_counts)
     per = {
         (group.name, profile.name): _sweep_series(
             group, profile, model, spec.link, cu_list
@@ -196,14 +197,14 @@ def fleet_sweep(
 ) -> FleetSweepResult:
     """Sweep the fleet's CU axis; bit-identical to the serial oracle.
 
-    With *pool*, every ``(group, profile)`` series is one unkeyed
-    :class:`~repro.perf.pool.PoolTask` (dealt round-robin across the
-    workers) running the oracle's own series function; the parent
-    rolls the curves up in spec order. ``pool=None`` returns
-    :func:`fleet_sweep_serial`.
+    With *pool*, every ``(group, profile)`` series is one
+    :class:`~repro.perf.pool.PoolTask` running the oracle's own series
+    function, taken from the pool's queue by whichever worker is idle
+    next; the parent rolls the curves up in spec order. ``pool=None``
+    returns :func:`fleet_sweep_serial`.
     """
     model = model or NodeModel()
-    cu_list = tuple(int(n) for n in cu_counts)
+    cu_list = _cu_tuple(cu_counts)
     if not cu_list:
         raise ValueError("cu_counts must be non-empty")
     if pool is None:
@@ -236,8 +237,7 @@ def fleet_manifest(
     """JSON-ready manifest section for one fleet sweep.
 
     Merges the run's structure (groups, node counts, best point) with
-    the pool's shard-level health: the initial task spread and the
-    balance efficiency ``check_fleet`` gates on.
+    the pool's worker count.
     """
     spec = result.spec
     section: dict = {
@@ -269,9 +269,5 @@ def fleet_manifest(
     if wall_time is not None:
         section["wall_time_s"] = wall_time
     if pool is not None:
-        section["pool"] = {
-            "n_shards": pool.n_shards,
-            "shard_task_counts": pool.last_shard_task_counts(),
-            "assignment_balance": pool.assignment_balance(),
-        }
+        section["pool"] = {"n_shards": pool.n_shards}
     return section

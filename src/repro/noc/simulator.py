@@ -20,11 +20,13 @@ column arrays without building a ``SimMessage`` per message.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.config import _finite_positive
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.noc.routing import route
@@ -43,10 +45,10 @@ class SimMessage:
     inject_time: float
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        if self.inject_time < 0:
-            raise ValueError("inject_time must be non-negative")
+        if not _finite_positive(self.size_bytes):
+            raise ValueError("size_bytes must be finite and positive")
+        if not 0 <= self.inject_time < math.inf:
+            raise ValueError("inject_time must be finite and non-negative")
 
 
 @dataclass
@@ -129,8 +131,8 @@ class NocSimulator:
         topology: EHPTopology | None = None,
         link_bandwidth: float = 512.0e9,
     ):
-        if link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
+        if not _finite_positive(link_bandwidth):
+            raise ValueError("link_bandwidth must be finite and positive")
         self.topology = topology or EHPTopology()
         self.link_bandwidth = link_bandwidth
         self._route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -213,10 +215,10 @@ class NocSimulator:
                 SimResult(delivered=0, makespan=0.0, total_bytes=0.0,
                           link_bandwidth=self.link_bandwidth)
             )
-        if np.any(sizes <= 0):
-            raise ValueError("size_bytes must be positive")
-        if np.any(times < 0):
-            raise ValueError("inject_time must be non-negative")
+        if not (np.isfinite(sizes).all() and (sizes > 0).all()):
+            raise ValueError("size_bytes must be finite and positive")
+        if not (np.isfinite(times).all() and (times >= 0).all()):
+            raise ValueError("inject_time must be finite and non-negative")
         return self._run(srcs, dsts, sizes.tolist(), times.tolist())
 
     # ------------------------------------------------------------------

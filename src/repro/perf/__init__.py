@@ -7,9 +7,8 @@
   (sim config, trace, engine) simulation is computed once per process
   no matter how many drivers ask for it.
 * :mod:`repro.perf.pool` — a persistent :class:`ShardedPool` of worker
-  processes with cache-affinity scheduling, the program's one fan-out:
-  workers are spawned once and reused across calls, and stable shard
-  routing sends a repeated task to the worker that already ran it.
+  processes fed from one FIFO task queue, the program's one fan-out:
+  workers are spawned once and reused across calls.
 * :mod:`repro.perf.parallel` — the experiment runner: one task per
   artifact, run on a caller's ``pool=`` :class:`ShardedPool`, or
   in-process without one.
@@ -35,12 +34,7 @@ from repro.perf.evalcache import (
     default_sim_cache,
     simulate_trace_cached,
 )
-from repro.perf.pool import (
-    PoolStats,
-    PoolTask,
-    ShardedPool,
-    stable_shard,
-)
+from repro.perf.pool import PoolStats, PoolTask, ShardedPool
 
 __all__ = [
     "CacheStats",
@@ -54,5 +48,4 @@ __all__ = [
     "default_cache",
     "default_sim_cache",
     "simulate_trace_cached",
-    "stable_shard",
 ]

@@ -56,10 +56,9 @@ def run_experiments(
         Artifact names from the registry; ``None`` means all of them.
     pool:
         A persistent :class:`~repro.perf.pool.ShardedPool` to fan the
-        experiments across; each one is routed by
-        ``shard_key=("experiment", name)``, so repeated runs keep
-        hitting the same warmed worker. ``None`` runs them serially in
-        this process, sharing its evaluation caches.
+        experiments across, one task each, taken by whichever worker
+        is idle next. ``None`` runs them serially in this process,
+        sharing its evaluation caches.
     metrics_out:
         Optional path; writes a run manifest (git revision, engine
         choices, cache counters, wall times, metrics snapshot) after
@@ -89,7 +88,6 @@ def run_experiments(
         PoolTask(
             fn=_run_one,
             args=(name,),
-            shard_key=("experiment", name),
             label=f"experiment.{name}",
         )
         for name in ordered

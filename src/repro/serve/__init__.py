@@ -1,4 +1,4 @@
-"""Asyncio serving front-end over the tensor engine and sharded pool.
+"""Asyncio serving front-end over the tensor engine and worker pool.
 
 See :mod:`repro.serve.service` for the architecture. Quick start::
 

@@ -223,14 +223,12 @@ def naive_baseline_rps(
             task = PoolTask(
                 fn=_naive_eval_grid,
                 args=(model, [req.profile], req.to_space()),
-                shard_key=("naive", req.profile.name),
                 label="naive-point",
             )
         elif isinstance(req, SweepRequest):
             task = PoolTask(
                 fn=_naive_eval_grid,
                 args=(model, list(req.profiles), req.space),
-                shard_key=("naive", req.profiles[0].name),
                 label="naive-sweep",
             )
         else:

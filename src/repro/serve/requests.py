@@ -28,12 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.core.config import (
-    DesignSpace,
-    EHPConfig,
-    _finite_positive,
-    _is_int,
-)
+from repro.core.config import DesignSpace, EHPConfig, _finite_positive
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
@@ -107,12 +102,7 @@ class PointRequest:
         # Checked here, not when the batch runs: every point of a batch
         # is merged into one union grid, so one bad point would fail
         # all of its batch-mates.
-        max_cus = EHPConfig().max_cus
-        if not (_is_int(self.n_cus) and 0 < self.n_cus <= max_cus):
-            raise ValueError(
-                f"n_cus must be an integer in [1, {max_cus}], "
-                f"got {self.n_cus!r}"
-            )
+        EHPConfig().check_cu_count(self.n_cus)
         for name in ("gpu_freq", "bandwidth", "power_budget"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(

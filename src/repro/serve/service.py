@@ -22,7 +22,7 @@ paths, cheapest first:
 
 Experiments and trace simulations run **solo**: one
 :class:`~repro.perf.pool.ShardedPool` task each when the service has a
-pool, else in-process.
+pool (the pool's next idle worker takes it), else in-process.
 
 Every path produces **bit-identical** answers to a direct serial
 ``evaluate_grid``/``explore`` call on the same request, because every
@@ -804,10 +804,8 @@ class EvalService:
             req = ticket.request
             if isinstance(req, ExperimentRequest):
                 fn, args = _serve_run_experiment, (req.name,)
-                shard_key = ("serve-exp", req.name)
             elif isinstance(req, SimulateRequest):
                 fn, args = _serve_simulate, (req.trace, req.config, req.engine)
-                shard_key = ("serve-sim", ticket.seq)
             else:
                 results[ticket.seq] = (
                     FAILED,
@@ -819,8 +817,7 @@ class EvalService:
             if self.pool is not None:
                 tasks.append(
                     PoolTask(
-                        fn=fn, args=args, shard_key=shard_key,
-                        label=f"serve-solo-{ticket.seq}",
+                        fn=fn, args=args, label=f"serve-solo-{ticket.seq}"
                     )
                 )
                 task_tickets.append(ticket)
@@ -897,7 +894,8 @@ class EvalService:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Live serve counters plus the pool's restart count."""
+        """Live serve counters plus the pool's task and restart
+        counts."""
         out = dict(self.core.stats)
         out["queue_depth"] = self.core.depth()
         out["inflight"] = self.core.inflight()
@@ -907,7 +905,6 @@ class EvalService:
             pool_stats = self.pool.stats()
             out["pool_worker_restarts"] = pool_stats.worker_restarts
             out["pool_tasks"] = pool_stats.tasks
-            out["pool_steals"] = pool_stats.steals
         out["slo"] = self.slo.health()
         return out
 

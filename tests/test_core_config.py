@@ -51,6 +51,11 @@ class TestEHPConfig:
         with pytest.raises(ValueError):
             PAPER_BEST_MEAN.with_axes(n_cus=999)
 
+    def test_float_n_cus_rejected(self):
+        # 256.0 divides evenly but is not an integer CU count.
+        with pytest.raises(ValueError, match="integer"):
+            EHPConfig(n_cus=256.0)
+
     @pytest.mark.parametrize("axis", ["gpu_freq", "bandwidth"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_or_zero_axis_rejected(self, axis, value):
@@ -127,6 +132,15 @@ class TestDesignSpace:
     def test_area_budget_checked(self):
         with pytest.raises(ValueError):
             DesignSpace(cu_counts=(448,))
+
+    @pytest.mark.parametrize(
+        "n_cus", [math.nan, 256.5, 256.0, 100, 0, -8, True]
+    )
+    def test_cu_counts_follow_ehpconfig_rules(self, n_cus):
+        # NaN would evaluate NaN performance, 256.5 a fractional CU
+        # count, and 100 an optimum EHPConfig cannot build (8 chiplets).
+        with pytest.raises(ValueError, match="n_cus"):
+            DesignSpace(cu_counts=(256, n_cus))
 
     @pytest.mark.parametrize("axis", ["frequencies", "bandwidths"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])

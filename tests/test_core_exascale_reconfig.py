@@ -113,6 +113,15 @@ class TestExascaleSystem:
                 get_application("MaxFlops"), (321,), engine="grid"
             )
 
+    @pytest.mark.parametrize("engine", ["grid", "point"])
+    @pytest.mark.parametrize("n_cus", [256.7, 256.0])
+    def test_cu_sweep_rejects_non_integer_counts(self, engine, n_cus):
+        # Never truncated: 256.7 must not silently become 256.
+        with pytest.raises(ValueError, match="integer"):
+            ExascaleSystem().cu_sweep(
+                get_application("MaxFlops"), (192, n_cus), engine=engine
+            )
+
 
 class TestOracleReconfigurator:
     def test_decisions_match_dse(self, small_space):

@@ -211,6 +211,17 @@ class TestFleetSpec:
 # Fleet sweeps
 # ----------------------------------------------------------------------
 class TestFleetSweep:
+    @pytest.mark.parametrize("n_cus", [256.7, 256.0])
+    def test_non_integer_cu_counts_rejected(self, n_cus):
+        # Never truncated: 256.7 must not silently become 256.
+        spec = small_fleet()
+        with pytest.raises(ValueError, match="integer"):
+            fleet_sweep_serial(spec, (192, n_cus))
+        with ShardedPool(n_shards=1) as pool:
+            with pytest.raises(ValueError, match="integer"):
+                fleet_sweep(spec, (192, n_cus), pool=pool)
+            assert pool.stats().tasks == 0
+
     def test_inprocess_matches_serial(self):
         spec = small_fleet()
         serial = fleet_sweep_serial(spec, CUS)
@@ -284,14 +295,15 @@ class TestFleetSweep:
             cold = fleet_sweep(spec, CUS, pool=pool)
             assert identical_results(serial, cold)
             # One task per (group, profile) series.
-            assert sum(pool.last_shard_task_counts()) == spec.n_series
+            assert pool.stats().tasks == spec.n_series
             warm = fleet_sweep(spec, CUS, pool=pool)
             assert identical_results(serial, warm)
             pool.kill_worker(0)
+            before = pool.stats().tasks
             again = fleet_sweep(spec, CUS, pool=pool)
             assert identical_results(serial, again)
             assert pool.stats().worker_restarts >= 1
-            assert sum(pool.last_shard_task_counts()) == spec.n_series
+            assert pool.stats().tasks - before == spec.n_series
 
     def test_manifest_section(self):
         spec = small_fleet()
@@ -372,7 +384,8 @@ class TestFleetBench:
         assert d["best"]["cu"] in (256, 320)
         assert "fleet bench:" in report.render()
         # One pool task per (group, profile) series.
-        assert sum(report.shard_task_counts) == report.n_series
+        assert report.pool_tasks == report.n_series
+        assert d["pool_tasks"] == report.n_series
 
     def test_profile_catalog_covers_fleet(self):
         # synthetic_fleet draws from the live catalog by default.

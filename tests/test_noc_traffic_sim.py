@@ -1,5 +1,7 @@
 """Traffic matrices and the event-driven NoC simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,13 @@ class TestChipletTrafficSummary:
             assert s.perf_vs_monolithic <= 1.0 + 1e-9
 
 
+# NaN/inf sizes or injection times: each gave a NaN latency, an
+# infinite makespan, or an error only after the run had finished.
+NON_FINITE_MESSAGES = [
+    (math.nan, 0.0), (math.inf, 0.0), (64.0, math.nan), (64.0, math.inf),
+]
+
+
 class TestNocSimulator:
     def test_empty_run(self):
         res = NocSimulator().run([])
@@ -127,6 +136,21 @@ class TestNocSimulator:
             SimMessage("a", "b", 0.0, 0.0)
         with pytest.raises(ValueError):
             SimMessage("a", "b", 64.0, -1.0)
+
+    @pytest.mark.parametrize("size, inject", NON_FINITE_MESSAGES)
+    def test_message_rejects_non_finite(self, size, inject):
+        with pytest.raises(ValueError, match="finite"):
+            SimMessage("gpu0", "dram0", size, inject)
+
+    @pytest.mark.parametrize("size, inject", NON_FINITE_MESSAGES)
+    def test_run_batch_rejects_non_finite_before_running(self, size, inject):
+        with pytest.raises(ValueError, match="finite"):
+            NocSimulator().run_batch(["gpu0"], ["dram0"], size, inject)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_simulator_rejects_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="finite"):
+            NocSimulator(link_bandwidth=bandwidth)
 
     def test_p99_at_least_mean(self):
         sim = NocSimulator()

@@ -639,15 +639,10 @@ class TestParallelMetrics:
             sizes = pool.run(
                 [PoolTask(fn=_eval_dse_grid, args=(n,)) for n in names]
             )
-            shards = pool.shard_snapshots()
             merged = pool.merged_snapshot()
         assert sizes == [DesignSpace().size] * len(names)
         # One cache.eval lookup per task; fresh worker caches mean every
-        # lookup is a hit or a miss, never dropped.
-        for counter in ("cache.eval.hits", "cache.eval.misses"):
-            assert merged.counter(counter) == sum(
-                snap.counter(counter) for snap in shards
-            )
+        # lookup is merged as a hit or a miss, never dropped.
         total = merged.counter("cache.eval.hits") + merged.counter(
             "cache.eval.misses"
         )

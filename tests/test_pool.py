@@ -1,11 +1,11 @@
-"""The persistent sharded worker pool (``repro.perf.pool``).
+"""The persistent worker pool (``repro.perf.pool``).
 
-Covers the scheduling contract (stable shard routing, round-robin
-placement of unkeyed tasks, stealing only from a backlog), fault
-tolerance (task errors, worker death and respawn), the observability
-bridges (merged worker metrics deltas, republished memory gauges,
-worker-side spans), and bit-identity of the pooled experiment fan-out
-against its serial counterpart.
+Covers the scheduling contract (one FIFO queue: an idle worker takes
+the next task while another is busy), fault tolerance (task errors,
+worker death and respawn), the observability bridges (merged worker
+metrics deltas, republished memory gauges, worker-side spans), and
+bit-identity of the pooled experiment fan-out against its serial
+counterpart.
 """
 
 import os
@@ -19,7 +19,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.perf.evalcache import clear_cache, default_cache
 from repro.perf.parallel import run_experiments
-from repro.perf.pool import PoolTask, ShardedPool, stable_shard
+from repro.perf.pool import PoolTask, ShardedPool
 from repro.workloads.catalog import get_application
 
 
@@ -30,8 +30,9 @@ def _square(x):
     return x * x
 
 
-def _whoami(_tag=None):
-    return os.getpid()
+def _tagged_pid(tag, sleep_s=0.0):
+    time.sleep(sleep_s)
+    return tag, os.getpid()
 
 
 def _boom():
@@ -63,9 +64,9 @@ def _die_once(sentinel_path):
     return "survived"
 
 
-def _new_pool(n_shards=2, **kwargs):
+def _new_pool(n_shards=2):
     try:
-        return ShardedPool(n_shards, **kwargs)
+        return ShardedPool(n_shards)
     except (OSError, PermissionError) as exc:  # pragma: no cover
         pytest.skip(f"cannot spawn worker processes: {exc}")
 
@@ -77,18 +78,6 @@ def pool():
     p = _new_pool(2)
     yield p
     p.shutdown()
-
-
-class TestStableShard:
-    def test_deterministic_and_in_range(self):
-        for key in [("CoMD", 0), ("CoMD", 1), "x", 42, (1, 2, 3)]:
-            first = stable_shard(key, 4)
-            assert first == stable_shard(key, 4)
-            assert 0 <= first < 4
-
-    def test_spreads_keys(self):
-        shards = {stable_shard(("profile", i), 4) for i in range(64)}
-        assert shards == {0, 1, 2, 3}
 
 
 class TestShardedPoolBasics:
@@ -106,48 +95,29 @@ class TestShardedPoolBasics:
             p.run([PoolTask(fn=_square, args=(1,))])
         p.shutdown()  # idempotent
 
+    @pytest.mark.parametrize("n_shards", [2.5, 2.0, True])
+    def test_worker_count_must_be_real_integer(self, n_shards):
+        with pytest.raises(ValueError, match="positive integer"):
+            ShardedPool(n_shards)
+
     def test_task_counter_advances(self, pool):
         before = pool.stats().tasks
         pool.run([PoolTask(fn=_square, args=(i,)) for i in range(5)])
         assert pool.stats().tasks == before + 5
 
 
-class TestScheduling:
-    def test_affinity_pins_key_to_worker_across_runs(self, pool):
-        tasks = [
-            PoolTask(fn=_whoami, args=(i,), shard_key=("pin", i % 4))
-            for i in range(8)
+class TestQueue:
+    def test_idle_worker_takes_queued_tasks(self, pool):
+        # Task 0 keeps one worker busy; the other worker takes every
+        # queued task in turn instead of waiting behind it.
+        tasks = [PoolTask(fn=_tagged_pid, args=(0, 0.5))] + [
+            PoolTask(fn=_tagged_pid, args=(i,)) for i in range(1, 12)
         ]
-        # batch_size covers each worker's whole queue: no stealing, so
-        # routing alone decides placement.
-        first = pool.run(tasks, batch_size=len(tasks))
-        second = pool.run(tasks, batch_size=len(tasks))
-        # Same shard_key -> same worker pid, within and across runs.
-        for run in (first, second):
-            by_key = {}
-            for task, pid in zip(tasks, run):
-                by_key.setdefault(task.shard_key, set()).add(pid)
-            assert all(len(pids) == 1 for pids in by_key.values())
-        for task_idx in range(8):
-            assert first[task_idx] == second[task_idx]
-
-    def test_unkeyed_tasks_dealt_round_robin(self, pool):
-        pool.run([PoolTask(fn=_square, args=(i,)) for i in range(5)])
-        assert pool.last_shard_task_counts() == [3, 2]
-
-    def test_idle_worker_steals_from_backlog(self, pool):
-        # Craft keys that all hash to shard 0: worker 1 starts idle and
-        # must steal (its own queue is empty, the other has a backlog).
-        key = next(
-            ("hot", i) for i in range(64) if pool.shard_for(("hot", i)) == 0
-        )
-        before = pool.stats().steals
-        pids = pool.run(
-            [PoolTask(fn=_whoami, args=(i,), shard_key=key) for i in range(12)],
-            batch_size=1,
-        )
-        assert pool.stats().steals > before
+        out = pool.run(tasks)
+        assert [tag for tag, _ in out] == list(range(12))
+        pids = [pid for _, pid in out]
         assert len(set(pids)) == 2
+        assert pids[0] not in pids[1:]
 
 
 class TestFaultTolerance:
@@ -231,28 +201,22 @@ class TestObservabilityBridges:
         # Forked workers inherit the parent's caches: start them cold.
         clear_cache()
         tasks = [
-            PoolTask(
-                fn=_cached_grid_points, args=(name, n_cus),
-                shard_key=(name, n_cus),
-            )
+            PoolTask(fn=_cached_grid_points, args=(name, n_cus))
             for name in ("CoMD", "MaxFlops")
             for n_cus in (192, 256, 320)
         ]
-        # Whole-queue batches keep the repeat run steal-free, so every
-        # repeated lookup lands on the worker that computed it.
-        with _new_pool(2, batch_size=len(tasks)) as p:
+        with _new_pool(2) as p:
             assert p.run(tasks) == [1] * len(tasks)
             p.run(tasks)
-            shards = p.shard_snapshots()
             merged = p.merged_snapshot()
-            # Each worker missed once per key, then hit once per key.
-            assert p.shard_cache_hit_rates() == [0.5, 0.5]
-        for name in ("cache.eval.hits", "cache.eval.misses"):
-            assert merged.counter(name) == sum(
-                snap.counter(name) for snap in shards
-            )
-        assert merged.counter("cache.eval.misses") == len(tasks)
-        assert merged.counter("cache.eval.hits") == len(tasks)
+        # One cache.eval lookup per task on either worker: every one
+        # of the two runs' lookups is merged as a hit or a miss.
+        lookups = merged.counter("cache.eval.hits") + merged.counter(
+            "cache.eval.misses"
+        )
+        assert lookups == 2 * len(tasks)
+        # The first run's distinct keys all miss on cold caches.
+        assert merged.counter("cache.eval.misses") >= len(tasks)
 
     def test_worker_memory_gauges_republished(self):
         with _new_pool(2) as p:

@@ -6,12 +6,16 @@ model's positivity and scaling, and the data-structure substrates'
 behavioural contracts.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.config import EHPConfig
+from repro.core.config import DesignSpace, EHPConfig
 from repro.core.node import NodeModel
+from repro.fleet.link import LinkTierParams
+from repro.fleet.spec import FleetGroup, FleetSpec
 from repro.memsys.dramcache import DramCache
 from repro.memsys.interleave import AddressInterleaver
 from repro.memsys.rowbuffer import RowBufferSim
@@ -416,3 +420,87 @@ class TestMemsysEngineProperties:
             assert a.resident_pages <= a.capacity_pages
         assert a.placement == b.placement
         assert a.total_migrated == b.total_migrated
+
+
+# ----------------------------------------------------------------------
+# Public constructors reject bad fields with a clean ValueError
+# ----------------------------------------------------------------------
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# Every float (NaN and 256.0 included) and every bool is a bad count.
+_NOT_INT = st.one_of(st.floats(), st.booleans())
+_BAD_POSITIVE = st.one_of(_NON_FINITE, st.floats(max_value=0.0))
+_BAD_NON_NEGATIVE = st.one_of(
+    _NON_FINITE, st.floats(max_value=0.0, exclude_max=True)
+)
+_BAD_COUNT = st.one_of(_NOT_INT, st.integers(max_value=0))
+_BAD_NON_NEGATIVE_COUNT = st.one_of(_NOT_INT, st.integers(max_value=-1))
+_BAD_CU = st.one_of(
+    _NOT_INT,
+    st.integers(max_value=0),
+    st.integers(min_value=385),
+    st.integers(min_value=1, max_value=384).filter(lambda n: n % 8),
+)
+
+
+def _fleet(**group_fields):
+    profile = KernelProfile(
+        name="k", category=KernelCategory.BALANCED, description="fuzz",
+        flops=1e12, bytes_per_flop=0.5,
+    )
+    budget = group_fields.pop("power_budget_mw", 20.0)
+    group = FleetGroup("g", profiles=(profile,), **group_fields)
+    return FleetSpec((group,), power_budget_mw=budget)
+
+
+# constructor field -> (build from one bad value, bad-value strategy)
+_BAD_FIELDS = {
+    "DesignSpace.cu_counts": (
+        lambda v: DesignSpace(cu_counts=(256, v)), _BAD_CU),
+    "DesignSpace.frequencies": (
+        lambda v: DesignSpace(frequencies=(1e9, v)), _BAD_POSITIVE),
+    "DesignSpace.bandwidths": (
+        lambda v: DesignSpace(bandwidths=(3e12, v)), _BAD_POSITIVE),
+    "DesignSpace.power_budget": (
+        lambda v: DesignSpace(power_budget=v), _BAD_POSITIVE),
+    "FleetSpec.power_budget_mw": (
+        lambda v: _fleet(power_budget_mw=v), _BAD_POSITIVE),
+    "FleetGroup.n_nodes": (lambda v: _fleet(n_nodes=v), _BAD_COUNT),
+    "FleetGroup.concurrent_kernels": (
+        lambda v: _fleet(concurrent_kernels=v), _BAD_COUNT),
+    "FleetGroup.config.n_cus": (
+        lambda v: _fleet(config=EHPConfig(n_cus=v)), _BAD_CU),
+    "LinkTierParams.n_links": (
+        lambda v: LinkTierParams(n_links=v), _BAD_COUNT),
+    "LinkTierParams.link_bandwidth": (
+        lambda v: LinkTierParams(link_bandwidth=v), _BAD_POSITIVE),
+    "LinkTierParams.downlink_fraction": (
+        lambda v: LinkTierParams(downlink_fraction=v),
+        st.one_of(_BAD_POSITIVE, st.floats(min_value=1.0))),
+    "LinkTierParams.protocol_efficiency": (
+        lambda v: LinkTierParams(protocol_efficiency=v),
+        st.one_of(
+            _BAD_POSITIVE, st.floats(min_value=1.0, exclude_min=True)
+        )),
+    "LinkTierParams.link_latency": (
+        lambda v: LinkTierParams(link_latency=v), _BAD_NON_NEGATIVE),
+    "LinkTierParams.hops": (
+        lambda v: LinkTierParams(hops=v), _BAD_NON_NEGATIVE_COUNT),
+    "LinkTierParams.arbitration_overhead": (
+        lambda v: LinkTierParams(arbitration_overhead=v),
+        _BAD_NON_NEGATIVE),
+    "LinkTierParams.contention_kappa": (
+        lambda v: LinkTierParams(contention_kappa=v), _BAD_NON_NEGATIVE),
+    "LinkTierParams.contention_exponent": (
+        lambda v: LinkTierParams(contention_exponent=v),
+        _BAD_NON_NEGATIVE_COUNT),
+}
+
+
+class TestConstructorValidation:
+    @given(st.data(), st.sampled_from(sorted(_BAD_FIELDS)))
+    @settings(max_examples=300, deadline=None)
+    def test_bad_field_raises_value_error(self, data, field):
+        build, bad_values = _BAD_FIELDS[field]
+        value = data.draw(bad_values, label=field)
+        with pytest.raises(ValueError):
+            build(value)

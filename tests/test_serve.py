@@ -53,9 +53,9 @@ from serve_harness import BatchCostModel, FakeClock, ServeHarness, run_trace
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _new_pool(n_shards=2, **kwargs):
+def _new_pool(n_shards=2):
     try:
-        return ShardedPool(n_shards, **kwargs)
+        return ShardedPool(n_shards)
     except (OSError, PermissionError) as exc:  # pragma: no cover
         pytest.skip(f"cannot spawn worker processes: {exc}")
 
@@ -1167,6 +1167,7 @@ class TestRequestTypes:
             {"bandwidth": -3.0e12},
             {"power_budget": float("nan")},
             {"power_budget": 0.0},
+            {"n_cus": 100},  # does not divide across 8 GPU chiplets
         ],
     )
     def test_point_rejects_malformed_values(self, maxflops, bad):

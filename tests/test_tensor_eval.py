@@ -67,11 +67,14 @@ def _draw_profile(draw, idx: int) -> KernelProfile:
 
 
 def _draw_space(draw) -> DesignSpace:
+    # DesignSpace admits only chiplet-divisible counts: 8..384 by 8.
     cu_counts = tuple(
         sorted(
             draw(
                 st.sets(
-                    st.integers(min_value=1, max_value=384),
+                    st.integers(min_value=1, max_value=48).map(
+                        lambda k: 8 * k
+                    ),
                     min_size=1,
                     max_size=5,
                 )

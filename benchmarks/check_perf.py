@@ -426,7 +426,8 @@ def check_memsys(quick: bool) -> list[str]:
         )
         manager = MemoryManager(manager_capacity, policy, 4096, engine=engine)
         fractions = manager.run_batch(epochs)
-        return astuple(rb.stats), dram, fractions
+        placed = (manager.total_migrated, manager.resident_pages)
+        return astuple(rb.stats), dram, fractions, placed
 
     array_out = replay("array")
     event_out = replay("event")
@@ -437,6 +438,7 @@ def check_memsys(quick: bool) -> list[str]:
             abs(a - e) <= 1e-9 * max(abs(e), 1e-300)
             for a, e in zip(array_out[2], event_out[2])
         )
+        and array_out[3] == event_out[3]
     )
 
     t_array = _best_of(lambda: replay("array"), 3)

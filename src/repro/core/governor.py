@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.config import EHPConfig
+import numpy as np
+
+from repro.core.config import EHPConfig, _finite_positive, _is_int
 from repro.core.node import NodeModel
 from repro.workloads.kernels import KernelProfile
 
@@ -80,10 +82,11 @@ class DvfsGovernor:
         analogue of the paper's predictive power-management research,
         references [23]-[24]).
     freq_ladder:
-        Available DVFS states, Hz.
+        Available DVFS states, Hz; each finite and positive.
     cu_gate_step:
-        CU-group granularity for power gating (one chiplet's worth by
-        default: gating is per power domain, not per CU).
+        CU-group granularity for power gating, a positive integer (one
+        chiplet's worth by default: gating is per power domain, not per
+        CU).
     max_perf_loss:
         Largest tolerated fractional performance loss vs. the starting
         configuration ("negligible performance impact" budget).
@@ -102,8 +105,15 @@ class DvfsGovernor:
         self.freq_ladder = tuple(sorted(freq_ladder))
         if not self.freq_ladder:
             raise ValueError("frequency ladder must not be empty")
-        if cu_gate_step <= 0:
-            raise ValueError("cu_gate_step must be positive")
+        if not all(_finite_positive(f) for f in self.freq_ladder):
+            raise ValueError(
+                "frequency ladder entries must be finite and positive, "
+                f"got {self.freq_ladder}"
+            )
+        if not _is_int(cu_gate_step) or cu_gate_step <= 0:
+            raise ValueError(
+                f"cu_gate_step must be a positive integer, got {cu_gate_step!r}"
+            )
         if not 0.0 <= max_perf_loss < 1.0:
             raise ValueError("max_perf_loss must be in [0, 1)")
         self.cu_gate_step = cu_gate_step
@@ -125,20 +135,34 @@ class DvfsGovernor:
     def decide(
         self, profile: KernelProfile, config: EHPConfig
     ) -> GovernorDecision:
-        """Pick the most efficient back-off within the performance budget."""
-        base = self.model.evaluate(profile, config)
-        base_perf = float(base.performance)
-        base_power = float(base.node_power)
+        """Pick the most efficient back-off within the performance budget.
+
+        The starting point and every candidate are evaluated in one
+        :meth:`NodeModel.evaluate_arrays` call, then scanned in
+        candidate order; a candidate must beat the best efficiency so
+        far strictly, so one equal to the starting point never wins.
+        """
+        candidates = self._candidates(config)
+        points = [config] + [c for c, _ in candidates]
+        ev = self.model.evaluate_arrays(
+            profile,
+            np.array([c.n_cus for c in points]),
+            np.array([c.gpu_freq for c in points]),
+            np.array([c.bandwidth for c in points]),
+        )
+        perfs = ev.performance.tolist()
+        powers = ev.node_power.tolist()
+        base_perf = perfs[0]
+        base_power = powers[0]
 
         best: GovernorDecision | None = None
         best_eff = base_perf / base_power
-        for candidate, gated in self._candidates(config):
-            ev = self.model.evaluate(profile, candidate)
-            perf = float(ev.performance)
+        for (candidate, gated), perf, power in zip(
+            candidates, perfs[1:], powers[1:]
+        ):
             loss = 1.0 - perf / base_perf
             if loss > self.max_perf_loss:
                 continue
-            power = float(ev.node_power)
             eff = perf / power
             if eff > best_eff:
                 best_eff = eff

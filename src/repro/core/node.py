@@ -166,7 +166,12 @@ class NodeModel:
         ext_fraction=None,
         extra_latency: float = 0.0,
     ) -> NodeEvaluation:
-        """Vectorized evaluation over arrays of design-point axes."""
+        """Vectorized evaluation over arrays of design-point axes.
+
+        *profile* may also be a :class:`ProfileBatch`: its ``(P, 1)``
+        columns broadcast against the axes, so ``ext_fraction`` can be
+        one share per profile (``batch.ext_memory_fraction``).
+        """
         metrics = evaluate_kernel(
             profile,
             n_cus,

@@ -203,18 +203,23 @@ def run_fig9_managed(
         + list(_CATEGORIES)
         + ["Total"]
     )
+    # The measured share depends on the trace, not the external memory
+    # configuration: one replay per application.
+    profiles = all_profiles()
+    ext_fractions = [
+        1.0 - measured_inpackage_fraction(
+            profile,
+            capacity_fraction=capacity_fraction,
+            engine=engine,
+            cache=cache,
+        )
+        for profile in profiles
+    ]
     data: dict[str, dict[str, dict[str, float]]] = {}
     for ext_name, ext_config in configs.items():
         data[ext_name] = {}
         m = base_model.with_ext_config(ext_config)
-        for profile in all_profiles():
-            in_pkg = measured_inpackage_fraction(
-                profile,
-                capacity_fraction=capacity_fraction,
-                engine=engine,
-                cache=cache,
-            )
-            ext_fraction = 1.0 - in_pkg
+        for profile, ext_fraction in zip(profiles, ext_fractions):
             power = m.evaluate(
                 profile, cfg, ext_fraction=ext_fraction
             ).power

@@ -19,9 +19,14 @@ from repro.core.optimizations import (
     PowerOptimization,
     apply_optimizations,
 )
-from repro.experiments.runner import ExperimentResult, all_profiles
+from repro.experiments.runner import (
+    ExperimentResult,
+    all_profiles,
+    evaluate_at_own_share,
+)
 from repro.power.components import PowerParams
 from repro.util.tables import TextTable
+from repro.workloads.kernels import ProfileBatch
 
 __all__ = ["run_fig12", "run_fig13", "OPT_LABELS"]
 
@@ -44,25 +49,23 @@ def run_fig12(model: NodeModel | None = None) -> ExperimentResult:
     ]
     variants.append(("All", apply_optimizations(base_params, ALL_OPTIMIZATIONS)))
 
-    cfg = PAPER_BEST_MEAN
+    batch = ProfileBatch.from_profiles(all_profiles())
+
+    def node_power(model: NodeModel):
+        return evaluate_at_own_share(model, batch, PAPER_BEST_MEAN).node_power
+
+    baseline = node_power(base_model)
+    saved = {
+        name: ((1.0 - node_power(base_model.with_power_params(params))
+                / baseline) * 100.0)[:, 0].tolist()
+        for name, params in variants
+    }
     table = TextTable(["Application"] + [name for name, _ in variants])
     data: dict[str, dict[str, float]] = {}
-    for profile in all_profiles():
-        baseline = float(
-            base_model.evaluate(
-                profile, cfg, ext_fraction=profile.ext_memory_fraction
-            ).node_power
-        )
-        row: dict[str, float] = {}
-        for name, params in variants:
-            opt_power = float(
-                base_model.with_power_params(params)
-                .evaluate(profile, cfg, ext_fraction=profile.ext_memory_fraction)
-                .node_power
-            )
-            row[name] = (1.0 - opt_power / baseline) * 100.0
-        table.add_row([profile.name] + [row[name] for name, _ in variants])
-        data[profile.name] = row
+    for i, app in enumerate(batch.names):
+        row = {name: saved[name][i] for name, _ in variants}
+        table.add_row([app] + list(row.values()))
+        data[app] = row
     return ExperimentResult(
         experiment_id="fig12",
         title="Power savings from optimizations",
@@ -83,22 +86,14 @@ def run_fig13(model: NodeModel | None = None) -> ExperimentResult:
         base_model.power_params, ALL_OPTIMIZATIONS
     )
     opt_model = base_model.with_power_params(opt_params)
+    batch = ProfileBatch.from_profiles(all_profiles())
+    before = evaluate_at_own_share(base_model, batch, PAPER_BEST_MEAN)
+    after = evaluate_at_own_share(opt_model, batch, PAPER_BEST_MEAN_OPTIMIZED)
+    gains = (after.perf_per_watt / before.perf_per_watt - 1.0) * 100.0
     table = TextTable(["Application", "Perf-per-Watt improvement (%)"])
-    data = {}
-    for profile in all_profiles():
-        before = base_model.evaluate(
-            profile, PAPER_BEST_MEAN,
-            ext_fraction=profile.ext_memory_fraction,
-        )
-        after = opt_model.evaluate(
-            profile, PAPER_BEST_MEAN_OPTIMIZED,
-            ext_fraction=profile.ext_memory_fraction,
-        )
-        gain = (
-            float(after.perf_per_watt) / float(before.perf_per_watt) - 1.0
-        ) * 100.0
-        table.add_row([profile.name, gain])
-        data[profile.name] = gain
+    data = dict(zip(batch.names, gains[:, 0].tolist()))
+    for app, gain in data.items():
+        table.add_row([app, gain])
     return ExperimentResult(
         experiment_id="fig13",
         title="Energy-efficiency benefit from optimizations",

@@ -11,11 +11,17 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.core.config import PAPER_BEST_MEAN, EHPConfig
-from repro.core.node import NodeModel
+from repro.core.node import NodeEvaluation, NodeModel
 from repro.workloads.catalog import APPLICATIONS
-from repro.workloads.kernels import KernelProfile
+from repro.workloads.kernels import KernelProfile, ProfileBatch
 
-__all__ = ["ExperimentResult", "default_model", "all_profiles", "reference_config"]
+__all__ = [
+    "ExperimentResult",
+    "default_model",
+    "all_profiles",
+    "evaluate_at_own_share",
+    "reference_config",
+]
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,21 @@ def default_model() -> NodeModel:
 def all_profiles() -> list[KernelProfile]:
     """The eight Table I applications, catalog order."""
     return list(APPLICATIONS.values())
+
+
+def evaluate_at_own_share(
+    model: NodeModel, batch: ProfileBatch, config: EHPConfig
+) -> NodeEvaluation:
+    """Every profile of *batch* on *config* in one call, each with its
+    own ``ext_memory_fraction`` as the off-package traffic share (the
+    power studies' convention). Outputs have shape ``(P, 1)``."""
+    return model.evaluate_arrays(
+        batch,
+        config.n_cus,
+        config.gpu_freq,
+        config.bandwidth,
+        ext_fraction=batch.ext_memory_fraction,
+    )
 
 
 def reference_config() -> EHPConfig:

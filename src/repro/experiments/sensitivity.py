@@ -20,10 +20,15 @@ import numpy as np
 
 from repro.core.config import PAPER_BEST_MEAN
 from repro.core.node import NodeModel
-from repro.experiments.runner import ExperimentResult, all_profiles
+from repro.experiments.runner import (
+    ExperimentResult,
+    all_profiles,
+    evaluate_at_own_share,
+)
 from repro.perfmodel.machine import MachineParams
 from repro.power.components import PowerParams
 from repro.util.tables import TextTable
+from repro.workloads.kernels import ProfileBatch
 
 __all__ = ["run_sensitivity_study"]
 
@@ -42,18 +47,10 @@ _POWER_KNOBS = (
 )
 
 
-def _outputs(model: NodeModel) -> tuple[float, float]:
-    perfs = []
-    powers = []
-    for profile in all_profiles():
-        ev = model.evaluate(
-            profile, PAPER_BEST_MEAN,
-            ext_fraction=profile.ext_memory_fraction,
-        )
-        perfs.append(float(ev.performance))
-        powers.append(float(ev.node_power))
-    geo = float(np.exp(np.mean(np.log(perfs))))
-    return geo, float(np.mean(powers))
+def _outputs(model: NodeModel, batch: ProfileBatch) -> tuple[float, float]:
+    ev = evaluate_at_own_share(model, batch, PAPER_BEST_MEAN)
+    geo = float(np.exp(np.mean(np.log(ev.performance[:, 0]))))
+    return geo, float(np.mean(ev.node_power[:, 0]))
 
 
 def run_sensitivity_study(delta: float = 0.20) -> ExperimentResult:
@@ -62,7 +59,8 @@ def run_sensitivity_study(delta: float = 0.20) -> ExperimentResult:
         raise ValueError("delta must be in (0, 1)")
     base_machine = MachineParams()
     base_power = PowerParams()
-    base_perf, base_watt = _outputs(NodeModel(base_machine, base_power))
+    batch = ProfileBatch.from_profiles(all_profiles())
+    base_perf, base_watt = _outputs(NodeModel(base_machine, base_power), batch)
 
     table = TextTable(
         ["Parameter", "Perf swing (%)", "Power swing (%)"],
@@ -71,8 +69,8 @@ def run_sensitivity_study(delta: float = 0.20) -> ExperimentResult:
     data = {}
 
     def record(name: str, models: tuple[NodeModel, NodeModel]) -> None:
-        lo_perf, lo_watt = _outputs(models[0])
-        hi_perf, hi_watt = _outputs(models[1])
+        lo_perf, lo_watt = _outputs(models[0], batch)
+        hi_perf, hi_watt = _outputs(models[1], batch)
         perf_swing = (hi_perf - lo_perf) / base_perf * 100.0
         power_swing = (hi_watt - lo_watt) / base_watt * 100.0
         table.add_row([name, perf_swing, power_swing])

@@ -14,34 +14,40 @@ module implements that machinery over synthetic access histograms:
   cost accounting, and the achieved in-package hit fraction that feeds
   the Fig. 8 performance model.
 
-Two interchangeable engines drive the epoch loop:
+The manager's whole state is two sorted int64 page arrays: every page
+seen so far, and the resident (in-package) pages. Two interchangeable
+engines drive the epoch loop over it, and can be freely interleaved:
 
 ``engine="event"``
-    The original scalar path: :meth:`MemoryManager.epoch` builds a
-    per-page count dict and delegates to the policy's ``place`` method,
-    kept as the readable specification and test oracle.
+    The scalar oracle: :meth:`MemoryManager.epoch` hands a per-page
+    count dict and the :attr:`~MemoryManager.placement` dict built from
+    the arrays to the policy's ``place`` method, then stores the
+    returned placement back as arrays.
 
 ``engine="array"`` (default)
-    :meth:`MemoryManager.epoch_array` ranks page access counts with
-    ``np.lexsort`` (descending count, ascending page — exactly the
-    order Python's stable ``sorted`` produces over the ascending
-    ``np.unique`` keys), computes promotions and the full eviction
-    order as vectorized top-k selections, and replays only the short
-    promote/evict tail as a loop. Placement updates are applied as
-    deltas to the shared ``placement`` dict, so the two engines can be
-    freely interleaved and produce identical placements, hit fractions,
-    and migration counts.
+    :meth:`MemoryManager.epoch_array` looks the epoch's unique pages up
+    with ``np.searchsorted`` and ranks them with ``np.lexsort``
+    (descending count, ascending page — the order Python's stable
+    ``sorted`` gives over the ascending ``np.unique`` keys), with no
+    per-page loop. The wanted set never exceeds capacity, so an epoch
+    evicts exactly ``max(0, promotions - free frames)`` pages and never
+    runs out of victims: the coldest resident pages outside the wanted
+    set by (count, page), the oracle's order. Placements, hit
+    fractions, and migration counts equal the oracle's.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 import numpy as np
 
+from repro.core.config import _is_int
+from repro.memsys.dramcache import _int_addresses
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -134,8 +140,13 @@ class HotnessMigrationPolicy:
     """
 
     def __init__(self, migration_limit: int | None = None):
-        if migration_limit is not None and migration_limit < 0:
-            raise ValueError("migration_limit must be non-negative")
+        if migration_limit is not None and not (
+            _is_int(migration_limit) and migration_limit >= 0
+        ):
+            raise ValueError(
+                "migration_limit must be None or a non-negative integer, "
+                f"got {migration_limit!r}"
+            )
         self.migration_limit = migration_limit
 
     def place(
@@ -194,6 +205,27 @@ class HotnessMigrationPolicy:
         return PagePlacement(level_of_page=placement, migrated_pages=migrated)
 
 
+def _find(sorted_pages: np.ndarray, pages: np.ndarray):
+    """Where each of *pages* sits in the sorted array *sorted_pages*:
+    the (in-range) searchsorted index and a mask of which occur."""
+    if not sorted_pages.size:
+        return np.zeros(pages.size, np.intp), np.zeros(pages.size, bool)
+    idx = np.minimum(
+        np.searchsorted(sorted_pages, pages), sorted_pages.size - 1
+    )
+    return idx, sorted_pages[idx] == pages
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two disjoint sorted page arrays.
+
+    Sorts the concatenation rather than calling ``np.union1d``, which
+    numpy 2.4 runs on a hash path: at a few thousand pages a side that
+    path measured about 20x slower (x86-64, 2 vCPUs).
+    """
+    return np.sort(np.concatenate((a, b)))
+
+
 class MemoryManager:
     """Drives a placement policy over access epochs and reports the
     achieved in-package service fraction.
@@ -201,13 +233,13 @@ class MemoryManager:
     Parameters
     ----------
     capacity_bytes:
-        In-package DRAM capacity.
+        In-package DRAM capacity: finite, at least one page.
     policy:
         Placement strategy; the array engine has vectorized paths for
         :class:`FirstTouchPolicy` and :class:`HotnessMigrationPolicy`
         and falls back to the scalar policy call for anything else.
     page_size:
-        Placement grain.
+        Placement grain, a positive integer.
     engine:
         Default execution engine for :meth:`run` / :meth:`run_batch`,
         ``"array"`` (vectorized epochs) or ``"event"`` (the scalar
@@ -221,20 +253,23 @@ class MemoryManager:
         page_size: int = PAGE,
         engine: str = "array",
     ):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        if page_size <= 0:
-            raise ValueError("page_size must be positive")
+        if not (_is_int(page_size) and page_size > 0):
+            raise ValueError(
+                f"page_size must be a positive integer, got {page_size!r}"
+            )
+        if not page_size <= capacity_bytes < math.inf:
+            raise ValueError(
+                "capacity_bytes must be finite and at least one page, "
+                f"got {capacity_bytes!r}"
+            )
         self.capacity_pages = int(capacity_bytes // page_size)
-        self.page_size = page_size
+        self.page_size = int(page_size)
         self.policy = policy
         self.engine = self._check_engine(engine)
-        self.placement: dict[int, MemoryLevel] = {}
         self.total_migrated = 0
-        # Resident-page mirror for the array engine; None means stale
-        # (the scalar path replaced `placement` wholesale) and it is
-        # rebuilt lazily on the next array epoch.
-        self._resident: set[int] | None = set()
+        # Every page seen so far, and the in-package ones (sorted).
+        self._seen = np.zeros(0, dtype=np.int64)
+        self._resident = self._seen
 
     @staticmethod
     def _check_engine(engine: str) -> str:
@@ -244,165 +279,115 @@ class MemoryManager:
             )
         return engine
 
+    @property
+    def placement(self) -> dict[int, MemoryLevel]:
+        """Level of every page seen so far, built from the page arrays."""
+        placement = dict.fromkeys(self._seen.tolist(), MemoryLevel.EXTERNAL)
+        placement.update(
+            dict.fromkeys(self._resident.tolist(), MemoryLevel.IN_PACKAGE)
+        )
+        return placement
+
+    @property
+    def resident_pages(self) -> int:
+        """Pages currently in in-package DRAM."""
+        return int(self._resident.size)
+
+    def _pages(self, addresses) -> np.ndarray:
+        """Page numbers of one epoch: *addresses* must be a 1-D array of
+        non-negative integers (integral floats pass, as for
+        :class:`~repro.memsys.dramcache.DramCache`)."""
+        addresses = _int_addresses(addresses)
+        if addresses.size and int(addresses.min()) < 0:
+            raise ValueError("addresses must be non-negative")
+        return addresses // self.page_size
+
     def epoch(self, addresses: np.ndarray) -> float:
         """Process one epoch of accesses; returns the fraction of them
         served in-package *under the placement in force during the
         epoch* (migration takes effect for the next epoch)."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size == 0:
+        pages = self._pages(addresses)
+        if pages.size == 0:
             return 1.0
-        pages = addresses // self.page_size
         unique, counts = np.unique(pages, return_counts=True)
         access_counts = dict(zip(unique.tolist(), counts.tolist()))
+        placement = self.placement
 
         served_in = sum(
-            int(c)
+            c
             for p, c in access_counts.items()
-            if self.placement.get(p) is MemoryLevel.IN_PACKAGE
+            if placement.get(p) is MemoryLevel.IN_PACKAGE
         )
-        hit_fraction = served_in / int(counts.sum())
+        hit_fraction = served_in / pages.size
 
         result = self.policy.place(
-            access_counts, self.placement, self.capacity_pages
+            access_counts, placement, self.capacity_pages
         )
-        self.placement = dict(result.level_of_page)
+        levels = result.level_of_page
+        self._seen = np.array(sorted(levels), dtype=np.int64)
+        self._resident = np.array(
+            sorted(p for p, lvl in levels.items()
+                   if lvl is MemoryLevel.IN_PACKAGE),
+            dtype=np.int64,
+        )
         self.total_migrated += result.migrated_pages
-        self._resident = None
         return hit_fraction
-
-    # ------------------------------------------------------------------
-    # Array fast path
-    # ------------------------------------------------------------------
-    def _resident_set(self) -> set[int]:
-        if self._resident is None:
-            self._resident = {
-                p
-                for p, lvl in self.placement.items()
-                if lvl is MemoryLevel.IN_PACKAGE
-            }
-        return self._resident
 
     def epoch_array(self, addresses: np.ndarray) -> float:
         """Vectorized :meth:`epoch`: identical placements, hit
-        fractions, and migration counts, computed with array top-k
-        ranking instead of per-page dict loops.
+        fractions, and migration counts, computed with sorted-array
+        lookups and top-k ranking instead of per-page dict loops.
 
         Policies without a vectorized path fall back to the scalar
         :meth:`epoch` (exact policy types only, so subclasses that
         override ``place`` keep their semantics).
         """
         policy_type = type(self.policy)
-        if policy_type is HotnessMigrationPolicy:
-            return self._epoch_array_hotness(addresses)
-        if policy_type is FirstTouchPolicy:
-            return self._epoch_array_first_touch(addresses)
-        return self.epoch(addresses)
-
-    def _epoch_prolog(self, addresses):
-        """Shared epoch setup: unique page counts, residency mask over
-        the epoch's pages, and the served-in-package fraction."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size == 0:
-            return None
-        pages = addresses // self.page_size
+        if policy_type not in (HotnessMigrationPolicy, FirstTouchPolicy):
+            return self.epoch(addresses)
+        pages = self._pages(addresses)
+        if pages.size == 0:
+            return 1.0
         unique, counts = np.unique(pages, return_counts=True)
-        unique_list = unique.tolist()
-        n_unique = len(unique_list)
-        get = self.placement.get
-        known = np.fromiter(
-            (get(p) is not None for p in unique_list), bool, n_unique
-        )
-        resident = self._resident_set()
-        resident_mask = np.fromiter(
-            (p in resident for p in unique_list), bool, n_unique
-        )
-        served_in = int(counts[resident_mask].sum())
-        hit_fraction = served_in / int(counts.sum())
-        return unique, counts, unique_list, known, resident_mask, hit_fraction
-
-    def _epoch_array_first_touch(self, addresses) -> float:
-        prolog = self._epoch_prolog(addresses)
-        if prolog is None:
-            return 1.0
-        unique, counts, unique_list, known, resident_mask, hit_fraction = (
-            prolog
-        )
-        resident = self._resident_set()
-        new_pages = unique[~known].tolist()
-        room = max(0, self.capacity_pages - len(resident))
-        take = min(room, len(new_pages))
-        levels = [MemoryLevel.IN_PACKAGE] * take + [
-            MemoryLevel.EXTERNAL
-        ] * (len(new_pages) - take)
-        self.placement.update(zip(new_pages, levels))
-        resident.update(new_pages[:take])
-        return hit_fraction
-
-    def _epoch_array_hotness(self, addresses) -> float:
-        prolog = self._epoch_prolog(addresses)
-        if prolog is None:
-            return 1.0
-        unique, counts, unique_list, known, resident_mask, hit_fraction = (
-            prolog
-        )
-        resident = self._resident_set()
-        placement = self.placement
+        resident = self._resident
+        in_pkg = _find(resident, unique)[1]
+        hit_fraction = int(counts[in_pkg].sum()) / pages.size
+        new = unique[~_find(self._seen, unique)[1]]
+        self._seen = _merge(self._seen, new)
         capacity = self.capacity_pages
 
-        # New pages default to external before migration (the scalar
-        # path's setdefault sweep), in the same ascending-page order.
-        new_pages = unique[~known].tolist()
-        placement.update(
-            zip(new_pages, (MemoryLevel.EXTERNAL,) * len(new_pages))
-        )
+        if policy_type is FirstTouchPolicy:
+            # New pages fill the free frames in ascending page order;
+            # the rest stay external and nothing ever migrates.
+            free = max(0, capacity - resident.size)
+            self._resident = _merge(resident, new[:free])
+            return hit_fraction
 
         # Rank by descending count, ascending page: np.lexsort's last
         # key is primary, and negating counts plus the ascending page
         # tiebreak reproduces the stable scalar sort exactly.
-        order = np.lexsort((unique, -counts))
-        top = order[:capacity]
-        to_promote = unique[top[~resident_mask[top]]].tolist()
+        top = np.lexsort((unique, -counts))[:capacity]
+        promote = top[~in_pkg[top]]
         limit = self.policy.migration_limit
         if limit is not None:
-            to_promote = to_promote[:limit]
-
-        # Eviction candidates: resident pages outside the wanted set,
-        # orderable once up front because promotions only ever add
-        # wanted pages (never new candidates) and the count ranking is
-        # fixed for the epoch.
-        migrated = 0
-        if to_promote:
-            want_in = set(unique[top].tolist())
-            cands = np.fromiter(
-                (p for p in resident if p not in want_in),
-                np.int64,
-            )
-            if cands.size:
-                idx = np.searchsorted(unique, cands)
-                idx[idx >= len(unique_list)] = 0
-                found = unique[idx] == cands
-                cand_counts = np.where(found, counts[idx], 0)
-                victims = cands[np.lexsort((cands, cand_counts))].tolist()
-            else:
-                victims = []
-            vi = 0
-            n_resident = len(resident)
-            in_package = MemoryLevel.IN_PACKAGE
-            external = MemoryLevel.EXTERNAL
-            for page in to_promote:
-                if n_resident >= capacity:
-                    if vi >= len(victims):
-                        break
-                    victim = victims[vi]
-                    vi += 1
-                    placement[victim] = external
-                    resident.discard(victim)
-                    n_resident -= 1
-                placement[page] = in_package
-                resident.add(page)
-                n_resident += 1
-                migrated += 1
-        self.total_migrated += migrated
+            promote = promote[:limit]
+        n_evict = promote.size - (capacity - resident.size)
+        if n_evict > 0:
+            # Victims: the coldest resident pages outside the wanted
+            # set by this epoch's count (0 if unseen), then page. The
+            # resident array is sorted, so a stable sort on the count
+            # breaks ties on the page.
+            wanted = np.zeros(unique.size, dtype=bool)
+            wanted[top] = True
+            idx, seen_now = _find(unique, resident)
+            cands = np.flatnonzero(~(seen_now & wanted[idx]))
+            cand_counts = np.where(seen_now, counts[idx], 0)[cands]
+            order = np.argsort(cand_counts, kind="stable")[:n_evict]
+            keep = np.ones(resident.size, dtype=bool)
+            keep[cands[order]] = False
+            resident = resident[keep]
+        self._resident = _merge(resident, unique[promote])
+        self.total_migrated += int(promote.size)
         return hit_fraction
 
     def run_batch(
@@ -429,15 +414,6 @@ class MemoryManager:
     ) -> list[float]:
         """Process several epochs; returns per-epoch in-package fractions."""
         return self.run_batch(epochs, engine=engine)
-
-    @property
-    def resident_pages(self) -> int:
-        """Pages currently in in-package DRAM."""
-        return sum(
-            1
-            for lvl in self.placement.values()
-            if lvl is MemoryLevel.IN_PACKAGE
-        )
 
     def migration_traffic_bytes(self) -> float:
         """Total bytes moved by migrations so far."""

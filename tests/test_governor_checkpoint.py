@@ -13,7 +13,31 @@ from repro.core.governor import (
 )
 from repro.core.node import NodeModel
 from repro.ras.checkpoint import CheckpointModel
-from repro.workloads.catalog import get_application
+from repro.workloads.catalog import APPLICATIONS, get_application
+
+
+def _decide_point_by_point(governor, profile, config):
+    """Reference governor scan: one ``NodeModel.evaluate`` per point.
+
+    Returns ``(config, gated, loss, saving)`` of the winning candidate,
+    or None when no candidate beats the starting point.
+    """
+    base = governor.model.evaluate(profile, config)
+    base_perf = float(base.performance)
+    base_power = float(base.node_power)
+    best = None
+    best_eff = base_perf / base_power
+    for candidate, gated in governor._candidates(config):
+        ev = governor.model.evaluate(profile, candidate)
+        perf = float(ev.performance)
+        loss = 1.0 - perf / base_perf
+        if loss > governor.max_perf_loss:
+            continue
+        power = float(ev.node_power)
+        if perf / power > best_eff:
+            best_eff = perf / power
+            best = (candidate, gated, loss, 1.0 - power / base_power)
+    return best
 
 
 class TestPhaseObservation:
@@ -96,6 +120,43 @@ class TestDvfsGovernor:
             DvfsGovernor(max_perf_loss=1.0)
         with pytest.raises(ValueError):
             DvfsGovernor().run_phases([], PAPER_BEST_MEAN)
+
+    @pytest.mark.parametrize("step", [2.5, 32.0, True, float("nan"), -32])
+    def test_cu_gate_step_must_be_positive_integer(self, step):
+        with pytest.raises(ValueError, match="cu_gate_step"):
+            DvfsGovernor(cu_gate_step=step)
+
+    @pytest.mark.parametrize(
+        "bad", [float("inf"), float("nan"), 0.0, -700e6]
+    )
+    def test_ladder_entries_must_be_finite_positive(self, bad):
+        with pytest.raises(ValueError, match="ladder"):
+            DvfsGovernor(freq_ladder=[700e6, bad])
+
+    @pytest.mark.parametrize(
+        "config",
+        [PAPER_BEST_MEAN, EHPConfig(n_cus=32, gpu_freq=700e6)],
+        ids=["best-mean", "32cu-700mhz"],
+    )
+    @pytest.mark.parametrize("name", list(APPLICATIONS))
+    def test_decide_matches_point_by_point_scan(self, governor, config, name):
+        profile = get_application(name)
+        d = governor.decide(profile, config)
+        ref = _decide_point_by_point(governor, profile, config)
+        if config.n_cus == 32:
+            # The only candidate is the starting point itself, which
+            # never beats itself: the fallback path runs.
+            assert ref is None
+        if ref is None:
+            assert d == GovernorDecision(config, 0, 0.0, 0.0)
+        else:
+            assert (d.config, d.gated_cus) == ref[:2]
+            assert d.predicted_perf_loss == pytest.approx(
+                ref[2], rel=1e-12, abs=1e-15
+            )
+            assert d.predicted_power_saving == pytest.approx(
+                ref[3], rel=1e-12, abs=1e-15
+            )
 
 
 class TestRunPhasesEdgeCases:

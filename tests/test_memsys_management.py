@@ -142,6 +142,59 @@ class TestHotnessMigrationPolicy:
             current = dict(result.level_of_page)
 
 
+class TestManagerInputs:
+    @pytest.mark.parametrize(
+        "capacity",
+        [float("inf"), float("nan"), float("-inf"), PAGE - 1, 0.5, -PAGE],
+    )
+    def test_capacity_must_be_finite_and_hold_a_page(self, capacity):
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            MemoryManager(capacity, FirstTouchPolicy())
+
+    def test_one_page_capacity_accepted(self):
+        assert MemoryManager(PAGE, FirstTouchPolicy()).capacity_pages == 1
+
+    @pytest.mark.parametrize("page_size", [2.5, 4096.0, True, 0, -4096])
+    def test_page_size_must_be_positive_integer(self, page_size):
+        with pytest.raises(ValueError, match="page_size"):
+            MemoryManager(1 << 20, FirstTouchPolicy(), page_size=page_size)
+
+    @pytest.mark.parametrize("limit", [2.5, float("nan"), True, -1])
+    def test_migration_limit_must_be_non_negative_integer(self, limit):
+        with pytest.raises(ValueError, match="migration_limit"):
+            HotnessMigrationPolicy(limit)
+
+    def test_integer_migration_limits_accepted(self):
+        assert HotnessMigrationPolicy(np.int64(3)).migration_limit == 3
+        assert HotnessMigrationPolicy(0).migration_limit == 0
+
+    @pytest.mark.parametrize("engine", ["array", "event"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0.0, float("nan")],
+            [0.0, 4096.7],
+            [4096, -1],
+            [[0, 4096], [8192, 0]],
+        ],
+        ids=["nan", "fractional", "negative", "2-d"],
+    )
+    def test_bad_epoch_addresses_rejected(self, engine, bad):
+        mgr = MemoryManager(4 * PAGE, HotnessMigrationPolicy())
+        with pytest.raises(ValueError, match="addresses"):
+            mgr.run_batch([bad], engine=engine)
+        assert mgr.placement == {}
+
+    def test_integral_float_addresses_accepted(self):
+        as_float = MemoryManager(4 * PAGE, HotnessMigrationPolicy())
+        as_int = MemoryManager(4 * PAGE, HotnessMigrationPolicy())
+        pages = [0, 1, 1, 5]
+        assert as_float.epoch_array(
+            addresses(pages).astype(float)
+        ) == as_int.epoch_array(addresses(pages))
+        assert as_float.placement == as_int.placement
+
+
 class TestDramCache:
     def test_cold_miss_then_hit(self):
         cache = DramCache(capacity_bytes=1 << 20)

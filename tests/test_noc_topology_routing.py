@@ -25,6 +25,14 @@ class TestTopologyStructure:
     def test_connected(self, topo):
         assert nx.is_connected(topo.graph)
 
+    def test_tree_so_every_route_is_unique(self, topo):
+        # Connected with one edge fewer than nodes: a tree. Each
+        # (src, dst) pair then has exactly one path, so no shortest-path
+        # search or tie-break can route any message differently.
+        graph = topo.graph
+        assert (graph.number_of_nodes(), graph.number_of_edges()) == (38, 37)
+        assert nx.is_connected(graph)
+
     def test_every_gpu_has_local_dram(self, topo):
         for gpu in topo.gpu_chiplets:
             dram = topo.local_dram(gpu)

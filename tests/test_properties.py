@@ -13,11 +13,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.config import DesignSpace, EHPConfig
+from repro.core.governor import DvfsGovernor
 from repro.core.node import NodeModel
 from repro.fleet.link import LinkTierParams
 from repro.fleet.spec import FleetGroup, FleetSpec
 from repro.memsys.dramcache import DramCache
 from repro.memsys.interleave import AddressInterleaver
+from repro.memsys.manager import (
+    FirstTouchPolicy,
+    HotnessMigrationPolicy,
+    MemoryManager,
+)
 from repro.memsys.rowbuffer import RowBufferSim
 from repro.perfmodel.roofline import evaluate_kernel
 from repro.power.components import PowerParams
@@ -493,6 +499,18 @@ _BAD_FIELDS = {
     "LinkTierParams.contention_exponent": (
         lambda v: LinkTierParams(contention_exponent=v),
         _BAD_NON_NEGATIVE_COUNT),
+    "MemoryManager.capacity_bytes": (
+        lambda v: MemoryManager(v, FirstTouchPolicy()),
+        st.one_of(_NON_FINITE, st.floats(max_value=4096, exclude_max=True))),
+    "MemoryManager.page_size": (
+        lambda v: MemoryManager(1 << 20, FirstTouchPolicy(), page_size=v),
+        _BAD_COUNT),
+    "HotnessMigrationPolicy.migration_limit": (
+        HotnessMigrationPolicy, _BAD_NON_NEGATIVE_COUNT),
+    "DvfsGovernor.cu_gate_step": (
+        lambda v: DvfsGovernor(cu_gate_step=v), _BAD_COUNT),
+    "DvfsGovernor.freq_ladder": (
+        lambda v: DvfsGovernor(freq_ladder=(1e9, v)), _BAD_POSITIVE),
 }
 
 

@@ -3,7 +3,7 @@
 
 Measures the fast paths against seed-equivalent reference
 implementations kept in-repo (the triple-loop assembly +
-``spsolve``-per-call thermal path; the heap/dict/graph-object NoC loop
+``spsolve``-per-call thermal path; the heap/dict/message-object NoC loop
 replicated below) and asserts the speedup ratios the layer promises:
 
 * repeat ``ThermalGrid.solve`` >= 10x over re-factorizing every call,
@@ -158,7 +158,7 @@ class SeedResortHotnessPolicy(HotnessMigrationPolicy):
 
 def seed_noc_run(sim: NocSimulator, messages: list[SimMessage]):
     """The seed hot loop: a heap of message objects, per-hop
-    ``frozenset`` keys, dict link stats and graph-edge lookups."""
+    ``frozenset`` keys, dict link stats and link-table lookups."""
     links: dict[frozenset, LinkStats] = {}
     counter = itertools.count()
     heap: list[tuple[float, int, SimMessage]] = []
@@ -175,11 +175,11 @@ def seed_noc_run(sim: NocSimulator, messages: list[SimMessage]):
         path = route_cache[key]
         t = now
         for a, b in zip(path, path[1:]):
-            edge = sim.topology.graph.edges[a, b]
+            edge = sim.topology.links[a][b]
             link = links.setdefault(frozenset((a, b)), LinkStats())
             start = max(t, link.busy_until)
             serialize = msg.size_bytes / sim.link_bandwidth
-            done = start + serialize + edge["latency"]
+            done = start + serialize + edge.latency
             link.busy_until = start + serialize
             link.bytes_carried += msg.size_bytes
             link.messages += 1

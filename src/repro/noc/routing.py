@@ -10,11 +10,10 @@ on the compute die.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-import networkx as nx
-
-from repro.noc.topology import EHPTopology
+from repro.noc.topology import EHPTopology, Link
 
 __all__ = ["Route", "route", "hop_latency", "monolithic_latency"]
 
@@ -39,20 +38,48 @@ class Route:
         return self.interposer_hops > 0 or self.tsv_hops > 0
 
 
+def _shortest_path(
+    links: dict[str, dict[str, Link]], src: str, dst: str
+) -> list[str]:
+    """Dijkstra over link latency: the vertex names from *src* to *dst*."""
+    dist = {src: 0.0}
+    prev: dict[str, str] = {}
+    heap = [(0.0, src)]
+    while heap:
+        d, a = heapq.heappop(heap)
+        if a == dst:
+            break
+        if d > dist[a]:
+            continue  # a stale entry: *a* was reached cheaper since
+        for b, link in links[a].items():
+            nd = d + link.latency
+            if b not in dist or nd < dist[b]:
+                dist[b] = nd
+                prev[b] = a
+                heapq.heappush(heap, (nd, b))
+    else:
+        raise ValueError(f"no route from {src!r} to {dst!r}")
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
 def route(topology: EHPTopology, src: str, dst: str) -> Route:
     """Shortest latency-weighted route from *src* to *dst*."""
-    if src not in topology.graph or dst not in topology.graph:
+    links = topology.links
+    if src not in links or dst not in links:
         raise KeyError(f"unknown endpoint: {src!r} or {dst!r}")
-    path = nx.shortest_path(topology.graph, src, dst, weight="latency")
+    path = _shortest_path(links, src, dst)
     latency = 0.0
     tsv_hops = 0
     interposer_hops = 0
     for a, b in zip(path, path[1:]):
-        edge = topology.graph.edges[a, b]
-        latency += edge["latency"]
-        if edge["kind"] == "tsv":
+        link = links[a][b]
+        latency += link.latency
+        if link.kind == "tsv":
             tsv_hops += 1
-        elif edge["kind"] == "interposer-interposer":
+        elif link.kind == "interposer-interposer":
             interposer_hops += 1
     return Route(
         nodes=tuple(path),
@@ -73,9 +100,6 @@ def monolithic_latency(topology: EHPTopology, src: str, dst: str) -> float:
     comparison baseline — on one huge die, the vertical chiplet
     crossings disappear but the lateral distance remains)."""
     r = route(topology, src, dst)
-    tsv_edges = [
-        topology.graph.edges[a, b]["latency"]
-        for a, b in zip(r.nodes, r.nodes[1:])
-        if topology.graph.edges[a, b]["kind"] == "tsv"
-    ]
+    links = [topology.links[a][b] for a, b in zip(r.nodes, r.nodes[1:])]
+    tsv_edges = [link.latency for link in links if link.kind == "tsv"]
     return r.latency - sum(tsv_edges)

@@ -136,16 +136,20 @@ class NocSimulator:
         self.topology = topology or EHPTopology()
         self.link_bandwidth = link_bandwidth
         self._route_cache: dict[tuple[str, str], tuple[str, ...]] = {}
-        # Integer link tables, built once from the topology graph.
+        # Integer link tables, built once from the topology's link table
+        # (which lists each link under both endpoints).
         self._link_names: list[frozenset] = []
         self._link_latency: list[float] = []
         self._link_id: dict[tuple[str, str], int] = {}
-        for a, b, data in self.topology.graph.edges(data=True):
-            lid = len(self._link_names)
-            self._link_names.append(frozenset((a, b)))
-            self._link_latency.append(float(data["latency"]))
-            self._link_id[(a, b)] = lid
-            self._link_id[(b, a)] = lid
+        for a, neighbours in self.topology.links.items():
+            for b, link in neighbours.items():
+                if (a, b) in self._link_id:
+                    continue
+                lid = len(self._link_names)
+                self._link_names.append(frozenset((a, b)))
+                self._link_latency.append(float(link.latency))
+                self._link_id[(a, b)] = lid
+                self._link_id[(b, a)] = lid
         self._path_links: dict[tuple[str, str], tuple[int, ...]] = {}
         self._last_result: SimResult | None = None
 

@@ -1,6 +1,7 @@
 """The EHP's chiplet/interposer topology graph.
 
-Builds the physical organization of Fig. 2 as a :mod:`networkx` graph:
+Builds the physical organization of Fig. 2 as two plain dicts, a vertex
+table and a symmetric link table:
 
 * 8 GPU chiplets in 4 clusters of 2, each chiplet carrying a DRAM stack,
 * 8 CPU chiplets in 2 central clusters of 4,
@@ -8,20 +9,21 @@ Builds the physical organization of Fig. 2 as a :mod:`networkx` graph:
   by TSV links and to neighbouring interposers by wide in-package paths,
 * 8 external-memory interfaces hanging off the GPU-cluster interposers.
 
-Edge attributes carry per-hop latency and the physical kind of link, so
-the routing layer can price any path. The layout is linear (Fig. 2's
-left-to-right arrangement: G G | C C | G G clusters), giving the CPU
-clusters their deliberately central, NUMA-minimizing position.
+Each :class:`Link` carries its per-hop latency and the physical kind of
+link, so the routing layer can price any path. The layout is linear
+(Fig. 2's left-to-right arrangement: G G | C C | G G clusters), giving
+the CPU clusters their deliberately central, NUMA-minimizing position.
 """
 
 from __future__ import annotations
 
 import enum
-import networkx as nx
+from collections import deque
+from dataclasses import dataclass
 
 from repro.util.units import NS
 
-__all__ = ["NodeKind", "EHPTopology"]
+__all__ = ["NodeKind", "Link", "EHPTopology"]
 
 
 class NodeKind(enum.Enum):
@@ -35,6 +37,14 @@ class NodeKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
+
+
+@dataclass(frozen=True)
+class Link:
+    """One physical link: its kind and its per-hop latency, seconds."""
+
+    kind: str
+    latency: float
 
 
 # Per-hop latencies (Section V-A: two extra vertical hops via TSVs plus
@@ -52,6 +62,10 @@ class EHPTopology:
     ``dram0..dram7``, ``intp0..intp5``, ``ext0..ext7``. Interposers
     0, 1, 4, 5 are GPU-cluster interposers (in the paper's left-to-right
     order); 2 and 3 are the central CPU-cluster interposers.
+
+    ``vertices`` maps each name to its ``(kind, interposer)``; ``links``
+    is the symmetric adjacency, name -> {neighbour: :class:`Link`}, with
+    one entry per vertex (a link ``a``-``b`` appears under both).
     """
 
     N_GPU_CHIPLETS = 8
@@ -60,15 +74,17 @@ class EHPTopology:
     N_EXT_INTERFACES = 8
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self.vertices: dict[str, tuple[NodeKind, int | None]] = {}
+        self.links: dict[str, dict[str, Link]] = {}
         self._build()
 
     # ------------------------------------------------------------------
     def _add(self, name: str, kind: NodeKind, interposer: int | None = None):
-        self.graph.add_node(name, kind=kind, interposer=interposer)
+        self.vertices[name] = (kind, interposer)
+        self.links[name] = {}
 
     def _link(self, a: str, b: str, kind: str, latency: float) -> None:
-        self.graph.add_edge(a, b, kind=kind, latency=latency)
+        self.links[a][b] = self.links[b][a] = Link(kind, latency)
 
     def _build(self) -> None:
         # Interposers in physical left-to-right order: GPU, GPU, CPU,
@@ -111,9 +127,7 @@ class EHPTopology:
     # ------------------------------------------------------------------
     def nodes_of_kind(self, kind: NodeKind) -> list[str]:
         """All vertex names of one kind, in index order."""
-        names = [
-            n for n, data in self.graph.nodes(data=True) if data["kind"] is kind
-        ]
+        names = [n for n, (k, _) in self.vertices.items() if k is kind]
         return sorted(names, key=lambda n: int("".join(filter(str.isdigit, n))))
 
     @property
@@ -139,7 +153,7 @@ class EHPTopology:
 
     def interposer_of(self, node: str) -> int | None:
         """Which interposer a chiplet sits on (None for interposers)."""
-        return self.graph.nodes[node]["interposer"]
+        return self.vertices[node][1]
 
     def same_chiplet(self, a: str, b: str) -> bool:
         """True when *b* is *a*'s own 3D-stacked DRAM (or vice versa) or
@@ -165,5 +179,14 @@ class EHPTopology:
             actual = len(self.nodes_of_kind(kind))
             if actual != count:
                 raise AssertionError(f"{kind}: expected {count}, got {actual}")
-        if not nx.is_connected(self.graph):
+        # Breadth-first search from any one vertex must reach them all.
+        start = next(iter(self.links))
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            for b in self.links[queue.popleft()]:
+                if b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+        if len(seen) != len(self.vertices):
             raise AssertionError("topology must be connected")

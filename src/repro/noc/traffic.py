@@ -14,6 +14,7 @@ them into the two Fig. 7 metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,8 @@ __all__ = ["TrafficMatrix", "chiplet_traffic_summary", "ChipletTrafficSummary"]
 class TrafficMatrix:
     """Bytes exchanged between every pair of topology vertices.
 
-    ``sources``/``destinations`` name the rows/columns of ``bytes_``.
+    ``sources``/``destinations`` name the rows/columns of ``bytes_``,
+    which is stored as a float array (any array-like is accepted).
     """
 
     sources: tuple[str, ...]
@@ -39,13 +41,13 @@ class TrafficMatrix:
     bytes_: np.ndarray
 
     def __post_init__(self) -> None:
+        matrix = np.asarray(self.bytes_, dtype=float)
+        object.__setattr__(self, "bytes_", matrix)
         expected = (len(self.sources), len(self.destinations))
-        if self.bytes_.shape != expected:
-            raise ValueError(
-                f"matrix shape {self.bytes_.shape} != {expected}"
-            )
-        if np.any(self.bytes_ < 0):
-            raise ValueError("traffic must be non-negative")
+        if matrix.shape != expected:
+            raise ValueError(f"matrix shape {matrix.shape} != {expected}")
+        if not ((matrix >= 0) & (matrix < np.inf)).all():
+            raise ValueError("traffic must be finite and non-negative")
 
     @property
     def total(self) -> float:
@@ -93,8 +95,8 @@ def gpu_dram_traffic_matrix(
     interleaved physical address space). A *coherence_fraction* of the
     total additionally flows between GPU chiplets and the CPU clusters.
     """
-    if total_bytes < 0:
-        raise ValueError("total_bytes must be non-negative")
+    if not 0 <= total_bytes < math.inf:
+        raise ValueError("total_bytes must be finite and non-negative")
     if not 0.0 <= locality <= 1.0:
         raise ValueError("locality must be in [0, 1]")
     if not 0.0 <= coherence_fraction < 1.0:

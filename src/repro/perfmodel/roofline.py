@@ -50,6 +50,18 @@ __all__ = [
 ]
 
 
+def _check_axes(
+    n_cus: np.ndarray, freq: np.ndarray, bandwidth: np.ndarray
+) -> None:
+    """Every hardware-axis entry must lie in ``(0, inf)``; NaN fails
+    both comparisons."""
+    for axis in (n_cus, freq, bandwidth):
+        if not ((axis > 0) & (axis < np.inf)).all():
+            raise ValueError(
+                "n_cus, freq and bandwidth must be finite and positive"
+            )
+
+
 def smooth_max_array(a: np.ndarray, b: np.ndarray, sharpness: float) -> np.ndarray:
     """Element-wise smooth maximum (scale-invariant log-sum-exp).
 
@@ -162,7 +174,7 @@ def evaluate_kernel(
     ----------
     n_cus, freq, bandwidth:
         Scalars or broadcastable arrays: CU count, GPU frequency (Hz),
-        in-package DRAM bandwidth (B/s).
+        in-package DRAM bandwidth (B/s); every entry finite and positive.
     ext_fraction:
         Fraction of DRAM traffic served by external memory. ``None``
         (default) evaluates the all-in-package scenario the paper's
@@ -172,8 +184,9 @@ def evaluate_kernel(
     machine:
         Technology constants; defaults to :class:`MachineParams`.
     extra_latency:
-        Additional per-access latency in seconds (e.g., the chiplet
-        organization's two TSV hops in the Fig. 7 study).
+        Additional per-access latency in seconds, finite and
+        non-negative (e.g., the chiplet organization's two TSV hops in
+        the Fig. 7 study).
 
     Returns
     -------
@@ -184,13 +197,15 @@ def evaluate_kernel(
     n_cus = np.asarray(n_cus, dtype=float)
     freq = np.asarray(freq, dtype=float)
     bandwidth = np.asarray(bandwidth, dtype=float)
-    if np.any(n_cus <= 0) or np.any(freq <= 0) or np.any(bandwidth <= 0):
-        raise ValueError("n_cus, freq and bandwidth must be positive")
+    _check_axes(n_cus, freq, bandwidth)
     if ext_fraction is None:
         ext_fraction = 0.0
     m_ext = np.asarray(ext_fraction, dtype=float)
-    if np.any(m_ext < 0) or np.any(m_ext > 1):
+    if not ((m_ext >= 0) & (m_ext <= 1)).all():
         raise ValueError("ext_fraction must be in [0, 1]")
+    lat = np.asarray(extra_latency, dtype=float)
+    if not ((lat >= 0) & (lat < np.inf)).all():
+        raise ValueError("extra_latency must be finite and non-negative")
 
     # --- compute bound ---------------------------------------------------
     cu_scaling = machine.reference_cus * (
@@ -423,8 +438,7 @@ def evaluate_kernel_grid(
     cu = np.asarray(cu_axis, dtype=float).reshape(-1, 1, 1)
     fq = np.asarray(freq_axis, dtype=float).reshape(-1, 1)
     bw = np.asarray(bw_axis, dtype=float).reshape(-1)
-    if np.any(cu <= 0) or np.any(fq <= 0) or np.any(bw <= 0):
-        raise ValueError("n_cus, freq and bandwidth must be positive")
+    _check_axes(cu, fq, bw)
 
     def col(name: str) -> np.ndarray:
         return getattr(batch, name).reshape(-1, 1, 1, 1)

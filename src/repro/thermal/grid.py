@@ -41,7 +41,9 @@ The assembled sparse matrix stays the specification. ``_assemble``
 (vectorized) and ``_assemble_reference`` (the original triple loop)
 build it, and the ``engine="oracle"`` step solves it from scratch with
 :func:`scipy.sparse.linalg.spsolve` every call; the modal path is gated
-against that oracle at 1e-9 C.
+against that oracle at 1e-9 C. The modal path is numpy only: scipy is
+imported inside those three oracle methods, so a run that never calls
+them never loads it.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
-from scipy.sparse.linalg import spsolve
 
 from repro.core.config import _finite_positive
 from repro.obs import metrics as obs_metrics
@@ -304,6 +304,8 @@ class ThermalGrid:
         the order the reference triple loop adds them, so the result is
         bit-identical to :meth:`_assemble_reference`.
         """
+        from scipy.sparse import coo_matrix
+
         nx, ny = self.nx, self.ny
         n_layers = self.stack.n_layers
         plane = ny * nx
@@ -379,6 +381,8 @@ class ThermalGrid:
         Kept as the readable specification of the discretization and as
         the oracle the vectorized :meth:`_assemble` is tested against.
         """
+        from scipy.sparse import coo_matrix
+
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
@@ -623,6 +627,9 @@ class ThermalGrid:
     ) -> np.ndarray:
         """Backward-Euler steps solved by :func:`spsolve` over the
         assembled ``C/dt + G``, one right-hand side at a time."""
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import spsolve
+
         if self._system is None:
             self._system = self._assemble()
         matrix, b_amb = self._system

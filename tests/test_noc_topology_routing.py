@@ -1,10 +1,9 @@
 """EHP topology and routing."""
 
-import networkx as nx
 import pytest
 
 from repro.noc.routing import hop_latency, monolithic_latency, route
-from repro.noc.topology import EHPTopology, NodeKind
+from repro.noc.topology import EHPTopology, Link, NodeKind
 
 
 @pytest.fixture(scope="module")
@@ -12,6 +11,31 @@ def topo():
     t = EHPTopology()
     t.validate()
     return t
+
+
+def _tree_path(links, src, dst):
+    """The first simple path a depth-first search finds from *src* to
+    *dst* (the only one when the link table is a tree), or None."""
+    stack = [(src, (src,))]
+    seen = {src}
+    while stack:
+        node, path = stack.pop()
+        if node == dst:
+            return path
+        for nxt in links[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, path + (nxt,)))
+    return None
+
+
+def _n_links(topology):
+    return sum(len(nbrs) for nbrs in topology.links.values()) // 2
+
+
+def _connected(topology):
+    start = next(iter(topology.vertices))
+    return all(_tree_path(topology.links, start, v) for v in topology.vertices)
 
 
 class TestTopologyStructure:
@@ -23,21 +47,34 @@ class TestTopologyStructure:
         assert len(topo.nodes_of_kind(NodeKind.EXT_INTERFACE)) == 8
 
     def test_connected(self, topo):
-        assert nx.is_connected(topo.graph)
+        assert _connected(topo)
+
+    def test_link_table_is_symmetric(self, topo):
+        assert set(topo.links) == set(topo.vertices)
+        for a, nbrs in topo.links.items():
+            for b, link in nbrs.items():
+                assert topo.links[b][a] is link
 
     def test_tree_so_every_route_is_unique(self, topo):
-        # Connected with one edge fewer than nodes: a tree. Each
+        # Connected with one link fewer than vertices: a tree. Each
         # (src, dst) pair then has exactly one path, so no shortest-path
         # search or tie-break can route any message differently.
-        graph = topo.graph
-        assert (graph.number_of_nodes(), graph.number_of_edges()) == (38, 37)
-        assert nx.is_connected(graph)
+        assert (len(topo.vertices), _n_links(topo)) == (38, 37)
+        assert _connected(topo)
+
+    def test_validate_rejects_a_disconnected_topology(self):
+        t = EHPTopology()
+        del t.links["gpu0"]["dram0"], t.links["dram0"]["gpu0"]
+        with pytest.raises(AssertionError, match="connected"):
+            t.validate()
+        with pytest.raises(ValueError, match="no route"):
+            route(t, "gpu1", "dram0")
 
     def test_every_gpu_has_local_dram(self, topo):
         for gpu in topo.gpu_chiplets:
             dram = topo.local_dram(gpu)
             assert dram in topo.dram_stacks
-            assert topo.graph.has_edge(gpu, dram)
+            assert dram in topo.links[gpu]
 
     def test_local_dram_rejects_non_gpu(self, topo):
         with pytest.raises(ValueError):
@@ -99,6 +136,47 @@ class TestRouting:
     def test_unknown_endpoint_raises(self, topo):
         with pytest.raises(KeyError):
             route(topo, "gpu0", "nonexistent")
+
+    def test_every_route_is_the_unique_tree_path(self, topo):
+        names = list(topo.vertices)
+        for src in names:
+            for dst in names:
+                path = _tree_path(topo.links, src, dst)
+                links = [topo.links[a][b] for a, b in zip(path, path[1:])]
+                latency = 0.0
+                for link in links:
+                    latency += link.latency
+                r = route(topo, src, dst)
+                assert r.nodes == path
+                assert r.latency == latency
+                assert r.tsv_hops == sum(k.kind == "tsv" for k in links)
+                assert r.interposer_hops == sum(
+                    k.kind == "interposer-interposer" for k in links
+                )
+        assert len(names) ** 2 == 1444
+
+    @pytest.mark.parametrize("shortcut_ns, via_shortcut", [
+        (1.0, True), (100.0, False),
+    ])
+    def test_cycle_routes_the_lower_latency_side(
+        self, shortcut_ns, via_shortcut
+    ):
+        # A shortcut intp0-intp5 closes a cycle: the lateral path it
+        # bypasses costs five 15 ns interposer crossings (75 ns).
+        t = EHPTopology()
+        tree = route(t, "gpu0", "dram7")
+        t.links["intp0"]["intp5"] = t.links["intp5"]["intp0"] = Link(
+            "interposer-interposer", shortcut_ns * 1e-9
+        )
+        r = route(t, "gpu0", "dram7")
+        if via_shortcut:
+            assert r.nodes == (
+                "gpu0", "intp0", "intp5", "gpu7", "dram7"
+            )
+            assert r.interposer_hops == 1
+            assert r.latency < tree.latency
+        else:
+            assert r == tree
 
     def test_routes_symmetric_latency(self, topo):
         assert hop_latency(topo, "gpu1", "dram6") == pytest.approx(

@@ -29,6 +29,31 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError):
             TrafficMatrix(("a",), ("b",), np.array([[-1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # total and out_of_chiplet_fraction read NaN before this check.
+        with pytest.raises(ValueError, match="finite"):
+            TrafficMatrix(("a",), ("b", "c"), np.array([[1.0, bad]]))
+
+    def test_array_like_bytes_become_a_float_array(self):
+        m = TrafficMatrix(("a",), ("b", "c"), [[1, 2]])
+        assert m.bytes_.dtype == float
+        assert m.total == 3.0
+
+    @pytest.mark.parametrize("bad", [
+        [[1.0], [1.0, 2.0]],  # ragged rows
+        [["x", "y"]],  # not numbers
+        [[1.0, 2.0]],  # numbers, wrong shape
+    ])
+    def test_bad_nested_list_raises_value_error(self, bad):
+        with pytest.raises(ValueError):
+            TrafficMatrix(("a", "b"), ("c", "d"), bad)
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0])
+    def test_gpu_matrix_rejects_bad_total(self, topo, total):
+        with pytest.raises(ValueError, match="total_bytes"):
+            gpu_dram_traffic_matrix(topo, total_bytes=total)
+
     def test_uniform_interleave_remote_fraction(self, topo):
         # Pure 1/8 locality: 7/8 of traffic leaves the chiplet.
         m = gpu_dram_traffic_matrix(

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.perfmodel.machine import MachineParams
+from repro.noc.traffic import chiplet_traffic_summary
 from repro.perfmodel.roofline import (
     evaluate_kernel,
+    evaluate_kernel_grid,
     kernel_time,
     smooth_max_array,
 )
-from repro.workloads.kernels import KernelCategory, KernelProfile
+from repro.workloads.catalog import get_application
+from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
 
 
 def profile(**overrides) -> KernelProfile:
@@ -59,6 +62,43 @@ class TestInputValidation:
             evaluate_kernel(p, 320, 1e9, 3e12, ext_fraction=1.5)
         with pytest.raises(ValueError):
             evaluate_kernel(p, 320, 1e9, 3e12, ext_fraction=-0.1)
+
+    # Each of these returned NaN or a finite time instead of raising.
+    @pytest.mark.parametrize("axes", [
+        (np.nan, 1e9, 3e12), (320, np.nan, 3e12), (320, 1e9, np.nan),
+        (np.inf, 1e9, 3e12), (320, np.inf, 3e12), (320, 1e9, np.inf),
+        (np.array([320.0, np.nan]), 1e9, 3e12),
+    ])
+    def test_non_finite_hardware_rejected(self, axes):
+        with pytest.raises(ValueError, match="finite and positive"):
+            evaluate_kernel(get_application("CoMD"), *axes)
+
+    @pytest.mark.parametrize("frac", [np.nan, [0.5, np.nan], np.inf])
+    def test_non_finite_ext_fraction_rejected(self, frac):
+        with pytest.raises(ValueError, match="ext_fraction"):
+            evaluate_kernel(profile(), 320, 1e9, 3e12, ext_fraction=frac)
+
+    @pytest.mark.parametrize("lat", [np.nan, np.inf, -1.0, -1e-12])
+    def test_bad_extra_latency_rejected(self, lat):
+        with pytest.raises(ValueError, match="extra_latency"):
+            evaluate_kernel(profile(), 320, 1e9, 3e12, extra_latency=lat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_grid_rejects_bad_axis_entries(self, axis, bad):
+        axes = [[256.0, 320.0], [1e9], [3e12]]
+        axes[axis] = axes[axis] + [bad]
+        batch = ProfileBatch.from_profiles([profile()])
+        with pytest.raises(ValueError, match="finite and positive"):
+            evaluate_kernel_grid(batch, *axes)
+
+    def test_chiplet_summary_rejects_nan_cus(self):
+        # Reported perf_vs_monolithic=nan before the axes were checked.
+        with pytest.raises(ValueError):
+            chiplet_traffic_summary(
+                get_application("CoMD"), n_cus=np.nan, freq=1e9,
+                bandwidth=3e12,
+            )
 
 
 class TestComputeBound:

@@ -25,13 +25,16 @@ from repro.memsys.manager import (
     MemoryManager,
 )
 from repro.memsys.rowbuffer import RowBufferSim
-from repro.perfmodel.roofline import evaluate_kernel
+from repro.noc.simulator import NocSimulator, SimMessage
+from repro.noc.topology import EHPTopology
+from repro.noc.traffic import TrafficMatrix, gpu_dram_traffic_matrix
+from repro.perfmodel.roofline import evaluate_kernel, evaluate_kernel_grid
 from repro.power.components import PowerParams
 from repro.ras.checkpoint import CheckpointModel
 from repro.ras.ecc import ecc_overhead_bits
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.sim.cache_sim import CacheLevel, CacheSim
-from repro.workloads.kernels import KernelCategory, KernelProfile
+from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
 from repro.workloads.traces import MemoryTrace
 
 cus = st.sampled_from([192, 224, 256, 288, 320, 352, 384])
@@ -429,7 +432,8 @@ class TestMemsysEngineProperties:
 
 
 # ----------------------------------------------------------------------
-# Public constructors reject bad fields with a clean ValueError
+# Public constructors and entry points reject bad fields with a clean
+# ValueError
 # ----------------------------------------------------------------------
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # Every float (NaN and 256.0 included) and every bool is a bad count.
@@ -437,6 +441,11 @@ _NOT_INT = st.one_of(st.floats(), st.booleans())
 _BAD_POSITIVE = st.one_of(_NON_FINITE, st.floats(max_value=0.0))
 _BAD_NON_NEGATIVE = st.one_of(
     _NON_FINITE, st.floats(max_value=0.0, exclude_max=True)
+)
+_BAD_FRACTION = st.one_of(
+    _NON_FINITE,
+    st.floats(max_value=0.0, exclude_max=True),
+    st.floats(min_value=1.0, exclude_min=True),
 )
 _BAD_COUNT = st.one_of(_NOT_INT, st.integers(max_value=0))
 _BAD_NON_NEGATIVE_COUNT = st.one_of(_NOT_INT, st.integers(max_value=-1))
@@ -448,17 +457,29 @@ _BAD_CU = st.one_of(
 )
 
 
+_FUZZ_PROFILE = KernelProfile(
+    name="k", category=KernelCategory.BALANCED, description="fuzz",
+    flops=1e12, bytes_per_flop=0.5,
+)
+
+
 def _fleet(**group_fields):
-    profile = KernelProfile(
-        name="k", category=KernelCategory.BALANCED, description="fuzz",
-        flops=1e12, bytes_per_flop=0.5,
-    )
     budget = group_fields.pop("power_budget_mw", 20.0)
-    group = FleetGroup("g", profiles=(profile,), **group_fields)
+    group = FleetGroup("g", profiles=(_FUZZ_PROFILE,), **group_fields)
     return FleetSpec((group,), power_budget_mw=budget)
 
 
-# constructor field -> (build from one bad value, bad-value strategy)
+def _kernel(n_cus=256.0, freq=1e9, bandwidth=3e12, **kwargs):
+    return evaluate_kernel(_FUZZ_PROFILE, n_cus, freq, bandwidth, **kwargs)
+
+
+def _kernel_grid(cu=256.0, freq=1e9, bw=3e12):
+    batch = ProfileBatch.from_profiles([_FUZZ_PROFILE])
+    return evaluate_kernel_grid(batch, (192.0, cu), (0.8e9, freq), (bw,))
+
+
+# constructor field or function argument ->
+#     (build from one bad value, bad-value strategy)
 _BAD_FIELDS = {
     "DesignSpace.cu_counts": (
         lambda v: DesignSpace(cu_counts=(256, v)), _BAD_CU),
@@ -511,6 +532,37 @@ _BAD_FIELDS = {
         lambda v: DvfsGovernor(cu_gate_step=v), _BAD_COUNT),
     "DvfsGovernor.freq_ladder": (
         lambda v: DvfsGovernor(freq_ladder=(1e9, v)), _BAD_POSITIVE),
+    "DramCache.capacity_bytes": (DramCache, _BAD_POSITIVE),
+    "DramCache.page_bytes": (
+        lambda v: DramCache(1 << 20, page_bytes=v), _BAD_COUNT),
+    "DramCache.associativity": (
+        lambda v: DramCache(1 << 20, associativity=v), _BAD_COUNT),
+    "evaluate_kernel.n_cus": (lambda v: _kernel(n_cus=v), _BAD_POSITIVE),
+    "evaluate_kernel.freq": (lambda v: _kernel(freq=v), _BAD_POSITIVE),
+    "evaluate_kernel.bandwidth": (
+        lambda v: _kernel(bandwidth=v), _BAD_POSITIVE),
+    "evaluate_kernel.ext_fraction": (
+        lambda v: _kernel(ext_fraction=v), _BAD_FRACTION),
+    "evaluate_kernel.extra_latency": (
+        lambda v: _kernel(extra_latency=v), _BAD_NON_NEGATIVE),
+    "evaluate_kernel_grid.cu_axis": (
+        lambda v: _kernel_grid(cu=v), _BAD_POSITIVE),
+    "evaluate_kernel_grid.freq_axis": (
+        lambda v: _kernel_grid(freq=v), _BAD_POSITIVE),
+    "evaluate_kernel_grid.bw_axis": (
+        lambda v: _kernel_grid(bw=v), _BAD_POSITIVE),
+    "TrafficMatrix.bytes_": (
+        lambda v: TrafficMatrix(("a",), ("b", "c"), [[1.0, v]]),
+        _BAD_NON_NEGATIVE),
+    "gpu_dram_traffic_matrix.total_bytes": (
+        lambda v: gpu_dram_traffic_matrix(EHPTopology(), v),
+        _BAD_NON_NEGATIVE),
+    "NocSimulator.link_bandwidth": (
+        lambda v: NocSimulator(link_bandwidth=v), _BAD_POSITIVE),
+    "SimMessage.size_bytes": (
+        lambda v: SimMessage("gpu0", "dram0", v, 0.0), _BAD_POSITIVE),
+    "SimMessage.inject_time": (
+        lambda v: SimMessage("gpu0", "dram0", 64.0, v), _BAD_NON_NEGATIVE),
 }
 
 

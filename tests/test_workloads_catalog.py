@@ -88,13 +88,23 @@ class TestTable2:
 
     def test_experiment_registry_skips_the_optimizer(self):
         # Table II lives next to Table I, so regenerating the artifacts
-        # never loads the calibration search's scipy.optimize.
-        code = (
-            "import sys, repro.experiments.registry; "
-            "print('scipy.optimize' in sys.modules)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "False"
+        # never loads the calibration search's scipy.optimize. Nor does
+        # any run load scipy at all (only the thermal oracle imports
+        # scipy.sparse, inside its methods) or networkx (the NoC router
+        # is a small Dijkstra). Each entry point gets a fresh interpreter.
+        for module in (
+            "repro.experiments.registry",  # `repro all`, perfbench artifacts
+            "repro.__main__",  # the CLI
+            "repro.core.thermal_governor",  # perfbench plan's modules
+            "repro.thermal.analysis",
+            "repro.fleet.sweep",
+        ):
+            code = (
+                f"import sys, {module}; "
+                "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, check=True,
+            )
+            assert out.stdout.strip() == "[]", module

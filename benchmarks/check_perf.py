@@ -18,8 +18,6 @@ replicated below) and asserts the speedup ratios the layer promises:
   the shipped scalar oracle now evicts via an incremental heap),
   and the DRAM-cache capacity sweep alone (Fig. 8's measured variant)
   >= 4x over the event oracle,
-* a warm MemsysCache replay of that same sweep >= 5x over the cold run
-  (the ROADMAP's cold-vs-warm evaluation-cache ratio),
 * the always-on observability layer costs <= 5% on the APU simulator
   (instrumented run vs the same run under ``obs.metrics.disabled()``),
 * the fused whole-grid tensor evaluation
@@ -78,7 +76,6 @@ from repro.noc.routing import route
 from repro.noc.simulator import LinkStats, NocSimulator, SimMessage
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.perf.evalcache import MemsysCache
 from repro.sim.apu_sim import ApuSimulator
 from repro.thermal.grid import ThermalGrid
 from repro.util.benchjson import load_summary
@@ -468,38 +465,6 @@ def check_memsys(quick: bool) -> list[str]:
         failures.append(
             f"DRAM-cache sweep array-engine speedup {sweep_ratio:.1f}x < 4x"
         )
-    return failures
-
-
-def check_memsys_cache(quick: bool) -> list[str]:
-    n, trace, capacities, manager_capacity = _memsys_sweep_params(quick)
-    addrs, writes = trace.addresses, trace.is_write
-
-    def sweep(cache: MemsysCache):
-        cache.rowbuffer_stats(addrs)
-        for capacity in capacities:
-            cache.dram_stats(addrs, writes, capacity_bytes=capacity)
-        cache.manager_fractions(
-            addrs, n_epochs=4, capacity_bytes=manager_capacity
-        )
-
-    cache = MemsysCache()
-    t_cold = _best_of(lambda: sweep(cache), 1)  # first run computes
-    t_warm = _best_of(lambda: sweep(cache), 3)  # later runs only look up
-    ratio = t_cold / t_warm
-    stats = cache.stats()
-    print(f"memsys cache {n // 1000}k addresses: cold {t_cold * 1e3:.0f} ms "
-          f"vs warm {t_warm * 1e3:.1f} ms -> {ratio:.1f}x "
-          f"(hits {stats.hits}, misses {stats.misses})")
-
-    failures = []
-    if stats.misses != len(capacities) + 2:
-        failures.append(
-            f"memsys cache recomputed warm entries "
-            f"({stats.misses} misses for {len(capacities) + 2} keys)"
-        )
-    if ratio < 5.0:
-        failures.append(f"memsys cold-vs-warm ratio {ratio:.1f}x < 5x")
     return failures
 
 
@@ -946,7 +911,6 @@ CHECKS = (
     ("noc", check_noc),
     ("apu_sim", check_apu_sim),
     ("memsys", check_memsys),
-    ("memsys_cache", check_memsys_cache),
     ("obs_overhead", check_obs_overhead),
     ("tensor_eval", check_tensor_eval),
     ("serve", check_serve),

@@ -14,7 +14,7 @@ from repro.memsys.dramcache import DramCache
 from repro.memsys.manager import HotnessMigrationPolicy, MemoryManager
 from repro.memsys.rowbuffer import RowBufferSim
 from repro.noc.simulator import NocSimulator, SimMessage
-from repro.perf.evalcache import EvalCache, MemsysCache
+from repro.perf.evalcache import EvalCache
 from repro.perf.parallel import run_all_experiments
 from repro.sim.apu_sim import ApuSimulator
 from repro.thermal.grid import ThermalGrid
@@ -136,24 +136,6 @@ def test_bench_memsys_event_10k(benchmark):
         rounds=2,
         iterations=1,
     )
-
-
-def test_bench_memsys_cache_warm(benchmark):
-    """Warm MemsysCache sweep (row buffer, DRAM capacities, manager)."""
-    trace, capacities, manager_capacity = _memsys_replay_params(50_000)
-    addrs, writes = trace.addresses, trace.is_write
-    cache = MemsysCache()
-
-    def sweep():
-        cache.rowbuffer_stats(addrs)
-        for capacity in capacities:
-            cache.dram_stats(addrs, writes, capacity_bytes=capacity)
-        cache.manager_fractions(
-            addrs, n_epochs=4, capacity_bytes=manager_capacity
-        )
-
-    sweep()  # populate outside the timed region
-    benchmark(sweep)
 
 
 def test_bench_eval_cache_warm(benchmark):

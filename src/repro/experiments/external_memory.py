@@ -16,8 +16,8 @@ each application's synthetic trace is split into epochs and driven
 through :class:`~repro.memsys.manager.MemoryManager` (``engine="array"``
 by default, scalar ``"event"`` oracle selectable), and the converged
 in-package fraction sets the external traffic share the power model is
-charged for. Replays route through the shared
-:class:`~repro.perf.evalcache.MemsysCache`.
+charged for. Each application's replay runs once, directly on a fresh
+manager.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.config import PAPER_BEST_MEAN, EHPConfig
 from repro.core.node import NodeModel
 from repro.experiments.runner import ExperimentResult, all_profiles
-from repro.perf.evalcache import MemsysCache, default_memsys_cache
+from repro.memsys.manager import HotnessMigrationPolicy, MemoryManager
 from repro.power.breakdown import (
     ExternalMemoryConfig,
     PowerBreakdown,
@@ -153,28 +153,22 @@ def measured_inpackage_fraction(
     n_accesses: int = 50_000,
     seed: int = 42,
     page_size: int = 4096,
-    policy: str = "hotness",
     engine: str = "array",
-    cache: MemsysCache | None = None,
 ) -> float:
-    """In-package service fraction the page-migration manager converges
-    to on the profile's synthetic trace (the last epoch's fraction),
-    with in-package capacity set to *capacity_fraction* of the trace
-    footprint."""
+    """In-package service fraction the hotness-migration manager
+    converges to on the profile's synthetic trace (the last of
+    *n_epochs* contiguous epochs), with in-package capacity set to
+    *capacity_fraction* of the trace footprint."""
     if not 0.0 < capacity_fraction:
         raise ValueError("capacity_fraction must be positive")
+    if n_epochs <= 0:
+        raise ValueError("n_epochs must be positive")
     trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
-    cache = cache if cache is not None else default_memsys_cache()
     capacity = max(float(page_size), capacity_fraction * trace.footprint_bytes)
-    fractions = cache.manager_fractions(
-        trace.addresses,
-        n_epochs=n_epochs,
-        capacity_bytes=capacity,
-        page_size=page_size,
-        policy=policy,
-        engine=engine,
+    manager = MemoryManager(
+        capacity, HotnessMigrationPolicy(), page_size, engine=engine
     )
-    return float(fractions[-1])
+    return manager.run_batch(np.array_split(trace.addresses, n_epochs))[-1]
 
 
 def run_fig9_managed(
@@ -182,7 +176,6 @@ def run_fig9_managed(
     *,
     capacity_fraction: float = 0.25,
     engine: str = "array",
-    cache: MemsysCache | None = None,
 ) -> ExperimentResult:
     """Fig. 9 with the off-package share measured by the page manager.
 
@@ -211,7 +204,6 @@ def run_fig9_managed(
             profile,
             capacity_fraction=capacity_fraction,
             engine=engine,
-            cache=cache,
         )
         for profile in profiles
     ]

@@ -20,10 +20,10 @@ capacities = 48 replays. The default ``engine="array"`` computes each
 replay's exact LRU hits in one vectorized stack-distance pass; the
 scalar ``"event"`` oracle stays selectable. The capacities do not nest
 (each changes the set count, not only the ways), so every capacity is
-its own pass rather than one all-capacity sweep. Replays are memoized in
-the shared :class:`~repro.perf.evalcache.MemsysCache`, so repeated
-sweeps over the same stream and geometry are free. Capacity fractions
-must be finite and positive.
+its own pass rather than one all-capacity sweep. Each replay starts
+from a cold :class:`~repro.memsys.dramcache.DramCache` and is not
+memoized: no sweep repeats a (stream, geometry) pair. Capacity
+fractions must be finite and positive.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Sequence
 
 from repro.core.config import PAPER_BEST_MEAN
 from repro.experiments.runner import ExperimentResult, all_profiles
-from repro.perf.evalcache import MemsysCache, default_memsys_cache
+from repro.memsys.dramcache import DramCache
 from repro.perfmodel.machine import MachineParams
 from repro.perfmodel.mlm import miss_rate_sweep
 from repro.util.tables import TextTable
@@ -100,31 +100,19 @@ def measured_miss_rates(
     page_bytes: int = 4096,
     associativity: int = 8,
     engine: str = "array",
-    cache: MemsysCache | None = None,
 ) -> list[float]:
     """Miss rates measured by replaying the profile's synthetic trace
-    through the DRAM-cache model at each capacity fraction.
-
-    The trace is deterministic in (profile, seed, length), so the
-    memsys cache key is stable across calls and the sweep is memoized
-    per (geometry, stream, engine).
-    """
+    through a cold DRAM-cache model at each capacity fraction."""
     trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
-    cache = cache if cache is not None else default_memsys_cache()
     floor = float(page_bytes * associativity)
     rates = []
     for fraction in capacity_fractions:
         if not math.isfinite(fraction) or fraction <= 0:
             raise ValueError("capacity fractions must be finite and positive")
         capacity = max(floor, fraction * trace.footprint_bytes)
-        stats = cache.dram_stats(
-            trace.addresses,
-            trace.is_write,
-            capacity_bytes=capacity,
-            page_bytes=page_bytes,
-            associativity=associativity,
-            engine=engine,
-        )
+        stats = DramCache(
+            capacity, page_bytes, associativity, engine=engine
+        ).run_trace(trace.addresses, trace.is_write)
         rates.append(1.0 - stats.hit_rate)
     return rates
 
@@ -134,7 +122,6 @@ def run_fig8_measured(
     machine: MachineParams | None = None,
     *,
     engine: str = "array",
-    cache: MemsysCache | None = None,
 ) -> ExperimentResult:
     """Trace-grounded Fig. 8: per-application performance at the miss
     rates the DRAM-cache model actually produces at each capacity."""
@@ -145,9 +132,7 @@ def run_fig8_measured(
     table = TextTable(columns)
     data: dict[str, dict[str, list[float]]] = {}
     for profile in all_profiles():
-        rates = measured_miss_rates(
-            profile, capacity_fractions, engine=engine, cache=cache
-        )
+        rates = measured_miss_rates(profile, capacity_fractions, engine=engine)
         rel = miss_rate_sweep(
             profile,
             cfg.n_cus,

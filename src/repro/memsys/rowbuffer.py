@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import _is_int
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -85,8 +86,15 @@ class RowBufferSim:
         channel_interleave_bytes: int = 256,
         engine: str = "array",
     ):
-        if n_banks <= 0 or row_bytes <= 0 or channel_interleave_bytes <= 0:
-            raise ValueError("geometry must be positive")
+        for name, value in (
+            ("n_banks", n_banks),
+            ("row_bytes", row_bytes),
+            ("channel_interleave_bytes", channel_interleave_bytes),
+        ):
+            if not (_is_int(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
         self.n_banks = n_banks
         self.row_bytes = row_bytes
         self.interleave = channel_interleave_bytes

@@ -160,11 +160,8 @@ class EHPTopology:
         the same vertex — i.e., no interposer traversal is needed."""
         if a == b:
             return True
-        pair = {a, b}
-        for gpu in self.gpu_chiplets:
-            if pair == {gpu, self.local_dram(gpu)}:
-                return True
-        return False
+        link = self.links.get(a, {}).get(b)
+        return link is not None and link.kind == "3d-stack"
 
     def validate(self) -> None:
         """Sanity-check structural invariants; raises on violation."""

@@ -116,17 +116,12 @@ def engine_choices() -> dict:
 
 
 def cache_stats() -> dict:
-    """Counters of the three shared default caches, as plain dicts."""
-    from repro.perf.evalcache import (
-        default_cache,
-        default_memsys_cache,
-        default_sim_cache,
-    )
+    """Counters of the two shared default caches, as plain dicts."""
+    from repro.perf.evalcache import default_cache, default_sim_cache
 
     return {
         "eval": default_cache().stats().as_dict(),
         "sim": default_sim_cache().stats().as_dict(),
-        "memsys": default_memsys_cache().stats().as_dict(),
     }
 
 

@@ -24,14 +24,8 @@ engine) -> ApuSimResult``, so calibration cross-check sweeps that replay
 one kernel's trace against several engines/configs never re-simulate a
 (config, trace) pair they have already measured.
 
-The third front is the vectorized memory-system layer
-(:class:`MemsysCache`): DRAM-cache, row-buffer, and page-migration
-replays keyed by ``(geometry, address-stream fingerprint, engine)``, so
-capacity sweeps that push the same 50k-address stream through a dozen
-cache sizes only pay for each geometry once per process.
-
-All three are the same in-memory memo: a locked ``dict`` that keeps
-every entry for the life of the process, with hit and miss counters.
+Both are the same in-memory memo: a locked ``dict`` that keeps every
+entry for the life of the process, with hit and miss counters.
 Single-point evaluations (``NodeModel.evaluate_arrays``) are not
 memoized: no paper artifact repeats one.
 
@@ -52,13 +46,6 @@ import numpy as np
 from repro.core.config import DesignSpace
 from repro.core.node import GridEvaluation, NodeModel
 from repro.obs import metrics as _obs_metrics
-from repro.memsys.dramcache import DramCache, DramCacheStats
-from repro.memsys.manager import (
-    FirstTouchPolicy,
-    HotnessMigrationPolicy,
-    MemoryManager,
-)
-from repro.memsys.rowbuffer import RowBufferSim, RowBufferStats
 from repro.sim.apu_sim import ApuSimConfig, ApuSimResult, ApuSimulator
 from repro.workloads.kernels import KernelProfile, ProfileBatch
 from repro.workloads.traces import MemoryTrace
@@ -67,17 +54,14 @@ __all__ = [
     "CacheStats",
     "EvalCache",
     "SimCache",
-    "MemsysCache",
     "default_cache",
     "default_sim_cache",
-    "default_memsys_cache",
     "fingerprint_model",
     "fingerprint_profile",
     "simulate_trace_cached",
     "fingerprint_batch",
     "fingerprint_trace",
     "fingerprint_sim_config",
-    "fingerprint_addresses",
     "cache_stats",
     "clear_cache",
 ]
@@ -163,20 +147,6 @@ def fingerprint_sim_config(config: ApuSimConfig) -> str:
     """Value fingerprint of one simulator configuration (frozen
     dataclass of scalars, so its repr is a faithful value encoding)."""
     return _digest(repr(config))
-
-
-def fingerprint_addresses(addresses, writes=None) -> str:
-    """Value fingerprint of a raw address stream (plus optional write
-    flags) — the memsys cache key component."""
-    h = hashlib.sha1()
-    for arr in (addresses, writes):
-        if arr is None:
-            h.update(b"none")
-            continue
-        arr = np.ascontiguousarray(np.asarray(arr))
-        h.update(str((arr.shape, arr.dtype.str)).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 class _KeyedMemo:
@@ -417,126 +387,6 @@ def simulate_trace_cached(
     """
     cache = cache if cache is not None else _default_sim_cache
     return cache.run(trace, config=config, engine=engine)
-
-
-class MemsysCache(_KeyedMemo):
-    """Keyed memo fronting the memory-system engines.
-
-    Keys are ``(kind, geometry..., address-stream fingerprint, engine)``
-    tuples; the three kinds cover the DRAM-cache, row-buffer, and
-    page-migration replays the Fig. 8/9 experiment drivers run. As with
-    :class:`SimCache`, both engines are cached independently so the
-    oracle harness's deliberate double runs never alias.
-    """
-
-    metrics_prefix = "cache.memsys"
-
-    def dram_stats(
-        self,
-        addresses,
-        writes=None,
-        *,
-        capacity_bytes: float = 256.0e9,
-        page_bytes: int = 4096,
-        associativity: int = 8,
-        engine: str = "array",
-    ) -> DramCacheStats:
-        """Cached ``DramCache(...).run_trace(addresses, writes)`` from a
-        cold cache."""
-        key = (
-            "dram",
-            float(capacity_bytes),
-            int(page_bytes),
-            int(associativity),
-            fingerprint_addresses(addresses, writes),
-            engine,
-        )
-
-        def compute() -> DramCacheStats:
-            cache = DramCache(
-                capacity_bytes, page_bytes, associativity, engine=engine
-            )
-            return cache.run_trace(addresses, writes)
-
-        return self._memoize(key, compute)
-
-    def rowbuffer_stats(
-        self,
-        addresses,
-        *,
-        n_banks: int = 128,
-        row_bytes: int = 1024,
-        channel_interleave_bytes: int = 256,
-        engine: str = "array",
-    ) -> RowBufferStats:
-        """Cached ``RowBufferSim(...).run(addresses)`` from closed rows."""
-        key = (
-            "rowbuffer",
-            int(n_banks),
-            int(row_bytes),
-            int(channel_interleave_bytes),
-            fingerprint_addresses(addresses),
-            engine,
-        )
-
-        def compute() -> RowBufferStats:
-            sim = RowBufferSim(
-                n_banks, row_bytes, channel_interleave_bytes, engine=engine
-            )
-            return sim.run(addresses)
-
-        return self._memoize(key, compute)
-
-    def manager_fractions(
-        self,
-        addresses,
-        *,
-        n_epochs: int = 4,
-        capacity_bytes: float = 256.0e9,
-        page_size: int = 4096,
-        policy: str = "hotness",
-        migration_limit: int | None = None,
-        engine: str = "array",
-    ) -> tuple[float, ...]:
-        """Cached per-epoch in-package fractions: the address stream is
-        split into *n_epochs* contiguous epochs and driven through a
-        fresh :class:`~repro.memsys.manager.MemoryManager`."""
-        if n_epochs <= 0:
-            raise ValueError("n_epochs must be positive")
-        if policy not in ("hotness", "first-touch"):
-            raise ValueError(f"unknown policy {policy!r}")
-        key = (
-            "manager",
-            int(n_epochs),
-            float(capacity_bytes),
-            int(page_size),
-            policy,
-            migration_limit,
-            fingerprint_addresses(addresses),
-            engine,
-        )
-
-        def compute() -> tuple[float, ...]:
-            if policy == "hotness":
-                pol = HotnessMigrationPolicy(migration_limit)
-            else:
-                pol = FirstTouchPolicy()
-            manager = MemoryManager(
-                capacity_bytes, pol, page_size, engine=engine
-            )
-            arr = np.asarray(addresses, dtype=np.int64)
-            epochs = np.array_split(arr, n_epochs)
-            return tuple(manager.run_batch(epochs))
-
-        return self._memoize(key, compute)
-
-
-_default_memsys_cache = MemsysCache()
-
-
-def default_memsys_cache() -> MemsysCache:
-    """The process-wide shared memory-system cache."""
-    return _default_memsys_cache
 
 
 def cache_stats() -> CacheStats:

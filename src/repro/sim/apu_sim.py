@@ -46,11 +46,13 @@ because both sides share the per-CU abstraction.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from repro.core.config import _is_int
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sim.cache_sim import CacheLevel, CacheSim
@@ -67,7 +69,12 @@ ENGINES = ("array", "event")
 
 @dataclass(frozen=True)
 class ApuSimConfig:
-    """Scaled-down simulation parameters."""
+    """Scaled-down simulation parameters.
+
+    Counts (``n_cus``, ``wavefronts_per_cu``, ``line_bytes``) must be
+    positive integers, rates and latencies finite and positive, and
+    ``chiplet_extra_latency`` finite and non-negative.
+    """
 
     n_cus: int = 16
     freq_hz: float = 1.0e9
@@ -81,12 +88,26 @@ class ApuSimConfig:
     line_bytes: int = 64
 
     def __post_init__(self) -> None:
-        if self.n_cus <= 0 or self.wavefronts_per_cu <= 0:
-            raise ValueError("CU/wavefront counts must be positive")
-        if min(self.freq_hz, self.dram_bandwidth, self.dram_latency) <= 0:
-            raise ValueError("rates and latencies must be positive")
-        if self.chiplet_extra_latency < 0:
-            raise ValueError("chiplet_extra_latency must be non-negative")
+        for name in ("n_cus", "wavefronts_per_cu", "line_bytes"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
+        for name in (
+            "freq_hz", "flops_per_cu_cycle", "dram_bandwidth",
+            "dram_latency", "llc_latency", "l1_latency",
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
+        if not 0 <= self.chiplet_extra_latency < math.inf:
+            raise ValueError(
+                "chiplet_extra_latency must be finite and non-negative, "
+                f"got {self.chiplet_extra_latency!r}"
+            )
 
 
 @dataclass(frozen=True)

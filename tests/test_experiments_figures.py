@@ -314,38 +314,22 @@ class TestFig8Measured:
 
     def test_engines_agree(self):
         from repro.experiments.miss_sensitivity import measured_miss_rates
-        from repro.perf.evalcache import MemsysCache
         from repro.workloads.catalog import get_application
 
         profile = get_application("CoMD")
-        array_rates = measured_miss_rates(
-            profile, (0.05, 0.5), cache=MemsysCache()
-        )
+        array_rates = measured_miss_rates(profile, (0.05, 0.5))
         event_rates = measured_miss_rates(
-            profile, (0.05, 0.5), engine="event", cache=MemsysCache()
+            profile, (0.05, 0.5), engine="event"
         )
         assert array_rates == pytest.approx(event_rates, rel=1e-9)
 
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
     def test_non_finite_capacity_fraction_rejected(self, fraction):
         from repro.experiments.miss_sensitivity import measured_miss_rates
-        from repro.perf.evalcache import MemsysCache
         from repro.workloads.catalog import get_application
 
         with pytest.raises(ValueError, match="capacity fractions"):
-            measured_miss_rates(
-                get_application("CoMD"), (fraction,), cache=MemsysCache()
-            )
-
-    def test_repeat_run_hits_memsys_cache(self, result):
-        from repro.experiments.miss_sensitivity import run_fig8_measured
-        from repro.perf.evalcache import default_memsys_cache
-
-        before = default_memsys_cache().stats()
-        run_fig8_measured()
-        after = default_memsys_cache().stats()
-        assert after.misses == before.misses
-        assert after.hits > before.hits
+            measured_miss_rates(get_application("CoMD"), (fraction,))
 
 
 class TestFig9Managed:
@@ -374,12 +358,20 @@ class TestFig9Managed:
         from repro.experiments.external_memory import (
             measured_inpackage_fraction,
         )
-        from repro.perf.evalcache import MemsysCache
         from repro.workloads.catalog import get_application
 
         profile = get_application("CoMD")
-        fa = measured_inpackage_fraction(profile, cache=MemsysCache())
-        fe = measured_inpackage_fraction(
-            profile, engine="event", cache=MemsysCache()
-        )
+        fa = measured_inpackage_fraction(profile)
+        fe = measured_inpackage_fraction(profile, engine="event")
         assert fa == pytest.approx(fe, rel=1e-9)
+
+    def test_non_positive_epoch_count_rejected(self):
+        from repro.experiments.external_memory import (
+            measured_inpackage_fraction,
+        )
+        from repro.workloads.catalog import get_application
+
+        with pytest.raises(ValueError, match="n_epochs"):
+            measured_inpackage_fraction(
+                get_application("CoMD"), n_epochs=0
+            )

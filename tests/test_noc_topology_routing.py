@@ -96,6 +96,18 @@ class TestTopologyStructure:
         assert not topo.same_chiplet("gpu0", "dram1")
         assert not topo.same_chiplet("gpu0", "cpu0")
 
+    def test_same_chiplet_matches_gpu_dram_pairing(self, topo):
+        # Every ordered pair of vertices plus an unknown name: the same
+        # stack means the same vertex, or GPU chiplet i with DRAM stack
+        # i, whichever the order.
+        stacks = [{f"gpu{i}", f"dram{i}"} for i in range(8)]
+        names = sorted(topo.vertices) + ["nowhere"]
+        assert len(names) == 39
+        for a in names:
+            for b in names:
+                expected = a == b or {a, b} in stacks
+                assert topo.same_chiplet(a, b) is expected, (a, b)
+
 
 class TestRouting:
     def test_local_dram_is_one_stack_hop(self, topo):

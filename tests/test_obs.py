@@ -470,10 +470,9 @@ class TestInstrumentation:
             run_fig8_measured,
         )
         from repro.experiments.runner import all_profiles
-        from repro.perf.evalcache import MemsysCache
 
         before = obs_metrics.snapshot()
-        run_fig8_measured(cache=MemsysCache())
+        run_fig8_measured()
         delta = obs_metrics.snapshot().diff(before)
         hist = delta.histograms["memsys.dramcache.run_seconds"]
         assert hist.count == len(all_profiles()) * len(CAPACITY_FRACTIONS)

@@ -363,81 +363,3 @@ class TestGeometricMeanAcross:
             geometric_mean_across(np.array([[1.0, -2.0]]))
         out = geometric_mean_across(np.array([[2.0, 8.0], [8.0, 2.0]]))
         assert out == pytest.approx([4.0, 4.0])
-
-
-class TestMemsysCache:
-    """The (geometry, address-stream, engine)-keyed memsys memo."""
-
-    def _stream(self, n=2000, seed=4):
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 1 << 22, size=n), rng.random(n) < 0.3
-
-    def test_dram_stats_memoized(self):
-        from repro.perf.evalcache import MemsysCache
-
-        cache = MemsysCache()
-        addrs, writes = self._stream()
-        s1 = cache.dram_stats(addrs, writes, capacity_bytes=1 << 20)
-        s2 = cache.dram_stats(addrs, writes, capacity_bytes=1 << 20)
-        assert s2 is s1
-        assert cache.stats().hits == 1 and cache.stats().misses == 1
-
-    def test_engines_cached_independently_and_agree(self):
-        from dataclasses import astuple
-
-        from repro.perf.evalcache import MemsysCache
-
-        cache = MemsysCache()
-        addrs, writes = self._stream()
-        sa = cache.dram_stats(addrs, writes, capacity_bytes=1 << 20)
-        se = cache.dram_stats(
-            addrs, writes, capacity_bytes=1 << 20, engine="event"
-        )
-        assert se is not sa
-        assert astuple(se) == astuple(sa)
-
-    def test_geometry_differentiates(self):
-        from repro.perf.evalcache import MemsysCache
-
-        cache = MemsysCache()
-        addrs, writes = self._stream()
-        cache.dram_stats(addrs, writes, capacity_bytes=1 << 20)
-        cache.dram_stats(addrs, writes, capacity_bytes=2 << 20)
-        cache.rowbuffer_stats(addrs)
-        cache.rowbuffer_stats(addrs, n_banks=64)
-        assert cache.stats().misses == 4 and cache.stats().hits == 0
-
-    def test_manager_fractions_memoized_per_policy(self):
-        from repro.perf.evalcache import MemsysCache
-
-        cache = MemsysCache()
-        addrs, _ = self._stream()
-        f1 = cache.manager_fractions(
-            addrs, n_epochs=3, capacity_bytes=64 * 4096
-        )
-        f2 = cache.manager_fractions(
-            addrs, n_epochs=3, capacity_bytes=64 * 4096
-        )
-        ft = cache.manager_fractions(
-            addrs, n_epochs=3, capacity_bytes=64 * 4096, policy="first-touch"
-        )
-        assert f2 is f1 and len(f1) == 3
-        assert ft != f1 or cache.stats().misses == 2
-        with pytest.raises(ValueError):
-            cache.manager_fractions(addrs, policy="nope")
-        with pytest.raises(ValueError):
-            cache.manager_fractions(addrs, n_epochs=0)
-
-    def test_fingerprint_addresses_is_value_digest(self):
-        from repro.perf.evalcache import fingerprint_addresses
-
-        a = np.arange(10, dtype=np.int64)
-        assert fingerprint_addresses(a) == fingerprint_addresses(a.copy())
-        assert fingerprint_addresses(a) != fingerprint_addresses(a + 1)
-        w = np.zeros(10, dtype=bool)
-        assert fingerprint_addresses(a, w) != fingerprint_addresses(a)
-
-    def test_default_cache_singleton(self):
-        from repro.perf.evalcache import default_memsys_cache
-
-        assert default_memsys_cache() is default_memsys_cache()

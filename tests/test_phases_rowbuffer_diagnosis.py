@@ -125,6 +125,16 @@ class TestRowBufferSim:
         with pytest.raises(ValueError):
             RowBufferSim().access(-1)
 
+    @pytest.mark.parametrize(
+        "field", ["n_banks", "row_bytes", "channel_interleave_bytes"]
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 1.5, 256.0, True]
+    )
+    def test_geometry_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RowBufferSim(**{field: value})
+
 
 class TestDiagnosis:
     def test_maxflops_compute_bound(self):

@@ -557,6 +557,30 @@ _BAD_FIELDS = {
     "gpu_dram_traffic_matrix.total_bytes": (
         lambda v: gpu_dram_traffic_matrix(EHPTopology(), v),
         _BAD_NON_NEGATIVE),
+    "ApuSimConfig.n_cus": (lambda v: ApuSimConfig(n_cus=v), _BAD_COUNT),
+    "ApuSimConfig.wavefronts_per_cu": (
+        lambda v: ApuSimConfig(wavefronts_per_cu=v), _BAD_COUNT),
+    "ApuSimConfig.line_bytes": (
+        lambda v: ApuSimConfig(line_bytes=v), _BAD_COUNT),
+    "ApuSimConfig.freq_hz": (
+        lambda v: ApuSimConfig(freq_hz=v), _BAD_POSITIVE),
+    "ApuSimConfig.flops_per_cu_cycle": (
+        lambda v: ApuSimConfig(flops_per_cu_cycle=v), _BAD_POSITIVE),
+    "ApuSimConfig.dram_bandwidth": (
+        lambda v: ApuSimConfig(dram_bandwidth=v), _BAD_POSITIVE),
+    "ApuSimConfig.dram_latency": (
+        lambda v: ApuSimConfig(dram_latency=v), _BAD_POSITIVE),
+    "ApuSimConfig.llc_latency": (
+        lambda v: ApuSimConfig(llc_latency=v), _BAD_POSITIVE),
+    "ApuSimConfig.l1_latency": (
+        lambda v: ApuSimConfig(l1_latency=v), _BAD_POSITIVE),
+    "ApuSimConfig.chiplet_extra_latency": (
+        lambda v: ApuSimConfig(chiplet_extra_latency=v), _BAD_NON_NEGATIVE),
+    "RowBufferSim.n_banks": (lambda v: RowBufferSim(n_banks=v), _BAD_COUNT),
+    "RowBufferSim.row_bytes": (
+        lambda v: RowBufferSim(row_bytes=v), _BAD_COUNT),
+    "RowBufferSim.channel_interleave_bytes": (
+        lambda v: RowBufferSim(channel_interleave_bytes=v), _BAD_COUNT),
     "NocSimulator.link_bandwidth": (
         lambda v: NocSimulator(link_bandwidth=v), _BAD_POSITIVE),
     "SimMessage.size_bytes": (

@@ -82,3 +82,32 @@ class TestApuSimulator:
             ApuSimConfig(n_cus=0)
         with pytest.raises(ValueError):
             ApuSimConfig(chiplet_extra_latency=-1.0)
+
+    @pytest.mark.parametrize(
+        "field", ["n_cus", "wavefronts_per_cu", "line_bytes"]
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 2.5, 16.0, True]
+    )
+    def test_counts_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ApuSimConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "freq_hz", "flops_per_cu_cycle", "dram_bandwidth",
+            "dram_latency", "llc_latency", "l1_latency",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_rates_and_latencies_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ApuSimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_chiplet_extra_latency_finite(self, value):
+        with pytest.raises(ValueError, match="chiplet_extra_latency"):
+            ApuSimConfig(chiplet_extra_latency=value)

@@ -82,6 +82,20 @@ class TestAccessors:
             assert description
 
 
+def _fresh_import(module: str, prefixes: tuple[str, ...]) -> list[str]:
+    """Modules under *prefixes* that importing *module* loads, in a
+    fresh interpreter."""
+    code = (
+        f"import sys, {module}; "
+        f"print(*sorted(n for n in sys.modules if n.startswith({prefixes!r})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.split()
+
+
 class TestTable2:
     def test_keyed_by_catalog_names(self):
         assert set(PAPER_TABLE2) == set(PAPER_APPS)
@@ -99,12 +113,15 @@ class TestTable2:
             "repro.thermal.analysis",
             "repro.fleet.sweep",
         ):
-            code = (
-                f"import sys, {module}; "
-                "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
-            )
-            out = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True, text=True, check=True,
-            )
-            assert out.stdout.strip() == "[]", module
+            assert _fresh_import(module, ("scipy", "networkx")) == [], module
+
+    def test_serve_and_plan_skip_the_memsys_engines(self):
+        # The evaluation memo fronts only the node model and the APU
+        # simulator, so serving and fleet planning never load the
+        # memory-system replay engines.
+        for module in (
+            "repro.serve.service",
+            "repro.fleet.sweep",
+            "repro.perf.evalcache",
+        ):
+            assert _fresh_import(module, ("repro.memsys",)) == [], module

@@ -14,39 +14,10 @@
   artifact, run on a caller's ``pool=`` :class:`ShardedPool`, or
   in-process without one.
 
-``repro.perf.parallel`` is intentionally *not* imported here: it pulls
-in the experiment drivers (and through them :mod:`repro.core.dse`,
-which itself uses the cache), so importing it from the package root
-would create an import cycle. Import it explicitly::
+The package imports none of them, so loading one module loads only
+what that module needs (the evaluation memo does not pull in the pool
+and :mod:`multiprocessing`). Import each explicitly::
 
+    from repro.perf.evalcache import default_cache
     from repro.perf.parallel import run_all_experiments
-
-:mod:`repro.perf.pool` depends only on the observability layer, so its
-names are re-exported here.
 """
-
-from repro.perf.evalcache import (
-    CacheStats,
-    EvalCache,
-    SimCache,
-    cache_stats,
-    clear_cache,
-    default_cache,
-    default_sim_cache,
-    simulate_trace_cached,
-)
-from repro.perf.pool import PoolStats, PoolTask, ShardedPool
-
-__all__ = [
-    "CacheStats",
-    "EvalCache",
-    "PoolStats",
-    "PoolTask",
-    "ShardedPool",
-    "SimCache",
-    "cache_stats",
-    "clear_cache",
-    "default_cache",
-    "default_sim_cache",
-    "simulate_trace_cached",
-]

@@ -13,8 +13,8 @@ The sizing rule::
     est  = batch_seconds.total / batch_requests      (measured)
     size = clamp(target_batch_seconds / est, min_batch, max_batch)
 
-i.e. the batch is sized so one dispatch occupies the service's worker
-thread for about ``target_batch_seconds`` — long enough to amortize the
+i.e. the batch is sized so one dispatch occupies the service for
+about ``target_batch_seconds`` — long enough to amortize the
 per-batch planning and grid setup, short enough that a batch never
 holds the queue hostage for a deadline-sized chunk of time. A cold policy (no
 observations yet) falls back to ``default_request_seconds``.
@@ -27,6 +27,9 @@ fresh as the data — the histogram only changes when a batch completes.
 
 from __future__ import annotations
 
+import math
+
+from repro.core.config import _finite_positive, _is_int
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["AdaptiveBatchPolicy"]
@@ -64,10 +67,18 @@ class AdaptiveBatchPolicy:
         default_request_seconds: float = 2e-3,
         dispatch_overhead_s: float = 1e-3,
     ):
-        if min_batch < 1 or max_batch < min_batch:
-            raise ValueError("need 1 <= min_batch <= max_batch")
-        if target_batch_seconds <= 0 or default_request_seconds <= 0:
-            raise ValueError("time parameters must be positive")
+        if not (
+            _is_int(min_batch) and _is_int(max_batch)
+            and 1 <= min_batch <= max_batch
+        ):
+            raise ValueError("need integers 1 <= min_batch <= max_batch")
+        if not (
+            _finite_positive(target_batch_seconds)
+            and _finite_positive(default_request_seconds)
+        ):
+            raise ValueError("time parameters must be finite and positive")
+        if not 0 <= dispatch_overhead_s < math.inf:
+            raise ValueError("dispatch_overhead_s must be finite and >= 0")
         self._registry = (
             registry
             if registry is not None

@@ -35,9 +35,11 @@ these invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.core.config import _is_int
 from repro.serve.requests import (
     EXPIRED,
     FAILED,
@@ -107,8 +109,17 @@ class FixedPolicy:
     est_request_s: float = 2e-3
     dispatch_overhead_s: float = 1e-3
 
+    def __post_init__(self) -> None:
+        if not (_is_int(self.batch) and self.batch > 0):
+            raise ValueError("batch must be a positive integer")
+        # A NaN overhead would compare false and switch deadline
+        # shedding off.
+        for name in ("est_request_s", "dispatch_overhead_s"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+
     def batch_limit(self) -> int:
-        return max(1, int(self.batch))
+        return self.batch
 
     def est_request_seconds(self) -> float:
         return max(1e-9, float(self.est_request_s))
@@ -135,8 +146,8 @@ class BatcherCore:
     """
 
     def __init__(self, policy=None, *, max_queue: int = 1024):
-        if max_queue < 1:
-            raise ValueError("max_queue must be positive")
+        if not (_is_int(max_queue) and max_queue > 0):
+            raise ValueError("max_queue must be a positive integer")
         self.policy = policy if policy is not None else FixedPolicy()
         self.max_queue = int(max_queue)
         self._seq = 0

@@ -169,7 +169,6 @@ def run_arrivals(
     cache: EvalCache | None = None,
     sim_cache: SimCache | None = None,
     policy: AdaptiveBatchPolicy | None = None,
-    batch_window_s: float = 0.002,
     max_queue: int = 1024,
     sampler: PeriodicSampler | None = None,
 ) -> ServeBenchReport:
@@ -187,7 +186,6 @@ def run_arrivals(
             cache=cache,
             sim_cache=sim_cache,
             policy=policy,
-            batch_window_s=batch_window_s,
             max_queue=max_queue,
             sampler=sampler,
         )
@@ -247,7 +245,6 @@ def run_serve_bench(
     deadline_s: float | None = 0.25,
     baseline: bool = False,
     warmup: bool = True,
-    batch_window_s: float = 0.002,
     metrics_export: str | None = None,
 ) -> ServeBenchReport:
     """The full serve benchmark: warm cache pass (optional), measured
@@ -275,7 +272,6 @@ def run_serve_bench(
                 model=model,
                 pool=pool,
                 cache=cache,
-                batch_window_s=batch_window_s,
             )
         if metrics_export:
             # Constructed after the warm pass: the sampler's baseline
@@ -286,7 +282,6 @@ def run_serve_bench(
             model=model,
             pool=pool,
             cache=cache,
-            batch_window_s=batch_window_s,
             sampler=sampler,
         )
         if baseline and pool is not None:

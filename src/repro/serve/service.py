@@ -11,11 +11,12 @@ paths, cheapest first:
    hit routes through the batcher core's per-stream release buffer.
 2. **Coalesced grid** — misses queue in the deterministic
    :class:`~repro.serve.batcher.BatcherCore`; the dispatcher drains up
-   to the adaptive batch limit, merges compatible requests (points
+   to the adaptive batch limit (a gathered burst, or whatever queued
+   while the previous batch ran), merges compatible requests (points
    into a union grid under a waste cap, same-space sweeps into one
    profile batch) and evaluates each merged grid once, in-process,
    through the shared cache. A grid of a few thousand cells costs
-   microseconds to evaluate, less than one pool round-trip.
+   about a millisecond, less than one pool round-trip.
 3. **Degraded** — a point or sweep that cannot coalesce (unique space,
    or a union that would waste more tensor cells than the cap allows)
    is evaluated as its own grid call inside the batch.
@@ -33,8 +34,10 @@ elementwise sequence whatever grid it sits in — gated by
 
 Backpressure and deadlines are the core's job (bounded queue,
 admission-time shed, dispatch-time expiry); this module feeds it the
-real clock and executes its planned batches on a single worker thread
-(``pool.run`` is blocking and non-reentrant).
+real clock and executes its planned batches: a batch of only points
+and sweeps on the event loop itself, any other on a single worker
+thread (``pool.run`` blocks and is non-reentrant, and an in-process
+experiment takes tens to hundreds of milliseconds).
 
 Observability: ``serve.*`` counters and timing histograms in the
 process registry (the adaptive policy reads them back), plus rolling
@@ -44,11 +47,11 @@ window latency quantiles, shed/error rates, error-budget burn), and a
 tracer is active every request gets a :class:`~repro.obs.trace.
 SpanContext` at admission; its queue wait is recorded as a child span
 at dispatch, a batch serving exactly one request parents its
-``serve.batch`` span under that request (a multi-request batch links
-the coalesced request span ids in its args), and the batch's pool
-tasks ship child contexts to the workers — one simulation request
-renders as one connected admit → queue → batch → ``pool.run`` →
-worker-task span tree. An optional
+``serve.batch`` span under that request (a multi-request batch sits
+under the root and links the coalesced request span ids in its args),
+and the batch's pool tasks ship child contexts to the workers — one
+simulation request renders as one connected admit → queue → batch →
+``pool.run`` → worker-task span tree. An optional
 :class:`~repro.obs.export.PeriodicSampler` runs as an asyncio task
 while the service is open, streaming interval metric diffs to JSONL.
 """
@@ -56,6 +59,7 @@ while the service is open, streaming interval metric diffs to JSONL.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -338,9 +342,9 @@ class EvalService:
         model, so one cache key space).
     pool:
         Optional :class:`~repro.perf.pool.ShardedPool` that runs the
-        experiment and simulation requests, one task each. Grid units
-        always evaluate on the service's worker thread. ``None`` runs
-        everything there.
+        experiment and simulation requests, one task each; ``None``
+        runs them on the service's worker thread. Grid units always
+        evaluate in-process.
     cache / sim_cache:
         Shared caches probed inline; default to the process-wide ones
         so the service sees sweeps other code already paid for.
@@ -352,9 +356,6 @@ class EvalService:
         (:class:`~repro.serve.batcher.FixedPolicy` also fits).
     max_queue:
         Backpressure bound on queued requests.
-    batch_window_s:
-        How long the dispatcher waits after waking before planning, so
-        concurrent arrivals can coalesce. Zero dispatches immediately.
     union_waste_factor:
         Cap on union-grid waste when coalescing points: a union may
         evaluate at most this many tensor cells per requested cell.
@@ -380,13 +381,15 @@ class EvalService:
         sim_cache: SimCache | None = None,
         policy: AdaptiveBatchPolicy | None = None,
         max_queue: int = 1024,
-        batch_window_s: float = 0.002,
         union_waste_factor: float = 8.0,
         clock=time.monotonic,
         manifest_name: str = "serve",
         slo: SloTracker | None = None,
         sampler: PeriodicSampler | None = None,
     ):
+        # NaN would never cap a union: every point would join one grid.
+        if not 1 <= union_waste_factor < math.inf:
+            raise ValueError("union_waste_factor must be finite and >= 1")
         self.model = model or NodeModel()
         self.pool = pool
         self.cache = cache if cache is not None else default_cache()
@@ -394,7 +397,6 @@ class EvalService:
             sim_cache if sim_cache is not None else default_sim_cache()
         )
         self.policy = policy if policy is not None else AdaptiveBatchPolicy()
-        self.batch_window_s = float(batch_window_s)
         self.union_waste_factor = float(union_waste_factor)
         self.clock = clock
         self.manifest_name = manifest_name
@@ -417,7 +419,6 @@ class EvalService:
         self._grid_key_memo: dict[tuple, tuple[Any, tuple]] = {}
         self._futures: dict[int, asyncio.Future] = {}
         self._wake: asyncio.Event | None = None
-        self._close_event: asyncio.Event | None = None
         self._dispatcher: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._closing = False
@@ -433,7 +434,6 @@ class EvalService:
         self._started = True
         self._closing = False
         self._wake = asyncio.Event()
-        self._close_event = asyncio.Event()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
@@ -456,7 +456,6 @@ class EvalService:
             return
         self._closing = True
         self._wake.set()
-        self._close_event.set()
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
@@ -651,26 +650,24 @@ class EvalService:
                 await self._wake.wait()
                 self._wake.clear()
                 continue
-            if self.batch_window_s > 0:
-                # Interruptible coalescing window: aclose() must not
-                # have to wait a full window out.
-                try:
-                    await asyncio.wait_for(
-                        self._close_event.wait(), self.batch_window_s
-                    )
-                except asyncio.TimeoutError:
-                    pass
-                if self._closing:
-                    return
             planned = self.core.plan(self.clock())
             self._drain_outcomes()
             if planned is None:
                 continue
+            # A grid unit takes about a millisecond and the thread
+            # handoff as long again, with the loop idle; experiments and
+            # simulations block far longer, so they keep the thread.
+            on_loop = all(
+                key[0] in ("points", "sweep") for key in planned.groups
+            )
             started = self.clock()
             try:
-                results = await loop.run_in_executor(
-                    self._executor, self._execute_batch, planned
-                )
+                if on_loop:
+                    results = self._execute_batch(planned)
+                else:
+                    results = await loop.run_in_executor(
+                        self._executor, self._execute_batch, planned
+                    )
             except BaseException as exc:
                 status = (
                     SHUTDOWN
@@ -690,6 +687,10 @@ class EvalService:
             self.policy.refresh()
             self.core.complete(planned.batch_id, results, now)
             self._drain_outcomes()
+            if on_loop:
+                # Yield once: answered requests resume, and due arrivals
+                # are admitted (or shed) between backlog batches.
+                await asyncio.sleep(0)
 
     def _drain_outcomes(self) -> None:
         """Resolve awaiting futures from the core's released outcomes."""
@@ -718,14 +719,15 @@ class EvalService:
                 self.slo.publish()
 
     # ------------------------------------------------------------------
-    # Batch execution (worker thread)
+    # Batch execution (event loop or worker thread)
     # ------------------------------------------------------------------
     def _execute_batch(
         self, planned: PlannedBatch
     ) -> dict[int, tuple[str, Any]]:
         """Evaluate one planned batch; returns seq -> (status, payload).
 
-        Runs on the service's single worker thread: plans execution
+        Runs on the event loop for a batch of only points and sweeps,
+        else on the service's single worker thread: plans execution
         units, evaluates each grid unit through the cache and carves
         per-request answers back out of the merged tensors, then runs
         the solo requests (on the pool when there is one).
@@ -745,8 +747,8 @@ class EvalService:
                     continue
                 ctx, admitted = entry
                 req_ctxs.append(ctx)
-                # Queue wait (admission to dispatch, including the
-                # coalescing window) as a child of the request span.
+                # Queue wait (admission to dispatch) as a child of the
+                # request span.
                 tracer.record_span(
                     "serve.queue_wait", admitted, now_raw,
                     cat="serve", parent=ctx, seq=ticket.seq,
@@ -756,10 +758,11 @@ class EvalService:
                 # child: admit -> queue -> batch -> pool tasks render
                 # as one connected flame.
                 batch_parent = req_ctxs[0]
-            elif req_ctxs:
-                span_args["request_spans"] = [
-                    c.span_id for c in req_ctxs
-                ]
+            else:
+                # Under the root explicitly: on the event-loop thread the
+                # innermost open span is some awaiting request's.
+                batch_parent = tracer.root
+                span_args["request_spans"] = [c.span_id for c in req_ctxs]
         with obs_trace.span(
             "serve.batch", cat="serve", parent=batch_parent, **span_args
         ):

@@ -13,12 +13,11 @@ triple yields the same transcript on every run, on every machine —
 which is what lets CI assert on exact shed/expiry/batching decisions
 instead of sleeping and hoping.
 
-Timing model: a single dispatcher (like the service's one worker
-thread) plans a batch ``window_s`` after the queue first becomes
-non-empty once the dispatcher is free, then executes it for
+Timing model: a single dispatcher plans a batch as soon as the queue
+is non-empty and the dispatcher is free (arrivals at that same instant
+join it, as a gathered burst does in the service), then executes it for
 ``service_time(planned)`` seconds. Arrivals scheduled during an
-execution are admitted at their own timestamps (the real event loop
-stays responsive while the executor thread runs), and their outcomes
+execution are admitted at their own timestamps, and their outcomes
 drain after the batch completes.
 """
 
@@ -82,9 +81,6 @@ class ServeHarness:
         The state machine under test (fresh per run for determinism).
     service_time:
         ``PlannedBatch -> seconds`` cost model for batch execution.
-    window_s:
-        Coalescing window between queue-non-empty and plan, matching
-        ``EvalService.batch_window_s``.
     group_key / stream_of / deadline_of / value_of:
         Request adapters. Defaults read ``request.stream`` /
         ``request.deadline_s`` when present and answer every request
@@ -96,7 +92,6 @@ class ServeHarness:
 
     core: BatcherCore
     service_time: Callable[[PlannedBatch], float] = BatchCostModel()
-    window_s: float = 2e-3
     group_key: Callable[[Any], Any] = lambda request: None
     stream_of: Callable[[Any], str] = (
         lambda request: getattr(request, "stream", "default")
@@ -157,12 +152,11 @@ class ServeHarness:
                 self._admit(clock, arrivals[i].at, arrivals[i].request)
                 i += 1
                 continue
-            # Queue is non-empty: the dispatcher plans after the window.
-            plan_at = clock.now + self.window_s
-            while i < n and arrivals[i].at <= plan_at:
+            # Queue is non-empty: the dispatcher plans now, with every
+            # arrival due at this instant.
+            while i < n and arrivals[i].at <= clock.now:
                 self._admit(clock, arrivals[i].at, arrivals[i].request)
                 i += 1
-            clock.set(plan_at)
             planned = self.core.plan(clock.now)
             self._drain()
             if planned is None:  # everything expired at plan time

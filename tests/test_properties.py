@@ -32,6 +32,12 @@ from repro.perfmodel.roofline import evaluate_kernel, evaluate_kernel_grid
 from repro.power.components import PowerParams
 from repro.ras.checkpoint import CheckpointModel
 from repro.ras.ecc import ecc_overhead_bits
+from repro.serve import (
+    AdaptiveBatchPolicy,
+    BatcherCore,
+    EvalService,
+    FixedPolicy,
+)
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.sim.cache_sim import CacheLevel, CacheSim
 from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
@@ -587,6 +593,29 @@ _BAD_FIELDS = {
         lambda v: SimMessage("gpu0", "dram0", v, 0.0), _BAD_POSITIVE),
     "SimMessage.inject_time": (
         lambda v: SimMessage("gpu0", "dram0", 64.0, v), _BAD_NON_NEGATIVE),
+    "BatcherCore.max_queue": (
+        lambda v: BatcherCore(max_queue=v), _BAD_COUNT),
+    "FixedPolicy.batch": (lambda v: FixedPolicy(batch=v), _BAD_COUNT),
+    "FixedPolicy.est_request_s": (
+        lambda v: FixedPolicy(est_request_s=v), _BAD_NON_NEGATIVE),
+    "FixedPolicy.dispatch_overhead_s": (
+        lambda v: FixedPolicy(dispatch_overhead_s=v), _BAD_NON_NEGATIVE),
+    "AdaptiveBatchPolicy.min_batch": (
+        lambda v: AdaptiveBatchPolicy(min_batch=v), _BAD_COUNT),
+    "AdaptiveBatchPolicy.max_batch": (
+        lambda v: AdaptiveBatchPolicy(max_batch=v), _BAD_COUNT),
+    "AdaptiveBatchPolicy.target_batch_seconds": (
+        lambda v: AdaptiveBatchPolicy(target_batch_seconds=v),
+        _BAD_POSITIVE),
+    "AdaptiveBatchPolicy.default_request_seconds": (
+        lambda v: AdaptiveBatchPolicy(default_request_seconds=v),
+        _BAD_POSITIVE),
+    "AdaptiveBatchPolicy.dispatch_overhead_s": (
+        lambda v: AdaptiveBatchPolicy(dispatch_overhead_s=v),
+        _BAD_NON_NEGATIVE),
+    "EvalService.union_waste_factor": (
+        lambda v: EvalService(union_waste_factor=v),
+        st.one_of(_NON_FINITE, st.floats(max_value=1.0, exclude_max=True))),
 }
 
 

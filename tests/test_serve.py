@@ -13,6 +13,8 @@ No pytest-asyncio in the toolchain: async tests run via
 """
 
 import asyncio
+import itertools
+import threading
 import time
 
 import numpy as np
@@ -228,8 +230,10 @@ class TestBatcherCore:
         _statuses_account_for_everything(core.stats)
 
     def test_bad_max_queue(self):
-        with pytest.raises(ValueError):
-            BatcherCore(max_queue=0)
+        # A count: 2.5 is not silently truncated, inf does not overflow.
+        for max_queue in (0, 2.5, float("inf"), float("nan"), True):
+            with pytest.raises(ValueError):
+                BatcherCore(max_queue=max_queue)
 
 
 # ----------------------------------------------------------------------
@@ -268,12 +272,19 @@ class TestAdaptivePolicy:
         assert policy.batch_limit() == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(min_batch=0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(min_batch=4, max_batch=2)
-        with pytest.raises(ValueError):
-            AdaptiveBatchPolicy(target_batch_seconds=0.0)
+        for bad in (
+            {"min_batch": 0},
+            {"min_batch": 4, "max_batch": 2},
+            {"max_batch": 2.5},
+            {"max_batch": float("inf")},
+            {"target_batch_seconds": 0.0},
+            {"target_batch_seconds": float("nan")},
+            {"default_request_seconds": float("inf")},
+            {"dispatch_overhead_s": float("nan")},
+            {"dispatch_overhead_s": -1.0},
+        ):
+            with pytest.raises(ValueError):
+                AdaptiveBatchPolicy(**bad)
 
 
 class TestHistogramQuantile:
@@ -476,7 +487,7 @@ class TestServiceOracle:
         arrivals = synthetic_arrivals(11, 30, deadline_s=None)
 
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.01)
+            svc = _fresh_service(model=model)
             async with svc:
                 first = await asyncio.gather(
                     *(svc.submit(a.request) for a in arrivals)
@@ -500,7 +511,7 @@ class TestServiceOracle:
 
     def test_degraded_solo_point_matches(self, model, lulesh):
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.0)
+            svc = _fresh_service(model=model)
             async with svc:
                 return await svc.evaluate(lulesh, 320, 1.0e9, 3.0e12)
 
@@ -519,7 +530,7 @@ class TestServiceOracle:
         request = SweepRequest((maxflops, comd), space)
 
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.0)
+            svc = _fresh_service(model=model)
             async with svc:
                 return await svc.submit(request)
 
@@ -534,7 +545,7 @@ class TestServiceOracle:
         exp_request = ExperimentRequest("table1")
 
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.0)
+            svc = _fresh_service(model=model)
             async with svc:
                 sim1 = await svc.submit(sim_request)
                 exp1 = await svc.submit(exp_request)
@@ -564,7 +575,7 @@ class TestServiceOracle:
         good = PointRequest(comd, 256, 1.0e9, 2.0e12)
 
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.05)
+            svc = _fresh_service(model=model)
             async with svc:
                 return await asyncio.gather(
                     svc.submit(bad), svc.submit(good)
@@ -596,7 +607,7 @@ class TestServiceOracle:
         axes = {"n_cus": 288, "gpu_freq": 1.0e9, "bandwidth": 2.0e12}
 
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.05)
+            svc = _fresh_service(model=model)
             async with svc:
                 return await asyncio.gather(
                     svc.evaluate(comd, **{**axes, **bad}),
@@ -626,7 +637,7 @@ class TestServiceOracle:
         done: list[tuple[str, int]] = []
 
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.005)
+            svc = _fresh_service(model=model)
 
             async def one(i, request):
                 response = await svc.submit(request)
@@ -654,9 +665,7 @@ class TestServiceOracle:
 class TestServiceBackpressure:
     def test_queue_full_sheds_immediately(self, model, maxflops):
         async def scenario():
-            svc = _fresh_service(
-                model=model, batch_window_s=0.2, max_queue=2
-            )
+            svc = _fresh_service(model=model, max_queue=2)
             requests = [
                 PointRequest(maxflops, 192 + 64 * (i % 4), 1.0e9, 1e12 * (1 + i))
                 for i in range(8)
@@ -677,7 +686,6 @@ class TestServiceBackpressure:
             svc = _fresh_service(
                 model=model,
                 policy=FixedPolicy(est_request_s=10.0),
-                batch_window_s=0.0,
             )
             async with svc:
                 return await svc.evaluate(
@@ -689,13 +697,17 @@ class TestServiceBackpressure:
         assert response.latency_s == 0.0
 
     def test_expiry_while_queued(self, model, maxflops):
+        # A clock that advances 0.1 s per reading: by the dispatch-time
+        # expiry check the 20 ms deadline has passed, with no sleep.
+        readings = itertools.count(0.0, 0.1)
+
         async def scenario():
             svc = _fresh_service(
                 model=model,
                 policy=FixedPolicy(
                     est_request_s=1e-6, dispatch_overhead_s=0.0
                 ),
-                batch_window_s=0.2,
+                clock=lambda: next(readings),
             )
             async with svc:
                 return await svc.evaluate(
@@ -717,7 +729,7 @@ class TestServiceBackpressure:
 
     def test_close_flushes_queued_requests(self, model, maxflops):
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=5.0)
+            svc = _fresh_service(model=model)
             async with svc:
                 pending = [
                     asyncio.ensure_future(
@@ -725,7 +737,8 @@ class TestServiceBackpressure:
                     )
                     for i in range(3)
                 ]
-                await asyncio.sleep(0.05)  # queued, window still open
+                await asyncio.sleep(0)  # admitted, not yet dispatched
+                assert svc.core.depth() == 3
             return await asyncio.gather(*pending)
 
         responses = asyncio.run(
@@ -735,7 +748,7 @@ class TestServiceBackpressure:
 
     def test_manifest_section_lifecycle(self, model, maxflops):
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.0)
+            svc = _fresh_service(model=model)
             async with svc:
                 await svc.evaluate(maxflops, 256, 1.0e9, 2e12)
                 open_manifest = obs_manifest.build_manifest()
@@ -766,9 +779,7 @@ class TestServiceOnPool:
         sim_request = SimulateRequest(trace)
 
         async def scenario():
-            svc = _fresh_service(
-                model=model, pool=pool, batch_window_s=0.02
-            )
+            svc = _fresh_service(model=model, pool=pool)
             async with svc:
                 tasks_before = pool.stats().tasks
                 responses = await asyncio.gather(
@@ -796,9 +807,7 @@ class TestServiceOnPool:
         arrivals = synthetic_arrivals(31, 24, deadline_s=None)
 
         async def scenario():
-            svc = _fresh_service(
-                model=model, pool=pool, batch_window_s=0.02
-            )
+            svc = _fresh_service(model=model, pool=pool)
             async with svc:
                 responses = await asyncio.gather(
                     *(svc.submit(a.request) for a in arrivals)
@@ -832,9 +841,7 @@ class TestServiceOnPool:
         )
 
         async def scenario():
-            svc = _fresh_service(
-                model=model, pool=pool, batch_window_s=0.05
-            )
+            svc = _fresh_service(model=model, pool=pool)
             restarts_before = pool.stats().worker_restarts
             async with svc:
                 pending = [
@@ -886,9 +893,7 @@ class TestServiceOnPool:
         own_pool = _new_pool(2)
 
         async def scenario():
-            svc = _fresh_service(
-                model=model, pool=own_pool, batch_window_s=0.05
-            )
+            svc = _fresh_service(model=model, pool=own_pool)
             async with svc:
                 pending = [
                     asyncio.ensure_future(svc.submit(SimulateRequest(trace)))
@@ -932,11 +937,10 @@ class TestServeTracing:
         tracer = obs_trace.Tracer(
             context=obs_trace.SpanContext.root("t1")
         )
+        loop_tid = threading.get_ident()  # asyncio.run uses this thread
 
         async def scenario():
-            svc = _fresh_service(
-                model=model, pool=pool, batch_window_s=0.0
-            )
+            svc = _fresh_service(model=model, pool=pool)
             async with svc:
                 return await svc.submit(request)
 
@@ -961,9 +965,11 @@ class TestServeTracing:
         assert wait_event["dur"] >= 0
 
         # A batch serving exactly one traced request parents under it.
+        # A simulation batch runs on the worker thread, off the loop.
         (batch_event,) = by_name["serve.batch"]
         assert batch_event["args"]["span_id"] == "0.1.2"
         assert batch_event["args"]["parent_id"] == "0.1"
+        assert batch_event["tid"] != loop_tid
 
         run_events = by_name["pool.run"]
         assert run_events
@@ -988,14 +994,17 @@ class TestServeTracing:
         self, model, maxflops
     ):
         """A batch serving several requests can't be a child of all of
-        them; it records their span ids as links instead, and each
-        request still gets its own queue-wait child span."""
+        them; it sits under the root, records their span ids as links
+        instead, and each request still gets its own queue-wait child
+        span. A batch of points runs on the event loop's thread."""
         tracer = obs_trace.Tracer(
             context=obs_trace.SpanContext.root("t1")
         )
+        loop_tid = threading.get_ident()  # asyncio.run uses this thread
 
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.05)
+            # A fixed batch limit: the three gathered points are one batch.
+            svc = _fresh_service(model=model, policy=FixedPolicy())
             async with svc:
                 return await asyncio.gather(
                     *(
@@ -1018,17 +1027,14 @@ class TestServeTracing:
             if e["name"] == "serve.PointRequest"
         }
         assert request_ids == {"0.1", "0.2", "0.3"}
-        linked: set = set()
-        for event in tracer.events:
-            if event["name"] != "serve.batch":
-                continue
-            spans = event["args"].get("request_spans")
-            if spans is not None:
-                linked.update(spans)
-            else:
-                # Singleton batch: parented under its one request.
-                linked.add(event["args"]["parent_id"])
-        assert linked == request_ids
+        (batch_event,) = [
+            e for e in tracer.events if e["name"] == "serve.batch"
+        ]
+        assert set(batch_event["args"]["request_spans"]) == request_ids
+        # Under the root, not the innermost request span still open on
+        # the loop thread.
+        assert batch_event["args"]["parent_id"] == "0"
+        assert batch_event["tid"] == loop_tid
         wait_parents = {
             e["args"]["parent_id"]
             for e in tracer.events
@@ -1038,7 +1044,7 @@ class TestServeTracing:
 
     def test_untraced_requests_record_nothing(self, model, maxflops):
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.0)
+            svc = _fresh_service(model=model)
             async with svc:
                 response = await svc.evaluate(
                     maxflops, 256, 1.0e9, 2e12
@@ -1053,7 +1059,7 @@ class TestServeTracing:
 
     def test_stats_report_slo_health(self, model, maxflops):
         async def scenario():
-            svc = _fresh_service(model=model, batch_window_s=0.0)
+            svc = _fresh_service(model=model)
             async with svc:
                 for i in range(4):
                     await svc.evaluate(

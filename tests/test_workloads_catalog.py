@@ -125,3 +125,11 @@ class TestTable2:
             "repro.perf.evalcache",
         ):
             assert _fresh_import(module, ("repro.memsys",)) == [], module
+
+    def test_eval_memo_skips_the_pool(self):
+        # `explore` imports the evaluation memo lazily, inside the
+        # artifacts' timed runs; the perf package re-exports nothing,
+        # so that import loads neither the pool nor multiprocessing.
+        assert _fresh_import(
+            "repro.perf.evalcache", ("multiprocessing", "repro.perf.pool")
+        ) == []

@@ -720,9 +720,10 @@ def check_tensor_eval(quick: bool) -> list[str]:
 def check_serve(quick: bool) -> list[str]:
     """The serving layer's three acceptance gates.
 
-    * **Identity** — a mixed burst of point/sweep requests served
-      through the pooled, coalescing service must answer bit-identical
-      to :func:`repro.serve.service.serial_answer` on every request.
+    * **Identity** — a mixed burst of point, sweep and trace-simulation
+      requests served through the pooled, coalescing service must
+      answer bit-identical to :func:`repro.serve.service.serial_answer`
+      on every request.
     * **Capacity** — warm sustained closed-loop throughput must beat
       the naive one-``pool.run``-per-request baseline >= 5x (the
       coalescing + inline-cache promise).
@@ -739,6 +740,7 @@ def check_serve(quick: bool) -> list[str]:
     from repro.serve.requests import OK, PointResult
     from repro.serve.service import EvalService, serial_answer
     from repro.serve.workload import synthetic_arrivals
+    from repro.sim.apu_sim import ApuSimResult
 
     n = 96 if quick else 240
     deadline_s = 0.25
@@ -747,8 +749,11 @@ def check_serve(quick: bool) -> list[str]:
     failures: list[str] = []
 
     with ShardedPool(2) as pool:
-        # Identity: every served answer vs the serial oracle.
-        identity_arrivals = synthetic_arrivals(7, 32, deadline_s=None)
+        # Identity: every served answer vs the serial oracle, trace
+        # simulations (the solo path) included.
+        identity_arrivals = synthetic_arrivals(
+            7, 32, deadline_s=None, simulate_fraction=0.1
+        )
 
         async def serve_burst():
             service = EvalService(model=model, pool=pool, cache=EvalCache())
@@ -764,7 +769,7 @@ def check_serve(quick: bool) -> list[str]:
                 mismatches += 1
                 continue
             oracle = serial_answer(arrival.request, model)
-            if isinstance(oracle, PointResult):
+            if isinstance(oracle, (PointResult, ApuSimResult)):
                 same = response.value == oracle
             else:  # DseResult
                 same = (

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import DesignSpace, EHPConfig, _cu_tuple
+from repro.core.config import DesignSpace, EHPConfig, _cu_tuple, _is_int
 from repro.core.node import NodeModel
 from repro.util.units import MW
 from repro.workloads.kernels import KernelProfile
@@ -61,8 +61,10 @@ class ExascaleSystem:
     """A machine of *n_nodes* identical ENA nodes."""
 
     def __init__(self, n_nodes: int = 100_000, model: NodeModel | None = None):
-        if n_nodes <= 0:
-            raise ValueError("n_nodes must be positive")
+        if not (_is_int(n_nodes) and n_nodes > 0):
+            raise ValueError(
+                f"n_nodes must be a positive integer, got {n_nodes!r}"
+            )
         self.n_nodes = n_nodes
         self.model = model or NodeModel()
 

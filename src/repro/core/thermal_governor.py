@@ -35,12 +35,13 @@ Used by ``python -m repro thermal-loop`` and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import EHPConfig
+from repro.core.config import EHPConfig, _finite_positive
 from repro.core.governor import DvfsGovernor
 from repro.core.node import NodeModel
 from repro.core.reconfig import PhaseReconfigurator
@@ -182,8 +183,20 @@ class ThermalGovernor:
         dt: float = 0.01,
         control_interval_s: float = 0.05,
     ):
-        if margin_c < 0 or feedback_margin_c < 0:
-            raise ValueError("margins must be non-negative")
+        if not math.isfinite(limit_c):
+            raise ValueError(f"limit_c must be finite, got {limit_c!r}")
+        for name, margin in (
+            ("margin_c", margin_c), ("feedback_margin_c", feedback_margin_c)
+        ):
+            if not 0 <= margin < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {margin!r}"
+                )
+        if not _finite_positive(control_interval_s):
+            raise ValueError(
+                f"control_interval_s must be finite and positive, "
+                f"got {control_interval_s!r}"
+            )
         self.model = model or NodeModel()
         self.thermal = thermal or ThermalModel()
         self.governor = governor or DvfsGovernor(model=self.model)

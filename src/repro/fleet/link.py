@@ -22,12 +22,10 @@ latency a :class:`~repro.core.node.NodeModel` evaluates with:
   ``hops * link_latency * (1 + kappa * rho**exponent)`` is added to
   the base external latency.
 
-Two engines, following the repo's pattern: ``"tensor"`` broadcasts the
-closed form over numpy arrays of ``(write_fraction,
-concurrent_kernels)``; ``"point"`` is the scalar oracle loop. Both use
-only elementwise ``+ - * / min max`` and an integer-exponent repeated
-product (never libm ``pow``), so they are bit-identical — a property
-``tests/test_fleet.py`` pins with hypothesis.
+:func:`derate` evaluates the closed form on python floats, using only
+``+ - * / min max`` and an integer-exponent repeated product (never
+libm ``pow``), so a derated machine is the same bit pattern on every
+platform and every run.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import _finite_positive, _is_int
 from repro.core.node import NodeModel
 from repro.perfmodel.machine import MachineParams
@@ -45,17 +41,12 @@ from repro.util.units import GB, NS
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
-    "LINK_ENGINES",
     "LinkDerate",
     "LinkTierParams",
     "derate",
     "derate_machine",
     "derate_model",
 ]
-
-LINK_ENGINES = ("tensor", "point")
-"""Valid link-tier engines (the first is the default)."""
-
 
 @dataclass(frozen=True)
 class LinkTierParams:
@@ -99,7 +90,7 @@ class LinkTierParams:
         ):
             raise ValueError(
                 "contention_exponent must be a non-negative integer "
-                "(integer powers keep the two engines bit-identical)"
+                "(an integer power is an exact repeated product)"
             )
 
     @property
@@ -110,120 +101,57 @@ class LinkTierParams:
 
 @dataclass(frozen=True)
 class LinkDerate:
-    """Effective external-memory parameters after the link tier.
-
-    Scalars from the point engine, arrays from the tensor engine; feed
-    them into :func:`derate_machine` /
+    """Effective external-memory parameters after the link tier, as
+    python floats; feed them into :func:`derate_machine` /
     :meth:`~repro.core.node.NodeModel.with_machine`.
     """
 
-    ext_bandwidth: np.ndarray | float
-    ext_latency: np.ndarray | float
+    ext_bandwidth: float
+    ext_latency: float
 
 
-def _ipow(value, exponent: int):
-    """Integer power by repeated product — the same multiply sequence
-    for python floats and numpy arrays, so the engines cannot diverge
-    the way libm ``pow`` and numpy's vectorized ``**`` can."""
+def _ipow(value: float, exponent: int) -> float:
+    """Integer power by repeated product: an exact multiply sequence,
+    not libm ``pow``."""
     result = value * 0.0 + 1.0
     for _ in range(int(exponent)):
         result = result * value
     return result
 
 
-def _derate_terms(params: LinkTierParams, w, k, base_bandwidth, base_latency):
-    """The closed form, written once for both engines.
+def derate(
+    params: LinkTierParams,
+    write_fraction: float,
+    concurrent_kernels: float = 1,
+    machine: MachineParams | None = None,
+) -> LinkDerate:
+    """Effective ``(ext_bandwidth, ext_latency)`` under the link tier.
 
-    *w*, *k* are either python scalars or numpy arrays; every operation
-    is elementwise, so the scalar loop and the broadcast pass execute
-    identical IEEE operation sequences per element.
+    The link tier only ever *degrades*: effective bandwidth is capped
+    at the machine's ``ext_bandwidth`` and latency only grows from
+    ``ext_latency``.
     """
+    w = float(write_fraction)
+    k = float(concurrent_kernels)
+    # Spelled so that NaN fails: every comparison with it is false.
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"write_fraction must be in [0, 1], got {w!r}")
+    if not 1.0 <= k < math.inf:
+        raise ValueError(
+            f"concurrent_kernels must be finite and >= 1, got {k!r}"
+        )
+    machine = machine or MachineParams()
     rx = params.payload_bandwidth * params.downlink_fraction
     tx = params.payload_bandwidth * (1.0 - params.downlink_fraction)
-    per_byte_rx = (1.0 - w) / rx
-    per_byte_tx = w / tx
-    per_byte = (
-        np.maximum(per_byte_rx, per_byte_tx)
-        if isinstance(per_byte_rx, np.ndarray)
-        or isinstance(per_byte_tx, np.ndarray)
-        else max(per_byte_rx, per_byte_tx)
-    )
-    stream_bw = 1.0 / per_byte
+    stream_bw = 1.0 / max((1.0 - w) / rx, w / tx)
     share = 1.0 / (1.0 + params.arbitration_overhead * (k - 1.0))
-    bw = stream_bw * share
-    bw = (
-        np.minimum(bw, base_bandwidth)
-        if isinstance(bw, np.ndarray)
-        else min(bw, base_bandwidth)
-    )
+    bw = min(stream_bw * share, machine.ext_bandwidth)
     rho = (k - 1.0) / k
     growth = 1.0 + params.contention_kappa * _ipow(
         rho, params.contention_exponent
     )
-    latency = base_latency + params.hops * params.link_latency * growth
-    return bw, latency
-
-
-def derate(
-    params: LinkTierParams,
-    write_fraction,
-    concurrent_kernels=1,
-    machine: MachineParams | None = None,
-    *,
-    engine: str = "tensor",
-) -> LinkDerate:
-    """Effective ``(ext_bandwidth, ext_latency)`` under the link tier.
-
-    *write_fraction* and *concurrent_kernels* may be scalars or
-    broadcastable arrays. ``engine="tensor"`` evaluates the closed form
-    in one numpy broadcast; ``engine="point"`` loops python scalars over
-    the broadcast elements — the oracle. The link tier only ever
-    *degrades*: effective bandwidth is capped at the machine's
-    ``ext_bandwidth`` and latency only grows from ``ext_latency``.
-    """
-    if engine not in LINK_ENGINES:
-        raise ValueError(
-            f"unknown link engine {engine!r}; use one of {LINK_ENGINES}"
-        )
-    machine = machine or MachineParams()
-    w_arr = np.asarray(write_fraction, dtype=float)
-    k_arr = np.asarray(concurrent_kernels, dtype=float)
-    if np.any(w_arr < 0.0) or np.any(w_arr > 1.0):
-        raise ValueError("write_fraction must be in [0, 1]")
-    if np.any(k_arr < 1.0):
-        raise ValueError("concurrent_kernels must be >= 1")
-    scalar_in = w_arr.ndim == 0 and k_arr.ndim == 0
-
-    if engine == "tensor":
-        w_b, k_b = np.broadcast_arrays(w_arr, k_arr)
-        bw, lat = _derate_terms(
-            params, w_b, k_b, machine.ext_bandwidth, machine.ext_latency
-        )
-        bw = np.asarray(bw, dtype=float)
-        lat = np.broadcast_to(
-            np.asarray(lat, dtype=float), bw.shape
-        ).copy()
-    else:
-        w_b, k_b = np.broadcast_arrays(w_arr, k_arr)
-        bw = np.empty(w_b.shape, dtype=float)
-        lat = np.empty(w_b.shape, dtype=float)
-        flat_w, flat_k = w_b.ravel(), k_b.ravel()
-        flat_bw, flat_lat = bw.ravel(), lat.ravel()
-        for i in range(flat_w.size):
-            b, l = _derate_terms(
-                params,
-                float(flat_w[i]),
-                float(flat_k[i]),
-                machine.ext_bandwidth,
-                machine.ext_latency,
-            )
-            flat_bw[i] = b
-            flat_lat[i] = l
-    if scalar_in:
-        return LinkDerate(
-            ext_bandwidth=float(bw), ext_latency=float(lat)
-        )
-    return LinkDerate(ext_bandwidth=bw, ext_latency=lat)
+    latency = machine.ext_latency + params.hops * params.link_latency * growth
+    return LinkDerate(ext_bandwidth=float(bw), ext_latency=float(latency))
 
 
 def derate_machine(
@@ -234,18 +162,12 @@ def derate_machine(
 ) -> MachineParams:
     """*machine* with its external path derated by the link tier.
 
-    Scalar (point-engine) evaluation, so the replaced fields are plain
-    python floats and the machine's repr — hence every downstream
+    The replaced fields are plain python floats, so the machine's repr
+    — hence every downstream
     :func:`~repro.perf.evalcache.fingerprint_model` — keys the derate
     deterministically.
     """
-    derated = derate(
-        params,
-        float(write_fraction),
-        float(concurrent_kernels),
-        machine,
-        engine="point",
-    )
+    derated = derate(params, write_fraction, concurrent_kernels, machine)
     return dataclasses.replace(
         machine,
         ext_bandwidth=derated.ext_bandwidth,

@@ -21,15 +21,16 @@ Two export shapes for the same :class:`~repro.obs.metrics.MetricsSnapshot`:
   written next to the JSONL as a ``.prom`` file.
 
 The sampler's clock is injected for deterministic tests; in production
-it runs either on a daemon thread (:meth:`~PeriodicSampler.start`, sync
-runs) or as an asyncio task (:meth:`~PeriodicSampler.run_async`, inside
-:class:`~repro.serve.service.EvalService`). ``python -m repro obs
-report`` renders either export shape (:mod:`repro.obs.report`).
+it runs on a daemon thread (:meth:`~PeriodicSampler.start`), whatever
+the run: experiments, ``fleet`` and the ``serve`` benchmark alike.
+``python -m repro obs report`` renders either export shape
+(:mod:`repro.obs.report`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -227,10 +228,9 @@ class PeriodicSampler:
     sample and writes the last cumulative snapshot next to the JSONL as
     ``<path stem>.prom`` (Prometheus text format).
 
-    Drive it one of three ways: call :meth:`sample` directly (tests,
-    with an injected clock), :meth:`start`/:meth:`stop` a daemon thread
-    (synchronous runs), or schedule :meth:`run_async` as a task on an
-    event loop (inside :class:`~repro.serve.service.EvalService`).
+    Drive it one of two ways: call :meth:`sample` directly (tests,
+    with an injected clock), or :meth:`start`/:meth:`stop` a daemon
+    thread.
     """
 
     def __init__(
@@ -244,8 +244,12 @@ class PeriodicSampler:
         sample_proc: bool = True,
         prefix: str = PROM_PREFIX,
     ):
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
+        # Event.wait(nan) returns at once: a NaN interval would
+        # busy-loop the thread writing samples.
+        if not 0 < interval_s < math.inf:
+            raise ValueError(
+                f"interval_s must be finite and positive, got {interval_s!r}"
+            )
         self.path = str(path)
         self.interval_s = float(interval_s)
         self.prefix = prefix
@@ -312,7 +316,7 @@ class PeriodicSampler:
     # ------------------------------------------------------------------
     def start(self) -> "PeriodicSampler":
         """Sample every ``interval_s`` on a daemon thread until
-        :meth:`stop` (synchronous runs)."""
+        :meth:`stop`."""
         if self._thread is not None or self._closed:
             return self
 
@@ -325,15 +329,6 @@ class PeriodicSampler:
         )
         self._thread.start()
         return self
-
-    async def run_async(self) -> None:
-        """Sample every ``interval_s`` on the running event loop until
-        cancelled (the serving layer schedules this as a task)."""
-        import asyncio
-
-        while not self._closed:
-            await asyncio.sleep(self.interval_s)
-            self.sample()
 
     def stop(self, final: bool = True) -> None:
         """Stop the thread (if any), take one last sample, write the

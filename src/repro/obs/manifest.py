@@ -2,7 +2,7 @@
 
 A manifest captures everything needed to attribute and reproduce a
 result after the process is gone: the git revision, the default model's
-value fingerprint, which engines the simulators default to, every
+value fingerprint, which engines the simulators default to, the
 shared evaluation cache's hit/miss/entry counters, wall times, and the
 full metrics-registry snapshot. ``python -m repro ... --metrics-out
 manifest.json`` and ``benchmarks/check_perf.py --metrics-out`` both
@@ -90,7 +90,6 @@ def git_describe(cwd: str | None = None) -> str | None:
 def engine_choices() -> dict:
     """Default and available engines of every dual-engine subsystem."""
     from repro.core import dse, exascale
-    from repro.fleet import link
     from repro.memsys import dramcache, manager, rowbuffer
     from repro.sim import apu_sim
 
@@ -100,7 +99,6 @@ def engine_choices() -> dict:
         "memsys.dramcache": dramcache.ENGINES,
         "memsys.manager": manager.ENGINES,
         "core.exascale.cu_sweep": exascale.CU_SWEEP_ENGINES,
-        "fleet.link": link.LINK_ENGINES,
     }
     choices = {
         name: {"default": engines[0], "available": list(engines)}
@@ -116,13 +114,10 @@ def engine_choices() -> dict:
 
 
 def cache_stats() -> dict:
-    """Counters of the two shared default caches, as plain dicts."""
-    from repro.perf.evalcache import default_cache, default_sim_cache
+    """Counters of the shared default cache, as plain dicts."""
+    from repro.perf.evalcache import default_cache
 
-    return {
-        "eval": default_cache().stats().as_dict(),
-        "sim": default_sim_cache().stats().as_dict(),
-    }
+    return {"eval": default_cache().stats().as_dict()}
 
 
 def build_manifest(

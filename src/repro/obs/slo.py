@@ -85,8 +85,13 @@ class SloTracker:
         registry: "_metrics.MetricsRegistry | None" = None,
         prefix: str = "serve.slo",
     ):
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        for name, value in (
+            ("window_s", window_s), ("target_p99_s", target_p99_s)
+        ):
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
         if not 0.0 < error_budget <= 1.0:
             raise ValueError("error_budget must be in (0, 1]")
         self.window_s = float(window_s)

@@ -1,12 +1,10 @@
 """Cross-cutting performance layer.
 
-* :mod:`repro.perf.evalcache` — shared, fingerprint-keyed in-memory
-  memos in front of :meth:`repro.core.node.NodeModel.evaluate_grid` and
-  :meth:`repro.sim.apu_sim.ApuSimulator.run`, so every (profile batch,
-  design space, model) grid and every (sim config, trace, engine)
-  simulation is computed once per process no matter how many drivers
-  ask for it. The memory-system replays are not memoized: no driver
-  repeats one.
+* :mod:`repro.perf.evalcache` — a shared, fingerprint-keyed in-memory
+  memo in front of :meth:`repro.core.node.NodeModel.evaluate_grid`, so
+  every (profile batch, design space, model) grid is computed once per
+  process no matter how many drivers ask for it. Trace simulations and
+  memory-system replays are not memoized: no driver repeats one.
 * :mod:`repro.perf.pool` — a persistent :class:`ShardedPool` of worker
   processes fed from one FIFO task queue, the program's one fan-out:
   workers are spawned once and reused across calls.

@@ -1,4 +1,4 @@
-"""Shared memoization of the evaluation-layer hot calls.
+"""Shared memoization of the evaluation layer's grid evaluations.
 
 The evaluation drivers all re-evaluate the same handful of kernel
 profiles on the same design grids with the same model parameters: the
@@ -18,20 +18,18 @@ therefore share cache entries, and *any* parameter change — a different
 ``PowerParams``, an optimization applied, another external-memory
 configuration — changes the fingerprint and misses cleanly.
 
-The same scheme fronts the trace-driven APU simulator
-(:class:`SimCache`): ``(sim-config fingerprint, trace fingerprint,
-engine) -> ApuSimResult``, so calibration cross-check sweeps that replay
-one kernel's trace against several engines/configs never re-simulate a
-(config, trace) pair they have already measured.
+The memo is a locked ``dict`` that keeps every entry for the life of
+the process, with hit and miss counters. ``dse.explore`` computes
+through it (:meth:`EvalCache.evaluate_grid`); the serving layer derives
+a request's key once (:meth:`EvalCache.grid_key`), answers repeats
+inline from it (:meth:`EvalCache.peek`) and stores the answers it
+computed elsewhere under it (:meth:`EvalCache.seed`). Single-point
+evaluations (``NodeModel.evaluate_arrays``) and trace simulations are
+not memoized: no paper artifact repeats one.
 
-Both are the same in-memory memo: a locked ``dict`` that keeps every
-entry for the life of the process, with hit and miss counters.
-Single-point evaluations (``NodeModel.evaluate_arrays``) are not
-memoized: no paper artifact repeats one.
-
-Cached :class:`~repro.core.node.GridEvaluation` /
-:class:`~repro.sim.apu_sim.ApuSimResult` objects are shared: treat their
-arrays as read-only (the library's own consumers never mutate them).
+Cached :class:`~repro.core.node.GridEvaluation` objects are shared:
+treat their arrays as read-only (the library's own consumers never
+mutate them).
 """
 
 from __future__ import annotations
@@ -39,29 +37,21 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.core.config import DesignSpace
 from repro.core.node import GridEvaluation, NodeModel
 from repro.obs import metrics as _obs_metrics
-from repro.sim.apu_sim import ApuSimConfig, ApuSimResult, ApuSimulator
 from repro.workloads.kernels import KernelProfile, ProfileBatch
-from repro.workloads.traces import MemoryTrace
 
 __all__ = [
     "CacheStats",
     "EvalCache",
-    "SimCache",
     "default_cache",
-    "default_sim_cache",
     "fingerprint_model",
     "fingerprint_profile",
-    "simulate_trace_cached",
     "fingerprint_batch",
-    "fingerprint_trace",
-    "fingerprint_sim_config",
     "cache_stats",
     "clear_cache",
 ]
@@ -131,82 +121,98 @@ def fingerprint_batch(batch: ProfileBatch) -> str:
     return h.hexdigest()
 
 
-def fingerprint_trace(trace: MemoryTrace) -> str:
-    """Value fingerprint of a synthetic memory trace (raw array bytes
-    plus the declared footprint)."""
-    h = hashlib.sha1()
-    for arr in (trace.addresses, trace.is_write, trace.flops_between):
-        arr = np.ascontiguousarray(arr)
-        h.update(str((arr.shape, arr.dtype.str)).encode())
-        h.update(arr.tobytes())
-    h.update(repr(float(trace.footprint_bytes)).encode())
-    return h.hexdigest()
+def _as_batch(profiles) -> ProfileBatch:
+    """Stack loose profiles into a batch (a batch passes through)."""
+    if isinstance(profiles, ProfileBatch):
+        return profiles
+    return ProfileBatch.from_profiles(profiles)
 
 
-def fingerprint_sim_config(config: ApuSimConfig) -> str:
-    """Value fingerprint of one simulator configuration (frozen
-    dataclass of scalars, so its repr is a faithful value encoding)."""
-    return _digest(repr(config))
+def _grid_key(
+    model: NodeModel, batch: ProfileBatch, space: DesignSpace
+) -> tuple:
+    return (
+        fingerprint_batch(batch),
+        fingerprint_model(model),
+        _digest(repr(space)),
+    )
 
 
-class _KeyedMemo:
-    """Thread-safe memo shared by the evaluation-layer caches.
+class EvalCache:
+    """Thread-safe keyed memo fronting :meth:`NodeModel.evaluate_grid`.
 
-    Subclasses build their own keys and computations; this base owns the
-    entry table (a plain ``dict`` under one lock, kept for the life of
-    the process) and the hit/miss counters.
-
-    Every lookup outcome is also published to the process-wide
-    :mod:`repro.obs.metrics` registry under the class's
-    ``metrics_prefix`` (``cache.eval.hits`` and friends), so DSE sweeps
-    and manifests see cache behaviour without polling each instance.
+    The working set is one entry per distinct (profile batch, design
+    space, model) triple, which the full experiment suite keeps in the
+    dozens. Every lookup outcome is also published to the process-wide
+    :mod:`repro.obs.metrics` registry as ``cache.eval.hits`` /
+    ``cache.eval.misses``, so DSE sweeps and manifests see cache
+    behaviour without polling each instance.
     """
 
-    metrics_prefix = "cache.keyed"
-    """Registry namespace; subclasses override (``cache.eval`` etc.)."""
-
     def __init__(self):
-        self._entries: dict[tuple, object] = {}
+        self._entries: dict[tuple, GridEvaluation] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        # Pre-resolved metric names: the lookup fast path must not pay
-        # for string formatting.
-        self._metric_hits = self.metrics_prefix + ".hits"
-        self._metric_misses = self.metrics_prefix + ".misses"
 
-    def _peek(self, key: tuple):
-        """Non-computing probe: the cached value, or ``None``.
+    def evaluate_grid(
+        self, model: NodeModel, profiles, space: DesignSpace
+    ) -> GridEvaluation:
+        """Cached equivalent of ``model.evaluate_grid(profiles, space)``.
+
+        *profiles* may be a :class:`~repro.workloads.kernels.
+        ProfileBatch` or a sequence of profiles.
+        """
+        batch = _as_batch(profiles)
+        key = _grid_key(model, batch, space)
+        grid = self.peek(key)
+        if grid is None:
+            with self._lock:
+                self._misses += 1
+            _obs_metrics.inc("cache.eval.misses")
+            grid = model.evaluate_grid(batch, space)
+            self.seed(key, grid)
+        return grid
+
+    def grid_key(
+        self, model: NodeModel, profiles, space: DesignSpace
+    ) -> tuple:
+        """The opaque key :meth:`evaluate_grid` uses for these
+        arguments, for :meth:`peek` and :meth:`seed`.
+
+        Fingerprinting a batch is ~100x the cost of the lookup itself,
+        so a caller that probes the same (profiles, space) template
+        repeatedly — the serving layer — derives the key once and
+        replays it.
+        """
+        return _grid_key(model, _as_batch(profiles), space)
+
+    def peek(self, key: tuple) -> GridEvaluation | None:
+        """The grid cached under *key*, or ``None`` — never computes.
 
         Counts (and publishes) a hit when found — the serving layer's
-        inline path is a real cache hit — but a miss counts nothing:
-        the caller will route the request through a computing path
-        whose own lookup records the miss, and double-counting would
-        skew the hit rates.
+        inline answer is a real cache hit — but a miss counts nothing:
+        the caller computes the answer elsewhere, and a miss that
+        computes nothing here would only skew the hit rate.
         """
         with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
+            grid = self._entries.get(key)
+            if grid is not None:
                 self._hits += 1
-                _obs_metrics.inc(self._metric_hits)
-            return cached
+                _obs_metrics.inc("cache.eval.hits")
+            return grid
 
-    def _seed(self, key: tuple, value) -> None:
-        """Insert a value computed elsewhere (e.g. carved out of a
-        merged serve batch) without touching the hit/miss counters."""
-        with self._lock:
-            self._entries[key] = value
+    def seed(self, key: tuple, grid: GridEvaluation) -> None:
+        """Store a grid computed elsewhere under *key* (a
+        :meth:`grid_key`) without touching the hit/miss counters.
 
-    def _memoize(self, key: tuple, compute: Callable[[], object]):
-        cached = self._peek(key)
-        if cached is not None:
-            return cached
+        The serving layer carves per-request grids out of merged batch
+        evaluations (bit-identical to evaluating them directly: grid
+        composition is exact along every axis) and seeds them here so
+        the next identical request hits inline.
+        """
         with self._lock:
-            self._misses += 1
-        _obs_metrics.inc(self._metric_misses)
-        value = compute()
-        self._seed(key, value)
-        return value
+            self._entries[key] = grid
 
     def stats(self) -> CacheStats:
         """Hit/miss/entry counters."""
@@ -224,169 +230,12 @@ class _KeyedMemo:
             self._hits = self._misses = 0
 
 
-class EvalCache(_KeyedMemo):
-    """Keyed memo fronting :meth:`NodeModel.evaluate_grid`.
-
-    The working set is one entry per distinct (profile batch, design
-    space, model) triple, which the full experiment suite keeps in the
-    dozens.
-    """
-
-    metrics_prefix = "cache.eval"
-
-    @staticmethod
-    def _as_batch(profiles) -> ProfileBatch:
-        """Stack loose profiles into a batch (a batch passes through)."""
-        if isinstance(profiles, ProfileBatch):
-            return profiles
-        return ProfileBatch.from_profiles(profiles)
-
-    @staticmethod
-    def _grid_key(
-        model: NodeModel, batch: ProfileBatch, space: DesignSpace
-    ) -> tuple:
-        return (
-            "grid",
-            fingerprint_batch(batch),
-            fingerprint_model(model),
-            _digest(repr(space)),
-        )
-
-    def evaluate_grid(
-        self, model: NodeModel, profiles, space: DesignSpace
-    ) -> GridEvaluation:
-        """Cached equivalent of ``model.evaluate_grid(profiles, space)``.
-
-        *profiles* may be a :class:`~repro.workloads.kernels.
-        ProfileBatch` or a sequence of profiles.
-        """
-        batch = self._as_batch(profiles)
-        key = self._grid_key(model, batch, space)
-        return self._memoize(
-            key, lambda: model.evaluate_grid(batch, space)
-        )
-
-    def grid_key(
-        self, model: NodeModel, profiles, space: DesignSpace
-    ) -> tuple:
-        """The opaque cache key :meth:`evaluate_grid` and
-        :meth:`seed_grid` use for these arguments.
-
-        Fingerprinting a batch is ~100x the cost of the lookup itself,
-        so callers that probe the same (profiles, space) template
-        repeatedly — the serving layer's inline path — compute the key
-        once and replay it through :meth:`peek_grid_key`.
-        """
-        return self._grid_key(model, self._as_batch(profiles), space)
-
-    def peek_grid_key(self, key: tuple) -> GridEvaluation | None:
-        """The cached grid under a precomputed :meth:`grid_key`, or
-        ``None`` — never computes. The serving layer's inline-answer
-        probe."""
-        return self._peek(key)
-
-    def seed_grid(
-        self,
-        model: NodeModel,
-        profiles,
-        space: DesignSpace,
-        value: GridEvaluation,
-    ) -> None:
-        """Insert a grid computed elsewhere under these arguments' key.
-
-        The serving layer carves per-request grids out of merged batch
-        evaluations (bit-identical to evaluating them directly: grid
-        composition is exact along every axis) and seeds them here so
-        the next identical request hits inline.
-        """
-        self._seed(self.grid_key(model, profiles, space), value)
-
-
 _default_cache = EvalCache()
 
 
 def default_cache() -> EvalCache:
     """The process-wide shared cache the library routes through."""
     return _default_cache
-
-
-class SimCache(_KeyedMemo):
-    """Keyed memo fronting :meth:`ApuSimulator.run`.
-
-    Key: ``(sim-config fingerprint, trace fingerprint, engine)``. Both
-    engines are cached independently — the oracle harness deliberately
-    runs the same (config, trace) pair through each engine, and the
-    entries must not alias.
-    """
-
-    metrics_prefix = "cache.sim"
-
-    @staticmethod
-    def _run_key(
-        trace: MemoryTrace, simulator: ApuSimulator
-    ) -> tuple:
-        return (
-            fingerprint_sim_config(simulator.config),
-            fingerprint_trace(trace),
-            simulator.engine,
-        )
-
-    def run(
-        self,
-        trace: MemoryTrace,
-        config: ApuSimConfig | None = None,
-        engine: str | None = None,
-    ) -> ApuSimResult:
-        """Cached equivalent of ``ApuSimulator(config, engine).run(trace)``."""
-        simulator = ApuSimulator(config, engine=engine or "array")
-        key = self._run_key(trace, simulator)
-        return self._memoize(key, lambda: simulator.run(trace))
-
-    def peek_run(
-        self,
-        trace: MemoryTrace,
-        config: ApuSimConfig | None = None,
-        engine: str | None = None,
-    ) -> ApuSimResult | None:
-        """The cached simulation for these arguments, or ``None`` —
-        never simulates (the serving layer's inline probe)."""
-        simulator = ApuSimulator(config, engine=engine or "array")
-        return self._peek(self._run_key(trace, simulator))
-
-    def seed_run(
-        self,
-        trace: MemoryTrace,
-        value: ApuSimResult,
-        config: ApuSimConfig | None = None,
-        engine: str | None = None,
-    ) -> None:
-        """Insert a simulation computed elsewhere (a pool worker) under
-        these arguments' key, so the next identical request hits
-        :meth:`peek_run` inline."""
-        simulator = ApuSimulator(config, engine=engine or "array")
-        self._seed(self._run_key(trace, simulator), value)
-
-
-_default_sim_cache = SimCache()
-
-
-def default_sim_cache() -> SimCache:
-    """The process-wide shared simulation cache."""
-    return _default_sim_cache
-
-
-def simulate_trace_cached(
-    trace: MemoryTrace,
-    config: ApuSimConfig | None = None,
-    engine: str | None = None,
-    cache: SimCache | None = None,
-) -> ApuSimResult:
-    """Module-level convenience over :meth:`SimCache.run`.
-
-    ``cache=None`` uses the shared :func:`default_sim_cache`.
-    """
-    cache = cache if cache is not None else _default_sim_cache
-    return cache.run(trace, config=config, engine=engine)
 
 
 def cache_stats() -> CacheStats:

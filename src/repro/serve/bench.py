@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.node import NodeModel
 from repro.obs.export import PeriodicSampler
-from repro.perf.evalcache import EvalCache, SimCache, default_cache
+from repro.perf.evalcache import EvalCache, default_cache
 from repro.perf.pool import PoolTask, ShardedPool
 from repro.serve.adaptive import AdaptiveBatchPolicy
 from repro.serve.requests import (
@@ -167,27 +167,18 @@ def run_arrivals(
     model: NodeModel | None = None,
     pool: ShardedPool | None = None,
     cache: EvalCache | None = None,
-    sim_cache: SimCache | None = None,
     policy: AdaptiveBatchPolicy | None = None,
     max_queue: int = 1024,
-    sampler: PeriodicSampler | None = None,
 ) -> ServeBenchReport:
-    """Run one arrival trace through a fresh service; returns a report.
-
-    A *sampler* rides inside the service's event loop
-    (``PeriodicSampler.run_async``) for the duration of the trace; the
-    caller still owns its final ``stop()``.
-    """
+    """Run one arrival trace through a fresh service; returns a report."""
 
     async def main() -> ServeBenchReport:
         service = EvalService(
             model=model,
             pool=pool,
             cache=cache,
-            sim_cache=sim_cache,
             policy=policy,
             max_queue=max_queue,
-            sampler=sampler,
         )
         async with service:
             start = time.perf_counter()
@@ -274,16 +265,13 @@ def run_serve_bench(
                 cache=cache,
             )
         if metrics_export:
-            # Constructed after the warm pass: the sampler's baseline
-            # snapshot scopes the export to the measured pass.
+            # Started after the warm pass and stopped before the
+            # baseline: the export covers the measured pass only.
             sampler = PeriodicSampler(metrics_export, interval_s=0.25)
-        report = run_arrivals(
-            arrivals,
-            model=model,
-            pool=pool,
-            cache=cache,
-            sampler=sampler,
-        )
+            sampler.start()
+        report = run_arrivals(arrivals, model=model, pool=pool, cache=cache)
+        if sampler is not None:
+            sampler.stop()
         if baseline and pool is not None:
             import dataclasses
 

@@ -14,8 +14,8 @@ Four request kinds cover the traffic the ROADMAP's service absorbs:
 :class:`ExperimentRequest`
     One registered paper artifact by name (``fig8``, ``table2``, ...).
 :class:`SimulateRequest`
-    One trace-driven APU simulation, answered through the shared
-    :class:`~repro.perf.evalcache.SimCache`.
+    One trace-driven APU simulation, answered by running the simulator
+    (never from a cache: every request is computed).
 
 Every request names a ``stream`` — responses within one stream are
 released in admission order — and may carry a relative ``deadline_s``;
@@ -167,7 +167,7 @@ class ExperimentRequest:
 
 @dataclass(frozen=True)
 class SimulateRequest:
-    """One trace-driven APU simulation (SimCache-fronted)."""
+    """One trace-driven APU simulation (always computed)."""
 
     trace: Any
     config: Any = None
@@ -193,12 +193,12 @@ class ServeResponse:
     """Terminal outcome of one request.
 
     ``path`` records how the answer was produced: ``"inline-cache"``
-    (answered from EvalCache/SimCache without a worker round-trip),
-    ``"coalesced"`` (merged with other requests into one grid,
-    evaluated in-process), ``"degraded"`` (evaluated as its own grid
-    call inside a batch), ``"solo"`` (experiment / simulate task, on
-    the pool when the service has one), or ``""`` for requests that
-    never reached evaluation.
+    (a point or sweep answered from the EvalCache without a worker
+    round-trip), ``"coalesced"`` (merged with other requests into one
+    grid, evaluated in-process), ``"degraded"`` (evaluated as its own
+    grid call inside a batch), ``"solo"`` (an experiment or
+    simulation, computed every time, on the pool when the service has
+    one), or ``""`` for requests that never reached evaluation.
     """
 
     status: str

@@ -4,26 +4,29 @@
 experiment and trace-simulation requests and answers them through three
 paths, cheapest first:
 
-1. **Inline cache hit** — the request's exact answer already sits in
-   the shared :class:`~repro.perf.evalcache.EvalCache` /
-   :class:`SimCache` (or the service's experiment memo): answered on
-   the event loop with no worker round-trip. Ordering still holds: the
-   hit routes through the batcher core's per-stream release buffer.
+1. **Inline cache hit** — a point's or sweep's exact grid already
+   sits in the shared :class:`~repro.perf.evalcache.EvalCache`:
+   answered on the event loop with no worker round-trip. The cache key
+   is derived once per request template at submit, and the answer the
+   batch path computes is stored under that same key. Ordering still
+   holds: the hit routes through the batcher core's per-stream release
+   buffer.
 2. **Coalesced grid** — misses queue in the deterministic
    :class:`~repro.serve.batcher.BatcherCore`; the dispatcher drains up
    to the adaptive batch limit (a gathered burst, or whatever queued
    while the previous batch ran), merges compatible requests (points
    into a union grid under a waste cap, same-space sweeps into one
    profile batch) and evaluates each merged grid once, in-process,
-   through the shared cache. A grid of a few thousand cells costs
-   about a millisecond, less than one pool round-trip.
+   with ``NodeModel.evaluate_grid``. A grid of a few thousand cells
+   costs about a millisecond, less than one pool round-trip.
 3. **Degraded** — a point or sweep that cannot coalesce (unique space,
    or a union that would waste more tensor cells than the cap allows)
    is evaluated as its own grid call inside the batch.
 
-Experiments and trace simulations run **solo**: one
-:class:`~repro.perf.pool.ShardedPool` task each when the service has a
-pool (the pool's next idle worker takes it), else in-process.
+Experiments and trace simulations run **solo** and are always
+computed: one :class:`~repro.perf.pool.ShardedPool` task each when the
+service has a pool (the pool's next idle worker takes it), else
+in-process.
 
 Every path produces **bit-identical** answers to a direct serial
 ``evaluate_grid``/``explore`` call on the same request, because every
@@ -51,9 +54,7 @@ at dispatch, a batch serving exactly one request parents its
 under the root and links the coalesced request span ids in its args),
 and the batch's pool tasks ship child contexts to the workers — one
 simulation request renders as one connected admit → queue → batch →
-``pool.run`` → worker-task span tree. An optional
-:class:`~repro.obs.export.PeriodicSampler` runs as an asyncio task
-while the service is open, streaming interval metric diffs to JSONL.
+``pool.run`` → worker-task span tree.
 """
 
 from __future__ import annotations
@@ -73,17 +74,13 @@ from repro.core.node import GridEvaluation, NodeModel
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.export import PeriodicSampler
 from repro.obs.slo import SloTracker
 from repro.perf.evalcache import (
     EvalCache,
-    SimCache,
     _digest,
     default_cache,
-    default_sim_cache,
     fingerprint_model,
     fingerprint_profile,
-    simulate_trace_cached,
 )
 from repro.perf.pool import PoolTask, ShardedPool, _picklable_exception
 from repro.serve.adaptive import AdaptiveBatchPolicy
@@ -99,6 +96,7 @@ from repro.serve.requests import (
     SimulateRequest,
     SweepRequest,
 )
+from repro.sim.apu_sim import ApuSimulator
 from repro.workloads.kernels import KernelProfile, ProfileBatch
 
 __all__ = ["EvalService", "serial_answer"]
@@ -122,9 +120,9 @@ def _serve_run_experiment(name):
 
 
 def _serve_simulate(trace, config, engine):
-    """One SimCache-fronted trace simulation."""
+    """One trace simulation, as :func:`serial_answer` runs it."""
     try:
-        return ("ok", simulate_trace_cached(trace, config=config, engine=engine))
+        return ("ok", ApuSimulator(config, engine=engine or "array").run(trace))
     except BaseException as exc:
         return ("err", _picklable_exception(exc))
 
@@ -156,9 +154,10 @@ def _point_units(
     seq order and groups are probed in creation order.
     """
     groups: list[dict] = []
+    fp_of: dict[int, str] = {}  # ticket.seq -> profile fingerprint
     for ticket in tickets:
         req: PointRequest = ticket.request
-        fp = fingerprint_profile(req.profile)
+        fp = fp_of[ticket.seq] = fingerprint_profile(req.profile)
         placed = False
         for g in groups:
             cus = g["cus"] | {int(req.n_cus)}
@@ -202,8 +201,7 @@ def _point_units(
         n_f, n_b = len(freqs), len(bws)
         for ticket in g["tickets"]:
             req = ticket.request
-            fp = fingerprint_profile(req.profile)
-            rows_of[ticket.seq] = (row_index[fp],)
+            rows_of[ticket.seq] = (row_index[fp_of[ticket.seq]],)
             col_of[ticket.seq] = (
                 cus.index(int(req.n_cus)) * n_f * n_b
                 + freqs.index(float(req.gpu_freq)) * n_b
@@ -227,9 +225,12 @@ def _sweep_units(tickets: Sequence[Ticket]) -> list[_GridUnit]:
     fingerprint; a profile-name clash between different profiles opens
     a new unit)."""
     groups: list[dict] = []
+    fps_of: dict[int, list[str]] = {}  # ticket.seq -> fingerprints
     for ticket in tickets:
         req: SweepRequest = ticket.request
-        fps = [fingerprint_profile(p) for p in req.profiles]
+        fps = fps_of[ticket.seq] = [
+            fingerprint_profile(p) for p in req.profiles
+        ]
         placed = False
         for g in groups:
             clash = any(
@@ -259,9 +260,8 @@ def _sweep_units(tickets: Sequence[Ticket]) -> list[_GridUnit]:
         batch = ProfileBatch.from_profiles(list(g["profiles"].values()))
         rows_of = {}
         for ticket in g["tickets"]:
-            req = ticket.request
             rows_of[ticket.seq] = tuple(
-                row_index[fingerprint_profile(p)] for p in req.profiles
+                row_index[fp] for fp in fps_of[ticket.seq]
             )
         units.append(
             _GridUnit(
@@ -322,8 +322,6 @@ def serial_answer(request, model: NodeModel | None = None):
 
         return EXPERIMENTS[request.name]()
     if isinstance(request, SimulateRequest):
-        from repro.sim.apu_sim import ApuSimulator
-
         sim = ApuSimulator(request.config, engine=request.engine or "array")
         return sim.run(request.trace)
     raise TypeError(f"unknown request type {type(request).__name__}")
@@ -345,9 +343,10 @@ class EvalService:
         experiment and simulation requests, one task each; ``None``
         runs them on the service's worker thread. Grid units always
         evaluate in-process.
-    cache / sim_cache:
-        Shared caches probed inline; default to the process-wide ones
-        so the service sees sweeps other code already paid for.
+    cache:
+        The memo probed inline for points and sweeps; defaults to the
+        process-wide one, so the service sees sweeps other code (e.g.
+        ``explore``) already paid for.
     policy:
         Batch sizing policy with a ``refresh()`` the dispatcher calls
         after every batch; default is an
@@ -366,10 +365,6 @@ class EvalService:
         :class:`~repro.obs.slo.SloTracker` on the service clock. Every
         drained outcome is recorded and the derived signals published
         as ``serve.slo.*`` gauges and in the manifest section.
-    sampler:
-        Optional :class:`~repro.obs.export.PeriodicSampler`; while the
-        service is open it runs as an asyncio task streaming interval
-        metric diffs (the caller owns ``stop()``).
     """
 
     def __init__(
@@ -378,14 +373,12 @@ class EvalService:
         model: NodeModel | None = None,
         pool: ShardedPool | None = None,
         cache: EvalCache | None = None,
-        sim_cache: SimCache | None = None,
         policy: AdaptiveBatchPolicy | None = None,
         max_queue: int = 1024,
         union_waste_factor: float = 8.0,
         clock=time.monotonic,
         manifest_name: str = "serve",
         slo: SloTracker | None = None,
-        sampler: PeriodicSampler | None = None,
     ):
         # NaN would never cap a union: every point would join one grid.
         if not 1 <= union_waste_factor < math.inf:
@@ -393,9 +386,6 @@ class EvalService:
         self.model = model or NodeModel()
         self.pool = pool
         self.cache = cache if cache is not None else default_cache()
-        self.sim_cache = (
-            sim_cache if sim_cache is not None else default_sim_cache()
-        )
         self.policy = policy if policy is not None else AdaptiveBatchPolicy()
         self.union_waste_factor = float(union_waste_factor)
         self.clock = clock
@@ -403,19 +393,17 @@ class EvalService:
         self.slo = slo if slo is not None else SloTracker(clock=clock)
         self.slo_publish_interval_s = 0.05
         self._slo_published_at = float("-inf")
-        self.sampler = sampler
-        self._sampler_task: asyncio.Task | None = None
         # seq -> (request SpanContext, tracer-clock admit reading);
         # consumed at batch execution (queue-wait span) or outcome
         # drain (shed/expired/inline), whichever comes first.
         self._req_traces: dict[int, tuple] = {}
         self.core = BatcherCore(self.policy, max_queue=max_queue)
         self._model_fp = fingerprint_model(self.model)
-        self._experiment_memo: dict[str, Any] = {}
         # Request-template -> EvalCache grid key. Fingerprinting a
-        # batch dominates a warm inline hit, so the key is computed
-        # once per template. Memo keys use object ids; the value pins
-        # the objects so an id is never recycled under us.
+        # batch dominates a warm inline hit, so the key is derived once
+        # per template: the inline probe at submit and the seeding of
+        # a computed answer share it. Memo keys use object ids; the
+        # value pins the objects so an id is never recycled under us.
         self._grid_key_memo: dict[tuple, tuple[Any, tuple]] = {}
         self._futures: dict[int, asyncio.Future] = {}
         self._wake: asyncio.Event | None = None
@@ -440,10 +428,6 @@ class EvalService:
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop(), name="repro-serve-dispatch"
         )
-        if self.sampler is not None:
-            self._sampler_task = asyncio.get_running_loop().create_task(
-                self.sampler.run_async(), name="repro-serve-sampler"
-            )
         obs_manifest.register_section(
             self.manifest_name, self.manifest_section
         )
@@ -471,13 +455,6 @@ class EvalService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._sampler_task is not None:
-            self._sampler_task.cancel()
-            try:
-                await self._sampler_task
-            except asyncio.CancelledError:
-                pass
-            self._sampler_task = None
         obs_manifest.unregister_section(self.manifest_name)
         self._started = False
 
@@ -575,8 +552,15 @@ class EvalService:
     # Inline cache path
     # ------------------------------------------------------------------
     def _request_grid_key(self, request) -> tuple:
-        """The EvalCache key of the request's grid, memoized per
-        template (same profile/space objects -> no re-fingerprinting)."""
+        """The EvalCache key of a point's or sweep's grid, memoized per
+        template (same profile/space objects -> no re-fingerprinting).
+        Submit derives it; seeding the computed answer reuses it.
+
+        Seeding runs on the worker thread for a batch with a solo
+        request. Racing the loop thread's submit can only derive a key
+        twice (each dict operation is atomic, and equal templates give
+        equal keys), so the memo takes no lock.
+        """
         if isinstance(request, PointRequest):
             memo_key = (
                 "point", id(request.profile), request.n_cus,
@@ -607,28 +591,20 @@ class EvalService:
         return key
 
     def _peek_inline(self, request) -> Any | None:
-        """The request's answer if it is already cached, else None."""
-        if isinstance(request, PointRequest):
-            grid = self.cache.peek_grid_key(self._request_grid_key(request))
-            if grid is None:
-                return None
-            return PointResult(
-                performance=float(grid.performance[0, 0]),
-                node_power=float(grid.power[0, 0]),
-                feasible=bool(grid.feasible[0, 0]),
-            )
+        """A point's or sweep's answer if its grid is already cached,
+        else None (experiments and simulations are always computed)."""
+        if not isinstance(request, (PointRequest, SweepRequest)):
+            return None
+        grid = self.cache.peek(self._request_grid_key(request))
+        if grid is None:
+            return None
         if isinstance(request, SweepRequest):
-            grid = self.cache.peek_grid_key(self._request_grid_key(request))
-            if grid is None:
-                return None
             return _optima_from_grid(grid, request.space)
-        if isinstance(request, ExperimentRequest):
-            return self._experiment_memo.get(request.name)
-        if isinstance(request, SimulateRequest):
-            return self.sim_cache.peek_run(
-                request.trace, request.config, request.engine
-            )
-        return None
+        return PointResult(
+            performance=float(grid.performance[0, 0]),
+            node_power=float(grid.power[0, 0]),
+            feasible=bool(grid.feasible[0, 0]),
+        )
 
     def _group_key(self, request) -> Any:
         if isinstance(request, PointRequest):
@@ -728,9 +704,9 @@ class EvalService:
 
         Runs on the event loop for a batch of only points and sweeps,
         else on the service's single worker thread: plans execution
-        units, evaluates each grid unit through the cache and carves
-        per-request answers back out of the merged tensors, then runs
-        the solo requests (on the pool when there is one).
+        units, evaluates each grid unit once and carves per-request
+        answers back out of the merged tensors, then runs the solo
+        requests (on the pool when there is one).
         """
         tracer = obs_trace.active_tracer()
         batch_parent = None
@@ -792,9 +768,7 @@ class EvalService:
 
         for unit in grid_units:
             try:
-                grid = self.cache.evaluate_grid(
-                    self.model, unit.batch, unit.space
-                )
+                grid = self.model.evaluate_grid(unit.batch, unit.space)
             except BaseException as exc:
                 for t in unit.tickets:
                     results[t.seq] = (FAILED, exc)
@@ -839,15 +813,6 @@ class EvalService:
     def _finish_solo(self, ticket: Ticket, reply, results) -> None:
         status, payload = reply
         if status == "ok":
-            req = ticket.request
-            if isinstance(req, ExperimentRequest):
-                self._experiment_memo[req.name] = payload
-            elif isinstance(req, SimulateRequest):
-                # The worker computed (and worker-side cached) it; seed
-                # the parent cache so repeats answer inline.
-                self.sim_cache.seed_run(
-                    req.trace, payload, req.config, req.engine
-                )
             results[ticket.seq] = (OK, (payload, "solo"))
         else:
             results[ticket.seq] = (FAILED, payload)
@@ -856,7 +821,7 @@ class EvalService:
         self, unit: _GridUnit, grid: GridEvaluation, results
     ) -> None:
         """Carve per-request answers out of one evaluated grid unit and
-        seed the cache so repeats hit inline."""
+        seed each under its submit-time key so repeats hit inline."""
         path = "coalesced" if unit.coalesced else "degraded"
         for ticket in unit.tickets:
             req = ticket.request
@@ -869,10 +834,8 @@ class EvalService:
                     space = req.to_space()
                     feasible = bool(power <= space.power_budget)
                     value = PointResult(perf, power, feasible)
-                    self.cache.seed_grid(
-                        self.model,
-                        [req.profile],
-                        space,
+                    self.cache.seed(
+                        self._request_grid_key(req),
                         _singleton_grid(req.profile, space, perf, power),
                     )
                 else:  # SweepRequest
@@ -884,9 +847,7 @@ class EvalService:
                         power=grid.power[idx],
                         feasible=grid.feasible[idx],
                     )
-                    self.cache.seed_grid(
-                        self.model, list(req.profiles), req.space, sub
-                    )
+                    self.cache.seed(self._request_grid_key(req), sub)
                     value = _optima_from_grid(sub, req.space)
             except BaseException as exc:
                 results[ticket.seq] = (FAILED, exc)

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.config import DesignSpace
+from repro.core.config import DesignSpace, _finite_positive
 from repro.serve.requests import PointRequest, SimulateRequest, SweepRequest
 from repro.workloads.catalog import APPLICATIONS
 
@@ -97,6 +97,11 @@ def synthetic_arrivals(
     """
     if n_requests < 0:
         raise ValueError("n_requests must be non-negative")
+    # Only None means closed loop: a NaN or zero rate is an error.
+    if rate_hz is not None and not _finite_positive(rate_hz):
+        raise ValueError(
+            f"rate_hz must be None or finite and positive, got {rate_hz!r}"
+        )
     if not 0.0 <= point_fraction <= 1.0:
         raise ValueError("point_fraction must be in [0, 1]")
     if not 0.0 <= simulate_fraction <= 1.0 - point_fraction:
@@ -123,7 +128,7 @@ def synthetic_arrivals(
     ranks = np.arange(1, len(templates) + 1, dtype=float)
     zipf = (1.0 / ranks) / (1.0 / ranks).sum()
 
-    if rate_hz is not None and rate_hz > 0:
+    if rate_hz is not None:
         gaps = rng.exponential(1.0 / rate_hz, size=n_requests)
         at = np.cumsum(gaps)
     else:

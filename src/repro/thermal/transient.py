@@ -22,6 +22,7 @@ The closed-loop policy that *reacts* to these temperatures lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -257,6 +258,11 @@ class TransientSolver:
         steady-state solution ``G T = P + G_b T_amb`` — the equivalence
         the oracle test pins against :meth:`ThermalGrid.solve`.
         """
+        # A NaN tolerance is never met: it would run max_steps silently.
+        if not 0 <= tol_c < math.inf:
+            raise ValueError(
+                f"tol_c must be finite and non-negative, got {tol_c!r}"
+            )
         if temps is None:
             temps = self.initial_temps()
         temps = np.asarray(temps, dtype=float)

@@ -22,6 +22,11 @@ The fitted values are baked into :mod:`repro.workloads.catalog`; this
 module stays in the library so the calibration is reproducible
 (``python -m repro.workloads.calibration`` re-runs it and prints the
 resulting catalog parameters).
+
+The module also holds the Section VI cross-checks of the analytic model
+against the trace simulator (:func:`trace_crosscheck`,
+:func:`chiplet_penalty_table`). They run the simulator directly: no
+sweep repeats a (config, trace) pair, so there is nothing to memoize.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from scipy.optimize import differential_evolution, minimize
 
 from repro.core.config import PAPER_BEST_MEAN, DesignSpace, EHPConfig
 from repro.core.node import NodeModel
-from repro.perf.evalcache import simulate_trace_cached
-from repro.sim.apu_sim import ApuSimConfig
+from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.util.units import MHZ, TB
 from repro.workloads.catalog import PAPER_TABLE2, CalibrationTarget
 from repro.workloads.kernels import KernelCategory, KernelProfile
@@ -506,11 +510,8 @@ def trace_crosscheck(
     role the paper gives gem5. Both sides are normalized per CU because
     the simulator runs a scaled-down EHP.
 
-    The simulation routes through the shared fingerprint cache
-    (:func:`repro.perf.evalcache.simulate_trace_cached`), so repeated
-    sweeps — e.g. over engines, or from several drivers — never
-    recompute a (config, trace) pair. The analytic point, a fraction of
-    a millisecond, is evaluated directly.
+    *engine* picks the simulator engine (``None``: the default array
+    engine). Both sides are evaluated directly, once per application.
     """
     from repro.workloads.catalog import APPLICATIONS, get_application
 
@@ -521,7 +522,7 @@ def trace_crosscheck(
     for name in list(names) if names is not None else list(APPLICATIONS):
         profile = get_application(name)
         trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
-        sim = simulate_trace_cached(trace, sim_config, engine=engine)
+        sim = ApuSimulator(sim_config, engine=engine or "array").run(trace)
         ev = model.evaluate_arrays(
             profile, best.n_cus, best.gpu_freq, best.bandwidth
         )
@@ -579,8 +580,8 @@ def chiplet_penalty_table(
     argue the chiplet organization costs little; the ``agreement``
     column is the cross-substrate sanity check.
 
-    Simulations route through the shared fingerprint cache, so the
-    sweep costs one simulation per distinct (config, trace) pair.
+    The zero-penalty point is simulated once per application and
+    serves as both the base and the 0 ns row.
     """
     import dataclasses
 
@@ -600,7 +601,7 @@ def chiplet_penalty_table(
             cfg = dataclasses.replace(
                 sim_config, chiplet_extra_latency=penalty_ns * 1e-9
             )
-            sim = simulate_trace_cached(trace, cfg, engine=engine)
+            sim = ApuSimulator(cfg, engine=engine or "array").run(trace)
             ev = model.evaluate_arrays(
                 profile,
                 best.n_cus,
@@ -610,9 +611,12 @@ def chiplet_penalty_table(
             )
             return sim.flops_rate, float(np.asarray(ev.performance))
 
-        sim_base, analytic_base = _point(0.0)
+        base = _point(0.0)
+        sim_base, analytic_base = base
         for penalty in penalties_ns:
-            sim_perf, analytic_perf = _point(float(penalty))
+            sim_perf, analytic_perf = (
+                base if penalty == 0.0 else _point(float(penalty))
+            )
             rows.append(
                 ChipletPenaltyRow(
                     name=name,

@@ -98,8 +98,6 @@ class TestTraceCrosscheck:
         assert DEFAULT_TRACE_SEED == 42
 
     def test_rows_cover_requested_apps(self):
-        from repro.perf.evalcache import SimCache
-
         rows = trace_crosscheck(names=["CoMD", "MaxFlops"], n_accesses=2000)
         assert [r.name for r in rows] == ["CoMD", "MaxFlops"]
         for r in rows:
@@ -131,15 +129,6 @@ class TestTraceCrosscheck:
             e[0].sim_flops_per_cu, rel=1e-9
         )
         assert a[0].sim_dram_fraction == e[0].sim_dram_fraction
-
-    def test_repeat_sweep_hits_sim_cache(self):
-        from repro.perf.evalcache import default_sim_cache
-
-        trace_crosscheck(names=["LULESH"], n_accesses=1000)
-        before = default_sim_cache().stats()
-        trace_crosscheck(names=["LULESH"], n_accesses=1000)
-        after = default_sim_cache().stats()
-        assert after.hits == before.hits + 1
 
 
 class TestAllCalibratedProfiles:

@@ -1,7 +1,7 @@
 """The fleet layer (``repro.fleet``): link tier, specs, sharded sweeps.
 
-Covers the link tier's two-engine bit-identity and derate-only
-contract, fleet spec validation and synthetic determinism, and the
+Covers the link tier's derate-only contract and input validation,
+fleet spec validation and synthetic determinism, and the
 sweep's core guarantee: the pooled fleet sweep, one task per series,
 is bit-identical to the serial per-point estimate loop — cold, on a
 reused pool, and after a worker death.
@@ -71,10 +71,6 @@ class TestLinkTier:
         with pytest.raises(ValueError):
             LinkTierParams(**{field: True})
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown link engine"):
-            derate(LinkTierParams(), 0.2, engine="magic")
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             derate(LinkTierParams(), 1.5)
@@ -101,21 +97,6 @@ class TestLinkTier:
         d = derate(LinkTierParams(), 0.25, 2)
         assert isinstance(d.ext_bandwidth, float)
         assert isinstance(d.ext_latency, float)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        w=st.lists(
-            st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8
-        ),
-        k=st.integers(min_value=1, max_value=16),
-    )
-    def test_engines_bit_identical(self, w, k):
-        params = LinkTierParams()
-        w_arr = np.asarray(w, dtype=float)
-        tensor = derate(params, w_arr, k, engine="tensor")
-        point = derate(params, w_arr, k, engine="point")
-        assert np.array_equal(tensor.ext_bandwidth, point.ext_bandwidth)
-        assert np.array_equal(tensor.ext_latency, point.ext_latency)
 
     def test_derate_machine_fields(self):
         machine = MachineParams()

@@ -10,21 +10,13 @@ from repro.core.config import DesignSpace
 from repro.core.dse import explore
 from repro.core.node import NodeModel
 from repro.noc.simulator import NocSimulator, SimMessage
-from repro.perf.evalcache import (
-    EvalCache,
-    SimCache,
-    fingerprint_sim_config,
-    fingerprint_trace,
-    simulate_trace_cached,
-)
+from repro.perf.evalcache import EvalCache
 from repro.perf.parallel import run_all_experiments, run_experiments
 from repro.perf.pool import ShardedPool
 from repro.power.components import PowerParams
-from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.thermal.grid import ThermalGrid
 from repro.workloads.catalog import get_application
 from repro.workloads.kernels import ProfileBatch
-from repro.workloads.traces import TraceGenerator
 
 
 class TestVectorizedAssembly:
@@ -196,66 +188,6 @@ class TestEvalCache:
         r3 = explore(profiles, cache=False)
         assert cache.stats().requests == 2
         assert r3.best_mean_index == r1.best_mean_index
-
-
-class TestSimCache:
-    def _trace(self, seed=42, n=1500):
-        return TraceGenerator(get_application("CoMD"), seed=seed).generate(n)
-
-    def test_hit_returns_memoized_result(self):
-        cache = SimCache()
-        trace = self._trace()
-        r1 = cache.run(trace)
-        r2 = cache.run(trace)
-        assert r2 is r1
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_engines_cached_independently(self):
-        cache = SimCache()
-        trace = self._trace()
-        array = cache.run(trace, engine="array")
-        event = cache.run(trace, engine="event")
-        assert array is not event
-        assert cache.stats().misses == 2
-        # Same (config, trace) through each engine again: both hit.
-        assert cache.run(trace, engine="array") is array
-        assert cache.run(trace, engine="event") is event
-        assert cache.stats().hits == 2
-
-    def test_config_fingerprint_differentiates(self):
-        cache = SimCache()
-        trace = self._trace()
-        cache.run(trace, ApuSimConfig(n_cus=4))
-        cache.run(trace, ApuSimConfig(n_cus=8))
-        assert cache.stats().misses == 2
-
-    def test_trace_fingerprint_differentiates(self):
-        cache = SimCache()
-        cache.run(self._trace(seed=1))
-        cache.run(self._trace(seed=2))
-        assert cache.stats().misses == 2
-        # An equal-valued regenerated trace hits: keys are value digests.
-        cache.run(self._trace(seed=1))
-        assert cache.stats().hits == 1
-
-    def test_fingerprint_functions_are_value_digests(self):
-        assert fingerprint_trace(self._trace()) == fingerprint_trace(
-            self._trace()
-        )
-        assert fingerprint_sim_config(ApuSimConfig()) == (
-            fingerprint_sim_config(ApuSimConfig())
-        )
-        assert fingerprint_sim_config(ApuSimConfig()) != (
-            fingerprint_sim_config(ApuSimConfig(n_cus=4))
-        )
-
-    def test_cached_helper_matches_direct(self):
-        trace = self._trace()
-        config = ApuSimConfig(n_cus=4)
-        direct = ApuSimulator(config).run(trace)
-        cached = simulate_trace_cached(trace, config, cache=SimCache())
-        assert cached == direct
 
 
 class TestParallelRunner:

@@ -7,15 +7,18 @@ behavioural contracts.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.config import DesignSpace, EHPConfig
+from repro.core.exascale import ExascaleSystem
 from repro.core.governor import DvfsGovernor
 from repro.core.node import NodeModel
-from repro.fleet.link import LinkTierParams
+from repro.core.thermal_governor import ThermalGovernor
+from repro.fleet.link import LinkTierParams, derate
 from repro.fleet.spec import FleetGroup, FleetSpec
 from repro.memsys.dramcache import DramCache
 from repro.memsys.interleave import AddressInterleaver
@@ -28,6 +31,8 @@ from repro.memsys.rowbuffer import RowBufferSim
 from repro.noc.simulator import NocSimulator, SimMessage
 from repro.noc.topology import EHPTopology
 from repro.noc.traffic import TrafficMatrix, gpu_dram_traffic_matrix
+from repro.obs.export import PeriodicSampler
+from repro.obs.slo import SloTracker
 from repro.perfmodel.roofline import evaluate_kernel, evaluate_kernel_grid
 from repro.power.components import PowerParams
 from repro.ras.checkpoint import CheckpointModel
@@ -38,8 +43,11 @@ from repro.serve import (
     EvalService,
     FixedPolicy,
 )
+from repro.serve.workload import synthetic_arrivals
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.sim.cache_sim import CacheLevel, CacheSim
+from repro.thermal.grid import ThermalGrid
+from repro.thermal.transient import TransientSolver
 from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
 from repro.workloads.traces import MemoryTrace
 
@@ -484,6 +492,12 @@ def _kernel_grid(cu=256.0, freq=1e9, bw=3e12):
     return evaluate_kernel_grid(batch, (192.0, cu), (0.8e9, freq), (bw,))
 
 
+def _converge(tol_c):
+    grid = ThermalGrid(66.0, 22.0, nx=4, ny=2)
+    power = np.zeros((grid.stack.n_layers, grid.ny, grid.nx))
+    return TransientSolver(grid).converge(power, tol_c=tol_c, max_steps=1)
+
+
 # constructor field or function argument ->
 #     (build from one bad value, bad-value strategy)
 _BAD_FIELDS = {
@@ -616,7 +630,52 @@ _BAD_FIELDS = {
     "EvalService.union_waste_factor": (
         lambda v: EvalService(union_waste_factor=v),
         st.one_of(_NON_FINITE, st.floats(max_value=1.0, exclude_max=True))),
+    "derate.write_fraction": (
+        lambda v: derate(LinkTierParams(), v), _BAD_FRACTION),
+    "derate.concurrent_kernels": (
+        lambda v: derate(LinkTierParams(), 0.3, v),
+        st.one_of(_NON_FINITE, st.floats(max_value=1.0, exclude_max=True))),
+    "PeriodicSampler.interval_s": (
+        lambda v: PeriodicSampler(os.devnull, interval_s=v), _BAD_POSITIVE),
+    "ExascaleSystem.n_nodes": (ExascaleSystem, _BAD_COUNT),
+    "ThermalGovernor.limit_c": (
+        lambda v: ThermalGovernor(limit_c=v), _NON_FINITE),
+    "ThermalGovernor.margin_c": (
+        lambda v: ThermalGovernor(margin_c=v), _BAD_NON_NEGATIVE),
+    "ThermalGovernor.feedback_margin_c": (
+        lambda v: ThermalGovernor(feedback_margin_c=v), _BAD_NON_NEGATIVE),
+    "ThermalGovernor.control_interval_s": (
+        lambda v: ThermalGovernor(control_interval_s=v), _BAD_POSITIVE),
+    "SloTracker.window_s": (
+        lambda v: SloTracker(window_s=v), _BAD_POSITIVE),
+    "SloTracker.target_p99_s": (
+        lambda v: SloTracker(target_p99_s=v), _BAD_POSITIVE),
+    "synthetic_arrivals.rate_hz": (
+        lambda v: synthetic_arrivals(0, 1, rate_hz=v), _BAD_POSITIVE),
+    "TransientSolver.converge.tol_c": (_converge, _BAD_NON_NEGATIVE),
 }
+
+# One value per field that used to be accepted (or to raise something
+# other than a ValueError naming the field); the error must name it.
+_NAMED_BAD_VALUES = [
+    ("derate.write_fraction", math.nan),
+    ("derate.concurrent_kernels", math.nan),
+    ("derate.concurrent_kernels", math.inf),
+    ("PeriodicSampler.interval_s", math.nan),
+    ("PeriodicSampler.interval_s", math.inf),
+    ("ExascaleSystem.n_nodes", math.nan),
+    ("ExascaleSystem.n_nodes", 2.5),
+    ("ExascaleSystem.n_nodes", True),
+    ("ThermalGovernor.limit_c", math.nan),
+    ("ThermalGovernor.margin_c", math.nan),
+    ("ThermalGovernor.feedback_margin_c", math.inf),
+    ("ThermalGovernor.control_interval_s", math.inf),
+    ("ThermalGovernor.control_interval_s", math.nan),
+    ("SloTracker.window_s", math.nan),
+    ("SloTracker.target_p99_s", math.nan),
+    ("synthetic_arrivals.rate_hz", math.nan),
+    ("TransientSolver.converge.tol_c", math.nan),
+]
 
 
 class TestConstructorValidation:
@@ -626,4 +685,13 @@ class TestConstructorValidation:
         build, bad_values = _BAD_FIELDS[field]
         value = data.draw(bad_values, label=field)
         with pytest.raises(ValueError):
+            build(value)
+
+    @pytest.mark.parametrize(
+        "field, value", _NAMED_BAD_VALUES,
+        ids=[f"{f}={v}" for f, v in _NAMED_BAD_VALUES],
+    )
+    def test_error_names_the_field(self, field, value):
+        build, _ = _BAD_FIELDS[field]
+        with pytest.raises(ValueError, match=field.rsplit(".", 1)[1]):
             build(value)

@@ -25,7 +25,7 @@ from repro.core.dse import DseResult
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.perf.evalcache import EvalCache, SimCache
+from repro.perf.evalcache import EvalCache
 from repro.perf.pool import ShardedPool
 from repro.serve import (
     AdaptiveBatchPolicy,
@@ -71,9 +71,8 @@ def pool():
 
 
 def _fresh_service(**kwargs):
-    """A service over private caches (no cross-test pollution)."""
+    """A service over a private cache (no cross-test pollution)."""
     kwargs.setdefault("cache", EvalCache())
-    kwargs.setdefault("sim_cache", SimCache())
     return EvalService(**kwargs)
 
 
@@ -433,7 +432,7 @@ class TestCachePeekSeed:
             cu_counts=(256,), frequencies=(1e9,), bandwidths=(2e12,)
         )
         key = cache.grid_key(model, [maxflops], space)
-        assert cache.peek_grid_key(key) is None
+        assert cache.peek(key) is None
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0
 
@@ -443,12 +442,11 @@ class TestCachePeekSeed:
             cu_counts=(256,), frequencies=(1e9,), bandwidths=(2e12,)
         )
         grid = model.evaluate_grid([maxflops], space)
-        cache.seed_grid(model, [maxflops], space, grid)
+        cache.seed(cache.grid_key(model, [maxflops], space), grid)
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0  # seeding is free
-        peeked = cache.peek_grid_key(
-            cache.grid_key(model, [maxflops], space)
-        )
+        # A key derived again from equal values finds the seeded grid.
+        peeked = cache.peek(cache.grid_key(model, [maxflops], space))
         assert peeked is grid
         assert cache.stats().hits == 1
 
@@ -460,21 +458,82 @@ class TestCachePeekSeed:
             cu_counts=(192, 256), frequencies=(1e9,), bandwidths=(2e12,)
         )
         grid = model.evaluate_grid([maxflops], space)
-        cache.seed_grid(model, [maxflops], space, grid)
+        cache.seed(cache.grid_key(model, [maxflops], space), grid)
         again = cache.evaluate_grid(model, [maxflops], space)
         assert again is grid
 
-    def test_sim_cache_seed_roundtrip(self, maxflops):
-        from repro.sim.apu_sim import ApuSimulator
+
+class _KeyCountingCache(EvalCache):
+    """An EvalCache that counts how often a key is derived."""
+
+    def __init__(self):
+        super().__init__()
+        self.key_calls = 0
+
+    def grid_key(self, *args):
+        self.key_calls += 1
+        return super().grid_key(*args)
+
+
+class TestKeyedOnce:
+    """The service derives a request template's key once, stores one
+    entry per template, and computes every solo request."""
+
+    def test_gathered_burst_keys_and_stores_once_per_template(self, model):
+        arrivals = synthetic_arrivals(7, 32, deadline_s=None)
+        requests = [a.request for a in arrivals]
+        templates = {
+            EvalCache().grid_key(model, [r.profile], r.to_space())
+            if isinstance(r, PointRequest)
+            else EvalCache().grid_key(model, list(r.profiles), r.space)
+            for r in requests
+        }
+        assert len(templates) == 20
+        cache = _KeyCountingCache()
+
+        async def scenario():
+            svc = EvalService(model=model, cache=cache)
+            async with svc:
+                first = await asyncio.gather(
+                    *(svc.submit(r) for r in requests)
+                )
+                entries = cache.stats().entries
+                second = await asyncio.gather(
+                    *(svc.submit(r) for r in requests)
+                )
+            return first, entries, second
+
+        first, entries, second = asyncio.run(scenario())
+        for request, response in zip(requests, first):
+            _assert_same_answer(response, request, model)
+        # No union-grid entries: merged units evaluate around the memo.
+        assert entries == len(templates)
+        # Once per template, across both bursts and every seeding.
+        assert cache.key_calls == len(templates)
+        assert [r.path for r in second] == ["inline-cache"] * len(requests)
+        for request, response in zip(requests, second):
+            _assert_same_answer(response, request, model)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    def test_repeated_simulation_is_computed_each_time(
+        self, request, model, maxflops, pooled
+    ):
         from repro.workloads.traces import TraceGenerator
 
-        trace = TraceGenerator(maxflops, seed=7).generate(500)
-        cache = SimCache()
-        assert cache.peek_run(trace) is None
-        result = ApuSimulator().run(trace)
-        cache.seed_run(trace, result)
-        assert cache.peek_run(trace) is result
-        assert cache.peek_run(trace, engine="event") is None  # no alias
+        trace = TraceGenerator(maxflops, seed=9).generate(600)
+        sim_request = SimulateRequest(trace)
+        pool = request.getfixturevalue("pool") if pooled else None
+
+        async def scenario():
+            svc = _fresh_service(model=model, pool=pool)
+            async with svc:
+                first = await svc.submit(sim_request)
+                second = await svc.submit(sim_request)
+            return first, second
+
+        for response in asyncio.run(scenario()):
+            assert response.path == "solo"
+            _assert_same_answer(response, sim_request, model)
 
 
 # ----------------------------------------------------------------------
@@ -554,13 +613,14 @@ class TestServiceOracle:
             return sim1, exp1, sim2, exp2
 
         sim1, exp1, sim2, exp2 = asyncio.run(scenario())
-        assert sim1.path == "solo" and exp1.path == "solo"
+        # Solo requests are computed every time, repeats included.
+        for response in (sim1, exp1, sim2, exp2):
+            assert response.path == "solo"
         _assert_same_answer(sim1, sim_request, model)
-        assert exp1.status == OK
-        # Repeats hit the parent-side caches inline.
-        assert sim2.path == "inline-cache" and exp2.path == "inline-cache"
-        assert sim2.value == sim1.value
-        assert exp2.value is exp1.value
+        _assert_same_answer(sim2, sim_request, model)
+        assert exp1.status == OK and exp2.status == OK
+        assert exp2.value is not exp1.value
+        assert exp2.value.data == exp1.value.data
 
     def test_failed_sweep_is_contained(self, model, maxflops, comd):
         # An infeasible sweep (1 W budget: nothing fits) fails alone;

@@ -552,7 +552,6 @@ def check_obs_overhead(quick: bool) -> list[str]:
         )
 
     # --- serve path, tracing active -------------------------------
-    from repro.perf.evalcache import EvalCache
     from repro.serve.bench import run_arrivals
     from repro.serve.workload import Arrival, synthetic_arrivals
 
@@ -562,7 +561,7 @@ def check_obs_overhead(quick: bool) -> list[str]:
         Arrival(0.0, a.request)
         for a in synthetic_arrivals(3, n_req, deadline_s=None)
     ]
-    cache = EvalCache()
+    cache: dict = {}
     run_arrivals(arrivals, pool=None, cache=cache)  # warm the caches
 
     def serve_burst(traced: bool) -> float:
@@ -575,8 +574,10 @@ def check_obs_overhead(quick: bool) -> list[str]:
                 run_arrivals(arrivals, pool=None, cache=cache)
         return time.perf_counter() - t0
 
-    def measure_serve() -> float:
-        ratios = []
+    def measure_serve() -> tuple[float, float]:
+        # The ratio, and the tracing cost per request in microseconds:
+        # a cheaper untraced path raises the ratio at the same cost.
+        ratios, costs_us = [], []
         gc.collect()
         gc.disable()
         try:
@@ -588,9 +589,10 @@ def check_obs_overhead(quick: bool) -> list[str]:
                     t_off = serve_burst(False)
                     t_on = serve_burst(True)
                 ratios.append(t_on / t_off)
+                costs_us.append((t_on - t_off) / n_req * 1e6)
         finally:
             gc.enable()
-        return statistics.median(ratios) - 1.0
+        return statistics.median(ratios) - 1.0, statistics.median(costs_us)
 
     with obs_trace.trace() as tracer:
         run_arrivals(arrivals, pool=None, cache=cache)
@@ -601,12 +603,13 @@ def check_obs_overhead(quick: bool) -> list[str]:
         )
 
     for attempt in range(attempts):
-        serve_overhead = measure_serve()
+        serve_overhead, cost_us = measure_serve()
         if serve_overhead <= 0.05:
             break
     print(f"serve obs overhead {n_req} warm requests ({serve_rounds} "
           f"paired bursts, attempt {attempt + 1}/{attempts}): median "
-          f"traced/disabled ratio {serve_overhead * 100.0:+.1f}%")
+          f"traced/disabled ratio {serve_overhead * 100.0:+.1f}%, "
+          f"traced-minus-untraced {cost_us:+.1f} us/request")
     if serve_overhead > 0.05:
         failures.append(
             f"serve-path observability overhead (tracing active) "
@@ -686,8 +689,8 @@ def check_tensor_eval(quick: bool) -> list[str]:
     t_point = _best_of(point_sweep, repeats)
     ratio = t_point / t_tensor
 
-    serial_point = explore(apps, space, model, cache=False, engine="point")
-    serial_tensor = explore(apps, space, model, cache=False, engine="tensor")
+    serial_point = explore(apps, space, model, engine="point")
+    serial_tensor = explore(apps, space, model, engine="tensor")
     argmax_identical = (
         serial_tensor.best_mean_index == serial_point.best_mean_index
         and dict(serial_tensor.per_app_best_index)
@@ -734,7 +737,6 @@ def check_serve(quick: bool) -> list[str]:
     import asyncio
 
     from repro.core.node import NodeModel
-    from repro.perf.evalcache import EvalCache
     from repro.perf.pool import ShardedPool
     from repro.serve.bench import naive_baseline_rps, run_arrivals
     from repro.serve.requests import OK, PointResult
@@ -745,7 +747,7 @@ def check_serve(quick: bool) -> list[str]:
     n = 96 if quick else 240
     deadline_s = 0.25
     model = NodeModel()
-    cache = EvalCache()  # private: the gate measures its own warmth
+    cache: dict = {}  # private: the gate measures its own warmth
     failures: list[str] = []
 
     with ShardedPool(2) as pool:
@@ -756,7 +758,7 @@ def check_serve(quick: bool) -> list[str]:
         )
 
         async def serve_burst():
-            service = EvalService(model=model, pool=pool, cache=EvalCache())
+            service = EvalService(model=model, pool=pool, cache={})
             async with service:
                 return await asyncio.gather(
                     *(service.submit(a.request) for a in identity_arrivals)

@@ -2,7 +2,7 @@
 
 These time the fast paths directly (repeat thermal solve against a
 cached factorization, batched back-substitution, the integer-route NoC
-loop, the cached full-suite experiment run) so the recorded
+loop, the full-suite experiment run) so the recorded
 ``BENCH_*.json`` trajectory tracks them PR over PR. The speedup *ratio*
 assertions against the seed implementations live in
 ``benchmarks/check_perf.py``.
@@ -14,7 +14,6 @@ from repro.memsys.dramcache import DramCache
 from repro.memsys.manager import HotnessMigrationPolicy, MemoryManager
 from repro.memsys.rowbuffer import RowBufferSim
 from repro.noc.simulator import NocSimulator, SimMessage
-from repro.perf.evalcache import EvalCache
 from repro.perf.parallel import run_all_experiments
 from repro.sim.apu_sim import ApuSimulator
 from repro.thermal.grid import ThermalGrid
@@ -138,16 +137,6 @@ def test_bench_memsys_event_10k(benchmark):
     )
 
 
-def test_bench_eval_cache_warm(benchmark):
-    """Warm-cache full-grid evaluation of all eight applications."""
-    from repro.core.dse import explore
-
-    cache = EvalCache()
-    profiles = list(APPLICATIONS.values())
-    explore(profiles, cache=cache)  # populate
-    benchmark(lambda: explore(profiles, cache=cache))
-
-
 def test_bench_run_all_experiments_serial(benchmark):
-    """Every figure/table driver, serial, shared evaluation cache."""
+    """Every figure and table, serial, in-process."""
     benchmark.pedantic(run_all_experiments, rounds=1, iterations=1)

@@ -13,7 +13,6 @@ check_serve``.
 import asyncio
 
 from repro.core.node import NodeModel
-from repro.perf.evalcache import EvalCache
 from repro.perf.pool import ShardedPool
 from repro.serve.batcher import BatcherCore, FixedPolicy
 from repro.serve.bench import naive_baseline_rps, run_arrivals
@@ -27,7 +26,7 @@ N_REQUESTS = 96
 def test_bench_serve_warm_burst(benchmark):
     """Warm coalescing service: 96-request closed-loop burst."""
     model = NodeModel()
-    cache = EvalCache()
+    cache: dict = {}
     arrivals = synthetic_arrivals(0, N_REQUESTS, deadline_s=0.25)
     pool = ShardedPool(2)
     try:
@@ -65,7 +64,7 @@ def test_bench_serve_naive_baseline(benchmark):
 def test_bench_serve_inline_path(benchmark):
     """Pool-less service answering a warm burst entirely inline."""
     model = NodeModel()
-    cache = EvalCache()
+    cache: dict = {}
     arrivals = synthetic_arrivals(0, N_REQUESTS, deadline_s=0.25)
     run_arrivals(arrivals, model=model, pool=None, cache=cache)
 

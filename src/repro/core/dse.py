@@ -134,7 +134,6 @@ def explore(
     profiles: Sequence[KernelProfile],
     space: DesignSpace | None = None,
     model: NodeModel | None = None,
-    cache=None,
     engine: str | None = None,
 ) -> DseResult:
     """Sweep *space* for all *profiles* and locate the optima.
@@ -151,13 +150,9 @@ def explore(
     ``check_tensor_eval``); their performance/power arrays agree to a
     few ULPs.
 
-    The tensor engine's grid evaluation goes through the shared
-    :mod:`repro.perf.evalcache` memo, so re-exploring the same
-    (profiles, space, model) — as the experiment drivers routinely do —
-    reuses the earlier evaluation. Pass ``cache=False`` to bypass the
-    cache, or a specific :class:`~repro.perf.evalcache.EvalCache` to
-    isolate one. The point engine is the uncached oracle: it ignores
-    *cache* and re-evaluates every profile.
+    Nothing is memoized: every call evaluates its grid afresh, the
+    tensor engine in one :meth:`~repro.core.node.NodeModel.
+    evaluate_grid` call.
     """
     if not profiles:
         raise ValueError("explore needs at least one profile")
@@ -169,10 +164,6 @@ def explore(
         raise ValueError(f"unknown DSE engine {engine!r}; use one of {ENGINES}")
     space = space or DesignSpace()
     model = model or NodeModel()
-    if cache is None:
-        from repro.perf.evalcache import default_cache
-
-        cache = default_cache()
 
     cus, freqs, bws = space.grid_arrays()
     performance: dict[str, np.ndarray] = {}
@@ -185,10 +176,7 @@ def explore(
         engine=engine,
     ), obs_metrics.timed("dse.explore_seconds"):
         if engine == "tensor":
-            if cache is False:
-                grid = model.evaluate_grid(profiles, space)
-            else:
-                grid = cache.evaluate_grid(model, profiles, space)
+            grid = model.evaluate_grid(profiles, space)
             for i, name in enumerate(grid.names):
                 performance[name] = grid.performance[i]
                 node_power[name] = grid.power[i]

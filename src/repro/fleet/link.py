@@ -163,9 +163,8 @@ def derate_machine(
     """*machine* with its external path derated by the link tier.
 
     The replaced fields are plain python floats, so the machine's repr
-    — hence every downstream
-    :func:`~repro.perf.evalcache.fingerprint_model` — keys the derate
-    deterministically.
+    — hence the serving layer's answer-memo key and the run manifest's
+    model fingerprint — keys the derate deterministically.
     """
     derated = derate(params, write_fraction, concurrent_kernels, machine)
     return dataclasses.replace(

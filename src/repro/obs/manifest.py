@@ -3,19 +3,22 @@
 A manifest captures everything needed to attribute and reproduce a
 result after the process is gone: the git revision, the default model's
 value fingerprint, which engines the simulators default to, the
-shared evaluation cache's hit/miss/entry counters, wall times, and the
-full metrics-registry snapshot. ``python -m repro ... --metrics-out
+evaluation memo's hit/miss counters (``cache.eval.*``, published by
+the serving layer), wall times, and the full metrics-registry
+snapshot. ``python -m repro ... --metrics-out
 manifest.json`` and ``benchmarks/check_perf.py --metrics-out`` both
 write one; CI uploads them as workflow artifacts so perf trajectories
 stay inspectable per commit.
 
-Imports of the model/cache layers happen inside the builder functions:
-the instrumented hot modules import :mod:`repro.obs.metrics` at import
-time, so this module staying lazy keeps the package cycle-free.
+Imports of the model layers happen inside :func:`build_manifest` and
+:func:`engine_choices`: the instrumented hot modules import
+:mod:`repro.obs.metrics` at import time, so this module staying lazy
+keeps the package cycle-free.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -30,7 +33,6 @@ __all__ = [
     "MANIFEST_VERSION",
     "git_describe",
     "engine_choices",
-    "cache_stats",
     "register_section",
     "unregister_section",
     "build_manifest",
@@ -113,13 +115,6 @@ def engine_choices() -> dict:
     return choices
 
 
-def cache_stats() -> dict:
-    """Counters of the shared default cache, as plain dicts."""
-    from repro.perf.evalcache import default_cache
-
-    return {"eval": default_cache().stats().as_dict()}
-
-
 def build_manifest(
     *,
     command: str | None = None,
@@ -138,13 +133,17 @@ def build_manifest(
 
     from repro.core.node import NodeModel
     from repro.obs.proc import publish_memory_gauges
-    from repro.perf.evalcache import fingerprint_model
 
     registry = registry if registry is not None else _metrics.default_registry()
     # Stamp the parent's memory footprint right before the snapshot so
     # every manifest carries proc.rss_bytes / proc.peak_rss_bytes
     # alongside any pool.worker<N>.* gauges the workers reported.
     publish_memory_gauges(registry)
+    snapshot = registry.snapshot()
+    hits = snapshot.counter("cache.eval.hits")
+    misses = snapshot.counter("cache.eval.misses")
+    model = NodeModel()
+    model_repr = repr((model.machine, model.power_params, model.ext_config))
     return {
         "manifest_version": MANIFEST_VERSION,
         "created_unix": float(clock()),
@@ -153,12 +152,20 @@ def build_manifest(
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "default_model_fingerprint": fingerprint_model(NodeModel()),
+        "default_model_fingerprint": hashlib.sha1(
+            model_repr.encode()
+        ).hexdigest(),
         "engines": engine_choices(),
         "experiments": list(experiments) if experiments is not None else None,
         "wall_times_s": dict(wall_times) if wall_times is not None else {},
-        "caches": cache_stats(),
-        "metrics": registry.snapshot().as_dict(),
+        "caches": {
+            "eval": {
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            }
+        },
+        "metrics": snapshot.as_dict(),
         "sections": _collect_sections(),
         "extra": dict(extra) if extra is not None else {},
     }

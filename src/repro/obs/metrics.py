@@ -2,10 +2,10 @@
 
 The registry is the always-on half of the observability layer: the hot
 layers (:mod:`repro.sim.apu_sim`, the memsys engines, the NoC and
-thermal solvers, the evaluation caches) publish *per-run* counters and
-timings into the process-wide default registry, so any sweep can be
-asked afterwards where its time went and which caches actually hit —
-without enabling anything up front.
+thermal solvers, the serving layer's answer memo) publish *per-run*
+counters and timings into the process-wide default registry, so any
+sweep can be asked afterwards where its time went and which caches
+actually hit — without enabling anything up front.
 
 Design constraints, in order:
 

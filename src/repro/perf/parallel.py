@@ -57,8 +57,7 @@ def run_experiments(
     pool:
         A persistent :class:`~repro.perf.pool.ShardedPool` to fan the
         experiments across, one task each, taken by whichever worker
-        is idle next. ``None`` runs them serially in this process,
-        sharing its evaluation caches.
+        is idle next. ``None`` runs them serially in this process.
     metrics_out:
         Optional path; writes a run manifest (git revision, engine
         choices, cache counters, wall times, metrics snapshot) after

@@ -417,9 +417,10 @@ def evaluate_kernel_grid(
 
     * the arithmetic is the oracle's with exact identities elided
       (``ext_fraction = 0`` external terms, dead division guards —
-      ``t_first0 >= t_compute = flops / compute_rate > 0`` since flops
-      and the axes are validated positive and a zero issue efficiency
-      gives ``t_compute = +inf``) and products/sums *reassociated* to
+      ``t_first0 >= t_compute = flops / compute_rate > 0`` and finite
+      since flops, the issue efficiency and the axes are validated
+      positive; a zero issue efficiency would give ``t_compute = +inf``
+      and a non-finite node power) and products/sums *reassociated* to
       collapse full-tensor passes onto factored subspaces — e.g. the
       Little's-law chain becomes ``coef * (1 + kappa * rho**4)`` with
       ``coef`` precomputed on ``(P, C, 1, 1)``. Reassociation changes

@@ -1,16 +1,16 @@
-"""Adaptive batch sizing from the obs timing histograms.
+"""Adaptive batch sizing from measured batch times.
 
 The batcher needs two numbers: how many requests to coalesce per
 dispatch, and how long one queued request is expected to take (the
-deadline-shedding estimate). Both come from the ``serve.*`` metrics the
-service already publishes to :mod:`repro.obs.metrics` — specifically
-the ``serve.batch_seconds`` timing histogram and the
-``serve.batch_requests`` counter, whose ratio is the measured warm
-per-request service time.
+deadline-shedding estimate). Both come from the batches this policy's
+service has run: the dispatcher times every batch and reports it
+through :meth:`AdaptiveBatchPolicy.observe`, and the running ratio of
+batch seconds to requests served is the measured warm per-request
+service time.
 
 The sizing rule::
 
-    est  = batch_seconds.total / batch_requests      (measured)
+    est  = sum(batch_seconds) / sum(batch_requests)   (measured)
     size = clamp(target_batch_seconds / est, min_batch, max_batch)
 
 i.e. the batch is sized so one dispatch occupies the service for
@@ -19,10 +19,8 @@ per-batch planning and grid setup, short enough that a batch never
 holds the queue hostage for a deadline-sized chunk of time. A cold policy (no
 observations yet) falls back to ``default_request_seconds``.
 
-Reading the registry takes its lock and copies every counter, so the
-estimate is *cached*: the service calls :meth:`refresh` once per
-completed batch (not per request), which is both cheap and exactly as
-fresh as the data — the histogram only changes when a batch completes.
+The estimate belongs to the policy, so each service learns from its
+own batches alone, whether or not metrics are enabled.
 """
 
 from __future__ import annotations
@@ -30,20 +28,15 @@ from __future__ import annotations
 import math
 
 from repro.core.config import _finite_positive, _is_int
-from repro.obs import metrics as obs_metrics
 
 __all__ = ["AdaptiveBatchPolicy"]
 
 
 class AdaptiveBatchPolicy:
-    """Histogram-driven sizing policy for :class:`BatcherCore`.
+    """Measurement-driven sizing policy for :class:`BatcherCore`.
 
     Parameters
     ----------
-    registry:
-        The :class:`~repro.obs.metrics.MetricsRegistry` to read;
-        ``None`` uses the process-wide default (what the live service
-        publishes into). Tests inject a private registry.
     min_batch / max_batch:
         Clamp bounds on the batch limit.
     target_batch_seconds:
@@ -59,7 +52,6 @@ class AdaptiveBatchPolicy:
 
     def __init__(
         self,
-        registry: "obs_metrics.MetricsRegistry | None" = None,
         *,
         min_batch: int = 1,
         max_batch: int = 64,
@@ -79,29 +71,24 @@ class AdaptiveBatchPolicy:
             raise ValueError("time parameters must be finite and positive")
         if not 0 <= dispatch_overhead_s < math.inf:
             raise ValueError("dispatch_overhead_s must be finite and >= 0")
-        self._registry = (
-            registry
-            if registry is not None
-            else obs_metrics.default_registry()
-        )
         self.min_batch = int(min_batch)
         self.max_batch = int(max_batch)
         self.target_batch_seconds = float(target_batch_seconds)
         self.default_request_seconds = float(default_request_seconds)
         self.dispatch_overhead_s = float(dispatch_overhead_s)
         self._est = self.default_request_seconds
+        self._seconds = 0.0
+        self._requests = 0
 
-    def refresh(self) -> float:
-        """Re-read the registry; returns the new per-request estimate."""
-        snap = self._registry.snapshot()
-        hist = snap.histograms.get("serve.batch_seconds")
-        requests = snap.counter("serve.batch_requests")
-        if hist is not None and hist.count and requests > 0:
-            self._est = max(1e-9, hist.total / requests)
-        return self._est
+    def observe(self, batch_seconds: float, requests: int) -> None:
+        """Fold one completed batch into the per-request estimate."""
+        self._seconds += batch_seconds
+        self._requests += requests
+        if self._requests > 0:
+            self._est = max(1e-9, self._seconds / self._requests)
 
     def est_request_seconds(self) -> float:
-        """Cached measured (or default) per-request service time."""
+        """Measured (or default) per-request service time."""
         return self._est
 
     def batch_limit(self) -> int:

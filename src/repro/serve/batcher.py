@@ -124,10 +124,9 @@ class FixedPolicy:
     def est_request_seconds(self) -> float:
         return max(1e-9, float(self.est_request_s))
 
-    def refresh(self) -> float:
+    def observe(self, batch_seconds: float, requests: int) -> None:
         """No-op (the parameters are constant); the service calls it
         after every batch, as it does the adaptive policy's."""
-        return self.est_request_seconds()
 
 
 class BatcherCore:

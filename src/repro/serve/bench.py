@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.node import NodeModel
 from repro.obs.export import PeriodicSampler
-from repro.perf.evalcache import EvalCache, default_cache
 from repro.perf.pool import PoolTask, ShardedPool
 from repro.serve.adaptive import AdaptiveBatchPolicy
 from repro.serve.requests import (
@@ -34,7 +33,7 @@ from repro.serve.requests import (
     ServeResponse,
     SweepRequest,
 )
-from repro.serve.service import EvalService
+from repro.serve.service import EvalService, _model_key, _profile_key
 from repro.serve.workload import Arrival, synthetic_arrivals
 
 __all__ = ["ServeBenchReport", "run_arrivals", "run_serve_bench"]
@@ -166,7 +165,7 @@ def run_arrivals(
     *,
     model: NodeModel | None = None,
     pool: ShardedPool | None = None,
-    cache: EvalCache | None = None,
+    cache: dict | None = None,
     policy: AdaptiveBatchPolicy | None = None,
     max_queue: int = 1024,
 ) -> ServeBenchReport:
@@ -190,10 +189,20 @@ def run_arrivals(
     return asyncio.run(main())
 
 
+# Each pool worker's grids, keyed like the service's answer memo, for
+# the life of the worker: the baseline is cold on its first repeat and
+# warm after it. A baseline cold on every repeat would be slower, and
+# would raise the capacity ratio check_serve gates on.
+_naive_grids: dict = {}
+
+
 def _naive_eval_grid(model, profiles, space):
-    """One whole grid through the worker's shared cache:
-    ``(performance, power)``."""
-    grid = default_cache().evaluate_grid(model, profiles, space)
+    """One whole grid through the worker's memo: ``(performance,
+    power)``."""
+    key = (_model_key(model), tuple(map(_profile_key, profiles)), space)
+    grid = _naive_grids.get(key)
+    if grid is None:
+        grid = _naive_grids[key] = model.evaluate_grid(profiles, space)
     return grid.performance, grid.power
 
 
@@ -249,7 +258,7 @@ def run_serve_bench(
     arrivals = synthetic_arrivals(
         seed, n_requests, rate_hz=rate_hz, deadline_s=deadline_s
     )
-    cache = EvalCache()
+    cache: dict = {}
     model = NodeModel()
     pool = ShardedPool(shards) if shards > 0 else None
     sampler: PeriodicSampler | None = None

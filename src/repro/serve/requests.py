@@ -147,6 +147,11 @@ class SweepRequest:
         object.__setattr__(self, "profiles", tuple(self.profiles))
         if not self.profiles:
             raise ValueError("sweep needs at least one profile")
+        # The service groups and memoizes sweeps by their space.
+        if not isinstance(self.space, DesignSpace):
+            raise TypeError(
+                f"space must be a DesignSpace, got {type(self.space).__name__}"
+            )
         names = [p.name for p in self.profiles]
         if len(set(names)) != len(names):
             raise ValueError("profile names must be unique")
@@ -193,12 +198,13 @@ class ServeResponse:
     """Terminal outcome of one request.
 
     ``path`` records how the answer was produced: ``"inline-cache"``
-    (a point or sweep answered from the EvalCache without a worker
-    round-trip), ``"coalesced"`` (merged with other requests into one
-    grid, evaluated in-process), ``"degraded"`` (evaluated as its own
-    grid call inside a batch), ``"solo"`` (an experiment or
-    simulation, computed every time, on the pool when the service has
-    one), or ``""`` for requests that never reached evaluation.
+    (a point or sweep answered at submit from the service's answer
+    memo, with nothing evaluated), ``"coalesced"`` (merged with other
+    requests into one grid, evaluated in-process), ``"degraded"``
+    (evaluated as its own grid call inside a batch), ``"solo"`` (an
+    experiment or simulation, computed every time, on the pool when
+    the service has one), or ``""`` for requests that never reached
+    evaluation.
     """
 
     status: str

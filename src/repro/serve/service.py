@@ -4,11 +4,13 @@
 experiment and trace-simulation requests and answers them through three
 paths, cheapest first:
 
-1. **Inline cache hit** — a point's or sweep's exact grid already
-   sits in the shared :class:`~repro.perf.evalcache.EvalCache`:
-   answered on the event loop with no worker round-trip. The cache key
-   is derived once per request template at submit, and the answer the
-   batch path computes is stored under that same key. Ordering still
+1. **Inline cache hit** — the service's answer memo already holds
+   the answer to an equal point or sweep: answered at submit, on the
+   event loop, with nothing evaluated. The memo is a plain ``dict``
+   from an exact value key to the finished :class:`PointResult` or
+   :class:`~repro.core.dse.DseResult`, filled by the batch path below.
+   Two requests share a key only when the model reads bit-identical
+   inputs for them (see :meth:`EvalService._memo_key`). Ordering still
    holds: the hit routes through the batcher core's per-stream release
    buffer.
 2. **Coalesced grid** — misses queue in the deterministic
@@ -43,7 +45,8 @@ thread (``pool.run`` blocks and is non-reentrant, and an in-process
 experiment takes tens to hundreds of milliseconds).
 
 Observability: ``serve.*`` counters and timing histograms in the
-process registry (the adaptive policy reads them back), plus rolling
+process registry, plus ``cache.eval.hits`` (inline answers) and
+``cache.eval.misses`` (points and sweeps sent to a batch), plus rolling
 ``serve.slo.*`` health gauges (:class:`~repro.obs.slo.SloTracker`:
 window latency quantiles, shed/error rates, error-budget burn), and a
 ``serve`` section in run manifests while the service is open. When a
@@ -61,6 +64,8 @@ from __future__ import annotations
 
 import asyncio
 import math
+import operator
+import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -75,13 +80,6 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.slo import SloTracker
-from repro.perf.evalcache import (
-    EvalCache,
-    _digest,
-    default_cache,
-    fingerprint_model,
-    fingerprint_profile,
-)
 from repro.perf.pool import PoolTask, ShardedPool, _picklable_exception
 from repro.serve.adaptive import AdaptiveBatchPolicy
 from repro.serve.batcher import BatcherCore, Outcome, PlannedBatch, Ticket
@@ -128,6 +126,28 @@ def _serve_simulate(trace, config, engine):
 
 
 # ----------------------------------------------------------------------
+# Memo keys: exact values, so equal requests share one answer
+# ----------------------------------------------------------------------
+_profile_values = operator.attrgetter(*ProfileBatch.field_names())
+_pack_profile_values = struct.Struct(
+    f"{len(ProfileBatch.field_names())}d"
+).pack
+
+
+def _profile_key(profile: KernelProfile) -> tuple[str, bytes]:
+    """What the model reads of *profile*: its name and the raw bytes of
+    every field a :class:`ProfileBatch` stacks. Bytes, not floats, so
+    ``-0.0`` and ``0.0`` never share a key."""
+    return profile.name, _pack_profile_values(*_profile_values(profile))
+
+
+def _model_key(model: NodeModel) -> str:
+    """What the model reads of itself: the repr of its three frozen
+    parameter records, a faithful value encoding."""
+    return repr((model.machine, model.power_params, model.ext_config))
+
+
+# ----------------------------------------------------------------------
 # Batch planning: tickets -> execution units
 # ----------------------------------------------------------------------
 @dataclass
@@ -154,10 +174,10 @@ def _point_units(
     seq order and groups are probed in creation order.
     """
     groups: list[dict] = []
-    fp_of: dict[int, str] = {}  # ticket.seq -> profile fingerprint
+    fp_of: dict[int, tuple] = {}  # ticket.seq -> profile key
     for ticket in tickets:
         req: PointRequest = ticket.request
-        fp = fp_of[ticket.seq] = fingerprint_profile(req.profile)
+        fp = fp_of[ticket.seq] = _profile_key(req.profile)
         placed = False
         for g in groups:
             cus = g["cus"] | {int(req.n_cus)}
@@ -222,15 +242,13 @@ def _point_units(
 
 def _sweep_units(tickets: Sequence[Ticket]) -> list[_GridUnit]:
     """Merge same-space sweeps into one profile batch (dedup by
-    fingerprint; a profile-name clash between different profiles opens
+    profile key; a profile-name clash between different profiles opens
     a new unit)."""
     groups: list[dict] = []
-    fps_of: dict[int, list[str]] = {}  # ticket.seq -> fingerprints
+    fps_of: dict[int, list[tuple]] = {}  # ticket.seq -> profile keys
     for ticket in tickets:
         req: SweepRequest = ticket.request
-        fps = fps_of[ticket.seq] = [
-            fingerprint_profile(p) for p in req.profiles
-        ]
+        fps = fps_of[ticket.seq] = [_profile_key(p) for p in req.profiles]
         placed = False
         for g in groups:
             clash = any(
@@ -274,22 +292,6 @@ def _sweep_units(tickets: Sequence[Ticket]) -> list[_GridUnit]:
             )
         )
     return units
-
-
-def _singleton_grid(
-    profile: KernelProfile, space: DesignSpace, perf: float, power: float
-) -> GridEvaluation:
-    """A 1x1 GridEvaluation for seeding the cache with one extracted
-    point (bit-identical to evaluating the singleton space directly)."""
-    p = np.array([[perf]], dtype=float)
-    w = np.array([[power]], dtype=float)
-    return GridEvaluation(
-        names=(profile.name,),
-        space=space,
-        performance=p,
-        power=w,
-        feasible=w <= space.power_budget,
-    )
 
 
 def serial_answer(request, model: NodeModel | None = None):
@@ -344,14 +346,15 @@ class EvalService:
         runs them on the service's worker thread. Grid units always
         evaluate in-process.
     cache:
-        The memo probed inline for points and sweeps; defaults to the
-        process-wide one, so the service sees sweeps other code (e.g.
-        ``explore``) already paid for.
+        The answer memo: a ``dict`` from exact value key to finished
+        answer, probed at submit for points and sweeps and filled by
+        every batch that computes one. Defaults to a fresh ``dict``;
+        services that should share answers pass the same one. Treat
+        memoized answers as read-only: repeats receive the same object.
     policy:
-        Batch sizing policy with a ``refresh()`` the dispatcher calls
-        after every batch; default is an
-        :class:`~repro.serve.adaptive.AdaptiveBatchPolicy` over the
-        process metrics registry
+        Batch sizing policy with an ``observe(batch_seconds,
+        requests)`` the dispatcher calls after every batch; default is
+        an :class:`~repro.serve.adaptive.AdaptiveBatchPolicy`
         (:class:`~repro.serve.batcher.FixedPolicy` also fits).
     max_queue:
         Backpressure bound on queued requests.
@@ -372,7 +375,7 @@ class EvalService:
         *,
         model: NodeModel | None = None,
         pool: ShardedPool | None = None,
-        cache: EvalCache | None = None,
+        cache: dict | None = None,
         policy: AdaptiveBatchPolicy | None = None,
         max_queue: int = 1024,
         union_waste_factor: float = 8.0,
@@ -385,7 +388,7 @@ class EvalService:
             raise ValueError("union_waste_factor must be finite and >= 1")
         self.model = model or NodeModel()
         self.pool = pool
-        self.cache = cache if cache is not None else default_cache()
+        self.cache = cache if cache is not None else {}
         self.policy = policy if policy is not None else AdaptiveBatchPolicy()
         self.union_waste_factor = float(union_waste_factor)
         self.clock = clock
@@ -398,13 +401,9 @@ class EvalService:
         # drain (shed/expired/inline), whichever comes first.
         self._req_traces: dict[int, tuple] = {}
         self.core = BatcherCore(self.policy, max_queue=max_queue)
-        self._model_fp = fingerprint_model(self.model)
-        # Request-template -> EvalCache grid key. Fingerprinting a
-        # batch dominates a warm inline hit, so the key is derived once
-        # per template: the inline probe at submit and the seeding of
-        # a computed answer share it. Memo keys use object ids; the
-        # value pins the objects so an id is never recycled under us.
-        self._grid_key_memo: dict[tuple, tuple[Any, tuple]] = {}
+        # Part of every memo key, so a memo shared between services
+        # never mixes two models' answers.
+        self._model_key = _model_key(self.model)
         self._futures: dict[int, asyncio.Future] = {}
         self._wake: asyncio.Event | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -519,13 +518,18 @@ class EvalService:
             stream=request.stream,
         ):
             now = self.clock()
-            try:
-                inline = self._peek_inline(request)
-            except BaseException:
-                # An inline answer that fails to assemble (e.g. a sweep
-                # with no feasible point) takes the batch path, which
-                # reports the failure as a proper FAILED response.
-                inline = None
+            inline = None
+            if isinstance(request, (PointRequest, SweepRequest)):
+                try:
+                    inline = self.cache.get(self._memo_key(request))
+                except Exception:
+                    # A malformed request takes the batch path, which
+                    # reports it as a proper FAILED response.
+                    pass
+                obs_metrics.inc(
+                    "cache.eval.misses" if inline is None
+                    else "cache.eval.hits"
+                )
             if inline is not None:
                 obs_metrics.inc("serve.inline_hits")
                 ticket = self.core.admit_completed(
@@ -551,66 +555,30 @@ class EvalService:
     # ------------------------------------------------------------------
     # Inline cache path
     # ------------------------------------------------------------------
-    def _request_grid_key(self, request) -> tuple:
-        """The EvalCache key of a point's or sweep's grid, memoized per
-        template (same profile/space objects -> no re-fingerprinting).
-        Submit derives it; seeding the computed answer reuses it.
-
-        Seeding runs on the worker thread for a batch with a solo
-        request. Racing the loop thread's submit can only derive a key
-        twice (each dict operation is atomic, and equal templates give
-        equal keys), so the memo takes no lock.
-        """
+    def _memo_key(self, request) -> tuple:
+        """The answer memo's key for a point or sweep: the model's
+        parameters, each profile's :func:`_profile_key`, and what was
+        asked. Equal keys mean the model reads bit-identical inputs:
+        every axis value and budget is validated finite and positive,
+        so value equality is bit equality after the model's ``float``
+        conversion."""
         if isinstance(request, PointRequest):
-            memo_key = (
-                "point", id(request.profile), request.n_cus,
-                request.gpu_freq, request.bandwidth,
+            return (
+                self._model_key, _profile_key(request.profile),
+                request.n_cus, request.gpu_freq, request.bandwidth,
                 request.power_budget,
             )
-            pin = request.profile
-        else:  # SweepRequest
-            memo_key = (
-                "sweep", tuple(map(id, request.profiles)),
-                id(request.space),
-            )
-            pin = (request.profiles, request.space)
-        entry = self._grid_key_memo.get(memo_key)
-        if entry is not None:
-            return entry[1]
-        if isinstance(request, PointRequest):
-            key = self.cache.grid_key(
-                self.model, [request.profile], request.to_space()
-            )
-        else:
-            key = self.cache.grid_key(
-                self.model, list(request.profiles), request.space
-            )
-        if len(self._grid_key_memo) >= 8192:
-            self._grid_key_memo.clear()
-        self._grid_key_memo[memo_key] = (pin, key)
-        return key
-
-    def _peek_inline(self, request) -> Any | None:
-        """A point's or sweep's answer if its grid is already cached,
-        else None (experiments and simulations are always computed)."""
-        if not isinstance(request, (PointRequest, SweepRequest)):
-            return None
-        grid = self.cache.peek(self._request_grid_key(request))
-        if grid is None:
-            return None
-        if isinstance(request, SweepRequest):
-            return _optima_from_grid(grid, request.space)
-        return PointResult(
-            performance=float(grid.performance[0, 0]),
-            node_power=float(grid.power[0, 0]),
-            feasible=bool(grid.feasible[0, 0]),
+        return (
+            self._model_key,
+            tuple(map(_profile_key, request.profiles)),
+            request.space,
         )
 
     def _group_key(self, request) -> Any:
         if isinstance(request, PointRequest):
-            return ("points", self._model_fp)
+            return ("points",)
         if isinstance(request, SweepRequest):
-            return ("sweep", self._model_fp, _digest(repr(request.space)))
+            return ("sweep", request.space)
         return None  # experiments / simulations run solo
 
     # ------------------------------------------------------------------
@@ -660,7 +628,7 @@ class EvalService:
             obs_metrics.observe("serve.batch_seconds", now - started)
             obs_metrics.inc("serve.batch_requests", n)
             obs_metrics.inc("serve.batches")
-            self.policy.refresh()
+            self.policy.observe(now - started, n)
             self.core.complete(planned.batch_id, results, now)
             self._drain_outcomes()
             if on_loop:
@@ -821,7 +789,7 @@ class EvalService:
         self, unit: _GridUnit, grid: GridEvaluation, results
     ) -> None:
         """Carve per-request answers out of one evaluated grid unit and
-        seed each under its submit-time key so repeats hit inline."""
+        memoize each, so an equal request later answers inline."""
         path = "coalesced" if unit.coalesced else "degraded"
         for ticket in unit.tickets:
             req = ticket.request
@@ -829,14 +797,11 @@ class EvalService:
             try:
                 if isinstance(req, PointRequest):
                     col = unit.col_of[ticket.seq]
-                    perf = float(grid.performance[rows[0], col])
                     power = float(grid.power[rows[0], col])
-                    space = req.to_space()
-                    feasible = bool(power <= space.power_budget)
-                    value = PointResult(perf, power, feasible)
-                    self.cache.seed(
-                        self._request_grid_key(req),
-                        _singleton_grid(req.profile, space, perf, power),
+                    value = PointResult(
+                        float(grid.performance[rows[0], col]),
+                        power,
+                        bool(power <= float(req.power_budget)),
                     )
                 else:  # SweepRequest
                     idx = np.asarray(rows, dtype=int)
@@ -847,11 +812,11 @@ class EvalService:
                         power=grid.power[idx],
                         feasible=grid.feasible[idx],
                     )
-                    self.cache.seed(self._request_grid_key(req), sub)
                     value = _optima_from_grid(sub, req.space)
             except BaseException as exc:
                 results[ticket.seq] = (FAILED, exc)
                 continue
+            self.cache[self._memo_key(req)] = value
             results[ticket.seq] = (OK, (value, path))
 
     # ------------------------------------------------------------------

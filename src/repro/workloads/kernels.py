@@ -84,7 +84,8 @@ class KernelProfile:
         Fraction of peak issue slots the kernel achieves when it is
         compute-bound (instruction mix, bank conflicts, pipeline bubbles).
         MaxFlops reaches ~0.9 of the 64 DP-flops/cycle/CU peak, matching
-        the paper's 18.6 TF at 320 CUs and 1 GHz.
+        the paper's 18.6 TF at 320 CUs and 1 GHz. In (0, 1]: at zero the
+        compute time is infinite and the node power not finite.
     write_fraction:
         Fraction of memory traffic that is writes; drives NVM dynamic
         energy asymmetry in the external-memory study (Fig. 9).
@@ -129,8 +130,12 @@ class KernelProfile:
             "ext_memory_fraction", self.ext_memory_fraction
         )
         self._check_unit_interval("cu_utilization", self.cu_utilization)
-        self._check_unit_interval("issue_efficiency", self.issue_efficiency)
         self._check_unit_interval("write_fraction", self.write_fraction)
+        if not 0.0 < self.issue_efficiency <= 1.0:
+            raise ValueError(
+                f"issue_efficiency must be in (0, 1], "
+                f"got {self.issue_efficiency}"
+            )
         for positive_field in ("flops", "mlp_per_cu", "footprint_bytes"):
             value = getattr(self, positive_field)
             if not _finite_positive(value):
@@ -209,9 +214,10 @@ class ProfileBatch:
     ``(profile, CU, freq, BW)`` tensor pass.
 
     The batch re-validates the profile invariants (unit intervals,
-    positive flops/MLP, compression >= 1) even when constructed from
-    raw columns: the fused evaluation path relies on them — e.g. it
-    drops division guards that are dead only because ``flops > 0``.
+    positive flops/MLP/issue efficiency, compression >= 1) even when
+    constructed from raw columns: the fused evaluation path relies on
+    them — e.g. it drops division guards that are dead only because
+    ``flops > 0``.
     """
 
     names: tuple[str, ...]
@@ -258,11 +264,12 @@ class ProfileBatch:
             "latency_sensitivity",
             "ext_memory_fraction",
             "cu_utilization",
-            "issue_efficiency",
             "write_fraction",
         ):
             if lo[fname] < 0.0 or hi[fname] > 1.0:
                 raise ValueError(f"{fname} must be in [0, 1]")
+        if lo["issue_efficiency"] <= 0.0 or hi["issue_efficiency"] > 1.0:
+            raise ValueError("issue_efficiency must be in (0, 1]")
         for fname in ("flops", "mlp_per_cu", "footprint_bytes"):
             if lo[fname] <= 0:
                 raise ValueError(f"{fname} must be positive")

@@ -87,7 +87,7 @@ class ServeHarness:
         with ``("answer", seq)``.
     on_batch:
         Optional hook called with each completed ``(planned, dt)`` —
-        the adaptive-policy tests feed a metrics registry here.
+        the adaptive-policy tests feed the policy's ``observe`` here.
     """
 
     core: BatcherCore

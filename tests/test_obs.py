@@ -3,9 +3,9 @@
 Covers the metrics registry (counters, gauges, histograms, snapshot
 merge/diff algebra, the disabled fast path), the span tracer with an
 injected fake clock (deterministic Chrome trace-event output), the run
-manifest, cache-stat ergonomics, the benchmark-JSON compaction helpers,
-and the acceptance criterion that a pool's merged worker snapshot has
-cache totals equal to the sum of the per-worker snapshots.
+manifest, the benchmark-JSON compaction helpers, and the acceptance
+criterion that a pool's merged worker snapshot has counter totals
+equal to the sum of the per-worker snapshots.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.obs.metrics import (
     MetricsSnapshot,
 )
 from repro.obs.trace import Tracer
-from repro.perf.evalcache import CacheStats
 from repro.util import benchjson
 
 
@@ -417,38 +416,6 @@ class TestSpanContext:
 
 
 # ----------------------------------------------------------------------
-# CacheStats ergonomics
-# ----------------------------------------------------------------------
-class TestCacheStats:
-    def test_rates(self):
-        stats = CacheStats(hits=6, misses=2, entries=2)
-        assert stats.requests == 8
-        assert stats.hit_rate == pytest.approx(0.75)
-
-    def test_zero_requests_rates_are_zero(self):
-        stats = CacheStats()
-        assert stats.requests == 0
-        assert stats.hit_rate == 0.0
-
-    def test_as_dict(self):
-        stats = CacheStats(hits=3, misses=1, entries=1)
-        data = stats.as_dict()
-        assert data == {
-            "hits": 3,
-            "misses": 1,
-            "entries": 1,
-            "requests": 4,
-            "hit_rate": pytest.approx(0.75),
-        }
-        json.dumps(data)  # JSON-serializable by construction
-
-    def test_repr_is_readable(self):
-        text = repr(CacheStats(hits=1, misses=3))
-        assert "hits=1" in text
-        assert "hit_rate=0.250" in text
-
-
-# ----------------------------------------------------------------------
 # Instrumentation: subsystems publish to the default registry
 # ----------------------------------------------------------------------
 class TestInstrumentation:
@@ -493,20 +460,20 @@ class TestInstrumentation:
         assert delta.histograms["memsys.manager.run_seconds"].count == 1
 
     def test_cache_memo_publishes_hits_and_misses(self):
-        from repro.core.config import DesignSpace
-        from repro.core.node import NodeModel
-        from repro.perf.evalcache import EvalCache
+        import asyncio
+
+        from repro.serve import EvalService
         from repro.workloads.catalog import get_application
 
-        cache = EvalCache()
-        model = NodeModel()
-        profiles = [get_application("CoMD")]
-        space = DesignSpace(
-            cu_counts=(64,), frequencies=(1.0e9,), bandwidths=(1.0e12,)
-        )
+        async def ask_twice():
+            async with EvalService(cache={}) as service:
+                for _ in range(2):
+                    await service.evaluate(
+                        get_application("CoMD"), 64, 1.0e9, 1.0e12
+                    )
+
         before = obs_metrics.snapshot()
-        cache.evaluate_grid(model, profiles, space)
-        cache.evaluate_grid(model, profiles, space)
+        asyncio.run(ask_twice())
         delta = obs_metrics.snapshot().diff(before)
         assert delta.counter("cache.eval.misses") == 1
         assert delta.counter("cache.eval.hits") == 1
@@ -516,7 +483,7 @@ class TestInstrumentation:
         from repro.workloads.catalog import get_application
 
         before = obs_metrics.snapshot()
-        explore([get_application("CoMD")], cache=False)
+        explore([get_application("CoMD")])
         delta = obs_metrics.snapshot().diff(before)
         assert delta.counter("dse.explores") == 1
         assert delta.counter("dse.grid_points") > 0
@@ -613,39 +580,28 @@ class TestProcGauges:
 # Pool worker metrics: the acceptance criterion
 # ----------------------------------------------------------------------
 def _eval_dse_grid(name):
-    """One cache-fronted DSE grid in a pool worker's shared cache."""
-    from repro.core.config import DesignSpace
-    from repro.core.node import NodeModel
-    from repro.perf.evalcache import default_cache
+    """One DSE over the default grid in a pool worker."""
+    from repro.core.dse import explore
     from repro.workloads.catalog import get_application
 
-    grid = default_cache().evaluate_grid(
-        NodeModel(), [get_application(name)], DesignSpace()
-    )
-    return grid.performance.size
+    return explore([get_application(name)]).performance[name].size
 
 
 class TestParallelMetrics:
     def test_merged_totals_equal_sum_of_worker_snapshots(self):
         from repro.core.config import DesignSpace
-        from repro.perf.evalcache import clear_cache
         from repro.perf.pool import PoolTask, ShardedPool
 
         names = ["CoMD", "HPGMG", "CoMD", "MaxFlops"]
-        # Forked workers inherit the parent's cache: start them cold.
-        clear_cache()
         with ShardedPool(2) as pool:
             sizes = pool.run(
                 [PoolTask(fn=_eval_dse_grid, args=(n,)) for n in names]
             )
             merged = pool.merged_snapshot()
         assert sizes == [DesignSpace().size] * len(names)
-        # One cache.eval lookup per task; fresh worker caches mean every
-        # lookup is merged as a hit or a miss, never dropped.
-        total = merged.counter("cache.eval.hits") + merged.counter(
-            "cache.eval.misses"
-        )
-        assert total == len(names)
+        # One explore per task, on whichever worker took it: every
+        # worker's count is merged, never dropped.
+        assert merged.counter("dse.explores") == len(names)
 
 
 # ----------------------------------------------------------------------

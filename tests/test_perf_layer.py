@@ -1,22 +1,15 @@
 """The cross-cutting performance layer: cached modal thermal operator,
-vectorized assembly, the shared evaluation cache, the parallel
-experiment runner, and the NoC fast path."""
+vectorized assembly, the parallel experiment runner, and the NoC fast
+path."""
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from repro.core.config import DesignSpace
-from repro.core.dse import explore
-from repro.core.node import NodeModel
 from repro.noc.simulator import NocSimulator, SimMessage
-from repro.perf.evalcache import EvalCache
 from repro.perf.parallel import run_all_experiments, run_experiments
 from repro.perf.pool import ShardedPool
-from repro.power.components import PowerParams
 from repro.thermal.grid import ThermalGrid
-from repro.workloads.catalog import get_application
-from repro.workloads.kernels import ProfileBatch
 
 
 class TestVectorizedAssembly:
@@ -76,118 +69,6 @@ class TestCachedThermalSolve:
         with pytest.raises(ValueError):
             grid.solve(np.zeros((2, 3, grid.ny, grid.nx)))
         assert grid.solve_many(np.zeros((0, 3, grid.ny, grid.nx))) == []
-
-
-class TestEvalCache:
-    @staticmethod
-    def _space(**kwargs):
-        return DesignSpace(
-            cu_counts=(256, 320), frequencies=(1.0e9,),
-            bandwidths=(3.0e12,), **kwargs,
-        )
-
-    def test_hit_miss_counters(self):
-        cache = EvalCache()
-        model = NodeModel()
-        profiles = [get_application("CoMD")]
-        g1 = cache.evaluate_grid(model, profiles, self._space())
-        assert cache.stats().misses == 1 and cache.stats().hits == 0
-        g2 = cache.evaluate_grid(model, profiles, self._space())
-        assert cache.stats().hits == 1
-        assert g2 is g1  # the memoized object itself
-        # A fresh-but-equal model still hits: keys are value fingerprints.
-        g3 = cache.evaluate_grid(NodeModel(), profiles, self._space())
-        assert g3 is g1
-        assert cache.stats().hits == 2
-
-    def test_model_fingerprint_differentiates(self):
-        cache = EvalCache()
-        profiles = [get_application("CoMD")]
-        cache.evaluate_grid(NodeModel(), profiles, self._space())
-        tweaked = NodeModel(
-            power_params=PowerParams(cu_leakage_watt=0.05)
-        )
-        cache.evaluate_grid(tweaked, profiles, self._space())
-        assert cache.stats().misses == 2
-
-    def test_profile_and_axis_fingerprints(self):
-        cache = EvalCache()
-        model = NodeModel()
-        profile = get_application("CoMD")
-        cache.evaluate_grid(model, [profile], self._space())
-        cache.evaluate_grid(
-            model, [profile.with_overrides(cu_utilization=0.5)],
-            self._space(),
-        )
-        cache.evaluate_grid(
-            model, [profile],
-            DesignSpace(
-                cu_counts=(256, 320), frequencies=(1.1e9,),
-                bandwidths=(3.0e12,),
-            ),
-        )
-        cache.evaluate_grid(
-            model, [profile], self._space(power_budget=120.0)
-        )
-        assert cache.stats().misses == 4
-        assert cache.stats().hits == 0
-
-    def test_concurrent_lookups_lose_no_counts(self):
-        import sys
-        import threading
-
-        cache = EvalCache()
-        model = NodeModel()
-        batch = ProfileBatch.from_profiles([get_application("CoMD")])
-        spaces = [
-            self._space(power_budget=b) for b in (100.0, 120.0, 140.0, 160.0)
-        ]
-        n_threads, per_thread = 8, 100
-        errors = []
-
-        def worker(offset):
-            try:
-                for i in range(per_thread):
-                    space = spaces[(offset + i) % len(spaces)]
-                    cache.evaluate_grid(model, batch, space)
-            except Exception as exc:  # surfaced by the assert below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(k,))
-                for k in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        stats = cache.stats()
-        assert stats.requests == n_threads * per_thread
-        assert stats.entries == len(spaces)
-
-    def test_explore_uses_cache(self):
-        # The default tensor engine memoizes one whole-grid entry per
-        # (batch, model, space); repeat explores are pure lookups.
-        cache = EvalCache()
-        profiles = [get_application("CoMD"), get_application("SNAP")]
-        r1 = explore(profiles, cache=cache)
-        assert cache.stats().misses == 1
-        r2 = explore(profiles, cache=cache)
-        assert cache.stats().hits == 1
-        assert r1.best_mean_index == r2.best_mean_index
-        for name in r1.performance:
-            assert np.array_equal(r1.performance[name], r2.performance[name])
-        # Bypass leaves the counters untouched and agrees numerically.
-        r3 = explore(profiles, cache=False)
-        assert cache.stats().requests == 2
-        assert r3.best_mean_index == r1.best_mean_index
 
 
 class TestParallelRunner:

@@ -14,10 +14,9 @@ import time
 import pytest
 
 from repro.core.config import DesignSpace
-from repro.core.node import NodeModel
+from repro.core.dse import explore
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.perf.evalcache import clear_cache, default_cache
 from repro.perf.parallel import run_experiments
 from repro.perf.pool import PoolTask, ShardedPool
 from repro.workloads.catalog import get_application
@@ -44,15 +43,12 @@ def _sleep_for(seconds):
     return seconds
 
 
-def _cached_grid_points(name, n_cus):
-    """One cache-fronted grid evaluation in the worker's shared cache."""
+def _explore_points(name, n_cus):
+    """One single-point DSE in the worker: its grid size."""
     space = DesignSpace(
         cu_counts=(n_cus,), frequencies=(1.0e9,), bandwidths=(3.0e12,)
     )
-    grid = default_cache().evaluate_grid(
-        NodeModel(), [get_application(name)], space
-    )
-    return grid.performance.size
+    return explore([get_application(name)], space).performance[name].size
 
 
 def _die_once(sentinel_path):
@@ -198,10 +194,8 @@ class TestFaultTolerance:
 
 class TestObservabilityBridges:
     def test_metrics_deltas_merge_across_workers(self):
-        # Forked workers inherit the parent's caches: start them cold.
-        clear_cache()
         tasks = [
-            PoolTask(fn=_cached_grid_points, args=(name, n_cus))
+            PoolTask(fn=_explore_points, args=(name, n_cus))
             for name in ("CoMD", "MaxFlops")
             for n_cus in (192, 256, 320)
         ]
@@ -209,14 +203,9 @@ class TestObservabilityBridges:
             assert p.run(tasks) == [1] * len(tasks)
             p.run(tasks)
             merged = p.merged_snapshot()
-        # One cache.eval lookup per task on either worker: every one
-        # of the two runs' lookups is merged as a hit or a miss.
-        lookups = merged.counter("cache.eval.hits") + merged.counter(
-            "cache.eval.misses"
-        )
-        assert lookups == 2 * len(tasks)
-        # The first run's distinct keys all miss on cold caches.
-        assert merged.counter("cache.eval.misses") >= len(tasks)
+        # One explore per task on either worker: every one of the two
+        # runs' explores is merged.
+        assert merged.counter("dse.explores") == 2 * len(tasks)
 
     def test_worker_memory_gauges_republished(self):
         with _new_pool(2) as p:

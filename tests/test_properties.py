@@ -6,6 +6,7 @@ model's positivity and scaling, and the data-structure substrates'
 behavioural contracts.
 """
 
+import dataclasses
 import math
 import os
 
@@ -475,6 +476,19 @@ _FUZZ_PROFILE = KernelProfile(
     name="k", category=KernelCategory.BALANCED, description="fuzz",
     flops=1e12, bytes_per_flop=0.5,
 )
+# (0, 1]: a zero of either sign used to pass as a unit-interval value.
+_BAD_EFFICIENCY = st.one_of(
+    _BAD_POSITIVE,
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=1.0, exclude_min=True),
+)
+
+
+def _batch_column(**column):
+    batch = ProfileBatch.from_profiles([_FUZZ_PROFILE])
+    return dataclasses.replace(
+        batch, **{f: np.array([[v]]) for f, v in column.items()}
+    )
 
 
 def _fleet(**group_fields):
@@ -557,6 +571,11 @@ _BAD_FIELDS = {
         lambda v: DramCache(1 << 20, page_bytes=v), _BAD_COUNT),
     "DramCache.associativity": (
         lambda v: DramCache(1 << 20, associativity=v), _BAD_COUNT),
+    "KernelProfile.issue_efficiency": (
+        lambda v: _FUZZ_PROFILE.with_overrides(issue_efficiency=v),
+        _BAD_EFFICIENCY),
+    "ProfileBatch.issue_efficiency": (
+        lambda v: _batch_column(issue_efficiency=v), _BAD_EFFICIENCY),
     "evaluate_kernel.n_cus": (lambda v: _kernel(n_cus=v), _BAD_POSITIVE),
     "evaluate_kernel.freq": (lambda v: _kernel(freq=v), _BAD_POSITIVE),
     "evaluate_kernel.bandwidth": (
@@ -675,6 +694,10 @@ _NAMED_BAD_VALUES = [
     ("SloTracker.target_p99_s", math.nan),
     ("synthetic_arrivals.rate_hz", math.nan),
     ("TransientSolver.converge.tol_c", math.nan),
+    ("KernelProfile.issue_efficiency", 0.0),
+    ("KernelProfile.issue_efficiency", -0.0),
+    ("ProfileBatch.issue_efficiency", 0.0),
+    ("ProfileBatch.issue_efficiency", -0.0),
 ]
 
 

@@ -2,8 +2,8 @@
 
 Covers the deterministic batcher core (admission, backpressure,
 deadline shed, expiry, grouping, ordered release), the adaptive sizing
-policy, the harness's bit-for-bit reproducibility, the cache peek/seed
-fast path, and — through a real asyncio service over a real worker
+policy, the harness's bit-for-bit reproducibility, the answer memo and
+its exact value keys, and — through a real asyncio service over a real worker
 pool — oracle equivalence of every response path against direct serial
 evaluation, fault injection (worker kill mid-serve), and clean
 shutdown-while-in-flight behaviour.
@@ -13,6 +13,7 @@ No pytest-asyncio in the toolchain: async tests run via
 """
 
 import asyncio
+import dataclasses
 import itertools
 import threading
 import time
@@ -22,11 +23,12 @@ import pytest
 
 from repro.core.config import DesignSpace
 from repro.core.dse import DseResult
+from repro.core.node import NodeModel
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.perf.evalcache import EvalCache
 from repro.perf.pool import ShardedPool
+from repro.power.components import PowerParams
 from repro.serve import (
     AdaptiveBatchPolicy,
     BatcherCore,
@@ -50,6 +52,7 @@ from repro.serve.requests import (
     ExperimentRequest,
 )
 from repro.serve.workload import Arrival, synthetic_arrivals
+from repro.workloads.kernels import ProfileBatch
 from serve_harness import BatchCostModel, FakeClock, ServeHarness, run_trace
 
 # ----------------------------------------------------------------------
@@ -71,8 +74,8 @@ def pool():
 
 
 def _fresh_service(**kwargs):
-    """A service over a private cache (no cross-test pollution)."""
-    kwargs.setdefault("cache", EvalCache())
+    """A service over a private answer memo (no cross-test pollution)."""
+    kwargs.setdefault("cache", {})
     return EvalService(**kwargs)
 
 
@@ -241,34 +244,49 @@ class TestBatcherCore:
 class TestAdaptivePolicy:
     def test_cold_start_uses_default(self):
         policy = AdaptiveBatchPolicy(
-            obs_metrics.MetricsRegistry(), default_request_seconds=5e-3,
-            target_batch_seconds=0.02,
+            default_request_seconds=5e-3, target_batch_seconds=0.02,
         )
         assert policy.est_request_seconds() == 5e-3
         assert policy.batch_limit() == 4  # 0.02 / 5e-3
 
     def test_refresh_tracks_measured_rate(self):
-        registry = obs_metrics.MetricsRegistry()
         policy = AdaptiveBatchPolicy(
-            registry, target_batch_seconds=0.1, max_batch=1000
+            target_batch_seconds=0.1, max_batch=1000
         )
-        registry.observe("serve.batch_seconds", 0.2)
-        registry.inc("serve.batch_requests", 200)  # 1 ms / request
-        assert policy.refresh() == pytest.approx(1e-3)
+        policy.observe(0.2, 200)  # 1 ms / request
+        assert policy.est_request_seconds() == pytest.approx(1e-3)
         assert policy.batch_limit() == 100
 
     def test_clamped_to_bounds(self):
-        registry = obs_metrics.MetricsRegistry()
         policy = AdaptiveBatchPolicy(
-            registry, min_batch=2, max_batch=8, target_batch_seconds=1.0
+            min_batch=2, max_batch=8, target_batch_seconds=1.0
         )
-        registry.observe("serve.batch_seconds", 1e-6)
-        registry.inc("serve.batch_requests", 1)
-        policy.refresh()
+        policy.observe(1e-6, 1)
         assert policy.batch_limit() == 8
-        registry.observe("serve.batch_seconds", 1e6)
-        policy.refresh()
+        policy.observe(1e6, 0)
         assert policy.batch_limit() == 2
+
+    def test_each_service_learns_from_its_own_batches(self, model):
+        # The estimate belongs to the policy: it moves with metrics
+        # off, and a second service starts from its default and learns
+        # from its own batches alone (a frozen clock times each at 0 s).
+        arrivals = synthetic_arrivals(5, 64, deadline_s=None)
+
+        async def burst(svc):
+            async with svc:
+                await asyncio.gather(
+                    *(svc.submit(a.request) for a in arrivals)
+                )
+            return svc.stats()["est_request_seconds"]
+
+        default = AdaptiveBatchPolicy().default_request_seconds
+        with obs_metrics.disabled():
+            first = asyncio.run(burst(_fresh_service(model=model)))
+            second = _fresh_service(model=model, clock=lambda: 0.0)
+            assert second.stats()["est_request_seconds"] == default
+            frozen = asyncio.run(burst(second))
+        assert first != default
+        assert frozen == 1e-9
 
     def test_validation(self):
         for bad in (
@@ -376,15 +394,13 @@ class TestServeHarness:
             assert seqs == sorted(seqs), f"stream {stream} reordered"
 
     def test_adaptive_policy_inside_harness(self):
-        # Feed the measured batch timings back through a private
-        # registry: the planned batch sizes must grow deterministically
-        # from min upward as the estimate converges below default.
+        # Feed each batch's timing back to the policy: the planned
+        # batch sizes must grow deterministically from min upward as
+        # the estimate converges below default.
         arrivals = _mixed_arrivals(n=60, rate_hz=3000.0, deadline_s=None)
 
         def run_once():
-            registry = obs_metrics.MetricsRegistry()
             policy = AdaptiveBatchPolicy(
-                registry,
                 target_batch_seconds=0.02,
                 default_request_seconds=1e-2,
                 max_batch=32,
@@ -392,9 +408,7 @@ class TestServeHarness:
             core = BatcherCore(policy)
 
             def on_batch(planned, dt):
-                registry.observe("serve.batch_seconds", dt)
-                registry.inc("serve.batch_requests", len(planned.tickets))
-                policy.refresh()
+                policy.observe(dt, len(planned.tickets))
 
             harness = ServeHarness(
                 core,
@@ -423,73 +437,24 @@ class TestServeHarness:
 
 
 # ----------------------------------------------------------------------
-# Cache peek / seed
+# The answer memo: exact value keys
 # ----------------------------------------------------------------------
-class TestCachePeekSeed:
-    def test_peek_miss_counts_nothing(self, model, maxflops):
-        cache = EvalCache()
-        space = DesignSpace(
-            cu_counts=(256,), frequencies=(1e9,), bandwidths=(2e12,)
-        )
-        key = cache.grid_key(model, [maxflops], space)
-        assert cache.peek(key) is None
-        stats = cache.stats()
-        assert stats.hits == 0 and stats.misses == 0
-
-    def test_seed_then_peek_is_hit(self, model, maxflops):
-        cache = EvalCache()
-        space = DesignSpace(
-            cu_counts=(256,), frequencies=(1e9,), bandwidths=(2e12,)
-        )
-        grid = model.evaluate_grid([maxflops], space)
-        cache.seed(cache.grid_key(model, [maxflops], space), grid)
-        stats = cache.stats()
-        assert stats.hits == 0 and stats.misses == 0  # seeding is free
-        # A key derived again from equal values finds the seeded grid.
-        peeked = cache.peek(cache.grid_key(model, [maxflops], space))
-        assert peeked is grid
-        assert cache.stats().hits == 1
-
-    def test_seeded_equals_computed(self, model, maxflops):
-        # A cache that was seeded answers evaluate_grid without
-        # recomputing, and the value is the seeded one.
-        cache = EvalCache()
-        space = DesignSpace(
-            cu_counts=(192, 256), frequencies=(1e9,), bandwidths=(2e12,)
-        )
-        grid = model.evaluate_grid([maxflops], space)
-        cache.seed(cache.grid_key(model, [maxflops], space), grid)
-        again = cache.evaluate_grid(model, [maxflops], space)
-        assert again is grid
-
-
-class _KeyCountingCache(EvalCache):
-    """An EvalCache that counts how often a key is derived."""
-
-    def __init__(self):
-        super().__init__()
-        self.key_calls = 0
-
-    def grid_key(self, *args):
-        self.key_calls += 1
-        return super().grid_key(*args)
-
-
 class TestKeyedOnce:
-    """The service derives a request template's key once, stores one
-    entry per template, and computes every solo request."""
+    """The service stores one answer per request template, and computes
+    every solo request."""
 
     def test_gathered_burst_keys_and_stores_once_per_template(self, model):
         arrivals = synthetic_arrivals(7, 32, deadline_s=None)
         requests = [a.request for a in arrivals]
         templates = {
-            EvalCache().grid_key(model, [r.profile], r.to_space())
+            repr((r.profile, r.n_cus, r.gpu_freq, r.bandwidth,
+                  r.power_budget))
             if isinstance(r, PointRequest)
-            else EvalCache().grid_key(model, list(r.profiles), r.space)
+            else repr((r.profiles, r.space))
             for r in requests
         }
         assert len(templates) == 20
-        cache = _KeyCountingCache()
+        cache: dict = {}
 
         async def scenario():
             svc = EvalService(model=model, cache=cache)
@@ -497,7 +462,7 @@ class TestKeyedOnce:
                 first = await asyncio.gather(
                     *(svc.submit(r) for r in requests)
                 )
-                entries = cache.stats().entries
+                entries = len(cache)
                 second = await asyncio.gather(
                     *(svc.submit(r) for r in requests)
                 )
@@ -506,10 +471,8 @@ class TestKeyedOnce:
         first, entries, second = asyncio.run(scenario())
         for request, response in zip(requests, first):
             _assert_same_answer(response, request, model)
-        # No union-grid entries: merged units evaluate around the memo.
+        # One answer per template; no union-grid entries.
         assert entries == len(templates)
-        # Once per template, across both bursts and every seeding.
-        assert cache.key_calls == len(templates)
         assert [r.path for r in second] == ["inline-cache"] * len(requests)
         for request, response in zip(requests, second):
             _assert_same_answer(response, request, model)
@@ -534,6 +497,124 @@ class TestKeyedOnce:
         for response in asyncio.run(scenario()):
             assert response.path == "solo"
             _assert_same_answer(response, sim_request, model)
+
+
+def _serve_in_turn(requests, model, cache):
+    """Serve *requests* one after another on a fresh service over the
+    shared answer memo *cache*."""
+
+    async def scenario():
+        async with EvalService(model=model, cache=cache) as svc:
+            return [await svc.submit(r) for r in requests]
+
+    return asyncio.run(scenario())
+
+
+def _nudged(value: float) -> float:
+    """The next float toward 0.5: a valid new value of every numeric
+    profile field of the catalog, and of every positive axis."""
+    return float(np.nextafter(value, 0.5))
+
+
+def _change_field(field):
+    def change(profile, axes, model):
+        value = getattr(profile, field)
+        return profile.with_overrides(**{field: _nudged(value)}), axes, model
+    return change
+
+
+def _change_axis(axis, value=None):
+    def change(profile, axes, model):
+        new = _nudged(axes[axis]) if value is None else value
+        return profile, {**axes, axis: new}, model
+    return change
+
+
+def _change_power_params(profile, axes, model):
+    leakage = _nudged(model.power_params.cu_leakage_watt)
+    return profile, axes, NodeModel(
+        power_params=PowerParams(cu_leakage_watt=leakage)
+    )
+
+
+class TestAnswerMemoKey:
+    """Two requests share an answer only when the model reads
+    bit-identical inputs for them; a memo passed as ``cache=`` is shared
+    between services."""
+
+    _AXES = {
+        "n_cus": 256, "gpu_freq": 1.0e9, "bandwidth": 2.0e12,
+        "power_budget": 160.0,
+    }
+
+    def test_equal_values_answer_inline_across_services(self, comd):
+        space = dict(
+            cu_counts=(192, 256), frequencies=(1.0e9,), bandwidths=(2e12,)
+        )
+        cache: dict = {}
+        stored = _serve_in_turn(
+            [
+                PointRequest(comd, **self._AXES),
+                SweepRequest((comd,), DesignSpace(**space)),
+            ],
+            NodeModel(), cache,
+        )
+        assert len(cache) == 2
+        # A value-equal copy of the profile, a fresh but equal model,
+        # and a space built from lists rather than tuples.
+        copy = dataclasses.replace(comd)
+        assert copy is not comd
+        repeats = [
+            PointRequest(copy, **self._AXES),
+            SweepRequest(
+                (copy,),
+                DesignSpace(**{k: list(v) for k, v in space.items()}),
+            ),
+        ]
+        answered = _serve_in_turn(repeats, NodeModel(), cache)
+        assert [r.path for r in answered] == ["inline-cache"] * 2
+        for request, response, first in zip(repeats, answered, stored):
+            assert response.value is first.value
+            _assert_same_answer(response, request, NodeModel())
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            *(
+                pytest.param(_change_field(f), id=f)
+                for f in ProfileBatch.field_names()
+            ),
+            pytest.param(_change_axis("n_cus", 288), id="n_cus"),
+            pytest.param(_change_axis("gpu_freq"), id="gpu_freq"),
+            pytest.param(_change_axis("bandwidth"), id="bandwidth"),
+            pytest.param(_change_axis("power_budget"), id="power_budget"),
+            pytest.param(_change_power_params, id="power_params"),
+        ],
+    )
+    def test_any_changed_input_misses(self, comd, change):
+        cache: dict = {}
+        _serve_in_turn(
+            [PointRequest(comd, **self._AXES)], NodeModel(), cache
+        )
+        profile, axes, model = change(comd, self._AXES, NodeModel())
+        request = PointRequest(profile, **axes)
+        (response,) = _serve_in_turn([request], model, cache)
+        assert response.path == "degraded"
+        assert len(cache) == 2
+        _assert_same_answer(response, request, model)
+
+    def test_negative_zero_is_its_own_key(self, comd):
+        cache: dict = {}
+        zero, negative_zero = (
+            PointRequest(
+                comd.with_overrides(thrash_pressure=value), **self._AXES
+            )
+            for value in (0.0, -0.0)
+        )
+        _serve_in_turn([zero], NodeModel(), cache)
+        (response,) = _serve_in_turn([negative_zero], NodeModel(), cache)
+        assert response.path == "degraded"
+        _assert_same_answer(response, negative_zero, NodeModel())
 
 
 # ----------------------------------------------------------------------
@@ -962,7 +1043,10 @@ class TestServiceOnPool:
                     asyncio.ensure_future(svc.submit(a.request))
                     for a in arrivals
                 ]
-                await asyncio.sleep(0.15)  # batch in flight
+                # Shut down once the batch is in flight; a fixed sleep
+                # can outlast the whole batch.
+                while svc.core.inflight() == 0:
+                    await asyncio.sleep(0.001)
                 own_pool.shutdown()
                 return await asyncio.gather(*pending)
 
@@ -1258,6 +1342,12 @@ class TestRequestTypes:
         for build in requests:
             with pytest.raises(ValueError, match="deadline_s"):
                 build()
+
+    def test_sweep_rejects_a_non_space(self, maxflops):
+        # A space that cannot key a sweep group must not reach the
+        # dispatcher.
+        with pytest.raises(TypeError, match="DesignSpace"):
+            SweepRequest((maxflops,), {"cu_counts": [256]})
 
     def test_sweep_rejects_duplicates(self, maxflops):
         with pytest.raises(ValueError):

@@ -4,9 +4,8 @@ Covers the ``ProfileBatch`` struct-of-arrays, the equivalence contract
 between ``NodeModel.evaluate_grid`` and the per-profile
 ``evaluate_arrays`` oracle loop (rtol 1e-12, exactly agreeing
 feasibility/NaN masks, bit-identical DSE argmax selections), engine
-selection on ``core.dse.explore``, the whole-grid evaluation cache, and
-the sub-grid composition identity the serving layer's union grids rely
-on.
+selection on ``core.dse.explore``, and the sub-grid composition
+identity the serving layer's union grids rely on.
 """
 
 import dataclasses
@@ -23,7 +22,6 @@ from repro.core.dse import (
     set_default_engine,
 )
 from repro.core.node import NodeModel
-from repro.perf.evalcache import EvalCache, fingerprint_batch
 from repro.workloads.catalog import application_names, get_application
 from repro.workloads.kernels import (
     KernelCategory,
@@ -143,14 +141,6 @@ class TestProfileBatch:
         with pytest.raises(IndexError):
             batch[len(batch) : len(batch)]
 
-    def test_fingerprint_distinguishes_batches(self):
-        apps = [get_application(n) for n in application_names()]
-        batch = ProfileBatch.from_profiles(apps)
-        assert fingerprint_batch(batch) == fingerprint_batch(
-            ProfileBatch.from_profiles(apps)
-        )
-        assert fingerprint_batch(batch[0:4]) != fingerprint_batch(batch[4:8])
-
 
 class TestGridEquivalence:
     @given(st.data())
@@ -186,8 +176,8 @@ class TestGridEquivalence:
 
     def test_catalog_argmax_identity(self):
         profiles = [get_application(n) for n in application_names()]
-        tensor = explore(profiles, cache=False, engine="tensor")
-        point = explore(profiles, cache=False, engine="point")
+        tensor = explore(profiles, engine="tensor")
+        point = explore(profiles, engine="point")
         assert tensor.best_mean_index == point.best_mean_index
         assert dict(tensor.per_app_best_index) == dict(
             point.per_app_best_index
@@ -238,34 +228,24 @@ class TestEngineSelection:
         profiles = [get_application("CoMD"), get_application("SNAP")]
         previous = set_default_engine("point")
         try:
-            by_default = explore(profiles, cache=False)
-            by_override = explore(profiles, cache=False, engine="tensor")
+            by_default = explore(profiles)
+            by_override = explore(profiles, engine="tensor")
         finally:
             set_default_engine(previous)
         assert by_default.best_mean_index == by_override.best_mean_index
 
 
 class TestGridCache:
-    def test_whole_grid_memoized(self):
-        cache = EvalCache()
-        model = NodeModel()
-        profiles = [get_application("CoMD"), get_application("SNAP")]
-        g1 = cache.evaluate_grid(model, profiles, DesignSpace())
-        g2 = cache.evaluate_grid(model, profiles, DesignSpace())
-        assert g2 is g1
-        assert (cache.stats().hits, cache.stats().misses) == (1, 1)
-
     def test_slab_is_its_own_entry_and_bit_identical(self):
-        # A CU sub-range of a space is a different space: its own cache
-        # entry, with exactly the whole grid's columns.
-        cache = EvalCache()
+        # A CU sub-range of a space is a different space, evaluated on
+        # its own, with exactly the whole grid's columns.
         model = NodeModel()
         space = DesignSpace()
         sub = dataclasses.replace(space, cu_counts=space.cu_counts[2:5])
+        assert sub != space
         profiles = [get_application(n) for n in application_names()]
-        whole = cache.evaluate_grid(model, profiles, space)
-        slab = cache.evaluate_grid(model, profiles, sub)
-        assert cache.stats().misses == 2
+        whole = model.evaluate_grid(profiles, space)
+        slab = model.evaluate_grid(profiles, sub)
         per_cu = len(space.frequencies) * len(space.bandwidths)
         assert np.array_equal(
             slab.performance, whole.performance[:, 2 * per_cu : 5 * per_cu]

@@ -116,20 +116,25 @@ class TestTable2:
             assert _fresh_import(module, ("scipy", "networkx")) == [], module
 
     def test_serve_and_plan_skip_the_memsys_engines(self):
-        # The evaluation memo fronts only the node model and the APU
-        # simulator, so serving and fleet planning never load the
-        # memory-system replay engines.
-        for module in (
-            "repro.serve.service",
-            "repro.fleet.sweep",
-            "repro.perf.evalcache",
-        ):
+        # Serving and fleet planning evaluate the node model and the
+        # APU simulator only, so they never load the memory-system
+        # replay engines.
+        for module in ("repro.serve.service", "repro.fleet.sweep"):
             assert _fresh_import(module, ("repro.memsys",)) == [], module
 
-    def test_eval_memo_skips_the_pool(self):
-        # `explore` imports the evaluation memo lazily, inside the
-        # artifacts' timed runs; the perf package re-exports nothing,
-        # so that import loads neither the pool nor multiprocessing.
-        assert _fresh_import(
-            "repro.perf.evalcache", ("multiprocessing", "repro.perf.pool")
-        ) == []
+    def test_table2_and_dse_skip_the_perf_layer(self):
+        # The DSE experiments call the tensor engine directly, so `repro
+        # all` never loads the worker pool (and multiprocessing) inside
+        # an artifact's timed run.
+        code = (
+            "import sys; "
+            "from repro.experiments.registry import EXPERIMENTS; "
+            "EXPERIMENTS['table2'](); EXPERIMENTS['dse'](); "
+            "print(*sorted(n for n in sys.modules "
+            "if n.split('.')[:2] == ['repro', 'perf']))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == []

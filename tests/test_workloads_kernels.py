@@ -26,18 +26,30 @@ def make(**overrides) -> KernelProfile:
 
 class TestValidation:
     @pytest.mark.parametrize(
-        "field",
-        ["parallel_fraction", "cache_hit_rate", "latency_sensitivity",
-         "ext_memory_fraction", "cu_utilization", "issue_efficiency",
-         "write_fraction"],
+        "field, zero_ok",
+        [
+            pytest.param(field, field != "issue_efficiency", id=field)
+            for field in (
+                "parallel_fraction", "cache_hit_rate",
+                "latency_sensitivity", "ext_memory_fraction",
+                "cu_utilization", "issue_efficiency", "write_fraction",
+            )
+        ],
     )
-    def test_unit_interval_fields(self, field):
+    def test_unit_interval_fields(self, field, zero_ok):
+        # issue_efficiency is (0, 1]: a kernel issuing nothing has an
+        # infinite compute time and a non-finite node power.
         with pytest.raises(ValueError):
             make(**{field: -0.1})
         with pytest.raises(ValueError):
             make(**{field: 1.1})
-        make(**{field: 0.0})
         make(**{field: 1.0})
+        if zero_ok:
+            make(**{field: 0.0})
+        else:
+            for zero in (0.0, -0.0):
+                with pytest.raises(ValueError, match=field):
+                    make(**{field: zero})
 
     @pytest.mark.parametrize(
         "field", ["flops", "mlp_per_cu", "footprint_bytes"]

@@ -37,6 +37,8 @@ replicated below) and asserts the speedup ratios the layer promises:
   stepping bit-identical to per-scenario integration, and the
   closed-loop governor keeping the simulated DRAM stack under the
   85 C limit on a schedule whose uncontrolled replay exceeds it,
+* the fleet sweep: the in-process CU-axis pass bit-identical to the
+  serial per-point estimate loop and >= 5x over it,
 
 plus numerical agreement (1e-9) between fast and reference paths.
 
@@ -851,20 +853,19 @@ def check_serve(quick: bool) -> list[str]:
 
 
 def check_fleet(quick: bool) -> list[str]:
-    """The pooled multi-node fleet sweep's promises.
+    """The fleet sweep's promises.
 
-    Correctness: the pooled sweep must be bit-identical to the serial
-    :meth:`ExascaleSystem.estimate` loop — cold on a fresh pool and
-    after a worker death. Shape: one task per ``(group, profile)``
-    series, counted by the pool's ``stats().tasks`` delta. Fault
-    path: killing a worker costs exactly one restart.
+    Correctness: the in-process CU-axis sweep (``fleet_sweep``) must be
+    bit-identical to the serial :meth:`ExascaleSystem.estimate` loop
+    (``fleet_sweep_serial``) on every repeat. Speed: >= 5x over that
+    loop, best-of on both sides like the other timing gates; each
+    repeat's own ratio is printed as a min-max spread, so a noisy pass
+    is visible.
     """
     from repro.fleet.bench import identical_results
     from repro.fleet.spec import synthetic_fleet
     from repro.fleet.sweep import fleet_sweep, fleet_sweep_serial
-    from repro.perf.pool import ShardedPool
 
-    n_shards = 2
     if quick:
         spec = synthetic_fleet(n_nodes=1000, n_groups=6, seed=0)
         cu_counts = tuple(range(192, 385, 16))
@@ -872,43 +873,31 @@ def check_fleet(quick: bool) -> list[str]:
         spec = synthetic_fleet(n_nodes=1000, n_groups=8, seed=0)
         cu_counts = tuple(range(192, 385, 8))
 
-    t0 = time.perf_counter()
-    serial = fleet_sweep_serial(spec, cu_counts)
-    t_serial = time.perf_counter() - t0
-
-    with ShardedPool(n_shards) as pool:
-        tasks_before = pool.stats().tasks
+    t_serial, t_sweep, identical = [], [], True
+    for _ in range(5):
         t0 = time.perf_counter()
-        cold = fleet_sweep(spec, cu_counts, pool=pool)
-        t_cold = time.perf_counter() - t0
-        n_tasks = pool.stats().tasks - tasks_before
-
-        restarts_before = pool.stats().worker_restarts
-        pool.kill_worker(0)
-        killed = fleet_sweep(spec, cu_counts, pool=pool)
-        restarts_after = pool.stats().worker_restarts
-
-    identical = all(identical_results(serial, r) for r in (cold, killed))
+        serial = fleet_sweep_serial(spec, cu_counts)
+        t_serial.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        sweep = fleet_sweep(spec, cu_counts)
+        t_sweep.append(time.perf_counter() - t0)
+        identical = identical and identical_results(serial, sweep)
+    ratio = min(t_serial) / min(t_sweep)
+    ratios = [s / f for s, f in zip(t_serial, t_sweep)]
     print(f"fleet {spec.n_nodes} nodes / {len(spec.groups)} groups x "
-          f"{len(cu_counts)} CU points: serial {t_serial * 1e3:.0f} ms vs "
-          f"cold pool {t_cold * 1e3:.0f} ms (tasks {n_tasks} for "
-          f"{spec.n_series} series, identical to serial: {identical})")
+          f"{len(cu_counts)} CU points: serial {min(t_serial) * 1e3:.0f} "
+          f"ms vs CU-axis sweep {min(t_sweep) * 1e3:.1f} ms -> "
+          f"{ratio:.1f}x (repeats {min(ratios):.1f}-{max(ratios):.1f}x; "
+          f"identical to serial: {identical})")
 
     failures = []
     if not identical:
         failures.append("fleet sweep diverged from the serial estimate loop")
-    if n_tasks != spec.n_series:
+    if ratio < 5.0:
         failures.append(
-            f"fleet sweep submitted {n_tasks} tasks, expected one per "
-            f"series ({spec.n_series})"
+            f"fleet CU-axis sweep speedup {ratio:.1f}x < 5x over the "
+            f"serial estimate loop"
         )
-    if restarts_after != restarts_before + 1:
-        failures.append(
-            f"worker kill produced {restarts_after - restarts_before} "
-            f"restarts, expected 1"
-        )
-    if t_cold <= 0:  # pragma: no cover - sanity
-        failures.append("cold fleet run measured non-positive time")
     return failures
 
 

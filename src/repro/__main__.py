@@ -18,7 +18,7 @@ Usage::
                                         # pool round-trips
     python -m repro serve --serve-rate 500 --serve-requests 400
                                         # open-loop tail-latency run
-    python -m repro fleet               # fleet benchmark: pooled
+    python -m repro fleet               # fleet benchmark: in-process
                                         # multi-node CU sweep vs the
                                         # serial estimate loop
     python -m repro fleet --fleet-nodes 5000 --fleet-groups 8
@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "experiment ids (see 'list'), or 'all', 'list', 'serve' "
             "(run the serving-layer benchmark), 'fleet' (run the "
-            "pooled multi-node fleet benchmark), or 'thermal-loop' "
+            "multi-node fleet benchmark), or 'thermal-loop' "
             "(run the transient thermal closed-loop benchmark)"
         ),
     )
@@ -126,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "fan the experiments across a worker pool of N "
             "processes (default 0: serial in-process); also sizes the "
-            "'serve' and 'fleet' benchmark pools (default 2)"
+            "'serve' benchmark pool (default 2)"
         ),
     )
     parser.add_argument(
@@ -323,7 +323,6 @@ def main(argv: list[str] | None = None) -> int:
                 n_nodes=args.fleet_nodes,
                 n_groups=args.fleet_groups,
                 seed=args.fleet_seed,
-                shards=args.pool_shards or 2,
             )
         print(report.render())
         if args.metrics_out:

@@ -6,29 +6,23 @@ achieved exaflops, machine power in megawatts, and whether the 1 EF /
 1 TB/s. The power accounted here is the peak-compute scenario the paper
 describes — EHP package power, with external memory idle.
 
-:meth:`ExascaleSystem.cu_sweep` runs the Fig. 14 sweep through the
-fused tensor engine (:meth:`~repro.core.node.NodeModel.evaluate_grid`)
-by default; ``engine="point"`` keeps the original per-point
-:meth:`ExascaleSystem.estimate` loop as the retained oracle. The fleet
-layer (:mod:`repro.fleet`) scales the per-point loop itself to
-multi-node sweeps over heterogeneous node groups.
+:meth:`ExascaleSystem.cu_sweep` runs the Fig. 14 sweep as one
+:meth:`~repro.core.node.NodeModel.evaluate_arrays` pass over the CU
+axis, bit-identical to the per-point :meth:`ExascaleSystem.estimate`
+loop; the fleet layer (:mod:`repro.fleet`) runs the same pass per node
+group and profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.config import DesignSpace, EHPConfig, _cu_tuple, _is_int
+from repro.core.config import EHPConfig, _cu_tuple, _is_int
 from repro.core.node import NodeModel
 from repro.util.units import MW
 from repro.workloads.kernels import KernelProfile
 
-__all__ = ["CU_SWEEP_ENGINES", "ExascaleSystem", "SystemEstimate"]
-
-CU_SWEEP_ENGINES = ("grid", "point")
-"""Engines of :meth:`ExascaleSystem.cu_sweep` (the first is default)."""
+__all__ = ["ExascaleSystem", "SystemEstimate"]
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,12 @@ class ExascaleSystem:
         evaluation = self.model.evaluate(
             profile, config, ext_fraction=ext_fraction
         )
-        node_flops = float(evaluation.performance)
-        node_power = float(evaluation.ehp_power)
+        return self._scale(
+            float(evaluation.performance), float(evaluation.ehp_power)
+        )
+
+    def _scale(self, node_flops: float, node_power: float) -> SystemEstimate:
+        """One node's FLOP/s and EHP watts, scaled to the machine."""
         return SystemEstimate(
             exaflops=node_flops * self.n_nodes / 1.0e18,
             machine_power_mw=node_power * self.n_nodes / MW,
@@ -101,58 +99,32 @@ class ExascaleSystem:
         cu_counts,
         config: EHPConfig | None = None,
         *,
-        engine: str = "grid",
+        ext_fraction: float | None = None,
     ) -> list[SystemEstimate]:
         """Fig. 14's sweep: vary CU count at fixed frequency/bandwidth.
 
-        ``engine="grid"`` (default) evaluates every CU count in one
-        fused :meth:`~repro.core.node.NodeModel.evaluate_grid` pass;
-        ``engine="point"`` is the retained per-point
-        :meth:`estimate` oracle. The fused kernel reassociates
-        arithmetic, so the engines agree to ~1e-13 relative — identical
-        1 EF / 20 MW verdicts on the paper's sweep — rather than bit
-        for bit; ``tests/test_core_exascale_reconfig.py`` pins the
-        equivalence.
+        One :meth:`~repro.core.node.NodeModel.evaluate_arrays` call over
+        the CU axis. Every point runs the same elementwise ufunc sequence
+        it runs alone, so the sweep equals the per-point
+        :meth:`estimate` loop bit for bit
+        (``tests/test_core_exascale_reconfig.py`` pins it).
+        ``ext_fraction`` is :meth:`estimate`'s.
         """
-        if engine not in CU_SWEEP_ENGINES:
-            raise ValueError(
-                f"unknown cu_sweep engine {engine!r}; "
-                f"use one of {CU_SWEEP_ENGINES}"
-            )
         config = config or EHPConfig(
             n_cus=320, gpu_freq=1.0e9, bandwidth=1.0e12
         )
-        # Validate every count through EHPConfig regardless of engine,
-        # so the grid path rejects exactly what the oracle loop would.
-        configs = [config.with_axes(n_cus=n) for n in _cu_tuple(cu_counts)]
-        if engine == "point":
-            return [self.estimate(profile, c) for c in configs]
-
-        from repro.power.breakdown import external_memory_power
-
-        space = DesignSpace(
-            cu_counts=tuple(c.n_cus for c in configs),
-            frequencies=(config.gpu_freq,),
-            bandwidths=(config.bandwidth,),
-            base_config=config,
+        counts = _cu_tuple(cu_counts)
+        for n in counts:
+            # What config.with_axes(n_cus=n) rejects, without building it.
+            config.check_cu_count(n)
+        evaluation = self.model.evaluate_arrays(
+            profile,
+            counts,
+            config.gpu_freq,
+            config.bandwidth,
+            ext_fraction=ext_fraction,
         )
-        grid = self.model.evaluate_grid([profile], space)
-        perf = np.asarray(grid.performance[0], dtype=float)
-        # The grid power tensor is TOTAL node power; the machine budget
-        # tracks EHP package power (external memory idle). At the grid's
-        # operating point (ext_rate = 0) the external network draws only
-        # its static floor, so subtracting it recovers the package term.
-        mem_static, _, serdes_static, _ = external_memory_power(
-            profile, 0.0, self.model.ext_config, self.model.power_params
-        )
-        ext_static = float(mem_static) + float(serdes_static)
-        ehp = np.asarray(grid.power[0], dtype=float) - ext_static
         return [
-            SystemEstimate(
-                exaflops=float(p) * self.n_nodes / 1.0e18,
-                machine_power_mw=float(w) * self.n_nodes / MW,
-                node_teraflops=float(p) / 1.0e12,
-                node_power_w=float(w),
-            )
-            for p, w in zip(perf, ehp)
+            self._scale(float(p), float(w))
+            for p, w in zip(evaluation.performance, evaluation.ehp_power)
         ]

@@ -25,17 +25,11 @@ def run_fig14(
     model: NodeModel | None = None,
     cu_counts: Sequence[int] = CU_SWEEP,
     n_nodes: int = 100_000,
-    engine: str = "grid",
 ) -> ExperimentResult:
-    """Regenerate Fig. 14's two panels (exaflops and MW vs CU count).
-
-    *engine* selects the :meth:`ExascaleSystem.cu_sweep` evaluation
-    path: the fused ``"grid"`` tensor pass (default) or the per-point
-    ``"point"`` oracle loop.
-    """
+    """Regenerate Fig. 14's two panels (exaflops and MW vs CU count)."""
     system = ExascaleSystem(n_nodes=n_nodes, model=model or NodeModel())
     profile = get_application("MaxFlops")
-    estimates = system.cu_sweep(profile, cu_counts, engine=engine)
+    estimates = system.cu_sweep(profile, cu_counts)
     table = TextTable(
         ["CUs per node", "Exaflops", "Power (MW)", "Node TF", "Node W"]
     )

@@ -1,4 +1,4 @@
-"""Multi-node fleet simulation: inter-APU links + pooled sweeps.
+"""Multi-node fleet simulation: inter-APU links + CU-axis sweeps.
 
 The paper's Section V-F roll-up multiplies one node by 100,000. This
 package grows that into a fleet simulation:
@@ -11,11 +11,11 @@ package grows that into a fleet simulation:
   form.
 * :mod:`repro.fleet.spec` — heterogeneous fleets as ``(config,
   profile-mix, node-count)`` groups.
-* :mod:`repro.fleet.sweep` — the fleet-scale CU sweep: one
-  :class:`~repro.perf.pool.ShardedPool` task per ``(group, profile)``
-  series, each running the serial
-  :meth:`~repro.core.exascale.ExascaleSystem.estimate` loop, so the
-  pooled sweep is bit-identical to it.
+* :mod:`repro.fleet.sweep` — the fleet-scale CU sweep: one in-process
+  :meth:`~repro.core.exascale.ExascaleSystem.cu_sweep` pass per
+  ``(group, profile)`` series, bit-identical to the serial
+  :meth:`~repro.core.exascale.ExascaleSystem.estimate` loop it keeps
+  as the oracle.
 * :mod:`repro.fleet.bench` — the ``python -m repro fleet`` benchmark.
 """
 

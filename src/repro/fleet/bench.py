@@ -1,9 +1,9 @@
-"""Fleet benchmark: pooled sweep vs serial oracle on one fleet.
+"""Fleet benchmark: the CU-axis sweep vs the serial oracle on one fleet.
 
-Measures the serial per-point estimate loop against one cold sweep on
-a fresh pool, plus the number of tasks the sweep sent the pool — and
-verifies the pooled result is bit-identical to the oracle before
-reporting any number. ``python -m repro fleet`` routes here.
+Times the serial per-point estimate loop against the in-process
+CU-axis sweep on the same fleet, and verifies the sweep is
+bit-identical to the oracle before reporting any number.
+``python -m repro fleet`` routes here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.fleet.sweep import (
     fleet_sweep,
     fleet_sweep_serial,
 )
-from repro.perf.pool import ShardedPool
 
 __all__ = ["FleetBenchReport", "identical_results", "run_fleet_bench"]
 
@@ -52,9 +51,8 @@ class FleetBenchReport:
     n_series: int
     n_points: int
     serial_s: float
-    cold_s: float
+    sweep_s: float
     identical: bool
-    pool_tasks: int
     result: FleetSweepResult | None = None
     extra: dict = field(default_factory=dict)
 
@@ -63,7 +61,7 @@ class FleetBenchReport:
             k: getattr(self, k)
             for k in (
                 "n_nodes", "n_groups", "n_series", "n_points",
-                "serial_s", "cold_s", "identical", "pool_tasks",
+                "serial_s", "sweep_s", "identical",
             )
         }
         if self.result is not None:
@@ -82,10 +80,9 @@ class FleetBenchReport:
             f"  fleet         {self.n_nodes} nodes / {self.n_groups} "
             f"groups, {self.n_series} series x {self.n_points} CU points",
             f"  serial        {self.serial_s * 1e3:.1f} ms",
-            f"  pooled cold   {self.cold_s * 1e3:.1f} ms",
+            f"  CU-axis sweep {self.sweep_s * 1e3:.1f} ms",
             f"  identity      "
             f"{'bit-identical' if self.identical else 'DIVERGED'}",
-            f"  pool          {self.pool_tasks} tasks",
         ]
         if self.result is not None:
             lines.append(f"  {self.result.summary()}")
@@ -98,11 +95,10 @@ def run_fleet_bench(
     n_nodes: int = 1000,
     n_groups: int = 6,
     seed: int = 0,
-    shards: int = 2,
     cu_counts=None,
     model: NodeModel | None = None,
 ) -> FleetBenchReport:
-    """The serial oracle, then one sweep on a fresh pool.
+    """The serial oracle, then the CU-axis sweep.
 
     *spec* overrides the synthetic fleet.
     """
@@ -116,20 +112,17 @@ def run_fleet_bench(
     oracle = fleet_sweep_serial(spec, cu_list, model)
     serial_s = time.perf_counter() - t0
 
-    with ShardedPool(shards) as pool:
-        tasks_before = pool.stats().tasks
-        t0 = time.perf_counter()
-        cold = fleet_sweep(spec, cu_list, model, pool=pool)
-        cold_s = time.perf_counter() - t0
-        return FleetBenchReport(
-            n_nodes=spec.n_nodes,
-            n_groups=len(spec.groups),
-            n_series=spec.n_series,
-            n_points=len(cu_list),
-            serial_s=serial_s,
-            cold_s=cold_s,
-            identical=identical_results(oracle, cold),
-            pool_tasks=pool.stats().tasks - tasks_before,
-            result=cold,
-            extra={"manifest": fleet_manifest(cold, pool=pool)},
-        )
+    t0 = time.perf_counter()
+    sweep = fleet_sweep(spec, cu_list, model)
+    sweep_s = time.perf_counter() - t0
+    return FleetBenchReport(
+        n_nodes=spec.n_nodes,
+        n_groups=len(spec.groups),
+        n_series=spec.n_series,
+        n_points=len(cu_list),
+        serial_s=serial_s,
+        sweep_s=sweep_s,
+        identical=identical_results(oracle, sweep),
+        result=sweep,
+        extra={"manifest": fleet_manifest(sweep)},
+    )

@@ -6,11 +6,12 @@ profile)`` series it runs the same scalar per-point loop as
 derated, ``ext_fraction`` taken from the profile — and rolls the
 series up into group and fleet curves.
 
-:func:`fleet_sweep` fans that same per-series function out over a
-:class:`~repro.perf.pool.ShardedPool`: one task per series, reassembled
-in spec order and rolled up by the same reduction. Workers execute the
-oracle's own loop, so ``fleet_sweep(...) == fleet_sweep_serial(...)``
-exactly — bit identity by construction, not by tolerance.
+:func:`fleet_sweep` is the fast path: each series is one
+:meth:`~repro.core.exascale.ExascaleSystem.cu_sweep` pass over the CU
+axis on the same derated model, in-process, rolled up by the same
+reduction. The perf and power models spell every power as a ufunc
+call, so a point gives the same bits alone or inside a CU-axis array,
+and ``fleet_sweep(...) == fleet_sweep_serial(...)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core.exascale import ExascaleSystem
 from repro.core.node import NodeModel
 from repro.fleet.link import LinkTierParams, derate_model
 from repro.fleet.spec import FleetGroup, FleetSpec
-from repro.perf.pool import PoolTask, ShardedPool
 from repro.workloads.kernels import KernelProfile
 
 __all__ = [
@@ -97,7 +97,7 @@ def _finalize(
     """Group and fleet roll-ups from per-series curves.
 
     Deterministic reduction order (profiles then groups, both in spec
-    order) so the serial and pooled sweeps sum identically.
+    order) so the serial and CU-axis sweeps sum identically.
     """
     n = len(cu_counts)
     series_exa: dict[tuple[str, str], np.ndarray] = {}
@@ -150,11 +150,8 @@ def _sweep_series(
     """One ``(group, profile)`` series: ``(exaflops, MW)`` per CU count.
 
     The plain scalar :meth:`ExascaleSystem.estimate` loop on the
-    link-derated model at the profile's external-memory fraction. The
-    oracle and every pooled task run exactly this function (module
-    level: picklable), which is what makes the two bit-identical —
-    numpy scalarmath and vectorized ufuncs may differ by 1 ULP, so the
-    loop deliberately stays scalar.
+    link-derated model at the profile's external-memory fraction: the
+    oracle that :func:`_cu_sweep_series` must match bit for bit.
     """
     gmodel = derate_model(model, link, profile, group.concurrent_kernels)
     system = ExascaleSystem(group.n_nodes, gmodel)
@@ -188,57 +185,62 @@ def fleet_sweep_serial(
     return _finalize(spec, cu_list, per)
 
 
+def _cu_sweep_series(
+    group: FleetGroup,
+    profile: KernelProfile,
+    model: NodeModel,
+    link: LinkTierParams | None,
+    cu_counts: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sweep_series` as one CU-axis
+    :meth:`ExascaleSystem.cu_sweep` pass."""
+    gmodel = derate_model(model, link, profile, group.concurrent_kernels)
+    estimates = ExascaleSystem(group.n_nodes, gmodel).cu_sweep(
+        profile,
+        cu_counts,
+        group.config,
+        ext_fraction=float(profile.ext_memory_fraction),
+    )
+    return (
+        np.array([e.exaflops for e in estimates], dtype=float),
+        np.array([e.machine_power_mw for e in estimates], dtype=float),
+    )
+
+
 def fleet_sweep(
     spec: FleetSpec,
     cu_counts,
     model: NodeModel | None = None,
     *,
-    pool: ShardedPool | None = None,
+    pool=None,
 ) -> FleetSweepResult:
     """Sweep the fleet's CU axis; bit-identical to the serial oracle.
 
-    With *pool*, every ``(group, profile)`` series is one
-    :class:`~repro.perf.pool.PoolTask` running the oracle's own series
-    function, taken from the pool's queue by whichever worker is idle
-    next; the parent rolls the curves up in spec order. ``pool=None``
-    returns :func:`fleet_sweep_serial`.
+    Every ``(group, profile)`` series is one in-process CU-axis pass
+    (:func:`_cu_sweep_series`); the curves roll up in spec order.
+    *pool* is accepted for older callers and ignored.
     """
+    del pool
     model = model or NodeModel()
     cu_list = _cu_tuple(cu_counts)
     if not cu_list:
         raise ValueError("cu_counts must be non-empty")
-    if pool is None:
-        return fleet_sweep_serial(spec, cu_list, model)
-    # Validate every config eagerly — the pooled path must reject
-    # exactly what the serial loop would, before any work ships.
-    for group in spec.groups:
-        for n in cu_list:
-            group.config.with_axes(n_cus=n)
-    keys = []
-    tasks = []
-    for group in spec.groups:
-        for profile in group.profiles:
-            keys.append((group.name, profile.name))
-            tasks.append(
-                PoolTask(
-                    fn=_sweep_series,
-                    args=(group, profile, model, spec.link, cu_list),
-                    label=f"fleet.{group.name}.{profile.name}",
-                )
-            )
-    return _finalize(spec, cu_list, dict(zip(keys, pool.run(tasks))))
+    per = {
+        (group.name, profile.name): _cu_sweep_series(
+            group, profile, model, spec.link, cu_list
+        )
+        for group in spec.groups
+        for profile in group.profiles
+    }
+    return _finalize(spec, cu_list, per)
 
 
 def fleet_manifest(
     result: FleetSweepResult,
-    pool: ShardedPool | None = None,
     wall_time: float | None = None,
 ) -> dict:
-    """JSON-ready manifest section for one fleet sweep.
-
-    Merges the run's structure (groups, node counts, best point) with
-    the pool's worker count.
-    """
+    """JSON-ready manifest section for one fleet sweep: the run's
+    structure (groups, node counts) and its best point."""
     spec = result.spec
     section: dict = {
         "n_nodes": spec.n_nodes,
@@ -268,6 +270,4 @@ def fleet_manifest(
     }
     if wall_time is not None:
         section["wall_time_s"] = wall_time
-    if pool is not None:
-        section["pool"] = {"n_shards": pool.n_shards}
     return section

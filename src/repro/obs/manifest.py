@@ -91,7 +91,7 @@ def git_describe(cwd: str | None = None) -> str | None:
 
 def engine_choices() -> dict:
     """Default and available engines of every dual-engine subsystem."""
-    from repro.core import dse, exascale
+    from repro.core import dse
     from repro.memsys import dramcache, manager, rowbuffer
     from repro.sim import apu_sim
 
@@ -100,7 +100,6 @@ def engine_choices() -> dict:
         "memsys.rowbuffer": rowbuffer.ENGINES,
         "memsys.dramcache": dramcache.ENGINES,
         "memsys.manager": manager.ENGINES,
-        "core.exascale.cu_sweep": exascale.CU_SWEEP_ENGINES,
     }
     choices = {
         name: {"default": engines[0], "available": list(engines)}

@@ -1,16 +1,15 @@
 """Persistent worker pool with one FIFO task queue.
 
 A :class:`ShardedPool` is the program's one fan-out: the experiment
-runner (:mod:`repro.perf.parallel`), the fleet sweep
-(:mod:`repro.fleet.sweep`) and the serving layer's simulation and
-experiment requests all hand it their task lists. Its workers are
+runner (:mod:`repro.perf.parallel`) and the serving layer's simulation
+and experiment requests hand it their task lists. Its workers are
 spawned once and reused across calls.
 
 Scheduling: each run keeps one FIFO of task indices. An idle worker
 takes the next task and holds at most one task in flight, so a slow
 task never holds back queued work another worker could run. Every
-task is a whole unit of evaluation (an artifact, one fleet series, a
-trace simulation), so the pipe round trip per task (about 0.1 ms) is
+task is a whole unit of evaluation (an artifact or a trace
+simulation), so the pipe round trip per task (about 0.1 ms) is
 noise next to the task itself.
 
 Mechanics worth knowing:

@@ -154,7 +154,9 @@ def _effective_hit_rate(
     """
     del freq  # thrashing is capacity pressure, not rate pressure
     pressure = n_cus / machine.reference_cus
-    decay = 1.0 + profile.thrash_pressure * pressure**machine.thrash_exponent
+    decay = 1.0 + profile.thrash_pressure * np.power(
+        pressure, machine.thrash_exponent
+    )
     return profile.cache_hit_rate / decay
 
 
@@ -208,9 +210,9 @@ def evaluate_kernel(
         raise ValueError("extra_latency must be finite and non-negative")
 
     # --- compute bound ---------------------------------------------------
-    cu_scaling = machine.reference_cus * (
-        n_cus / machine.reference_cus
-    ) ** profile.parallel_fraction
+    cu_scaling = machine.reference_cus * np.power(
+        n_cus / machine.reference_cus, profile.parallel_fraction
+    )
     compute_rate = (
         profile.issue_efficiency
         * machine.flops_per_cu_cycle
@@ -254,10 +256,14 @@ def evaluate_kernel(
     rho_in = np.clip(rho_in, 0.0, 1.0)
     rho_ext = np.clip(rho_ext, 0.0, 1.0)
     latency_in = (machine.mem_latency + extra_latency) * (
-        1.0 + machine.contention_kappa * rho_in**machine.contention_exponent
+        1.0
+        + machine.contention_kappa
+        * np.power(rho_in, machine.contention_exponent)
     )
     latency_ext = machine.ext_latency * (
-        1.0 + machine.contention_kappa * rho_ext**machine.contention_exponent
+        1.0
+        + machine.contention_kappa
+        * np.power(rho_ext, machine.contention_exponent)
     )
 
     # --- latency bound (Little's law) -------------------------------------
@@ -287,7 +293,10 @@ def evaluate_kernel(
     shape = np.broadcast_shapes(broadcast.shape, np.shape(time))
 
     def _full(x) -> np.ndarray:
-        return np.broadcast_to(np.asarray(x, dtype=float), shape).copy()
+        # copyto broadcasts in C, without broadcast_to's ~5 us set-up.
+        out = np.empty(shape)
+        np.copyto(out, x)
+        return out
 
     return KernelMetrics(
         time=_full(time),

@@ -158,7 +158,7 @@ class PowerParams:
             self.async_cu_dynamic_scale
             * n_cus
             * self.cu_ceff_farad
-            * v**2
+            * (v * v)
             * freq
             * activity
         )

@@ -99,4 +99,5 @@ class VFCurve:
         """
         v = self.voltage(freq)
         freq = np.asarray(freq, dtype=float)
-        return (v / self.v_ref) ** 2 * (freq / self.f_ref)
+        ratio = v / self.v_ref
+        return ratio * ratio * (freq / self.f_ref)

@@ -8,7 +8,9 @@ paths, cheapest first:
    the answer to an equal point or sweep: answered at submit, on the
    event loop, with nothing evaluated. The memo is a plain ``dict``
    from an exact value key to the finished :class:`PointResult` or
-   :class:`~repro.core.dse.DseResult`, filled by the batch path below.
+   :class:`~repro.core.dse.DseResult`, filled by the batch path below
+   and bounded at :data:`MEMO_MAX_ENTRIES` (the oldest entry goes
+   first).
    Two requests share a key only when the model reads bit-identical
    inputs for them (see :meth:`EvalService._memo_key`). Ordering still
    holds: the hit routes through the batcher core's per-stream release
@@ -98,6 +100,9 @@ from repro.sim.apu_sim import ApuSimulator
 from repro.workloads.kernels import KernelProfile, ProfileBatch
 
 __all__ = ["EvalService", "serial_answer"]
+
+MEMO_MAX_ENTRIES = 4096
+"""Most answers the memo holds; past it, the oldest entry is evicted."""
 
 
 # ----------------------------------------------------------------------
@@ -348,9 +353,11 @@ class EvalService:
     cache:
         The answer memo: a ``dict`` from exact value key to finished
         answer, probed at submit for points and sweeps and filled by
-        every batch that computes one. Defaults to a fresh ``dict``;
-        services that should share answers pass the same one. Treat
-        memoized answers as read-only: repeats receive the same object.
+        every batch that computes one, holding at most
+        :data:`MEMO_MAX_ENTRIES` (oldest out first). Defaults to a fresh
+        ``dict``; services that should share answers pass the same one.
+        Treat memoized answers as read-only: repeats receive the same
+        object.
     policy:
         Batch sizing policy with an ``observe(batch_seconds,
         requests)`` the dispatcher calls after every batch; default is
@@ -531,7 +538,6 @@ class EvalService:
                     else "cache.eval.hits"
                 )
             if inline is not None:
-                obs_metrics.inc("serve.inline_hits")
                 ticket = self.core.admit_completed(
                     request, inline, now, stream=request.stream
                 )
@@ -817,6 +823,9 @@ class EvalService:
                 results[ticket.seq] = (FAILED, exc)
                 continue
             self.cache[self._memo_key(req)] = value
+            while len(self.cache) > MEMO_MAX_ENTRIES:
+                # A dict iterates in insertion order: oldest key first.
+                del self.cache[next(iter(self.cache))]
             results[ticket.seq] = (OK, (value, path))
 
     # ------------------------------------------------------------------

@@ -83,43 +83,39 @@ class TestExascaleSystem:
         node_gf_per_w = (est.node_teraflops * 1e3) / est.node_power_w
         assert est.gflops_per_watt == pytest.approx(node_gf_per_w)
 
-    def test_cu_sweep_engines_equivalent(self):
-        system = ExascaleSystem()
-        profile = get_application("LULESH")
-        cus = (192, 224, 256, 288, 320, 384)
-        grid = system.cu_sweep(profile, cus, engine="grid")
-        point = system.cu_sweep(profile, cus, engine="point")
-        for g, p in zip(grid, point):
-            assert g.exaflops == pytest.approx(p.exaflops, rel=1e-12)
-            assert g.machine_power_mw == pytest.approx(
-                p.machine_power_mw, rel=1e-12
+    @pytest.mark.parametrize("ext_fraction", [None, 0.3])
+    @pytest.mark.parametrize("name", sorted(APPLICATIONS))
+    def test_cu_sweep_matches_estimate_bitwise(self, name, ext_fraction):
+        # One CU-axis pass, the same bits as the per-point loop.
+        system = ExascaleSystem(n_nodes=12_345)
+        profile = get_application(name)
+        config = EHPConfig(n_cus=256, gpu_freq=1.2e9, bandwidth=3e12)
+        cus = (192, 224, 256, 288, 320, 352, 384)
+        sweep = system.cu_sweep(
+            profile, cus, config, ext_fraction=ext_fraction
+        )
+        for n, est in zip(cus, sweep, strict=True):
+            point = system.estimate(
+                profile,
+                config.with_axes(n_cus=n),
+                ext_fraction=ext_fraction,
             )
-            assert g.meets_exaflop == p.meets_exaflop
-            assert g.meets_power_envelope == p.meets_power_envelope
-
-    def test_cu_sweep_rejects_unknown_engine(self):
-        system = ExascaleSystem()
-        with pytest.raises(ValueError, match="unknown cu_sweep engine"):
-            system.cu_sweep(
-                get_application("MaxFlops"), (320,), engine="magic"
-            )
+            assert est == point
 
     def test_cu_sweep_grid_validates_counts(self):
-        # The grid engine must reject exactly what the oracle rejects:
-        # counts not divisible by the chiplet count.
+        # Every count of the sweep goes through EHPConfig, so the sweep
+        # rejects exactly what the per-point loop rejects: counts not
+        # divisible by the chiplet count.
         system = ExascaleSystem()
         with pytest.raises(ValueError):
-            system.cu_sweep(
-                get_application("MaxFlops"), (321,), engine="grid"
-            )
+            system.cu_sweep(get_application("MaxFlops"), (192, 321))
 
-    @pytest.mark.parametrize("engine", ["grid", "point"])
     @pytest.mark.parametrize("n_cus", [256.7, 256.0])
-    def test_cu_sweep_rejects_non_integer_counts(self, engine, n_cus):
+    def test_cu_sweep_rejects_non_integer_counts(self, n_cus):
         # Never truncated: 256.7 must not silently become 256.
         with pytest.raises(ValueError, match="integer"):
             ExascaleSystem().cu_sweep(
-                get_application("MaxFlops"), (192, n_cus), engine=engine
+                get_application("MaxFlops"), (192, n_cus)
             )
 
 

@@ -49,6 +49,7 @@ from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.sim.cache_sim import CacheLevel, CacheSim
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.transient import TransientSolver
+from repro.workloads.catalog import APPLICATIONS
 from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
 from repro.workloads.traces import MemoryTrace
 
@@ -155,6 +156,50 @@ class TestPowerModelInvariants:
         full = float(params.cu_dynamic_power(320, 1e9, 1.0))
         part = float(params.cu_dynamic_power(320, 1e9, activity))
         assert part == pytest.approx(full * activity, rel=1e-9)
+
+
+class TestBatchPointIdentity:
+    """A design point gives the same bits alone as inside a batch: the
+    model spells its powers as ufunc calls (``np.power``, ``v * v``),
+    never numpy-scalar ``**``, which runs libm ``pow`` where an array
+    runs numpy's own loop."""
+
+    @given(
+        st.data(),
+        st.sampled_from(sorted(APPLICATIONS)),
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=0.0, max_value=1e-6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_point_alone_equals_point_in_batch(self, data, name, n, lat):
+        def axis(lo, hi):
+            values = st.floats(min_value=lo, max_value=hi)
+            return np.array(
+                data.draw(st.lists(values, min_size=n, max_size=n))
+            )
+
+        cu, fq, bw = axis(1.0, 1024.0), axis(0.2e9, 2.5e9), axis(1e11, 8e12)
+        share = st.floats(min_value=0.0, max_value=1.0)
+        ext = data.draw(st.one_of(
+            st.none(), share, st.lists(share, min_size=n, max_size=n)
+        ))
+        profile = APPLICATIONS[name]
+        model = NodeModel()
+        batch = model.evaluate_arrays(
+            profile, cu, fq, bw, ext_fraction=ext, extra_latency=lat
+        )
+        for i in range(n):
+            alone = model.evaluate_arrays(
+                profile, cu[i], fq[i], bw[i],
+                ext_fraction=ext[i] if isinstance(ext, list) else ext,
+                extra_latency=lat,
+            )
+            for part in ("metrics", "power"):
+                many, one = getattr(batch, part), getattr(alone, part)
+                for field in dataclasses.fields(one):
+                    got = np.asarray(getattr(one, field.name)).tobytes()
+                    want = getattr(many, field.name)[i].tobytes()
+                    assert got == want, (part, field.name, i)
 
 
 class TestSubstrateContracts:

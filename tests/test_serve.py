@@ -477,6 +477,37 @@ class TestKeyedOnce:
         for request, response in zip(requests, second):
             _assert_same_answer(response, request, model)
 
+    def test_memo_is_bounded_oldest_out_first(self, model, comd):
+        from repro.serve.service import MEMO_MAX_ENTRIES
+
+        requests = [
+            PointRequest(
+                comd, n_cus=256, gpu_freq=7.0e8 + k * 1.0e5,
+                bandwidth=2.0e12, power_budget=160.0,
+            )
+            for k in range(5000)
+        ]
+        cache: dict = {}
+
+        async def scenario():
+            async with EvalService(
+                model=model, cache=cache, max_queue=len(requests)
+            ) as svc:
+                first = await asyncio.gather(
+                    *(svc.submit(r) for r in requests)
+                )
+                filled = len(cache)
+                again = await svc.submit(requests[0])
+            return first, filled, again
+
+        first, filled, again = asyncio.run(scenario())
+        assert all(r.status == OK for r in first)
+        assert filled == len(cache) == MEMO_MAX_ENTRIES
+        # The first answer stored was the oldest: evicted, so computed
+        # again, to the serial oracle's bits.
+        assert again.path != "inline-cache"
+        _assert_same_answer(again, requests[0], model)
+
     @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
     def test_repeated_simulation_is_computed_each_time(
         self, request, model, maxflops, pooled

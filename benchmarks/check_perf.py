@@ -9,15 +9,17 @@ replicated below) and asserts the speedup ratios the layer promises:
 * repeat ``ThermalGrid.solve`` >= 10x over re-factorizing every call,
 * ``solve_many`` over 20 maps >= 15x over 20 sequential seed solves,
 * a 100k-message NoC run >= 5x over the seed hot loop,
-* the APU simulator's array engine >= 5x over the event-driven oracle
-  on the default calibration trace,
-* the memsys array engines (row buffer + DRAM-cache capacity sweep +
+* the APU simulator's array fast path >= 5x over the event-driven
+  oracle (``ApuSimulator.run_reference``) on the default calibration
+  trace,
+* the memsys array fast paths (row buffer + DRAM-cache capacity sweep +
   page-migration epochs) >= 5x combined over the seed scalar references
+  (each class's per-unit ``access``/``epoch`` method)
   on the 50k-address miss-sensitivity stream (the manager's seed — the
   quadratic re-sort-per-eviction loop — is kept in-repo below, since
   the shipped scalar oracle now evicts via an incremental heap),
   and the DRAM-cache capacity sweep alone (Fig. 8's measured variant)
-  >= 4x over the event oracle,
+  >= 4x over the scalar oracle,
 * the always-on observability layer costs <= 5% on the APU simulator
   (instrumented run vs the same run under ``obs.metrics.disabled()``),
 * the fused whole-grid tensor evaluation
@@ -30,7 +32,8 @@ replicated below) and asserts the speedup ratios the layer promises:
   configured deadline with < 1% shed at the rated open-loop load, and
   every served response bit-identical to a direct serial evaluation,
 * transient thermal stepping: modal backward-Euler steps >= 10x the
-  sparse-solve-per-step oracle on a Fig. 10-scale
+  sparse-solve-per-step oracle
+  (``ThermalGrid.step_transient_reference``) on a Fig. 10-scale
   grid with an absolute steps/sec floor, the transient fixed point
   matching the steady-state ``solve`` within 1e-6 C, per-step
   factored-vs-oracle agreement within 1e-9 C, lockstep batched
@@ -114,7 +117,7 @@ class SeedResortHotnessPolicy(HotnessMigrationPolicy):
     tie-break — equivalence is unit-tested); this subclass keeps the
     quadratic original as the benchmark reference. Being a subclass, it
     also forces ``MemoryManager.epoch_array`` onto the scalar fallback,
-    so the "event" side of the memsys check runs the true seed path.
+    so the reference side of the memsys check runs the true seed path.
     """
 
     def place(self, access_counts, current, capacity_pages):
@@ -343,7 +346,7 @@ def check_apu_sim(quick: bool) -> list[str]:
     sim = ApuSimulator()
 
     array = sim.run(trace)
-    event = sim.run(trace, engine="event")
+    event = sim.run_reference(trace)
     fields = {
         "elapsed": (array.elapsed, event.elapsed),
         "total_flops": (array.total_flops, event.total_flops),
@@ -361,7 +364,7 @@ def check_apu_sim(quick: bool) -> list[str]:
     )
 
     t_array = _best_of(lambda: sim.run(trace), 3)
-    t_event = _best_of(lambda: sim.run(trace, engine="event"), 2)
+    t_event = _best_of(lambda: sim.run_reference(trace), 2)
     ratio = t_event / t_array
     print(f"apu_sim {n // 1000}k accesses: array {t_array * 1e3:.0f} ms vs "
           f"event {t_event * 1e3:.0f} ms -> {ratio:.1f}x "
@@ -404,27 +407,40 @@ def check_memsys(quick: bool) -> list[str]:
     epochs = np.array_split(addrs, 4)
 
     def dram_sweep(engine: str):
-        return [
-            astuple(DramCache(capacity, 4096, 8, engine=engine)
-                    .run_trace(addrs, writes))
-            for capacity in capacities
-        ]
+        out = []
+        for capacity in capacities:
+            cache = DramCache(capacity, 4096, 8)
+            if engine == "event":
+                # The scalar reference: one access per address.
+                for addr, w in zip(addrs.tolist(), writes.tolist()):
+                    cache.access(addr, w)
+            else:
+                cache.run_trace(addrs, writes)
+            out.append(astuple(cache.stats))
+        return out
 
     def replay(engine: str):
-        rb = RowBufferSim(engine=engine)
-        rb.run(addrs)
+        rb = RowBufferSim()
+        if engine == "event":
+            for addr in addrs.tolist():
+                rb.access(addr)
+        else:
+            rb.run(addrs)
         dram = dram_sweep(engine)
         # The "event" side drives the seed's quadratic re-sort-per-
-        # eviction policy: the shipped scalar oracle now uses an
-        # incremental heap (PR 5), so the seed-equivalent reference
-        # lives here like the thermal/NoC ones do.
-        policy = (
-            SeedResortHotnessPolicy()
-            if engine == "event"
-            else HotnessMigrationPolicy()
-        )
-        manager = MemoryManager(manager_capacity, policy, 4096, engine=engine)
-        fractions = manager.run_batch(epochs)
+        # eviction policy through the scalar epoch: the shipped scalar
+        # oracle now uses an incremental heap, so the seed-equivalent
+        # reference lives here like the thermal/NoC ones do.
+        if engine == "event":
+            manager = MemoryManager(
+                manager_capacity, SeedResortHotnessPolicy(), 4096
+            )
+            fractions = [manager.epoch(e) for e in epochs]
+        else:
+            manager = MemoryManager(
+                manager_capacity, HotnessMigrationPolicy(), 4096
+            )
+            fractions = manager.run_batch(epochs)
         placed = (manager.total_migrated, manager.resident_pages)
         return astuple(rb.stats), dram, fractions, placed
 

@@ -10,11 +10,11 @@ assertions against the seed implementations live in
 
 import numpy as np
 
+from repro.experiments.registry import EXPERIMENTS
 from repro.memsys.dramcache import DramCache
 from repro.memsys.manager import HotnessMigrationPolicy, MemoryManager
 from repro.memsys.rowbuffer import RowBufferSim
 from repro.noc.simulator import NocSimulator, SimMessage
-from repro.perf.parallel import run_all_experiments
 from repro.sim.apu_sim import ApuSimulator
 from repro.thermal.grid import ThermalGrid
 from repro.workloads.calibration import default_calibration_trace
@@ -64,17 +64,19 @@ def test_bench_noc_100k(benchmark):
 
 
 def test_bench_apu_sim_array_50k(benchmark):
-    """Array-engine simulation of the 50k-access calibration trace."""
+    """Array fast-path simulation of the 50k-access calibration trace."""
     trace = default_calibration_trace()
     sim = ApuSimulator()
     benchmark.pedantic(sim.run, args=(trace,), rounds=3, iterations=1)
 
 
 def test_bench_apu_sim_event_50k(benchmark):
-    """Event-engine oracle on the same trace (tracks the ratio)."""
+    """Event-driven oracle on the same trace (tracks the ratio)."""
     trace = default_calibration_trace()
-    sim = ApuSimulator(engine="event")
-    benchmark.pedantic(sim.run, args=(trace,), rounds=2, iterations=1)
+    sim = ApuSimulator()
+    benchmark.pedantic(
+        sim.run_reference, args=(trace,), rounds=2, iterations=1
+    )
 
 
 def test_bench_apu_sim_batch(benchmark):
@@ -103,17 +105,30 @@ def _memsys_replay_params(n_accesses):
 
 def _memsys_replay(trace, capacities, manager_capacity, engine):
     addrs, writes = trace.addresses, trace.is_write
-    RowBufferSim(engine=engine).run(addrs)
+    epochs = np.array_split(addrs, 4)
+    if engine == "array":
+        RowBufferSim().run(addrs)
+        for capacity in capacities:
+            DramCache(capacity, 4096, 8).run_trace(addrs, writes)
+        MemoryManager(
+            manager_capacity, HotnessMigrationPolicy(), 4096
+        ).run_batch(epochs)
+        return
+    # The scalar references: the per-unit access/epoch methods.
+    rb = RowBufferSim()
+    for addr in addrs.tolist():
+        rb.access(addr)
     for capacity in capacities:
-        DramCache(capacity, 4096, 8, engine=engine).run_trace(addrs, writes)
-    manager = MemoryManager(
-        manager_capacity, HotnessMigrationPolicy(), 4096, engine=engine
-    )
-    manager.run_batch(np.array_split(addrs, 4))
+        cache = DramCache(capacity, 4096, 8)
+        for addr, w in zip(addrs.tolist(), writes.tolist()):
+            cache.access(addr, w)
+    manager = MemoryManager(manager_capacity, HotnessMigrationPolicy(), 4096)
+    for epoch in epochs:
+        manager.epoch(epoch)
 
 
 def test_bench_memsys_array_50k(benchmark):
-    """Array-engine memsys replay of the 50k-address calibration trace
+    """Array fast-path memsys replay of the 50k-address calibration trace
     (row buffer + 6-capacity DRAM-cache sweep + 4 migration epochs)."""
     trace, capacities, manager_capacity = _memsys_replay_params(50_000)
     benchmark.pedantic(
@@ -125,7 +140,7 @@ def test_bench_memsys_array_50k(benchmark):
 
 
 def test_bench_memsys_event_10k(benchmark):
-    """Event-engine oracle on a 10k-address replay (tracks the ratio;
+    """Scalar oracle on a 10k-address replay (tracks the ratio;
     the scalar manager is quadratic under eviction pressure, so the
     full 50k stream is left to check_perf's one-shot timing)."""
     trace, capacities, manager_capacity = _memsys_replay_params(10_000)
@@ -137,6 +152,10 @@ def test_bench_memsys_event_10k(benchmark):
     )
 
 
-def test_bench_run_all_experiments_serial(benchmark):
+def test_bench_repro_all_serial(benchmark):
     """Every figure and table, serial, in-process."""
-    benchmark.pedantic(run_all_experiments, rounds=1, iterations=1)
+
+    def run_all():
+        return {name: run() for name, run in EXPERIMENTS.items()}
+
+    benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -28,13 +28,13 @@ COMD = get_application("CoMD")
 MAPS = THERMAL.build_power_maps(MODEL.evaluate(MAXFLOPS, HOT_CONFIG).power)
 
 
-def _stepper(engine: str, n_steps: int):
-    solver = TransientSolver(THERMAL.grid, dt=DT, engine=engine)
+def _stepper(step, n_steps: int):
+    initial = TransientSolver(THERMAL.grid, dt=DT).initial_temps()
 
     def run():
-        temps = solver.initial_temps()
+        temps = initial
         for _ in range(n_steps):
-            temps = solver.step(temps, MAPS)
+            temps = step(temps, MAPS, DT)
         return temps
 
     return run
@@ -43,14 +43,14 @@ def _stepper(engine: str, n_steps: int):
 def test_bench_transient_factored_steps(benchmark):
     """100 modal steps against the pivots cached for DT."""
     THERMAL.grid._factor(DT)
-    run = _stepper("factored", 100)
+    run = _stepper(THERMAL.grid.step_transient, 100)
     benchmark.pedantic(run, rounds=5, iterations=1)
     benchmark.extra_info["steps_per_s"] = 100.0 / benchmark.stats["min"]
 
 
 def test_bench_transient_oracle_steps(benchmark):
     """5 sparse-solve-per-step oracle steps (the seed-equivalent cost)."""
-    run = _stepper("oracle", 5)
+    run = _stepper(THERMAL.grid.step_transient_reference, 5)
     benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["steps_per_s"] = 5.0 / benchmark.stats["min"]
 

@@ -69,7 +69,7 @@ def management_policy(profile) -> None:
     ):
         mgr = MemoryManager(256 * page, policy)
         mgr.epoch(warm)
-        fractions = mgr.run([epoch] * 4)
+        fractions = mgr.run_batch([epoch] * 4)
         steady_hit = fractions[-1]
         rel = miss_rate_sweep(
             profile, PAPER_BEST_MEAN.n_cus, PAPER_BEST_MEAN.gpu_freq,

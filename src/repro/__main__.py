@@ -4,9 +4,7 @@ Usage::
 
     python -m repro list                # show available experiments
     python -m repro fig8 table2        # run selected artifacts
-    python -m repro all                 # run everything
-    python -m repro all --pool-shards 4 # ... across a pool of
-                                        # 4 worker processes
+    python -m repro all                 # run everything, in-process
     python -m repro all --metrics-out manifest.json --trace-out trace.json
                                         # ... plus a run manifest and a
                                         # Perfetto-loadable span trace
@@ -14,8 +12,7 @@ Usage::
                                         # per-profile oracle DSE engine
                                         # (default: fused tensor passes)
     python -m repro serve               # serve benchmark: async batched
-                                        # front-end vs naive per-request
-                                        # pool round-trips
+                                        # front-end on a 2-worker pool
     python -m repro serve --serve-rate 500 --serve-requests 400
                                         # open-loop tail-latency run
     python -m repro fleet               # fleet benchmark: in-process
@@ -45,8 +42,10 @@ import argparse
 import contextlib
 import math
 import sys
+import time
 
 from repro.experiments.registry import EXPERIMENTS
+from repro.obs import trace as obs_trace
 
 
 @contextlib.contextmanager
@@ -87,7 +86,6 @@ def _number(kind, *, zero_ok: bool):
     return parse
 
 
-_non_negative_int = _number(int, zero_ok=True)
 _positive_int = _number(int, zero_ok=False)
 _positive_float = _number(float, zero_ok=False)
 _non_negative_float = _number(float, zero_ok=True)
@@ -116,17 +114,6 @@ def main(argv: list[str] | None = None) -> int:
             "(run the serving-layer benchmark), 'fleet' (run the "
             "multi-node fleet benchmark), or 'thermal-loop' "
             "(run the transient thermal closed-loop benchmark)"
-        ),
-    )
-    parser.add_argument(
-        "--pool-shards",
-        type=_non_negative_int,
-        metavar="N",
-        default=0,
-        help=(
-            "fan the experiments across a worker pool of N "
-            "processes (default 0: serial in-process); also sizes the "
-            "'serve' benchmark pool (default 2)"
         ),
     )
     parser.add_argument(
@@ -267,7 +254,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.serve_seed,
             n_requests=args.serve_requests,
             rate_hz=args.serve_rate,
-            shards=args.pool_shards or 2,
             deadline_s=(
                 args.serve_deadline_ms / 1e3
                 if args.serve_deadline_ms > 0
@@ -361,29 +347,32 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    with _metrics_export(args.metrics_export):
-        if args.pool_shards > 0:
-            from repro.perf.parallel import run_experiments
-            from repro.perf.pool import ShardedPool
+    # Each experiment runs once, in request order, under its own span.
+    results = {}
+    wall_times: dict[str, float] = {}
+    tracing = (
+        obs_trace.trace() if args.trace_out else contextlib.nullcontext()
+    )
+    with _metrics_export(args.metrics_export), tracing as tracer:
+        t_start = time.perf_counter()
+        for name in dict.fromkeys(names):
+            t0 = time.perf_counter()
+            with obs_trace.span(f"experiment.{name}"):
+                results[name] = EXPERIMENTS[name]()
+            wall_times[name] = time.perf_counter() - t0
+        wall_times["total"] = time.perf_counter() - t_start
+    if tracer is not None:
+        tracer.write(args.trace_out)
+    if args.metrics_out:
+        from repro.obs.manifest import write_manifest
 
-            with ShardedPool(args.pool_shards) as pool:
-                results = run_experiments(
-                    names,
-                    pool=pool,
-                    metrics_out=args.metrics_out,
-                    trace_out=args.trace_out,
-                )
-        elif args.metrics_out or args.trace_out:
-            from repro.perf.parallel import run_experiments
-
-            results = run_experiments(
-                names,
-                metrics_out=args.metrics_out,
-                trace_out=args.trace_out,
-            )
-        else:
-            results = {name: EXPERIMENTS[name]() for name in names}
-    # `names` may repeat or reorder; honour the user's request order.
+        write_manifest(
+            args.metrics_out,
+            command=f"repro {' '.join(args.artifacts)}",
+            experiments=list(results),
+            wall_times=wall_times,
+        )
+    # `names` may repeat; print every requested artifact.
     for name in names:
         print(results[name].render())
         print()

@@ -149,7 +149,7 @@ def run_memory_management_ablation(
     ):
         manager = MemoryManager(capacity_pages * page, policy)
         manager.epoch(warm)
-        results[label] = manager.run(epochs)
+        results[label] = manager.run_batch(epochs)
 
     table = TextTable(
         ["Epoch"] + list(results)

@@ -13,11 +13,10 @@ nominal-rate charging convention for sensitivity studies.
 :func:`run_fig9_managed` replaces the static per-profile off-package
 share with one *measured* from the software page-migration machinery:
 each application's synthetic trace is split into epochs and driven
-through :class:`~repro.memsys.manager.MemoryManager` (``engine="array"``
-by default, scalar ``"event"`` oracle selectable), and the converged
-in-package fraction sets the external traffic share the power model is
-charged for. Each application's replay runs once, directly on a fresh
-manager.
+through :class:`~repro.memsys.manager.MemoryManager`'s vectorized
+epochs, and the converged in-package fraction sets the external
+traffic share the power model is charged for. Each application's
+replay runs once, directly on a fresh manager.
 """
 
 from __future__ import annotations
@@ -153,7 +152,6 @@ def measured_inpackage_fraction(
     n_accesses: int = 50_000,
     seed: int = 42,
     page_size: int = 4096,
-    engine: str = "array",
 ) -> float:
     """In-package service fraction the hotness-migration manager
     converges to on the profile's synthetic trace (the last of
@@ -165,9 +163,7 @@ def measured_inpackage_fraction(
         raise ValueError("n_epochs must be positive")
     trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
     capacity = max(float(page_size), capacity_fraction * trace.footprint_bytes)
-    manager = MemoryManager(
-        capacity, HotnessMigrationPolicy(), page_size, engine=engine
-    )
+    manager = MemoryManager(capacity, HotnessMigrationPolicy(), page_size)
     return manager.run_batch(np.array_split(trace.addresses, n_epochs))[-1]
 
 
@@ -175,7 +171,6 @@ def run_fig9_managed(
     model: NodeModel | None = None,
     *,
     capacity_fraction: float = 0.25,
-    engine: str = "array",
 ) -> ExperimentResult:
     """Fig. 9 with the off-package share measured by the page manager.
 
@@ -201,9 +196,7 @@ def run_fig9_managed(
     profiles = all_profiles()
     ext_fractions = [
         1.0 - measured_inpackage_fraction(
-            profile,
-            capacity_fraction=capacity_fraction,
-            engine=engine,
+            profile, capacity_fraction=capacity_fraction
         )
         for profile in profiles
     ]

@@ -16,14 +16,13 @@ trace-grounded version of the figure.
 
 Each (application, capacity) pair is one cold replay of a 50k-access
 stream through :mod:`repro.memsys.dramcache`: 8 applications × 6
-capacities = 48 replays. The default ``engine="array"`` computes each
-replay's exact LRU hits in one vectorized stack-distance pass; the
-scalar ``"event"`` oracle stays selectable. The capacities do not nest
-(each changes the set count, not only the ways), so every capacity is
-its own pass rather than one all-capacity sweep. Each replay starts
-from a cold :class:`~repro.memsys.dramcache.DramCache` and is not
-memoized: no sweep repeats a (stream, geometry) pair. Capacity
-fractions must be finite and positive.
+capacities = 48 replays, each computing its exact LRU hits in one
+vectorized stack-distance pass. The capacities do not nest (each
+changes the set count, not only the ways), so every capacity is its
+own pass rather than one all-capacity sweep. Each replay starts from a
+cold :class:`~repro.memsys.dramcache.DramCache` and is not memoized: no
+sweep repeats a (stream, geometry) pair. Capacity fractions must be
+finite and positive.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ def measured_miss_rates(
     seed: int = TRACE_SEED,
     page_bytes: int = 4096,
     associativity: int = 8,
-    engine: str = "array",
 ) -> list[float]:
     """Miss rates measured by replaying the profile's synthetic trace
     through a cold DRAM-cache model at each capacity fraction."""
@@ -110,9 +108,9 @@ def measured_miss_rates(
         if not math.isfinite(fraction) or fraction <= 0:
             raise ValueError("capacity fractions must be finite and positive")
         capacity = max(floor, fraction * trace.footprint_bytes)
-        stats = DramCache(
-            capacity, page_bytes, associativity, engine=engine
-        ).run_trace(trace.addresses, trace.is_write)
+        stats = DramCache(capacity, page_bytes, associativity).run_trace(
+            trace.addresses, trace.is_write
+        )
         rates.append(1.0 - stats.hit_rate)
     return rates
 
@@ -120,8 +118,6 @@ def measured_miss_rates(
 def run_fig8_measured(
     capacity_fractions: Sequence[float] = CAPACITY_FRACTIONS,
     machine: MachineParams | None = None,
-    *,
-    engine: str = "array",
 ) -> ExperimentResult:
     """Trace-grounded Fig. 8: per-application performance at the miss
     rates the DRAM-cache model actually produces at each capacity."""
@@ -132,7 +128,7 @@ def run_fig8_measured(
     table = TextTable(columns)
     data: dict[str, dict[str, list[float]]] = {}
     for profile in all_profiles():
-        rates = measured_miss_rates(profile, capacity_fractions, engine=engine)
+        rates = measured_miss_rates(profile, capacity_fractions)
         rel = miss_rate_sweep(
             profile,
             cfg.n_cus,

@@ -3,9 +3,9 @@
 One name per paper artifact (plus the repo's own studies), each mapping
 to a zero-argument ``run_*`` callable returning an
 :class:`~repro.experiments.runner.ExperimentResult`. The CLI
-(``python -m repro``) and the parallel runner
-(:mod:`repro.perf.parallel`) both resolve names here, so the set of
-artifacts and their deterministic ordering live in exactly one place.
+(``python -m repro``) and the serving layer's experiment requests both
+resolve names here, so the set of artifacts and their deterministic
+ordering live in exactly one place.
 """
 
 from __future__ import annotations

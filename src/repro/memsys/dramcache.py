@@ -11,15 +11,18 @@ The model is a set-associative cache with cache-line-grain sectors and
 page-grain allocation, tracked with simple LRU, sized for functional
 behaviour studies rather than cycle accuracy.
 
-Two interchangeable engines stream a trace through the cache:
+Two implementations stream a trace through the cache:
 
-``engine="event"``
-    The original one-address-at-a-time loop over
-    :meth:`DramCache.access`, kept verbatim as the readable
-    specification and test oracle.
+:meth:`DramCache.access`
+    One address at a time, kept as the readable specification and test
+    oracle: a trace replayed through it address by address is the
+    reference for :meth:`DramCache.run_trace`. It rejects what
+    :meth:`DramCache.access_many` rejects: a negative or non-integral
+    address.
 
-``engine="array"`` (default, via :meth:`DramCache.access_many`)
-    An exact whole-stream replay built on the per-set LRU stack-distance
+:meth:`DramCache.access_many`
+    The fast path, which :meth:`DramCache.run_trace` runs: an exact
+    whole-stream replay built on the per-set LRU stack-distance
     property (Mattson et al., 1970): an access hits iff fewer than
     ``associativity`` distinct pages of its set were touched since the
     page's previous use.
@@ -53,8 +56,8 @@ Two interchangeable engines stream a trace through the cache:
     the arrays only when ``access`` or ``_sets`` needs them
     (:attr:`DramCache.resident_pages` reads whichever form is live), so
     scalar and batched calls interleave freely. Stats, per-access hit
-    flags and per-set LRU order and dirty bits equal the event engine's
-    exactly.
+    flags and per-set LRU order and dirty bits equal the scalar
+    oracle's exactly.
 """
 
 from __future__ import annotations
@@ -68,10 +71,7 @@ import numpy as np
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = ["DramCacheStats", "DramCache", "ENGINES"]
-
-ENGINES = ("array", "event")
-"""Valid values for the ``engine`` selector (the first is the default)."""
+__all__ = ["DramCacheStats", "DramCache"]
 
 _WINDOW_CHUNK = 1 << 16
 """Most window positions gathered at once by the exact distinct-page
@@ -228,10 +228,6 @@ class DramCache:
         page granularity — page-grain keeps tag overheads negligible.
     associativity:
         Ways per set.
-    engine:
-        Default execution engine for :meth:`run_trace`, ``"array"``
-        (batched fast path) or ``"event"`` (the scalar oracle). Either
-        can be overridden per call.
     """
 
     def __init__(
@@ -239,7 +235,6 @@ class DramCache:
         capacity_bytes: float = 256.0e9,
         page_bytes: int = 4096,
         associativity: int = 8,
-        engine: str = "array",
     ):
         if not math.isfinite(capacity_bytes) or capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be finite and positive")
@@ -256,7 +251,6 @@ class DramCache:
         self.page_bytes = int(page_bytes)
         self.associativity = int(associativity)
         self.n_sets = n_frames // self.associativity
-        self.engine = self._check_engine(engine)
         # LRU state in one of two forms, exactly one of them live:
         # resident lines as (set, tag, dirty) arrays, LRU to MRU within
         # a set (what access_many replays), or per-set dicts of
@@ -268,14 +262,6 @@ class DramCache:
         )
         self._ways: dict[int, dict[int, bool]] | None = None
         self.stats = DramCacheStats()
-
-    @staticmethod
-    def _check_engine(engine: str) -> str:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
 
     @property
     def _sets(self) -> dict[int, dict[int, bool]]:
@@ -319,6 +305,9 @@ class DramCache:
         """
         if address < 0:
             raise ValueError("address must be non-negative")
+        if address % 1:
+            # What access_many rejects too: a fraction, NaN or inf.
+            raise ValueError("address must be integral")
         set_index, tag = self._locate(address)
         ways = self._sets.setdefault(set_index, {})
         if tag in ways:
@@ -345,7 +334,7 @@ class DramCache:
         return writes
 
     def access_many(self, addresses, writes=None) -> np.ndarray:
-        """Batched lookup of a whole address stream (the array engine).
+        """Batched lookup of a whole address stream (the fast path).
 
         Returns the per-access hit flags; statistics and LRU state
         advance exactly as the equivalent sequence of :meth:`access`
@@ -382,21 +371,13 @@ class DramCache:
         self.stats.writebacks += writebacks
         return flags
 
-    def run_trace(self, addresses, writes=None,
-                  engine: str | None = None) -> DramCacheStats:
+    def run_trace(self, addresses, writes=None) -> DramCacheStats:
         """Stream a whole trace; returns the cumulative statistics."""
-        engine = self.engine if engine is None else self._check_engine(engine)
         addresses = _int_addresses(addresses)
         with obs_trace.span(
-            "dramcache.run_trace", engine=engine,
-            accesses=int(addresses.size),
+            "dramcache.run_trace", accesses=int(addresses.size)
         ), obs_metrics.timed("memsys.dramcache.run_seconds"):
-            if engine == "array":
-                self.access_many(addresses, writes)
-            else:
-                writes = self._check_writes(addresses, writes)
-                for addr, w in zip(addresses.tolist(), writes.tolist()):
-                    self.access(addr, w)
+            self.access_many(addresses, writes)
         obs_metrics.inc("memsys.dramcache.runs")
         obs_metrics.inc("memsys.dramcache.accesses", int(addresses.size))
         return self.stats

@@ -15,25 +15,25 @@ module implements that machinery over synthetic access histograms:
   the Fig. 8 performance model.
 
 The manager's whole state is two sorted int64 page arrays: every page
-seen so far, and the resident (in-package) pages. Two interchangeable
-engines drive the epoch loop over it, and can be freely interleaved:
+seen so far, and the resident (in-package) pages. Two implementations
+of one epoch act on it, and can be freely interleaved:
 
-``engine="event"``
-    The scalar oracle: :meth:`MemoryManager.epoch` hands a per-page
-    count dict and the :attr:`~MemoryManager.placement` dict built from
-    the arrays to the policy's ``place`` method, then stores the
-    returned placement back as arrays.
+:meth:`MemoryManager.epoch`
+    The scalar oracle: it hands a per-page count dict and the
+    :attr:`~MemoryManager.placement` dict built from the arrays to the
+    policy's ``place`` method, then stores the returned placement back
+    as arrays.
 
-``engine="array"`` (default)
-    :meth:`MemoryManager.epoch_array` looks the epoch's unique pages up
-    with ``np.searchsorted`` and ranks them with ``np.lexsort``
-    (descending count, ascending page — the order Python's stable
-    ``sorted`` gives over the ascending ``np.unique`` keys), with no
-    per-page loop. The wanted set never exceeds capacity, so an epoch
-    evicts exactly ``max(0, promotions - free frames)`` pages and never
-    runs out of victims: the coldest resident pages outside the wanted
-    set by (count, page), the oracle's order. Placements, hit
-    fractions, and migration counts equal the oracle's.
+:meth:`MemoryManager.epoch_array`
+    The fast path, which :meth:`MemoryManager.run_batch` runs: it looks
+    the epoch's unique pages up with ``np.searchsorted`` and ranks them
+    with ``np.lexsort`` (descending count, ascending page — the order
+    Python's stable ``sorted`` gives over the ascending ``np.unique``
+    keys), with no per-page loop. The wanted set never exceeds
+    capacity, so an epoch evicts exactly ``max(0, promotions - free
+    frames)`` pages and never runs out of victims: the coldest resident
+    pages outside the wanted set by (count, page), the oracle's order.
+    Placements, hit fractions, and migration counts equal the oracle's.
 """
 
 from __future__ import annotations
@@ -58,13 +58,9 @@ __all__ = [
     "FirstTouchPolicy",
     "HotnessMigrationPolicy",
     "MemoryManager",
-    "ENGINES",
 ]
 
 PAGE = 4096
-
-ENGINES = ("array", "event")
-"""Valid values for the ``engine`` selector (the first is the default)."""
 
 
 class MemoryLevel(enum.Enum):
@@ -235,15 +231,11 @@ class MemoryManager:
     capacity_bytes:
         In-package DRAM capacity: finite, at least one page.
     policy:
-        Placement strategy; the array engine has vectorized paths for
+        Placement strategy; :meth:`epoch_array` has vectorized paths for
         :class:`FirstTouchPolicy` and :class:`HotnessMigrationPolicy`
         and falls back to the scalar policy call for anything else.
     page_size:
         Placement grain, a positive integer.
-    engine:
-        Default execution engine for :meth:`run` / :meth:`run_batch`,
-        ``"array"`` (vectorized epochs) or ``"event"`` (the scalar
-        oracle). Either can be overridden per call.
     """
 
     def __init__(
@@ -251,7 +243,6 @@ class MemoryManager:
         capacity_bytes: float,
         policy: PlacementPolicy,
         page_size: int = PAGE,
-        engine: str = "array",
     ):
         if not (_is_int(page_size) and page_size > 0):
             raise ValueError(
@@ -265,19 +256,10 @@ class MemoryManager:
         self.capacity_pages = int(capacity_bytes // page_size)
         self.page_size = int(page_size)
         self.policy = policy
-        self.engine = self._check_engine(engine)
         self.total_migrated = 0
         # Every page seen so far, and the in-package ones (sorted).
         self._seen = np.zeros(0, dtype=np.int64)
         self._resident = self._seen
-
-    @staticmethod
-    def _check_engine(engine: str) -> str:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
 
     @property
     def placement(self) -> dict[int, MemoryLevel]:
@@ -390,30 +372,17 @@ class MemoryManager:
         self.total_migrated += int(promote.size)
         return hit_fraction
 
-    def run_batch(
-        self, epochs: list[np.ndarray], engine: str | None = None
-    ) -> list[float]:
+    def run_batch(self, epochs: list[np.ndarray]) -> list[float]:
         """Process several epoch arrays through one shared placement
         state; returns per-epoch in-package fractions."""
-        engine = self.engine if engine is None else self._check_engine(engine)
         total = sum(int(np.asarray(e).size) for e in epochs)
         with obs_trace.span(
-            "manager.run_batch", engine=engine, epochs=len(epochs),
-            accesses=total,
+            "manager.run_batch", epochs=len(epochs), accesses=total,
         ), obs_metrics.timed("memsys.manager.run_seconds"):
-            if engine == "event":
-                fractions = [self.epoch(e) for e in epochs]
-            else:
-                fractions = [self.epoch_array(e) for e in epochs]
+            fractions = [self.epoch_array(e) for e in epochs]
         obs_metrics.inc("memsys.manager.epochs", len(epochs))
         obs_metrics.inc("memsys.manager.accesses", total)
         return fractions
-
-    def run(
-        self, epochs: list[np.ndarray], engine: str | None = None
-    ) -> list[float]:
-        """Process several epochs; returns per-epoch in-package fractions."""
-        return self.run_batch(epochs, engine=engine)
 
     def migration_traffic_bytes(self) -> float:
         """Total bytes moved by migrations so far."""

@@ -9,17 +9,18 @@ row mapping follow the standard address split.
 Used by the trace-driven simulator and the memory-management ablation to
 ground the analytic model's latency inputs in trace behaviour.
 
-Two interchangeable engines execute the same semantics:
+Two implementations execute the same semantics:
 
-``engine="event"``
-    The original one-access-at-a-time loop over :meth:`RowBufferSim.access`,
-    kept verbatim as the readable specification and test oracle.
+:meth:`RowBufferSim.access`
+    One access at a time, kept verbatim as the readable specification
+    and test oracle: a stream replayed through it access by access is
+    the reference for :meth:`RowBufferSim.run`.
 
-``engine="array"`` (default)
+:meth:`RowBufferSim.run`
     A fully vectorized replay: bank and row columns are computed for the
     whole stream at once, a stable argsort by bank lays every per-bank
     substream out contiguously (CSR-style group offsets, the same trick
-    the APU simulator's array engine uses for wavefront partitions), and
+    the APU simulator's fast path uses for wavefront partitions), and
     each access's open-row-before-access is the previous row in its bank
     group — seeded from the carried ``_open_row`` state at group starts.
     Hits, misses and bank conflicts then fall out of whole-array
@@ -36,10 +37,7 @@ from repro.core.config import _is_int
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = ["RowBufferSim", "RowBufferStats", "ENGINES"]
-
-ENGINES = ("array", "event")
-"""Valid values for the ``engine`` selector (the first is the default)."""
+__all__ = ["RowBufferSim", "RowBufferStats"]
 
 
 @dataclass
@@ -73,10 +71,6 @@ class RowBufferSim:
     channel_interleave_bytes:
         Consecutive-address stride mapped to the same bank before
         rotating; smaller values spread streams across banks faster.
-    engine:
-        Default execution engine for :meth:`run`, ``"array"`` (fast
-        path) or ``"event"`` (the scalar oracle). Either can be
-        overridden per call.
     """
 
     def __init__(
@@ -84,7 +78,6 @@ class RowBufferSim:
         n_banks: int = 128,
         row_bytes: int = 1024,
         channel_interleave_bytes: int = 256,
-        engine: str = "array",
     ):
         for name, value in (
             ("n_banks", n_banks),
@@ -98,18 +91,9 @@ class RowBufferSim:
         self.n_banks = n_banks
         self.row_bytes = row_bytes
         self.interleave = channel_interleave_bytes
-        self.engine = self._check_engine(engine)
         self._open_row = np.full(n_banks, -1, dtype=np.int64)
         self._last_bank = -1
         self.stats = RowBufferStats()
-
-    @staticmethod
-    def _check_engine(engine: str) -> str:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
 
     def _locate(self, address: int) -> tuple[int, int]:
         block = address // self.interleave
@@ -133,36 +117,21 @@ class RowBufferSim:
         self._last_bank = bank
         return bool(hit)
 
-    def run(self, addresses, engine: str | None = None) -> RowBufferStats:
+    def run(self, addresses) -> RowBufferStats:
         """Stream an address array; returns cumulative statistics.
 
         Continues from the tracker's current open-row state, exactly as
         repeated :meth:`access` calls would.
         """
-        engine = self.engine if engine is None else self._check_engine(engine)
         addresses = np.asarray(addresses, dtype=np.int64)
         with obs_trace.span(
-            "rowbuffer.run", engine=engine, accesses=int(addresses.size)
+            "rowbuffer.run", accesses=int(addresses.size)
         ), obs_metrics.timed("memsys.rowbuffer.run_seconds"):
-            if engine == "event":
-                result = self._run_event(addresses)
-            else:
-                result = self._run_array(addresses)
+            result = self._run_array(addresses)
         obs_metrics.inc("memsys.rowbuffer.runs")
         obs_metrics.inc("memsys.rowbuffer.accesses", int(addresses.size))
         return result
 
-    # ------------------------------------------------------------------
-    # Scalar oracle (the original implementation, kept verbatim)
-    # ------------------------------------------------------------------
-    def _run_event(self, addresses: np.ndarray) -> RowBufferStats:
-        for addr in addresses.tolist():
-            self.access(addr)
-        return self.stats
-
-    # ------------------------------------------------------------------
-    # Array fast path
-    # ------------------------------------------------------------------
     def _run_array(self, addresses: np.ndarray) -> RowBufferStats:
         n = addresses.size
         if n == 0:

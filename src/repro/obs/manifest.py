@@ -2,7 +2,7 @@
 
 A manifest captures everything needed to attribute and reproduce a
 result after the process is gone: the git revision, the default model's
-value fingerprint, which engines the simulators default to, the
+value fingerprint, which engine the design-space exploration runs, the
 evaluation memo's hit/miss counters (``cache.eval.*``, published by
 the serving layer), wall times, and the full metrics-registry
 snapshot. ``python -m repro ... --metrics-out
@@ -90,28 +90,19 @@ def git_describe(cwd: str | None = None) -> str | None:
 
 
 def engine_choices() -> dict:
-    """Default and available engines of every dual-engine subsystem."""
+    """Default and available engines of the one run-time engine choice,
+    the design-space exploration's. Every other fast path has a single
+    implementation and its oracle is a named reference method."""
     from repro.core import dse
-    from repro.memsys import dramcache, manager, rowbuffer
-    from repro.sim import apu_sim
 
-    subsystems = {
-        "sim.apu_sim": apu_sim.ENGINES,
-        "memsys.rowbuffer": rowbuffer.ENGINES,
-        "memsys.dramcache": dramcache.ENGINES,
-        "memsys.manager": manager.ENGINES,
-    }
-    choices = {
-        name: {"default": engines[0], "available": list(engines)}
-        for name, engines in subsystems.items()
-    }
     # The DSE's default is process-wide state (python -m repro --engine
     # routes through set_default_engine), so report the live value.
-    choices["core.dse"] = {
-        "default": dse.default_engine(),
-        "available": list(dse.ENGINES),
+    return {
+        "core.dse": {
+            "default": dse.default_engine(),
+            "available": list(dse.ENGINES),
+        }
     }
-    return choices
 
 
 def build_manifest(

@@ -2,14 +2,12 @@
 
 * :mod:`repro.perf.pool` — a persistent :class:`ShardedPool` of worker
   processes fed from one FIFO task queue, the program's one fan-out:
-  workers are spawned once and reused across calls.
-* :mod:`repro.perf.parallel` — the experiment runner: one task per
-  artifact, run on a caller's ``pool=`` :class:`ShardedPool`, or
-  in-process without one.
+  workers are spawned once and reused across calls. It runs the serving
+  layer's simulation and experiment requests; the CLI's experiment runs
+  stay in-process.
 
-The package imports neither, so loading one module loads only what
-that module needs. Import each explicitly::
+The package does not import it, so importing the package loads no
+worker machinery. Import it explicitly::
 
-    from repro.perf.parallel import run_all_experiments
     from repro.perf.pool import ShardedPool
 """

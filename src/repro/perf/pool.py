@@ -1,9 +1,9 @@
 """Persistent worker pool with one FIFO task queue.
 
-A :class:`ShardedPool` is the program's one fan-out: the experiment
-runner (:mod:`repro.perf.parallel`) and the serving layer's simulation
-and experiment requests hand it their task lists. Its workers are
-spawned once and reused across calls.
+A :class:`ShardedPool` is the program's one fan-out: the serving
+layer's simulation and experiment requests (and the serve benchmark's
+naive one-round-trip-per-request baseline) hand it their task lists.
+Its workers are spawned once and reused across calls.
 
 Scheduling: each run keeps one FIFO of task indices. An idle worker
 takes the next task and holds at most one task in flight, so a slow

@@ -11,6 +11,10 @@ Two measurements, matching the check_serve gate:
   configured rate and measure p50/p99 latency, shed and expiry counts.
   The gate requires p99 within the configured deadline with <1% shed.
 
+Latency is timed from each request's scheduled arrival to its
+response, so a request submitted late, or admitted behind a batch the
+event loop is running, is charged for the wait.
+
 ``python -m repro serve`` routes here.
 """
 
@@ -108,17 +112,20 @@ class ServeBenchReport:
 
 async def _replay(
     service: EvalService, arrivals: Sequence[Arrival]
-) -> list[ServeResponse]:
-    """Submit *arrivals* on their open-loop schedule; returns responses
-    in arrival order."""
+) -> list[tuple[ServeResponse, float]]:
+    """Submit *arrivals* on their open-loop schedule; returns each
+    response with its latency from the scheduled arrival, in arrival
+    order."""
     loop = asyncio.get_running_loop()
     start = loop.time()
 
-    async def one(arrival: Arrival) -> ServeResponse:
-        delay = arrival.at - (loop.time() - start)
+    async def one(arrival: Arrival) -> tuple[ServeResponse, float]:
+        due = start + arrival.at
+        delay = due - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        return await service.submit(arrival.request)
+        response = await service.submit(arrival.request)
+        return response, loop.time() - due
 
     return list(
         await asyncio.gather(*(one(a) for a in arrivals))
@@ -127,13 +134,12 @@ async def _replay(
 
 def _report(
     arrivals: Sequence[Arrival],
-    responses: Sequence[ServeResponse],
+    timed: Sequence[tuple[ServeResponse, float]],
     wall_s: float,
     stats: dict,
 ) -> ServeBenchReport:
-    latencies = [
-        r.latency_s for r in responses if r.status == OK
-    ]
+    responses = [r for r, _ in timed]
+    latencies = [lat for r, lat in timed if r.status == OK]
     lat_ms = (
         np.asarray(latencies) * 1e3 if latencies else np.zeros(1)
     )
@@ -181,10 +187,10 @@ def run_arrivals(
         )
         async with service:
             start = time.perf_counter()
-            responses = await _replay(service, arrivals)
+            timed = await _replay(service, arrivals)
             wall = time.perf_counter() - start
             stats = service.stats()
-        return _report(arrivals, responses, wall, stats)
+        return _report(arrivals, timed, wall, stats)
 
     return asyncio.run(main())
 
@@ -241,14 +247,13 @@ def run_serve_bench(
     seed: int = 0,
     n_requests: int = 200,
     rate_hz: float | None = None,
-    shards: int = 2,
     deadline_s: float | None = 0.25,
     baseline: bool = False,
     warmup: bool = True,
     metrics_export: str | None = None,
 ) -> ServeBenchReport:
     """The full serve benchmark: warm cache pass (optional), measured
-    pass, optional naive-baseline contrast on the same pool.
+    pass, optional naive-baseline contrast on the same 2-worker pool.
 
     ``rate_hz=None`` is the closed-loop capacity measurement; a rate
     makes it the open-loop tail-latency measurement. *metrics_export*
@@ -260,7 +265,7 @@ def run_serve_bench(
     )
     cache: dict = {}
     model = NodeModel()
-    pool = ShardedPool(shards) if shards > 0 else None
+    pool = ShardedPool(2)
     sampler: PeriodicSampler | None = None
     try:
         if warmup:
@@ -281,7 +286,7 @@ def run_serve_bench(
         report = run_arrivals(arrivals, model=model, pool=pool, cache=cache)
         if sampler is not None:
             sampler.stop()
-        if baseline and pool is not None:
+        if baseline:
             import dataclasses
 
             base_rps = naive_baseline_rps(arrivals, pool, model)
@@ -298,5 +303,4 @@ def run_serve_bench(
     finally:
         if sampler is not None:
             sampler.stop()
-        if pool is not None:
-            pool.shutdown()
+        pool.shutdown()

@@ -65,7 +65,6 @@ simulation request renders as one connected admit → queue → batch →
 from __future__ import annotations
 
 import asyncio
-import math
 import operator
 import struct
 import time
@@ -104,6 +103,10 @@ __all__ = ["EvalService", "serial_answer"]
 MEMO_MAX_ENTRIES = 4096
 """Most answers the memo holds; past it, the oldest entry is evicted."""
 
+UNION_WASTE_FACTOR = 8.0
+"""Cap on union-grid waste when coalescing points: a union may evaluate
+at most this many tensor cells per requested cell."""
+
 
 # ----------------------------------------------------------------------
 # Worker-side task functions (module-level: picklable for the pool).
@@ -122,10 +125,10 @@ def _serve_run_experiment(name):
         return ("err", _picklable_exception(exc))
 
 
-def _serve_simulate(trace, config, engine):
+def _serve_simulate(trace, config):
     """One trace simulation, as :func:`serial_answer` runs it."""
     try:
-        return ("ok", ApuSimulator(config, engine=engine or "array").run(trace))
+        return ("ok", ApuSimulator(config).run(trace))
     except BaseException as exc:
         return ("err", _picklable_exception(exc))
 
@@ -167,16 +170,14 @@ class _GridUnit:
     coalesced: bool
 
 
-def _point_units(
-    tickets: Sequence[Ticket], waste_factor: float
-) -> list[_GridUnit]:
+def _point_units(tickets: Sequence[Ticket]) -> list[_GridUnit]:
     """Greedy union grouping of point requests under a waste cap.
 
     Each group's union grid evaluates ``P x (C*F*B)`` cells for
     ``len(group)`` requested cells; a ticket joins the first group (in
-    creation order) whose union stays within ``waste_factor x
-    requests``, else opens a new one. Deterministic: tickets arrive in
-    seq order and groups are probed in creation order.
+    creation order) whose union stays within :data:`UNION_WASTE_FACTOR`
+    cells per request, else opens a new one. Deterministic: tickets
+    arrive in seq order and groups are probed in creation order.
     """
     groups: list[dict] = []
     fp_of: dict[int, tuple] = {}  # ticket.seq -> profile key
@@ -194,7 +195,8 @@ def _point_units(
                 p.name == req.profile.name and pfp != fp
                 for pfp, p in g["profiles"].items()
             )
-            if name_clash or cells > waste_factor * (len(g["tickets"]) + 1):
+            cap = UNION_WASTE_FACTOR * (len(g["tickets"]) + 1)
+            if name_clash or cells > cap:
                 continue
             g["cus"], g["freqs"], g["bws"] = cus, freqs, bws
             g["profiles"].setdefault(fp, req.profile)
@@ -329,8 +331,7 @@ def serial_answer(request, model: NodeModel | None = None):
 
         return EXPERIMENTS[request.name]()
     if isinstance(request, SimulateRequest):
-        sim = ApuSimulator(request.config, engine=request.engine or "array")
-        return sim.run(request.trace)
+        return ApuSimulator(request.config).run(request.trace)
     raise TypeError(f"unknown request type {type(request).__name__}")
 
 
@@ -365,9 +366,6 @@ class EvalService:
         (:class:`~repro.serve.batcher.FixedPolicy` also fits).
     max_queue:
         Backpressure bound on queued requests.
-    union_waste_factor:
-        Cap on union-grid waste when coalescing points: a union may
-        evaluate at most this many tensor cells per requested cell.
     clock:
         Injected monotonic clock (tests use a fake one).
     slo:
@@ -385,19 +383,14 @@ class EvalService:
         cache: dict | None = None,
         policy: AdaptiveBatchPolicy | None = None,
         max_queue: int = 1024,
-        union_waste_factor: float = 8.0,
         clock=time.monotonic,
         manifest_name: str = "serve",
         slo: SloTracker | None = None,
     ):
-        # NaN would never cap a union: every point would join one grid.
-        if not 1 <= union_waste_factor < math.inf:
-            raise ValueError("union_waste_factor must be finite and >= 1")
         self.model = model or NodeModel()
         self.pool = pool
         self.cache = cache if cache is not None else {}
         self.policy = policy if policy is not None else AdaptiveBatchPolicy()
-        self.union_waste_factor = float(union_waste_factor)
         self.clock = clock
         self.manifest_name = manifest_name
         self.slo = slo if slo is not None else SloTracker(clock=clock)
@@ -494,13 +487,9 @@ class EvalService:
         """Submit one :class:`ExperimentRequest`."""
         return await self.submit(ExperimentRequest(name, **kwargs))
 
-    async def simulate(
-        self, trace, config=None, engine=None, **kwargs
-    ) -> ServeResponse:
+    async def simulate(self, trace, config=None, **kwargs) -> ServeResponse:
         """Submit one :class:`SimulateRequest`."""
-        return await self.submit(
-            SimulateRequest(trace, config, engine, **kwargs)
-        )
+        return await self.submit(SimulateRequest(trace, config, **kwargs))
 
     async def submit(self, request) -> ServeResponse:
         """Admit one request and await its terminal response."""
@@ -729,9 +718,7 @@ class EvalService:
             kind = key[0] if isinstance(key, tuple) and key else None
             try:
                 if kind == "points":
-                    grid_units.extend(
-                        _point_units(tickets, self.union_waste_factor)
-                    )
+                    grid_units.extend(_point_units(tickets))
                 elif kind == "sweep":
                     grid_units.extend(_sweep_units(tickets))
                 else:
@@ -756,7 +743,7 @@ class EvalService:
             if isinstance(req, ExperimentRequest):
                 fn, args = _serve_run_experiment, (req.name,)
             elif isinstance(req, SimulateRequest):
-                fn, args = _serve_simulate, (req.trace, req.config, req.engine)
+                fn, args = _serve_simulate, (req.trace, req.config)
             else:
                 results[ticket.seq] = (
                     FAILED,

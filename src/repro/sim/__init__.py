@@ -13,7 +13,7 @@ hop latency so the Fig. 7 comparison can be cross-checked in simulation.
 from repro.sim.engine import Event, EventQueue, Simulator, TupleEventHeap
 from repro.sim.cache_sim import CacheLevel, CacheSim
 from repro.sim.gpu_core import ComputeUnit, Wavefront, mean_utilization
-from repro.sim.apu_sim import ENGINES, ApuSimConfig, ApuSimResult, ApuSimulator
+from repro.sim.apu_sim import ApuSimConfig, ApuSimResult, ApuSimulator
 
 __all__ = [
     "Event",
@@ -25,7 +25,6 @@ __all__ = [
     "ComputeUnit",
     "Wavefront",
     "mean_utilization",
-    "ENGINES",
     "ApuSimConfig",
     "ApuSimResult",
     "ApuSimulator",

@@ -8,19 +8,20 @@ rates, and mean memory latency — the quantities the analytic model
 abstracts — so the two can be compared on the same workload (the paper's
 gem5-adjustment role).
 
-Two interchangeable engines execute the same semantics:
+Two implementations execute the same semantics:
 
-``engine="event"``
+:meth:`ApuSimulator.run_reference`
     The original discrete-event implementation on
     :class:`~repro.sim.engine.Simulator`: three scheduled callbacks per
     access (issue, begin-burst, finish-burst). It is the readable
     specification and the oracle the fast path is tested against.
 
-``engine="array"`` (default)
-    A flat-array replay of the identical schedule. The strided wavefront
-    partitions are batched into contiguous numpy columns (line ids,
-    per-level set/tag indices, burst durations) up front, and the run
-    advances a merged frontier of two event streams over those columns:
+:meth:`ApuSimulator.run` and :meth:`ApuSimulator.run_batch`
+    The fast path: a flat-array replay of the identical schedule. The
+    strided wavefront partitions are batched into contiguous numpy
+    columns (line ids, per-level set/tag indices, burst durations) up
+    front, and the run advances a merged frontier of two event streams
+    over those columns:
 
     * *issue* events grant CU slots — each CU's issue slot is a
       cumulative free-at scalar advanced in grant order, so a burst's
@@ -31,7 +32,7 @@ Two interchangeable engines execute the same semantics:
 
     The two streams touch disjoint state (per-CU slots vs cache+DRAM),
     so they commute; within each stream the frontier keys replay the
-    event engine's ``(time, insertion)`` order exactly — issues by
+    event oracle's ``(time, insertion)`` order exactly — issues by
     ``(ready, seq)``, commits by ``(finish, begin, ready, seq)``. Every
     shared result field is therefore bit-identical to the oracle, while
     the per-access cost drops from three heap-scheduled closures and a
@@ -61,10 +62,7 @@ from repro.sim.gpu_core import ComputeUnit, Wavefront, mean_utilization
 from repro.util.units import NS
 from repro.workloads.traces import MemoryTrace
 
-__all__ = ["ApuSimConfig", "ApuSimResult", "ApuSimulator", "ENGINES"]
-
-ENGINES = ("array", "event")
-"""Valid values for the ``engine`` selector (the first is the default)."""
+__all__ = ["ApuSimConfig", "ApuSimResult", "ApuSimulator"]
 
 
 @dataclass(frozen=True)
@@ -138,27 +136,17 @@ class ApuSimResult:
 class ApuSimulator:
     """Execution of a memory trace on the scaled APU.
 
+    :meth:`run` and :meth:`run_batch` take the array fast path;
+    :meth:`run_reference` runs the discrete-event oracle.
+
     Parameters
     ----------
     config:
         Simulation parameters (defaults to :class:`ApuSimConfig`).
-    engine:
-        Default execution engine, ``"array"`` (fast path) or ``"event"``
-        (the discrete-event oracle). Either can be overridden per call.
     """
 
-    def __init__(self, config: ApuSimConfig | None = None,
-                 engine: str = "array"):
+    def __init__(self, config: ApuSimConfig | None = None):
         self.config = config or ApuSimConfig()
-        self.engine = self._check_engine(engine)
-
-    @staticmethod
-    def _check_engine(engine: str) -> str:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        return engine
 
     def _build_cache(self) -> CacheSim:
         cfg = self.config
@@ -169,28 +157,20 @@ class ApuSimulator:
             ]
         )
 
-    def run(self, trace: MemoryTrace, engine: str | None = None) -> ApuSimResult:
+    def run(self, trace: MemoryTrace) -> ApuSimResult:
         """Execute *trace* split round-robin across all wavefronts."""
-        engine = self.engine if engine is None else self._check_engine(engine)
         if len(trace) == 0:
             raise ValueError("empty trace")
         with obs_trace.span(
-            "apu_sim.run", engine=engine, accesses=len(trace)
+            "apu_sim.run", accesses=len(trace)
         ), obs_metrics.timed("sim.apu.run_seconds"):
-            if engine == "event":
-                result = self._run_event(trace)
-            else:
-                result = self._run_array(trace)
+            result = self._run_array(trace)
         obs_metrics.inc("sim.apu.runs")
         obs_metrics.inc("sim.apu.trace_rows", len(trace))
         obs_metrics.inc("sim.apu.dram_accesses", result.dram_accesses)
         return result
 
-    def run_batch(
-        self,
-        traces: Iterable[MemoryTrace],
-        engine: str | None = None,
-    ) -> list[ApuSimResult]:
+    def run_batch(self, traces: Iterable[MemoryTrace]) -> list[ApuSimResult]:
         """Run several traces through one configuration.
 
         Each trace gets a cold cache hierarchy (identical to calling
@@ -199,21 +179,16 @@ class ApuSimulator:
         computed once and shared, which is what calibration sweeps over
         many traces of one kernel profile want.
         """
-        engine = self.engine if engine is None else self._check_engine(engine)
         traces = list(traces)
         for trace in traces:
             if len(trace) == 0:
                 raise ValueError("empty trace")
         total_rows = sum(len(trace) for trace in traces)
         with obs_trace.span(
-            "apu_sim.run_batch", engine=engine, traces=len(traces),
-            accesses=total_rows,
+            "apu_sim.run_batch", traces=len(traces), accesses=total_rows,
         ), obs_metrics.timed("sim.apu.run_seconds"):
-            if engine == "event":
-                results = [self._run_event(trace) for trace in traces]
-            else:
-                setup = self._array_setup()
-                results = [self._run_array(trace, setup) for trace in traces]
+            setup = self._array_setup()
+            results = [self._run_array(trace, setup) for trace in traces]
         obs_metrics.inc("sim.apu.runs", len(traces))
         obs_metrics.inc("sim.apu.trace_rows", total_rows)
         obs_metrics.inc(
@@ -224,7 +199,13 @@ class ApuSimulator:
     # ------------------------------------------------------------------
     # Event-driven oracle (the original implementation, kept verbatim)
     # ------------------------------------------------------------------
-    def _run_event(self, trace: MemoryTrace) -> ApuSimResult:
+    def run_reference(self, trace: MemoryTrace) -> ApuSimResult:
+        """:meth:`run` on the discrete-event oracle: the readable
+        specification every fast-path result is tested against, and
+        the baseline the perf gate times. It records no spans or
+        metrics."""
+        if len(trace) == 0:
+            raise ValueError("empty trace")
         cfg = self.config
         sim = Simulator()
         cache = self._build_cache()
@@ -348,7 +329,7 @@ class ApuSimulator:
         n_wfs = cfg.n_cus * cfg.wavefronts_per_cu
         cu_of = [w // cfg.wavefronts_per_cu for w in range(n_wfs)]
         # Geometry comes from the same hierarchy the oracle builds, so
-        # the two engines can never disagree about set/tag layout. Only
+        # the two paths can never disagree about set/tag layout. Only
         # the (stateless) geometry is shared; per-set recency state is
         # rebuilt cold for every run.
         return {

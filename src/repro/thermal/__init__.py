@@ -16,7 +16,6 @@ must stay below 85 C with a high-end air cooler at 50 C ambient.
 from repro.thermal.floorplan import EHPFloorplan, Region
 from repro.thermal.stack import LayerStack, ThermalLayer
 from repro.thermal.grid import (
-    STEP_ENGINES,
     TemperatureField,
     TemperatureFieldBatch,
     ThermalGrid,
@@ -36,7 +35,6 @@ __all__ = [
     "ThermalGrid",
     "TemperatureField",
     "TemperatureFieldBatch",
-    "STEP_ENGINES",
     "ThermalModel",
     "ThermalReport",
     "PowerPhase",

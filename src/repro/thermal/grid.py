@@ -39,11 +39,11 @@ bit-identical to the single-map call.
 
 The assembled sparse matrix stays the specification. ``_assemble``
 (vectorized) and ``_assemble_reference`` (the original triple loop)
-build it, and the ``engine="oracle"`` step solves it from scratch with
-:func:`scipy.sparse.linalg.spsolve` every call; the modal path is gated
-against that oracle at 1e-9 C. The modal path is numpy only: scipy is
-imported inside those three oracle methods, so a run that never calls
-them never loads it.
+build it, and :meth:`ThermalGrid.step_transient_reference` solves it
+from scratch with :func:`scipy.sparse.linalg.spsolve` every call; the
+modal path is gated against that oracle at 1e-9 C. The modal path is
+numpy only: scipy is imported inside those three oracle methods, so a
+run that never calls them never loads it.
 """
 
 from __future__ import annotations
@@ -62,12 +62,7 @@ __all__ = [
     "TemperatureField",
     "TemperatureFieldBatch",
     "ThermalGrid",
-    "STEP_ENGINES",
 ]
-
-STEP_ENGINES = ("factored", "oracle")
-"""Transient step engines: cached per-mode LDL^T pivots vs a sparse
-solve of the assembled matrix every step."""
 
 
 def _dct_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -622,36 +617,10 @@ class ThermalGrid:
         """Per-cell heat capacity, J/K, ordered like the unknown vector."""
         return np.repeat(self._layer_capacitance(), self.ny * self.nx)
 
-    def _oracle_step(
-        self, temps: np.ndarray, power_maps: np.ndarray, dt: float
-    ) -> np.ndarray:
-        """Backward-Euler steps solved by :func:`spsolve` over the
-        assembled ``C/dt + G``, one right-hand side at a time."""
-        from scipy.sparse import diags
-        from scipy.sparse.linalg import spsolve
-
-        if self._system is None:
-            self._system = self._assemble()
-        matrix, b_amb = self._system
-        c_over_dt = self.capacitance() / dt
-        operator = (matrix + diags(c_over_dt)).tocsc()
-        n = self.n_cells
-        rows = (
-            c_over_dt * temps.reshape(-1, n)
-            + power_maps.reshape(-1, n)
-            + b_amb * self.stack.ambient_c
-        )
-        new = np.stack([spsolve(operator, row) for row in rows])
-        return new.reshape(temps.shape)
-
     def _validate_step(
         self, temps: np.ndarray, power_maps: np.ndarray, dt: float,
-        engine: str, ndim: int,
+        ndim: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        if engine not in STEP_ENGINES:
-            raise ValueError(
-                f"unknown step engine {engine!r}; choose from {STEP_ENGINES}"
-            )
         if not _finite_positive(dt):
             raise ValueError("dt must be finite and positive")
         power_maps = self._validate_maps(power_maps)
@@ -667,11 +636,8 @@ class ThermalGrid:
         return temps, power_maps
 
     def _step(
-        self, temps: np.ndarray, power_maps: np.ndarray, dt: float,
-        engine: str,
+        self, temps: np.ndarray, power_maps: np.ndarray, dt: float
     ) -> np.ndarray:
-        if engine == "oracle":
-            return self._oracle_step(temps, power_maps, dt)
         pivots = self._factor(dt)
         ambient = self.stack.ambient_c
         rhs = pivots.c_over_dt[:, None, None] * (temps - ambient)
@@ -681,35 +647,49 @@ class ThermalGrid:
         return new
 
     def step_transient(
-        self,
-        temps: np.ndarray,
-        power_maps: np.ndarray,
-        dt: float,
-        engine: str = "factored",
+        self, temps: np.ndarray, power_maps: np.ndarray, dt: float
     ) -> np.ndarray:
         """Advance one backward-Euler step of *dt* seconds.
 
         *temps* and *power_maps* are both ``(n_layers, ny, nx)`` —
         current cell temperatures (Celsius) and the power applied over
         the step (watts per cell); returns the new temperature array.
-        ``engine="factored"`` (default) solves modally against the
-        ``C/dt + G`` pivots cached per dt; ``engine="oracle"`` solves
-        the assembled sparse system from scratch every call — the
-        per-step correctness reference and the baseline the perf gate
-        measures against.
+        Solves modally against the ``C/dt + G`` pivots cached per dt.
         """
         dt = float(dt)
         temps, power_maps = self._validate_step(
-            temps, power_maps, dt, engine, ndim=3
+            temps, power_maps, dt, ndim=3
         )
-        return self._step(temps, power_maps, dt, engine)
+        return self._step(temps, power_maps, dt)
+
+    def step_transient_reference(
+        self, temps: np.ndarray, power_maps: np.ndarray, dt: float
+    ) -> np.ndarray:
+        """:meth:`step_transient` by :func:`spsolve` over the assembled
+        ``C/dt + G``, factorized from scratch every call: the per-step
+        correctness reference and the baseline the perf gate measures
+        against. Validates its inputs as :meth:`step_transient` does."""
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import spsolve
+
+        dt = float(dt)
+        temps, power_maps = self._validate_step(
+            temps, power_maps, dt, ndim=3
+        )
+        if self._system is None:
+            self._system = self._assemble()
+        matrix, b_amb = self._system
+        c_over_dt = self.capacitance() / dt
+        operator = (matrix + diags(c_over_dt)).tocsc()
+        rhs = (
+            c_over_dt * temps.ravel()
+            + power_maps.ravel()
+            + b_amb * self.stack.ambient_c
+        )
+        return spsolve(operator, rhs).reshape(temps.shape)
 
     def step_transient_many(
-        self,
-        temps: np.ndarray,
-        power_maps: np.ndarray,
-        dt: float,
-        engine: str = "factored",
+        self, temps: np.ndarray, power_maps: np.ndarray, dt: float
     ) -> np.ndarray:
         """Advance S independent scenarios one step in lockstep.
 
@@ -719,8 +699,8 @@ class ThermalGrid:
         """
         dt = float(dt)
         temps, power_maps = self._validate_step(
-            temps, power_maps, dt, engine, ndim=4
+            temps, power_maps, dt, ndim=4
         )
         if temps.shape[0] == 0:
             return temps.copy()
-        return self._step(temps, power_maps, dt, engine)
+        return self._step(temps, power_maps, dt)

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.config import _finite_positive
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.thermal.grid import STEP_ENGINES, TemperatureField, ThermalGrid
+from repro.thermal.grid import TemperatureField, ThermalGrid
 
 __all__ = [
     "PowerPhase",
@@ -91,10 +91,6 @@ class TransientSolver:
     dt:
         Step size, seconds. One set of pivots per distinct dt — keep it
         fixed per solver.
-    engine:
-        ``"factored"`` (default, the cached modal solve) or
-        ``"oracle"`` (a sparse solve of the assembled matrix every
-        step; the correctness reference).
     watch_layer:
         Layer name whose per-step peak lands in
         :attr:`TransientTrace.layer_peak_c` (``None`` watches the whole
@@ -105,18 +101,12 @@ class TransientSolver:
         self,
         grid: ThermalGrid,
         dt: float = 0.01,
-        engine: str = "factored",
         watch_layer: str | None = "dram",
     ):
         if not _finite_positive(dt):
             raise ValueError("dt must be finite and positive")
-        if engine not in STEP_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {STEP_ENGINES}"
-            )
         self.grid = grid
         self.dt = float(dt)
-        self.engine = engine
         names = tuple(l.name for l in grid.stack.layers)
         if watch_layer is not None and watch_layer not in names:
             watch_layer = None
@@ -137,9 +127,7 @@ class TransientSolver:
 
     def step(self, temps: np.ndarray, power_maps: np.ndarray) -> np.ndarray:
         """One step (see :meth:`ThermalGrid.step_transient`)."""
-        return self.grid.step_transient(
-            temps, power_maps, self.dt, engine=self.engine
-        )
+        return self.grid.step_transient(temps, power_maps, self.dt)
 
     def _peaks(self, temps: np.ndarray) -> tuple[float, float]:
         peak = float(temps.max())
@@ -236,9 +224,7 @@ class TransientSolver:
         ), obs_metrics.timed("thermal.transient_seconds"):
             for k in range(n_steps):
                 maps = power_maps[:, k] if per_step else power_maps
-                temps = self.grid.step_transient_many(
-                    temps, maps, self.dt, engine=self.engine
-                )
+                temps = self.grid.step_transient_many(temps, maps, self.dt)
                 watched = temps if li is None else temps[:, li]
                 peaks[:, k] = watched.reshape(s, -1).max(axis=1)
         obs_metrics.inc("thermal.steps", s * n_steps)

@@ -499,7 +499,6 @@ def trace_crosscheck(
     model: NodeModel | None = None,
     n_accesses: int = 20_000,
     seed: int = DEFAULT_TRACE_SEED,
-    engine: str | None = None,
 ) -> list[TraceCrosscheckRow]:
     """Cross-check the trace simulator against the analytic model.
 
@@ -508,10 +507,8 @@ def trace_crosscheck(
     compares its achieved per-CU FLOP rate with the analytic model's
     prediction at the paper's best-mean configuration — the Section VI
     role the paper gives gem5. Both sides are normalized per CU because
-    the simulator runs a scaled-down EHP.
-
-    *engine* picks the simulator engine (``None``: the default array
-    engine). Both sides are evaluated directly, once per application.
+    the simulator runs a scaled-down EHP. Both sides are evaluated
+    directly, once per application.
     """
     from repro.workloads.catalog import APPLICATIONS, get_application
 
@@ -522,7 +519,7 @@ def trace_crosscheck(
     for name in list(names) if names is not None else list(APPLICATIONS):
         profile = get_application(name)
         trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
-        sim = ApuSimulator(sim_config, engine=engine or "array").run(trace)
+        sim = ApuSimulator(sim_config).run(trace)
         ev = model.evaluate_arrays(
             profile, best.n_cus, best.gpu_freq, best.bandwidth
         )
@@ -568,7 +565,6 @@ def chiplet_penalty_table(
     model: NodeModel | None = None,
     n_accesses: int = 20_000,
     seed: int = DEFAULT_TRACE_SEED,
-    engine: str | None = None,
 ) -> list[ChipletPenaltyRow]:
     """Fig. 7-style chiplet-penalty table, simulated vs analytic.
 
@@ -601,7 +597,7 @@ def chiplet_penalty_table(
             cfg = dataclasses.replace(
                 sim_config, chiplet_extra_latency=penalty_ns * 1e-9
             )
-            sim = ApuSimulator(cfg, engine=engine or "array").run(trace)
+            sim = ApuSimulator(cfg).run(trace)
             ev = model.evaluate_arrays(
                 profile,
                 best.n_cus,

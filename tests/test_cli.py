@@ -68,25 +68,23 @@ class TestCli:
         assert "experiment.fig7" in names
 
     def test_pool_shards(self, capsys, tmp_path):
+        # Experiments never fan out over worker processes: every
+        # experiment span of a traced run is recorded by this process,
+        # with no pool span around them.
         trace_path = tmp_path / "trace.json"
-        assert main([
-            "fig7", "table1",
-            "--pool-shards", "2",
-            "--trace-out", str(trace_path),
-        ]) == 0
+        assert main(["fig7", "table1", "--trace-out", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "fig7" in out and "Table I" in out
 
         import json
         import os
 
-        # The pooled path runs each experiment under a worker-side span
-        # that is merged back into the parent's trace.
         trace = json.loads(trace_path.read_text())
         events = {e["name"]: e for e in trace["traceEvents"]}
-        assert "experiments.pool" in events
-        assert "experiment.fig7" in events
-        assert events["experiment.fig7"]["pid"] != os.getpid()
+        assert "experiments.pool" not in events
+        assert "pool.run" not in events
+        for name in ("experiment.fig7", "experiment.table1"):
+            assert events[name]["pid"] == os.getpid()
 
     @pytest.mark.parametrize(
         "argv",
@@ -96,15 +94,15 @@ class TestCli:
             ["serve", "--serve-requests", "0"],
             ["serve", "--serve-deadline-ms", "inf"],
             ["serve", "--serve-deadline-ms", "-1"],
-            ["serve", "--pool-shards", "-1"],
-            ["fleet", "--pool-shards", "-1"],
+            ["serve", "--serve-requests", "2.5"],
+            ["fleet", "--fleet-nodes", "-1"],
             ["fleet", "--fleet-nodes", "0"],
             ["fleet", "--fleet-groups", "1.5"],
             ["fleet", "--fleet-nodes", "3", "--fleet-groups", "6"],
             ["thermal-loop", "--thermal-dt-ms", "nan"],
             ["thermal-loop", "--thermal-cycles", "0"],
             ["thermal-loop", "--thermal-steps", "-3"],
-            ["fig4", "--pool-shards", "two"],
+            ["thermal-loop", "--thermal-dt-ms", "0"],
         ],
     )
     def test_bad_numeric_option_is_a_usage_error(self, argv, capsys):

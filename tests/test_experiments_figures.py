@@ -313,14 +313,32 @@ class TestFig8Measured:
                        for p in payload["relative_pct"])
 
     def test_engines_agree(self):
-        from repro.experiments.miss_sensitivity import measured_miss_rates
+        # The measured rates against a replay through the scalar
+        # reference, DramCache.access, at the same geometry.
+        from repro.experiments.miss_sensitivity import (
+            TRACE_ACCESSES,
+            TRACE_SEED,
+            measured_miss_rates,
+        )
+        from repro.memsys.dramcache import DramCache
         from repro.workloads.catalog import get_application
+        from repro.workloads.traces import TraceGenerator
 
         profile = get_application("CoMD")
         array_rates = measured_miss_rates(profile, (0.05, 0.5))
-        event_rates = measured_miss_rates(
-            profile, (0.05, 0.5), engine="event"
+        trace = TraceGenerator(profile, seed=TRACE_SEED).generate(
+            TRACE_ACCESSES
         )
+        event_rates = []
+        for fraction in (0.05, 0.5):
+            cache = DramCache(
+                max(4096.0 * 8, fraction * trace.footprint_bytes), 4096, 8
+            )
+            for address, is_write in zip(
+                trace.addresses.tolist(), trace.is_write.tolist()
+            ):
+                cache.access(address, is_write)
+            event_rates.append(1.0 - cache.stats.hit_rate)
         assert array_rates == pytest.approx(event_rates, rel=1e-9)
 
     @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
@@ -355,14 +373,30 @@ class TestFig9Managed:
                 assert parts == pytest.approx(cats["Total"], rel=1e-6)
 
     def test_engines_agree(self):
+        # The measured fraction against the same four epochs through
+        # the scalar reference, MemoryManager.epoch.
         from repro.experiments.external_memory import (
             measured_inpackage_fraction,
         )
+        from repro.memsys.manager import (
+            HotnessMigrationPolicy,
+            MemoryManager,
+        )
         from repro.workloads.catalog import get_application
+        from repro.workloads.traces import TraceGenerator
 
         profile = get_application("CoMD")
         fa = measured_inpackage_fraction(profile)
-        fe = measured_inpackage_fraction(profile, engine="event")
+        trace = TraceGenerator(profile, seed=42).generate(50_000)
+        manager = MemoryManager(
+            max(4096.0, 0.25 * trace.footprint_bytes),
+            HotnessMigrationPolicy(),
+            4096,
+        )
+        fe = [
+            manager.epoch(epoch)
+            for epoch in np.array_split(trace.addresses, 4)
+        ][-1]
         assert fa == pytest.approx(fe, rel=1e-9)
 
     def test_non_positive_epoch_count_rejected(self):

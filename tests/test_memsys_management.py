@@ -180,9 +180,13 @@ class TestManagerInputs:
         ids=["nan", "fractional", "negative", "2-d"],
     )
     def test_bad_epoch_addresses_rejected(self, engine, bad):
+        # "array" is the batched path, "event" the scalar reference.
         mgr = MemoryManager(4 * PAGE, HotnessMigrationPolicy())
         with pytest.raises(ValueError, match="addresses"):
-            mgr.run_batch([bad], engine=engine)
+            if engine == "array":
+                mgr.run_batch([bad])
+            else:
+                mgr.epoch(bad)
         assert mgr.placement == {}
 
     def test_integral_float_addresses_accepted(self):

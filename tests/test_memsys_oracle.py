@@ -1,7 +1,10 @@
-"""Oracle-equivalence harness for the memsys array engines.
+"""Oracle-equivalence harness for the memsys array fast paths.
 
-Every test drives the same input through ``engine="array"`` and the
-retained scalar ``engine="event"`` oracle and requires identical
+Every test drives the same input through the vectorized entry point
+(``RowBufferSim.run``, ``DramCache.run_trace``/``access_many``,
+``MemoryManager.run_batch``/``epoch_array``) and through the retained
+scalar per-unit reference (``RowBufferSim.access``,
+``DramCache.access``, ``MemoryManager.epoch``) and requires identical
 results: exact for integral counters, placements, and LRU orders,
 ``rtol=1e-9`` for the few float outputs (hit rates, fractions).
 """
@@ -14,14 +17,12 @@ import numpy as np
 import pytest
 
 from repro.memsys.dramcache import DramCache
-from repro.memsys.dramcache import ENGINES as DRAM_ENGINES
 from repro.memsys.manager import (
-    ENGINES as MANAGER_ENGINES,
     FirstTouchPolicy,
     HotnessMigrationPolicy,
     MemoryManager,
 )
-from repro.memsys.rowbuffer import ENGINES as ROWBUFFER_ENGINES, RowBufferSim
+from repro.memsys.rowbuffer import RowBufferSim
 
 RTOL = 1e-9
 
@@ -46,6 +47,25 @@ def _random_stream(rng, n, span):
     return rng.integers(0, span, size=n)
 
 
+def rowbuffer_reference(sim, addresses):
+    """The scalar reference for ``RowBufferSim.run``: one
+    ``access`` per address."""
+    for address in np.asarray(addresses, dtype=np.int64).tolist():
+        sim.access(address)
+    return sim.stats
+
+
+def dramcache_reference(cache, addresses, writes=None):
+    """The scalar reference for ``DramCache.run_trace``: one
+    ``access`` per address."""
+    addresses = np.asarray(addresses, dtype=np.int64).tolist()
+    if writes is None:
+        writes = [False] * len(addresses)
+    for address, is_write in zip(addresses, np.asarray(writes).tolist()):
+        cache.access(address, is_write)
+    return cache.stats
+
+
 def _streams(rng, n=4000):
     """The equivalence stream grid: random spans plus degenerate cases."""
     return {
@@ -66,10 +86,10 @@ class TestRowBufferOracle:
         n_banks, row_bytes, interleave = geometry
         rng = np.random.default_rng(1234)
         for name, stream in _streams(rng).items():
-            a = RowBufferSim(n_banks, row_bytes, interleave, engine="array")
-            b = RowBufferSim(n_banks, row_bytes, interleave, engine="event")
+            a = RowBufferSim(n_banks, row_bytes, interleave)
+            b = RowBufferSim(n_banks, row_bytes, interleave)
             sa = a.run(stream)
-            sb = b.run(stream)
+            sb = rowbuffer_reference(b, stream)
             assert astuple(sa) == astuple(sb), name
             assert np.array_equal(a._open_row, b._open_row), name
             assert a._last_bank == b._last_bank, name
@@ -78,10 +98,12 @@ class TestRowBufferOracle:
     def test_single_bank_stream(self):
         """All accesses land in one bank: every miss after the first to
         an open row is a bank conflict."""
-        a = RowBufferSim(n_banks=1, row_bytes=64, engine="array")
-        b = RowBufferSim(n_banks=1, row_bytes=64, engine="event")
+        a = RowBufferSim(n_banks=1, row_bytes=64)
+        b = RowBufferSim(n_banks=1, row_bytes=64)
         stream = np.array([0, 0, 64, 64, 128, 0], dtype=np.int64)
-        assert astuple(a.run(stream)) == astuple(b.run(stream))
+        assert astuple(a.run(stream)) == astuple(
+            rowbuffer_reference(b, stream)
+        )
         assert a.stats.bank_conflicts == b.stats.bank_conflicts > 0
 
     def test_all_hits_stream(self):
@@ -105,27 +127,20 @@ class TestRowBufferOracle:
         """Array chunks and scalar replay agree across chunk seams."""
         rng = np.random.default_rng(7)
         stream = _random_stream(rng, 3000, 1 << 22)
-        a = RowBufferSim(engine="array")
-        b = RowBufferSim(engine="event")
+        a = RowBufferSim()
+        b = RowBufferSim()
         for chunk in np.array_split(stream, 7):
             a.run(chunk)
-        b.run(stream)
+        rowbuffer_reference(b, stream)
         assert astuple(a.stats) == astuple(b.stats)
         assert np.array_equal(a._open_row, b._open_row)
 
-    def test_engine_selection(self):
-        with pytest.raises(ValueError):
-            RowBufferSim(engine="nope")
+    def test_negative_address_rejected(self):
         sim = RowBufferSim()
         with pytest.raises(ValueError):
-            sim.run(np.zeros(1, dtype=np.int64), engine="nope")
-        assert ROWBUFFER_ENGINES == ("array", "event")
-
-    def test_negative_address_rejected(self):
-        for engine in ROWBUFFER_ENGINES:
-            sim = RowBufferSim(engine=engine)
-            with pytest.raises(ValueError):
-                sim.run(np.array([-1], dtype=np.int64))
+            sim.run(np.array([-1], dtype=np.int64))
+        with pytest.raises(ValueError):
+            sim.access(-1)
 
 
 # ----------------------------------------------------------------------
@@ -138,10 +153,10 @@ class TestDramCacheOracle:
         rng = np.random.default_rng(99)
         for name, stream in _streams(rng).items():
             writes = rng.random(len(stream)) < 0.3
-            a = DramCache(capacity, page, assoc, engine="array")
-            b = DramCache(capacity, page, assoc, engine="event")
+            a = DramCache(capacity, page, assoc)
+            b = DramCache(capacity, page, assoc)
             flags = a.run_trace(stream, writes)
-            b.run_trace(stream, writes, engine="event")
+            dramcache_reference(b, stream, writes)
             assert astuple(a.stats) == astuple(b.stats), name
             assert flags.hits + flags.misses == len(stream)
             # LRU state must match per set, *including order*.
@@ -198,7 +213,7 @@ class TestDramCacheOracle:
         writes = np.ones(len(stream), dtype=bool)
         oracle = DramCache(2 * page, page, 2)
         cache.run_trace(stream, writes)
-        oracle.run_trace(stream, writes, engine="event")
+        dramcache_reference(oracle, stream, writes)
         assert astuple(cache.stats) == astuple(oracle.stats)
         assert cache.stats.hits == 0
         assert cache.stats.writebacks == cache.stats.evictions > 0
@@ -208,14 +223,6 @@ class TestDramCacheOracle:
         flags = cache.access_many(np.zeros(0, dtype=np.int64))
         assert flags.size == 0
         assert cache.stats.accesses == 0
-
-    def test_engine_selection(self):
-        with pytest.raises(ValueError):
-            DramCache(engine="nope")
-        cache = DramCache()
-        with pytest.raises(ValueError):
-            cache.run_trace(np.zeros(1, dtype=np.int64), engine="nope")
-        assert DRAM_ENGINES == ("array", "event")
 
     def test_negative_address_rejected(self):
         cache = DramCache()
@@ -324,7 +331,7 @@ class TestDramCacheOracle:
             for chunk, w in zip(np.array_split(stream, 9),
                                 np.array_split(writes, 9))
         ])
-        b.run_trace(stream, writes, engine="event")
+        dramcache_reference(b, stream, writes)
         assert flags.sum() == b.stats.hits
         assert astuple(a.stats) == astuple(b.stats)
         _assert_same_dram_state(a, b)
@@ -355,17 +362,23 @@ class TestDramCacheOracle:
         cache = DramCache(1 << 18, 1024, 4)
         oracle = DramCache(1 << 18, 1024, 4)
         cache.access_many(stream)
-        oracle.run_trace(stream, engine="event")
+        dramcache_reference(oracle, stream)
         assert cache.resident_pages == oracle.resident_pages
         assert cache._ways is None  # answered without building dicts
         _assert_same_dram_state(cache, oracle)
         assert cache.resident_pages == oracle.resident_pages
 
-    @pytest.mark.parametrize("engine", DRAM_ENGINES)
+    @pytest.mark.parametrize("engine", ["array", "event"])
     def test_non_integral_addresses_rejected(self, engine):
-        cache = DramCache(engine=engine)
-        with pytest.raises(ValueError, match="integral"):
-            cache.run_trace([1.7, 2.9])
+        # "array" is the batched trace path, "event" the scalar
+        # reference's per-address lookup.
+        cache = DramCache()
+        for bad in (1.7, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="integral"):
+                if engine == "array":
+                    cache.run_trace([bad, 2.9])
+                else:
+                    cache.access(bad)
         assert cache.stats.accesses == 0
 
     @pytest.mark.parametrize(
@@ -395,13 +408,11 @@ def _assert_same_dram_state(cache, oracle):
 # MemoryManager
 # ----------------------------------------------------------------------
 def _manager_pair(policy_factory, capacity_pages=64, page=4096, limit=None):
-    a = MemoryManager(
-        capacity_pages * page, policy_factory(limit), page, engine="array"
+    """A manager for the fast path and one for the scalar reference."""
+    return tuple(
+        MemoryManager(capacity_pages * page, policy_factory(limit), page)
+        for _ in range(2)
     )
-    b = MemoryManager(
-        capacity_pages * page, policy_factory(limit), page, engine="event"
-    )
-    return a, b
 
 
 def _hotness(limit):
@@ -432,7 +443,7 @@ class TestManagerOracle:
         epochs = [_random_stream(rng, 800, 1 << 18) for _ in range(4)]
         a, b = _manager_pair(_hotness, capacity_pages=32)
         fa = a.run_batch(epochs)
-        fb = b.run_batch(epochs, engine="event")
+        fb = [b.epoch(e) for e in epochs]
         assert fa == pytest.approx(fb, rel=RTOL)
         assert a.placement == b.placement
 
@@ -468,15 +479,7 @@ class TestManagerOracle:
 
         rng = np.random.default_rng(2)
         epoch = _random_stream(rng, 300, 1 << 14)
-        a = MemoryManager(16 * 4096, WeirdPolicy(), 4096, engine="array")
-        b = MemoryManager(16 * 4096, WeirdPolicy(), 4096, engine="event")
+        a = MemoryManager(16 * 4096, WeirdPolicy(), 4096)
+        b = MemoryManager(16 * 4096, WeirdPolicy(), 4096)
         assert a.epoch_array(epoch) == b.epoch(epoch)
         assert a.placement == b.placement
-
-    def test_engine_selection(self):
-        with pytest.raises(ValueError):
-            MemoryManager(4096, FirstTouchPolicy(), engine="nope")
-        manager = MemoryManager(4096, FirstTouchPolicy())
-        with pytest.raises(ValueError):
-            manager.run_batch([], engine="nope")
-        assert MANAGER_ENGINES == ("array", "event")

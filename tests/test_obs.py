@@ -505,8 +505,9 @@ class TestManifest:
         assert doc["command"] == "test"
         assert doc["experiments"] == ["fig7"]
         assert doc["wall_times_s"] == {"fig7": 0.5}
-        assert "sim.apu_sim" in doc["engines"]
-        assert doc["engines"]["sim.apu_sim"]["default"] == "array"
+        # The DSE's is the one engine chosen at run time.
+        assert list(doc["engines"]) == ["core.dse"]
+        assert doc["engines"]["core.dse"]["available"] == ["tensor", "point"]
         assert "eval" in doc["caches"]
         assert "hit_rate" in doc["caches"]["eval"]
         assert "counters" in doc["metrics"]

@@ -1,14 +1,11 @@
 """The cross-cutting performance layer: cached modal thermal operator,
-vectorized assembly, the parallel experiment runner, and the NoC fast
-path."""
+vectorized assembly, and the NoC fast path."""
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
 from repro.noc.simulator import NocSimulator, SimMessage
-from repro.perf.parallel import run_all_experiments, run_experiments
-from repro.perf.pool import ShardedPool
 from repro.thermal.grid import ThermalGrid
 
 
@@ -69,33 +66,6 @@ class TestCachedThermalSolve:
         with pytest.raises(ValueError):
             grid.solve(np.zeros((2, 3, grid.ny, grid.nx)))
         assert grid.solve_many(np.zeros((0, 3, grid.ny, grid.nx))) == []
-
-
-class TestParallelRunner:
-    SUBSET = ["table1", "fig7", "dse"]
-
-    def test_serial_and_parallel_identical(self):
-        serial = run_experiments(self.SUBSET)
-        with ShardedPool(2) as pool:
-            parallel = run_experiments(self.SUBSET, pool=pool)
-        assert list(serial) == list(parallel) == self.SUBSET
-        for name in self.SUBSET:
-            assert serial[name].rendered == parallel[name].rendered
-            assert serial[name].data == parallel[name].data
-
-    def test_order_is_canonical_not_request_order(self):
-        results = run_experiments(["fig7", "table1"])
-        assert list(results) == ["table1", "fig7"]
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
-            run_experiments(["nope"])
-
-    def test_run_all_covers_registry(self):
-        from repro.experiments.registry import EXPERIMENTS
-
-        results = run_all_experiments()
-        assert list(results) == list(EXPERIMENTS)
 
 
 class TestNocFastPath:

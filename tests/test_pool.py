@@ -2,10 +2,8 @@
 
 Covers the scheduling contract (one FIFO queue: an idle worker takes
 the next task while another is busy), fault tolerance (task errors,
-worker death and respawn), the observability bridges (merged worker
-metrics deltas, republished memory gauges, worker-side spans), and
-bit-identity of the pooled experiment fan-out against its serial
-counterpart.
+worker death and respawn), and the observability bridges (merged
+worker metrics deltas, republished memory gauges, worker-side spans).
 """
 
 import os
@@ -17,7 +15,6 @@ from repro.core.config import DesignSpace
 from repro.core.dse import explore
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.perf.parallel import run_experiments
 from repro.perf.pool import PoolTask, ShardedPool
 from repro.workloads.catalog import get_application
 
@@ -268,14 +265,3 @@ class TestObservabilityBridges:
         assert {e["args"]["span_id"] for e in task_events} == {
             "0.1.1", "0.1.2", "0.1.3", "0.1.4",
         }
-
-
-class TestPooledFanouts:
-    SUBSET = ["table1", "fig7"]
-
-    def test_run_experiments_pool_matches_serial(self, pool):
-        serial = run_experiments(self.SUBSET)
-        pooled = run_experiments(self.SUBSET, pool=pool)
-        assert list(pooled) == list(serial)
-        for name in serial:
-            assert pooled[name].render() == serial[name].render()

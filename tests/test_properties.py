@@ -41,7 +41,6 @@ from repro.ras.ecc import ecc_overhead_bits
 from repro.serve import (
     AdaptiveBatchPolicy,
     BatcherCore,
-    EvalService,
     FixedPolicy,
 )
 from repro.serve.workload import synthetic_arrivals
@@ -358,8 +357,9 @@ class TestSimulatorInvariants:
     @given(st.data())
     @settings(max_examples=15, deadline=None)
     def test_engines_agree_on_random_traces(self, data):
-        # Randomized counterpart of tests/test_sim_oracle.py: both
-        # engines agree on arbitrary (not generator-shaped) traces.
+        # Randomized counterpart of tests/test_sim_oracle.py: the fast
+        # path and the event-driven reference agree on arbitrary (not
+        # generator-shaped) traces.
         n = data.draw(st.integers(min_value=1, max_value=80))
         lines = data.draw(
             st.lists(
@@ -378,7 +378,7 @@ class TestSimulatorInvariants:
         trace = _trace_from(lines, flops)
         sim = ApuSimulator(ApuSimConfig(n_cus=2, wavefronts_per_cu=3))
         a = sim.run(trace)
-        e = sim.run(trace, engine="event")
+        e = sim.run_reference(trace)
         assert a.elapsed == pytest.approx(e.elapsed, rel=1e-9)
         assert a.total_flops == pytest.approx(e.total_flops, rel=1e-9)
         assert a.dram_accesses == e.dram_accesses
@@ -389,9 +389,9 @@ class TestSimulatorInvariants:
 
 
 class TestMemsysEngineProperties:
-    """Randomized scalar/array agreement and structural invariants for
-    the memory-system engines (deterministic grid:
-    tests/test_memsys_oracle.py)."""
+    """Randomized agreement of the memory-system fast paths with their
+    scalar per-unit references, and structural invariants
+    (deterministic grid: tests/test_memsys_oracle.py)."""
 
     addresses = st.lists(
         st.integers(min_value=0, max_value=1 << 24), min_size=0, max_size=400
@@ -401,10 +401,12 @@ class TestMemsysEngineProperties:
     @settings(max_examples=30, deadline=None)
     def test_rowbuffer_engines_agree(self, addrs, n_banks):
         stream = np.asarray(addrs, dtype=np.int64)
-        a = RowBufferSim(n_banks=n_banks, row_bytes=512, engine="array")
-        b = RowBufferSim(n_banks=n_banks, row_bytes=512, engine="event")
+        a = RowBufferSim(n_banks=n_banks, row_bytes=512)
+        b = RowBufferSim(n_banks=n_banks, row_bytes=512)
         sa = a.run(stream)
-        sb = b.run(stream)
+        for address in stream.tolist():
+            b.access(address)
+        sb = b.stats
         assert (sa.hits, sa.misses, sa.bank_conflicts) == (
             sb.hits,
             sb.misses,
@@ -430,8 +432,8 @@ class TestMemsysEngineProperties:
         )))
         stream = np.asarray(addrs, dtype=np.int64)
         wr = np.asarray(writes, dtype=bool)
-        a = DramCache(capacity, page, assoc, engine="array")
-        b = DramCache(capacity, page, assoc, engine="event")
+        a = DramCache(capacity, page, assoc)
+        b = DramCache(capacity, page, assoc)
         # The stream goes in as chunks split at random seams, so warm
         # state carries across access_many calls.
         flags = np.concatenate([
@@ -691,9 +693,6 @@ _BAD_FIELDS = {
     "AdaptiveBatchPolicy.dispatch_overhead_s": (
         lambda v: AdaptiveBatchPolicy(dispatch_overhead_s=v),
         _BAD_NON_NEGATIVE),
-    "EvalService.union_waste_factor": (
-        lambda v: EvalService(union_waste_factor=v),
-        st.one_of(_NON_FINITE, st.floats(max_value=1.0, exclude_max=True))),
     "derate.write_fraction": (
         lambda v: derate(LinkTierParams(), v), _BAD_FRACTION),
     "derate.concurrent_kernels": (

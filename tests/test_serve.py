@@ -1305,7 +1305,6 @@ class TestServeCli:
             [
                 "serve",
                 "--serve-requests", "12",
-                "--pool-shards", "2",
                 "--serve-deadline-ms", "0",
                 "--metrics-out", str(manifest_path),
             ]
@@ -1316,7 +1315,11 @@ class TestServeCli:
         import json
 
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["extra"]["serve_bench"]["n_requests"] == 12
+        report = manifest["extra"]["serve_bench"]
+        assert report["n_requests"] == 12
+        # Latency runs from each request's arrival to its response, so
+        # even an inline memo answer takes measurable time.
+        assert report["p50_ms"] > 0
 
     def test_no_artifacts_errors(self):
         from repro.__main__ import main

@@ -1,9 +1,9 @@
-"""Oracle equivalence of the array-engine APU simulator.
+"""Oracle equivalence of the APU simulator's array fast path.
 
-The event-driven implementation (``engine="event"``) is the readable
-specification; the array engine (``engine="array"``, the default) must
-reproduce its results on every shared field at tight tolerance. The
-array engine is in fact a bit-exact replay of the event schedule, so
+The event-driven implementation (``ApuSimulator.run_reference``) is the
+readable specification; the array fast path (``run``/``run_batch``)
+must reproduce its results on every shared field at tight tolerance.
+The fast path is in fact a bit-exact replay of the event schedule, so
 these assertions use rtol=1e-9 as the contract while the implementation
 delivers equality.
 """
@@ -11,7 +11,7 @@ delivers equality.
 import numpy as np
 import pytest
 
-from repro.sim.apu_sim import ENGINES, ApuSimConfig, ApuSimulator
+from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.workloads.catalog import application_names, get_application
 from repro.workloads.traces import MemoryTrace, TraceGenerator
 
@@ -57,7 +57,7 @@ class TestOracleEquivalence:
         config = CONFIGS[config_name]
         trace = make_trace("CoMD", 6000)
         sim = ApuSimulator(config)
-        assert_equivalent(sim.run(trace), sim.run(trace, engine="event"))
+        assert_equivalent(sim.run(trace), sim.run_reference(trace))
 
     @pytest.mark.parametrize("app", ["MaxFlops", "SNAP", "XSBench"])
     def test_application_mix(self, app):
@@ -65,13 +65,13 @@ class TestOracleEquivalence:
         # different branches (slot-bound vs DRAM-queue-bound schedules).
         trace = make_trace(app, 5000)
         sim = ApuSimulator()
-        assert_equivalent(sim.run(trace), sim.run(trace, engine="event"))
+        assert_equivalent(sim.run(trace), sim.run_reference(trace))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_tiny_traces(self, n):
         trace = make_trace("CoMD", n)
         sim = ApuSimulator()
-        assert_equivalent(sim.run(trace), sim.run(trace, engine="event"))
+        assert_equivalent(sim.run(trace), sim.run_reference(trace))
 
     def test_trace_shorter_than_wavefront_pool(self):
         # Fewer accesses than n_cus * wavefronts_per_cu: most wavefronts
@@ -80,20 +80,20 @@ class TestOracleEquivalence:
         trace = make_trace("LULESH", 100)
         assert len(trace) < config.n_cus * config.wavefronts_per_cu
         sim = ApuSimulator(config)
-        assert_equivalent(sim.run(trace), sim.run(trace, engine="event"))
+        assert_equivalent(sim.run(trace), sim.run_reference(trace))
 
     def test_partition_remainder(self):
         # A trace length that is not a multiple of the wavefront count
         # leaves some partitions one access longer than others.
         trace = make_trace("CoMD", 16 * 8 * 3 + 5)
         sim = ApuSimulator()
-        assert_equivalent(sim.run(trace), sim.run(trace, engine="event"))
+        assert_equivalent(sim.run(trace), sim.run_reference(trace))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_seed_sweep(self, seed):
         trace = make_trace("MiniAMR", 4000, seed=seed)
         sim = ApuSimulator()
-        assert_equivalent(sim.run(trace), sim.run(trace, engine="event"))
+        assert_equivalent(sim.run(trace), sim.run_reference(trace))
 
     def test_bit_identical_on_default_trace(self):
         # Stronger than the rtol contract: the array engine replays the
@@ -101,29 +101,11 @@ class TestOracleEquivalence:
         trace = make_trace("CoMD", 6000)
         sim = ApuSimulator()
         a = sim.run(trace)
-        e = sim.run(trace, engine="event")
+        e = sim.run_reference(trace)
         assert (a.elapsed, a.total_flops, a.mean_memory_latency) == (
             e.elapsed, e.total_flops, e.mean_memory_latency
         )
         assert a.hit_rates == e.hit_rates
-
-
-class TestEngineSelection:
-    def test_engines_tuple(self):
-        assert ENGINES == ("array", "event")
-        assert ApuSimulator().engine == "array"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ApuSimulator(engine="fast")
-        with pytest.raises(ValueError, match="unknown engine"):
-            ApuSimulator().run(make_trace("CoMD", 10), engine="oracle")
-
-    def test_per_call_override(self):
-        trace = make_trace("CoMD", 2000)
-        event_default = ApuSimulator(engine="event")
-        assert_equivalent(event_default.run(trace, engine="array"),
-                          event_default.run(trace))
 
 
 class TestRunBatch:
@@ -132,7 +114,7 @@ class TestRunBatch:
         traces = [make_trace(app, 2000) for app in ("CoMD", "SNAP")]
         batched = sim.run_batch(traces)
         for trace, res in zip(traces, batched):
-            assert_equivalent(res, sim.run(trace, engine="event"))
+            assert_equivalent(res, sim.run_reference(trace))
 
     def test_cold_caches_per_trace(self):
         # Running the same trace twice in one batch must give identical
@@ -143,10 +125,11 @@ class TestRunBatch:
         assert a == b
 
     def test_event_engine_batch(self):
-        sim = ApuSimulator(engine="event")
+        # A one-trace batch against the event-driven reference.
+        sim = ApuSimulator()
         trace = make_trace("CoMD", 1500)
         (res,) = sim.run_batch([trace])
-        assert_equivalent(sim.run(trace, engine="array"), res)
+        assert_equivalent(res, sim.run_reference(trace))
 
     def test_empty_trace_rejected(self):
         empty = MemoryTrace(
@@ -157,11 +140,14 @@ class TestRunBatch:
         )
         with pytest.raises(ValueError, match="empty trace"):
             ApuSimulator().run_batch([make_trace("CoMD", 10), empty])
+        # The reference validates its input as the fast path does.
+        with pytest.raises(ValueError, match="empty trace"):
+            ApuSimulator().run_reference(empty)
 
 
 def test_every_application_equivalent_quick():
-    # One small trace per Table I application, both engines.
+    # One small trace per Table I application, fast path and reference.
     sim = ApuSimulator(ApuSimConfig(n_cus=4, wavefronts_per_cu=4))
     for app in application_names():
         trace = make_trace(app, 1200)
-        assert_equivalent(sim.run(trace), sim.run(trace, engine="event"))
+        assert_equivalent(sim.run(trace), sim.run_reference(trace))

@@ -10,7 +10,6 @@ from repro.core.thermal_governor import (
 )
 from repro.thermal.analysis import DRAM_LIMIT_C
 from repro.thermal.grid import (
-    STEP_ENGINES,
     TemperatureFieldBatch,
     ThermalGrid,
 )
@@ -49,7 +48,7 @@ class TestStepTransient:
         for _ in range(5):
             temps = grid.step_transient(temps, maps, 0.01)
         fact = grid.step_transient(temps, maps, 0.01)
-        oracle = grid.step_transient(temps, maps, 0.01, engine="oracle")
+        oracle = grid.step_transient_reference(temps, maps, 0.01)
         assert float(np.abs(fact - oracle).max()) < 1e-9
 
     def test_factorization_cached_per_dt(self, grid, maps):
@@ -74,15 +73,18 @@ class TestStepTransient:
 
     def test_validation(self, grid, maps):
         temps = np.full(maps.shape, grid.stack.ambient_c)
-        with pytest.raises(ValueError):
-            grid.step_transient(temps, maps, 0.0)
-        with pytest.raises(ValueError):
-            grid.step_transient(temps, maps, 0.01, engine="magic")
-        with pytest.raises(ValueError):
-            grid.step_transient(temps[0], maps, 0.01)
-        with pytest.raises(ValueError):
-            grid.step_transient(temps, maps[:, :4], 0.01)
-        assert STEP_ENGINES == ("factored", "oracle")
+        # The reference validates its inputs as the fast path does.
+        for step in (grid.step_transient, grid.step_transient_reference):
+            with pytest.raises(ValueError):
+                step(temps, maps, 0.0)
+            with pytest.raises(ValueError):
+                step(temps, maps, float("nan"))
+            with pytest.raises(ValueError):
+                step(temps[0], maps, 0.01)
+            with pytest.raises(ValueError):
+                step(temps, maps[:, :4], 0.01)
+            with pytest.raises(ValueError):
+                step(temps + np.inf, maps, 0.01)
 
     def test_lockstep_many_matches_per_scenario(self, grid, maps):
         batch = np.stack([maps * s for s in (0.3, 0.7, 1.0)])
@@ -97,12 +99,15 @@ class TestStepTransient:
             assert np.array_equal(stepped[s], solo)
 
     def test_lockstep_many_oracle_engine(self, grid, maps):
+        # Lockstep stepping against the sparse-solve reference, one
+        # scenario at a time.
         batch = np.stack([maps, maps * 0.5])
         temps = np.full(batch.shape, grid.stack.ambient_c)
         fact = grid.step_transient_many(temps, batch, 0.01)
-        oracle = grid.step_transient_many(
-            temps, batch, 0.01, engine="oracle"
-        )
+        oracle = np.stack([
+            grid.step_transient_reference(t, m, 0.01)
+            for t, m in zip(temps, batch)
+        ])
         assert float(np.abs(fact - oracle).max()) < 1e-9
 
     def test_lockstep_many_empty(self, grid):
@@ -196,8 +201,6 @@ class TestTransientSolver:
             PowerPhase(maps, 0.0)
         with pytest.raises(ValueError):
             TransientSolver(grid, dt=-1.0)
-        with pytest.raises(ValueError):
-            TransientSolver(grid, engine="nope")
 
     def test_watch_layer_fallback(self, grid):
         solver = TransientSolver(grid, watch_layer="no-such-layer")

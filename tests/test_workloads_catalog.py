@@ -1,5 +1,6 @@
 """The Table I application catalog (and Table II's published optima)."""
 
+import json
 import subprocess
 import sys
 
@@ -138,3 +139,27 @@ class TestTable2:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.split() == []
+
+    def test_traced_cli_run_loads_no_pool(self, tmp_path):
+        # A run with a manifest and a trace runs its experiments
+        # in-process, as a plain run does: no module of repro.perf (the
+        # worker pool's package) and no multiprocessing, yet one wall
+        # time and one span per experiment.
+        manifest, trace = tmp_path / "m.json", tmp_path / "t.json"
+        code = (
+            "import sys; from repro.__main__ import main; "
+            f"main(['fig7', 'table1', '--metrics-out', {str(manifest)!r}, "
+            f"'--trace-out', {str(trace)!r}]); "
+            "print('LOADED', *sorted(n for n in sys.modules "
+            "if n == 'multiprocessing' "
+            "or n.split('.')[:2] == ['repro', 'perf']))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1].split() == ["LOADED"]
+        wall_times = json.loads(manifest.read_text())["wall_times_s"]
+        assert {"fig7", "table1"} <= set(wall_times)
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert "experiment.fig7" in {e["name"] for e in events}

@@ -53,14 +53,12 @@ Run it from the repo root::
 ``--metrics-out``/``--trace-out`` write the same run manifest / Chrome
 trace-event JSON as ``python -m repro`` does, with one span per check.
 
-Exits non-zero (with a report) if any ratio regresses, so future PRs
-can use it as a trajectory check alongside::
-
-    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only \
-        --benchmark-json=BENCH_pr1.json
-
-``--bench-summary BENCH_pr3.json`` prints the headline stats of such an
-artifact (compact or legacy pretty format) and exits.
+Exits non-zero (with a report) if any ratio regresses. Each timing
+gate takes the best of a few repeats per side; the gates that have read
+near their bounds (noc, apu_sim, memsys, serve, fleet) also print the
+spread of those repeats, so a noisy pass is visible. End-to-end
+performance is compared between revisions by the repository's
+benchmark instead (``python benchmarks/ab.py PARENT_REV``).
 """
 
 from __future__ import annotations
@@ -83,17 +81,25 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sim.apu_sim import ApuSimulator
 from repro.thermal.grid import ThermalGrid
-from repro.util.benchjson import load_summary
 from repro.workloads.calibration import default_calibration_trace
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
+def _timings(fn, repeats: int) -> list[float]:
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def _best_of(fn, repeats: int) -> float:
+    return min(_timings(fn, repeats))
+
+
+def _spread(times: list[float], digits: int = 0) -> str:
+    """``min-max ms`` over one side's repeats."""
+    return f"{min(times) * 1e3:.{digits}f}-{max(times) * 1e3:.{digits}f} ms"
 
 
 # ----------------------------------------------------------------------
@@ -325,12 +331,13 @@ def check_noc(quick: bool) -> list[str]:
     res = sim.run(msgs)
     identical = res.latencies == ref_lat and res.makespan == ref_mk
 
-    t_fast = _best_of(lambda: NocSimulator().run(msgs), 3)
-    t_seed = _best_of(lambda: seed_noc_run(NocSimulator(), msgs), 2)
-    ratio = t_seed / t_fast
-    print(f"noc {n // 1000}k messages: {t_fast * 1e3:.0f} ms vs seed "
-          f"{t_seed * 1e3:.0f} ms -> {ratio:.1f}x "
-          f"(latencies identical: {identical})")
+    t_fast = _timings(lambda: NocSimulator().run(msgs), 3)
+    t_seed = _timings(lambda: seed_noc_run(NocSimulator(), msgs), 2)
+    ratio = min(t_seed) / min(t_fast)
+    print(f"noc {n // 1000}k messages: {min(t_fast) * 1e3:.0f} ms vs seed "
+          f"{min(t_seed) * 1e3:.0f} ms -> {ratio:.1f}x "
+          f"(repeats {_spread(t_fast)} vs {_spread(t_seed)}; "
+          f"latencies identical: {identical})")
 
     failures = []
     if not identical:
@@ -363,12 +370,13 @@ def check_apu_sim(quick: bool) -> list[str]:
         and array.hit_rates == event.hit_rates
     )
 
-    t_array = _best_of(lambda: sim.run(trace), 3)
-    t_event = _best_of(lambda: sim.run_reference(trace), 2)
-    ratio = t_event / t_array
-    print(f"apu_sim {n // 1000}k accesses: array {t_array * 1e3:.0f} ms vs "
-          f"event {t_event * 1e3:.0f} ms -> {ratio:.1f}x "
-          f"(max rel err = {err:.2e})")
+    t_array = _timings(lambda: sim.run(trace), 3)
+    t_event = _timings(lambda: sim.run_reference(trace), 2)
+    ratio = min(t_event) / min(t_array)
+    print(f"apu_sim {n // 1000}k accesses: array {min(t_array) * 1e3:.0f} "
+          f"ms vs event {min(t_event) * 1e3:.0f} ms -> {ratio:.1f}x "
+          f"(repeats {_spread(t_array)} vs {_spread(t_event)}; "
+          f"max rel err = {err:.2e})")
 
     failures = []
     if err > 1e-9 or not counts_match:
@@ -456,23 +464,26 @@ def check_memsys(quick: bool) -> list[str]:
         and array_out[3] == event_out[3]
     )
 
-    t_array = _best_of(lambda: replay("array"), 3)
-    t_event = _best_of(lambda: replay("event"), 1)  # scalar manager is slow
-    ratio = t_event / t_array
+    t_array = _timings(lambda: replay("array"), 3)
+    t_event = _timings(lambda: replay("event"), 1)  # scalar manager is slow
+    ratio = min(t_event) / min(t_array)
     print(f"memsys {n // 1000}k addresses (row buffer + "
           f"{len(capacities)}-capacity DRAM-cache sweep + 4 migration "
-          f"epochs): array {t_array * 1e3:.0f} ms vs event "
-          f"{t_event * 1e3:.0f} ms -> {ratio:.1f}x "
-          f"(outputs identical: {identical})")
+          f"epochs): array {min(t_array) * 1e3:.0f} ms vs event "
+          f"{min(t_event) * 1e3:.0f} ms -> {ratio:.1f}x "
+          f"(repeats {_spread(t_array)} vs {_spread(t_event)}; "
+          f"outputs identical: {identical})")
 
     # The DRAM-cache sweep on its own: Fig. 8's measured variant is this
     # sweep, so its engine ratio is gated separately from the mix.
-    t_sweep_array = _best_of(lambda: dram_sweep("array"), 5)
-    t_sweep_event = _best_of(lambda: dram_sweep("event"), 2)
-    sweep_ratio = t_sweep_event / t_sweep_array
+    t_sweep_array = _timings(lambda: dram_sweep("array"), 5)
+    t_sweep_event = _timings(lambda: dram_sweep("event"), 2)
+    sweep_ratio = min(t_sweep_event) / min(t_sweep_array)
     print(f"memsys {n // 1000}k addresses, {len(capacities)}-capacity "
-          f"DRAM-cache sweep alone: array {t_sweep_array * 1e3:.1f} ms vs "
-          f"event {t_sweep_event * 1e3:.0f} ms -> {sweep_ratio:.1f}x")
+          f"DRAM-cache sweep alone: array {min(t_sweep_array) * 1e3:.1f} "
+          f"ms vs event {min(t_sweep_event) * 1e3:.0f} ms -> "
+          f"{sweep_ratio:.1f}x (repeats {_spread(t_sweep_array, 1)} vs "
+          f"{_spread(t_sweep_event)})")
 
     failures = []
     if not identical:
@@ -930,20 +941,6 @@ CHECKS = (
 )
 
 
-def print_bench_summary(path: str) -> None:
-    """Headline stats of a ``--benchmark-json`` artifact (either the
-    compact format with a ``summary`` block or the legacy pretty one)."""
-    summary = load_summary(path)
-    width = max((len(n) for n in summary), default=0)
-    for name, stats in sorted(summary.items()):
-        mean = stats.get("mean_s")
-        stddev = stats.get("stddev_s")
-        rounds = stats.get("rounds")
-        mean_txt = f"{mean * 1e3:10.2f} ms" if mean is not None else "?"
-        sd_txt = f"+/- {stddev * 1e3:.2f}" if stddev is not None else ""
-        print(f"{name:<{width}}  {mean_txt} {sd_txt}  ({rounds} rounds)")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -963,17 +960,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="write Chrome trace-event JSON (one span per check) to PATH",
     )
-    parser.add_argument(
-        "--bench-summary",
-        metavar="BENCH_JSON",
-        default=None,
-        help="print the summary of a --benchmark-json artifact and exit",
-    )
     args = parser.parse_args(argv)
-
-    if args.bench_summary:
-        print_bench_summary(args.bench_summary)
-        return 0
 
     from contextlib import nullcontext
 

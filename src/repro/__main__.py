@@ -12,7 +12,8 @@ Usage::
                                         # per-profile oracle DSE engine
                                         # (default: fused tensor passes)
     python -m repro serve               # serve benchmark: async batched
-                                        # front-end on a 2-worker pool
+                                        # front-end (a 2-worker pool only
+                                        # with --serve-baseline)
     python -m repro serve --serve-rate 500 --serve-requests 400
                                         # open-loop tail-latency run
     python -m repro fleet               # fleet benchmark: in-process
@@ -31,9 +32,9 @@ Usage::
                                         # text snapshot alongside
     python -m repro obs report manifest.json
                                         # where-did-the-time-go report
-    python -m repro obs diff BENCH_pr7.json BENCH_pr8.json
-    python -m repro obs diff .          # BENCH_pr* trajectory check;
-                                        # exit status = regressions
+
+Performance is compared between two revisions with the repository's
+benchmark, not from here: ``python benchmarks/ab.py PARENT_REV``.
 """
 
 from __future__ import annotations

@@ -192,41 +192,6 @@ class NodeModel:
         )
         return NodeEvaluation(metrics=metrics, power=power)
 
-    def evaluate_batch(
-        self,
-        batch: ProfileBatch,
-        n_cus,
-        freq,
-        bandwidth,
-        *,
-        ext_fraction=None,
-        extra_latency: float = 0.0,
-    ) -> NodeEvaluation:
-        """Generic broadcast evaluation of a whole :class:`ProfileBatch`.
-
-        The batch's columns lead the hardware axes: outputs gain a
-        profile axis of length ``P`` in front of whatever
-        ``(n_cus, freq, bandwidth)`` broadcast to. This is the fully
-        general path (it supports ``ext_fraction`` and
-        ``extra_latency``); the DSE-shaped fast path is
-        :meth:`evaluate_grid`.
-        """
-        hw_axes = np.broadcast(
-            np.asarray(n_cus, dtype=float),
-            np.asarray(freq, dtype=float),
-            np.asarray(bandwidth, dtype=float),
-            np.asarray(0.0 if ext_fraction is None else ext_fraction),
-        ).ndim
-        expanded = batch.expand(max(1, hw_axes))
-        return self.evaluate_arrays(
-            expanded,
-            n_cus,
-            freq,
-            bandwidth,
-            ext_fraction=ext_fraction,
-            extra_latency=extra_latency,
-        )
-
     def evaluate_grid(
         self,
         profiles,

@@ -2,9 +2,10 @@
 
 Each driver exposes a ``run_*`` function returning an
 :class:`~repro.experiments.runner.ExperimentResult` whose ``render()``
-prints the same rows/series the paper reports. The benchmark harness
-(``benchmarks/``) times and prints these; tests assert their shape
-properties (who wins, approximate factors, crossover locations).
+prints the same rows/series the paper reports. ``python -m repro
+<id>`` prints these and the benchmark (``perfbench/``) times them;
+tests assert their shape properties (who wins, approximate factors,
+crossover locations).
 
 | Driver | Paper artifact |
 |---|---|

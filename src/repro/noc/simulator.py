@@ -13,9 +13,7 @@ the paper's choice of high-level simulation over cycle-level detail.
 The hot loop works on integers and flat lists rather than graph objects:
 links are enumerated once into integer ids with a latency table, every
 (src, dst) route is resolved once into a tuple of link ids, and per-link
-occupancy lives in flat ``busy_until`` lists. :meth:`NocSimulator.run`
-keeps its object API; :meth:`NocSimulator.run_batch` injects whole
-column arrays without building a ``SimMessage`` per message.
+occupancy lives in flat ``busy_until`` lists.
 """
 
 from __future__ import annotations
@@ -184,56 +182,11 @@ class NocSimulator:
                 SimResult(delivered=0, makespan=0.0, total_bytes=0.0,
                           link_bandwidth=self.link_bandwidth)
             )
-        return self._run(
-            [m.src for m in messages],
-            [m.dst for m in messages],
-            [m.size_bytes for m in messages],
-            [m.inject_time for m in messages],
-        )
-
-    def run_batch(
-        self,
-        srcs: Sequence[str],
-        dsts: Sequence[str],
-        size_bytes,
-        inject_times,
-    ) -> SimResult:
-        """Batch-injection API: columns instead of message objects.
-
-        *srcs* and *dsts* are node-name sequences; *size_bytes* and
-        *inject_times* are array-likes (scalars broadcast). Semantics are
-        identical to wrapping each row in a :class:`SimMessage` and
-        calling :meth:`run`, without the per-object overhead.
-        """
-        n = len(srcs)
-        if len(dsts) != n:
-            raise ValueError("srcs and dsts must have equal length")
-        sizes = np.broadcast_to(
-            np.asarray(size_bytes, dtype=float), (n,)
-        )
-        times = np.broadcast_to(
-            np.asarray(inject_times, dtype=float), (n,)
-        )
-        if n == 0:
-            return self._finish(
-                SimResult(delivered=0, makespan=0.0, total_bytes=0.0,
-                          link_bandwidth=self.link_bandwidth)
-            )
-        if not (np.isfinite(sizes).all() and (sizes > 0).all()):
-            raise ValueError("size_bytes must be finite and positive")
-        if not (np.isfinite(times).all() and (times >= 0).all()):
-            raise ValueError("inject_time must be finite and non-negative")
-        return self._run(srcs, dsts, sizes.tolist(), times.tolist())
-
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        srcs: Sequence[str],
-        dsts: Sequence[str],
-        sizes: list[float],
-        times: list[float],
-    ) -> SimResult:
-        with obs_trace.span("noc.run", messages=len(srcs)), \
+        srcs = [m.src for m in messages]
+        dsts = [m.dst for m in messages]
+        sizes = [m.size_bytes for m in messages]
+        times = [m.inject_time for m in messages]
+        with obs_trace.span("noc.run", messages=len(messages)), \
                 obs_metrics.timed("noc.run_seconds"):
             result = self._run_messages(srcs, dsts, sizes, times)
         obs_metrics.inc("noc.runs")
@@ -241,6 +194,7 @@ class NocSimulator:
         obs_metrics.inc("noc.bytes", int(result.total_bytes))
         return result
 
+    # ------------------------------------------------------------------
     def _run_messages(
         self,
         srcs: Sequence[str],

@@ -20,9 +20,8 @@ Three pieces, layered from always-on to opt-in:
   (``--metrics-export``).
 * :mod:`repro.obs.slo` — rolling-window latency/shed/error-budget
   health tracking, published by the serving layer.
-* :mod:`repro.obs.report` — run reports and BENCH_* regression diffs
-  (``python -m repro obs report`` / ``obs diff``; imported lazily like
-  the manifest module).
+* :mod:`repro.obs.report` — run reports (``python -m repro obs
+  report``; imported lazily like the manifest module).
 """
 
 from repro.obs import export, metrics, proc, slo, trace

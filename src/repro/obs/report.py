@@ -1,48 +1,24 @@
-"""Run reports and benchmark regression diffs (``python -m repro obs``).
+"""Run reports (``python -m repro obs report``).
 
-Two subcommands turn the observability artifacts the other layers
-produce into answers:
-
-``python -m repro obs report <manifest.json | metrics.jsonl>``
-    A human-readable "where did the time go" report. A run manifest
-    (:mod:`repro.obs.manifest`) renders its wall times, timing
-    histograms, cache hit rates and memory gauges; a
-    :class:`~repro.obs.export.PeriodicSampler` JSONL stream is folded
-    back into cumulative totals first (counter/histogram deltas sum,
-    gauges keep their last reading, RSS reports its series peak).
-
-``python -m repro obs diff <a> <b>`` / ``obs diff --dir <dir>``
-    Regression comparison of pytest-benchmark artifacts
-    (``BENCH_pr*.json``, compact or legacy — anything
-    :func:`repro.util.benchjson.load_summary` reads). Two files compare
-    their common benchmarks' mean times against a configurable
-    ``--threshold`` ratio; a directory compares the whole trajectory
-    pairwise in PR order, *warning* (never crashing) on missing PR
-    numbers or disjoint benchmark sets. Exit status is the number of
-    regressions found (0 = healthy), which is what lets CI gate on the
-    freshly produced quick-smoke bench output.
+``python -m repro obs report <manifest.json | metrics.jsonl>`` turns the
+observability artifacts the other layers produce into a human-readable
+"where did the time go" report. A run manifest
+(:mod:`repro.obs.manifest`) renders its wall times, timing histograms,
+cache hit rates and memory gauges; a
+:class:`~repro.obs.export.PeriodicSampler` JSONL stream is folded back
+into cumulative totals first (counter/histogram deltas sum, gauges keep
+their last reading, RSS reports its series peak).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import re
 import sys
 import time
 from typing import Iterable, Mapping, Sequence
 
-from repro.util.benchjson import load_summary
-
-__all__ = [
-    "render_report",
-    "diff_benchmarks",
-    "diff_trajectory",
-    "main",
-]
-
-_BENCH_RE = re.compile(r"BENCH_pr(\d+)\.json$")
+__all__ = ["render_report", "main"]
 
 
 # ----------------------------------------------------------------------
@@ -285,130 +261,6 @@ def render_report(path: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# `obs diff`
-# ----------------------------------------------------------------------
-def diff_benchmarks(
-    path_a: str,
-    path_b: str,
-    threshold: float = 1.5,
-    min_seconds: float = 1e-5,
-) -> tuple[list[str], int]:
-    """Compare two benchmark files; returns (report lines, regressions).
-
-    A common benchmark regresses when ``mean_b / mean_a > threshold``
-    and the absolute slowdown exceeds *min_seconds* (micro-benchmarks
-    under the floor are noise, not signal). Benchmarks present in only
-    one file are warned about, never fatal.
-    """
-    if threshold <= 1.0:
-        raise ValueError("threshold must be > 1.0")
-    summary_a = load_summary(path_a)
-    summary_b = load_summary(path_b)
-    lines = [
-        f"bench diff: {os.path.basename(path_a)} -> "
-        f"{os.path.basename(path_b)}  (threshold {threshold:.2f}x)"
-    ]
-    regressions = 0
-    common = sorted(set(summary_a) & set(summary_b))
-    rows = []
-    for name in common:
-        mean_a = summary_a[name].get("mean_s")
-        mean_b = summary_b[name].get("mean_s")
-        if not mean_a or not mean_b:
-            rows.append([name, "-", "-", "-", "no data"])
-            continue
-        ratio = mean_b / mean_a
-        verdict = "ok"
-        if (
-            ratio > threshold
-            and (mean_b - mean_a) > min_seconds
-        ):
-            verdict = "REGRESSION"
-            regressions += 1
-        elif ratio < 1.0 / threshold:
-            verdict = "improved"
-        rows.append(
-            [
-                name,
-                _fmt_seconds(mean_a),
-                _fmt_seconds(mean_b),
-                f"{ratio:.2f}x",
-                verdict,
-            ]
-        )
-    if rows:
-        lines.extend(
-            _table([["benchmark", "before", "after", "ratio", ""]] + rows)
-        )
-    else:
-        lines.append("  (no common benchmarks)")
-    only_a = sorted(set(summary_a) - set(summary_b))
-    only_b = sorted(set(summary_b) - set(summary_a))
-    if only_a:
-        lines.append(
-            f"  warning: {len(only_a)} benchmark(s) only in "
-            f"{os.path.basename(path_a)}: {', '.join(only_a[:3])}"
-            + ("..." if len(only_a) > 3 else "")
-        )
-    if only_b:
-        lines.append(
-            f"  warning: {len(only_b)} benchmark(s) only in "
-            f"{os.path.basename(path_b)}: {', '.join(only_b[:3])}"
-            + ("..." if len(only_b) > 3 else "")
-        )
-    return lines, regressions
-
-
-def trajectory_files(directory: str) -> tuple[list[tuple[int, str]], list[str]]:
-    """``BENCH_pr<N>.json`` files in *directory*, PR-ordered, plus gap
-    warnings for missing PR numbers inside the observed range."""
-    found = []
-    for entry in sorted(os.listdir(directory)):
-        match = _BENCH_RE.fullmatch(entry)
-        if match:
-            found.append((int(match.group(1)), os.path.join(directory, entry)))
-    found.sort()
-    warnings = []
-    if found:
-        numbers = [n for n, _ in found]
-        missing = sorted(set(range(numbers[0], numbers[-1] + 1)) - set(numbers))
-        if missing:
-            warnings.append(
-                "warning: trajectory gap — no BENCH_pr{}.json".format(
-                    "/".join(str(n) for n in missing)
-                )
-            )
-    return found, warnings
-
-
-def diff_trajectory(
-    directory: str, threshold: float = 1.5, min_seconds: float = 1e-5
-) -> tuple[list[str], int]:
-    """Pairwise-consecutive diff of a whole ``BENCH_pr*`` directory."""
-    found, warnings = trajectory_files(directory)
-    lines = [f"bench trajectory: {directory} ({len(found)} file(s))"]
-    lines.extend(f"  {w}" for w in warnings)
-    if len(found) < 2:
-        lines.append("  (need at least two BENCH_pr*.json files to diff)")
-        return lines, 0
-    regressions = 0
-    for (_, path_a), (_, path_b) in zip(found, found[1:]):
-        try:
-            pair_lines, pair_regressions = diff_benchmarks(
-                path_a, path_b, threshold, min_seconds
-            )
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            lines.append(
-                f"  warning: cannot diff {os.path.basename(path_a)} -> "
-                f"{os.path.basename(path_b)}: {exc}"
-            )
-            continue
-        lines.extend(pair_lines)
-        regressions += pair_regressions
-    return lines, regressions
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def main(argv: Sequence[str] | None = None) -> int:
@@ -416,8 +268,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro obs",
         description=(
-            "Observability reports: where-did-time-go from manifests/"
-            "metric exports, regression diffs over BENCH_*.json files."
+            "Observability reports: where-did-time-go from manifests "
+            "and metric exports."
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -428,87 +280,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     report.add_argument(
         "path", help="manifest JSON or PeriodicSampler JSONL file"
     )
-
-    diff = sub.add_parser(
-        "diff",
-        help=(
-            "compare benchmark files; exit status = regressions found"
-        ),
-    )
-    diff.add_argument(
-        "paths",
-        nargs="*",
-        help=(
-            "two BENCH_*.json files, or one directory holding a "
-            "BENCH_pr*.json trajectory"
-        ),
-    )
-    diff.add_argument(
-        "--dir",
-        dest="directory",
-        default=None,
-        help="diff the whole BENCH_pr*.json trajectory in a directory",
-    )
-    diff.add_argument(
-        "--threshold",
-        type=float,
-        default=1.5,
-        metavar="RATIO",
-        help=(
-            "mean-time ratio above which a benchmark counts as a "
-            "regression (default 1.5)"
-        ),
-    )
-    diff.add_argument(
-        "--min-seconds",
-        type=float,
-        default=1e-5,
-        metavar="S",
-        help=(
-            "ignore slowdowns smaller than this many absolute seconds "
-            "(default 1e-5)"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    if args.subcommand == "report":
-        try:
-            print(render_report(args.path))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"obs report: cannot read {args.path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        return 0
-
-    # diff
-    directory = args.directory
-    paths = list(args.paths)
-    if directory is None and len(paths) == 1 and os.path.isdir(paths[0]):
-        directory, paths = paths[0], []
-    if directory is not None:
-        if paths:
-            parser.error("--dir and explicit file paths are exclusive")
-        lines, regressions = diff_trajectory(
-            directory, args.threshold, args.min_seconds
-        )
-    elif len(paths) == 2:
-        try:
-            lines, regressions = diff_benchmarks(
-                paths[0], paths[1], args.threshold, args.min_seconds
-            )
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"obs diff: {exc}", file=sys.stderr)
-            return 2
-    else:
-        parser.error(
-            "diff takes two benchmark files, or one directory / --dir"
-        )
-        return 2  # unreachable; parser.error raises
-    print("\n".join(lines))
-    if regressions:
-        print(f"obs diff: {regressions} regression(s) found",
+    try:
+        print(render_report(args.path))
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"obs report: cannot read {args.path}: {exc}",
               file=sys.stderr)
-    return regressions
+        return 2
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

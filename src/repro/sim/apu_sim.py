@@ -16,7 +16,7 @@ Two implementations execute the same semantics:
     access (issue, begin-burst, finish-burst). It is the readable
     specification and the oracle the fast path is tested against.
 
-:meth:`ApuSimulator.run` and :meth:`ApuSimulator.run_batch`
+:meth:`ApuSimulator.run`
     The fast path: a flat-array replay of the identical schedule. The
     strided wavefront partitions are batched into contiguous numpy
     columns (line ids, per-level set/tag indices, burst durations) up
@@ -49,7 +49,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -136,7 +135,7 @@ class ApuSimResult:
 class ApuSimulator:
     """Execution of a memory trace on the scaled APU.
 
-    :meth:`run` and :meth:`run_batch` take the array fast path;
+    :meth:`run` takes the array fast path;
     :meth:`run_reference` runs the discrete-event oracle.
 
     Parameters
@@ -169,32 +168,6 @@ class ApuSimulator:
         obs_metrics.inc("sim.apu.trace_rows", len(trace))
         obs_metrics.inc("sim.apu.dram_accesses", result.dram_accesses)
         return result
-
-    def run_batch(self, traces: Iterable[MemoryTrace]) -> list[ApuSimResult]:
-        """Run several traces through one configuration.
-
-        Each trace gets a cold cache hierarchy (identical to calling
-        :meth:`run` per trace), but the config-derived setup — cache
-        geometry, per-wavefront CU assignment, derived rates — is
-        computed once and shared, which is what calibration sweeps over
-        many traces of one kernel profile want.
-        """
-        traces = list(traces)
-        for trace in traces:
-            if len(trace) == 0:
-                raise ValueError("empty trace")
-        total_rows = sum(len(trace) for trace in traces)
-        with obs_trace.span(
-            "apu_sim.run_batch", traces=len(traces), accesses=total_rows,
-        ), obs_metrics.timed("sim.apu.run_seconds"):
-            setup = self._array_setup()
-            results = [self._run_array(trace, setup) for trace in traces]
-        obs_metrics.inc("sim.apu.runs", len(traces))
-        obs_metrics.inc("sim.apu.trace_rows", total_rows)
-        obs_metrics.inc(
-            "sim.apu.dram_accesses", sum(r.dram_accesses for r in results)
-        )
-        return results
 
     # ------------------------------------------------------------------
     # Event-driven oracle (the original implementation, kept verbatim)
@@ -323,31 +296,16 @@ class ApuSimulator:
     # ------------------------------------------------------------------
     # Array fast path
     # ------------------------------------------------------------------
-    def _array_setup(self) -> dict:
-        """Config-derived constants shared across traces of a batch."""
+    def _run_array(self, trace: MemoryTrace) -> ApuSimResult:
         cfg = self.config
+        n = len(trace)
         n_wfs = cfg.n_cus * cfg.wavefronts_per_cu
         cu_of = [w // cfg.wavefronts_per_cu for w in range(n_wfs)]
+        cu_rate = cfg.flops_per_cu_cycle * cfg.freq_hz
         # Geometry comes from the same hierarchy the oracle builds, so
-        # the two paths can never disagree about set/tag layout. Only
-        # the (stateless) geometry is shared; per-set recency state is
-        # rebuilt cold for every run.
-        return {
-            "n_wfs": n_wfs,
-            "cu_of": cu_of,
-            "cu_rate": cfg.flops_per_cu_cycle * cfg.freq_hz,
-            "levels": self._build_cache().levels,
-            "line_service": cfg.line_bytes / cfg.dram_bandwidth,
-        }
-
-    def _run_array(self, trace: MemoryTrace, setup: dict | None = None) -> ApuSimResult:
-        cfg = self.config
-        setup = setup or self._array_setup()
-        n = len(trace)
-        n_wfs: int = setup["n_wfs"]
-        cu_of: list[int] = setup["cu_of"]
-        cu_rate: float = setup["cu_rate"]
-        level1, level2 = setup["levels"]
+        # the two paths can never disagree about set/tag layout; the
+        # per-set recency state below starts cold on every run.
+        level1, level2 = self._build_cache().levels
         nsets1, assoc1 = level1.n_sets, level1.associativity
         nsets2, assoc2 = level2.n_sets, level2.associativity
 
@@ -389,7 +347,7 @@ class ApuSimulator:
         llc_lat = cfg.llc_latency
         dram_lat = cfg.dram_latency
         extra_lat = cfg.chiplet_extra_latency
-        line_service: float = setup["line_service"]
+        line_service = cfg.line_bytes / cfg.dram_bandwidth
         hits1 = miss1 = hits2 = miss2 = dram = 0
         flops_sum = 0.0
         lat_sum = 0.0

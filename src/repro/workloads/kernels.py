@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -209,9 +208,8 @@ class ProfileBatch:
     Each numeric :class:`KernelProfile` field (the names in
     :data:`_BATCH_FIELDS`) becomes a float64 column of shape ``(P, 1)``.
     The trailing singleton axis makes a column broadcast against one
-    flattened grid axis out of the box; :meth:`expand` reshapes the
-    columns for multi-axis layouts like the fused
-    ``(profile, CU, freq, BW)`` tensor pass.
+    flattened grid axis out of the box; the fused
+    ``(profile, CU, freq, BW)`` tensor pass reshapes the columns itself.
 
     The batch re-validates the profile invariants (unit intervals,
     positive flops/MLP/issue efficiency, compression >= 1) even when
@@ -316,24 +314,4 @@ class ProfileBatch:
         return ProfileBatch(
             names=names,
             **{f: getattr(self, f)[index] for f in _BATCH_FIELDS},
-        )
-
-    def expand(self, hw_axes: int) -> SimpleNamespace:
-        """A duck-typed profile whose columns lead *hw_axes* hardware axes.
-
-        Each ``(P, 1)`` column is reshaped to ``(P, 1, ..., 1)`` with
-        *hw_axes* trailing singletons, so it broadcasts against any
-        hardware-axis layout of that many dimensions. The result quacks
-        like a :class:`KernelProfile` wherever only the numeric fields
-        are read (:func:`repro.perfmodel.roofline.evaluate_kernel`,
-        :func:`repro.power.breakdown.node_power`).
-        """
-        if hw_axes < 1:
-            raise ValueError("hw_axes must be >= 1")
-        shape = (len(self),) + (1,) * int(hw_axes)
-        return SimpleNamespace(
-            names=self.names,
-            **{
-                f: getattr(self, f).reshape(shape) for f in _BATCH_FIELDS
-            },
         )

@@ -167,11 +167,6 @@ class TestNocSimulator:
         with pytest.raises(ValueError, match="finite"):
             SimMessage("gpu0", "dram0", size, inject)
 
-    @pytest.mark.parametrize("size, inject", NON_FINITE_MESSAGES)
-    def test_run_batch_rejects_non_finite_before_running(self, size, inject):
-        with pytest.raises(ValueError, match="finite"):
-            NocSimulator().run_batch(["gpu0"], ["dram0"], size, inject)
-
     @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
     def test_simulator_rejects_non_finite_bandwidth(self, bandwidth):
         with pytest.raises(ValueError, match="finite"):

@@ -3,9 +3,9 @@
 Covers the metrics registry (counters, gauges, histograms, snapshot
 merge/diff algebra, the disabled fast path), the span tracer with an
 injected fake clock (deterministic Chrome trace-event output), the run
-manifest, the benchmark-JSON compaction helpers, and the acceptance
-criterion that a pool's merged worker snapshot has counter totals
-equal to the sum of the per-worker snapshots.
+manifest, and the acceptance criterion that a pool's merged worker
+snapshot has counter totals equal to the sum of the per-worker
+snapshots.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.obs.metrics import (
     MetricsSnapshot,
 )
 from repro.obs.trace import Tracer
-from repro.util import benchjson
 
 
 # ----------------------------------------------------------------------
@@ -603,55 +602,3 @@ class TestParallelMetrics:
         # One explore per task, on whichever worker took it: every
         # worker's count is merged, never dropped.
         assert merged.counter("dse.explores") == len(names)
-
-
-# ----------------------------------------------------------------------
-# Benchmark-JSON compaction helpers
-# ----------------------------------------------------------------------
-SAMPLE_BENCH = {
-    "machine_info": {"cpu": "x"},
-    "benchmarks": [
-        {
-            "fullname": "benchmarks/test_a.py::test_a",
-            "stats": {
-                "mean": 0.01, "stddev": 0.001, "min": 0.009, "rounds": 5,
-                "data": [0.009, 0.01, 0.011, 0.01, 0.01],
-            },
-        }
-    ],
-}
-
-
-class TestBenchJson:
-    def test_summarize(self):
-        summary = benchjson.summarize(SAMPLE_BENCH)
-        entry = summary["benchmarks/test_a.py::test_a"]
-        assert entry["mean_s"] == 0.01
-        assert entry["rounds"] == 5
-
-    def test_compact_file_and_load_summary(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(SAMPLE_BENCH, indent=4))
-        assert len(path.read_text().splitlines()) > 10  # legacy pretty
-        benchjson.compact_file(str(path))
-        text = path.read_text()
-        assert len(text.splitlines()) == 1  # compact
-        data = json.loads(text)
-        assert benchjson.SUMMARY_KEY in data
-        assert data["benchmarks"] == SAMPLE_BENCH["benchmarks"]
-        summary = benchjson.load_summary(str(path))
-        assert summary["benchmarks/test_a.py::test_a"]["mean_s"] == 0.01
-
-    def test_load_summary_legacy_pretty_format(self, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(SAMPLE_BENCH, indent=4))
-        summary = benchjson.load_summary(str(path))
-        assert summary["benchmarks/test_a.py::test_a"]["rounds"] == 5
-
-    def test_compact_is_idempotent(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(SAMPLE_BENCH))
-        benchjson.compact_file(str(path))
-        first = path.read_text()
-        benchjson.compact_file(str(path))
-        assert path.read_text() == first

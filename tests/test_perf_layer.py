@@ -82,34 +82,6 @@ class TestNocFastPath:
             for k, (s, d) in enumerate(pairs)
         ]
 
-    def test_run_batch_matches_run(self):
-        msgs = self._messages()
-        res_obj = NocSimulator().run(msgs)
-        res_batch = NocSimulator().run_batch(
-            [m.src for m in msgs],
-            [m.dst for m in msgs],
-            [m.size_bytes for m in msgs],
-            [m.inject_time for m in msgs],
-        )
-        assert res_batch.latencies == res_obj.latencies
-        assert res_batch.makespan == res_obj.makespan
-        assert res_batch.total_bytes == res_obj.total_bytes
-
-    def test_run_batch_broadcasts_scalars(self):
-        res = NocSimulator().run_batch(
-            ["gpu0", "gpu1"], ["dram5", "dram6"], 4096.0, 0.0
-        )
-        assert res.delivered == 2
-
-    def test_run_batch_validates(self):
-        sim = NocSimulator()
-        with pytest.raises(ValueError):
-            sim.run_batch(["gpu0"], ["dram0"], 0.0, 0.0)
-        with pytest.raises(ValueError):
-            sim.run_batch(["gpu0"], ["dram0"], 64.0, -1.0)
-        with pytest.raises(ValueError):
-            sim.run_batch(["gpu0"], [], 64.0, 0.0)
-
     def test_link_stats_live_on_result(self):
         msgs = self._messages()
         res = NocSimulator().run(msgs)

@@ -1320,6 +1320,34 @@ class TestServeCli:
         # Latency runs from each request's arrival to its response, so
         # even an inline memo answer takes measurable time.
         assert report["p50_ms"] > 0
+        # How late the generator issued each submit is reported beside
+        # it; a closed-loop burst is due at once, so never early.
+        assert report["late_p99_ms"] >= 0
+        assert "submits late p99" in out
+
+    def test_serve_bench_spawns_a_pool_only_for_the_baseline(
+        self, monkeypatch
+    ):
+        # The synthetic mix sends the service no solo request, so only
+        # the naive baseline needs worker processes.
+        from repro.serve import bench
+
+        pools = []
+
+        class RecordingPool(ShardedPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(bench, "ShardedPool", RecordingPool)
+        report = bench.run_serve_bench(n_requests=8)
+        assert report.ok == 8 and report.baseline_rps is None
+        assert pools == []
+        report = bench.run_serve_bench(n_requests=8, baseline=True)
+        assert report.ok == 8 and report.baseline_rps > 0
+        assert len(pools) == 1
+        with pytest.raises(RuntimeError, match="shut down"):
+            pools[0].run([])
 
     def test_no_artifacts_errors(self):
         from repro.__main__ import main

@@ -1,11 +1,11 @@
 """Oracle equivalence of the APU simulator's array fast path.
 
 The event-driven implementation (``ApuSimulator.run_reference``) is the
-readable specification; the array fast path (``run``/``run_batch``)
-must reproduce its results on every shared field at tight tolerance.
-The fast path is in fact a bit-exact replay of the event schedule, so
-these assertions use rtol=1e-9 as the contract while the implementation
-delivers equality.
+readable specification; the array fast path (``run``) must reproduce
+its results on every shared field at tight tolerance. The fast path is
+in fact a bit-exact replay of the event schedule, so these assertions
+use rtol=1e-9 as the contract while the implementation delivers
+equality.
 """
 
 import numpy as np
@@ -109,28 +109,6 @@ class TestOracleEquivalence:
 
 
 class TestRunBatch:
-    def test_matches_individual_runs(self):
-        sim = ApuSimulator()
-        traces = [make_trace(app, 2000) for app in ("CoMD", "SNAP")]
-        batched = sim.run_batch(traces)
-        for trace, res in zip(traces, batched):
-            assert_equivalent(res, sim.run_reference(trace))
-
-    def test_cold_caches_per_trace(self):
-        # Running the same trace twice in one batch must give identical
-        # results: no cache state may leak between batch entries.
-        sim = ApuSimulator()
-        trace = make_trace("XSBench", 3000)
-        a, b = sim.run_batch([trace, trace])
-        assert a == b
-
-    def test_event_engine_batch(self):
-        # A one-trace batch against the event-driven reference.
-        sim = ApuSimulator()
-        trace = make_trace("CoMD", 1500)
-        (res,) = sim.run_batch([trace])
-        assert_equivalent(res, sim.run_reference(trace))
-
     def test_empty_trace_rejected(self):
         empty = MemoryTrace(
             addresses=np.array([], dtype=np.int64),
@@ -139,7 +117,7 @@ class TestRunBatch:
             footprint_bytes=1024.0,
         )
         with pytest.raises(ValueError, match="empty trace"):
-            ApuSimulator().run_batch([make_trace("CoMD", 10), empty])
+            ApuSimulator().run(empty)
         # The reference validates its input as the fast path does.
         with pytest.raises(ValueError, match="empty trace"):
             ApuSimulator().run_reference(empty)

@@ -37,9 +37,11 @@ replicated below) and asserts the speedup ratios the layer promises:
   grid with an absolute steps/sec floor, the transient fixed point
   matching the steady-state ``solve`` within 1e-6 C, per-step
   factored-vs-oracle agreement within 1e-9 C, lockstep batched
-  stepping bit-identical to per-scenario integration, and the
-  closed-loop governor keeping the simulated DRAM stack under the
-  85 C limit on a schedule whose uncontrolled replay exceeds it,
+  stepping bit-identical to per-scenario integration, the governed
+  loop's closed-form windows within 1e-9 C of per-step integration at
+  every step's DRAM peak, and the closed-loop governor keeping the
+  simulated DRAM stack under the 85 C limit on a schedule whose
+  uncontrolled replay exceeds it,
 * the fleet sweep: the in-process CU-axis pass bit-identical to the
   serial per-point estimate loop and >= 5x over it,
 
@@ -249,9 +251,11 @@ def check_thermal_transient(quick: bool) -> list[str]:
     an absolute steps/sec floor; the transient fixed point equals the
     steady solve (<= 1e-6 C); a factored step equals an oracle step
     from the same state (<= 1e-9 C); lockstep batched stepping is
-    bit-identical to per-scenario stepping; and the governed run stays
-    under the DRAM limit while the uncontrolled replay exceeds it with
-    at least one throttle intervention recorded.
+    bit-identical to per-scenario stepping; the governed run's
+    closed-form windows agree with per-step integration of the same
+    decisions at every step's DRAM peak (<= 1e-9 C); and the governed
+    run stays under the DRAM limit while the uncontrolled replay
+    exceeds it with at least one throttle intervention recorded.
     """
     from repro.thermal.bench import run_thermal_loop_bench
 
@@ -274,7 +278,9 @@ def check_thermal_transient(quick: bool) -> list[str]:
     print(f"thermal loop: governed peak {g.max_peak_dram_c:.1f} C / "
           f"{len(g.throttle_events)} throttles vs uncontrolled "
           f"{r.max_peak_dram_c:.1f} C ({r.time_over_limit_s:.1f} s over "
-          f"the {r.limit_c:.0f} C limit)")
+          f"the {r.limit_c:.0f} C limit); governed loop "
+          f"{report.governed_steps_per_s:.0f} steps/s, windowed vs "
+          f"per-step peaks {report.window_gap_c:.2e} C")
 
     failures = []
     if report.speedup < 10.0:
@@ -299,6 +305,11 @@ def check_thermal_transient(quick: bool) -> list[str]:
     if not report.batch_identical:
         failures.append(
             "lockstep batched stepping diverged from per-scenario steps"
+        )
+    if report.window_gap_c > 1e-9:
+        failures.append(
+            f"governed windows vs per-step peaks: "
+            f"{report.window_gap_c:.2e} C > 1e-9"
         )
     if not g.within_limit:
         failures.append(

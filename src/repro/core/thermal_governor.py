@@ -7,23 +7,29 @@ configuration may be thermally safe for the mean workload but not for a
 compute-intensive sprint, and the stack's thermal mass means violations
 build over seconds, not instantly. This module closes that loop:
 
-* :class:`ThermalGovernor` integrates the transient model
-  (:class:`~repro.thermal.transient.TransientSolver`) through a phase
-  schedule while capping each phase's operating point so the simulated
-  DRAM peak stays under the limit. Control is hybrid:
+* :class:`ThermalGovernor` integrates the transient model through a
+  phase schedule while capping each phase's operating point so the
+  simulated DRAM peak stays under the limit. Control is hybrid:
 
   - **feedforward** — before a phase starts, pick the highest
     frequency on the :class:`~repro.core.governor.DvfsGovernor` ladder
-    whose *steady-state* DRAM peak (one modal solve against the grid's
-    cached operator, memoized per (profile, config)) clears the limit
-    minus a margin,
-    gating CU groups when even the ladder floor is too hot;
+    whose *steady-state* DRAM peak clears the limit minus a margin (the
+    ladder points at or below the cap are priced together: one
+    batched node evaluation and one batched modal solve, memoized per
+    (profile, config)), gating CU groups when even the ladder floor is
+    too hot;
   - **feedback** — every control tick, notch down one more ladder step
     if the *simulated* peak still crosses the threshold (the backstop
     for model mismatch and inherited heat from earlier phases).
 
   The governor only backs off: a governed phase never runs above the
-  DSE-chosen frequency cap or CU count.
+  DSE-chosen frequency cap or CU count. Its result carries per-step
+  DRAM peaks, not fields, so the run keeps the stack's state in the
+  grid's modal coordinates throughout and advances each control tick
+  as one closed-form window
+  (:meth:`~repro.thermal.grid.ThermalGrid.advance`) that transforms
+  back only the DRAM layer; power is held constant within a tick,
+  which is what makes the closed form exact.
 
 * :meth:`ThermalGovernor.replay` integrates the same schedule with the
   control loop disabled — the uncontrolled baseline whose excursions
@@ -67,8 +73,11 @@ class ThermalPhase:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if not self.duration_s > 0.0:
-            raise ValueError("phase duration must be positive")
+        if not _finite_positive(self.duration_s):
+            raise ValueError(
+                f"duration_s must be finite and positive, "
+                f"got {self.duration_s!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,8 @@ class ThermalGovernor:
         Feedback threshold below the limit; a simulated peak above
         ``limit_c - feedback_margin_c`` triggers a mid-phase notch-down.
     dt / control_interval_s:
-        Integration step and how often feedback control runs.
+        Integration step and how often feedback control runs (one
+        closed-form window of ``control_every`` steps per tick).
     """
 
     def __init__(
@@ -247,25 +257,47 @@ class ThermalGovernor:
                 return config.with_axes(gpu_freq=freq)
         return self._gate_down(config)
 
+    def _ladder_peaks(
+        self, profile: KernelProfile, ladder: list[EHPConfig]
+    ) -> list[float]:
+        """Steady DRAM peaks of *ladder*, points that differ only in GPU
+        frequency: one :meth:`NodeModel.evaluate_arrays` call and one
+        :meth:`ThermalGrid.solve_batch`, each peak bit-identical to
+        :meth:`steady_peak`'s and memoized with it."""
+        top = ladder[0]
+        power = self.model.evaluate_arrays(
+            profile, top.n_cus, np.array([c.gpu_freq for c in ladder]),
+            top.bandwidth,
+        ).power
+        batch = self.thermal.grid.solve_batch(
+            self.thermal.build_power_maps(power)
+        )
+        peaks = batch.peaks("dram").tolist()
+        for cand, peak in zip(ladder, peaks):
+            self._steady_peak_cache.setdefault((profile.name, cand), peak)
+        return peaks
+
     def thermal_cap(
         self, profile: KernelProfile, config: EHPConfig
     ) -> EHPConfig:
         """Highest ladder point (never above *config*) that is
         steady-state safe for *profile*, gating CUs below the floor.
 
-        Memoized per (profile, config); each steady solve it prices is
-        one modal solve against the grid's cached operator.
+        Memoized per (profile, config). The ladder points at or below
+        *config* are priced together in one batch; CU gating below the
+        floor prices one point per steady solve.
         """
         key = (profile.name, config)
         cached = self._cap_cache.get(key)
         if cached is not None:
             return cached
         target = self.limit_c - self.margin_c
-        cand = config
-        ladder = self._ladder_down(config.gpu_freq) or [config.gpu_freq]
-        for freq in ladder:
-            cand = config.with_axes(gpu_freq=freq)
-            if self.steady_peak(profile, cand) <= target:
+        ladder = [
+            config.with_axes(gpu_freq=freq)
+            for freq in self._ladder_down(config.gpu_freq) or [config.gpu_freq]
+        ]
+        for cand, peak in zip(ladder, self._ladder_peaks(profile, ladder)):
+            if peak <= target:
                 break
         else:
             # Ladder floor still too hot: gate CU groups until safe or
@@ -293,6 +325,18 @@ class ThermalGovernor:
             gpu_freq=min(pal.gpu_freq, config.gpu_freq),
         )
 
+    def _window_power(
+        self, profile: KernelProfile, config: EHPConfig
+    ) -> tuple[np.ndarray, float, float]:
+        """The modal fixed point of *config*'s power map, with its node
+        power and throughput read once per evaluation (both are
+        recomputed properties)."""
+        ev = self.model.evaluate(profile, config)
+        steady = self.thermal.grid.steady_modes(
+            self.thermal.build_power_maps(ev.power)
+        )
+        return steady, float(ev.node_power), float(ev.performance)
+
     def run(
         self,
         phases: Sequence[ThermalPhase],
@@ -300,14 +344,24 @@ class ThermalGovernor:
         controlled: bool = True,
         temps: np.ndarray | None = None,
     ) -> ThermalLoopResult:
-        """Integrate *phases* from ambient (or *temps*) under control."""
+        """Integrate *phases* from ambient (or *temps*) under control.
+
+        The state stays in the grid's modal coordinates for the whole
+        run: *temps* is transformed once, each power map once when it
+        changes, and every control tick is one
+        :meth:`~repro.thermal.grid.ThermalGrid.advance` call that
+        transforms back only the DRAM layer.
+        """
         if not phases:
             raise ValueError("phase schedule must not be empty")
         solver = self.solver
+        grid = self.thermal.grid
+        dt = solver.dt
         if temps is None:
             temps = solver.initial_temps()
-        temps = np.asarray(temps, dtype=float)
+        modes = grid.to_modes(temps)
         dram = self.thermal.stack.layer_index("dram")
+        peak = float(np.asarray(temps, dtype=float)[dram].max())
         feedback_at = self.limit_c - self.feedback_margin_c
 
         times: list[float] = []
@@ -329,30 +383,30 @@ class ThermalGovernor:
                             time_s=t,
                             phase=phase.profile.name,
                             kind="feedforward",
-                            peak_dram_c=float(temps[dram].max()),
+                            peak_dram_c=peak,
                             gpu_freq=active.gpu_freq,
                             n_cus=active.n_cus,
                         ))
                 else:
                     active = entry
-                ev = self.model.evaluate(phase.profile, active)
-                maps = self.thermal.build_power_maps(ev.power)
+                steady, node_power, flops = self._window_power(
+                    phase.profile, active
+                )
                 remaining = solver.steps_for(phase.duration_s)
                 while remaining > 0:
                     n = min(self.control_every, remaining)
-                    for _ in range(n):
-                        temps = solver.step(temps, maps)
-                        t += solver.dt
+                    modes, dram_c = grid.advance(
+                        modes, steady, dt, n, watch=dram
+                    )
+                    for step_peak in dram_c.max(axis=(1, 2)).tolist():
+                        t += dt
                         times.append(t)
-                        peaks.append(float(temps[dram].max()))
+                        peaks.append(step_peak)
+                    peak = peaks[-1]
                     remaining -= n
-                    energy += float(ev.node_power) * n * solver.dt
-                    work += float(ev.performance) * n * solver.dt
-                    if (
-                        controlled
-                        and remaining > 0
-                        and peaks[-1] > feedback_at
-                    ):
+                    energy += node_power * n * dt
+                    work += flops * n * dt
+                    if controlled and remaining > 0 and peak > feedback_at:
                         lower = self._next_down(active)
                         if lower is not None:
                             active = lower
@@ -360,12 +414,13 @@ class ThermalGovernor:
                                 time_s=t,
                                 phase=phase.profile.name,
                                 kind="feedback",
-                                peak_dram_c=peaks[-1],
+                                peak_dram_c=peak,
                                 gpu_freq=active.gpu_freq,
                                 n_cus=active.n_cus,
                             ))
-                            ev = self.model.evaluate(phase.profile, active)
-                            maps = self.thermal.build_power_maps(ev.power)
+                            steady, node_power, flops = self._window_power(
+                                phase.profile, active
+                            )
                 phase_configs.append((phase.profile.name, active))
         obs_metrics.inc("thermal.steps", len(times))
         obs_metrics.inc("thermal.throttle_events", len(events))

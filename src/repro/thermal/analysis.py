@@ -124,10 +124,26 @@ class ThermalModel:
         """Distribute a node power breakdown over the grid layers.
 
         Only EHP-package components produce heat here; the external
-        memory network dissipates on its own modules.
+        memory network dissipates on its own modules. A breakdown of
+        scalars gives ``(n_layers, ny, nx)`` maps; one of shape-``S``
+        arrays (a sweep from :meth:`NodeModel.evaluate_arrays`) gives
+        ``S + (n_layers, ny, nx)``, each map bit-identical to its
+        point's.
         """
+        cu_power = np.asarray(power.cu_dynamic + power.cu_static, dtype=float)
+        cpu_power = np.asarray(power.cpu, dtype=float)
+        noc_power = np.asarray(
+            power.noc_dynamic + power.noc_static, dtype=float
+        )
+        dram_power = np.asarray(
+            power.dram3d_dynamic + power.dram3d_static, dtype=float
+        )
+        batch = np.broadcast_shapes(
+            cu_power.shape, cpu_power.shape, noc_power.shape,
+            dram_power.shape,
+        )
         shape = (self.stack.n_layers, self.grid.ny, self.grid.nx)
-        maps = np.zeros(shape)
+        maps = np.zeros(batch + shape)
         gpu_mask = self._cached_mask("gpu")
         cpu_mask = self._cached_mask("cpu")
         if not gpu_mask.any() or not cpu_mask.any():
@@ -137,15 +153,12 @@ class ThermalModel:
         interposer = self.stack.layer_index("interposer")
         dram = self.stack.layer_index("dram")
 
-        cu_power = float(power.cu_dynamic + power.cu_static)
-        maps[compute][gpu_mask] += cu_power / gpu_mask.sum()
-        maps[compute][cpu_mask] += float(power.cpu) / cpu_mask.sum()
-
-        noc_power = float(power.noc_dynamic + power.noc_static)
-        maps[interposer] += noc_power / (self.grid.ny * self.grid.nx)
-
-        dram_power = float(power.dram3d_dynamic + power.dram3d_static)
-        maps[dram][gpu_mask] += dram_power / gpu_mask.sum()
+        maps[..., compute, gpu_mask] += (cu_power / gpu_mask.sum())[..., None]
+        maps[..., compute, cpu_mask] += (cpu_power / cpu_mask.sum())[..., None]
+        maps[..., interposer, :, :] += (
+            noc_power / (self.grid.ny * self.grid.nx)
+        )[..., None, None]
+        maps[..., dram, gpu_mask] += (dram_power / gpu_mask.sum())[..., None]
         return maps
 
     @staticmethod

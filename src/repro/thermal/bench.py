@@ -12,7 +12,11 @@ Fig. 10-scale grid:
   integration;
 * the closed-loop story: a sprint/cool phase schedule on a
   thermally-infeasible operating point, integrated uncontrolled
-  (exceeds the DRAM limit) and governed (stays under it).
+  (exceeds the DRAM limit) and governed (stays under it);
+* the governed loop's own rate (it advances one closed-form window per
+  control tick) and the largest gap between its per-step DRAM peaks
+  and the same schedule re-integrated one ``step_transient`` call at a
+  time under the operating points the governed run chose.
 
 ``python -m repro thermal-loop`` routes here.
 """
@@ -63,7 +67,14 @@ class ThermalLoopBenchReport:
     batch_identical: bool
     governed: ThermalLoopResult
     replay: ThermalLoopResult
+    governed_s: float
+    window_gap_c: float
     extra: dict = field(default_factory=dict)
+
+    @property
+    def governed_steps_per_s(self) -> float:
+        """Simulated steps per wall second of the governed run."""
+        return self.governed.steps / self.governed_s
 
     def as_dict(self) -> dict:
         out = {
@@ -73,6 +84,7 @@ class ThermalLoopBenchReport:
                 "oracle_steps", "oracle_s", "factorization_s",
                 "steps_per_s", "speedup", "converge_err_c",
                 "converge_steps", "oracle_step_err_c", "batch_identical",
+                "governed_s", "governed_steps_per_s", "window_gap_c",
             )
         }
         out["governed"] = self.governed.as_dict()
@@ -109,7 +121,54 @@ class ThermalLoopBenchReport:
             f"{len(g.throttle_events)} throttle events, "
             f"work {g.work_flops / r.work_flops:.0%} / "
             f"energy {g.energy_j / r.energy_j:.0%} of uncontrolled",
+            f"  governed loop {g.steps} steps in "
+            f"{self.governed_s * 1e3:.1f} ms "
+            f"({self.governed_steps_per_s:.0f} steps/s), windowed vs "
+            f"per-step peaks max |dT| {self.window_gap_c:.2e} C",
         ])
+
+
+def _per_step_peaks(
+    governor: ThermalGovernor,
+    phases: list[ThermalPhase],
+    config: EHPConfig,
+    result: ThermalLoopResult,
+) -> np.ndarray:
+    """*result*'s schedule re-integrated one
+    :meth:`~repro.thermal.grid.ThermalGrid.step_transient` call at a
+    time, under the operating points *result* chose: each phase starts
+    at *config* or its feedforward cap and moves at each feedback
+    notch. Returns the DRAM peak after every step.
+
+    This follows *result*'s decisions rather than making its own, so it
+    measures only how far the closed-form windows drift from per-step
+    integration. Assumes *governor* has no reconfigurator.
+    """
+    thermal = governor.thermal
+    dram = thermal.stack.layer_index("dram")
+    dt = governor.solver.dt
+    events = {(e.kind, e.time_s): e for e in result.throttle_events}
+
+    def maps_at(profile, event):
+        cfg = config if event is None else config.with_axes(
+            gpu_freq=event.gpu_freq, n_cus=event.n_cus
+        )
+        power = governor.model.evaluate(profile, cfg).power
+        return thermal.build_power_maps(power)
+
+    temps = governor.solver.initial_temps()
+    peaks = []
+    t = 0.0
+    for phase in phases:
+        maps = maps_at(phase.profile, events.get(("feedforward", t)))
+        for _ in range(governor.solver.steps_for(phase.duration_s)):
+            temps = thermal.grid.step_transient(temps, maps, dt)
+            t += dt
+            peaks.append(float(temps[dram].max()))
+            notch = events.get(("feedback", t))
+            if notch is not None:
+                maps = maps_at(phase.profile, notch)
+    return np.asarray(peaks)
 
 
 def run_thermal_loop_bench(
@@ -194,7 +253,13 @@ def run_thermal_loop_bench(
         phases.append(ThermalPhase(maxflops, sprint_s))
         phases.append(ThermalPhase(comd, cool_s))
     replay = governor.replay(phases, HOT_CONFIG)
+    t0 = time.perf_counter()
     governed = governor.run(phases, HOT_CONFIG)
+    governed_s = time.perf_counter() - t0
+    window_gap_c = float(np.abs(
+        governed.peak_dram_c
+        - _per_step_peaks(governor, phases, HOT_CONFIG, governed)
+    ).max())
 
     return ThermalLoopBenchReport(
         cells=grid.n_cells,
@@ -212,4 +277,6 @@ def run_thermal_loop_bench(
         batch_identical=batch_identical,
         governed=governed,
         replay=replay,
+        governed_s=governed_s,
+        window_gap_c=window_gap_c,
     )

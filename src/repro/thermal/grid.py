@@ -32,10 +32,29 @@ The modal path solves for the rise over ambient: ``G 1 = G_b``, so a
 field uniformly at ``T_amb`` is the zero-power solution and the
 ``G_b T_amb`` term drops out of the right-hand side.
 
+Under constant power the steps have a closed form in the same basis,
+because ``C/dt`` is a per-layer scalar and commutes with the lateral
+transform. Per mode, one step maps the rise ``x`` to ``B x + (I - B)
+x*``, where ``x*`` is the steady solve of the power map (its fixed
+point) and ``B = (C/dt + G)^-1 C/dt`` is an L x L propagator, so after
+s steps
+
+    ``x_s = x* + B^s (x_0 - x*)``.
+
+:meth:`ThermalGrid.advance` takes n such steps at once: ``x*`` comes
+from the steady pivots, the rows of ``B^1 .. B^n`` a window reads are
+built from that dt's pivots once per (dt, n, watched layer) and
+cached, and only the watched layer is transformed back, all n steps in
+one stacked gemm. The state stays modal between calls
+(:meth:`ThermalGrid.to_modes` and :meth:`ThermalGrid.steady_modes` build
+it), so a caller that only watches peaks never transforms a whole
+field. :meth:`ThermalGrid.step_transient` is its n = 1 case, with
+every layer transformed back.
+
 :meth:`ThermalGrid.solve_batch` and
 :meth:`ThermalGrid.step_transient_many` push a whole batch through the
-same per-slice gemms and elementwise sweep, so every batch member is
-bit-identical to the single-map call.
+same per-slice gemms and elementwise sweep and propagation, so every
+batch member is bit-identical to the single-map call.
 
 The assembled sparse matrix stays the specification. ``_assemble``
 (vectorized) and ``_assemble_reference`` (the original triple loop)
@@ -52,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import _finite_positive
+from repro.core.config import _finite_positive, _is_int
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.thermal.stack import LayerStack
@@ -63,6 +82,11 @@ __all__ = [
     "TemperatureFieldBatch",
     "ThermalGrid",
 ]
+
+# The longest run of steps one closed-form block covers. Longer windows
+# advance block by block, so no cached window operator holds more than
+# this many steps' rows.
+_WINDOW_CAP = 16
 
 
 def _dct_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +243,8 @@ class ThermalGrid:
         self._modes: _Modes | None = None
         # None (steady) or dt -> per-mode pivots of G + C/dt.
         self._pivots: dict[float | None, _Pivots] = {}
+        # (dt, n, watch) -> the window operator of advance().
+        self._windows: dict[tuple[float, int, int | None], np.ndarray] = {}
 
     # Geometry/stack attributes the cached operators depend on.
     # Assigning any of them after an operator exists silently
@@ -254,10 +280,12 @@ class ThermalGrid:
 
     def invalidate(self) -> None:
         """Drop the assembled matrix and every modal operator (rebuilt
-        on demand), steady and transient alike."""
+        on demand), steady and transient alike, with the window
+        operators."""
         super().__setattr__("_system", None)
         super().__setattr__("_modes", None)
         super().__setattr__("_pivots", {})
+        super().__setattr__("_windows", {})
 
     def _index(self, layer: int, j: int, i: int) -> int:
         return (layer * self.ny + j) * self.nx + i
@@ -508,25 +536,74 @@ class ThermalGrid:
                 obs_metrics.inc("thermal.transient_factorizations")
         return pivots
 
-    def _modal_solve(self, pivots: _Pivots, rhs: np.ndarray) -> np.ndarray:
-        """Solve the shifted operator for ``(..., L, ny, nx)`` right-hand
-        sides: forward transform, per-mode LDL^T sweep, inverse
-        transform. numpy runs one gemm per 2-D slice of a stacked
-        operand, so each leading index is bit-identical to solving it
-        alone."""
+    @staticmethod
+    def _sweep(pivots: _Pivots, x: np.ndarray) -> np.ndarray:
+        """The per-mode LDL^T sweep over the layer axis of modal
+        right-hand sides ``(..., L, ny, nx)``, in place."""
+        n_layers = x.shape[-3]
+        for li in range(1, n_layers):
+            x[..., li, :, :] += pivots.gain[li - 1] * x[..., li - 1, :, :]
+        x[..., -1, :, :] *= pivots.inv_pivot[-1]
+        for li in range(n_layers - 2, -1, -1):
+            x[..., li, :, :] *= pivots.inv_pivot[li]
+            x[..., li, :, :] += pivots.gain[li] * x[..., li + 1, :, :]
+        return x
+
+    def _steady_modes(self, power_maps: np.ndarray) -> np.ndarray:
+        """The steady rise of validated ``(..., L, ny, nx)`` power maps
+        in the DCT basis: forward transform and sweep. numpy runs one
+        gemm per 2-D slice of a stacked operand, so each leading index
+        is bit-identical to solving it alone."""
         modes = self._modal_operator()
-        n_layers = rhs.shape[-3]
         with single_blas_thread():
-            x = modes.qy @ rhs @ modes.qx_t
-            for li in range(1, n_layers):
-                x[..., li, :, :] += (
-                    pivots.gain[li - 1] * x[..., li - 1, :, :]
+            x = modes.qy @ power_maps @ modes.qx_t
+        return self._sweep(self._factor(None), x)
+
+    def _to_celsius(self, x: np.ndarray) -> np.ndarray:
+        """Inverse transform of modal rises ``(..., ny, nx)``, plus
+        ambient."""
+        modes = self._modal_operator()
+        with single_blas_thread():
+            temps = modes.qy.T @ x @ modes.qx
+        temps += self.stack.ambient_c
+        return temps
+
+    def _window_operator(
+        self, dt: float, n: int, watch: int | None
+    ) -> np.ndarray:
+        """The rows :meth:`advance` reads for an n-step window, shaped
+        ``(L, R, ny, nx)``: row r of the result is ``sum_j op[j, r] *
+        (x_0 - x*)_j`` per mode. Cached per (dt, n, watch).
+
+        ``B = (C/dt + G)^-1 C/dt``; column j solves ``(C/dt + G) b =
+        (C_j/dt) e_j``, one sweep against the dt's pivots, and each
+        further power is one more per-mode product with ``B``. The rows
+        are the watched row of ``B^1 .. B^n`` followed by every row of
+        ``B^n`` (the state after the window), or with *watch* ``None``
+        every row of every power, step-major. On the 66 x 22 x 3 grid
+        the 5-step DRAM window's operator is 0.28 MB.
+        """
+        key = (dt, n, watch)
+        op = self._windows.get(key)
+        if op is None:
+            pivots = self._factor(dt)
+            n_layers = pivots.c_over_dt.size
+            columns = np.zeros((n_layers,) + pivots.gain.shape)
+            for j in range(n_layers):
+                columns[j, j] = pivots.c_over_dt[j]
+            step = self._sweep(pivots, columns).swapaxes(0, 1)
+            powers = [step]
+            while len(powers) < n:
+                powers.append(
+                    np.einsum("ij...,jk...->ik...", step, powers[-1])
                 )
-            x[..., -1, :, :] *= pivots.inv_pivot[-1]
-            for li in range(n_layers - 2, -1, -1):
-                x[..., li, :, :] *= pivots.inv_pivot[li]
-                x[..., li, :, :] += pivots.gain[li] * x[..., li + 1, :, :]
-            return modes.qy.T @ x @ modes.qx
+            if watch is None:
+                rows = [power[i] for power in powers for i in range(n_layers)]
+            else:
+                rows = [power[watch] for power in powers] + list(powers[-1])
+            op = np.stack(rows, axis=1)
+            self._windows[key] = op
+        return op
 
     # ------------------------------------------------------------------
     # Solves
@@ -564,8 +641,7 @@ class ThermalGrid:
             )
         with obs_trace.span("thermal.solve", cells=self.n_cells), \
                 obs_metrics.timed("thermal.solve_seconds"):
-            temps = self._modal_solve(self._factor(None), power_maps)
-            temps += self.stack.ambient_c
+            temps = self._to_celsius(self._steady_modes(power_maps))
             field = TemperatureField(
                 celsius=temps, layer_names=self._layer_names()
             )
@@ -596,8 +672,7 @@ class ThermalGrid:
         with obs_trace.span(
             "thermal.solve_many", cells=self.n_cells, maps=k
         ), obs_metrics.timed("thermal.solve_seconds"):
-            temps = self._modal_solve(self._factor(None), batch)
-            temps += self.stack.ambient_c
+            temps = self._to_celsius(self._steady_modes(batch))
             fields = TemperatureFieldBatch(
                 celsius=temps, layer_names=self._layer_names()
             )
@@ -635,16 +710,110 @@ class ThermalGrid:
             raise ValueError("temperatures must be finite")
         return temps, power_maps
 
-    def _step(
-        self, temps: np.ndarray, power_maps: np.ndarray, dt: float
-    ) -> np.ndarray:
-        pivots = self._factor(dt)
-        ambient = self.stack.ambient_c
-        rhs = pivots.c_over_dt[:, None, None] * (temps - ambient)
-        rhs += power_maps
-        new = self._modal_solve(pivots, rhs)
-        new += ambient
-        return new
+    def _to_modes(self, temps: np.ndarray) -> np.ndarray:
+        modes = self._modal_operator()
+        with single_blas_thread():
+            return modes.qy @ (temps - self.stack.ambient_c) @ modes.qx_t
+
+    def to_modes(self, temps: np.ndarray) -> np.ndarray:
+        """The rise of Celsius *temps* ``(..., n_layers, ny, nx)`` over
+        ambient in the DCT basis: the state :meth:`advance` steps."""
+        expected = (self.stack.n_layers, self.ny, self.nx)
+        temps = np.asarray(temps, dtype=float)
+        if temps.shape[-3:] != expected:
+            raise ValueError(
+                f"temps shape {temps.shape} != (..., {expected})"
+            )
+        if not np.isfinite(temps).all():
+            raise ValueError("temperatures must be finite")
+        return self._to_modes(temps)
+
+    def steady_modes(self, power_maps: np.ndarray) -> np.ndarray:
+        """The steady rise of *power_maps* ``(..., n_layers, ny, nx)``
+        in the DCT basis: the fixed point :meth:`advance` relaxes toward
+        under that power."""
+        return self._steady_modes(self._validate_maps(power_maps))
+
+    def advance(
+        self,
+        modes: np.ndarray,
+        steady: np.ndarray,
+        dt: float,
+        n: int,
+        watch: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Take *n* backward-Euler steps of *dt* seconds under constant
+        power, in closed form in the DCT basis.
+
+        *modes* is the current rise over ambient (:meth:`to_modes`) and
+        *steady* the held power's fixed point (:meth:`steady_modes`),
+        both ``(..., n_layers, ny, nx)``. Step s is ``x* + B^s (x_0 -
+        x*)``, read from a window operator cached per (dt, n, watch),
+        so a call costs a few elementwise passes and one stacked
+        inverse transform of the watched layer (windows longer than 16
+        steps go block by block).
+
+        Returns ``(modes after n steps, celsius)``. *celsius* holds
+        layer index *watch* after every step, ``(..., n, ny, nx)``, or
+        with *watch* ``None`` every layer, ``(..., n, n_layers, ny,
+        nx)``. Every leading index is bit-identical to advancing it
+        alone.
+        """
+        dt = float(dt)
+        if not _finite_positive(dt):
+            raise ValueError("dt must be finite and positive")
+        if not (_is_int(n) and n > 0):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        n_layers = self.stack.n_layers
+        if watch is not None and not (
+            _is_int(watch) and 0 <= watch < n_layers
+        ):
+            raise ValueError(
+                f"watch must be a layer index below {n_layers}, "
+                f"got {watch!r}"
+            )
+        modes = np.asarray(modes, dtype=float)
+        steady = np.asarray(steady, dtype=float)
+        expected = (n_layers, self.ny, self.nx)
+        if modes.shape != steady.shape or modes.shape[-3:] != expected:
+            raise ValueError(
+                f"modes shape {modes.shape} and steady shape "
+                f"{steady.shape} must both be (..., {expected})"
+            )
+        if not (np.isfinite(modes).all() and np.isfinite(steady).all()):
+            raise ValueError("modal states must be finite")
+        return self._advance(modes, steady, dt, n, watch)
+
+    def _advance(
+        self, modes: np.ndarray, steady: np.ndarray, dt: float, n: int,
+        watch: int | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        blocks = []
+        while n > 0:
+            k = min(n, _WINDOW_CAP)
+            op = self._window_operator(dt, k, watch)
+            dev = modes - steady
+            # Every product and sum runs elementwise in a fixed order
+            # over the source layer j, so batching changes no bit.
+            out = op[0] * dev[..., None, 0, :, :]
+            for j in range(1, len(op)):
+                out += op[j] * dev[..., None, j, :, :]
+            if watch is None:
+                out = out.reshape(out.shape[:-3] + (k,) + steady.shape[-3:])
+                out += steady[..., None, :, :, :]
+                path, modes = out, out[..., -1, :, :, :]
+            else:
+                out[..., :k, :, :] += steady[..., watch:watch + 1, :, :]
+                out[..., k:, :, :] += steady
+                path, modes = out[..., :k, :, :], out[..., k:, :, :]
+            blocks.append(self._to_celsius(path))
+            n -= k
+        step_axis = -4 if watch is None else -3
+        celsius = (
+            blocks[0] if len(blocks) == 1
+            else np.concatenate(blocks, axis=step_axis)
+        )
+        return modes, celsius
 
     def step_transient(
         self, temps: np.ndarray, power_maps: np.ndarray, dt: float
@@ -654,13 +823,17 @@ class ThermalGrid:
         *temps* and *power_maps* are both ``(n_layers, ny, nx)`` —
         current cell temperatures (Celsius) and the power applied over
         the step (watts per cell); returns the new temperature array.
-        Solves modally against the ``C/dt + G`` pivots cached per dt.
+        This is :meth:`advance` with n = 1, from and back to Celsius.
         """
         dt = float(dt)
         temps, power_maps = self._validate_step(
             temps, power_maps, dt, ndim=3
         )
-        return self._step(temps, power_maps, dt)
+        _, fields = self._advance(
+            self._to_modes(temps), self._steady_modes(power_maps), dt, 1,
+            None,
+        )
+        return fields[0]
 
     def step_transient_reference(
         self, temps: np.ndarray, power_maps: np.ndarray, dt: float
@@ -694,8 +867,9 @@ class ThermalGrid:
         """Advance S independent scenarios one step in lockstep.
 
         *temps* and *power_maps* are ``(s, n_layers, ny, nx)``; the S
-        scenarios go through one modal solve, bit-identical per
-        scenario to S sequential :meth:`step_transient` calls.
+        scenarios go through one closed-form step (:meth:`advance` with
+        n = 1), bit-identical per scenario to S sequential
+        :meth:`step_transient` calls.
         """
         dt = float(dt)
         temps, power_maps = self._validate_step(
@@ -703,4 +877,8 @@ class ThermalGrid:
         )
         if temps.shape[0] == 0:
             return temps.copy()
-        return self._step(temps, power_maps, dt)
+        _, fields = self._advance(
+            self._to_modes(temps), self._steady_modes(power_maps), dt, 1,
+            None,
+        )
+        return fields[:, 0]

@@ -11,13 +11,17 @@ schedules:
 * :class:`PowerPhase` — one power map held for a duration.
 * :class:`TransientSolver` — backward-Euler integration of a phase
   schedule (:meth:`TransientSolver.run`), S scenarios in lockstep
-  through one batched modal solve per step
+  through one batched step per time step
   (:meth:`TransientSolver.run_many`), and steady-state convergence
   (:meth:`TransientSolver.converge`) — the bridge the equivalence test
   walks between the transient and steady solvers.
 
-The closed-loop policy that *reacts* to these temperatures lives in
-:mod:`repro.core.thermal_governor`.
+Every step here is one :meth:`~repro.thermal.grid.ThermalGrid.step_transient`
+(or ``step_transient_many``) call, the n = 1 case of the grid's
+closed-form window :meth:`~repro.thermal.grid.ThermalGrid.advance`, so
+each step returns the whole field. The closed-loop policy that *reacts*
+to these temperatures, :mod:`repro.core.thermal_governor`, watches only
+the DRAM peak and calls ``advance`` once per control tick instead.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import _finite_positive
+from repro.core.config import _finite_positive, _is_int
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.thermal.grid import TemperatureField, ThermalGrid
@@ -40,6 +44,13 @@ __all__ = [
 ]
 
 
+def _check_steps(name: str, value) -> None:
+    """A step count must be a positive integer: NaN, 2.5 and ``True``
+    are not counts, and none of them may silently run 0 or 3 steps."""
+    if not (_is_int(value) and value > 0):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PowerPhase:
     """One power map held constant for a stretch of simulated time."""
@@ -49,7 +60,10 @@ class PowerPhase:
 
     def __post_init__(self) -> None:
         if not _finite_positive(self.duration_s):
-            raise ValueError("phase duration must be finite and positive")
+            raise ValueError(
+                f"duration_s must be finite and positive, "
+                f"got {self.duration_s!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -193,9 +207,8 @@ class TransientSolver:
         (s, n_steps))`` — bit-identical per scenario to S independent
         :meth:`run` integrations.
         """
+        _check_steps("n_steps", n_steps)
         power_maps = np.asarray(power_maps, dtype=float)
-        if n_steps <= 0:
-            raise ValueError("n_steps must be positive")
         if power_maps.ndim == 4:
             per_step = False
         elif power_maps.ndim == 5:
@@ -249,6 +262,7 @@ class TransientSolver:
             raise ValueError(
                 f"tol_c must be finite and non-negative, got {tol_c!r}"
             )
+        _check_steps("max_steps", max_steps)
         if temps is None:
             temps = self.initial_temps()
         temps = np.asarray(temps, dtype=float)

@@ -1,13 +1,15 @@
 """Verdicts and exit status of the parent/change benchmark comparison.
 
-``benchmarks/ab.py`` is a script, so it is loaded from its path. Every
-case here feeds :func:`compare` or :func:`verdict` synthetic perfbench
-result objects; nothing runs a subprocess.
+``benchmarks/ab.py`` is a script, so it is loaded from its path. The
+verdict cases feed :func:`compare` or :func:`verdict` synthetic
+perfbench result objects, and the staging case copies a scratch git
+repository; nothing runs the benchmark.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,36 @@ class TestExitStatus:
         assert "failed a larger share" in lines[-1]
         # A lower failed share than the parent's is fine.
         assert _compare(change, parent)[1] == 0
+
+
+class TestStageTree:
+    def test_copies_tracked_and_unignored_files_as_on_disk(self, tmp_path):
+        repo = tmp_path / "repo"
+        (repo / "pkg").mkdir(parents=True)
+        files = {
+            ".gitignore": "ignored.txt\nbuild/\n",
+            "tracked.txt": "committed\n",
+            "pkg/module.py": "X = 1\n",
+            "gone.txt": "deleted later\n",
+        }
+        for name, text in files.items():
+            (repo / name).write_text(text)
+        subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+        subprocess.run(["git", "add", "."], cwd=repo, check=True)
+        (repo / "tracked.txt").write_text("edited, not staged\n")
+        (repo / "gone.txt").unlink()
+        (repo / "new.txt").write_text("untracked\n")
+        (repo / "ignored.txt").write_text("ignored\n")
+        (repo / "build").mkdir()
+        (repo / "build" / "out.bin").write_text("ignored\n")
+
+        dest = tmp_path / "change"
+        ab.stage_tree(repo, dest)
+
+        staged = sorted(
+            str(path.relative_to(dest)) for path in dest.rglob("*")
+            if path.is_file()
+        )
+        assert staged == [".gitignore", "new.txt", "pkg/module.py",
+                          "tracked.txt"]
+        assert (dest / "tracked.txt").read_text() == "edited, not staged\n"

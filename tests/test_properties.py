@@ -18,7 +18,7 @@ from repro.core.config import DesignSpace, EHPConfig
 from repro.core.exascale import ExascaleSystem
 from repro.core.governor import DvfsGovernor
 from repro.core.node import NodeModel
-from repro.core.thermal_governor import ThermalGovernor
+from repro.core.thermal_governor import ThermalGovernor, ThermalPhase
 from repro.fleet.link import LinkTierParams, derate
 from repro.fleet.spec import FleetGroup, FleetSpec
 from repro.memsys.dramcache import DramCache
@@ -47,7 +47,7 @@ from repro.serve.workload import synthetic_arrivals
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.sim.cache_sim import CacheLevel, CacheSim
 from repro.thermal.grid import ThermalGrid
-from repro.thermal.transient import TransientSolver
+from repro.thermal.transient import PowerPhase, TransientSolver
 from repro.workloads.catalog import APPLICATIONS
 from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
 from repro.workloads.traces import MemoryTrace
@@ -553,10 +553,23 @@ def _kernel_grid(cu=256.0, freq=1e9, bw=3e12):
     return evaluate_kernel_grid(batch, (192.0, cu), (0.8e9, freq), (bw,))
 
 
-def _converge(tol_c):
-    grid = ThermalGrid(66.0, 22.0, nx=4, ny=2)
-    power = np.zeros((grid.stack.n_layers, grid.ny, grid.nx))
-    return TransientSolver(grid).converge(power, tol_c=tol_c, max_steps=1)
+_SMALL_GRID = ThermalGrid(66.0, 22.0, nx=4, ny=2)
+_NO_POWER = np.zeros(
+    (_SMALL_GRID.stack.n_layers, _SMALL_GRID.ny, _SMALL_GRID.nx)
+)
+
+
+def _converge(tol_c=1e-9, max_steps=1):
+    return TransientSolver(_SMALL_GRID).converge(
+        _NO_POWER, tol_c=tol_c, max_steps=max_steps
+    )
+
+
+def _advance(n):
+    modes = _SMALL_GRID.to_modes(_NO_POWER + 50.0)
+    return _SMALL_GRID.advance(
+        modes, _SMALL_GRID.steady_modes(_NO_POWER), 0.01, n
+    )
 
 
 # constructor field or function argument ->
@@ -716,6 +729,16 @@ _BAD_FIELDS = {
     "synthetic_arrivals.rate_hz": (
         lambda v: synthetic_arrivals(0, 1, rate_hz=v), _BAD_POSITIVE),
     "TransientSolver.converge.tol_c": (_converge, _BAD_NON_NEGATIVE),
+    "TransientSolver.converge.max_steps": (
+        lambda v: _converge(max_steps=v), _BAD_COUNT),
+    "TransientSolver.run_many.n_steps": (
+        lambda v: TransientSolver(_SMALL_GRID).run_many(_NO_POWER[None], v),
+        _BAD_COUNT),
+    "ThermalGrid.advance.n": (_advance, _BAD_COUNT),
+    "ThermalPhase.duration_s": (
+        lambda v: ThermalPhase(_FUZZ_PROFILE, v), _BAD_POSITIVE),
+    "PowerPhase.duration_s": (
+        lambda v: PowerPhase(_NO_POWER, v), _BAD_POSITIVE),
 }
 
 # One value per field that used to be accepted (or to raise something
@@ -738,6 +761,15 @@ _NAMED_BAD_VALUES = [
     ("SloTracker.target_p99_s", math.nan),
     ("synthetic_arrivals.rate_hz", math.nan),
     ("TransientSolver.converge.tol_c", math.nan),
+    ("TransientSolver.converge.max_steps", math.nan),
+    ("TransientSolver.converge.max_steps", 0),
+    ("TransientSolver.converge.max_steps", -1),
+    ("TransientSolver.converge.max_steps", 2.5),
+    ("TransientSolver.run_many.n_steps", 2.5),
+    ("TransientSolver.run_many.n_steps", math.nan),
+    ("TransientSolver.run_many.n_steps", True),
+    ("ThermalGrid.advance.n", 2.5),
+    ("ThermalPhase.duration_s", math.inf),
     ("KernelProfile.issue_efficiency", 0.0),
     ("KernelProfile.issue_efficiency", -0.0),
     ("ProfileBatch.issue_efficiency", 0.0),

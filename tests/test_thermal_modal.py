@@ -5,8 +5,14 @@ The modal path (DCT transforms plus a per-mode LDL^T sweep) must match
 and per step. The oracle's step operator is built here from the layer
 parameters directly, so a modal path that drops a layer's heat capacity
 or a boundary term cannot agree with it by sharing the mistake.
+
+The closed-form window (``ThermalGrid.advance``) must match the same
+number of ``step_transient_reference`` steps, and the governed loop
+built on it must make the decisions a per-step loop (kept below, as the
+loop ran before the windows) makes, at 1e-9 C.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,9 +21,16 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import diags
 from scipy.sparse.linalg import spsolve
 
+from repro.core.thermal_governor import (
+    ThermalGovernor,
+    ThermalPhase,
+    ThrottleEvent,
+)
+from repro.thermal.bench import HOT_CONFIG
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.stack import LayerStack, ThermalLayer
 from repro.thermal.transient import PowerPhase, TransientSolver
+from repro.workloads.catalog import get_application
 
 TOL_C = 1e-9  # the tolerance check_perf's thermal gates use
 
@@ -118,6 +131,109 @@ class TestModalMatchesOracle:
             one = grid.step_transient(temps[k], maps[k], dt)
             assert np.abs(one.ravel() - stepped[k]).max() <= TOL_C
             assert np.array_equal(one, many[k])
+
+
+class TestWindowMatchesReference:
+    @settings(max_examples=20, deadline=None)
+    @given(physical_grids(), st.integers(1, 12), st.data())
+    def test_window_matches_reference_steps(self, case, n, data):
+        grid, dt, seed = case
+        watch = data.draw(st.integers(0, grid.stack.n_layers - 1))
+        rng = np.random.default_rng(seed)
+        shape = (grid.stack.n_layers, grid.ny, grid.nx)
+        maps = rng.random(shape) * 5e5 * grid.cell_area / shape[0]
+        temps = grid.stack.ambient_c + 50.0 * rng.random(shape)
+
+        start, steady = grid.to_modes(temps), grid.steady_modes(maps)
+        after, watched = grid.advance(start, steady, dt, n, watch=watch)
+        # Every layer after every step, for the final field: the state
+        # after the window is the same either way.
+        after_all, fields = grid.advance(start, steady, dt, n)
+        assert np.array_equal(after, after_all)
+        assert watched.shape == (n, grid.ny, grid.nx)
+        ref = temps
+        for s in range(n):
+            ref = grid.step_transient_reference(ref, maps, dt)
+            assert abs(watched[s].max() - ref[watch].max()) <= TOL_C
+        assert np.abs(fields[-1] - ref).max() <= TOL_C
+
+
+def _per_step_run(governor, phases, config, controlled):
+    """``ThermalGovernor.run``'s control loop, one ``step_transient``
+    call per step and the DRAM peak read from each whole field."""
+    solver = governor.solver
+    thermal = governor.thermal
+    dram = thermal.stack.layer_index("dram")
+    feedback_at = governor.limit_c - governor.feedback_margin_c
+    temps = solver.initial_temps()
+    times, peaks, events, configs = [], [], [], []
+    energy = work = t = 0.0
+    for phase in phases:
+        name = phase.profile.name
+        active = config
+        if controlled:
+            active = governor.thermal_cap(phase.profile, config)
+            if active != config:
+                events.append(ThrottleEvent(
+                    t, name, "feedforward", float(temps[dram].max()),
+                    active.gpu_freq, active.n_cus,
+                ))
+        ev = governor.model.evaluate(phase.profile, active)
+        maps = thermal.build_power_maps(ev.power)
+        remaining = solver.steps_for(phase.duration_s)
+        while remaining > 0:
+            n = min(governor.control_every, remaining)
+            for _ in range(n):
+                temps = thermal.grid.step_transient(temps, maps, solver.dt)
+                t += solver.dt
+                times.append(t)
+                peaks.append(float(temps[dram].max()))
+            remaining -= n
+            energy += float(ev.node_power) * n * solver.dt
+            work += float(ev.performance) * n * solver.dt
+            if controlled and remaining > 0 and peaks[-1] > feedback_at:
+                lower = governor._next_down(active)
+                if lower is not None:
+                    active = lower
+                    events.append(ThrottleEvent(
+                        t, name, "feedback", peaks[-1],
+                        active.gpu_freq, active.n_cus,
+                    ))
+                    ev = governor.model.evaluate(phase.profile, active)
+                    maps = thermal.build_power_maps(ev.power)
+        configs.append((name, active))
+    return times, peaks, events, configs, energy, work
+
+
+class TestGovernedWindowsMatchPerStep:
+    @pytest.mark.parametrize("controlled", [True, False])
+    @pytest.mark.parametrize("dt", [0.005, 0.01])
+    def test_feedback_schedule(self, dt, controlled):
+        governor = ThermalGovernor(margin_c=0.0, feedback_margin_c=4.0, dt=dt)
+        maxflops, comd = get_application("MaxFlops"), get_application("CoMD")
+        phases = [
+            ThermalPhase(maxflops, 1.0),
+            ThermalPhase(comd, 0.5),
+            ThermalPhase(maxflops, 1.0),
+        ]
+        result = governor.run(phases, HOT_CONFIG, controlled=controlled)
+        times, peaks, events, configs, energy, work = _per_step_run(
+            governor, phases, HOT_CONFIG, controlled
+        )
+        if controlled:
+            # The schedule exercises both kinds of intervention.
+            assert {e.kind for e in events} == {"feedforward", "feedback"}
+        assert np.array_equal(result.times, times)
+        assert np.abs(result.peak_dram_c - peaks).max() <= TOL_C
+        assert len(result.throttle_events) == len(events)
+        for got, want in zip(result.throttle_events, events):
+            assert abs(got.peak_dram_c - want.peak_dram_c) <= TOL_C
+            assert got == dataclasses.replace(
+                want, peak_dram_c=got.peak_dram_c
+            )
+        assert result.phase_configs == tuple(configs)
+        assert result.energy_j == energy
+        assert result.work_flops == work
 
 
 GOOD_LAYER = dict(name="t", thickness_m=100e-6, conductivity=120.0)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import EHPConfig, PAPER_BEST_MEAN
+from repro.core.node import NodeModel
 from repro.core.thermal_governor import (
     ThermalGovernor,
     ThermalPhase,
 )
-from repro.thermal.analysis import DRAM_LIMIT_C
+from repro.thermal.analysis import DRAM_LIMIT_C, ThermalModel
 from repro.thermal.grid import (
     TemperatureFieldBatch,
     ThermalGrid,
@@ -114,6 +115,108 @@ class TestStepTransient:
         empty = np.empty((0, grid.stack.n_layers, grid.ny, grid.nx))
         out = grid.step_transient_many(empty, empty, 0.01)
         assert out.shape == empty.shape
+
+
+class TestAdvance:
+    @pytest.fixture(scope="class")
+    def state(self, grid, maps):
+        rng = np.random.default_rng(3)
+        temps = grid.stack.ambient_c + 40.0 * rng.random(maps.shape)
+        return grid.to_modes(temps), grid.steady_modes(maps), temps
+
+    def test_step_is_the_one_step_window(self, grid, maps, state):
+        modes, steady, temps = state
+        after, fields = grid.advance(modes, steady, 0.01, 1)
+        stepped = grid.step_transient(temps, maps, 0.01)
+        assert fields.shape == (1,) + maps.shape
+        assert np.array_equal(fields[0], stepped)
+        assert np.abs(after - grid.to_modes(stepped)).max() < 1e-12
+
+    def test_watched_window_is_the_full_window_layer(self, grid, state):
+        modes, steady, _ = state
+        after, watched = grid.advance(modes, steady, 0.01, 5, watch=2)
+        full_after, fields = grid.advance(modes, steady, 0.01, 5)
+        assert watched.shape == (5, grid.ny, grid.nx)
+        assert np.abs(watched - fields[:, 2]).max() < 1e-12
+        assert np.abs(after - full_after).max() < 1e-12
+
+    def test_batch_is_bit_identical_per_member(self, grid, maps):
+        temps = grid.stack.ambient_c + np.stack([
+            np.full(maps.shape, 5.0), np.zeros(maps.shape),
+            np.linspace(0.0, 30.0, maps.size).reshape(maps.shape),
+        ])
+        modes = grid.to_modes(temps)
+        steady = grid.steady_modes(np.stack([maps, maps * 0.5, maps * 2]))
+        after, watched = grid.advance(modes, steady, 0.01, 5, watch=2)
+        for k in range(3):
+            one_after, one_watched = grid.advance(
+                modes[k], steady[k], 0.01, 5, watch=2
+            )
+            assert np.array_equal(after[k], one_after)
+            assert np.array_equal(watched[k], one_watched)
+
+    def test_long_window_goes_block_by_block(self, grid, maps, state):
+        modes, steady, temps = state
+        after, watched = grid.advance(modes, steady, 0.01, 40, watch=2)
+        assert watched.shape == (40, grid.ny, grid.nx)
+        blocks = []
+        part = modes
+        for n in (16, 16, 8):
+            part, block = grid.advance(part, steady, 0.01, n, watch=2)
+            blocks.append(block)
+        assert np.array_equal(after, part)
+        assert np.array_equal(watched, np.concatenate(blocks))
+        for s in range(40):
+            temps = grid.step_transient(temps, maps, 0.01)
+            assert np.abs(watched[s] - temps[2]).max() < 1e-9
+        assert np.abs(after - grid.to_modes(temps)).max() < 1e-9
+
+    def test_window_operator_cached_per_dt_n_and_watch(self, maps):
+        grid = ThermalGrid(66.0, 22.0, nx=22, ny=8)
+        temps = np.full(maps.shape, grid.stack.ambient_c)
+        modes, steady = grid.to_modes(temps), grid.steady_modes(maps)
+        grid.advance(modes, steady, 0.01, 5, watch=2)
+        op = grid._windows[(0.01, 5, 2)]
+        grid.advance(modes, steady, 0.01, 5, watch=2)
+        grid.advance(modes, steady, 0.01, 3, watch=2)
+        assert grid._windows[(0.01, 5, 2)] is op
+        assert set(grid._windows) == {(0.01, 5, 2), (0.01, 3, 2)}
+        grid.stack = grid.stack.__class__(ambient_c=40.0)
+        assert not grid._windows
+
+    def test_steady_modes_are_the_fixed_point(self, grid, maps):
+        steady = grid.steady_modes(maps)
+        after, fields = grid.advance(steady, steady, 0.01, 3)
+        assert np.array_equal(after, steady)
+        assert np.abs(fields - grid.solve(maps).celsius).max() < 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 0}, {"n": -1}, {"n": 2.5}, {"n": True}, {"n": float("nan")},
+        {"dt": 0.0}, {"dt": float("inf")},
+        {"watch": 3}, {"watch": -1}, {"watch": True}, {"watch": 1.0},
+    ])
+    def test_validation(self, grid, state, kwargs):
+        modes, steady, _ = state
+        args = {"dt": 0.01, "n": 2, **kwargs}
+        with pytest.raises(ValueError):
+            grid.advance(modes, steady, **args)
+
+    def test_rejects_bad_states(self, grid, state):
+        modes, steady, _ = state
+        with pytest.raises(ValueError):
+            grid.advance(modes[:2], steady[:2], 0.01, 2)
+        with pytest.raises(ValueError):
+            grid.advance(modes[None], steady, 0.01, 2)
+        bad = modes.copy()
+        bad[1, 2, 3] = np.nan
+        with pytest.raises(ValueError):
+            grid.advance(bad, steady, 0.01, 2)
+        with pytest.raises(ValueError):
+            grid.advance(modes, steady + np.inf, 0.01, 2)
+        with pytest.raises(ValueError):
+            grid.to_modes(np.full(modes.shape, np.inf))
+        with pytest.raises(ValueError):
+            grid.steady_modes(np.full(modes.shape, -1.0))
 
 
 class TestSolveBatch:
@@ -282,6 +385,45 @@ class TestThermalGovernor:
     def test_phase_validation(self):
         with pytest.raises(ValueError):
             ThermalPhase(get_application("CoMD"), 0.0)
+
+    def test_cap_matches_a_point_by_point_ladder_walk(self):
+        # The batched ladder against the walk it replaced: one steady
+        # solve per ladder point, top down, then CU gating.
+        for margin in (0.0, 2.0, 25.0):
+            governor = ThermalGovernor(margin_c=margin)
+            walker = ThermalGovernor(margin_c=margin)
+            target = walker.limit_c - margin
+            for name in ("MaxFlops", "CoMD", "HPGMG"):
+                profile = get_application(name)
+                for config in (HOT, PAPER_BEST_MEAN):
+                    for freq in walker._ladder_down(config.gpu_freq):
+                        cand = config.with_axes(gpu_freq=freq)
+                        if walker.steady_peak(profile, cand) <= target:
+                            break
+                    else:
+                        while walker.steady_peak(profile, cand) > target:
+                            lower = walker._gate_down(cand)
+                            if lower is None:
+                                break
+                            cand = lower
+                    assert governor.thermal_cap(profile, config) == cand
+            for key, peak in governor._steady_peak_cache.items():
+                assert peak == walker.steady_peak(
+                    get_application(key[0]), key[1]
+                )
+
+    def test_batched_power_maps_match_each_point(self):
+        thermal, model = ThermalModel(), NodeModel()
+        profile = get_application("MaxFlops")
+        freqs = np.array([1.5e9, 1.2e9, 0.9e9])
+        power = model.evaluate_arrays(profile, 384, freqs, 3e12).power
+        batch = thermal.build_power_maps(power)
+        assert batch.shape == (3,) + thermal.grid.solve(batch[0]).celsius.shape
+        for k, freq in enumerate(freqs):
+            point = model.evaluate(profile, HOT.with_axes(gpu_freq=freq))
+            assert np.array_equal(
+                batch[k], thermal.build_power_maps(point.power)
+            )
 
     def test_cap_is_memoized(self, governor):
         p = get_application("MaxFlops")

@@ -16,13 +16,15 @@ trace-grounded version of the figure.
 
 Each (application, capacity) pair is one cold replay of a 50k-access
 stream through :mod:`repro.memsys.dramcache`: 8 applications × 6
-capacities = 48 replays, each computing its exact LRU hits in one
-vectorized stack-distance pass. The capacities do not nest (each
-changes the set count, not only the ways), so every capacity is its
-own pass rather than one all-capacity sweep. Each replay starts from a
-cold :class:`~repro.memsys.dramcache.DramCache` and is not memoized: no
-sweep repeats a (stream, geometry) pair. Capacity fractions must be
-finite and positive.
+capacities = 48 replays, each computing its exact LRU hits. One
+:func:`~repro.memsys.dramcache.replay_caches` call per application
+advances its six cold caches over the trace, so they share one page
+pass: the grouping of accesses by page, which depends only on the
+stream. The capacities do not nest (each changes the set count, not
+only the ways), so each still gets its own per-geometry replay, and
+that replay needs stack distances only in the sets that hold more
+pages than ways. Nothing is memoized: no sweep repeats a (stream,
+geometry) pair. Capacity fractions must be finite and positive.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Sequence
 
 from repro.core.config import PAPER_BEST_MEAN
 from repro.experiments.runner import ExperimentResult, all_profiles
-from repro.memsys.dramcache import DramCache
+from repro.memsys.dramcache import DramCache, replay_caches
 from repro.perfmodel.machine import MachineParams
 from repro.perfmodel.mlm import miss_rate_sweep
 from repro.util.tables import TextTable
@@ -100,19 +102,19 @@ def measured_miss_rates(
     associativity: int = 8,
 ) -> list[float]:
     """Miss rates measured by replaying the profile's synthetic trace
-    through a cold DRAM-cache model at each capacity fraction."""
+    through a cold DRAM-cache model at each capacity fraction, all
+    capacities in one :func:`~repro.memsys.dramcache.replay_caches`
+    call."""
     trace = TraceGenerator(profile, seed=seed).generate(n_accesses)
     floor = float(page_bytes * associativity)
-    rates = []
+    caches = []
     for fraction in capacity_fractions:
         if not math.isfinite(fraction) or fraction <= 0:
             raise ValueError("capacity fractions must be finite and positive")
         capacity = max(floor, fraction * trace.footprint_bytes)
-        stats = DramCache(capacity, page_bytes, associativity).run_trace(
-            trace.addresses, trace.is_write
-        )
-        rates.append(1.0 - stats.hit_rate)
-    return rates
+        caches.append(DramCache(capacity, page_bytes, associativity))
+    replay_caches(caches, trace.addresses, trace.is_write)
+    return [1.0 - cache.stats.hit_rate for cache in caches]
 
 
 def run_fig8_measured(

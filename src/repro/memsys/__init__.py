@@ -18,7 +18,7 @@ from repro.memsys.manager import (
     MemoryManager,
     PagePlacement,
 )
-from repro.memsys.dramcache import DramCache, DramCacheStats
+from repro.memsys.dramcache import DramCache, DramCacheStats, replay_caches
 from repro.memsys.rowbuffer import RowBufferSim, RowBufferStats
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "HotnessMigrationPolicy",
     "DramCache",
     "DramCacheStats",
+    "replay_caches",
     "RowBufferSim",
     "RowBufferStats",
 ]

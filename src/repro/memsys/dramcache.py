@@ -16,44 +16,49 @@ Two implementations stream a trace through the cache:
 :meth:`DramCache.access`
     One address at a time, kept as the readable specification and test
     oracle: a trace replayed through it address by address is the
-    reference for :meth:`DramCache.run_trace`. It rejects what
-    :meth:`DramCache.access_many` rejects: a negative or non-integral
-    address.
+    reference for the batched replay. It rejects what the batched
+    replay rejects: a negative or non-integral address.
 
-:meth:`DramCache.access_many`
-    The fast path, which :meth:`DramCache.run_trace` runs: an exact
-    whole-stream replay built on the per-set LRU stack-distance
-    property (Mattson et al., 1970): an access hits iff fewer than
-    ``associativity`` distinct pages of its set were touched since the
-    page's previous use.
+:func:`replay_caches`
+    The fast path: it advances several caches over one stream, and
+    :meth:`DramCache.access_many` and :meth:`DramCache.run_trace` are
+    its one-cache case. It is an exact whole-stream replay built on the
+    per-set LRU stack-distance property (Mattson et al., 1970): an
+    access hits iff fewer than ``associativity`` distinct pages of its
+    set were touched since the page's previous use. It runs in two
+    stages.
 
-    * *Ordering.* A stable set-major argsort puts each set's accesses
-      side by side in program order; a second stable sort by
-      (set, tag) links every access to the previous use of its page.
-      Set and tag keys that fit in 16 bits are narrowed so numpy runs
-      these sorts as radix sorts.
-    * *Hits.* An access whose reuse gap (accesses of its set since the
-      previous use) is below ``associativity`` hits outright. Only the
-      longer gaps need the exact distinct-page count, which counts the
-      window's accesses whose own previous use lies before the window,
-      in chunks of bounded size. The worst-case cost is the total
-      length of those long reuse windows (about 0.3M positions over all
-      48 Fig. 8 replays).
-    * *Evictions* follow from per-set occupancy: a set never shrinks,
-      so every miss beyond its first ``associativity`` evicts.
-    * *Writebacks* follow from per-page generations: a miss starts one,
-      and it ends in an eviction unless the page is still resident at
-      the end of the stream; each dirty generation that ends writes
-      back once.
+    * *Page pass* (:func:`_page_stream`), which depends only on the
+      stream and page size, so cold caches of one page size share it
+      (Fig. 8 advances six capacities over each trace). A stable sort
+      of the pages, run as 16-bit radix passes, groups the accesses by
+      page. It yields each access's previous use, the distinct pages,
+      the pages in order of last use, and whether each page was ever
+      written.
+    * *Per-geometry replay* (:func:`_lru_replay`). It sorts the pages,
+      taken in last-use order, by set, which counts the distinct pages
+      of every set. A *calm* set, with at most ``associativity``
+      pages, is closed form: an access hits iff it reuses a page,
+      nothing is evicted or written back, and every page stays
+      resident with the dirty bit "ever written". Only the accesses of
+      *crowded* sets go through the stack-distance machinery: their
+      set-major rank, the reuse gap (an access whose gap is below
+      ``associativity`` hits outright), an exact distinct-page count
+      over the longer gaps' windows in chunks of bounded size,
+      evictions from per-set occupancy (a set never shrinks, so every
+      miss beyond its first ``associativity`` evicts) and writebacks
+      from per-page generations (a miss starts one, and each dirty
+      generation that does not reach the end of the stream resident
+      writes back once).
     * *Final state* is the ``associativity`` most recently used pages
       of each set, LRU to MRU, with each one's dirty bit.
 
     State carries between calls as these line arrays. A warm cache
     replays its resident lines first, LRU to MRU with the dirty bit as
     the write flag, which rebuilds the same stacks before the new
-    stream; so a call costs sorts over resident lines plus accesses.
-    The per-set dicts :meth:`DramCache.access` mutates are built from
-    the arrays only when ``access`` or ``_sets`` needs them
+    stream; such a cache gets a page pass of its own. The per-set dicts
+    :meth:`DramCache.access` mutates are built from the arrays only
+    when ``access`` or ``_sets`` needs them
     (:attr:`DramCache.resident_pages` reads whichever form is live), so
     scalar and batched calls interleave freely. Stats, per-access hit
     flags and per-set LRU order and dirty bits equal the scalar
@@ -65,13 +70,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
-__all__ = ["DramCacheStats", "DramCache"]
+__all__ = ["DramCacheStats", "DramCache", "replay_caches"]
 
 _WINDOW_CHUNK = 1 << 16
 """Most window positions gathered at once by the exact distinct-page
@@ -115,12 +121,68 @@ def _int_addresses(addresses) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _sort_key(col: np.ndarray) -> np.ndarray:
-    """Non-negative key column narrowed to uint16 when it fits, so a
-    stable argsort runs as numpy's radix sort."""
-    if col.size and int(col.max()) < 1 << 16:
-        return col.astype(np.uint16)
-    return col
+def _stable_argsort(keys: np.ndarray, top: int) -> np.ndarray:
+    """Stable argsort of integer keys in ``[0, top)``, as passes over
+    16-bit digits from the least significant, each of which numpy runs
+    as a radix sort."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while top - 1 >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+class _PageStream(NamedTuple):
+    """What a replay needs of a page stream, whatever the geometry."""
+
+    pages: np.ndarray
+    """The distinct pages, ascending."""
+    page_of: np.ndarray
+    """Each access's index into :attr:`pages`."""
+    by_page: np.ndarray
+    """The accesses grouped by page, in program order within a page."""
+    first: np.ndarray
+    """Along :attr:`by_page`, whether the access is its page's first."""
+    prev: np.ndarray
+    """Each access's previous use of its page (-1 for none)."""
+    by_last: np.ndarray
+    """Page indices in order of each page's last use."""
+    written: np.ndarray
+    """Per page, whether any access to it writes."""
+    writes: np.ndarray
+    """Per access, the write flag."""
+
+
+def _page_stream(pages: np.ndarray, writes: np.ndarray) -> _PageStream:
+    """The geometry-independent pass over a non-empty page stream."""
+    n = pages.size
+    by_page = _stable_argsort(pages, int(pages.max()) + 1)
+    sorted_pages = pages[by_page]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_pages[1:], sorted_pages[:-1], out=first[1:])
+    repeat = ~first[1:]
+    prev = np.full(n, -1, dtype=np.intp)
+    prev[by_page[1:][repeat]] = by_page[:-1][repeat]
+    starts = np.flatnonzero(first)
+    page_of = np.empty(n, dtype=np.intp)
+    page_of[by_page] = np.cumsum(first) - 1
+    is_last = np.zeros(n, dtype=bool)
+    is_last[by_page[np.append(starts[1:], n) - 1]] = True
+    written = np.zeros(starts.size, dtype=bool)
+    written[page_of[writes]] = True
+    return _PageStream(
+        pages=sorted_pages[starts],
+        page_of=page_of,
+        by_page=by_page,
+        first=first,
+        prev=prev,
+        by_last=page_of[is_last],
+        written=written,
+        writes=writes,
+    )
 
 
 def _distinct_in_windows(prev: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -152,36 +214,68 @@ def _distinct_in_windows(prev: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _lru_replay(sets: np.ndarray, tags: np.ndarray, writes: np.ndarray,
-                assoc: int):
-    """Replay a stream through an empty LRU cache of *assoc* ways.
+def _set_major(stream: _PageStream, page_set: np.ndarray,
+               selected: np.ndarray, n_sets: int):
+    """The *selected* accesses in set-major order: each set's accesses
+    contiguous, in program order.
 
-    Returns ``(hits, evictions, writebacks, final, dirty)``: per-access
-    hit flags in program order, the two counters, the resident lines as
-    indices into the stream (each page's last use, set-major and LRU to
-    MRU within a set), and their dirty bits.
+    Returns ``(sm, sets, prev)``: their program indices and sets in
+    that order, and each one's previous use as a position in it (-1
+    for none).
     """
-    n = sets.size
-    set_key = _sort_key(sets)
-    # Set-major positions: each set's accesses contiguous, in program
-    # order. Everything below is indexed by these positions.
-    order = np.argsort(set_key, kind="stable")
-    s = set_key[order]
-    t = tags[order]
-    by_tag = np.argsort(_sort_key(t), kind="stable")
-    by_page = by_tag[np.argsort(s[by_tag], kind="stable")]
-    ps, pt = s[by_page], t[by_page]
-    same = (ps[1:] == ps[:-1]) & (pt[1:] == pt[:-1])
-    prev = np.full(n, -1, dtype=np.intp)
-    prev[by_page[1:][same]] = by_page[:-1][same]
+    idx = np.flatnonzero(selected)
+    acc_set = page_set[stream.page_of[idx]]
+    order = _stable_argsort(acc_set, n_sets)
+    sm = idx[order]
+    rank = np.empty(stream.prev.size, dtype=np.intp)
+    rank[sm] = np.arange(sm.size)
+    before = stream.prev[sm]
+    # A first use reads rank[-1], which the mask drops.
+    return sm, acc_set[order], np.where(before >= 0, rank[before], -1)
 
-    reused = np.flatnonzero(prev >= 0)
-    gap = reused - prev[reused] - 1
-    hit = np.zeros(n, dtype=bool)
-    hit[reused[gap < assoc]] = True
-    long_gap = reused[gap >= assoc]
+
+def _lru_replay(stream: _PageStream, n_sets: int, assoc: int):
+    """Replay *stream* through an empty LRU cache of *n_sets* sets of
+    *assoc* ways.
+
+    A calm set (at most *assoc* pages) is closed form; only the
+    accesses of crowded sets get stack distances. Returns ``(hits,
+    evictions, writebacks, final, dirty)``: per-access hit flags in
+    program order, the two counters, the resident lines as indices
+    into ``stream.pages`` (set-major, LRU to MRU within a set), and
+    their dirty bits.
+    """
+    page_set = stream.pages % n_sets
+    # Every page, set-major and by last use within a set: the `assoc`
+    # latest of each set are resident, and a set whose pages all are
+    # is calm.
+    lru = stream.by_last[_stable_argsort(page_set[stream.by_last], n_sets)]
+    lru_set = page_set[lru]
+    resident = np.ones(lru.size, dtype=bool)
+    resident[:-assoc] = lru_set[assoc:] != lru_set[:-assoc]
+    final = lru[resident]
+    # In a calm set an access hits iff it reuses a page, and a page's
+    # one generation never ends, so it is dirty iff it was written.
+    hits = stream.prev >= 0
+    if final.size == lru.size:
+        return hits, 0, 0, final, stream.written[final]
+
+    # A set is crowded iff its least recent page was evicted.
+    starts = np.flatnonzero(np.append(True, lru_set[1:] != lru_set[:-1]))
+    crowded_page = np.empty(lru.size, dtype=bool)
+    crowded_page[lru] = np.repeat(
+        ~resident[starts], np.diff(np.append(starts, lru.size))
+    )
+    in_crowded = crowded_page[stream.page_of]
+
+    sm, s, prev = _set_major(stream, page_set, in_crowded, n_sets)
+    reused = prev >= 0
+    short = np.arange(sm.size) - prev <= assoc
+    hit = reused & short
+    long_gap = np.flatnonzero(reused & ~short)
     if long_gap.size:
         hit[long_gap] = _distinct_in_windows(prev, long_gap) < assoc
+    hits[sm] = hit
 
     # A set never shrinks, so a miss evicts iff it has at least
     # `assoc` earlier misses in its set.
@@ -191,29 +285,60 @@ def _lru_replay(sets: np.ndarray, tags: np.ndarray, writes: np.ndarray,
     # Generations in page order: a miss starts one (every page's first
     # use misses, so none spans two pages) and each dirty one that is
     # not resident at the end was evicted, writing back once.
-    gen_start = ~hit[by_page]
-    gen_dirty = np.logical_or.reduceat(
-        writes[order[by_page]], np.flatnonzero(gen_start)
+    keep = in_crowded[stream.by_page]
+    by_page = stream.by_page[keep]
+    gen_starts = np.flatnonzero(~hits[by_page])
+    gen_dirty = np.logical_or.reduceat(stream.writes[by_page], gen_starts)
+    # A page's last generation is the one before the next page's first.
+    last_gen = np.append(stream.first[keep][gen_starts[1:]], True)
+    dirty = stream.written.copy()
+    dirty[crowded_page] = gen_dirty[last_gen]
+    final_dirty = dirty[final]
+    writebacks = int(
+        np.count_nonzero(gen_dirty)
+        - np.count_nonzero(final_dirty[crowded_page[final]])
     )
-    page_end = np.append(~same, True)
-    last_use = by_page[page_end]
-    is_last = np.zeros(n, dtype=bool)
-    is_last[last_use] = True
-    last_dirty = np.zeros(n, dtype=bool)
-    last_dirty[last_use] = gen_dirty[np.cumsum(gen_start)[page_end] - 1]
+    return hits, evictions, writebacks, final, final_dirty
 
-    # Resident: the `assoc` most recent last uses of each set.
-    last = np.flatnonzero(is_last)
-    last_set = s[last]
-    resident = np.ones(last.size, dtype=bool)
-    resident[:-assoc] = last_set[assoc:] != last_set[:-assoc]
-    final = last[resident]
-    dirty = last_dirty[final]
-    writebacks = int(np.count_nonzero(gen_dirty) - np.count_nonzero(dirty))
 
-    hits = np.empty(n, dtype=bool)
-    hits[order] = hit
-    return hits, evictions, writebacks, order[final], dirty
+def _bool_writes(addresses: np.ndarray, writes) -> np.ndarray:
+    if writes is None:
+        return np.zeros(len(addresses), dtype=bool)
+    writes = np.asarray(writes, dtype=bool)
+    if len(writes) != len(addresses):
+        raise ValueError("writes length must match addresses")
+    return writes
+
+
+def replay_caches(caches: Sequence["DramCache"], addresses,
+                  writes=None) -> list[np.ndarray]:
+    """Advance each cache in *caches* over one address stream.
+
+    Returns each cache's per-access hit flags, in list order. Each
+    cache's statistics and LRU state advance exactly as the equivalent
+    sequence of :meth:`DramCache.access` calls would; a cache listed
+    twice advances twice, the second time from where the first left
+    it. Caches that are cold when their turn comes share one page pass
+    per page size; a warm cache gets its own. Each cache's replay is
+    one ``dramcache.run_trace`` span and one
+    ``memsys.dramcache.run_seconds`` observation (the first cold cache
+    of a page size carries the shared pass).
+    """
+    addresses = _int_addresses(addresses)
+    writes = _bool_writes(addresses, writes)
+    n = addresses.size
+    if n and int(addresses.min()) < 0:
+        raise ValueError("address must be non-negative")
+    shared: dict[int, _PageStream] = {}
+    flags = []
+    for cache in caches:
+        with obs_trace.span(
+            "dramcache.run_trace", accesses=n
+        ), obs_metrics.timed("memsys.dramcache.run_seconds"):
+            flags.append(cache._replay(addresses, writes, shared))
+        obs_metrics.inc("memsys.dramcache.runs")
+        obs_metrics.inc("memsys.dramcache.accesses", n)
+    return flags
 
 
 class DramCache:
@@ -325,61 +450,60 @@ class DramCache:
         ways[tag] = is_write
         return False
 
-    def _check_writes(self, addresses: np.ndarray, writes) -> np.ndarray:
-        if writes is None:
-            return np.zeros(len(addresses), dtype=bool)
-        writes = np.asarray(writes, dtype=bool)
-        if len(writes) != len(addresses):
-            raise ValueError("writes length must match addresses")
-        return writes
+    def _replay(self, addresses: np.ndarray, writes: np.ndarray,
+                shared: dict[int, _PageStream]) -> np.ndarray:
+        """Advance over a validated stream; *shared* holds the page
+        passes of cold streams by page size."""
+        if addresses.size == 0:
+            return np.zeros(0, dtype=bool)
+        # A warm cache's resident lines go first, LRU to MRU with their
+        # dirty bits as write flags: each misses into an empty way,
+        # rebuilding the warm stacks before the new stream replays on
+        # top of them.
+        warm_sets, warm_tags, warm_dirty = self._line_arrays()
+        warm = warm_sets.size
+        if warm:
+            stream = _page_stream(
+                np.concatenate((
+                    warm_tags * self.n_sets + warm_sets,
+                    addresses // self.page_bytes,
+                )),
+                np.concatenate((warm_dirty, writes)),
+            )
+        else:
+            stream = shared.get(self.page_bytes)
+            if stream is None:
+                stream = shared[self.page_bytes] = _page_stream(
+                    addresses // self.page_bytes, writes
+                )
+        hits, evictions, writebacks, final, dirty = _lru_replay(
+            stream, self.n_sets, self.associativity
+        )
+        tags, sets = np.divmod(stream.pages[final], self.n_sets)
+        self._lines = (sets, tags, dirty)
+
+        flags = hits[warm:]
+        n_hits = int(np.count_nonzero(flags))
+        self.stats.hits += n_hits
+        self.stats.misses += flags.size - n_hits
+        self.stats.evictions += evictions
+        self.stats.writebacks += writebacks
+        return flags
 
     def access_many(self, addresses, writes=None) -> np.ndarray:
-        """Batched lookup of a whole address stream (the fast path).
+        """Batched lookup of a whole address stream: the one-cache case
+        of :func:`replay_caches`.
 
         Returns the per-access hit flags; statistics and LRU state
         advance exactly as the equivalent sequence of :meth:`access`
         calls would, so scalar and batched calls can be freely
         interleaved.
         """
-        addresses = _int_addresses(addresses)
-        writes = self._check_writes(addresses, writes)
-        n = len(addresses)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if int(addresses.min()) < 0:
-            raise ValueError("address must be non-negative")
-
-        # The resident lines go first, LRU to MRU with their dirty bits
-        # as write flags: each misses into an empty way, rebuilding the
-        # warm stacks before the new stream replays on top of them.
-        warm_sets, warm_tags, warm_dirty = self._line_arrays()
-        warm = warm_sets.size
-        tag_col, set_col = np.divmod(addresses // self.page_bytes, self.n_sets)
-        sets = np.concatenate((warm_sets, set_col))
-        tags = np.concatenate((warm_tags, tag_col))
-        hits, evictions, writebacks, final, dirty = _lru_replay(
-            sets, tags, np.concatenate((warm_dirty, writes)),
-            self.associativity,
-        )
-        self._lines = (sets[final], tags[final], dirty)
-
-        flags = hits[warm:]
-        n_hits = int(np.count_nonzero(flags))
-        self.stats.hits += n_hits
-        self.stats.misses += n - n_hits
-        self.stats.evictions += evictions
-        self.stats.writebacks += writebacks
-        return flags
+        return replay_caches([self], addresses, writes)[0]
 
     def run_trace(self, addresses, writes=None) -> DramCacheStats:
         """Stream a whole trace; returns the cumulative statistics."""
-        addresses = _int_addresses(addresses)
-        with obs_trace.span(
-            "dramcache.run_trace", accesses=int(addresses.size)
-        ), obs_metrics.timed("memsys.dramcache.run_seconds"):
-            self.access_many(addresses, writes)
-        obs_metrics.inc("memsys.dramcache.runs")
-        obs_metrics.inc("memsys.dramcache.accesses", int(addresses.size))
+        self.access_many(addresses, writes)
         return self.stats
 
     @property
@@ -395,7 +519,7 @@ class DramCache:
         With 256 GB cached over 1 TB external, 20% of the 1.25 TB
         address space disappears — the paper's argument for flat mode.
         """
-        if external_bytes <= 0:
-            raise ValueError("external_bytes must be positive")
+        if not math.isfinite(external_bytes) or external_bytes <= 0:
+            raise ValueError("external_bytes must be finite and positive")
         cache_bytes = self.n_sets * self.associativity * self.page_bytes
         return cache_bytes / (cache_bytes + external_bytes)

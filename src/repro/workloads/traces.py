@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import _is_int
 from repro.workloads.kernels import KernelProfile
 
 __all__ = ["MemoryTrace", "TraceGenerator"]
@@ -78,16 +79,26 @@ class MemoryTrace:
 
 
 class TraceGenerator:
-    """Deterministic (seeded) trace synthesis from a kernel profile."""
+    """Deterministic (seeded) trace synthesis from a kernel profile.
+
+    *seed* must be a non-negative integer (not a bool).
+    """
 
     def __init__(self, profile: KernelProfile, seed: int = 0):
+        if not _is_int(seed) or seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {seed!r}"
+            )
         self.profile = profile
         self.seed = seed
 
     def generate(self, n_accesses: int = 100_000) -> MemoryTrace:
-        """Generate a trace of *n_accesses* line-aligned accesses."""
-        if n_accesses <= 0:
-            raise ValueError("n_accesses must be positive")
+        """Generate a trace of *n_accesses* line-aligned accesses
+        (a positive integer, not a bool)."""
+        if not _is_int(n_accesses) or n_accesses <= 0:
+            raise ValueError(
+                f"n_accesses must be a positive integer, got {n_accesses!r}"
+            )
         p = self.profile
         rng = np.random.default_rng(self.seed)
 

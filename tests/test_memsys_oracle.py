@@ -1,7 +1,8 @@
 """Oracle-equivalence harness for the memsys array fast paths.
 
 Every test drives the same input through the vectorized entry point
-(``RowBufferSim.run``, ``DramCache.run_trace``/``access_many``,
+(``RowBufferSim.run``, ``replay_caches`` and its one-cache case
+``DramCache.run_trace``/``access_many``,
 ``MemoryManager.run_batch``/``epoch_array``) and through the retained
 scalar per-unit reference (``RowBufferSim.access``,
 ``DramCache.access``, ``MemoryManager.epoch``) and requires identical
@@ -11,12 +12,14 @@ results: exact for integral counters, placements, and LRU orders,
 
 from __future__ import annotations
 
+import copy
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.memsys.dramcache import DramCache
+from repro.memsys.dramcache import DramCache, replay_caches
 from repro.memsys.manager import (
     FirstTouchPolicy,
     HotnessMigrationPolicy,
@@ -402,6 +405,142 @@ def _assert_same_dram_state(cache, oracle):
     assert set(cache._sets) == set(oracle._sets)
     for s, ways in cache._sets.items():
         assert list(ways.items()) == list(oracle._sets[s].items()), s
+
+
+def _replay_against_oracle(caches, stream, writes=None):
+    """Run *caches* through one ``replay_caches`` call and a scalar twin
+    of each (deep-copied beforehand) through ``DramCache.access``, in
+    list order; every listing's flags and every cache's stats, LRU
+    order and dirty bits must agree."""
+    twins = {id(c): copy.deepcopy(c) for c in caches}
+    flags = replay_caches(caches, stream, writes)
+    assert len(flags) == len(caches)
+    w = [False] * len(stream) if writes is None else np.asarray(
+        writes, dtype=bool).tolist()
+    for cache, got in zip(caches, flags):
+        oracle = twins[id(cache)]
+        expected = [
+            oracle.access(int(x), bool(wr))
+            for x, wr in zip(np.asarray(stream).tolist(), w)
+        ]
+        assert got.tolist() == expected
+    for cache in caches:
+        oracle = twins[id(cache)]
+        assert astuple(cache.stats) == astuple(oracle.stats)
+        _assert_same_dram_state(cache, oracle)
+    return flags
+
+
+@st.composite
+def _shared_replays(draw):
+    """A stream plus the caches one ``replay_caches`` call advances:
+    1-6 geometries of one page size, one cache of another page size,
+    some caches warmed by an earlier chunk, one cache listed twice."""
+    page = draw(st.sampled_from([64, 256, 4096]))
+    other_page = draw(st.sampled_from([p for p in (128, 1024) if p != page]))
+    geometries = draw(st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 6)),
+        min_size=1, max_size=6,
+    ))
+    # A pool of pages with reuse, some above 16 and 32 bits whose low
+    # 16 bits repeat a smaller page's, so only the page pass's later
+    # radix passes tell them apart.
+    pool = draw(st.lists(
+        st.builds(
+            lambda low, high: low + (high << 16),
+            st.integers(0, 40), st.sampled_from([0, 0, 1, 3, (1 << 16) + 1]),
+        ),
+        min_size=1, max_size=60, unique=True,
+    ))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=300))
+    offsets = draw(st.lists(st.integers(0, page - 1), min_size=len(picks),
+                            max_size=len(picks)))
+    stream = np.array(
+        [pool[i] * page + o for i, o in zip(picks, offsets)], dtype=np.int64
+    )
+    writes = np.array(
+        draw(st.lists(st.booleans(), min_size=stream.size,
+                      max_size=stream.size)), dtype=bool,
+    )
+    caches = [DramCache(n_sets * assoc * page, page, assoc)
+              for n_sets, assoc in geometries]
+    caches.append(DramCache(16 * 2 * other_page, other_page, 2))
+    warm = draw(st.lists(st.booleans(), min_size=len(caches),
+                         max_size=len(caches)))
+    warmup = stream[::-1][: draw(st.integers(0, 100))]
+    twice = draw(st.integers(0, len(caches) - 1))
+    return caches, warm, warmup, twice, stream, writes
+
+
+class TestReplayCachesOracle:
+    """The shared replay against a scalar ``DramCache.access`` replay
+    of each cache it advances."""
+
+    @given(_shared_replays())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_replay_matches_scalar(self, case):
+        caches, warm, warmup, twice, stream, writes = case
+        for cache, is_warm in zip(caches, warm):
+            if is_warm:
+                cache.access_many(warmup, warmup % 3 == 0)
+        order = caches[:twice + 1] + [caches[twice]] + caches[twice + 1:]
+        _replay_against_oracle(order, stream, writes)
+
+    def test_every_set_calm(self):
+        """No set ever holds more pages than ways: every reuse hits and
+        nothing is evicted."""
+        page, assoc, n_sets = 256, 4, 16
+        rng = np.random.default_rng(61)
+        pages = rng.permutation(n_sets * assoc)
+        stream = rng.choice(pages, size=600) * page
+        writes = rng.random(600) < 0.3
+        caches = [DramCache(n_sets * assoc * page, page, assoc),
+                  DramCache(2 * n_sets * assoc * page, page, assoc)]
+        _replay_against_oracle(caches, stream, writes)
+        for cache in caches:
+            assert cache.stats.evictions == 0
+            assert cache.stats.hits == 600 - np.unique(stream).size
+
+    def test_every_set_crowded(self):
+        page, assoc, n_sets = 256, 2, 8
+        rng = np.random.default_rng(67)
+        stream = rng.integers(0, n_sets * 6, size=800) * page
+        writes = rng.random(800) < 0.4
+        caches = [DramCache(n_sets * assoc * page, page, assoc),
+                  DramCache(n_sets * 3 * page, page, 3)]
+        _replay_against_oracle(caches, stream, writes)
+        for cache in caches:
+            sets = {int(p) % cache.n_sets for p in np.unique(stream // page)}
+            assert len(sets) == cache.n_sets
+            assert cache.stats.evictions > 0
+
+    def test_set_holding_exactly_assoc_pages(self):
+        """One set with exactly ``associativity`` pages stays calm next
+        to one with a page more."""
+        page, assoc, n_sets = 1024, 4, 2
+        set0 = [0, 2, 4, 6]  # four pages of set 0
+        set1 = [1, 3, 5, 7, 9]  # five pages of set 1
+        stream = np.array(
+            (set0 + set1) * 3 + set0[::-1] + set1[::-1], dtype=np.int64
+        ) * page
+        writes = np.arange(stream.size) % 5 == 0
+        cache = DramCache(n_sets * assoc * page, page, assoc)
+        _replay_against_oracle([cache], stream, writes)
+        assert list(cache._sets[0]) == [3, 2, 1, 0]
+        assert cache.stats.evictions > 0
+
+    def test_empty_stream(self):
+        cache = DramCache(1 << 16, 1024, 2)
+        cache.access_many(np.arange(40) * 1024)
+        before = astuple(cache.stats)
+        flags = _replay_against_oracle(
+            [cache, DramCache()], np.zeros(0, dtype=np.int64)
+        )
+        assert [f.size for f in flags] == [0, 0]
+        assert astuple(cache.stats) == before
+
+    def test_no_caches(self):
+        assert replay_caches([], np.arange(10) * 4096) == []
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ from repro.thermal.grid import ThermalGrid
 from repro.thermal.transient import PowerPhase, TransientSolver
 from repro.workloads.catalog import APPLICATIONS
 from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
-from repro.workloads.traces import MemoryTrace
+from repro.workloads.traces import MemoryTrace, TraceGenerator
 
 cus = st.sampled_from([192, 224, 256, 288, 320, 352, 384])
 freqs = st.floats(min_value=0.7e9, max_value=1.5e9)
@@ -631,6 +631,14 @@ _BAD_FIELDS = {
         lambda v: DramCache(1 << 20, page_bytes=v), _BAD_COUNT),
     "DramCache.associativity": (
         lambda v: DramCache(1 << 20, associativity=v), _BAD_COUNT),
+    "DramCache.addressable_capacity_loss.external_bytes": (
+        lambda v: DramCache(1 << 20).addressable_capacity_loss(v),
+        _BAD_POSITIVE),
+    "TraceGenerator.seed": (
+        lambda v: TraceGenerator(_FUZZ_PROFILE, seed=v),
+        _BAD_NON_NEGATIVE_COUNT),
+    "TraceGenerator.generate.n_accesses": (
+        lambda v: TraceGenerator(_FUZZ_PROFILE).generate(v), _BAD_COUNT),
     "KernelProfile.issue_efficiency": (
         lambda v: _FUZZ_PROFILE.with_overrides(issue_efficiency=v),
         _BAD_EFFICIENCY),
@@ -774,6 +782,16 @@ _NAMED_BAD_VALUES = [
     ("KernelProfile.issue_efficiency", -0.0),
     ("ProfileBatch.issue_efficiency", 0.0),
     ("ProfileBatch.issue_efficiency", -0.0),
+    ("DramCache.addressable_capacity_loss.external_bytes", math.nan),
+    ("DramCache.addressable_capacity_loss.external_bytes", math.inf),
+    ("TraceGenerator.seed", 1.5),
+    ("TraceGenerator.seed", math.nan),
+    ("TraceGenerator.seed", True),
+    ("TraceGenerator.generate.n_accesses", 2.5),
+    ("TraceGenerator.generate.n_accesses", math.nan),
+    ("TraceGenerator.generate.n_accesses", math.inf),
+    ("TraceGenerator.generate.n_accesses", 3.0),
+    ("TraceGenerator.generate.n_accesses", True),
 ]
 
 

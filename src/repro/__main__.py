@@ -65,6 +65,18 @@ def _metrics_export(path: str | None):
         sampler.stop()
 
 
+@contextlib.contextmanager
+def _trace_out(path: str | None):
+    """Trace the enclosed run and write its Chrome trace to *path*; a
+    no-op without a path."""
+    if not path:
+        yield
+        return
+    with obs_trace.trace() as tracer:
+        yield
+    tracer.write(path)
+
+
 def _number(kind, *, zero_ok: bool):
     """An argparse ``type=`` for a finite *kind* that is positive (or
     non-negative when *zero_ok*): a bad value exits 2 with a usage
@@ -251,18 +263,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.artifacts == ["serve"]:
         from repro.serve.bench import run_serve_bench
 
-        report = run_serve_bench(
-            seed=args.serve_seed,
-            n_requests=args.serve_requests,
-            rate_hz=args.serve_rate,
-            deadline_s=(
-                args.serve_deadline_ms / 1e3
-                if args.serve_deadline_ms > 0
-                else None
-            ),
-            baseline=args.serve_baseline,
-            metrics_export=args.metrics_export,
-        )
+        with _trace_out(args.trace_out), obs_trace.span("bench.serve"):
+            report = run_serve_bench(
+                seed=args.serve_seed,
+                n_requests=args.serve_requests,
+                rate_hz=args.serve_rate,
+                deadline_s=(
+                    args.serve_deadline_ms / 1e3
+                    if args.serve_deadline_ms > 0
+                    else None
+                ),
+                baseline=args.serve_baseline,
+                metrics_export=args.metrics_export,
+            )
         print(report.render())
         if args.metrics_out:
             from repro.obs.manifest import write_manifest
@@ -277,7 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.artifacts == ["thermal-loop"]:
         from repro.thermal.bench import run_thermal_loop_bench
 
-        with _metrics_export(args.metrics_export):
+        with _metrics_export(args.metrics_export), \
+                _trace_out(args.trace_out), \
+                obs_trace.span("bench.thermal-loop"):
             report = run_thermal_loop_bench(
                 dt=args.thermal_dt_ms / 1e3,
                 factored_steps=args.thermal_steps,
@@ -305,7 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.fleet_nodes < args.fleet_groups:
             parser.error("--fleet-nodes must be at least --fleet-groups")
 
-        with _metrics_export(args.metrics_export):
+        with _metrics_export(args.metrics_export), \
+                _trace_out(args.trace_out), obs_trace.span("bench.fleet"):
             report = run_fleet_bench(
                 n_nodes=args.fleet_nodes,
                 n_groups=args.fleet_groups,
@@ -351,10 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     # Each experiment runs once, in request order, under its own span.
     results = {}
     wall_times: dict[str, float] = {}
-    tracing = (
-        obs_trace.trace() if args.trace_out else contextlib.nullcontext()
-    )
-    with _metrics_export(args.metrics_export), tracing as tracer:
+    with _metrics_export(args.metrics_export), _trace_out(args.trace_out):
         t_start = time.perf_counter()
         for name in dict.fromkeys(names):
             t0 = time.perf_counter()
@@ -362,8 +375,6 @@ def main(argv: list[str] | None = None) -> int:
                 results[name] = EXPERIMENTS[name]()
             wall_times[name] = time.perf_counter() - t0
         wall_times["total"] = time.perf_counter() - t_start
-    if tracer is not None:
-        tracer.write(args.trace_out)
     if args.metrics_out:
         from repro.obs.manifest import write_manifest
 

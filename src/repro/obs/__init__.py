@@ -5,9 +5,11 @@ Three pieces, layered from always-on to opt-in:
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/timing
   histograms with mergeable snapshots; cheap enough that the hot layers
   publish into it unconditionally.
-* :mod:`repro.obs.trace` — ``span()``/``trace()`` context-manager
-  tracing that emits Chrome trace-event JSON (Perfetto-loadable);
-  no-op until a tracer is installed.
+* :mod:`repro.obs.trace` — ``span()``/``trace()`` tracing: each span
+  is one appended tuple, exported as Chrome trace-event JSON
+  (Perfetto-loadable); no-op until a tracer is installed. Spans carry
+  no ids: synchronous spans nest by time on their thread, and the
+  serving layer links a request's path by its ticket seq.
 * :mod:`repro.obs.manifest` — one-JSON-per-run manifests combining git
   revision, engine choices, cache counters, wall times, and the metrics
   snapshot (imported lazily: it reaches back into the instrumented
@@ -32,7 +34,7 @@ from repro.obs.metrics import (
     default_registry,
 )
 from repro.obs.slo import SloTracker
-from repro.obs.trace import SpanContext, Tracer, active_tracer, span
+from repro.obs.trace import Tracer, active_tracer, span
 
 __all__ = [
     "metrics",
@@ -47,7 +49,6 @@ __all__ = [
     "PeriodicSampler",
     "SloTracker",
     "default_registry",
-    "SpanContext",
     "Tracer",
     "active_tracer",
     "span",

@@ -1,25 +1,25 @@
-"""Span tracing with Chrome trace-event output and trace contexts.
+"""Span tracing with Chrome trace-event output.
 
-A :class:`Tracer` records complete (``"ph": "X"``) events — name,
-category, microsecond timestamp and duration, pid/tid, optional args —
-in the Chrome trace-event JSON format, so a run's timeline opens
-directly in ``chrome://tracing`` or https://ui.perfetto.dev.
+A :class:`Tracer` records each span as one tuple — name, category, raw
+start and end clock readings, thread id, args — and builds the Chrome
+trace-event dicts only on export (:attr:`Tracer.events`,
+:meth:`Tracer.to_chrome`, :meth:`Tracer.write`), so a run's timeline
+opens directly in ``chrome://tracing`` or https://ui.perfetto.dev.
 
-Every recorded span additionally carries a :class:`SpanContext` — a
-``trace_id`` plus hierarchical ``span_id``/``parent_id`` — stamped into
-the event's ``args``.  Contexts are what make a request's journey one
-connected tree across process boundaries: the serving layer stamps a
-context onto each admitted request, the sharded pool stamps a child
-context onto each task envelope, and workers open their spans *under*
-the shipped context, so after :meth:`Tracer.extend` merges the worker
-events back, parent/child edges line up exactly.
+Two kinds of span:
 
-Span ids are hierarchical (``"0"``, ``"0.1"``, ``"0.1.2"``…): a child's
-id extends its parent's, which keeps allocation deterministic (ids
-depend only on creation order under each parent, never on pids or
-wall-clock) and collision-free across workers — each worker mints
-children under a distinct shipped id.  Tests pin exact ids by seeding a
-tracer with a fixed root context.
+* **Complete** (``"ph": "X"``) — a ``with span(...)`` block. Spans on
+  one thread nest by time, which is how the Chrome format reads them;
+  no parent ids are kept.
+* **Async** (``"ph": "b"``/``"e"`` pairs keyed by an id) — an interval
+  whose end is known only later, recorded once it ends with
+  :meth:`Tracer.async_span` from two raw :meth:`Tracer.now` readings.
+  The serving layer records each request and its queue wait this way,
+  keyed by the request's ticket seq; pairs with the same category and
+  id nest into one async track.
+
+Spans recorded in another process (the pool's worker tasks) come back
+as Chrome dicts through :meth:`Tracer.extend`.
 
 Tracing is opt-in where metrics are always-on: the instrumented layers
 call the module-level :func:`span`, which is a shared no-op context
@@ -33,8 +33,8 @@ Typical use::
     from repro.obs import trace as otrace
 
     with otrace.trace() as tracer:          # activates a Tracer
-        with otrace.span("dse.explore") as ctx:   # recorded; ctx is
-            ...                                   # the SpanContext
+        with otrace.span("dse.explore"):    # recorded
+            ...
     tracer.write("trace.json")              # open in Perfetto
 
 Instrumented library code only ever calls :func:`span`; it never pays
@@ -43,60 +43,40 @@ more than one module-attribute read when no tracer is active.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from threading import get_ident
 from time import perf_counter
 from typing import Callable, Iterator
 
-__all__ = [
-    "SpanContext",
-    "Tracer",
-    "span",
-    "trace",
-    "active_tracer",
-    "current_context",
-]
-
-_TRACE_IDS = itertools.count(1)
+__all__ = ["Tracer", "span", "trace", "active_tracer"]
 
 
-def _new_trace_id() -> str:
-    """Process-unique trace id (pid-qualified so ids survive merges)."""
-    return f"{os.getpid():x}-{next(_TRACE_IDS):x}"
+class _Span:
+    """One open complete span; appends its record on exit."""
 
+    __slots__ = ("_spans", "_clock", "_name", "_cat", "_args", "_start")
 
-@dataclass(frozen=True)
-class SpanContext:
-    """Identity of one span: which trace it belongs to, its own id, and
-    its parent's id (``None`` for a root).
+    def __init__(self, tracer: "Tracer", name: str, cat: str, args: dict):
+        self._spans = tracer._spans
+        self._clock = tracer._clock
+        self._name = name
+        self._cat = cat
+        self._args = args
 
-    Picklable and tiny — it rides pool task envelopes across the
-    process boundary so workers can open child spans under it.
-    """
+    def __enter__(self) -> None:
+        self._start = self._clock()
 
-    trace_id: str
-    span_id: str
-    parent_id: str | None = None
-
-    @classmethod
-    def root(cls, trace_id: str | None = None) -> "SpanContext":
-        """A fresh root context (span id ``"0"``)."""
-        return cls(trace_id if trace_id else _new_trace_id(), "0", None)
-
-    def as_args(self) -> dict:
-        """The id fields as Chrome-event ``args`` entries."""
-        out = {"trace_id": self.trace_id, "span_id": self.span_id}
-        if self.parent_id is not None:
-            out["parent_id"] = self.parent_id
-        return out
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._spans.append((
+            self._name, self._cat, self._start, self._clock(), get_ident(),
+            self._args,
+        ))
 
 
 class Tracer:
-    """Collects Chrome trace-event dicts.
+    """Collects span records and exports them as Chrome trace events.
 
     Parameters
     ----------
@@ -105,194 +85,82 @@ class Tracer:
         ``time.perf_counter``; tests inject a fake for deterministic
         timestamps. Event timestamps are microseconds relative to the
         tracer's construction instant.
-    context:
-        Root :class:`SpanContext` for the tracer. Defaults to a fresh
-        root with a process-unique trace id; tests pass a fixed one to
-        pin exact span ids.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        context: SpanContext | None = None,
-    ):
+    def __init__(self, clock: Callable[[], float] | None = None):
         self._clock = clock if clock is not None else perf_counter
         self._t0 = self._clock()
-        self._lock = threading.Lock()
-        self._tls = threading.local()
-        self._child_counts: dict[tuple[str, str], int] = {}
-        self.root = context if context is not None else SpanContext.root()
-        self.events: list[dict] = []
+        self._pid = os.getpid()
+        # (name, cat, start, end, tid, args)
+        self._spans: list[tuple] = []
+        # (name, cat, start, end, tid, args, key)
+        self._async: list[tuple] = []
+        self._foreign: list[dict] = []
 
     def now(self) -> float:
-        """A raw reading of the tracer's clock (seconds).
-
-        Callers that measure an interval out-of-band (e.g. queue wait
-        between admit and dispatch) sample this and later hand both
-        readings to :meth:`record_span`, so their timestamps share the
-        tracer's timeline exactly.
-        """
+        """A raw reading of the tracer's clock (seconds), for the
+        endpoints of an :meth:`async_span`."""
         return self._clock()
 
-    def _now_us(self) -> float:
-        return (self._clock() - self._t0) * 1e6
+    def span(self, name: str, cat: str = "repro", **args) -> _Span:
+        """Record the enclosed block as one complete ("X") event."""
+        return _Span(self, name, cat, args)
 
-    def _stack(self) -> list[SpanContext]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
-    def current_context(self) -> SpanContext:
-        """The innermost open span's context on this thread, else the
-        tracer's root."""
-        stack = self._stack()
-        return stack[-1] if stack else self.root
-
-    def child_context(
-        self, parent: SpanContext | None = None
-    ) -> SpanContext:
-        """Allocate the next child context under *parent* (default: the
-        current context on this thread).
-
-        Allocation is deterministic: the n-th child of span ``P`` is
-        ``P.n``, counted per parent in creation order.
-        """
-        if parent is None:
-            parent = self.current_context()
-        key = (parent.trace_id, parent.span_id)
-        with self._lock:
-            n = self._child_counts.get(key, 0) + 1
-            self._child_counts[key] = n
-        return SpanContext(
-            parent.trace_id, f"{parent.span_id}.{n}", parent.span_id
+    def async_span(
+        self, name: str, start: float, end: float, key: int,
+        cat: str = "repro", **args,
+    ) -> None:
+        """Record an async begin/end pair with Chrome ``id`` *key* from
+        two raw :meth:`now` readings, once the interval has ended."""
+        self._async.append(
+            (name, cat, start, end, get_ident(), args, key)
         )
-
-    def _record(self, event: dict, ctx: SpanContext, args: dict) -> None:
-        merged = ctx.as_args()
-        merged.update(args)
-        event["args"] = merged
-        with self._lock:
-            self.events.append(event)
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        cat: str = "repro",
-        context: SpanContext | None = None,
-        parent: SpanContext | None = None,
-        **args,
-    ) -> Iterator[SpanContext]:
-        """Record the enclosed block as one complete ("X") event.
-
-        Yields the span's :class:`SpanContext`. By default the span is
-        a child of the innermost open span on this thread; *parent*
-        overrides the parent explicitly (for work that logically
-        belongs to a span opened on another thread), and *context*
-        adopts a pre-allocated identity wholesale (how workers open
-        spans under an id shipped in a task envelope).
-        """
-        ctx = context if context is not None else self.child_context(parent)
-        stack = self._stack()
-        stack.append(ctx)
-        start = self._now_us()
-        try:
-            yield ctx
-        finally:
-            end = self._now_us()
-            # Pop *this* span's context: interleaved async spans on one
-            # thread can exit out of LIFO order.
-            if stack and stack[-1] is ctx:
-                stack.pop()
-            else:  # pragma: no cover - interleaved exit
-                try:
-                    stack.remove(ctx)
-                except ValueError:
-                    pass
-            self._record(
-                {
-                    "name": name,
-                    "cat": cat,
-                    "ph": "X",
-                    "ts": start,
-                    "dur": end - start,
-                    "pid": os.getpid(),
-                    "tid": threading.get_ident(),
-                },
-                ctx,
-                args,
-            )
-
-    def record_span(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        cat: str = "repro",
-        context: SpanContext | None = None,
-        parent: SpanContext | None = None,
-        **args,
-    ) -> SpanContext:
-        """Record a complete event from two raw :meth:`now` readings.
-
-        For intervals whose endpoints don't nest as a ``with`` block —
-        a request's queue wait is measured at admit and recorded at
-        dispatch. Returns the context the span was recorded under.
-        """
-        ctx = context if context is not None else self.child_context(parent)
-        self._record(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": (start - self._t0) * 1e6,
-                "dur": (end - start) * 1e6,
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-            },
-            ctx,
-            args,
-        )
-        return ctx
-
-    def instant(self, name: str, cat: str = "repro", **args) -> None:
-        """Record a zero-duration instant ("i") event."""
-        event = {
-            "name": name,
-            "cat": cat,
-            "ph": "i",
-            "s": "t",
-            "ts": self._now_us(),
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-        }
-        if args:
-            event["args"] = args
-        with self._lock:
-            self.events.append(event)
 
     def extend(self, events: list[dict]) -> None:
         """Append foreign trace events (e.g. shipped back from a worker
-        process by the sharded pool).
+        process by the pool).
 
-        Events are taken as-is: each already carries its own ``pid``, so
-        Perfetto renders them as separate process tracks, and each
-        carries its originating span context in ``args``, so parent/
-        child edges stay connected across the merge. Timestamps are
-        relative to the *originating* tracer's construction instant —
-        per-track timelines are exact, cross-process alignment is not.
+        Events are taken as-is: each already carries its own ``pid``,
+        so Perfetto renders them as separate process tracks. Their
+        timestamps are relative to the *originating* tracer's
+        construction instant — per-track timelines are exact,
+        cross-process alignment is not.
         """
-        with self._lock:
-            self.events.extend(events)
+        self._foreign.extend(events)
+
+    def clear(self) -> None:
+        """Drop every record; the timeline origin stays."""
+        self._spans.clear()
+        self._async.clear()
+        self._foreign.clear()
+
+    @property
+    def events(self) -> list[dict]:
+        """The records as Chrome trace-event dicts: complete events in
+        the order their spans closed, then async pairs, then foreign
+        events."""
+        t0, pid = self._t0, self._pid
+        out = []
+        for name, cat, start, end, tid, args in list(self._spans):
+            out.append({
+                "name": name, "cat": cat, "ph": "X",
+                "ts": (start - t0) * 1e6, "dur": (end - start) * 1e6,
+                "pid": pid, "tid": tid, "args": args,
+            })
+        for name, cat, start, end, tid, args, key in list(self._async):
+            common = {
+                "name": name, "cat": cat, "id": key, "pid": pid, "tid": tid,
+            }
+            out.append(
+                {**common, "ph": "b", "ts": (start - t0) * 1e6, "args": args}
+            )
+            out.append({**common, "ph": "e", "ts": (end - t0) * 1e6})
+        out.extend(self._foreign)
+        return out
 
     def to_chrome(self) -> dict:
         """The JSON-object form of the Chrome trace-event format."""
-        with self._lock:
-            return {
-                "traceEvents": list(self.events),
-                "displayTimeUnit": "ms",
-            }
+        return {"traceEvents": self.events, "displayTimeUnit": "ms"}
 
     def write(self, path: str) -> None:
         """Serialize to *path* (compact JSON; loads in Perfetto)."""
@@ -331,19 +199,7 @@ def active_tracer() -> Tracer | None:
     return _active
 
 
-def current_context() -> SpanContext | None:
-    """The active tracer's current context, or ``None`` when inactive."""
-    tracer = _active
-    return tracer.current_context() if tracer is not None else None
-
-
-def span(
-    name: str,
-    cat: str = "repro",
-    context: SpanContext | None = None,
-    parent: SpanContext | None = None,
-    **args,
-):
+def span(name: str, cat: str = "repro", **args):
     """Span against the active tracer; a shared no-op when none is.
 
     This is the only call instrumented library code makes, so its
@@ -353,7 +209,7 @@ def span(
     tracer = _active
     if tracer is None:
         return _NULL_SPAN
-    return tracer.span(name, cat=cat, context=context, parent=parent, **args)
+    return _Span(tracer, name, cat, args)
 
 
 @contextmanager

@@ -24,12 +24,12 @@ Mechanics worth knowing:
   :class:`~repro.obs.metrics.MetricsSnapshot` delta that the parent
   merges into :meth:`ShardedPool.merged_snapshot`, worker
   ``proc.rss_bytes`` gauges are republished as
-  ``pool.worker<N>.rss_bytes``, and when a tracer is active each task
-  ships a :class:`~repro.obs.trace.SpanContext` (a child of the run's
-  ``pool.run`` span, allocated in submission order) under which the
-  worker opens its task span — the buffered worker events merge back
-  into the parent's Chrome trace as one connected parent→worker span
-  tree.
+  ``pool.worker<N>.rss_bytes``, and when a tracer is active a
+  ``pool.run`` span covers each run and every worker records its task
+  under the task's label (the serving layer labels a request's task
+  ``serve-solo-<seq>``); the worker ships the task's events back and
+  they merge into the parent's Chrome trace as the worker's process
+  track.
 
 Workers use the ``fork`` start method where available (a forked worker
 shares the parent's already-imported module graph, so spawning is
@@ -47,7 +47,6 @@ import os
 import pickle
 import weakref
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Sequence
@@ -106,8 +105,14 @@ def _worker_main(worker_id: int, conn) -> None:
     A reply carries ``(dispatch_id, kind, payload)`` — ``kind`` is
     ``"value"`` (payload is the result) or ``"error"`` (payload is the
     exception) — plus, when requested, the worker's metrics delta for
-    the task and the buffered trace events of its span.
+    the task and the trace events of its span. One tracer serves the
+    worker's lifetime, so the spans of its successive tasks share one
+    timeline and never overlap on its track. It is installed for every
+    task, also untraced ones, whose records are dropped: a forked
+    worker would otherwise record into the copy of whatever tracer the
+    parent had active when it forked, and never ship or drop it.
     """
+    tracer = obs_trace.Tracer()
     while True:
         try:
             message = conn.recv()
@@ -115,19 +120,13 @@ def _worker_main(worker_id: int, conn) -> None:
             break
         if message is None:
             break
-        dispatch_id, fn, args, label, ctx, want_metrics, want_trace = message
+        dispatch_id, fn, args, label, want_metrics, want_trace = message
         registry = obs_metrics.default_registry()
         before = registry.snapshot() if want_metrics else None
-        tracer = obs_trace.Tracer() if want_trace else None
-        tracer_cm = (
-            obs_trace.trace(tracer=tracer) if want_trace else nullcontext()
-        )
-        with tracer_cm:
+        with obs_trace.trace(tracer=tracer):
             span_name = label or getattr(fn, "__name__", "task")
             try:
-                with obs_trace.span(
-                    span_name, cat="pool", context=ctx, worker=worker_id
-                ):
+                with obs_trace.span(span_name, cat="pool", worker=worker_id):
                     kind, payload = "value", fn(*args)
             except BaseException as exc:
                 kind, payload = "error", _picklable_exception(exc)
@@ -135,7 +134,8 @@ def _worker_main(worker_id: int, conn) -> None:
         if want_metrics:
             publish_memory_gauges(registry)
             delta = registry.snapshot().diff(before)
-        events = tracer.events if tracer is not None else None
+        events = tracer.events if want_trace else None
+        tracer.clear()
         try:
             conn.send((dispatch_id, kind, payload, delta, events))
         except (BrokenPipeError, OSError):
@@ -320,7 +320,8 @@ class ShardedPool:
             return []
         self._running = True
         try:
-            return self._run(tasks)
+            with obs_trace.span("pool.run", cat="pool", tasks=len(tasks)):
+                return self._run(tasks)
         finally:
             self._running = False
 
@@ -328,21 +329,6 @@ class ShardedPool:
         n_tasks = len(tasks)
         want_metrics = obs_metrics.metrics_enabled()
         tracer = obs_trace.active_tracer()
-        want_trace = tracer is not None
-        # Trace contexts: one "pool.run" span owns the whole call, each
-        # task ships a child context allocated in submission order (so
-        # span ids are deterministic whichever worker runs the task);
-        # workers open their task span under the shipped id.
-        run_ctx = None
-        task_ctxs: list = [None] * n_tasks
-        run_start = 0.0
-        if tracer is not None:
-            run_ctx = tracer.child_context()
-            task_ctxs = [
-                tracer.child_context(parent=run_ctx) for _ in range(n_tasks)
-            ]
-            run_start = tracer.now()
-
         self._tasks += n_tasks
         obs_metrics.inc("pool.tasks", n_tasks)
 
@@ -366,7 +352,7 @@ class ShardedPool:
                 try:
                     worker.conn.send((
                         dispatch_id, task.fn, tuple(task.args), task.label,
-                        task_ctxs[index], want_metrics, want_trace,
+                        want_metrics, tracer is not None,
                     ))
                 except (BrokenPipeError, OSError):
                     # Died between the liveness check and the send: put
@@ -398,9 +384,7 @@ class ShardedPool:
                             gauge_value,
                         )
             if events:
-                tracer = obs_trace.active_tracer()
-                if tracer is not None:
-                    tracer.extend(events)
+                tracer.extend(events)
 
         def on_death(worker_index: int) -> None:
             """Requeue the lost task at the head of the queue and
@@ -457,15 +441,6 @@ class ShardedPool:
                 elif not worker.process.is_alive():
                     on_death(worker_index)
 
-        if tracer is not None:
-            tracer.record_span(
-                "pool.run",
-                run_start,
-                tracer.now(),
-                cat="pool",
-                context=run_ctx,
-                tasks=n_tasks,
-            )
         if errors:
             errors.sort(key=lambda pair: pair[0])
             index, exc = errors[0]

@@ -10,7 +10,8 @@ picks a point within it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.util.units import NS, TB
 
@@ -66,6 +67,9 @@ class MachineParams:
     remote_fraction_uniform: float = 7.0 / 8.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         positive = (
             "flops_per_cu_cycle",
             "cacheline_bytes",

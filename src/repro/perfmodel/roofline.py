@@ -431,7 +431,7 @@ def evaluate_kernel_grid(
       positive; a zero issue efficiency would give ``t_compute = +inf``
       and a non-finite node power) and products/sums *reassociated* to
       collapse full-tensor passes onto factored subspaces — e.g. the
-      Little's-law chain becomes ``coef * (1 + kappa * rho**4)`` with
+      Little's-law chain becomes ``coef * (1 + kappa * rho**e)`` with
       ``coef`` precomputed on ``(P, C, 1, 1)``. Reassociation changes
       results by a few ULPs (well inside the equivalence tests' 1e-12
       rtol) and cannot flip DSE argmax selections: the catalog's
@@ -506,14 +506,19 @@ def evaluate_kernel_grid(
     t_first0 = np.maximum(tc_full, tbw_full, out=work)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.divide(tbw_full, t_first0, out=t_first0)
-    np.multiply(rho, rho, out=rho)  # rho**2
-    np.multiply(rho, rho, out=rho)  # rho**4 == rho**contention_exponent
+    if machine.contention_exponent == 4.0:
+        # The default exponent as two squarings: about a third of
+        # np.power's time on a Table-II-scale tensor.
+        np.multiply(rho, rho, out=rho)
+        np.multiply(rho, rho, out=rho)
+    else:
+        np.power(rho, machine.contention_exponent, out=rho)
     np.multiply(rho, machine.contention_kappa, out=rho)
-    np.add(rho, 1.0, out=rho)  # 1 + kappa * rho**4
+    np.add(rho, 1.0, out=rho)  # 1 + kappa * rho**exponent
 
     # --- latency bound [Little's law; external miss term exactly 0] ---
     # t_latency = sensitivity * misses * latency / outstanding with
-    # latency = mem_latency * (1 + kappa rho^4) reassociates into one
+    # latency = mem_latency * (1 + kappa rho^e) reassociates into one
     # factored coefficient times the full contention tensor.
     misses_in = dram_traffic / machine.cacheline_bytes  # (P, C, 1, 1)
     outstanding = cu * col("mlp_per_cu")  # (P, C, 1, 1)

@@ -12,7 +12,8 @@ Anchors (documented per constant below):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -121,6 +122,9 @@ class PowerParams:
     compression ratio."""
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name != "vf" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in (
             "cu_ceff_farad",
             "cu_leakage_watt",

@@ -13,7 +13,8 @@ as high as 1 GHz").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +47,9 @@ class VFCurve:
     voltage_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.v_ref <= 0 or self.f_ref <= 0:
             raise ValueError("v_ref and f_ref must be positive")
         if self.v_floor <= 0 or self.v_floor > self.v_ref:

@@ -52,14 +52,12 @@ process registry, plus ``cache.eval.hits`` (inline answers) and
 ``serve.slo.*`` health gauges (:class:`~repro.obs.slo.SloTracker`:
 window latency quantiles, shed/error rates, error-budget burn), and a
 ``serve`` section in run manifests while the service is open. When a
-tracer is active every request gets a :class:`~repro.obs.trace.
-SpanContext` at admission; its queue wait is recorded as a child span
-at dispatch, a batch serving exactly one request parents its
-``serve.batch`` span under that request (a multi-request batch sits
-under the root and links the coalesced request span ids in its args),
-and the batch's pool tasks ship child contexts to the workers — one
-simulation request renders as one connected admit → queue → batch →
-``pool.run`` → worker-task span tree.
+tracer is active a request's path is linked by its ticket's seq: the
+request (admission to response) and its queue wait (admission to
+dispatch) are recorded when the request ends, as Chrome async
+begin/end pairs whose ``id`` is the seq; the ``serve.batch`` span that
+served it lists it in ``seqs``; and its pool task, if it has one, is
+labelled ``serve-solo-<seq>``.
 """
 
 from __future__ import annotations
@@ -396,10 +394,10 @@ class EvalService:
         self.slo = slo if slo is not None else SloTracker(clock=clock)
         self.slo_publish_interval_s = 0.05
         self._slo_published_at = float("-inf")
-        # seq -> (request SpanContext, tracer-clock admit reading);
-        # consumed at batch execution (queue-wait span) or outcome
-        # drain (shed/expired/inline), whichever comes first.
-        self._req_traces: dict[int, tuple] = {}
+        # seq -> [tracer, admitted, dispatched] in tracer-clock
+        # readings; dispatched stays None until the request's batch
+        # starts. Recorded and dropped when the outcome is drained.
+        self._req_traces: dict[int, list] = {}
         self.core = BatcherCore(self.policy, max_queue=max_queue)
         # Part of every memo key, so a memo shared between services
         # never mixes two models' answers.
@@ -498,54 +496,40 @@ class EvalService:
             return ServeResponse(
                 status=SHUTDOWN, admitted_at=now, completed_at=now
             )
-        kind = type(request).__name__
         obs_metrics.inc("serve.requests")
         tracer = obs_trace.active_tracer()
-        # Explicitly a child of the root: concurrent submits interleave
-        # on the event-loop thread, so the thread-local "current span"
-        # could be another request's still-open span.
-        req_ctx = (
-            tracer.child_context(parent=tracer.root)
-            if tracer is not None
-            else None
-        )
-        with obs_trace.span(
-            f"serve.{kind}", cat="serve", context=req_ctx,
-            stream=request.stream,
-        ):
-            now = self.clock()
-            inline = None
-            if isinstance(request, (PointRequest, SweepRequest)):
-                try:
-                    inline = self.cache.get(self._memo_key(request))
-                except Exception:
-                    # A malformed request takes the batch path, which
-                    # reports it as a proper FAILED response.
-                    pass
-                obs_metrics.inc(
-                    "cache.eval.misses" if inline is None
-                    else "cache.eval.hits"
-                )
-            if inline is not None:
-                ticket = self.core.admit_completed(
-                    request, inline, now, stream=request.stream
-                )
-            else:
-                group_key = self._group_key(request)
-                ticket = self.core.admit(
-                    request,
-                    now,
-                    stream=request.stream,
-                    deadline_s=request.deadline_s,
-                    group_key=group_key,
-                )
-                if tracer is not None:
-                    self._req_traces[ticket.seq] = (req_ctx, tracer.now())
-            future = asyncio.get_running_loop().create_future()
-            self._futures[ticket.seq] = future
-            self._drain_outcomes()
-            self._wake.set()
-            return await future
+        admitted = tracer.now() if tracer is not None else None
+        now = self.clock()
+        inline = None
+        if isinstance(request, (PointRequest, SweepRequest)):
+            try:
+                inline = self.cache.get(self._memo_key(request))
+            except Exception:
+                # A malformed request takes the batch path, which
+                # reports it as a proper FAILED response.
+                pass
+            obs_metrics.inc(
+                "cache.eval.misses" if inline is None else "cache.eval.hits"
+            )
+        if inline is not None:
+            ticket = self.core.admit_completed(
+                request, inline, now, stream=request.stream
+            )
+        else:
+            ticket = self.core.admit(
+                request,
+                now,
+                stream=request.stream,
+                deadline_s=request.deadline_s,
+                group_key=self._group_key(request),
+            )
+        if tracer is not None:
+            self._req_traces[ticket.seq] = [tracer, admitted, None]
+        future = asyncio.get_running_loop().create_future()
+        self._futures[ticket.seq] = future
+        self._drain_outcomes()
+        self._wake.set()
+        return await future
 
     # ------------------------------------------------------------------
     # Inline cache path
@@ -593,6 +577,13 @@ class EvalService:
             self._drain_outcomes()
             if planned is None:
                 continue
+            if self._req_traces:
+                # The queue wait ends here; it is recorded with the
+                # request.
+                for ticket in planned.tickets:
+                    entry = self._req_traces.get(ticket.seq)
+                    if entry is not None:
+                        entry[2] = entry[0].now()
             # A grid unit takes about a millisecond and the thread
             # handoff as long again, with the loop idle; experiments and
             # simulations block far longer, so they keep the thread.
@@ -635,8 +626,22 @@ class EvalService:
         """Resolve awaiting futures from the core's released outcomes."""
         drained = 0
         for outcome in self.core.poll_outcomes():
-            seq = outcome.ticket.seq
-            self._req_traces.pop(seq, None)
+            ticket = outcome.ticket
+            seq = ticket.seq
+            entry = self._req_traces.pop(seq, None)
+            if entry is not None:
+                # The request has ended: record it, and its queue wait
+                # if its batch started, as async pairs keyed by seq.
+                tracer, admitted, dispatched = entry
+                tracer.async_span(
+                    f"serve.{type(ticket.request).__name__}", admitted,
+                    tracer.now(), seq, cat="serve", stream=ticket.stream,
+                )
+                if dispatched is not None:
+                    tracer.async_span(
+                        "serve.queue_wait", admitted, dispatched, seq,
+                        cat="serve", seq=seq,
+                    )
             future = self._futures.pop(seq, None)
             response = _response_from(outcome)
             if response.status != OK:
@@ -671,39 +676,10 @@ class EvalService:
         answers back out of the merged tensors, then runs the solo
         requests (on the pool when there is one).
         """
-        tracer = obs_trace.active_tracer()
-        batch_parent = None
-        span_args: dict[str, Any] = {
-            "requests": len(planned.tickets),
-            "groups": len(planned.groups),
-        }
-        if tracer is not None:
-            now_raw = tracer.now()
-            req_ctxs = []
-            for ticket in planned.tickets:
-                entry = self._req_traces.pop(ticket.seq, None)
-                if entry is None:
-                    continue
-                ctx, admitted = entry
-                req_ctxs.append(ctx)
-                # Queue wait (admission to dispatch) as a child of the
-                # request span.
-                tracer.record_span(
-                    "serve.queue_wait", admitted, now_raw,
-                    cat="serve", parent=ctx, seq=ticket.seq,
-                )
-            if len(req_ctxs) == 1:
-                # A batch serving exactly one request is that request's
-                # child: admit -> queue -> batch -> pool tasks render
-                # as one connected flame.
-                batch_parent = req_ctxs[0]
-            else:
-                # Under the root explicitly: on the event-loop thread the
-                # innermost open span is some awaiting request's.
-                batch_parent = tracer.root
-                span_args["request_spans"] = [c.span_id for c in req_ctxs]
         with obs_trace.span(
-            "serve.batch", cat="serve", parent=batch_parent, **span_args
+            "serve.batch", cat="serve",
+            requests=len(planned.tickets), groups=len(planned.groups),
+            seqs=[t.seq for t in planned.tickets],
         ):
             return self._execute_batch_inner(planned)
 

@@ -1,5 +1,7 @@
 """Command-line interface (python -m repro)."""
 
+import json
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
@@ -85,6 +87,26 @@ class TestCli:
         assert "pool.run" not in events
         for name in ("experiment.fig7", "experiment.table1"):
             assert events[name]["pid"] == os.getpid()
+
+    @pytest.mark.parametrize(
+        "argv, inner_span",
+        [
+            (["serve", "--serve-requests", "16"], "serve.batch"),
+            (["fleet", "--fleet-nodes", "100", "--fleet-groups", "2"],
+             "bench.fleet"),
+            (["thermal-loop", "--thermal-steps", "30",
+              "--thermal-cycles", "1"], "thermal.loop"),
+        ],
+        ids=["serve", "fleet", "thermal-loop"],
+    )
+    def test_trace_out_on_benchmark_subcommands(
+        self, argv, inner_span, capsys, tmp_path
+    ):
+        trace_path = tmp_path / "trace.json"
+        assert main([*argv, "--trace-out", str(trace_path)]) == 0
+        trace = json.loads(trace_path.read_text())
+        names = {e["name"] for e in trace["traceEvents"]}
+        assert {f"bench.{argv[0]}", inner_span} <= names
 
     @pytest.mark.parametrize(
         "argv",

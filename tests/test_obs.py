@@ -206,30 +206,27 @@ class TestTracer:
             pass
         (event,) = tracer.events
         assert event["cat"] == "sim"
-        # User args survive alongside the stamped span-context ids.
-        assert event["args"]["engine"] == "array"
-        assert event["args"]["accesses"] == 10
-        assert event["args"]["trace_id"] == tracer.root.trace_id
-        assert event["args"]["span_id"] == "0.1"
-        assert event["args"]["parent_id"] == "0"
+        assert event["args"] == {"engine": "array", "accesses": 10}
 
     def test_chrome_trace_event_schema(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("a"):
             pass
-        tracer.instant("marker")
+        tracer.async_span("request", tracer.now(), tracer.now(), 7)
         doc = tracer.to_chrome()
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         assert isinstance(doc["traceEvents"], list)
+        assert [e["ph"] for e in doc["traceEvents"]] == ["X", "b", "e"]
         for event in doc["traceEvents"]:
             assert isinstance(event["name"], str)
-            assert event["ph"] in {"X", "i"}
             assert isinstance(event["ts"], (int, float))
             assert isinstance(event["pid"], int)
             assert isinstance(event["tid"], int)
             if event["ph"] == "X":
                 assert isinstance(event["dur"], (int, float))
                 assert event["dur"] >= 0
+            else:
+                assert event["id"] == 7
 
     def test_write_and_load_round_trip(self, tmp_path):
         tracer = Tracer(clock=FakeClock())
@@ -277,141 +274,18 @@ class TestTracer:
         assert merged[1]["pid"] == 99999
         assert merged[1]["ts"] == 5.0
 
-
-# ----------------------------------------------------------------------
-# SpanContext: deterministic ids, cross-process parent/child edges
-# ----------------------------------------------------------------------
-class TestSpanContext:
-    def test_root_and_as_args(self):
-        root = obs_trace.SpanContext.root("t1")
-        assert (root.trace_id, root.span_id, root.parent_id) == (
-            "t1", "0", None,
-        )
-        assert root.as_args() == {"trace_id": "t1", "span_id": "0"}
-        child = obs_trace.SpanContext("t1", "0.1", "0")
-        assert child.as_args() == {
-            "trace_id": "t1", "span_id": "0.1", "parent_id": "0",
-        }
-
-    def test_context_is_picklable(self):
-        import pickle
-
-        ctx = obs_trace.SpanContext("t1", "0.3.1", "0.3")
-        assert pickle.loads(pickle.dumps(ctx)) == ctx
-
-    def test_child_ids_are_hierarchical_and_deterministic(self):
-        tracer = Tracer(
-            clock=FakeClock(), context=obs_trace.SpanContext.root("t1")
-        )
-        first = tracer.child_context()
-        second = tracer.child_context()
-        grandchild = tracer.child_context(parent=first)
-        assert first.span_id == "0.1"
-        assert second.span_id == "0.2"
-        assert grandchild.span_id == "0.1.1"
-        assert grandchild.parent_id == "0.1"
-        assert grandchild.trace_id == "t1"
-
-    def test_nested_spans_stamp_parent_edges(self):
-        tracer = Tracer(
-            clock=FakeClock(), context=obs_trace.SpanContext.root("t1")
-        )
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        inner, outer = tracer.events
-        assert outer["args"]["span_id"] == "0.1"
-        assert outer["args"]["parent_id"] == "0"
-        assert inner["args"]["span_id"] == "0.1.1"
-        assert inner["args"]["parent_id"] == "0.1"
-
-    def test_record_span_uses_raw_clock_readings(self):
+    def test_async_span_uses_raw_clock_readings(self):
         clock = FakeClock()  # t0 = 1.000
-        tracer = Tracer(
-            clock=clock, context=obs_trace.SpanContext.root("t1")
-        )
+        tracer = Tracer(clock=clock)
         start = tracer.now()  # 1.001
         end = tracer.now()    # 1.002
-        ctx = tracer.record_span("queue_wait", start, end, seq=7)
-        (event,) = tracer.events
-        assert event["ts"] == pytest.approx(1000.0)
-        assert event["dur"] == pytest.approx(1000.0)
-        assert event["args"]["seq"] == 7
-        assert ctx.span_id == "0.1"
-
-    def test_explicit_parent_overrides_thread_stack(self):
-        tracer = Tracer(
-            clock=FakeClock(), context=obs_trace.SpanContext.root("t1")
-        )
-        request = tracer.child_context()  # 0.1
-        with tracer.span("batch", parent=request):
-            pass
-        (event,) = tracer.events
-        assert event["args"]["span_id"] == "0.1.1"
-        assert event["args"]["parent_id"] == "0.1"
-
-    def test_cross_worker_merge_pins_ids_and_timestamps(self):
-        """A shipped context + extend() yields one connected tree with
-        exact ids and exact (fake-clock) timestamps on both sides."""
-        parent = Tracer(
-            clock=FakeClock(start=1.0),
-            context=obs_trace.SpanContext.root("t1"),
-        )
-        run_ctx = parent.child_context()                 # 0.1
-        task_ctx = parent.child_context(parent=run_ctx)  # 0.1.1
-
-        # Worker process: its own tracer, its own clock, opens its span
-        # under the context shipped in the task envelope.
-        worker = Tracer(clock=FakeClock(start=5.0))
-        with worker.span("pool.task", cat="pool", context=task_ctx):
-            pass
-
-        start = parent.now()
-        end = parent.now()
-        parent.record_span(
-            "pool.run", start, end, cat="pool", context=run_ctx
-        )
-        parent.extend(worker.events)
-
-        run_event, task_event = parent.events
-        assert run_event["args"] == {
-            "trace_id": "t1", "span_id": "0.1", "parent_id": "0",
-        }
-        assert task_event["args"] == {
-            "trace_id": "t1", "span_id": "0.1.1", "parent_id": "0.1",
-        }
-        # The child's parent_id is exactly the parent's span_id: the
-        # edge survives the merge.
-        assert task_event["args"]["parent_id"] == (
-            run_event["args"]["span_id"]
-        )
-        # Timestamps are exact on each side's own fake timeline.
-        assert run_event["ts"] == pytest.approx(1000.0)
-        assert run_event["dur"] == pytest.approx(1000.0)
-        assert task_event["ts"] == pytest.approx(1000.0)
-        assert task_event["dur"] == pytest.approx(1000.0)
-
-    def test_worker_children_never_collide_across_workers(self):
-        # Two workers each mint children under their own shipped id.
-        parent = Tracer(
-            clock=FakeClock(), context=obs_trace.SpanContext.root("t1")
-        )
-        task_a = parent.child_context()  # 0.1
-        task_b = parent.child_context()  # 0.2
-        worker_a = Tracer(clock=FakeClock())
-        worker_b = Tracer(clock=FakeClock())
-        sub_a = worker_a.child_context(parent=task_a)
-        sub_b = worker_b.child_context(parent=task_b)
-        assert sub_a.span_id == "0.1.1"
-        assert sub_b.span_id == "0.2.1"
-        assert sub_a.span_id != sub_b.span_id
-
-    def test_module_current_context(self):
-        assert obs_trace.current_context() is None
-        with obs_trace.trace(clock=FakeClock()) as tracer:
-            assert obs_trace.current_context() == tracer.root
-            with obs_trace.span("outer") as ctx:
-                assert obs_trace.current_context() == ctx
+        tracer.async_span("queue_wait", start, end, 7, cat="serve", seq=7)
+        begin, finish = tracer.events
+        assert (begin["ph"], finish["ph"]) == ("b", "e")
+        assert begin["id"] == finish["id"] == 7
+        assert begin["ts"] == pytest.approx(1000.0)
+        assert finish["ts"] == pytest.approx(2000.0)
+        assert begin["args"] == {"seq": 7}
 
 
 # ----------------------------------------------------------------------

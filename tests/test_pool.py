@@ -40,6 +40,13 @@ def _sleep_for(seconds):
     return seconds
 
 
+def _spans_held_by_worker_tracer():
+    """One span, then the records the worker's active tracer holds."""
+    with obs_trace.span("probe"):
+        pass
+    return len(obs_trace.active_tracer().events)
+
+
 def _explore_points(name, n_cus):
     """One single-point DSE in the worker: its grid size."""
     space = DesignSpace(
@@ -232,36 +239,42 @@ class TestObservabilityBridges:
             }
             assert worker_pids and os.getpid() not in worker_pids
 
-    def test_task_spans_form_connected_tree_across_workers(self):
-        """One pool.run renders as one connected tree: every worker-side
-        task span is a child of the parent-side pool.run span, with
-        exact deterministic ids."""
-        tracer = obs_trace.Tracer(
-            context=obs_trace.SpanContext.root("t1")
-        )
+    def test_untraced_runs_leave_no_records_in_the_worker(self):
+        # Forked while a tracer is active, the worker holds a copy of
+        # it; untraced tasks must not pile records into that copy.
+        with obs_trace.trace():
+            p = _new_pool(1)
+        with p:
+            held = [
+                p.run([PoolTask(fn=_spans_held_by_worker_tracer)])[0]
+                for _ in range(3)
+            ]
+        assert held == [1, 1, 1]
+
+    def test_worker_task_spans_share_one_timeline_per_worker(self):
+        """A worker keeps one tracer for its lifetime: the spans of its
+        successive tasks follow each other on its track instead of all
+        starting at the origin of a per-task tracer."""
         with _new_pool(2) as p:
-            with obs_trace.trace(tracer=tracer):
+            with obs_trace.trace() as tracer:
                 p.run(
                     [
-                        PoolTask(fn=_square, args=(i,), label=f"task.{i}")
-                        for i in range(4)
+                        PoolTask(fn=_sleep_for, args=(0.02,), label=f"task.{i}")
+                        for i in range(6)
                     ]
                 )
         (run_event,) = [
             e for e in tracer.events if e["name"] == "pool.run"
         ]
-        assert run_event["args"]["trace_id"] == "t1"
-        assert run_event["args"]["span_id"] == "0.1"
-        assert run_event["args"]["parent_id"] == "0"
-        assert run_event["args"]["tasks"] == 4
-        task_events = [
-            e for e in tracer.events if e["name"].startswith("task.")
-        ]
-        assert len(task_events) == 4
-        for event in task_events:
-            assert event["args"]["trace_id"] == "t1"
-            assert event["args"]["parent_id"] == "0.1"
-        # Task ids are the four children of pool.run, one each.
-        assert {e["args"]["span_id"] for e in task_events} == {
-            "0.1.1", "0.1.2", "0.1.3", "0.1.4",
-        }
+        assert run_event["args"] == {"tasks": 6}
+        by_track: dict = {}
+        for event in tracer.events:
+            if event["name"].startswith("task."):
+                by_track.setdefault((event["pid"], event["tid"]), []).append(
+                    (event["ts"], event["ts"] + event["dur"])
+                )
+        assert sum(map(len, by_track.values())) == 6
+        for spans in by_track.values():
+            spans.sort()
+            for (_, end), (start, _) in zip(spans, spans[1:]):
+                assert end <= start

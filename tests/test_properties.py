@@ -34,8 +34,10 @@ from repro.noc.topology import EHPTopology
 from repro.noc.traffic import TrafficMatrix, gpu_dram_traffic_matrix
 from repro.obs.export import PeriodicSampler
 from repro.obs.slo import SloTracker
+from repro.perfmodel.machine import MachineParams
 from repro.perfmodel.roofline import evaluate_kernel, evaluate_kernel_grid
 from repro.power.components import PowerParams
+from repro.power.vf import VFCurve
 from repro.ras.checkpoint import CheckpointModel
 from repro.ras.ecc import ecc_overhead_bits
 from repro.serve import (
@@ -749,6 +751,54 @@ _BAD_FIELDS = {
         lambda v: PowerPhase(_NO_POWER, v), _BAD_POSITIVE),
 }
 
+# The model's parameter records: every numeric field rejects NaN and
+# inf on top of its sign or range check.
+_PARAM_FIELDS = {
+    MachineParams: {
+        **dict.fromkeys(
+            ("flops_per_cu_cycle", "cacheline_bytes", "mem_latency",
+             "ext_latency", "ext_bandwidth", "overlap_sharpness",
+             "reference_cus", "reference_freq"), _BAD_POSITIVE),
+        **dict.fromkeys(
+            ("contention_kappa", "contention_exponent"), _BAD_NON_NEGATIVE),
+        "remote_fraction_uniform": _BAD_FRACTION,
+        **dict.fromkeys(
+            ("thrash_exponent", "chiplet_extra_latency"), _NON_FINITE),
+    },
+    PowerParams: {
+        **dict.fromkeys(
+            ("cu_ceff_farad", "cu_leakage_watt", "noc_energy_per_bit",
+             "dram3d_energy_per_bit", "ext_dram_energy_per_bit",
+             "nvm_read_energy_per_bit", "nvm_write_energy_per_bit",
+             "serdes_energy_per_bit", "n_dram3d_stacks"), _BAD_POSITIVE),
+        **dict.fromkeys(
+            ("cu_idle_activity", "noc_router_fraction",
+             "async_cu_dynamic_scale", "async_router_dynamic_scale",
+             "link_dynamic_scale"), _BAD_FRACTION),
+        **dict.fromkeys(
+            ("cpu_cluster_watt", "noc_static_watt",
+             "dram3d_static_per_stack_watt",
+             "dram3d_interface_watt_per_tbps",
+             "ext_dram_static_per_module_watt",
+             "nvm_static_per_module_watt", "serdes_static_per_link_watt"),
+            _NON_FINITE),
+    },
+    VFCurve: {
+        **dict.fromkeys(("v_ref", "f_ref", "v_floor"), _BAD_POSITIVE),
+        "voltage_scale": st.one_of(
+            _NON_FINITE,
+            st.floats(max_value=0.5, exclude_max=True),
+            st.floats(min_value=1.5, exclude_min=True),
+        ),
+        "slope_per_ghz": _BAD_NON_NEGATIVE,
+    },
+}
+for _cls, _fields in _PARAM_FIELDS.items():
+    for _name, _bad in _fields.items():
+        _BAD_FIELDS[f"{_cls.__name__}.{_name}"] = (
+            lambda v, cls=_cls, name=_name: cls(**{name: v}), _bad
+        )
+
 # One value per field that used to be accepted (or to raise something
 # other than a ValueError naming the field); the error must name it.
 _NAMED_BAD_VALUES = [
@@ -792,6 +842,15 @@ _NAMED_BAD_VALUES = [
     ("TraceGenerator.generate.n_accesses", math.inf),
     ("TraceGenerator.generate.n_accesses", 3.0),
     ("TraceGenerator.generate.n_accesses", True),
+    # Each parameter-record field at NaN, which most of them accepted.
+    *(
+        (f"{cls.__name__}.{name}", math.nan)
+        for cls, fields in _PARAM_FIELDS.items()
+        for name in fields
+    ),
+    ("MachineParams.mem_latency", math.inf),
+    ("PowerParams.cu_ceff_farad", math.inf),
+    ("VFCurve.f_ref", math.inf),
 ]
 
 

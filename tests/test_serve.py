@@ -1094,32 +1094,28 @@ class TestServiceOnPool:
 
 
 # ----------------------------------------------------------------------
-# Request tracing: one submit -> one connected span tree
+# Request tracing: a request's path is linked by its ticket seq
 # ----------------------------------------------------------------------
 class TestServeTracing:
     def test_single_request_renders_connected_tree(self, pool, model):
-        """One traced simulation request is one connected tree with
-        pinned ids: serve.SimulateRequest (0.1) -> serve.queue_wait
-        (0.1.1) + serve.batch (0.1.2) -> pool.run -> worker task
-        spans."""
+        """One traced simulation request: its async request and
+        queue-wait pairs carry its seq, the batch that served it lists
+        it alone, runs off the loop thread and holds the pool.run span,
+        and the worker task is labelled with the seq."""
         import os
 
         from repro.workloads.catalog import APPLICATIONS
         from repro.workloads.traces import TraceGenerator
 
         trace = TraceGenerator(APPLICATIONS["CoMD"], seed=5).generate(5_000)
-        request = SimulateRequest(trace)
-        tracer = obs_trace.Tracer(
-            context=obs_trace.SpanContext.root("t1")
-        )
         loop_tid = threading.get_ident()  # asyncio.run uses this thread
 
         async def scenario():
             svc = _fresh_service(model=model, pool=pool)
             async with svc:
-                return await svc.submit(request)
+                return await svc.submit(SimulateRequest(trace))
 
-        with obs_trace.trace(tracer=tracer):
+        with obs_trace.trace() as tracer:
             response = asyncio.run(
                 asyncio.wait_for(scenario(), timeout=300)
             )
@@ -1128,53 +1124,33 @@ class TestServeTracing:
         by_name: dict[str, list] = {}
         for event in tracer.events:
             by_name.setdefault(event["name"], []).append(event)
+        req_begin, req_end = by_name["serve.SimulateRequest"]
+        seq = req_begin["id"]
+        assert (req_begin["ph"], req_end["ph"], req_end["id"]) == (
+            "b", "e", seq,
+        )
+        wait_begin, wait_end = by_name["serve.queue_wait"]
+        assert wait_begin["id"] == wait_end["id"] == seq
+        assert wait_begin["args"] == {"seq": seq}
+        assert req_begin["ts"] <= wait_end["ts"] <= req_end["ts"]
 
-        (req_event,) = by_name["serve.SimulateRequest"]
-        assert req_event["args"]["trace_id"] == "t1"
-        assert req_event["args"]["span_id"] == "0.1"
-        assert req_event["args"]["parent_id"] == "0"
+        (batch,) = by_name["serve.batch"]
+        assert batch["args"]["seqs"] == [seq]
+        assert batch["tid"] != loop_tid
+        (run,) = by_name["pool.run"]
+        assert run["tid"] == batch["tid"]
+        assert batch["ts"] <= run["ts"]
+        assert run["ts"] + run["dur"] <= batch["ts"] + batch["dur"]
 
-        (wait_event,) = by_name["serve.queue_wait"]
-        assert wait_event["args"]["span_id"] == "0.1.1"
-        assert wait_event["args"]["parent_id"] == "0.1"
-        assert wait_event["dur"] >= 0
-
-        # A batch serving exactly one traced request parents under it.
-        # A simulation batch runs on the worker thread, off the loop.
-        (batch_event,) = by_name["serve.batch"]
-        assert batch_event["args"]["span_id"] == "0.1.2"
-        assert batch_event["args"]["parent_id"] == "0.1"
-        assert batch_event["tid"] != loop_tid
-
-        run_events = by_name["pool.run"]
-        assert run_events
-        run_ids = set()
-        for run_event in run_events:
-            assert run_event["args"]["parent_id"] == "0.1.2"
-            run_ids.add(run_event["args"]["span_id"])
-
-        worker_events = [
-            e
-            for e in tracer.events
-            if e["args"].get("parent_id") in run_ids
-            and e["name"] != "pool.run"
-        ]
-        assert worker_events
-        parent_pid = os.getpid()
-        for event in worker_events:
-            assert event["args"]["trace_id"] == "t1"
-            assert event["pid"] != parent_pid
+        (task,) = by_name[f"serve-solo-{seq}"]
+        assert task["pid"] != os.getpid()
 
     def test_multi_request_batch_links_request_spans(
         self, model, maxflops
     ):
-        """A batch serving several requests can't be a child of all of
-        them; it sits under the root, records their span ids as links
-        instead, and each request still gets its own queue-wait child
-        span. A batch of points runs on the event loop's thread."""
-        tracer = obs_trace.Tracer(
-            context=obs_trace.SpanContext.root("t1")
-        )
+        """A batch serving several requests lists all their seqs, and
+        each request still gets its own queue-wait pair under its seq.
+        A batch of points runs on the event loop's thread."""
         loop_tid = threading.get_ident()  # asyncio.run uses this thread
 
         async def scenario():
@@ -1190,32 +1166,24 @@ class TestServeTracing:
                     )
                 )
 
-        with obs_trace.trace(tracer=tracer):
+        with obs_trace.trace() as tracer:
             responses = asyncio.run(
                 asyncio.wait_for(scenario(), timeout=300)
             )
         assert all(r.status == OK for r in responses)
 
-        request_ids = {
-            e["args"]["span_id"]
-            for e in tracer.events
-            if e["name"] == "serve.PointRequest"
+        begins = [e for e in tracer.events if e["ph"] == "b"]
+        request_seqs = {
+            e["id"] for e in begins if e["name"] == "serve.PointRequest"
         }
-        assert request_ids == {"0.1", "0.2", "0.3"}
-        (batch_event,) = [
-            e for e in tracer.events if e["name"] == "serve.batch"
-        ]
-        assert set(batch_event["args"]["request_spans"]) == request_ids
-        # Under the root, not the innermost request span still open on
-        # the loop thread.
-        assert batch_event["args"]["parent_id"] == "0"
-        assert batch_event["tid"] == loop_tid
-        wait_parents = {
-            e["args"]["parent_id"]
-            for e in tracer.events
-            if e["name"] == "serve.queue_wait"
+        assert len(request_seqs) == 3
+        (batch,) = [e for e in tracer.events if e["name"] == "serve.batch"]
+        assert set(batch["args"]["seqs"]) == request_seqs
+        assert batch["tid"] == loop_tid
+        wait_seqs = {
+            e["id"] for e in begins if e["name"] == "serve.queue_wait"
         }
-        assert wait_parents == request_ids
+        assert wait_seqs == request_seqs
 
     def test_untraced_requests_record_nothing(self, model, maxflops):
         async def scenario():

@@ -22,6 +22,7 @@ from repro.core.dse import (
     set_default_engine,
 )
 from repro.core.node import NodeModel
+from repro.perfmodel.machine import MachineParams
 from repro.workloads.catalog import application_names, get_application
 from repro.workloads.kernels import (
     KernelCategory,
@@ -149,7 +150,17 @@ class TestGridEquivalence:
         n_profiles = data.draw(st.integers(min_value=1, max_value=4))
         profiles = [_draw_profile(data.draw, i) for i in range(n_profiles)]
         space = _draw_space(data.draw)
-        model = NodeModel()
+        # The default exponent takes the grid's squaring path; any other
+        # takes np.power, like the per-profile oracle.
+        exponent = data.draw(
+            st.one_of(
+                st.just(4.0), st.floats(min_value=0.0, max_value=8.0)
+            ),
+            label="contention_exponent",
+        )
+        model = NodeModel(
+            machine=MachineParams(contention_exponent=exponent)
+        )
 
         grid = model.evaluate_grid(profiles, space)
         cus, freqs, bws = space.grid_arrays()

@@ -527,8 +527,8 @@ def check_obs_overhead(quick: bool) -> list[str]:
 
     A second gate covers the serving path with *tracing active*: warm
     closed-loop bursts through the in-process service with a live
-    tracer (request spans, queue-wait spans, batch spans, SLO
-    publication) vs the same bursts with metrics disabled and no
+    tracer (request spans, queue-wait spans, batch spans) and the
+    serve metrics vs the same bursts with metrics disabled and no
     tracer, again within 5%.
     """
     import gc

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import _finite_positive, _is_int
 from repro.util.units import GB, NS
 
 __all__ = ["HBMTimings", "HBMStack", "hbm_generation"]
@@ -31,12 +32,15 @@ class HBMTimings:
     refresh_penalty: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.row_hit_latency <= 0 or self.row_miss_latency <= 0:
-            raise ValueError("latencies must be positive")
+        for name in (
+            "row_hit_latency", "row_miss_latency", "refresh_interval"
+        ):
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive")
         if self.row_miss_latency < self.row_hit_latency:
             raise ValueError("row miss cannot be faster than row hit")
-        if self.n_banks <= 0:
-            raise ValueError("n_banks must be positive")
+        if not (_is_int(self.n_banks) and self.n_banks > 0):
+            raise ValueError("n_banks must be a positive integer")
         if not 0.0 <= self.refresh_penalty < 1.0:
             raise ValueError("refresh_penalty must be in [0, 1)")
 
@@ -70,10 +74,11 @@ class HBMStack:
     n_dies: int = 4
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0 or self.bandwidth <= 0:
-            raise ValueError("capacity and bandwidth must be positive")
-        if self.n_dies <= 0:
-            raise ValueError("n_dies must be positive")
+        for name in ("capacity", "bandwidth"):
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive")
+        if not (_is_int(self.n_dies) and self.n_dies > 0):
+            raise ValueError("n_dies must be a positive integer")
 
     @classmethod
     def from_generation(cls, generation: int) -> "HBMStack":

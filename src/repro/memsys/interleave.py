@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import _is_int
+
 __all__ = ["AddressInterleaver"]
 
 
@@ -24,9 +26,10 @@ class AddressInterleaver:
     granularity: int = 4096
 
     def __post_init__(self) -> None:
-        if self.n_channels <= 0:
-            raise ValueError("n_channels must be positive")
-        if self.granularity <= 0 or self.granularity & (self.granularity - 1):
+        if not (_is_int(self.n_channels) and self.n_channels > 0):
+            raise ValueError("n_channels must be a positive integer")
+        g = self.granularity
+        if not (_is_int(g) and g > 0 and not g & (g - 1)):
             raise ValueError("granularity must be a positive power of two")
 
     def channel_of(self, address) -> np.ndarray:

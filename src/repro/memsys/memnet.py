@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.config import _finite_positive, _is_int
 from repro.util.units import GB, NS
 
 __all__ = ["MemoryModule", "ExternalMemoryNetwork"]
@@ -30,8 +31,8 @@ class MemoryModule:
     def __post_init__(self) -> None:
         if self.kind not in ("dram", "nvm"):
             raise ValueError(f"unknown module kind {self.kind!r}")
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not _finite_positive(self.capacity):
+            raise ValueError("capacity must be finite and positive")
 
 
 @dataclass
@@ -65,10 +66,13 @@ class ExternalMemoryNetwork:
         link_latency: float = 40.0 * NS,
         cross_linked: bool = False,
     ):
-        if n_interfaces <= 0:
-            raise ValueError("n_interfaces must be positive")
-        if link_bandwidth <= 0 or link_latency <= 0:
-            raise ValueError("link parameters must be positive")
+        if not (_is_int(n_interfaces) and n_interfaces > 0):
+            raise ValueError("n_interfaces must be a positive integer")
+        for name, value in (
+            ("link_bandwidth", link_bandwidth), ("link_latency", link_latency)
+        ):
+            if not _finite_positive(value):
+                raise ValueError(f"{name} must be finite and positive")
         self.n_interfaces = n_interfaces
         self.link_bandwidth = link_bandwidth
         self.link_latency = link_latency

@@ -7,8 +7,10 @@ writes — plus finite write endurance that can limit the node's MTTF.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro.core.config import _finite_positive
 from repro.util.units import GB, NS, PJ
 
 __all__ = ["NVMParams", "NVMModule"]
@@ -26,14 +28,16 @@ class NVMParams:
     static_power_watt: float = 0.05
 
     def __post_init__(self) -> None:
-        if min(self.read_latency, self.write_latency) <= 0:
-            raise ValueError("latencies must be positive")
-        if min(self.read_energy_per_bit, self.write_energy_per_bit) <= 0:
-            raise ValueError("energies must be positive")
-        if self.endurance_writes <= 0:
-            raise ValueError("endurance must be positive")
-        if self.static_power_watt < 0:
-            raise ValueError("static power must be non-negative")
+        for name in (
+            "read_latency", "write_latency", "read_energy_per_bit",
+            "write_energy_per_bit", "endurance_writes",
+        ):
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.static_power_watt < math.inf:
+            raise ValueError(
+                "static_power_watt must be finite and non-negative"
+            )
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,8 @@ class NVMModule:
     params: NVMParams = NVMParams()
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not _finite_positive(self.capacity):
+            raise ValueError("capacity must be finite and positive")
 
     def access_energy(self, bytes_: float, write_fraction: float) -> float:
         """Energy (J) to move *bytes_* with the given write share."""

@@ -1,6 +1,6 @@
 """Node-wide observability: metrics registry, span tracing, manifests.
 
-Three pieces, layered from always-on to opt-in:
+Six modules, layered from always-on to opt-in:
 
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/timing
   histograms with mergeable snapshots; cheap enough that the hot layers
@@ -20,20 +20,17 @@ Three pieces, layered from always-on to opt-in:
 * :mod:`repro.obs.export` — Prometheus text formatting and the
   :class:`~repro.obs.export.PeriodicSampler` JSONL time-series export
   (``--metrics-export``).
-* :mod:`repro.obs.slo` — rolling-window latency/shed/error-budget
-  health tracking, published by the serving layer.
 * :mod:`repro.obs.report` — run reports (``python -m repro obs
   report``; imported lazily like the manifest module).
 """
 
-from repro.obs import export, metrics, proc, slo, trace
+from repro.obs import export, metrics, proc, trace
 from repro.obs.export import PeriodicSampler
 from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     default_registry,
 )
-from repro.obs.slo import SloTracker
 from repro.obs.trace import Tracer, active_tracer, span
 
 __all__ = [
@@ -41,13 +38,11 @@ __all__ = [
     "proc",
     "trace",
     "export",
-    "slo",
     "manifest",
     "report",
     "MetricsRegistry",
     "MetricsSnapshot",
     "PeriodicSampler",
-    "SloTracker",
     "default_registry",
     "Tracer",
     "active_tracer",

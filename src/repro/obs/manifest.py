@@ -33,43 +33,13 @@ __all__ = [
     "MANIFEST_VERSION",
     "git_describe",
     "engine_choices",
-    "register_section",
-    "unregister_section",
     "build_manifest",
     "write_manifest",
 ]
 
-MANIFEST_VERSION = 1
-"""Schema version stamped into every manifest."""
-
-_sections: dict[str, Callable[[], Mapping]] = {}
-
-
-def register_section(name: str, provider: Callable[[], Mapping]) -> None:
-    """Register a live *provider* whose dict is embedded (under
-    ``sections[name]``) in every manifest built while it is registered.
-
-    Long-lived subsystems use this to report their state at manifest
-    time — the serving layer registers a ``serve`` section while an
-    :class:`~repro.serve.service.EvalService` is open. Re-registering a
-    name replaces the previous provider.
-    """
-    _sections[name] = provider
-
-
-def unregister_section(name: str) -> None:
-    """Remove a registered section provider (missing names are fine)."""
-    _sections.pop(name, None)
-
-
-def _collect_sections() -> dict:
-    out = {}
-    for name, provider in list(_sections.items()):
-        try:
-            out[name] = dict(provider())
-        except Exception as exc:  # a broken provider must not kill a run
-            out[name] = {"error": f"{type(exc).__name__}: {exc}"}
-    return out
+MANIFEST_VERSION = 2
+"""Schema version stamped into every manifest; version 2 dropped the
+``sections`` key."""
 
 
 def git_describe(cwd: str | None = None) -> str | None:
@@ -156,7 +126,6 @@ def build_manifest(
             }
         },
         "metrics": snapshot.as_dict(),
-        "sections": _collect_sections(),
         "extra": dict(extra) if extra is not None else {},
     }
 

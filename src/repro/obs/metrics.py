@@ -86,10 +86,9 @@ class HistogramSnapshot:
         """Conservative quantile estimate from the fixed buckets.
 
         Returns the upper bound of the bucket the *q*-th observation
-        falls in — an over-estimate by at most one bucket width, which
-        is the right bias for deadline math (the serving layer sizes
-        batches off these). The overflow bucket reports ``inf``; an
-        empty histogram reports 0.0.
+        falls in — an over-estimate by at most one bucket width, the
+        safe side for deadline math. The overflow bucket reports
+        ``inf``; an empty histogram reports 0.0.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")

@@ -155,21 +155,6 @@ def _report_manifest(manifest: Mapping, path: str) -> str:
     if memory:
         lines.append("memory:")
         lines.extend(memory)
-
-    slo = (manifest.get("sections") or {}).get("serve", {}).get("slo")
-    if slo:
-        lines.append("serve SLO window:")
-        lines.append(
-            f"  requests {slo.get('requests', 0)}  "
-            f"p50 {_fmt_seconds(float(slo.get('p50_latency_s', 0.0)))}  "
-            f"p99 {_fmt_seconds(float(slo.get('p99_latency_s', 0.0)))}"
-        )
-        lines.append(
-            f"  shed {100.0 * float(slo.get('shed_rate', 0.0)):.2f}%  "
-            f"errors {100.0 * float(slo.get('error_rate', 0.0)):.2f}%  "
-            f"budget remaining "
-            f"{100.0 * float(slo.get('budget_remaining', 1.0)):.1f}%"
-        )
     return "\n".join(lines)
 
 

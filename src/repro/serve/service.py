@@ -47,17 +47,15 @@ thread (``pool.run`` blocks and is non-reentrant, and an in-process
 experiment takes tens to hundreds of milliseconds).
 
 Observability: ``serve.*`` counters and timing histograms in the
-process registry, plus ``cache.eval.hits`` (inline answers) and
-``cache.eval.misses`` (points and sweeps sent to a batch), plus rolling
-``serve.slo.*`` health gauges (:class:`~repro.obs.slo.SloTracker`:
-window latency quantiles, shed/error rates, error-budget burn), and a
-``serve`` section in run manifests while the service is open. When a
-tracer is active a request's path is linked by its ticket's seq: the
-request (admission to response) and its queue wait (admission to
-dispatch) are recorded when the request ends, as Chrome async
-begin/end pairs whose ``id`` is the seq; the ``serve.batch`` span that
-served it lists it in ``seqs``; and its pool task, if it has one, is
-labelled ``serve-solo-<seq>``.
+process registry (``serve.request_latency_seconds``, and a
+``serve.<status>`` counter per request that is not ``ok``), plus
+``cache.eval.hits`` (inline answers) and ``cache.eval.misses`` (points
+and sweeps sent to a batch). When a tracer is active a request's path
+is linked by its ticket's seq: the request (admission to response) and
+its queue wait (admission to dispatch) are recorded when the request
+ends, as Chrome async begin/end pairs whose ``id`` is the seq; the
+``serve.batch`` span that served it lists it in ``seqs``; and its pool
+task, if it has one, is labelled ``serve-solo-<seq>``.
 """
 
 from __future__ import annotations
@@ -75,10 +73,8 @@ import numpy as np
 from repro.core.config import DesignSpace
 from repro.core.dse import DseResult, select_optima
 from repro.core.node import GridEvaluation, NodeModel
-from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.slo import SloTracker
 from repro.perf.pool import PoolTask, ShardedPool, _picklable_exception
 from repro.serve.adaptive import AdaptiveBatchPolicy
 from repro.serve.batcher import BatcherCore, Outcome, PlannedBatch, Ticket
@@ -366,11 +362,6 @@ class EvalService:
         Backpressure bound on queued requests.
     clock:
         Injected monotonic clock (tests use a fake one).
-    slo:
-        Rolling-window health tracker; defaults to an
-        :class:`~repro.obs.slo.SloTracker` on the service clock. Every
-        drained outcome is recorded and the derived signals published
-        as ``serve.slo.*`` gauges and in the manifest section.
     """
 
     def __init__(
@@ -382,18 +373,12 @@ class EvalService:
         policy: AdaptiveBatchPolicy | None = None,
         max_queue: int = 1024,
         clock=time.monotonic,
-        manifest_name: str = "serve",
-        slo: SloTracker | None = None,
     ):
         self.model = model or NodeModel()
         self.pool = pool
         self.cache = cache if cache is not None else {}
         self.policy = policy if policy is not None else AdaptiveBatchPolicy()
         self.clock = clock
-        self.manifest_name = manifest_name
-        self.slo = slo if slo is not None else SloTracker(clock=clock)
-        self.slo_publish_interval_s = 0.05
-        self._slo_published_at = float("-inf")
         # seq -> [tracer, admitted, dispatched] in tracer-clock
         # readings; dispatched stays None until the request's batch
         # starts. Recorded and dropped when the outcome is drained.
@@ -425,9 +410,6 @@ class EvalService:
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop(), name="repro-serve-dispatch"
         )
-        obs_manifest.register_section(
-            self.manifest_name, self.manifest_section
-        )
         return self
 
     async def aclose(self) -> None:
@@ -452,7 +434,6 @@ class EvalService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        obs_manifest.unregister_section(self.manifest_name)
         self._started = False
 
     async def __aenter__(self) -> "EvalService":
@@ -624,7 +605,6 @@ class EvalService:
 
     def _drain_outcomes(self) -> None:
         """Resolve awaiting futures from the core's released outcomes."""
-        drained = 0
         for outcome in self.core.poll_outcomes():
             ticket = outcome.ticket
             seq = ticket.seq
@@ -649,18 +629,8 @@ class EvalService:
             obs_metrics.observe(
                 "serve.request_latency_seconds", response.latency_s
             )
-            self.slo.record(response.latency_s, response.status)
-            drained += 1
             if future is not None and not future.done():
                 future.set_result(response)
-        if drained:
-            # Publication (rolling quantiles + gauge writes) is far
-            # heavier than recording, so it is throttled: the health
-            # gauges only need to be fresh on a human timescale.
-            now = self.clock()
-            if now - self._slo_published_at >= self.slo_publish_interval_s:
-                self._slo_published_at = now
-                self.slo.publish()
 
     # ------------------------------------------------------------------
     # Batch execution (event loop or worker thread)
@@ -741,10 +711,6 @@ class EvalService:
         if tasks:
             for ticket, reply in zip(task_tickets, self.pool.run(tasks)):
                 self._finish_solo(ticket, reply, results)
-            obs_metrics.set_gauge(
-                "serve.pool_worker_restarts",
-                float(self.pool.stats().worker_restarts),
-            )
         return results
 
     def _finish_solo(self, ticket: Ticket, reply, results) -> None:
@@ -806,13 +772,7 @@ class EvalService:
             pool_stats = self.pool.stats()
             out["pool_worker_restarts"] = pool_stats.worker_restarts
             out["pool_tasks"] = pool_stats.tasks
-        out["slo"] = self.slo.health()
         return out
-
-    def manifest_section(self) -> dict:
-        """The ``serve`` section run manifests embed while the service
-        is open."""
-        return self.stats()
 
 
 def _response_from(outcome: Outcome) -> ServeResponse:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import _finite_positive, _is_int
+
 __all__ = ["CacheLevel", "CacheSim"]
 
 
@@ -40,8 +42,13 @@ class CacheLevel:
         line_bytes: int = 64,
         associativity: int = 16,
     ):
-        if capacity_bytes <= 0 or line_bytes <= 0 or associativity <= 0:
-            raise ValueError("cache geometry must be positive")
+        if not _finite_positive(capacity_bytes):
+            raise ValueError("capacity_bytes must be finite and positive")
+        for param, value in (
+            ("line_bytes", line_bytes), ("associativity", associativity)
+        ):
+            if not (_is_int(value) and value > 0):
+                raise ValueError(f"{param} must be a positive integer")
         n_lines = capacity_bytes // line_bytes
         if n_lines < associativity:
             raise ValueError(f"{name}: capacity below one set")

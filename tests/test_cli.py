@@ -108,6 +108,35 @@ class TestCli:
         names = {e["name"] for e in trace["traceEvents"]}
         assert {f"bench.{argv[0]}", inner_span} <= names
 
+    def test_serve_manifest_holds_what_the_registry_recorded(
+        self, capsys, tmp_path
+    ):
+        from repro.obs import metrics as obs_metrics
+        from repro.obs.report import render_report
+
+        manifest_path = tmp_path / "serve.json"
+        before = obs_metrics.snapshot()
+        assert main([
+            "serve", "--serve-requests", "16",
+            "--metrics-out", str(manifest_path),
+        ]) == 0
+        capsys.readouterr()
+        manifest = json.loads(manifest_path.read_text())
+        assert "sections" not in manifest
+        assert not [
+            name for name in manifest["metrics"]["gauges"]
+            if name.startswith("serve.slo.")
+        ]
+        # The warm pass and the measured pass each serve all 16. The
+        # registry is process-wide, so count from a snapshot taken
+        # before the run.
+        served = (
+            manifest["metrics"]["counters"]["serve.requests"]
+            - before.counter("serve.requests")
+        )
+        assert served == 32
+        assert render_report(str(manifest_path)).startswith("run report:")
+
     @pytest.mark.parametrize(
         "argv",
         [

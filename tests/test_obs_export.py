@@ -1,17 +1,15 @@
-"""Tests for live telemetry export and SLO health tracking.
+"""Tests for live telemetry export.
 
 Covers the Prometheus text-exposition formatter and its exact-inverse
 parser (including a hypothesis property: format -> parse -> equal
-snapshot), the :class:`~repro.obs.export.PeriodicSampler` JSONL
+snapshot), and the :class:`~repro.obs.export.PeriodicSampler` JSONL
 interval-diff stream under a fake clock (and the algebra tying the
-interval diffs back to the cumulative snapshot), and the rolling-window
-:class:`~repro.obs.slo.SloTracker` quantiles/rates/budget math.
+interval diffs back to the cumulative snapshot).
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +25,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
-from repro.obs.slo import SloTracker
 
 
 class FakeClock:
@@ -284,84 +281,3 @@ class TestPeriodicSampler:
     def test_rejects_bad_interval(self, tmp_path):
         with pytest.raises(ValueError):
             PeriodicSampler(str(tmp_path / "m.jsonl"), interval_s=0.0)
-
-
-# ----------------------------------------------------------------------
-# SloTracker
-# ----------------------------------------------------------------------
-class TestSloTracker:
-    def test_quantiles_nearest_rank(self):
-        clock = FakeClock(start=0.0)
-        slo = SloTracker(clock=clock)
-        for ms in (10, 20, 30, 40, 50, 60, 70, 80, 90, 100):
-            slo.record(ms / 1e3, "ok")
-        health = slo.health()
-        assert health["requests"] == 10
-        assert health["p50_latency_s"] == pytest.approx(0.050)
-        assert health["p99_latency_s"] == pytest.approx(0.100)
-
-    def test_status_categorization(self):
-        slo = SloTracker(clock=FakeClock(start=0.0))
-        slo.record(0.01, "ok")
-        slo.record(None, "shed-queue-full")
-        slo.record(None, "expired")
-        slo.record(0.02, "failed")
-        slo.record(0.02, "shutdown")
-        health = slo.health()
-        assert health["ok"] == 1
-        assert health["shed"] == 2
-        assert health["errors"] == 2
-        assert health["shed_rate"] == pytest.approx(0.4)
-        assert health["error_rate"] == pytest.approx(0.4)
-
-    def test_budget_burn(self):
-        slo = SloTracker(clock=FakeClock(start=0.0), error_budget=0.1)
-        for _ in range(9):
-            slo.record(0.01, "ok")
-        slo.record(None, "shed")
-        health = slo.health()
-        # 10% bad over a 10% budget: exactly exhausted.
-        assert health["budget_burn"] == pytest.approx(1.0)
-        assert health["budget_remaining"] == pytest.approx(0.0)
-
-    def test_window_prunes_old_events(self):
-        clock = FakeClock(start=0.0)
-        slo = SloTracker(clock=clock, window_s=10.0)
-        slo.record(0.5, "ok")
-        clock.advance(11.0)
-        slo.record(0.001, "ok")
-        health = slo.health()
-        assert health["requests"] == 1
-        assert health["p99_latency_s"] == pytest.approx(0.001)
-
-    def test_p99_target_flag(self):
-        slo = SloTracker(clock=FakeClock(start=0.0), target_p99_s=0.05)
-        slo.record(0.01, "ok")
-        assert slo.health()["p99_within_target"] is True
-        slo.record(0.2, "ok")
-        assert slo.health()["p99_within_target"] is False
-
-    def test_publish_writes_gauges(self):
-        registry = MetricsRegistry()
-        slo = SloTracker(clock=FakeClock(start=0.0), registry=registry)
-        slo.record(0.025, "ok")
-        health = slo.publish()
-        gauges = registry.snapshot().gauges
-        assert gauges["serve.slo.requests"] == 1.0
-        assert gauges["serve.slo.p99_latency_s"] == pytest.approx(0.025)
-        assert gauges["serve.slo.p99_within_target"] == 1.0
-        assert health["requests"] == 1
-
-    def test_empty_window_is_healthy(self):
-        health = SloTracker(clock=FakeClock(start=0.0)).health()
-        assert health["requests"] == 0
-        assert health["budget_burn"] == 0.0
-        assert not math.isnan(health["p99_latency_s"])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SloTracker(window_s=0.0)
-        with pytest.raises(ValueError):
-            SloTracker(error_budget=0.0)
-        with pytest.raises(ValueError):
-            SloTracker(error_budget=1.5)

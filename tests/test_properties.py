@@ -21,6 +21,7 @@ from repro.core.node import NodeModel
 from repro.core.thermal_governor import ThermalGovernor, ThermalPhase
 from repro.fleet.link import LinkTierParams, derate
 from repro.fleet.spec import FleetGroup, FleetSpec
+from repro.memsys.dram import HBMStack, HBMTimings
 from repro.memsys.dramcache import DramCache
 from repro.memsys.interleave import AddressInterleaver
 from repro.memsys.manager import (
@@ -28,12 +29,13 @@ from repro.memsys.manager import (
     HotnessMigrationPolicy,
     MemoryManager,
 )
+from repro.memsys.memnet import ExternalMemoryNetwork, MemoryModule
+from repro.memsys.nvm import NVMModule, NVMParams
 from repro.memsys.rowbuffer import RowBufferSim
 from repro.noc.simulator import NocSimulator, SimMessage
 from repro.noc.topology import EHPTopology
 from repro.noc.traffic import TrafficMatrix, gpu_dram_traffic_matrix
 from repro.obs.export import PeriodicSampler
-from repro.obs.slo import SloTracker
 from repro.perfmodel.machine import MachineParams
 from repro.perfmodel.roofline import evaluate_kernel, evaluate_kernel_grid
 from repro.power.components import PowerParams
@@ -732,10 +734,14 @@ _BAD_FIELDS = {
         lambda v: ThermalGovernor(feedback_margin_c=v), _BAD_NON_NEGATIVE),
     "ThermalGovernor.control_interval_s": (
         lambda v: ThermalGovernor(control_interval_s=v), _BAD_POSITIVE),
-    "SloTracker.window_s": (
-        lambda v: SloTracker(window_s=v), _BAD_POSITIVE),
-    "SloTracker.target_p99_s": (
-        lambda v: SloTracker(target_p99_s=v), _BAD_POSITIVE),
+    "MemoryModule.capacity": (
+        lambda v: MemoryModule("m", "dram", v), _BAD_POSITIVE),
+    "CacheLevel.capacity_bytes": (
+        lambda v: CacheLevel("c", v), _BAD_POSITIVE),
+    "CacheLevel.line_bytes": (
+        lambda v: CacheLevel("c", 1 << 20, line_bytes=v), _BAD_COUNT),
+    "CacheLevel.associativity": (
+        lambda v: CacheLevel("c", 1 << 20, associativity=v), _BAD_COUNT),
     "synthetic_arrivals.rate_hz": (
         lambda v: synthetic_arrivals(0, 1, rate_hz=v), _BAD_POSITIVE),
     "TransientSolver.converge.tol_c": (_converge, _BAD_NON_NEGATIVE),
@@ -751,8 +757,9 @@ _BAD_FIELDS = {
         lambda v: PowerPhase(_NO_POWER, v), _BAD_POSITIVE),
 }
 
-# The model's parameter records: every numeric field rejects NaN and
-# inf on top of its sign or range check.
+# Parameter records and memory-system constructors built from keywords
+# alone: every numeric field rejects NaN and inf on top of its sign or
+# range check, and every count rejects anything but a positive integer.
 _PARAM_FIELDS = {
     MachineParams: {
         **dict.fromkeys(
@@ -792,6 +799,34 @@ _PARAM_FIELDS = {
         ),
         "slope_per_ghz": _BAD_NON_NEGATIVE,
     },
+    HBMTimings: {
+        **dict.fromkeys(
+            ("row_hit_latency", "row_miss_latency", "refresh_interval"),
+            _BAD_POSITIVE),
+        "n_banks": _BAD_COUNT,
+    },
+    HBMStack: {
+        **dict.fromkeys(("capacity", "bandwidth"), _BAD_POSITIVE),
+        "n_dies": _BAD_COUNT,
+    },
+    NVMParams: {
+        **dict.fromkeys(
+            ("read_latency", "write_latency", "read_energy_per_bit",
+             "write_energy_per_bit", "endurance_writes"), _BAD_POSITIVE),
+        "static_power_watt": _BAD_NON_NEGATIVE,
+    },
+    NVMModule: {"capacity": _BAD_POSITIVE},
+    ExternalMemoryNetwork: {
+        "n_interfaces": _BAD_COUNT,
+        **dict.fromkeys(("link_bandwidth", "link_latency"), _BAD_POSITIVE),
+    },
+    AddressInterleaver: {
+        "n_channels": _BAD_COUNT,
+        "granularity": st.one_of(
+            _BAD_COUNT,
+            st.integers(min_value=3).filter(lambda n: n & (n - 1)),
+        ),
+    },
 }
 for _cls, _fields in _PARAM_FIELDS.items():
     for _name, _bad in _fields.items():
@@ -815,8 +850,6 @@ _NAMED_BAD_VALUES = [
     ("ThermalGovernor.feedback_margin_c", math.inf),
     ("ThermalGovernor.control_interval_s", math.inf),
     ("ThermalGovernor.control_interval_s", math.nan),
-    ("SloTracker.window_s", math.nan),
-    ("SloTracker.target_p99_s", math.nan),
     ("synthetic_arrivals.rate_hz", math.nan),
     ("TransientSolver.converge.tol_c", math.nan),
     ("TransientSolver.converge.max_steps", math.nan),
@@ -851,6 +884,16 @@ _NAMED_BAD_VALUES = [
     ("MachineParams.mem_latency", math.inf),
     ("PowerParams.cu_ceff_farad", math.inf),
     ("VFCurve.f_ref", math.inf),
+    ("HBMTimings.refresh_interval", -math.inf),
+    ("HBMTimings.n_banks", 2.5),
+    ("HBMStack.n_dies", True),
+    ("ExternalMemoryNetwork.n_interfaces", 2.5),
+    ("AddressInterleaver.n_channels", math.inf),
+    ("AddressInterleaver.granularity", 4096.0),
+    ("MemoryModule.capacity", math.nan),
+    ("CacheLevel.capacity_bytes", math.nan),
+    ("CacheLevel.line_bytes", 2.5),
+    ("CacheLevel.associativity", True),
 ]
 
 

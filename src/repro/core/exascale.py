@@ -9,8 +9,9 @@ describes — EHP package power, with external memory idle.
 :meth:`ExascaleSystem.cu_sweep` runs the Fig. 14 sweep as one
 :meth:`~repro.core.node.NodeModel.evaluate_arrays` pass over the CU
 axis, bit-identical to the per-point :meth:`ExascaleSystem.estimate`
-loop; the fleet layer (:mod:`repro.fleet`) runs the same pass per node
-group and profile.
+loop; the fleet layer (:mod:`repro.fleet`) runs every node group and
+profile as rows of one such pass, each row scaled to its group's node
+count with :meth:`ExascaleSystem.estimate`'s arithmetic.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import DesignSpace, EHPConfig
-from repro.perfmodel.machine import MachineParams
+from repro.perfmodel.machine import LinkDerate, MachineParams
 from repro.perfmodel.roofline import (
     KernelMetrics,
     evaluate_kernel,
@@ -165,12 +165,15 @@ class NodeModel:
         *,
         ext_fraction=None,
         extra_latency: float = 0.0,
+        ext_link: LinkDerate | None = None,
     ) -> NodeEvaluation:
         """Vectorized evaluation over arrays of design-point axes.
 
         *profile* may also be a :class:`ProfileBatch`: its ``(P, 1)``
         columns broadcast against the axes, so ``ext_fraction`` can be
-        one share per profile (``batch.ext_memory_fraction``).
+        one share per profile (``batch.ext_memory_fraction``), and so
+        can *ext_link*'s external bandwidth and latency (``None`` keeps
+        the machine's).
         """
         metrics = evaluate_kernel(
             profile,
@@ -180,6 +183,7 @@ class NodeModel:
             ext_fraction=ext_fraction,
             machine=self.machine,
             extra_latency=extra_latency,
+            ext_link=ext_link,
         )
         power = node_power(
             profile,

@@ -29,7 +29,11 @@ build over seconds, not instantly. This module closes that loop:
   as one closed-form window
   (:meth:`~repro.thermal.grid.ThermalGrid.advance`) that transforms
   back only the DRAM layer; power is held constant within a tick,
-  which is what makes the closed form exact.
+  which is what makes the closed form exact. A window's fixed point
+  (with its node power and throughput) is memoized per (profile,
+  config) like the steady peaks and caps, so a schedule that returns
+  to a window, or another run on the same governor, evaluates and
+  solves it once.
 
 * :meth:`ThermalGovernor.replay` integrates the same schedule with the
   control loop disabled — the uncontrolled baseline whose excursions
@@ -179,6 +183,11 @@ class ThermalGovernor:
     dt / control_interval_s:
         Integration step and how often feedback control runs (one
         closed-form window of ``control_every`` steps per tick).
+
+    The governor memoizes per (profile name, config): steady DRAM peaks,
+    feedforward caps, and each window's modal fixed point with its node
+    power and throughput. The memos assume *model* and *thermal* do not
+    change under it.
     """
 
     def __init__(
@@ -222,6 +231,9 @@ class ThermalGovernor:
         )
         self._steady_peak_cache: dict[tuple[str, EHPConfig], float] = {}
         self._cap_cache: dict[tuple[str, EHPConfig], EHPConfig] = {}
+        self._window_cache: dict[
+            tuple[str, EHPConfig], tuple[np.ndarray, float, float]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Feedforward: steady-state-predicted caps
@@ -329,13 +341,18 @@ class ThermalGovernor:
         self, profile: KernelProfile, config: EHPConfig
     ) -> tuple[np.ndarray, float, float]:
         """The modal fixed point of *config*'s power map, with its node
-        power and throughput read once per evaluation (both are
-        recomputed properties)."""
-        ev = self.model.evaluate(profile, config)
-        steady = self.thermal.grid.steady_modes(
-            self.thermal.build_power_maps(ev.power)
-        )
-        return steady, float(ev.node_power), float(ev.performance)
+        power and throughput, memoized per (profile, config). The loop
+        only reads the fixed point, so the memo hands out one array."""
+        key = (profile.name, config)
+        window = self._window_cache.get(key)
+        if window is None:
+            ev = self.model.evaluate(profile, config)
+            steady = self.thermal.grid.steady_modes(
+                self.thermal.build_power_maps(ev.power)
+            )
+            window = steady, float(ev.node_power), float(ev.performance)
+            self._window_cache[key] = window
+        return window
 
     def run(
         self,
@@ -347,10 +364,13 @@ class ThermalGovernor:
         """Integrate *phases* from ambient (or *temps*) under control.
 
         The state stays in the grid's modal coordinates for the whole
-        run: *temps* is transformed once, each power map once when it
-        changes, and every control tick is one
-        :meth:`~repro.thermal.grid.ThermalGrid.advance` call that
-        transforms back only the DRAM layer.
+        run: *temps* is transformed once, each window's power map once
+        per (profile, config), and every control tick is one closed-form
+        window (:meth:`~repro.thermal.grid.ThermalGrid.advance`) that
+        transforms back only the DRAM layer. ``to_modes`` and
+        ``steady_modes`` check the state as they build it, and a window
+        of finite states is finite, so the ticks skip ``advance``'s
+        input checks.
         """
         if not phases:
             raise ValueError("phase schedule must not be empty")
@@ -395,8 +415,8 @@ class ThermalGovernor:
                 remaining = solver.steps_for(phase.duration_s)
                 while remaining > 0:
                     n = min(self.control_every, remaining)
-                    modes, dram_c = grid.advance(
-                        modes, steady, dt, n, watch=dram
+                    modes, dram_c = grid._advance(
+                        modes, steady, dt, n, dram
                     )
                     for step_peak in dram_c.max(axis=(1, 2)).tolist():
                         t += dt

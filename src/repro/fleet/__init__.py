@@ -12,8 +12,9 @@ package grows that into a fleet simulation:
 * :mod:`repro.fleet.spec` — heterogeneous fleets as ``(config,
   profile-mix, node-count)`` groups.
 * :mod:`repro.fleet.sweep` — the fleet-scale CU sweep: one in-process
-  :meth:`~repro.core.exascale.ExascaleSystem.cu_sweep` pass per
-  ``(group, profile)`` series, bit-identical to the serial
+  :meth:`~repro.core.node.NodeModel.evaluate_arrays` pass over every
+  ``(group, profile)`` series at once, each a row with its own
+  link-derated external path, bit-identical to the serial
   :meth:`~repro.core.exascale.ExascaleSystem.estimate` loop it keeps
   as the oracle.
 * :mod:`repro.fleet.bench` — the ``python -m repro fleet`` benchmark.

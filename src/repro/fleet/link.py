@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.core.config import _finite_positive, _is_int
 from repro.core.node import NodeModel
-from repro.perfmodel.machine import MachineParams
+from repro.perfmodel.machine import LinkDerate, MachineParams
 from repro.util.units import GB, NS
 from repro.workloads.kernels import KernelProfile
 
@@ -97,17 +97,6 @@ class LinkTierParams:
     def payload_bandwidth(self) -> float:
         """Aggregate post-protocol payload bandwidth, B/s."""
         return self.n_links * self.link_bandwidth * self.protocol_efficiency
-
-
-@dataclass(frozen=True)
-class LinkDerate:
-    """Effective external-memory parameters after the link tier, as
-    python floats; feed them into :func:`derate_machine` /
-    :meth:`~repro.core.node.NodeModel.with_machine`.
-    """
-
-    ext_bandwidth: float
-    ext_latency: float
 
 
 def _ipow(value: float, exponent: int) -> float:

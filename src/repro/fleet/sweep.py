@@ -6,12 +6,16 @@ profile)`` series it runs the same scalar per-point loop as
 derated, ``ext_fraction`` taken from the profile — and rolls the
 series up into group and fleet curves.
 
-:func:`fleet_sweep` is the fast path: each series is one
-:meth:`~repro.core.exascale.ExascaleSystem.cu_sweep` pass over the CU
-axis on the same derated model, in-process, rolled up by the same
-reduction. The perf and power models spell every power as a ufunc
-call, so a point gives the same bits alone or inside a CU-axis array,
-and ``fleet_sweep(...) == fleet_sweep_serial(...)`` bit for bit.
+:func:`fleet_sweep` is the fast path: the whole fleet is one
+:meth:`~repro.core.node.NodeModel.evaluate_arrays` pass over a
+(series x CU) tensor. Each series is a row of one
+:class:`~repro.workloads.kernels.ProfileBatch`, with its group's
+frequency, bandwidth and node count and its link-derated external
+bandwidth and latency as ``(P, 1)`` columns; the rows roll up by the
+same reduction. The perf and power models spell every power as a
+ufunc call and run every other operation elementwise, so a point gives
+the same bits alone or inside the tensor, and ``fleet_sweep(...) ==
+fleet_sweep_serial(...)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ import numpy as np
 from repro.core.config import _cu_tuple
 from repro.core.exascale import ExascaleSystem
 from repro.core.node import NodeModel
-from repro.fleet.link import LinkTierParams, derate_model
+from repro.fleet.link import LinkDerate, LinkTierParams, derate, derate_model
 from repro.fleet.spec import FleetGroup, FleetSpec
-from repro.workloads.kernels import KernelProfile
+from repro.util.units import MW
+from repro.workloads.kernels import _BATCH_FIELDS, KernelProfile, ProfileBatch
 
 __all__ = [
     "FleetSweepResult",
@@ -97,7 +102,7 @@ def _finalize(
     """Group and fleet roll-ups from per-series curves.
 
     Deterministic reduction order (profiles then groups, both in spec
-    order) so the serial and CU-axis sweeps sum identically.
+    order) so the serial and one-pass sweeps sum identically.
     """
     n = len(cu_counts)
     series_exa: dict[tuple[str, str], np.ndarray] = {}
@@ -151,7 +156,8 @@ def _sweep_series(
 
     The plain scalar :meth:`ExascaleSystem.estimate` loop on the
     link-derated model at the profile's external-memory fraction: the
-    oracle that :func:`_cu_sweep_series` must match bit for bit.
+    oracle each row of :func:`fleet_sweep`'s pass must match bit for
+    bit.
     """
     gmodel = derate_model(model, link, profile, group.concurrent_kernels)
     system = ExascaleSystem(group.n_nodes, gmodel)
@@ -185,28 +191,6 @@ def fleet_sweep_serial(
     return _finalize(spec, cu_list, per)
 
 
-def _cu_sweep_series(
-    group: FleetGroup,
-    profile: KernelProfile,
-    model: NodeModel,
-    link: LinkTierParams | None,
-    cu_counts: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_sweep_series` as one CU-axis
-    :meth:`ExascaleSystem.cu_sweep` pass."""
-    gmodel = derate_model(model, link, profile, group.concurrent_kernels)
-    estimates = ExascaleSystem(group.n_nodes, gmodel).cu_sweep(
-        profile,
-        cu_counts,
-        group.config,
-        ext_fraction=float(profile.ext_memory_fraction),
-    )
-    return (
-        np.array([e.exaflops for e in estimates], dtype=float),
-        np.array([e.machine_power_mw for e in estimates], dtype=float),
-    )
-
-
 def fleet_sweep(
     spec: FleetSpec,
     cu_counts,
@@ -216,21 +200,61 @@ def fleet_sweep(
 ) -> FleetSweepResult:
     """Sweep the fleet's CU axis; bit-identical to the serial oracle.
 
-    Every ``(group, profile)`` series is one in-process CU-axis pass
-    (:func:`_cu_sweep_series`); the curves roll up in spec order.
-    *pool* is accepted for older callers and ignored.
+    One :meth:`NodeModel.evaluate_arrays` pass over every ``(group,
+    profile)`` series at once, scaled to each group's node count as
+    :class:`ExascaleSystem` scales one node; the rows roll up in spec
+    order. *pool* is accepted for older callers and ignored.
     """
     del pool
     model = model or NodeModel()
     cu_list = _cu_tuple(cu_counts)
     if not cu_list:
         raise ValueError("cu_counts must be non-empty")
-    per = {
-        (group.name, profile.name): _cu_sweep_series(
-            group, profile, model, spec.link, cu_list
+    for group in spec.groups:
+        for n in cu_list:
+            # What config.with_axes(n_cus=n) rejects, without building it.
+            group.config.check_cu_count(n)
+    series = [(g, p) for g in spec.groups for p in g.profiles]
+
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=float)[:, None]
+
+    # One row per series. Batch rows need unique names and a profile
+    # may run in several groups; the row index keeps labels unique
+    # whatever the names hold.
+    batch = ProfileBatch(
+        names=[f"{i}:{g.name}/{p.name}" for i, (g, p) in enumerate(series)],
+        **{f: column([getattr(p, f) for _, p in series])
+           for f in _BATCH_FIELDS},
+    )
+    ext_link = None  # no link tier: the machine's own external path
+    if spec.link is not None:
+        # The python floats derate_machine writes into the oracle's
+        # machine, one row per series.
+        links = [
+            derate(spec.link, p.write_fraction, g.concurrent_kernels,
+                   model.machine)
+            for g, p in series
+        ]
+        ext_link = LinkDerate(
+            column([link.ext_bandwidth for link in links]),
+            column([link.ext_latency for link in links]),
         )
-        for group in spec.groups
-        for profile in group.profiles
+    evaluation = model.evaluate_arrays(
+        batch,
+        cu_list,
+        column([g.config.gpu_freq for g, _ in series]),
+        column([g.config.bandwidth for g, _ in series]),
+        ext_fraction=batch.ext_memory_fraction,
+        ext_link=ext_link,
+    )
+    # ExascaleSystem._scale's arithmetic, one node count per row.
+    n_nodes = column([g.n_nodes for g, _ in series])
+    exaflops = evaluation.performance * n_nodes / 1.0e18
+    power_mw = evaluation.ehp_power * n_nodes / MW
+    per = {
+        (g.name, p.name): (exaflops[i], power_mw[i])
+        for i, (g, p) in enumerate(series)
     }
     return _finalize(spec, cu_list, per)
 

@@ -8,7 +8,10 @@ a point-in-time reading, so it rides the registry's *gauge* channel
     The process's current resident set, read from ``/proc/self/statm``
     where available.
 ``proc.peak_rss_bytes``
-    The high-water mark, from ``resource.getrusage`` (``ru_maxrss``).
+    The high-water mark, from ``resource.getrusage`` (``ru_maxrss``),
+    or the current reading where that is larger: Linux folds the live
+    resident set into ``ru_maxrss`` only now and then, so a fresh
+    ``statm`` reading can exceed it.
 
 :func:`publish_memory_gauges` is called in two places: run-manifest
 construction (so every manifest records the parent process's footprint)
@@ -72,7 +75,8 @@ def publish_memory_gauges(
         readings[f"{prefix}.rss_bytes"] = float(rss)
     peak = peak_rss_bytes()
     if peak is not None:
-        readings[f"{prefix}.peak_rss_bytes"] = float(peak)
+        # The peak is never below the current reading.
+        readings[f"{prefix}.peak_rss_bytes"] = float(max(peak, rss or 0))
     for name, value in readings.items():
         if registry is None:
             _metrics.set_gauge(name, value)

@@ -61,8 +61,10 @@ def _hist_rows(
 ) -> list[list[str]]:
     """Timing-histogram table rows, largest total first.
 
-    Shares are of *wall_total* (the run's wall time) when given, else
-    of the histograms' own sum.
+    Shares are of *wall_total*, the run's wall time. Without one there
+    is no share column: histograms overlap (a request's latency holds
+    its batch's time, and concurrent requests' latencies add up past
+    the wall time), so their own sum is no denominator.
     """
     entries = []
     for name, hist in histograms.items():
@@ -70,19 +72,15 @@ def _hist_rows(
         total = float(hist.get("total", 0.0))
         entries.append((name, count, total))
     entries.sort(key=lambda e: -e[2])
-    grand_total = wall_total or sum(e[2] for e in entries) or 1.0
-    rows = [["histogram", "count", "total", "mean", "share"]]
+    rows = [["histogram", "count", "total", "mean"]]
+    if wall_total:
+        rows[0].append("share")
     for name, count, total in entries:
         mean = total / count if count else 0.0
-        rows.append(
-            [
-                name,
-                str(count),
-                _fmt_seconds(total),
-                _fmt_seconds(mean),
-                f"{100.0 * total / grand_total:.1f}%",
-            ]
-        )
+        row = [name, str(count), _fmt_seconds(total), _fmt_seconds(mean)]
+        if wall_total:
+            row.append(f"{100.0 * total / wall_total:.1f}%")
+        rows.append(row)
     return rows
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from repro.util.units import NS, TB
 
 
@@ -91,3 +93,21 @@ class MachineParams:
     def peak_flops(self, n_cus: float, freq_hz: float) -> float:
         """Peak DP throughput of *n_cus* CUs at *freq_hz*, FLOP/s."""
         return self.flops_per_cu_cycle * n_cus * freq_hz
+
+
+@dataclass(frozen=True)
+class LinkDerate:
+    """The external-memory path one evaluation sees: bandwidth in B/s
+    and round-trip latency in seconds, in place of the machine's
+    ``ext_bandwidth`` and ``ext_latency``.
+
+    :func:`repro.fleet.link.derate` builds one from python floats for
+    one inter-APU link tier. The fields may also be arrays that
+    broadcast against the evaluation's output, one external path per
+    row: the fleet sweep passes ``(P, 1)`` columns, one per series.
+    :func:`~repro.perfmodel.roofline.evaluate_kernel` rejects any entry
+    that is not finite and positive.
+    """
+
+    ext_bandwidth: float | np.ndarray
+    ext_latency: float | np.ndarray

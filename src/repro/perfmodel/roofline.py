@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.perfmodel.machine import MachineParams
+from repro.perfmodel.machine import LinkDerate, MachineParams
 from repro.workloads.kernels import KernelProfile, ProfileBatch
 
 __all__ = [
@@ -169,6 +169,7 @@ def evaluate_kernel(
     ext_fraction=None,
     machine: MachineParams | None = None,
     extra_latency: float = 0.0,
+    ext_link: LinkDerate | None = None,
 ) -> KernelMetrics:
     """Evaluate *profile* on hardware configuration(s).
 
@@ -189,6 +190,11 @@ def evaluate_kernel(
         Additional per-access latency in seconds, finite and
         non-negative (e.g., the chiplet organization's two TSV hops in
         the Fig. 7 study).
+    ext_link:
+        The external-memory bandwidth and latency in place of the
+        machine's ``ext_bandwidth`` and ``ext_latency`` (e.g. derated by
+        an inter-APU link tier); its fields broadcast against the
+        output, so a fleet passes one external path per profile row.
 
     Returns
     -------
@@ -208,6 +214,15 @@ def evaluate_kernel(
     lat = np.asarray(extra_latency, dtype=float)
     if not ((lat >= 0) & (lat < np.inf)).all():
         raise ValueError("extra_latency must be finite and non-negative")
+    ext_path = machine  # a LinkDerate carries the same two fields
+    if ext_link is not None:
+        ext_path = ext_link
+        for name in ("ext_bandwidth", "ext_latency"):
+            value = np.asarray(getattr(ext_link, name), dtype=float)
+            if not ((value > 0) & (value < np.inf)).all():
+                raise ValueError(
+                    f"ext_link.{name} must be finite and positive"
+                )
 
     # --- compute bound ---------------------------------------------------
     cu_scaling = machine.reference_cus * np.power(
@@ -229,7 +244,7 @@ def evaluate_kernel(
     ext_traffic = miss_traffic * m_ext
 
     # --- bandwidth bound --------------------------------------------------
-    t_bw = dram_traffic / bandwidth + ext_traffic / machine.ext_bandwidth
+    t_bw = dram_traffic / bandwidth + ext_traffic / ext_path.ext_bandwidth
 
     # One-shot utilization estimates for the contention terms (avoids a
     # fixed-point iteration; accurate because utilization only matters when
@@ -250,7 +265,7 @@ def evaluate_kernel(
         )
         rho_ext = np.where(
             t_first > 0,
-            (ext_traffic / machine.ext_bandwidth) / t_first,
+            (ext_traffic / ext_path.ext_bandwidth) / t_first,
             0.0,
         )
     rho_in = np.clip(rho_in, 0.0, 1.0)
@@ -260,7 +275,7 @@ def evaluate_kernel(
         + machine.contention_kappa
         * np.power(rho_in, machine.contention_exponent)
     )
-    latency_ext = machine.ext_latency * (
+    latency_ext = ext_path.ext_latency * (
         1.0
         + machine.contention_kappa
         * np.power(rho_ext, machine.contention_exponent)

@@ -8,8 +8,11 @@ aligned rectangles in millimetres; the thermal grid rasterizes them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
+
+from repro.core.config import _finite_positive
 
 __all__ = ["Region", "EHPFloorplan"]
 
@@ -26,6 +29,13 @@ class Region:
     y1: float
 
     def __post_init__(self) -> None:
+        for name in ("x0", "y0", "x1", "y1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"region {self.name}: {name} must be finite, "
+                    f"got {value!r}"
+                )
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError(f"degenerate region {self.name}")
 
@@ -49,8 +59,11 @@ class EHPFloorplan:
     """
 
     def __init__(self, width_mm: float = 66.0, depth_mm: float = 22.0):
-        if width_mm <= 0 or depth_mm <= 0:
-            raise ValueError("package dimensions must be positive")
+        for name, value in (("width_mm", width_mm), ("depth_mm", depth_mm)):
+            if not _finite_positive(value):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
         self.width_mm = width_mm
         self.depth_mm = depth_mm
         self.gpu_regions: list[Region] = []

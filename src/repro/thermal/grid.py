@@ -788,16 +788,18 @@ class ThermalGrid:
         self, modes: np.ndarray, steady: np.ndarray, dt: float, n: int,
         watch: int | None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`advance` without its input checks, for callers whose
+        states come from :meth:`to_modes`, :meth:`steady_modes` or an
+        earlier window, all checked or finite by construction."""
         blocks = []
         while n > 0:
             k = min(n, _WINDOW_CAP)
             op = self._window_operator(dt, k, watch)
             dev = modes - steady
-            # Every product and sum runs elementwise in a fixed order
-            # over the source layer j, so batching changes no bit.
-            out = op[0] * dev[..., None, 0, :, :]
-            for j in range(1, len(op)):
-                out += op[j] * dev[..., None, j, :, :]
+            # One pass: every product and sum runs elementwise in a
+            # fixed order over the source layer j, so batching changes
+            # no bit.
+            out = np.einsum("jryx,...jyx->...ryx", op, dev)
             if watch is None:
                 out = out.reshape(out.shape[:-3] + (k,) + steady.shape[-3:])
                 out += steady[..., None, :, :, :]

@@ -2,8 +2,8 @@
 
 Covers the link tier's derate-only contract and input validation,
 fleet spec validation and synthetic determinism, and the sweep's core
-guarantee: the in-process CU-axis sweep, one pass per series, is
-bit-identical to the serial per-point estimate loop on any fleet.
+guarantee: the one-pass sweep, every series a row of one evaluation,
+is bit-identical to the serial per-point estimate loop on any fleet.
 """
 
 import numpy as np
@@ -34,6 +34,20 @@ CUS = (192, 256, 320, 384)
 
 def small_fleet(link=LinkTierParams(), seed=3):
     return synthetic_fleet(n_nodes=40, n_groups=2, seed=seed, link=link)
+
+
+def spy_evaluate_arrays(monkeypatch):
+    """Record the profile argument and keywords of every
+    ``NodeModel.evaluate_arrays`` call."""
+    calls = []
+    evaluate_arrays = NodeModel.evaluate_arrays
+
+    def spy(model, profile, *args, **kwargs):
+        calls.append((profile, kwargs))
+        return evaluate_arrays(model, profile, *args, **kwargs)
+
+    monkeypatch.setattr(NodeModel, "evaluate_arrays", spy)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +233,55 @@ class TestFleetSweep:
         )
         serial = fleet_sweep_serial(spec, cu_counts)
         assert identical_results(serial, fleet_sweep(spec, cu_counts))
+
+    def test_whole_fleet_is_one_evaluation(self, monkeypatch):
+        spec = synthetic_fleet(n_nodes=10_000, n_groups=24, seed=7)
+        assert spec.n_series > 40
+        calls = spy_evaluate_arrays(monkeypatch)
+        result = fleet_sweep(spec, CUS)
+        assert len(calls) == 1
+        batch, _ = calls[0]
+        assert len(batch) == spec.n_series
+        monkeypatch.undo()
+        assert identical_results(fleet_sweep_serial(spec, CUS), result)
+
+    def test_profile_shared_by_groups_with_different_links(
+        self, monkeypatch
+    ):
+        # XSBench runs in both groups, alone on its links in one and
+        # beside three other kernels in the other: two rows with one
+        # profile name, two labels and two derates.
+        xsbench, comd = get_application("XSBench"), get_application("CoMD")
+        link = LinkTierParams()
+        spec = FleetSpec(
+            groups=(
+                FleetGroup(
+                    "solo", EHPConfig(n_cus=320, gpu_freq=1e9,
+                                      bandwidth=1e12),
+                    (xsbench, comd), n_nodes=30, concurrent_kernels=1,
+                ),
+                FleetGroup(
+                    "shared", EHPConfig(n_cus=320, gpu_freq=1.2e9,
+                                        bandwidth=3e12),
+                    (xsbench,), n_nodes=70, concurrent_kernels=4,
+                ),
+            ),
+            link=link,
+        )
+        calls = spy_evaluate_arrays(monkeypatch)
+        result = fleet_sweep(spec, CUS)
+        ((batch, kwargs),) = calls
+        assert len(set(batch.names)) == 3
+        rows = kwargs["ext_link"]
+        for k, row in ((1, 0), (4, 2)):
+            want = derate(link, xsbench.write_fraction, k)
+            assert rows.ext_bandwidth[row, 0] == want.ext_bandwidth
+            assert rows.ext_latency[row, 0] == want.ext_latency
+        assert rows.ext_bandwidth[0, 0] != rows.ext_bandwidth[2, 0]
+        assert rows.ext_latency[0, 0] != rows.ext_latency[2, 0]
+        monkeypatch.undo()
+        serial = fleet_sweep_serial(spec, CUS)
+        assert identical_results(serial, result)
 
     def test_no_link_tier_matches_plain_estimate(self):
         # Without a link tier, each series point is literally

@@ -405,7 +405,7 @@ class TestManifest:
         doc = obs_manifest.build_manifest(command="t", clock=lambda: 0.0)
         gauges = doc["metrics"]["gauges"]
         assert gauges["proc.rss_bytes"] > 0
-        assert gauges["proc.peak_rss_bytes"] >= gauges["proc.rss_bytes"] * 0
+        assert gauges["proc.peak_rss_bytes"] >= gauges["proc.rss_bytes"]
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +419,20 @@ class TestProcGauges:
         peak = proc.peak_rss_bytes()
         assert rss is None or rss > 0
         assert peak is None or peak > 0
+
+    def test_published_peak_is_at_least_the_current_reading(self):
+        from repro.obs import proc
+
+        if proc.rss_bytes() is None or proc.peak_rss_bytes() is None:
+            pytest.skip("no RSS readings on this platform")  # pragma: no cover
+        # Grow the resident set between publications: a fresh statm
+        # reading can run ahead of ru_maxrss.
+        held = []
+        for _ in range(5):
+            held.append(np.ones(1 << 20))
+            readings = proc.publish_memory_gauges(MetricsRegistry())
+            assert readings["proc.peak_rss_bytes"] >= \
+                readings["proc.rss_bytes"]
 
     def test_publish_into_explicit_registry(self):
         from repro.obs import proc

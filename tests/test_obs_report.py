@@ -71,6 +71,29 @@ class TestReport:
         # Histogram shares are of wall time too, not of their own sum.
         assert rows["thermal.solve_seconds"] == "25.0%"
 
+    def test_serve_manifest_has_no_share_column(self, tmp_path, capsys):
+        # A serve manifest records no run wall time, and its histograms
+        # overlap: request latencies of concurrent requests add up, and
+        # each contains its batch's time. No share can be right.
+        path = tmp_path / "serve.json"
+        assert cli_main(
+            ["serve", "--serve-requests", "8", "--metrics-out", str(path)]
+        ) == 0
+        capsys.readouterr()
+        assert "total" not in json.loads(path.read_text())["wall_times_s"]
+        lines = render_report(str(path)).splitlines()
+        start = lines.index("where the time went:") + 1
+        end = start
+        while end < len(lines) and lines[end].startswith("  "):
+            end += 1
+        table = lines[start:end]
+        assert table[0].split() == ["histogram", "count", "total", "mean"]
+        names = {row.split()[0] for row in table[1:]}
+        assert {
+            "serve.batch_seconds", "serve.request_latency_seconds"
+        } <= names
+        assert not any("%" in row for row in table)
+
     def test_jsonl_report_folds_intervals(self, tmp_path):
         records = [
             {

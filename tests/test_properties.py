@@ -36,7 +36,7 @@ from repro.noc.simulator import NocSimulator, SimMessage
 from repro.noc.topology import EHPTopology
 from repro.noc.traffic import TrafficMatrix, gpu_dram_traffic_matrix
 from repro.obs.export import PeriodicSampler
-from repro.perfmodel.machine import MachineParams
+from repro.perfmodel.machine import LinkDerate, MachineParams
 from repro.perfmodel.roofline import evaluate_kernel, evaluate_kernel_grid
 from repro.power.components import PowerParams
 from repro.power.vf import VFCurve
@@ -50,6 +50,7 @@ from repro.serve import (
 from repro.serve.workload import synthetic_arrivals
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.sim.cache_sim import CacheLevel, CacheSim
+from repro.thermal.floorplan import EHPFloorplan, Region
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.transient import PowerPhase, TransientSolver
 from repro.workloads.catalog import APPLICATIONS
@@ -656,6 +657,10 @@ _BAD_FIELDS = {
         lambda v: _kernel(ext_fraction=v), _BAD_FRACTION),
     "evaluate_kernel.extra_latency": (
         lambda v: _kernel(extra_latency=v), _BAD_NON_NEGATIVE),
+    "evaluate_kernel.ext_link.ext_bandwidth": (
+        lambda v: _kernel(ext_link=LinkDerate(v, 1e-6)), _BAD_POSITIVE),
+    "evaluate_kernel.ext_link.ext_latency": (
+        lambda v: _kernel(ext_link=LinkDerate(1e11, v)), _BAD_POSITIVE),
     "evaluate_kernel_grid.cu_axis": (
         lambda v: _kernel_grid(cu=v), _BAD_POSITIVE),
     "evaluate_kernel_grid.freq_axis": (
@@ -755,6 +760,20 @@ _BAD_FIELDS = {
         lambda v: ThermalPhase(_FUZZ_PROFILE, v), _BAD_POSITIVE),
     "PowerPhase.duration_s": (
         lambda v: PowerPhase(_NO_POWER, v), _BAD_POSITIVE),
+    "EHPFloorplan.width_mm": (
+        lambda v: EHPFloorplan(width_mm=v), _BAD_POSITIVE),
+    "EHPFloorplan.depth_mm": (
+        lambda v: EHPFloorplan(depth_mm=v), _BAD_POSITIVE),
+    **{
+        f"Region.{corner}": (
+            lambda v, i=i: Region(
+                "r", "gpu", *(v if j == i else c
+                              for j, c in enumerate((0.0, 0.0, 1.0, 1.0)))
+            ),
+            _NON_FINITE,
+        )
+        for i, corner in enumerate(("x0", "y0", "x1", "y1"))
+    },
 }
 
 # Parameter records and memory-system constructors built from keywords
@@ -894,6 +913,14 @@ _NAMED_BAD_VALUES = [
     ("CacheLevel.capacity_bytes", math.nan),
     ("CacheLevel.line_bytes", 2.5),
     ("CacheLevel.associativity", True),
+    ("evaluate_kernel.ext_link.ext_bandwidth", math.nan),
+    ("evaluate_kernel.ext_link.ext_latency", math.nan),
+    ("evaluate_kernel.ext_link.ext_latency", -math.inf),
+    ("EHPFloorplan.width_mm", math.nan),
+    ("EHPFloorplan.width_mm", math.inf),
+    ("EHPFloorplan.depth_mm", math.nan),
+    *((f"Region.{corner}", math.nan) for corner in ("x0", "y0", "x1", "y1")),
+    ("Region.x1", math.inf),
 ]
 
 

@@ -433,6 +433,79 @@ class TestThermalGovernor:
         assert a is b
         assert len(governor._steady_peak_cache) == solves_before
 
+    @staticmethod
+    def _assert_same_run(a, b):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.peak_dram_c.tobytes() == b.peak_dram_c.tobytes()
+        assert a.throttle_events == b.throttle_events
+        assert a.phase_configs == b.phase_configs
+        assert (a.energy_j, a.work_flops) == (b.energy_j, b.work_flops)
+
+    def test_repeat_and_fresh_runs_are_identical(self):
+        # The second run takes every window from the governor's memo.
+        maxflops, comd = get_application("MaxFlops"), get_application("CoMD")
+        phases = [
+            ThermalPhase(maxflops, 1.0),
+            ThermalPhase(comd, 0.5),
+            ThermalPhase(maxflops, 1.0),
+        ]
+        governor = ThermalGovernor(margin_c=0.0, feedback_margin_c=4.0)
+        first = governor.run(phases, HOT)
+        assert {e.kind for e in first.throttle_events} == {
+            "feedforward", "feedback"
+        }
+        self._assert_same_run(first, governor.run(phases, HOT))
+        fresh = ThermalGovernor(margin_c=0.0, feedback_margin_c=4.0)
+        self._assert_same_run(first, fresh.run(phases, HOT))
+
+    def test_each_window_is_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = NodeModel.evaluate
+
+        def spy(model, profile, config, **kwargs):
+            calls.append((profile.name, config))
+            return evaluate(model, profile, config, **kwargs)
+
+        monkeypatch.setattr(NodeModel, "evaluate", spy)
+        maxflops, comd = get_application("MaxFlops"), get_application("CoMD")
+        phases = [
+            ThermalPhase(maxflops, 1.0),
+            ThermalPhase(comd, 0.5),
+            ThermalPhase(maxflops, 1.0),
+            ThermalPhase(comd, 0.5),
+        ]
+        governor = ThermalGovernor(margin_c=0.0, feedback_margin_c=4.0)
+        runs = [
+            governor.run(phases, HOT),
+            governor.replay(phases, HOT),
+            governor.run(phases, HOT),
+        ]
+        # Every (profile, config) a run held power at: each phase's
+        # entry point, moved by its throttle events.
+        windows = set()
+        for result in runs:
+            events = list(result.throttle_events)
+            for phase in phases:
+                name = phase.profile.name
+                config = HOT
+                if events and events[0].kind == "feedforward" \
+                        and events[0].phase == name:
+                    event = events.pop(0)
+                    config = HOT.with_axes(
+                        gpu_freq=event.gpu_freq, n_cus=event.n_cus
+                    )
+                windows.add((name, config))
+                while events and events[0].kind == "feedback" \
+                        and events[0].phase == name:
+                    event = events.pop(0)
+                    config = config.with_axes(
+                        gpu_freq=event.gpu_freq, n_cus=event.n_cus
+                    )
+                    windows.add((name, config))
+            assert not events
+        assert len(windows) > len(phases) // 2
+        assert sorted(calls, key=repr) == sorted(windows, key=repr)
+
     def test_as_dict_round_trips_to_json(self, governor, phases):
         import json
 

@@ -210,10 +210,17 @@ def fleet_sweep(
     cu_list = _cu_tuple(cu_counts)
     if not cu_list:
         raise ValueError("cu_counts must be non-empty")
+    # What config.with_axes(n_cus=n) rejects, without building it. The
+    # check reads only these two fields of a config, so each distinct
+    # pair is checked once, in group order, and the first error is the
+    # one a check per group would raise.
+    checked = set()
     for group in spec.groups:
-        for n in cu_list:
-            # What config.with_axes(n_cus=n) rejects, without building it.
-            group.config.check_cu_count(n)
+        key = (group.config.max_cus, group.config.n_gpu_chiplets)
+        if key not in checked:
+            checked.add(key)
+            for n in cu_list:
+                group.config.check_cu_count(n)
     series = [(g, p) for g in spec.groups for p in g.profiles]
 
     def column(values) -> np.ndarray:

@@ -43,9 +43,9 @@ s steps
 
 :meth:`ThermalGrid.advance` takes n such steps at once: ``x*`` comes
 from the steady pivots, the rows of ``B^1 .. B^n`` a window reads are
-built from that dt's pivots once per (dt, n, watched layer) and
-cached, and only the watched layer is transformed back, all n steps in
-one stacked gemm. The state stays modal between calls
+sliced from one cached sequence of that dt's powers and stacked once
+per (dt, n, watched layer), and only the watched layer is transformed
+back, all n steps in one stacked gemm. The state stays modal between calls
 (:meth:`ThermalGrid.to_modes` and :meth:`ThermalGrid.steady_modes` build
 it), so a caller that only watches peaks never transforms a whole
 field. :meth:`ThermalGrid.step_transient` is its n = 1 case, with
@@ -67,6 +67,7 @@ run that never calls them never loads it.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,9 @@ class _Modes:
     layer l is ``coupling[l - 1] + coupling[l] + excess[l, ky, kx]``,
     where the non-negative ``excess`` holds the mode's lateral
     eigenvalue and the layer's boundary conductances. ``heat[l]`` is the
-    layer's per-cell heat capacity.
+    layer's per-cell heat capacity. ``blas`` is the context the
+    transforms run in: the OpenBLAS one-thread cap where the grid's
+    gemms are large enough to thread, a no-op block otherwise.
     """
 
     qx: np.ndarray
@@ -126,6 +129,7 @@ class _Modes:
     excess: np.ndarray
     coupling: np.ndarray
     heat: np.ndarray
+    blas: AbstractContextManager
 
 
 @dataclass(frozen=True)
@@ -219,17 +223,16 @@ class ThermalGrid:
         ny: int = 22,
         stack: LayerStack | None = None,
     ):
-        for size in (nx, ny):
-            if not isinstance(size, (int, np.integer)) or isinstance(
-                size, bool
-            ):
+        for name, size in (("nx", nx), ("ny", ny)):
+            if not (_is_int(size) and size >= 2):
                 raise ValueError(
-                    f"grid resolution must be an integer, got {size!r}"
+                    f"{name} must be an integer of at least 2, got {size!r}"
                 )
-        if nx < 2 or ny < 2:
-            raise ValueError("grid must be at least 2x2")
-        if not (_finite_positive(width_mm) and _finite_positive(depth_mm)):
-            raise ValueError("package dimensions must be finite and positive")
+        for name, extent in (("width_mm", width_mm), ("depth_mm", depth_mm)):
+            if not _finite_positive(extent):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {extent!r}"
+                )
         self.width_m = width_mm * 1e-3
         self.depth_m = depth_mm * 1e-3
         self.nx = int(nx)
@@ -243,6 +246,8 @@ class ThermalGrid:
         self._modes: _Modes | None = None
         # None (steady) or dt -> per-mode pivots of G + C/dt.
         self._pivots: dict[float | None, _Pivots] = {}
+        # dt -> B^1, B^2, ... as far as any window has needed.
+        self._powers: dict[float, list[np.ndarray]] = {}
         # (dt, n, watch) -> the window operator of advance().
         self._windows: dict[tuple[float, int, int | None], np.ndarray] = {}
 
@@ -280,11 +285,12 @@ class ThermalGrid:
 
     def invalidate(self) -> None:
         """Drop the assembled matrix and every modal operator (rebuilt
-        on demand), steady and transient alike, with the window
-        operators."""
+        on demand), steady and transient alike, with the propagator
+        powers and window operators."""
         super().__setattr__("_system", None)
         super().__setattr__("_modes", None)
         super().__setattr__("_pivots", {})
+        super().__setattr__("_powers", {})
         super().__setattr__("_windows", {})
 
     def _index(self, layer: int, j: int, i: int) -> int:
@@ -497,6 +503,11 @@ class ThermalGrid:
                 excess=excess,
                 coupling=np.asarray(vert, dtype=float),
                 heat=self._layer_capacitance(),
+                # The larger of a slice's two gemms, ny x ny by ny x nx
+                # and ny x nx by nx x nx.
+                blas=single_blas_thread(
+                    self.ny * self.nx * max(self.nx, self.ny)
+                ),
             )
         return self._modes
 
@@ -555,7 +566,7 @@ class ThermalGrid:
         gemm per 2-D slice of a stacked operand, so each leading index
         is bit-identical to solving it alone."""
         modes = self._modal_operator()
-        with single_blas_thread():
+        with modes.blas:
             x = modes.qy @ power_maps @ modes.qx_t
         return self._sweep(self._factor(None), x)
 
@@ -563,10 +574,34 @@ class ThermalGrid:
         """Inverse transform of modal rises ``(..., ny, nx)``, plus
         ambient."""
         modes = self._modal_operator()
-        with single_blas_thread():
+        with modes.blas:
             temps = modes.qy.T @ x @ modes.qx
         temps += self.stack.ambient_c
         return temps
+
+    def _propagator_powers(self, dt: float, n: int) -> list[np.ndarray]:
+        """``B^1 .. B^n`` per mode, each shaped ``(L, L, ny, nx)``, from
+        one sequence per dt that grows as windows need more steps.
+
+        ``B = (C/dt + G)^-1 C/dt``; column j solves ``(C/dt + G) b =
+        (C_j/dt) e_j``, one sweep against the dt's pivots, and each
+        further power is one more per-mode product with ``B``, so every
+        window of that dt, whatever its length, reads the same powers.
+        """
+        powers = self._powers.get(dt)
+        if powers is None:
+            pivots = self._factor(dt)
+            n_layers = pivots.c_over_dt.size
+            columns = np.zeros((n_layers,) + pivots.gain.shape)
+            for j in range(n_layers):
+                columns[j, j] = pivots.c_over_dt[j]
+            powers = [self._sweep(pivots, columns).swapaxes(0, 1)]
+            self._powers[dt] = powers
+        while len(powers) < n:
+            powers.append(
+                np.einsum("ij...,jk...->ik...", powers[0], powers[-1])
+            )
+        return powers[:n]
 
     def _window_operator(
         self, dt: float, n: int, watch: int | None
@@ -575,28 +610,17 @@ class ThermalGrid:
         ``(L, R, ny, nx)``: row r of the result is ``sum_j op[j, r] *
         (x_0 - x*)_j`` per mode. Cached per (dt, n, watch).
 
-        ``B = (C/dt + G)^-1 C/dt``; column j solves ``(C/dt + G) b =
-        (C_j/dt) e_j``, one sweep against the dt's pivots, and each
-        further power is one more per-mode product with ``B``. The rows
-        are the watched row of ``B^1 .. B^n`` followed by every row of
-        ``B^n`` (the state after the window), or with *watch* ``None``
-        every row of every power, step-major. On the 66 x 22 x 3 grid
-        the 5-step DRAM window's operator is 0.28 MB.
+        The rows are the watched row of ``B^1 .. B^n`` followed by every
+        row of ``B^n`` (the state after the window), or with *watch*
+        ``None`` every row of every power, step-major, all sliced from
+        the dt's one power sequence. On the 66 x 22 x 3 grid the 5-step
+        DRAM window's operator is 0.28 MB.
         """
         key = (dt, n, watch)
         op = self._windows.get(key)
         if op is None:
-            pivots = self._factor(dt)
-            n_layers = pivots.c_over_dt.size
-            columns = np.zeros((n_layers,) + pivots.gain.shape)
-            for j in range(n_layers):
-                columns[j, j] = pivots.c_over_dt[j]
-            step = self._sweep(pivots, columns).swapaxes(0, 1)
-            powers = [step]
-            while len(powers) < n:
-                powers.append(
-                    np.einsum("ij...,jk...->ik...", step, powers[-1])
-                )
+            powers = self._propagator_powers(dt, n)
+            n_layers = self.stack.n_layers
             if watch is None:
                 rows = [power[i] for power in powers for i in range(n_layers)]
             else:
@@ -712,7 +736,7 @@ class ThermalGrid:
 
     def _to_modes(self, temps: np.ndarray) -> np.ndarray:
         modes = self._modal_operator()
-        with single_blas_thread():
+        with modes.blas:
             return modes.qy @ (temps - self.stack.ambient_c) @ modes.qx_t
 
     def to_modes(self, temps: np.ndarray) -> np.ndarray:

@@ -34,19 +34,15 @@ class ThermalLayer:
     volumetric_heat_capacity: float = 1.63e6  # silicon, ~rho * c_p
 
     def __post_init__(self) -> None:
-        if not (
-            _finite_positive(self.thickness_m)
-            and _finite_positive(self.conductivity)
+        for field_name in (
+            "thickness_m", "conductivity", "volumetric_heat_capacity"
         ):
-            raise ValueError(
-                f"layer {self.name}: thickness and conductivity must be "
-                "finite and positive"
-            )
-        if not _finite_positive(self.volumetric_heat_capacity):
-            raise ValueError(
-                f"layer {self.name}: heat capacity must be finite and "
-                "positive"
-            )
+            value = getattr(self, field_name)
+            if not _finite_positive(value):
+                raise ValueError(
+                    f"layer {self.name}: {field_name} must be finite and "
+                    f"positive, got {value!r}"
+                )
 
     def vertical_resistance(self, area_m2: float) -> float:
         """Conduction resistance through the layer for one cell, K/W."""
@@ -93,15 +89,16 @@ class LayerStack:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ValueError("stack needs at least one layer")
-        if not (
-            _finite_positive(self.sink_resistance_km2w)
-            and _finite_positive(self.board_resistance_km2w)
-        ):
-            raise ValueError(
-                "boundary resistances must be finite and positive"
-            )
+        for field_name in ("sink_resistance_km2w", "board_resistance_km2w"):
+            value = getattr(self, field_name)
+            if not _finite_positive(value):
+                raise ValueError(
+                    f"{field_name} must be finite and positive, got {value!r}"
+                )
         if not math.isfinite(self.ambient_c):
-            raise ValueError("ambient temperature must be finite")
+            raise ValueError(
+                f"ambient_c must be finite, got {self.ambient_c!r}"
+            )
 
     @property
     def n_layers(self) -> int:

@@ -118,7 +118,7 @@ class TransientSolver:
         watch_layer: str | None = "dram",
     ):
         if not _finite_positive(dt):
-            raise ValueError("dt must be finite and positive")
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
         self.grid = grid
         self.dt = float(dt)
         names = tuple(l.name for l in grid.stack.layers)

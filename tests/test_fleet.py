@@ -312,6 +312,47 @@ class TestFleetSweep:
         with pytest.raises(ValueError):
             fleet_sweep(spec, (321,))
 
+    def test_cu_counts_checked_once_per_distinct_organization(
+        self, monkeypatch
+    ):
+        spec = synthetic_fleet(n_nodes=10_000, n_groups=24, seed=7)
+        organizations = {
+            (g.config.max_cus, g.config.n_gpu_chiplets) for g in spec.groups
+        }
+        calls = []
+        check = EHPConfig.check_cu_count
+
+        def spy(config, n_cus):
+            calls.append(n_cus)
+            return check(config, n_cus)
+
+        monkeypatch.setattr(EHPConfig, "check_cu_count", spy)
+        fleet_sweep(spec, CUS)
+        assert len(calls) == len(organizations) * len(CUS)
+        monkeypatch.undo()
+        # The same first error as one check per group and count.
+        for counts, message in (
+            ((), "non-empty"),
+            ((192, 256.5), "integers, got 256.5"),
+            ((192, 321, 400), "n_cus=321 must divide evenly across 8"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                fleet_sweep(spec, counts)
+
+    def test_first_error_follows_group_order(self):
+        # 400 CUs fit the first group's area budget but not the
+        # second's, and fail the first group's chiplet split.
+        profile = get_application("CoMD")
+        spec = FleetSpec(groups=(
+            FleetGroup("wide", EHPConfig(max_cus=448, n_gpu_chiplets=7,
+                                         n_cus=322), (profile,), n_nodes=4),
+            FleetGroup("std", EHPConfig(), (profile,), n_nodes=4),
+        ))
+        with pytest.raises(ValueError, match="across 7 GPU chiplets"):
+            fleet_sweep(spec, (392, 400))
+        with pytest.raises(ValueError, match="area budget of 384"):
+            fleet_sweep(spec, (392,))
+
     def test_pooled_bit_identity_cold_warm_and_after_death(self):
         # Callers may still hand fleet_sweep a pool (perfbench's plan
         # workload does). The sweep runs in-process whatever the pool's

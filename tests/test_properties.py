@@ -52,6 +52,7 @@ from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.sim.cache_sim import CacheLevel, CacheSim
 from repro.thermal.floorplan import EHPFloorplan, Region
 from repro.thermal.grid import ThermalGrid
+from repro.thermal.stack import LayerStack, ThermalLayer
 from repro.thermal.transient import PowerPhase, TransientSolver
 from repro.workloads.catalog import APPLICATIONS
 from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
@@ -516,6 +517,7 @@ _BAD_FRACTION = st.one_of(
 )
 _BAD_COUNT = st.one_of(_NOT_INT, st.integers(max_value=0))
 _BAD_NON_NEGATIVE_COUNT = st.one_of(_NOT_INT, st.integers(max_value=-1))
+_BAD_GRID_SIZE = st.one_of(_NOT_INT, st.integers(max_value=1))
 _BAD_CU = st.one_of(
     _NOT_INT,
     st.integers(max_value=0),
@@ -756,6 +758,23 @@ _BAD_FIELDS = {
         lambda v: TransientSolver(_SMALL_GRID).run_many(_NO_POWER[None], v),
         _BAD_COUNT),
     "ThermalGrid.advance.n": (_advance, _BAD_COUNT),
+    "ThermalLayer.thickness_m": (
+        lambda v: ThermalLayer("t", v, 120.0), _BAD_POSITIVE),
+    "ThermalLayer.conductivity": (
+        lambda v: ThermalLayer("t", 100e-6, v), _BAD_POSITIVE),
+    "ThermalLayer.volumetric_heat_capacity": (
+        lambda v: ThermalLayer("t", 100e-6, 120.0, volumetric_heat_capacity=v),
+        _BAD_POSITIVE),
+    "ThermalGrid.width_mm": (
+        lambda v: ThermalGrid(v, 22.0, nx=4, ny=2), _BAD_POSITIVE),
+    "ThermalGrid.depth_mm": (
+        lambda v: ThermalGrid(66.0, v, nx=4, ny=2), _BAD_POSITIVE),
+    "ThermalGrid.nx": (
+        lambda v: ThermalGrid(66.0, 22.0, nx=v, ny=2), _BAD_GRID_SIZE),
+    "ThermalGrid.ny": (
+        lambda v: ThermalGrid(66.0, 22.0, nx=4, ny=v), _BAD_GRID_SIZE),
+    "TransientSolver.dt": (
+        lambda v: TransientSolver(_SMALL_GRID, dt=v), _BAD_POSITIVE),
     "ThermalPhase.duration_s": (
         lambda v: ThermalPhase(_FUZZ_PROFILE, v), _BAD_POSITIVE),
     "PowerPhase.duration_s": (
@@ -835,6 +854,11 @@ _PARAM_FIELDS = {
         "static_power_watt": _BAD_NON_NEGATIVE,
     },
     NVMModule: {"capacity": _BAD_POSITIVE},
+    LayerStack: {
+        **dict.fromkeys(
+            ("sink_resistance_km2w", "board_resistance_km2w"), _BAD_POSITIVE),
+        "ambient_c": _NON_FINITE,
+    },
     ExternalMemoryNetwork: {
         "n_interfaces": _BAD_COUNT,
         **dict.fromkeys(("link_bandwidth", "link_latency"), _BAD_POSITIVE),
@@ -921,6 +945,25 @@ _NAMED_BAD_VALUES = [
     ("EHPFloorplan.depth_mm", math.nan),
     *((f"Region.{corner}", math.nan) for corner in ("x0", "y0", "x1", "y1")),
     ("Region.x1", math.inf),
+    ("ThermalLayer.thickness_m", math.nan),
+    ("ThermalLayer.thickness_m", math.inf),
+    ("ThermalLayer.conductivity", math.inf),
+    ("ThermalLayer.conductivity", 0.0),
+    ("ThermalLayer.volumetric_heat_capacity", math.nan),
+    ("ThermalLayer.volumetric_heat_capacity", -1.0),
+    ("LayerStack.sink_resistance_km2w", math.inf),
+    ("LayerStack.board_resistance_km2w", 0.0),
+    ("LayerStack.ambient_c", math.inf),
+    ("LayerStack.ambient_c", -math.inf),
+    ("ThermalGrid.width_mm", math.nan),
+    ("ThermalGrid.width_mm", math.inf),
+    ("ThermalGrid.depth_mm", 0.0),
+    ("ThermalGrid.nx", 2.5),
+    ("ThermalGrid.nx", 1),
+    ("ThermalGrid.ny", 8.0),
+    ("ThermalGrid.ny", True),
+    ("TransientSolver.dt", math.nan),
+    ("TransientSolver.dt", math.inf),
 ]
 
 

@@ -236,6 +236,73 @@ class TestGovernedWindowsMatchPerStep:
         assert result.work_flops == work
 
 
+class TestWindowsShareOnePowerSequence:
+    """Every window of one dt slices its rows from one sequence of
+    propagator powers; a window must hold the bits of one built alone
+    (its own ``B^1 .. B^n`` chain) on a fresh grid."""
+
+    @pytest.mark.parametrize("watch", [2, None])
+    def test_tail_windows_match_windows_built_alone(self, watch):
+        shared = ThermalGrid(66.0, 22.0)
+        # The governed loop's order: the full tick first, then tails.
+        for k in (5, 1, 2, 3, 4):
+            op = shared._window_operator(0.01, k, watch)
+            alone = ThermalGrid(66.0, 22.0)._window_operator(0.01, k, watch)
+            assert np.array_equal(op, alone)
+        assert len(shared._powers[0.01]) == 5
+
+
+def _plan_phases(seed):
+    """perfbench ``plan``'s sprint/cool schedule for *seed* (its
+    generator draws the fleet's two numbers first)."""
+    rng = np.random.default_rng(seed)
+    rng.integers(9500, 10500)
+    rng.integers(2**31)
+    lengths = np.column_stack([rng.uniform(1.6, 2.4, 4),
+                               rng.uniform(0.6, 1.4, 4)]).ravel()
+    lengths *= 12.0 / lengths.sum()
+    profiles = (get_application("MaxFlops"), get_application("CoMD"))
+    return [
+        ThermalPhase(profiles[i % 2], float(length))
+        for i, length in enumerate(lengths)
+    ]
+
+
+def _windows_built_alone(grid):
+    """Make *grid* build each window operator from a power chain of its
+    own, as every window length did before they shared one."""
+    build = grid._window_operator
+
+    def window_operator(dt, n, watch):
+        if (dt, n, watch) not in grid._windows:
+            grid._powers.pop(dt, None)
+        return build(dt, n, watch)
+
+    grid._window_operator = window_operator
+
+
+class TestGovernedRunsOnPlanSchedules:
+    @pytest.mark.parametrize("seed", [11000, 11001, 11002, 301, 302])
+    def test_shared_powers_keep_every_bit(self, seed):
+        phases = _plan_phases(seed)
+        shared = ThermalGovernor(dt=0.01)
+        alone = ThermalGovernor(dt=0.01)
+        _windows_built_alone(alone.thermal.grid)
+        for run in ("run", "replay", "run"):
+            got, want = (
+                getattr(governor, run)(phases, HOT_CONFIG)
+                for governor in (shared, alone)
+            )
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.peak_dram_c, want.peak_dram_c)
+            assert got.throttle_events == want.throttle_events
+            assert got.phase_configs == want.phase_configs
+            assert got.energy_j == want.energy_j
+            assert got.work_flops == want.work_flops
+        # Tail ticks are at most 4 steps, so 5 powers serve them all.
+        assert len(shared.thermal.grid._powers[0.01]) == 5
+
+
 GOOD_LAYER = dict(name="t", thickness_m=100e-6, conductivity=120.0)
 
 

@@ -257,13 +257,13 @@ def _forked_governed_steps_per_s(nx: int, ny: int) -> float | None:
         return None
     from repro.core.thermal_governor import ThermalGovernor, ThermalPhase
     from repro.thermal.analysis import ThermalModel
-    from repro.thermal.bench import HOT_CONFIG
+    from repro.thermal.bench import COOL_S, HOT_CONFIG, SPRINT_S
     from repro.workloads.catalog import get_application
 
     governor = ThermalGovernor(thermal=ThermalModel(nx=nx, ny=ny), dt=0.01)
     phases = [
-        ThermalPhase(get_application("MaxFlops"), 2.0),
-        ThermalPhase(get_application("CoMD"), 1.0),
+        ThermalPhase(get_application("MaxFlops"), SPRINT_S),
+        ThermalPhase(get_application("CoMD"), COOL_S),
     ] * 2
     governor.replay(phases, HOT_CONFIG)
     read_fd, write_fd = os.pipe()

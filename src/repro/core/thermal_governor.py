@@ -16,8 +16,8 @@ build over seconds, not instantly. This module closes that loop:
     whose *steady-state* DRAM peak clears the limit minus a margin (the
     ladder points at or below the cap are priced together: one
     batched node evaluation and one batched modal solve, memoized per
-    (profile, config)), gating CU groups when even the ladder floor is
-    too hot;
+    (profile values, config)), gating CU groups when even the ladder
+    floor is too hot;
   - **feedback** — every control tick, notch down one more ladder step
     if the *simulated* peak still crosses the threshold (the backstop
     for model mismatch and inherited heat from earlier phases).
@@ -30,10 +30,11 @@ build over seconds, not instantly. This module closes that loop:
   (:meth:`~repro.thermal.grid.ThermalGrid.advance`) that transforms
   back only the DRAM layer; power is held constant within a tick,
   which is what makes the closed form exact. A window's fixed point
-  (with its node power and throughput) is memoized per (profile,
-  config) like the steady peaks and caps, so a schedule that returns
-  to a window, or another run on the same governor, evaluates and
-  solves it once.
+  (with its node power and throughput) is memoized per (profile
+  values, config) like the steady peaks and caps, so a schedule that
+  returns to a window, or another run on the same governor, evaluates
+  and solves it once. This is the only phase-schedule integrator over
+  the grid.
 
 * :meth:`ThermalGovernor.replay` integrates the same schedule with the
   control loop disabled — the uncontrolled baseline whose excursions
@@ -54,12 +55,10 @@ import numpy as np
 from repro.core.config import EHPConfig, _finite_positive
 from repro.core.governor import DvfsGovernor
 from repro.core.node import NodeModel
-from repro.core.reconfig import PhaseReconfigurator
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.thermal.analysis import DRAM_LIMIT_C, ThermalModel
-from repro.thermal.transient import TransientSolver
-from repro.workloads.kernels import KernelProfile
+from repro.workloads.kernels import KernelProfile, profile_key
 
 __all__ = [
     "ThermalPhase",
@@ -166,14 +165,7 @@ class ThermalGovernor:
     thermal:
         Thermal model providing the floorplan power-map placement and
         the grid. Its steady-state solver prices feedforward decisions;
-        its transient mode integrates the run.
-    governor:
-        Supplies the DVFS ladder and CU-gating granularity. The thermal
-        governor walks the same ladder the energy governor does.
-    reconfigurator:
-        Optional phase reconfigurator; when given, each phase starts
-        from its palette configuration (never above the DSE cap)
-        before thermal capping is applied.
+        its closed-form windows integrate the run.
     limit_c / margin_c:
         The DRAM refresh limit and the feedforward safety margin below
         it that steady-state predictions must clear.
@@ -181,10 +173,16 @@ class ThermalGovernor:
         Feedback threshold below the limit; a simulated peak above
         ``limit_c - feedback_margin_c`` triggers a mid-phase notch-down.
     dt / control_interval_s:
-        Integration step and how often feedback control runs (one
-        closed-form window of ``control_every`` steps per tick).
+        Integration step, seconds, and how often feedback control runs
+        (one closed-form window of ``control_every`` steps per tick).
 
-    The governor memoizes per (profile name, config): steady DRAM peaks,
+    The DVFS ladder and CU-gating granularity come from a
+    :class:`~repro.core.governor.DvfsGovernor` over *model*: the thermal
+    governor walks the same ladder the energy governor does.
+
+    The governor memoizes per
+    (:func:`~repro.workloads.kernels.profile_key`, config), the profile's
+    name and every value the model reads of it: steady DRAM peaks,
     feedforward caps, and each window's modal fixed point with its node
     power and throughput. The memos assume *model* and *thermal* do not
     change under it.
@@ -194,8 +192,6 @@ class ThermalGovernor:
         self,
         model: NodeModel | None = None,
         thermal: ThermalModel | None = None,
-        governor: DvfsGovernor | None = None,
-        reconfigurator: PhaseReconfigurator | None = None,
         limit_c: float = DRAM_LIMIT_C,
         margin_c: float = 2.0,
         feedback_margin_c: float = 1.0,
@@ -211,6 +207,8 @@ class ThermalGovernor:
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {margin!r}"
                 )
+        if not _finite_positive(dt):
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
         if not _finite_positive(control_interval_s):
             raise ValueError(
                 f"control_interval_s must be finite and positive, "
@@ -218,29 +216,27 @@ class ThermalGovernor:
             )
         self.model = model or NodeModel()
         self.thermal = thermal or ThermalModel()
-        self.governor = governor or DvfsGovernor(model=self.model)
-        self.reconfigurator = reconfigurator
+        self.governor = DvfsGovernor(model=self.model)
         self.limit_c = float(limit_c)
         self.margin_c = float(margin_c)
         self.feedback_margin_c = float(feedback_margin_c)
-        self.solver = TransientSolver(
-            self.thermal.grid, dt=dt, watch_layer="dram"
-        )
-        self.control_every = max(
-            1, round(float(control_interval_s) / self.solver.dt)
-        )
-        self._steady_peak_cache: dict[tuple[str, EHPConfig], float] = {}
-        self._cap_cache: dict[tuple[str, EHPConfig], EHPConfig] = {}
-        self._window_cache: dict[
-            tuple[str, EHPConfig], tuple[np.ndarray, float, float]
-        ] = {}
+        self.dt = float(dt)
+        self.control_every = self.steps_for(control_interval_s)
+        self._steady_peak_cache: dict[tuple, float] = {}
+        self._cap_cache: dict[tuple, EHPConfig] = {}
+        self._window_cache: dict[tuple, tuple[np.ndarray, float, float]] = {}
+
+    def steps_for(self, duration_s: float) -> int:
+        """Whole steps of :attr:`dt` covering *duration_s* (at least
+        one)."""
+        return max(1, round(float(duration_s) / self.dt))
 
     # ------------------------------------------------------------------
     # Feedforward: steady-state-predicted caps
     # ------------------------------------------------------------------
     def steady_peak(self, profile: KernelProfile, config: EHPConfig) -> float:
         """Memoized steady-state DRAM peak for (profile, config)."""
-        key = (profile.name, config)
+        key = (profile_key(profile), config)
         peak = self._steady_peak_cache.get(key)
         if peak is None:
             power = self.model.evaluate(profile, config).power
@@ -285,8 +281,9 @@ class ThermalGovernor:
             self.thermal.build_power_maps(power)
         )
         peaks = batch.peaks("dram").tolist()
+        pkey = profile_key(profile)
         for cand, peak in zip(ladder, peaks):
-            self._steady_peak_cache.setdefault((profile.name, cand), peak)
+            self._steady_peak_cache.setdefault((pkey, cand), peak)
         return peaks
 
     def thermal_cap(
@@ -299,7 +296,7 @@ class ThermalGovernor:
         *config* are priced together in one batch; CU gating below the
         floor prices one point per steady solve.
         """
-        key = (profile.name, config)
+        key = (profile_key(profile), config)
         cached = self._cap_cache.get(key)
         if cached is not None:
             return cached
@@ -325,25 +322,13 @@ class ThermalGovernor:
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
-    def _phase_entry_config(
-        self, profile: KernelProfile, config: EHPConfig
-    ) -> EHPConfig:
-        if self.reconfigurator is None:
-            return config
-        pal = self.reconfigurator.config_for(profile)
-        # Never above the DSE cap on any axis the governor controls.
-        return pal.with_axes(
-            n_cus=min(pal.n_cus, config.n_cus),
-            gpu_freq=min(pal.gpu_freq, config.gpu_freq),
-        )
-
     def _window_power(
         self, profile: KernelProfile, config: EHPConfig
     ) -> tuple[np.ndarray, float, float]:
         """The modal fixed point of *config*'s power map, with its node
         power and throughput, memoized per (profile, config). The loop
         only reads the fixed point, so the memo hands out one array."""
-        key = (profile.name, config)
+        key = (profile_key(profile), config)
         window = self._window_cache.get(key)
         if window is None:
             ev = self.model.evaluate(profile, config)
@@ -374,11 +359,12 @@ class ThermalGovernor:
         """
         if not phases:
             raise ValueError("phase schedule must not be empty")
-        solver = self.solver
         grid = self.thermal.grid
-        dt = solver.dt
+        dt = self.dt
         if temps is None:
-            temps = solver.initial_temps()
+            temps = np.full(
+                (grid.stack.n_layers, grid.ny, grid.nx), grid.stack.ambient_c
+            )
         modes = grid.to_modes(temps)
         dram = self.thermal.stack.layer_index("dram")
         peak = float(np.asarray(temps, dtype=float)[dram].max())
@@ -395,10 +381,9 @@ class ThermalGovernor:
             "thermal.loop", phases=len(phases), controlled=controlled,
         ), obs_metrics.timed("thermal.loop_seconds"):
             for phase in phases:
-                entry = self._phase_entry_config(phase.profile, config)
                 if controlled:
-                    active = self.thermal_cap(phase.profile, entry)
-                    if active != entry:
+                    active = self.thermal_cap(phase.profile, config)
+                    if active != config:
                         events.append(ThrottleEvent(
                             time_s=t,
                             phase=phase.profile.name,
@@ -408,11 +393,11 @@ class ThermalGovernor:
                             n_cus=active.n_cus,
                         ))
                 else:
-                    active = entry
+                    active = config
                 steady, node_power, flops = self._window_power(
                     phase.profile, active
                 )
-                remaining = solver.steps_for(phase.duration_s)
+                remaining = self.steps_for(phase.duration_s)
                 while remaining > 0:
                     n = min(self.control_every, remaining)
                     modes, dram_c = grid._advance(

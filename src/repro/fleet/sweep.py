@@ -266,14 +266,11 @@ def fleet_sweep(
     return _finalize(spec, cu_list, per)
 
 
-def fleet_manifest(
-    result: FleetSweepResult,
-    wall_time: float | None = None,
-) -> dict:
+def fleet_manifest(result: FleetSweepResult) -> dict:
     """JSON-ready manifest section for one fleet sweep: the run's
     structure (groups, node counts) and its best point."""
     spec = result.spec
-    section: dict = {
+    return {
         "n_nodes": spec.n_nodes,
         "n_groups": len(spec.groups),
         "n_series": spec.n_series,
@@ -299,6 +296,3 @@ def fleet_manifest(
             "meets_budget": result.meets_budget,
         },
     }
-    if wall_time is not None:
-        section["wall_time_s"] = wall_time
-    return section

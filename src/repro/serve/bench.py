@@ -39,8 +39,9 @@ from repro.serve.requests import (
     ServeResponse,
     SweepRequest,
 )
-from repro.serve.service import EvalService, _model_key, _profile_key
+from repro.serve.service import EvalService, _model_key
 from repro.serve.workload import Arrival, synthetic_arrivals
+from repro.workloads.kernels import profile_key
 
 __all__ = ["ServeBenchReport", "run_arrivals", "run_serve_bench"]
 
@@ -204,7 +205,7 @@ _naive_grids: dict = {}
 def _naive_eval_grid(model, profiles, space):
     """One whole grid through the worker's memo: ``(performance,
     power)``."""
-    key = (_model_key(model), tuple(map(_profile_key, profiles)), space)
+    key = (_model_key(model), tuple(map(profile_key, profiles)), space)
     grid = _naive_grids.get(key)
     if grid is None:
         grid = _naive_grids[key] = model.evaluate_grid(profiles, space)

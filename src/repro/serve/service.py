@@ -61,8 +61,6 @@ task, if it has one, is labelled ``serve-solo-<seq>``.
 from __future__ import annotations
 
 import asyncio
-import operator
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,7 +88,7 @@ from repro.serve.requests import (
     SweepRequest,
 )
 from repro.sim.apu_sim import ApuSimulator
-from repro.workloads.kernels import KernelProfile, ProfileBatch
+from repro.workloads.kernels import KernelProfile, ProfileBatch, profile_key
 
 __all__ = ["EvalService", "serial_answer"]
 
@@ -130,19 +128,6 @@ def _serve_simulate(trace, config):
 # ----------------------------------------------------------------------
 # Memo keys: exact values, so equal requests share one answer
 # ----------------------------------------------------------------------
-_profile_values = operator.attrgetter(*ProfileBatch.field_names())
-_pack_profile_values = struct.Struct(
-    f"{len(ProfileBatch.field_names())}d"
-).pack
-
-
-def _profile_key(profile: KernelProfile) -> tuple[str, bytes]:
-    """What the model reads of *profile*: its name and the raw bytes of
-    every field a :class:`ProfileBatch` stacks. Bytes, not floats, so
-    ``-0.0`` and ``0.0`` never share a key."""
-    return profile.name, _pack_profile_values(*_profile_values(profile))
-
-
 def _model_key(model: NodeModel) -> str:
     """What the model reads of itself: the repr of its three frozen
     parameter records, a faithful value encoding."""
@@ -177,7 +162,7 @@ def _point_units(tickets: Sequence[Ticket]) -> list[_GridUnit]:
     fp_of: dict[int, tuple] = {}  # ticket.seq -> profile key
     for ticket in tickets:
         req: PointRequest = ticket.request
-        fp = fp_of[ticket.seq] = _profile_key(req.profile)
+        fp = fp_of[ticket.seq] = profile_key(req.profile)
         placed = False
         for g in groups:
             cus = g["cus"] | {int(req.n_cus)}
@@ -249,7 +234,7 @@ def _sweep_units(tickets: Sequence[Ticket]) -> list[_GridUnit]:
     fps_of: dict[int, list[tuple]] = {}  # ticket.seq -> profile keys
     for ticket in tickets:
         req: SweepRequest = ticket.request
-        fps = fps_of[ticket.seq] = [_profile_key(p) for p in req.profiles]
+        fps = fps_of[ticket.seq] = [profile_key(p) for p in req.profiles]
         placed = False
         for g in groups:
             clash = any(
@@ -517,20 +502,20 @@ class EvalService:
     # ------------------------------------------------------------------
     def _memo_key(self, request) -> tuple:
         """The answer memo's key for a point or sweep: the model's
-        parameters, each profile's :func:`_profile_key`, and what was
-        asked. Equal keys mean the model reads bit-identical inputs:
+        parameters, each profile's
+        :func:`~repro.workloads.kernels.profile_key`, and what was asked. Equal keys mean the model reads bit-identical inputs:
         every axis value and budget is validated finite and positive,
         so value equality is bit equality after the model's ``float``
         conversion."""
         if isinstance(request, PointRequest):
             return (
-                self._model_key, _profile_key(request.profile),
+                self._model_key, profile_key(request.profile),
                 request.n_cus, request.gpu_freq, request.bandwidth,
                 request.power_budget,
             )
         return (
             self._model_key,
-            tuple(map(_profile_key, request.profiles)),
+            tuple(map(profile_key, request.profiles)),
             request.space,
         )
 

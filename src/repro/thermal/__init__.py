@@ -7,7 +7,9 @@ between them and into the heatsink. Because every layer is uniform, the
 solver diagonalizes the conductance network exactly with the DCT and
 solves for the steady-state or backward-Euler temperature field of a
 power map mode by mode; the assembled sparse matrix stays as the
-oracle.
+oracle. Phase schedules are integrated by
+:class:`repro.core.thermal_governor.ThermalGovernor`, in closed-form
+windows of :meth:`ThermalGrid.advance`.
 
 The paper's constraint is the DRAM retention limit: in-package 3D DRAM
 must stay below 85 C with a high-end air cooler at 50 C ambient.
@@ -21,11 +23,6 @@ from repro.thermal.grid import (
     ThermalGrid,
 )
 from repro.thermal.analysis import ThermalModel, ThermalReport
-from repro.thermal.transient import (
-    PowerPhase,
-    TransientSolver,
-    TransientTrace,
-)
 
 __all__ = [
     "EHPFloorplan",
@@ -37,7 +34,4 @@ __all__ = [
     "TemperatureFieldBatch",
     "ThermalModel",
     "ThermalReport",
-    "PowerPhase",
-    "TransientSolver",
-    "TransientTrace",
 ]

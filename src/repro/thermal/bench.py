@@ -6,10 +6,11 @@ Fig. 10-scale grid:
 * cached modal stepping rate (per-mode LDL^T pivots built once per dt)
   vs the oracle that sparse-solves the assembled matrix every step (the
   ≥10x claim), plus the absolute steps/sec floor;
-* transient-converges-to-steady equivalence (max |ΔT| against
-  :meth:`ThermalGrid.solve` under the same constant power);
-* lockstep multi-scenario stepping bit-identity against per-scenario
-  integration;
+* transient-converges-to-steady equivalence: ``step_transient`` from
+  ambient under constant power until the field stops moving, then max
+  |ΔT| against :meth:`ThermalGrid.solve` of the same power;
+* lockstep multi-scenario stepping (``step_transient_many``)
+  bit-identity against per-scenario ``step_transient`` integration;
 * the closed-loop story: a sprint/cool phase schedule on a
   thermally-infeasible operating point, integrated uncontrolled
   (exceeds the DRAM limit) and governed (stays under it);
@@ -35,8 +36,8 @@ from repro.core.thermal_governor import (
     ThermalLoopResult,
     ThermalPhase,
 )
+from repro.obs import trace as obs_trace
 from repro.thermal.analysis import ThermalModel
-from repro.thermal.transient import TransientSolver
 from repro.workloads.catalog import get_application
 
 __all__ = ["ThermalLoopBenchReport", "run_thermal_loop_bench"]
@@ -46,6 +47,18 @@ HOT_CONFIG = EHPConfig(n_cus=384, gpu_freq=1.5e9, bandwidth=3e12)
 (steady DRAM peak far above the 85 C limit) — the uncontrolled replay
 must exceed the limit for the closed-loop comparison to mean anything.
 """
+
+# The closed-loop schedule's phases: a MaxFlops sprint, then a
+# memory-bound CoMD cool-down, seconds each.
+SPRINT_S = 2.0
+COOL_S = 1.0
+# The fixed-point check steps until no cell moves more than this in one
+# step, or at most this many steps.
+CONVERGE_TOL_C = 1e-9
+CONVERGE_MAX_STEPS = 20_000
+# The lockstep check: scenarios (power scaled 0.5-1.0) and steps.
+BATCH_SCENARIOS = 3
+BATCH_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -128,6 +141,12 @@ class ThermalLoopBenchReport:
         ])
 
 
+def _ambient(grid) -> np.ndarray:
+    """A field at ambient: the cold start every check steps from."""
+    shape = (grid.stack.n_layers, grid.ny, grid.nx)
+    return np.full(shape, grid.stack.ambient_c)
+
+
 def _per_step_peaks(
     governor: ThermalGovernor,
     phases: list[ThermalPhase],
@@ -142,11 +161,12 @@ def _per_step_peaks(
 
     This follows *result*'s decisions rather than making its own, so it
     measures only how far the closed-form windows drift from per-step
-    integration. Assumes *governor* has no reconfigurator.
+    integration.
     """
     thermal = governor.thermal
+    grid = thermal.grid
     dram = thermal.stack.layer_index("dram")
-    dt = governor.solver.dt
+    dt = governor.dt
     events = {(e.kind, e.time_s): e for e in result.throttle_events}
 
     def maps_at(profile, event):
@@ -156,13 +176,13 @@ def _per_step_peaks(
         power = governor.model.evaluate(profile, cfg).power
         return thermal.build_power_maps(power)
 
-    temps = governor.solver.initial_temps()
+    temps = _ambient(grid)
     peaks = []
     t = 0.0
     for phase in phases:
         maps = maps_at(phase.profile, events.get(("feedforward", t)))
-        for _ in range(governor.solver.steps_for(phase.duration_s)):
-            temps = thermal.grid.step_transient(temps, maps, dt)
+        for _ in range(governor.steps_for(phase.duration_s)):
+            temps = grid.step_transient(temps, maps, dt)
             t += dt
             peaks.append(float(temps[dram].max()))
             notch = events.get(("feedback", t))
@@ -178,23 +198,22 @@ def run_thermal_loop_bench(
     dt: float = 0.01,
     factored_steps: int = 400,
     oracle_steps: int = 10,
-    sprint_s: float = 2.0,
-    cool_s: float = 1.0,
     cycles: int = 2,
-    batch_scenarios: int = 3,
-    model: NodeModel | None = None,
 ) -> ThermalLoopBenchReport:
     """The full thermal-loop benchmark on a fresh grid.
 
     *nx*/*ny* default to the Fig. 10 grid. *factored_steps* /
     *oracle_steps* size the two timing loops (the oracle factorizes the
     sparse matrix every step, so it gets far fewer). The phase schedule
-    alternates *cycles* MaxFlops sprints with memory-bound cool-down
-    phases on :data:`HOT_CONFIG`.
+    alternates *cycles* MaxFlops sprints of :data:`SPRINT_S` with
+    memory-bound cool-down phases of :data:`COOL_S` on
+    :data:`HOT_CONFIG`.
     """
-    model = model or NodeModel()
+    model = NodeModel()
     thermal = ThermalModel(nx=nx, ny=ny)
     grid = thermal.grid
+    # Built first: it rejects a bad dt before anything steps with it.
+    governor = ThermalGovernor(model=model, thermal=thermal, dt=dt)
     maxflops = get_application("MaxFlops")
     comd = get_application("CoMD")
     maps = thermal.build_power_maps(
@@ -202,8 +221,8 @@ def run_thermal_loop_bench(
     )
 
     # -- stepping rate: cached modal solve vs per-step sparse solve
-    solver = TransientSolver(grid, dt=dt)
-    temps = solver.initial_temps()
+    ambient = _ambient(grid)
+    temps = ambient
     t0 = time.perf_counter()
     grid._factor(dt)
     factorization_s = time.perf_counter() - t0
@@ -212,7 +231,7 @@ def run_thermal_loop_bench(
         temps = grid.step_transient(temps, maps, dt)
     factored_s = time.perf_counter() - t0
 
-    temps_o = solver.initial_temps()
+    temps_o = ambient
     t0 = time.perf_counter()
     for _ in range(oracle_steps):
         temps_o = grid.step_transient_reference(temps_o, maps, dt)
@@ -225,33 +244,43 @@ def run_thermal_loop_bench(
         - grid.step_transient_reference(temps_o, maps, dt)
     ).max())
 
-    # -- transient fixed point == steady-state solve
+    # -- transient fixed point == steady-state solve: at convergence the
+    # backward-Euler fixed point *is* the solution of G T = P + G_b T_amb
     steady = grid.solve(maps)
-    converged, converge_steps = solver.converge(maps, tol_c=1e-9)
-    converge_err_c = float(
-        np.abs(converged.celsius - steady.celsius).max()
-    )
+    with obs_trace.span("thermal.converge", cells=grid.n_cells):
+        converged = ambient
+        for converge_steps in range(1, CONVERGE_MAX_STEPS + 1):
+            stepped = grid.step_transient(converged, maps, dt)
+            moved = float(np.abs(stepped - converged).max())
+            converged = stepped
+            if moved <= CONVERGE_TOL_C:
+                break
+    converge_err_c = float(np.abs(converged - steady.celsius).max())
 
     # -- lockstep batched stepping == per-scenario stepping
-    scales = np.linspace(0.5, 1.0, batch_scenarios)
+    scales = np.linspace(0.5, 1.0, BATCH_SCENARIOS)
     batch_maps = np.stack([maps * s for s in scales])
-    batch_steps = 20
-    final_batch, _ = solver.run_many(batch_maps, batch_steps)
-    batch_identical = True
-    for s in range(batch_scenarios):
-        t_s = solver.initial_temps()
-        for _ in range(batch_steps):
-            t_s = solver.step(t_s, batch_maps[s])
-        if not np.array_equal(final_batch[s], t_s):
-            batch_identical = False
-            break
+    with obs_trace.span(
+        "thermal.transient_many", cells=grid.n_cells,
+        scenarios=BATCH_SCENARIOS, steps=BATCH_STEPS,
+    ):
+        batch = np.broadcast_to(ambient, batch_maps.shape)
+        for _ in range(BATCH_STEPS):
+            batch = grid.step_transient_many(batch, batch_maps, dt)
+        batch_identical = True
+        for final, scenario_maps in zip(batch, batch_maps):
+            solo = ambient
+            for _ in range(BATCH_STEPS):
+                solo = grid.step_transient(solo, scenario_maps, dt)
+            if not np.array_equal(final, solo):
+                batch_identical = False
+                break
 
     # -- closed loop: governed stays under the limit, replay does not
-    governor = ThermalGovernor(model=model, thermal=thermal, dt=dt)
     phases = []
     for _ in range(max(1, cycles)):
-        phases.append(ThermalPhase(maxflops, sprint_s))
-        phases.append(ThermalPhase(comd, cool_s))
+        phases.append(ThermalPhase(maxflops, SPRINT_S))
+        phases.append(ThermalPhase(comd, COOL_S))
     replay = governor.replay(phases, HOT_CONFIG)
     t0 = time.perf_counter()
     governed = governor.run(phases, HOT_CONFIG)

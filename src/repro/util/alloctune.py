@@ -24,24 +24,24 @@ __all__ = ["retain_freed_heap"]
 
 # glibc mallopt parameter numbers (see malloc/malloc.h).
 _M_TRIM_THRESHOLD = -1
-_M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
+
+TRIM_BYTES = 256 * 1024 * 1024
+MMAP_BYTES = 64 * 1024 * 1024
 
 _applied = False
 
 
-def retain_freed_heap(
-    trim_bytes: int = 256 * 1024 * 1024,
-    mmap_bytes: int = 64 * 1024 * 1024,
-) -> bool:
+def retain_freed_heap() -> bool:
     """Keep freed large buffers in the process heap (glibc only).
 
-    Raises ``M_TRIM_THRESHOLD`` so frees below *trim_bytes* never shrink
-    the heap, and ``M_MMAP_THRESHOLD`` so allocations below *mmap_bytes*
-    are served from that retained heap instead of fresh ``mmap`` regions.
-    Idempotent. Returns ``True`` if the thresholds were applied, ``False``
-    on non-glibc platforms or when ``mallopt`` is unavailable — callers
-    need no fallback; everything still works, just with colder allocations.
+    Raises ``M_TRIM_THRESHOLD`` so frees below :data:`TRIM_BYTES` never
+    shrink the heap, and ``M_MMAP_THRESHOLD`` so allocations below
+    :data:`MMAP_BYTES` are served from that retained heap instead of
+    fresh ``mmap`` regions. Idempotent. Returns ``True`` if the
+    thresholds were applied, ``False`` on non-glibc platforms or when
+    ``mallopt`` is unavailable — callers need no fallback; everything
+    still works, just with colder allocations.
     """
     global _applied
     if _applied:
@@ -56,7 +56,7 @@ def retain_freed_heap(
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    ok = bool(mallopt(_M_TRIM_THRESHOLD, int(trim_bytes)))
-    ok = bool(mallopt(_M_MMAP_THRESHOLD, int(mmap_bytes))) and ok
+    ok = bool(mallopt(_M_TRIM_THRESHOLD, TRIM_BYTES))
+    ok = bool(mallopt(_M_MMAP_THRESHOLD, MMAP_BYTES)) and ok
     _applied = ok
     return ok

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -315,3 +317,17 @@ class ProfileBatch:
             names=names,
             **{f: getattr(self, f)[index] for f in _BATCH_FIELDS},
         )
+
+
+_profile_values = operator.attrgetter(*_BATCH_FIELDS)
+_pack_profile_values = struct.Struct(f"{len(_BATCH_FIELDS)}d").pack
+
+
+def profile_key(profile: KernelProfile) -> tuple[str, bytes]:
+    """What the model reads of *profile*: its name and the raw bytes of
+    every field a :class:`ProfileBatch` stacks. Two profiles share a key
+    exactly when the model sees the same inputs for them, so a memo
+    keyed by it never hands one profile another's answer (a
+    :meth:`KernelProfile.with_overrides` copy keeps the name). Bytes,
+    not floats, so ``-0.0`` and ``0.0`` never share a key."""
+    return profile.name, _pack_profile_values(*_profile_values(profile))

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.config import DesignSpace, EHPConfig
+from repro.core.config import (
+    PAPER_BEST_MEAN,
+    PAPER_BEST_MEAN_OPTIMIZED,
+    DesignSpace,
+    EHPConfig,
+)
 from repro.core.exascale import ExascaleSystem
 from repro.core.governor import DvfsGovernor
 from repro.core.node import NodeModel
@@ -50,10 +55,10 @@ from repro.serve import (
 from repro.serve.workload import synthetic_arrivals
 from repro.sim.apu_sim import ApuSimConfig, ApuSimulator
 from repro.sim.cache_sim import CacheLevel, CacheSim
+from repro.thermal.bench import HOT_CONFIG
 from repro.thermal.floorplan import EHPFloorplan, Region
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.stack import LayerStack, ThermalLayer
-from repro.thermal.transient import PowerPhase, TransientSolver
 from repro.workloads.catalog import APPLICATIONS
 from repro.workloads.kernels import KernelCategory, KernelProfile, ProfileBatch
 from repro.workloads.traces import MemoryTrace, TraceGenerator
@@ -566,12 +571,6 @@ _NO_POWER = np.zeros(
 )
 
 
-def _converge(tol_c=1e-9, max_steps=1):
-    return TransientSolver(_SMALL_GRID).converge(
-        _NO_POWER, tol_c=tol_c, max_steps=max_steps
-    )
-
-
 def _advance(n):
     modes = _SMALL_GRID.to_modes(_NO_POWER + 50.0)
     return _SMALL_GRID.advance(
@@ -741,6 +740,7 @@ _BAD_FIELDS = {
         lambda v: ThermalGovernor(feedback_margin_c=v), _BAD_NON_NEGATIVE),
     "ThermalGovernor.control_interval_s": (
         lambda v: ThermalGovernor(control_interval_s=v), _BAD_POSITIVE),
+    "ThermalGovernor.dt": (lambda v: ThermalGovernor(dt=v), _BAD_POSITIVE),
     "MemoryModule.capacity": (
         lambda v: MemoryModule("m", "dram", v), _BAD_POSITIVE),
     "CacheLevel.capacity_bytes": (
@@ -751,12 +751,6 @@ _BAD_FIELDS = {
         lambda v: CacheLevel("c", 1 << 20, associativity=v), _BAD_COUNT),
     "synthetic_arrivals.rate_hz": (
         lambda v: synthetic_arrivals(0, 1, rate_hz=v), _BAD_POSITIVE),
-    "TransientSolver.converge.tol_c": (_converge, _BAD_NON_NEGATIVE),
-    "TransientSolver.converge.max_steps": (
-        lambda v: _converge(max_steps=v), _BAD_COUNT),
-    "TransientSolver.run_many.n_steps": (
-        lambda v: TransientSolver(_SMALL_GRID).run_many(_NO_POWER[None], v),
-        _BAD_COUNT),
     "ThermalGrid.advance.n": (_advance, _BAD_COUNT),
     "ThermalLayer.thickness_m": (
         lambda v: ThermalLayer("t", v, 120.0), _BAD_POSITIVE),
@@ -773,12 +767,8 @@ _BAD_FIELDS = {
         lambda v: ThermalGrid(66.0, 22.0, nx=v, ny=2), _BAD_GRID_SIZE),
     "ThermalGrid.ny": (
         lambda v: ThermalGrid(66.0, 22.0, nx=4, ny=v), _BAD_GRID_SIZE),
-    "TransientSolver.dt": (
-        lambda v: TransientSolver(_SMALL_GRID, dt=v), _BAD_POSITIVE),
     "ThermalPhase.duration_s": (
         lambda v: ThermalPhase(_FUZZ_PROFILE, v), _BAD_POSITIVE),
-    "PowerPhase.duration_s": (
-        lambda v: PowerPhase(_NO_POWER, v), _BAD_POSITIVE),
     "EHPFloorplan.width_mm": (
         lambda v: EHPFloorplan(width_mm=v), _BAD_POSITIVE),
     "EHPFloorplan.depth_mm": (
@@ -893,15 +883,12 @@ _NAMED_BAD_VALUES = [
     ("ThermalGovernor.feedback_margin_c", math.inf),
     ("ThermalGovernor.control_interval_s", math.inf),
     ("ThermalGovernor.control_interval_s", math.nan),
+    ("ThermalGovernor.dt", math.nan),
+    ("ThermalGovernor.dt", math.inf),
+    ("ThermalGovernor.dt", -math.inf),
+    ("ThermalGovernor.dt", 0.0),
+    ("ThermalGovernor.dt", -0.01),
     ("synthetic_arrivals.rate_hz", math.nan),
-    ("TransientSolver.converge.tol_c", math.nan),
-    ("TransientSolver.converge.max_steps", math.nan),
-    ("TransientSolver.converge.max_steps", 0),
-    ("TransientSolver.converge.max_steps", -1),
-    ("TransientSolver.converge.max_steps", 2.5),
-    ("TransientSolver.run_many.n_steps", 2.5),
-    ("TransientSolver.run_many.n_steps", math.nan),
-    ("TransientSolver.run_many.n_steps", True),
     ("ThermalGrid.advance.n", 2.5),
     ("ThermalPhase.duration_s", math.inf),
     ("KernelProfile.issue_efficiency", 0.0),
@@ -962,8 +949,6 @@ _NAMED_BAD_VALUES = [
     ("ThermalGrid.nx", 1),
     ("ThermalGrid.ny", 8.0),
     ("ThermalGrid.ny", True),
-    ("TransientSolver.dt", math.nan),
-    ("TransientSolver.dt", math.inf),
 ]
 
 
@@ -984,3 +969,69 @@ class TestConstructorValidation:
         build, _ = _BAD_FIELDS[field]
         with pytest.raises(ValueError, match=field.rsplit(".", 1)[1]):
             build(value)
+
+
+@st.composite
+def thermal_schedules(draw):
+    """1-4 phases of 0.05-1 s over catalog profiles, each possibly a
+    same-named copy with scaled activity, which the governor's memos
+    must tell apart from the original."""
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        profile = APPLICATIONS[draw(st.sampled_from(sorted(APPLICATIONS)))]
+        if draw(st.booleans()):
+            scale = draw(st.floats(min_value=0.2, max_value=1.0))
+            profile = profile.with_overrides(
+                issue_efficiency=profile.issue_efficiency * scale,
+                cu_utilization=profile.cu_utilization * scale,
+            )
+        duration = draw(st.floats(min_value=0.05, max_value=1.0))
+        phases.append(ThermalPhase(profile, duration))
+    return phases
+
+
+@pytest.fixture(scope="module")
+def shared_governor():
+    """One governor for every example, so its memos see them all."""
+    return ThermalGovernor()
+
+
+class TestGovernedLoopProperties:
+    """Over valid schedules the governed loop returns finite results,
+    only backs off, and a governor that has run other schedules answers
+    as a fresh one does."""
+
+    @given(
+        thermal_schedules(),
+        st.sampled_from([PAPER_BEST_MEAN, PAPER_BEST_MEAN_OPTIMIZED,
+                         HOT_CONFIG]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_finite_backs_off_and_shared_equals_fresh(
+        self, shared_governor, phases, config
+    ):
+        fresh = ThermalGovernor()
+        dt = fresh.dt
+        steps = sum(fresh.steps_for(p.duration_s) for p in phases)
+        for run in ("run", "replay"):
+            got = getattr(shared_governor, run)(phases, config)
+            want = getattr(fresh, run)(phases, config)
+            assert got.steps == steps
+            assert np.isfinite(got.peak_dram_c).all()
+            assert math.isfinite(got.energy_j) and got.energy_j > 0
+            assert math.isfinite(got.work_flops) and got.work_flops > 0
+            assert got.times[0] == dt
+            assert np.abs(np.diff(got.times) - dt).max(initial=0) <= 1e-12
+            for _, active in got.phase_configs:
+                assert active.gpu_freq <= config.gpu_freq
+                assert active.n_cus <= config.n_cus
+            if run == "replay":
+                assert not got.throttle_events
+                assert {c for _, c in got.phase_configs} == {config}
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.peak_dram_c.tobytes() == want.peak_dram_c.tobytes()
+            assert got.throttle_events == want.throttle_events
+            assert got.phase_configs == want.phase_configs
+            assert (got.energy_j, got.work_flops) == (
+                want.energy_j, want.work_flops
+            )

@@ -29,7 +29,6 @@ from repro.core.thermal_governor import (
 from repro.thermal.bench import HOT_CONFIG
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.stack import LayerStack, ThermalLayer
-from repro.thermal.transient import PowerPhase, TransientSolver
 from repro.workloads.catalog import get_application
 
 TOL_C = 1e-9  # the tolerance check_perf's thermal gates use
@@ -161,11 +160,14 @@ class TestWindowMatchesReference:
 def _per_step_run(governor, phases, config, controlled):
     """``ThermalGovernor.run``'s control loop, one ``step_transient``
     call per step and the DRAM peak read from each whole field."""
-    solver = governor.solver
     thermal = governor.thermal
+    dt = governor.dt
     dram = thermal.stack.layer_index("dram")
     feedback_at = governor.limit_c - governor.feedback_margin_c
-    temps = solver.initial_temps()
+    temps = np.full(
+        (thermal.stack.n_layers, thermal.grid.ny, thermal.grid.nx),
+        thermal.stack.ambient_c,
+    )
     times, peaks, events, configs = [], [], [], []
     energy = work = t = 0.0
     for phase in phases:
@@ -180,17 +182,17 @@ def _per_step_run(governor, phases, config, controlled):
                 ))
         ev = governor.model.evaluate(phase.profile, active)
         maps = thermal.build_power_maps(ev.power)
-        remaining = solver.steps_for(phase.duration_s)
+        remaining = governor.steps_for(phase.duration_s)
         while remaining > 0:
             n = min(governor.control_every, remaining)
             for _ in range(n):
-                temps = thermal.grid.step_transient(temps, maps, solver.dt)
-                t += solver.dt
+                temps = thermal.grid.step_transient(temps, maps, dt)
+                t += dt
                 times.append(t)
                 peaks.append(float(temps[dram].max()))
             remaining -= n
-            energy += float(ev.node_power) * n * solver.dt
-            work += float(ev.performance) * n * solver.dt
+            energy += float(ev.node_power) * n * dt
+            work += float(ev.performance) * n * dt
             if controlled and remaining > 0 and peaks[-1] > feedback_at:
                 lower = governor._next_down(active)
                 if lower is not None:
@@ -373,9 +375,9 @@ class TestNonFiniteInputsRejected:
         temps = np.full(maps.shape, grid.stack.ambient_c)
         with pytest.raises(ValueError):
             grid.step_transient(temps, maps, math.inf)
-        with pytest.raises(ValueError):
-            TransientSolver(grid, dt=math.inf)
+        with pytest.raises(ValueError, match="dt"):
+            ThermalGovernor(dt=math.inf)
 
-    def test_infinite_phase_duration(self, grid):
+    def test_infinite_phase_duration(self):
         with pytest.raises(ValueError):
-            PowerPhase(np.zeros((3, grid.ny, grid.nx)), math.inf)
+            ThermalPhase(get_application("CoMD"), math.inf)

@@ -14,10 +14,6 @@ from repro.thermal.grid import (
     TemperatureFieldBatch,
     ThermalGrid,
 )
-from repro.thermal.transient import (
-    PowerPhase,
-    TransientSolver,
-)
 from repro.workloads.catalog import get_application
 
 HOT = EHPConfig(n_cus=384, gpu_freq=1.5e9, bandwidth=3e12)
@@ -36,16 +32,21 @@ def maps(grid):
 
 class TestStepTransient:
     def test_constant_power_converges_to_steady(self, grid, maps):
+        # At its fixed point, backward Euler solves G T = P + G_b T_amb.
         steady = grid.solve(maps)
-        solver = TransientSolver(grid, dt=0.05)
-        field, steps = solver.converge(maps, tol_c=1e-10)
+        temps = np.full(maps.shape, grid.stack.ambient_c)
+        for steps in range(1, 20_001):
+            stepped = grid.step_transient(temps, maps, 0.05)
+            moved = float(np.abs(stepped - temps).max())
+            temps = stepped
+            if moved <= 1e-10:
+                break
         assert steps < 20_000
-        err = float(np.abs(field.celsius - steady.celsius).max())
+        err = float(np.abs(temps - steady.celsius).max())
         assert err < 1e-6
 
     def test_oracle_and_factored_agree_per_step(self, grid, maps):
-        solver = TransientSolver(grid, dt=0.01)
-        temps = solver.initial_temps()
+        temps = np.full(maps.shape, grid.stack.ambient_c)
         for _ in range(5):
             temps = grid.step_transient(temps, maps, 0.01)
         fact = grid.step_transient(temps, maps, 0.01)
@@ -281,58 +282,6 @@ class TestInvalidateGuard:
         grid.solve(maps)
 
 
-class TestTransientSolver:
-    def test_run_trace_shapes(self, grid, maps):
-        solver = TransientSolver(grid, dt=0.01)
-        trace = solver.run([
-            PowerPhase(maps, 0.1), PowerPhase(maps * 0.2, 0.05),
-        ])
-        assert trace.steps == 15
-        assert trace.times.shape == trace.peak_c.shape == (15,)
-        assert np.all(np.diff(trace.times) > 0)
-        assert trace.max_peak_c == trace.layer_peak_c.max()
-        assert trace.final.celsius.shape == maps.shape
-        # Warm-up under power: the watched peak must have risen.
-        assert trace.peak_c[-1] > grid.stack.ambient_c
-
-    def test_empty_schedule_rejected(self, grid):
-        with pytest.raises(ValueError):
-            TransientSolver(grid).run([])
-
-    def test_phase_and_solver_validation(self, grid, maps):
-        with pytest.raises(ValueError):
-            PowerPhase(maps, 0.0)
-        with pytest.raises(ValueError):
-            TransientSolver(grid, dt=-1.0)
-
-    def test_watch_layer_fallback(self, grid):
-        solver = TransientSolver(grid, watch_layer="no-such-layer")
-        assert solver.watch_layer is None
-
-    def test_run_many_constant_and_per_step_traces(self, grid, maps):
-        solver = TransientSolver(grid, dt=0.01)
-        batch = np.stack([maps, maps * 0.5])
-        final, peaks = solver.run_many(batch, 6)
-        assert final.shape == batch.shape
-        assert peaks.shape == (2, 6)
-        # A per-step trace holding the same map every step is the same
-        # integration.
-        per_step = np.repeat(batch[:, None], 6, axis=1)
-        final2, peaks2 = solver.run_many(per_step, 6)
-        assert np.array_equal(final, final2)
-        assert np.array_equal(peaks, peaks2)
-
-    def test_run_many_validation(self, grid, maps):
-        solver = TransientSolver(grid)
-        batch = np.stack([maps])
-        with pytest.raises(ValueError):
-            solver.run_many(batch, 0)
-        with pytest.raises(ValueError):
-            solver.run_many(maps, 4)  # 3-D: missing scenario axis
-        with pytest.raises(ValueError):
-            solver.run_many(np.repeat(batch[:, None], 3, axis=1), 4)
-
-
 class TestThermalGovernor:
     @pytest.fixture(scope="class")
     def governor(self):
@@ -407,9 +356,11 @@ class TestThermalGovernor:
                                 break
                             cand = lower
                     assert governor.thermal_cap(profile, config) == cand
-            for key, peak in governor._steady_peak_cache.items():
+            for (profile_values, config), peak in (
+                governor._steady_peak_cache.items()
+            ):
                 assert peak == walker.steady_peak(
-                    get_application(key[0]), key[1]
+                    get_application(profile_values[0]), config
                 )
 
     def test_batched_power_maps_match_each_point(self):
@@ -424,6 +375,21 @@ class TestThermalGovernor:
             assert np.array_equal(
                 batch[k], thermal.build_power_maps(point.power)
             )
+
+    def test_same_named_profiles_keep_their_own_memos(self):
+        # A cooler copy that keeps MaxFlops's name must get its own cap,
+        # windows and steady peaks, not the ones MaxFlops left behind.
+        maxflops = get_application("MaxFlops")
+        cooler = maxflops.with_overrides(
+            issue_efficiency=maxflops.issue_efficiency * 0.3,
+            cu_utilization=maxflops.cu_utilization * 0.3,
+        )
+        shared = ThermalGovernor()
+        hot = shared.run([ThermalPhase(maxflops, 0.5)], HOT)
+        got = shared.run([ThermalPhase(cooler, 0.5)], HOT)
+        want = ThermalGovernor().run([ThermalPhase(cooler, 0.5)], HOT)
+        assert got.phase_configs != hot.phase_configs
+        self._assert_same_run(got, want)
 
     def test_cap_is_memoized(self, governor):
         p = get_application("MaxFlops")
